@@ -21,7 +21,7 @@ import (
 func BenchmarkAblationEagerThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, thr := range []int64{units.KB, 2 * units.KB, 16 * units.KB, 64 * units.KB} {
-			p := cluster.IBAEagerThreshold(thr)
+			p := cluster.IBA().With(cluster.EagerThreshold(thr))
 			lat := microbench.Latency(p, []int64{8 * units.KB}).Y[0]
 			b.ReportMetric(lat, "us-thr"+units.SizeString(thr))
 		}
@@ -52,7 +52,7 @@ func BenchmarkAblationHWMulticast(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(measure(cluster.IBA(), 8), "tree-8n-us")
-		b.ReportMetric(measure(cluster.IBAMulticast(), 8), "mcast-8n-us")
+		b.ReportMetric(measure(cluster.IBA().With(cluster.Multicast()), 8), "mcast-8n-us")
 	}
 }
 
@@ -74,7 +74,7 @@ func BenchmarkAblationOnDemandConnections(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(measure(cluster.IBA()), "static-MB")
-		b.ReportMetric(measure(cluster.IBAOnDemand()), "ondemand-MB")
+		b.ReportMetric(measure(cluster.IBA().With(cluster.OnDemand())), "ondemand-MB")
 	}
 }
 

@@ -94,7 +94,7 @@ func main() {
 
 	platforms := map[string]cluster.Platform{
 		"IBA": cluster.IBA(), "Myri": cluster.Myri(), "QSN": cluster.QSN(),
-		"IBA-PCI": cluster.IBAPCI(), "IBA-Topspin": cluster.Topspin(),
+		"IBA-PCI": cluster.IBA().With(cluster.PCIBus()), "IBA-Topspin": cluster.Topspin(),
 	}
 	p, ok := platforms[*net]
 	if !ok {

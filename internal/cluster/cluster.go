@@ -7,8 +7,8 @@
 // Settings baseline, With derives a variant (InfiniBand on plain PCI is
 // IBA().With(PCIBus())), and the same Option values also configure the MPI
 // world (WithFaults, WithTimeout, WithProcsPerNode — applied by
-// ApplyWorld). The historical one-off constructors (IBAPCI, IBAOnDemand,
-// ...) remain as thin deprecated wrappers over the options.
+// ApplyWorld). Of the historical one-off constructors only Topspin and
+// IBAFatTree remain, as thin deprecated wrappers over the options.
 package cluster
 
 import (
@@ -21,6 +21,7 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/gm"
 	"mpinet/internal/metrics"
+	"mpinet/internal/nic"
 	"mpinet/internal/rail"
 	"mpinet/internal/sim"
 	"mpinet/internal/trace"
@@ -199,11 +200,12 @@ const defaultLookahead = 40 * units.Nanosecond
 //
 // With Shards > 1 the engine is shard 0 of a sim.Sharded group whose
 // cross-shard lookahead is the network's own MinLinkLatency (or a
-// conservative default when the network cannot state one). The network's
-// device state all lives on shard 0 today — Partition gives the placement —
-// so figure runs stay byte-identical at every shard count while partitioned
-// workloads (and the staged device-domain split, see docs/MODEL.md §17) use
-// the remaining shards.
+// conservative default when the network cannot state one). Where device
+// state lives depends on the fabric: worlds on the platform's default
+// crossbar or the legacy fat tree keep it all on shard 0, while
+// topology-API worlds (Crossbar, FatTree, Clos) place each node on its own
+// shard — leaf-aligned on multi-stage fabrics, as Partition reports — once
+// the MPI layer activates node domains (see docs/MODEL.md §17).
 func (p Platform) New(nodes int) dev.Network {
 	s := p.base
 	if nodes < s.MinNodes {
@@ -562,18 +564,37 @@ func WithShards(n int) Option {
 	return Option{platform: func(s *Settings) { s.Shards = n }}
 }
 
+// nicConfig resolves the configuration fields every interconnect shares
+// over a builder's defaults: the eager-threshold and radix overrides, the
+// topology-API fabric with its node-domain placement, and the fault plan.
+func (s Settings) nicConfig(c nic.Config) nic.Config {
+	c.EagerThreshold = s.EagerThreshold
+	if s.SwitchPorts > 0 {
+		c.SwitchPorts = s.SwitchPorts
+	}
+	if s.Topology != nil {
+		if s.Topology.Kind == TopoCrossbar {
+			if c.SwitchPorts < c.Nodes {
+				c.SwitchPorts = c.Nodes
+			}
+		} else {
+			c.Clos = s.Topology.closConfig(s)
+		}
+		c.Domains = s.domains
+	}
+	c.Faults = s.plan().Flatten(0)
+	return c
+}
+
 // buildIBA wires the InfiniBand testbed from settings.
 func buildIBA(eng *sim.Engine, nodes int, s Settings) dev.Network {
 	cfg := verbs.DefaultConfig(nodes)
+	cfg.Config = s.nicConfig(cfg.Config)
 	if s.PCI {
 		cfg.Bus = bus.PCI64x66
 	}
 	cfg.OnDemandConnections = s.OnDemand
 	cfg.HWMulticast = s.Multicast
-	cfg.EagerThreshold = s.EagerThreshold
-	if s.SwitchPorts > 0 {
-		cfg.SwitchPorts = s.SwitchPorts
-	}
 	if s.AutoFatTree {
 		leaves := (nodes + 15) / 16
 		if leaves < 2 {
@@ -581,59 +602,20 @@ func buildIBA(eng *sim.Engine, nodes int, s Settings) dev.Network {
 		}
 		cfg.FatTree = &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: leaves, Spines: 8}
 	}
-	if s.Topology != nil {
-		if s.Topology.Kind == TopoCrossbar {
-			if cfg.SwitchPorts < nodes {
-				cfg.SwitchPorts = nodes
-			}
-		} else {
-			cfg.Clos = s.Topology.closConfig(s)
-		}
-		cfg.Domains = s.domains
-	}
-	cfg.Faults = s.plan().Flatten(0)
 	return verbs.New(eng, cfg)
 }
 
 // buildMyri wires the Myrinet testbed from settings.
 func buildMyri(eng *sim.Engine, nodes int, s Settings) dev.Network {
 	cfg := gm.DefaultConfig(nodes)
-	cfg.EagerThreshold = s.EagerThreshold
-	if s.SwitchPorts > 0 {
-		cfg.SwitchPorts = s.SwitchPorts
-	}
-	if s.Topology != nil {
-		if s.Topology.Kind == TopoCrossbar {
-			if cfg.SwitchPorts < nodes {
-				cfg.SwitchPorts = nodes
-			}
-		} else {
-			cfg.Clos = s.Topology.closConfig(s)
-		}
-		cfg.Domains = s.domains
-	}
-	cfg.Faults = s.plan().Flatten(0)
+	cfg.Config = s.nicConfig(cfg.Config)
 	return gm.New(eng, cfg)
 }
 
 // buildQSN wires the Quadrics testbed from settings.
 func buildQSN(eng *sim.Engine, nodes int, s Settings) dev.Network {
 	cfg := elan.DefaultConfig(nodes)
-	cfg.EagerThreshold = s.EagerThreshold
-	if s.SwitchPorts > 0 {
-		cfg.SwitchPorts = s.SwitchPorts
-	}
-	if s.Topology != nil {
-		if s.Topology.Kind == TopoCrossbar {
-			if cfg.SwitchPorts < nodes {
-				cfg.SwitchPorts = nodes
-			}
-		} else {
-			cfg.Clos = s.Topology.closConfig(s)
-		}
-		cfg.Domains = s.domains
-	}
-	cfg.Faults = s.plan().Flatten(0)
+	cfg.Config = s.nicConfig(cfg.Config)
 	return elan.New(eng, cfg)
 }
 
@@ -713,31 +695,11 @@ func Bond(primary Platform, others ...Platform) Platform {
 	}
 }
 
-// IBAPCI is the same InfiniBand platform forced onto a 64-bit/66 MHz PCI
-// bus (Figures 26–28).
-//
-// Deprecated: use IBA().With(PCIBus()).
-func IBAPCI() Platform { return IBA().With(PCIBus()) }
-
 // Topspin is the 16-node Topspin InfiniBand cluster with the 24-port
 // Topspin 360 switch (Figure 24).
 //
 // Deprecated: use IBA().With(SwitchPorts(24)).Named("IBA-Topspin").
 func Topspin() Platform { return IBA().With(SwitchPorts(24)).Named("IBA-Topspin") }
-
-// IBAOnDemand is InfiniBand with the on-demand connection-management
-// extension the paper's memory-usage discussion points to (Section 3.8):
-// Reliable Connections are established on first contact, so per-connection
-// memory tracks peers actually spoken to.
-//
-// Deprecated: use IBA().With(OnDemand()).
-func IBAOnDemand() Platform { return IBA().With(OnDemand()) }
-
-// IBAMulticast is InfiniBand with the hardware-supported collective
-// extension of Section 3.7: broadcasts ride switch multicast.
-//
-// Deprecated: use IBA().With(Multicast()).
-func IBAMulticast() Platform { return IBA().With(Multicast()) }
 
 // IBAFatTree is InfiniBand on a two-level fat tree built from 24-port
 // elements (16 hosts and 8 up-links per leaf): the scaling extension for
@@ -748,9 +710,3 @@ func IBAMulticast() Platform { return IBA().With(Multicast()) }
 //
 // Deprecated: use IBA().With(FatTree(24, 2)).
 func IBAFatTree(n int) Platform { return IBA().With(AutoFatTree(), MinNodes(n)) }
-
-// IBAEagerThreshold is InfiniBand with an overridden eager/rendezvous
-// switch point — the ablation knob behind the Figure 2 protocol-dip study.
-//
-// Deprecated: use IBA().With(EagerThreshold(t)).
-func IBAEagerThreshold(threshold int64) Platform { return IBA().With(EagerThreshold(threshold)) }

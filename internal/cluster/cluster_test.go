@@ -47,11 +47,11 @@ func TestTopspinScales(t *testing.T) {
 }
 
 func TestIBAPCIIsDistinctPlatform(t *testing.T) {
-	if IBAPCI().Name != "IBA-PCI" {
+	if IBA().With(PCIBus()).Name != "IBA-PCI" {
 		t.Fatal("IBA-PCI platform name")
 	}
 	// Both variants must wire fine at 8 nodes.
-	if IBAPCI().New(8).Nodes() != 8 {
+	if IBA().With(PCIBus()).New(8).Nodes() != 8 {
 		t.Fatal("IBA-PCI wiring failed")
 	}
 }
@@ -72,13 +72,13 @@ func TestShmemPolicyDiffersAcrossPlatforms(t *testing.T) {
 }
 
 func TestExtensionPlatforms(t *testing.T) {
-	if IBAOnDemand().New(4).Nodes() != 4 {
+	if IBA().With(OnDemand()).New(4).Nodes() != 4 {
 		t.Fatal("IBA-OD wiring")
 	}
-	if IBAMulticast().New(4).Nodes() != 4 {
+	if IBA().With(Multicast()).New(4).Nodes() != 4 {
 		t.Fatal("IBA-MC wiring")
 	}
-	if IBAEagerThreshold(8192).New(2).NewEndpoint(0).EagerThreshold() != 8192 {
+	if IBA().With(EagerThreshold(8192)).New(2).NewEndpoint(0).EagerThreshold() != 8192 {
 		t.Fatal("IBA-ET threshold not applied")
 	}
 	ft := IBAFatTree(48).New(48)
@@ -93,8 +93,8 @@ func TestExtensionPlatforms(t *testing.T) {
 
 func TestPlatformNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, p := range []Platform{IBA(), IBAPCI(), Topspin(), Myri(), QSN(),
-		IBAOnDemand(), IBAMulticast(), IBAFatTree(32), IBAEagerThreshold(4096)} {
+	for _, p := range []Platform{IBA(), IBA().With(PCIBus()), Topspin(), Myri(), QSN(),
+		IBA().With(OnDemand()), IBA().With(Multicast()), IBAFatTree(32), IBA().With(EagerThreshold(4096))} {
 		if seen[p.Name] {
 			t.Fatalf("duplicate platform name %q", p.Name)
 		}

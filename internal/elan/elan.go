@@ -21,6 +21,9 @@
 //     windows stall the host, the Figure 2 drop past window 16.
 //   - No registration, but the NIC MMU must hold translations: first touch
 //     of a new buffer costs host time at any message size (Figures 7, 8).
+//
+// Fabric wiring, the per-peer path cache and the retry ladder come from
+// internal/nic.
 package elan
 
 import (
@@ -32,34 +35,21 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
 	"mpinet/internal/metrics"
-	"mpinet/internal/msgtrace"
+	"mpinet/internal/nic"
 	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
 
-// Config selects the Quadrics platform variant.
+// Config selects the Quadrics platform variant; the paper's Elite-16
+// switch has 16 ports.
 type Config struct {
-	Nodes       int
-	SwitchPorts int // 16 on the paper's Elite-16
-	// EagerThreshold overrides Tports' default 16 KB large-message switch
-	// point (0 = default); an ablation knob.
-	EagerThreshold int64
-	// Faults, when non-nil, injects the plan's link/NIC/bus faults and
-	// enables the Elan source-retry machinery below.
-	Faults *faults.Plan
-	// Clos, when non-nil, replaces the single crossbar with a parameterized
-	// multi-stage Clos fabric (the redesigned topology API).
-	Clos *fabric.ClosConfig
-	// Domains, when non-nil, is the node-domain placement capability: the
-	// engines and node->shard map of a sharded world, consumed when
-	// ActivateDomains is called (see dev.DomainNetwork).
-	Domains *dev.Domains
+	nic.Config
 }
 
 // DefaultConfig is the paper's 8-node testbed.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, SwitchPorts: 16}
+	return Config{nic.Config{Nodes: nodes, SwitchPorts: 16}}
 }
 
 // Calibration constants (see DESIGN.md §5).
@@ -114,32 +104,38 @@ const (
 	loopbackPenalty = 2500 * units.Nanosecond
 )
 
-// elanRetry is Elan source retry: the wormhole fabric reports a failed
-// route to the source NIC almost immediately, and the thread processor
-// re-issues the packet from its own SDRAM many times at a short fixed
-// interval before raising a network error to the library.
-var elanRetry = faults.RetryPolicy{Limit: 31, Interval: 30 * units.Microsecond}
+// spec wires the Elite crossbar and carries Elan source retry: the
+// wormhole fabric reports a failed route to the source NIC almost
+// immediately, and the thread processor re-issues the packet from its own
+// SDRAM many times at a short fixed interval before raising a network
+// error to the library — many cheap retries rather than the host-visible
+// timeouts of the other two interconnects. Each re-issue re-resolves its
+// route (adaptive routing's leaf-local state forgets dead planes at
+// detection).
+var spec = nic.Spec{
+	Pkg:         "elan",
+	Crossbar:    "elite16",
+	Clos:        "elite-clos",
+	Ports:       16,
+	LinkRate:    units.BytesPerSecond(linkRateBps),
+	Crossing:    switchCrossing,
+	WireLatency: wireLatency,
+	EagerMax:    eagerMax,
+	Retry:       faults.RetryPolicy{Limit: 31, Interval: 30 * units.Microsecond},
+	Protocol:    "Elan source retry",
+}
+
+// Path variants: PIO-sized sends skip the sender bus DMA, so each peer
+// keeps two staged paths.
+const (
+	pathPIO = iota // size <= pioMax
+	pathDMA        // size > pioMax
+)
 
 // Network is a wired Quadrics cluster.
 type Network struct {
-	eng   *sim.Engine
-	cfg   Config
-	topo  fabric.Topology
+	*nic.Net
 	nodes []*nodeHW
-	met   *metrics.Registry
-	inj   *faults.Injector
-	rec   *msgtrace.Recorder
-
-	// dynamic marks adaptive routing: paths are chosen per message and
-	// must not be cached.
-	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
-	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
-	cfgErr error
 }
 
 type nodeHW struct {
@@ -152,53 +148,7 @@ type nodeHW struct {
 
 // New wires a Quadrics network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes < 1 {
-		panic("elan: need at least one node")
-	}
-	if cfg.SwitchPorts == 0 {
-		cfg.SwitchPorts = 16
-	}
-	n := &Network{eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
-	if cfg.Clos != nil {
-		cc := *cfg.Clos
-		if cc.LinkRate == 0 {
-			cc.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if cc.Crossing == 0 {
-			cc.Crossing = switchCrossing
-		}
-		if cc.WireLatency == 0 {
-			cc.WireLatency = wireLatency
-		}
-		topo, err := fabric.NewClos("elite-clos", cc, cfg.Nodes)
-		if err != nil {
-			n.cfgErr = fmt.Errorf("elan: %w", err)
-		} else {
-			n.topo = topo
-			n.dynamic = cc.Routing == fabric.Adaptive
-			if cfg.Faults.HasElements() {
-				if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
-					n.cfgErr = fmt.Errorf("elan: %w", err)
-				}
-				// Element deaths invalidate cached paths: every message must
-				// re-resolve its route so detection-time re-hashes take effect.
-				n.dynamic = true
-			}
-		}
-	} else {
-		if cfg.Nodes > cfg.SwitchPorts {
-			panic(fmt.Sprintf("elan: %d nodes exceed %d switch ports", cfg.Nodes, cfg.SwitchPorts))
-		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch("elite16", fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: switchCrossing,
-			Rate:     units.BytesPerSecond(linkRateBps),
-		}))
-	}
-	if cfg.Faults.HasElements() && cfg.Clos == nil {
-		n.cfgErr = fmt.Errorf("elan: fault plan schedules fabric-element deaths but the topology is not a Clos")
-	}
-	n.announceElementDeaths()
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec, nil)}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("qsn%d", i)
 		n.nodes = append(n.nodes, &nodeHW{
@@ -219,109 +169,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "QSN" }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Network) Topology() fabric.Topology { return n.topo }
-
-// Engine implements dev.Network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Nodes implements dev.Network.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MinLinkLatency implements dev.LookaheadReporter: the cross-node latency
-// floor is one wire hop.
-func (n *Network) MinLinkLatency() sim.Time { return wireLatency }
-
 // ShmemBelow implements dev.Network: the Quadrics MPI of the paper loops
 // intra-node traffic through the NIC at every size.
 func (n *Network) ShmemBelow() int64 { return 0 }
-
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
-func (n *Network) FaultPlan() *faults.Plan { return n.inj.Plan() }
-
-// Diameter implements dev.DiameterReporter.
-func (n *Network) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
-
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
-func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
-}
-
-// announceElementDeaths schedules one FlightElementDown incident per
-// switch kill at its death instant, so a postmortem names the dead element
-// even when no packet happened to ride it. Node crashes are announced by
-// the MPI layer, which owns rank death.
-func (n *Network) announceElementDeaths() {
-	p := n.inj.Plan()
-	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
-		return
-	}
-	uplinks := n.cfg.Clos.Uplinks()
-	for _, k := range p.SwitchKills {
-		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
-		if k.Level >= 1 {
-			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
-		}
-		at, repair := k.At, int64(k.RepairAt)
-		c := code
-		n.eng.At(at, func() {
-			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
-		})
-	}
-}
-
-// AttachTracer implements dev.TraceAttacher.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
-
-// ConfigErr implements dev.ConfigErrer.
-func (n *Network) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Network) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. The Elan source-retry machinery reads fault verdicts
-// at delivery time on the shared engine, so a fault plan refuses activation.
-func (n *Network) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.inj != nil {
-		return false
-	}
-	n.scale = true
-	return true
-}
-
-// engineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
-func (n *Network) engineFor(node int) *sim.Engine {
-	if !n.scale {
-		return n.eng
-	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop so
-// cross-shard commit order agrees with serial dispatch order at same-instant
-// collisions (see the verbs twin for the full rationale).
-func (n *Network) skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
-}
 
 // ShmemConfig returns intra-node channel parameters (unused in practice
 // since ShmemBelow is 0, but required for interface completeness).
@@ -336,7 +186,6 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
@@ -350,13 +199,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 		hw.dmaRx.RecordSpans(m, i, "rx", "nic")
 		hw.link.Instrument(m, i)
 	}
-	// As in the other devices, the Elite crossbar's output contention rides
-	// the destination down-link, so its port pipes carry no traffic and are
-	// left unregistered; multi-stage fabrics register their leaf-tier links.
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
-	n.inj.Instrument(m)
+	n.InstrumentFabric(m)
 }
 
 // Utilizations implements dev.UtilizationReporter.
@@ -377,113 +220,34 @@ func (n *Network) Utilizations() []dev.Utilization {
 
 // NewEndpoint implements dev.Network.
 func (n *Network) NewEndpoint(node int) dev.Endpoint {
-	if node < 0 || node >= len(n.nodes) {
-		panic("elan: bad node index")
-	}
 	ep := &endpoint{
-		net:  n,
-		node: node,
+		net: n,
 		mmu: memreg.NewPinCache(
 			memreg.CostModel{PerOp: mmuPerOp, PerPage: mmuPerPage},
 			memreg.CostModel{}, // MMU entries are overwritten, not deregistered
 			mmuCapPages),
 	}
-	ep.nic = dev.NewNICCounters(n.met, node)
-	ep.cmdqStalls = n.met.Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
-	ep.matches = n.met.Counter(metrics.NodePrefix(node) + "nic/matches")
-	ep.retries = n.met.Counter(metrics.NodePrefix(node) + "nic/retries")
-	ep.retryErrors = n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted")
-	dev.InstrumentPinCache(n.met, node, ep.mmu)
+	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
+	ep.cmdqStalls = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
+	ep.matches = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/matches")
+	dev.InstrumentPinCache(n.Metrics(), node, ep.mmu)
 	return ep
 }
 
 type endpoint struct {
-	net  *Network
-	node int
-	mmu  *memreg.PinCache
+	nic.Endpoint
+	net *Network
+	mmu *memreg.PinCache
 
 	// outstanding NIC commands (issued, not yet delivered) for the
 	// command-queue model.
 	outstanding int
 
-	// sink receives permanent transfer failures (dev.FaultReporter).
-	sink func(error)
-	// onRetry observes each individual source retry (dev.RetryReporter).
-	onRetry func()
-
 	// metric handles (nil-safe no-ops when instrumentation is off)
-	nic         dev.NICCounters
-	cmdqStalls  *metrics.Counter
-	matches     *metrics.Counter
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
-
-	// peers holds the resolved per-destination send state. The stage list
-	// has two variants because PIO-sized sends skip the sender bus DMA; the
-	// block carries both plus their source-side stage counts. One dense
-	// slice of lazily materialized blocks — the hot path is a single index,
-	// no map lookups, and an endpoint in a 4k-node world only pays for the
-	// peers it actually speaks to. Adaptive routing bypasses the cache:
-	// the up-link choice is per message.
-	peers []*peerState
+	cmdqStalls *metrics.Counter
+	matches    *metrics.Counter
 }
 
-// peerState is one destination's resolved send state, per PIO/DMA variant.
-type peerState struct {
-	pathPIO []fabric.PathStage // size <= pioMax
-	pathDMA []fabric.PathStage // size > pioMax
-	srcPIO  int
-	srcDMA  int
-}
-
-// peer returns dst's state block, materializing it (and the index slice)
-// on first contact.
-func (ep *endpoint) peer(dst int) *peerState {
-	if ep.peers == nil {
-		ep.peers = make([]*peerState, len(ep.net.nodes))
-	}
-	p := ep.peers[dst]
-	if p == nil {
-		p = &peerState{}
-		ep.peers[dst] = p
-	}
-	return p
-}
-
-// OnFault implements dev.FaultReporter.
-func (ep *endpoint) OnFault(sink func(error)) { ep.sink = sink }
-
-// OnRetry implements dev.RetryReporter.
-func (ep *endpoint) OnRetry(observe func()) { ep.onRetry = observe }
-
-// retried counts one source retry and feeds the passive health observer.
-func (ep *endpoint) retried() {
-	ep.retries.Inc()
-	if ep.onRetry != nil {
-		ep.onRetry()
-	}
-}
-
-// fail reports a permanent transfer failure to the registered sink, or
-// raises it directly when the device is used without the MPI layer.
-func (ep *endpoint) fail(err error) {
-	ep.retryErrors.Inc()
-	if ep.sink != nil {
-		ep.sink(err)
-		return
-	}
-	panic(err)
-}
-
-func (ep *endpoint) Node() int { return ep.node }
-
-// EagerThreshold implements dev.Endpoint, honouring the config override.
-func (ep *endpoint) EagerThreshold() int64 {
-	if ep.net.cfg.EagerThreshold > 0 {
-		return ep.net.cfg.EagerThreshold
-	}
-	return eagerMax
-}
 func (ep *endpoint) NICProgress() bool    { return true }
 func (ep *endpoint) AcquireOnEager() bool { return true }
 
@@ -509,8 +273,8 @@ func (ep *endpoint) CopyTime(size int64) sim.Time {
 func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
 	cost := ep.mmu.Acquire(b)
 	if cost > 0 {
-		hw := ep.net.nodes[ep.node]
-		now := ep.net.engineFor(ep.node).Now()
+		hw := ep.net.nodes[ep.Node()]
+		now := ep.net.EngineFor(ep.Node()).Now()
 		hw.elanProc.Use(now, cost)
 		hw.dmaTx.Use(now, cost)
 		hw.dmaRx.Use(now, cost)
@@ -531,8 +295,8 @@ func (ep *endpoint) IssueStall() sim.Time {
 		return 0
 	}
 	ep.cmdqStalls.Inc()
-	hw := ep.net.nodes[ep.node]
-	hw.elanProc.Use(ep.net.engineFor(ep.node).Now(), queueThrash)
+	hw := ep.net.nodes[ep.Node()]
+	hw.elanProc.Use(ep.net.EngineFor(ep.Node()).Now(), queueThrash)
 	return slowIssue
 }
 
@@ -546,8 +310,8 @@ func (ep *endpoint) MatchDelay(pending int, cb func()) {
 		pending = maxWalk
 	}
 	ep.matches.Inc()
-	eng := ep.net.engineFor(ep.node)
-	hw := ep.net.nodes[ep.node]
+	eng := ep.net.EngineFor(ep.Node())
+	hw := ep.net.nodes[ep.Node()]
 	_, end := hw.elanProc.Use(eng.Now(), matchBase+sim.Time(pending)*matchPerEntry)
 	eng.At(end, cb)
 }
@@ -559,71 +323,34 @@ func (l elanStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, elanPerMsg)
 }
 
-// path returns the staged path to dst, assembled once per (destination,
-// PIO-or-DMA) variant and cached in the peer block — except under adaptive
-// routing, where the fabric picks the up-link per message and the path must
-// be rebuilt.
-func (ep *endpoint) path(dst int, size int64) []fabric.PathStage {
-	p, _ := ep.resolved(dst, size)
-	return p
-}
-
-// resolved returns the staged path to dst for the size's PIO/DMA variant
-// and its source-side stage count — the NIC thread processor, send DMA and
-// link up (plus the sender bus for DMA-sized payloads, and whatever the
-// topology keeps on the source leaf; TransferCut runs those on the source's
-// domain engine). Both are cached in the peer block; adaptive routing
-// rebuilds the path per message.
-func (ep *endpoint) resolved(dst int, size int64) ([]fabric.PathStage, int) {
-	srcN := func() int {
-		n := 3
-		if size > pioMax {
-			n++
-		}
-		return n + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	if ep.net.dynamic && dst != ep.node {
-		return ep.buildPath(dst, size), srcN()
-	}
-	p := ep.peer(dst)
-	if size > pioMax {
-		if p.pathDMA == nil {
-			p.pathDMA = ep.buildPath(dst, size)
-			p.srcDMA = srcN()
-		}
-		return p.pathDMA, p.srcDMA
-	}
-	if p.pathPIO == nil {
-		p.pathPIO = ep.buildPath(dst, size)
-		p.srcPIO = srcN()
-	}
-	return p.pathPIO, p.srcPIO
-}
-
-// buildPath assembles the staged path to dst. Small sends skip the sender-
-// side bus DMA (the host PIO-copied into Elan SDRAM already, billed in
-// SendOverhead). Same-node traffic loops through the NIC, crossing the
-// node's PCI bus twice.
-func (ep *endpoint) buildPath(dst int, size int64) []fabric.PathStage {
-	src := ep.net.nodes[ep.node]
+// Path implements nic.Model: the staged path to dst for a PIO or DMA
+// variant. PIO-sized sends skip the sender-side bus DMA (the host
+// PIO-copied into Elan SDRAM already, billed in SendOverhead). Same-node
+// traffic loops through the NIC, crossing the node's PCI bus twice. The
+// NIC thread processor, send DMA and link up — plus the sender bus for
+// DMA-sized payloads — run on the source's hardware.
+func (ep *endpoint) Path(dst, variant int) ([]fabric.PathStage, int) {
+	src := ep.net.nodes[ep.Node()]
 	var stages []fabric.PathStage
-	if size > pioMax {
+	local := 3
+	if variant == pathDMA {
 		stages = append(stages, fabric.PathStage{Stage: src.bus})
+		local++
 	}
-	if dst == ep.node {
+	if dst == ep.Node() {
 		return append(stages,
 			fabric.PathStage{Stage: elanStage{src.elanProc}, Latency: loopbackPenalty},
 			fabric.PathStage{Stage: src.dmaTx},
 			fabric.PathStage{Stage: src.dmaRx},
 			fabric.PathStage{Stage: src.bus},
-		)
+		), local
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.topo.Between(ep.node, dst)
+	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages = append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
-		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + ep.net.skew(ep.node)},
+		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
 	)
 	stages = append(stages, between...)
 	return append(stages,
@@ -631,143 +358,64 @@ func (ep *endpoint) buildPath(dst int, size int64) []fabric.PathStage {
 		fabric.PathStage{Stage: elanStage{d.elanProc}},
 		fabric.PathStage{Stage: d.dmaRx},
 		fabric.PathStage{Stage: d.bus},
-	)
+	), local
+}
+
+// Hold implements nic.Holder: every message occupies a command-queue slot,
+// for the whole retry chain under faults.
+func (ep *endpoint) Hold(nic.Msg) { ep.outstanding++ }
+
+// Release implements nic.Holder.
+func (ep *endpoint) Release(nic.Msg) { ep.outstanding-- }
+
+// Resend implements nic.Resender: the thread processor re-issues the
+// packet from NIC SDRAM.
+func (ep *endpoint) Resend() {
+	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.Engine().Now(), elanPerMsg)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	if ep.net.scale {
-		// Domain mode: fault-free by construction (activation refuses fault
-		// plans) and untraced; the staged path is split at the wire so each
-		// node's hardware state stays on its own engine. The command-queue
-		// slot is source-NIC state, so its release rides a cross-domain hop
-		// back — one wire flight after delivery, carrying the destination's
-		// skew so commit order stays a pure function of simulated time.
-		eng := ep.net.engineFor(ep.node)
-		dstEng := ep.net.engineFor(dst)
-		ep.outstanding++
-		path, srcN := ep.resolved(dst, size)
-		fabric.TransferCut(eng, dstEng, path, srcN,
-			size, fabric.ChunkFor(size), eng.Now(), func(sim.Time) {
-				if dst == ep.node {
-					ep.outstanding--
-				} else {
-					// ScheduleOn degrades to a same-engine Schedule with the
-					// identical delay when both nodes share a shard, so the
-					// release time is the same at every shard count.
-					dstEng.ScheduleOn(eng, wireLatency+ep.net.skew(dst), func() {
-						ep.outstanding--
-					})
-				}
-				deliver()
-			})
+	m := nic.Msg{Dst: dst, Size: size}
+	if size > pioMax {
+		m.Variant = pathDMA
+	}
+	if !ep.net.Scale() {
+		ep.Send(m, deliver)
 		return
 	}
-	eng := ep.net.eng
-	rec := ep.net.rec
-	tid, rail := rec.Cur(), rec.CurRail()
-	ep.outstanding++
-	inj := ep.net.inj
-	if inj == nil || dst == ep.node {
-		ep.wireAttempt(ep.path(dst, size), tid, rail, 0, size, eng.Now(),
-			func(end sim.Time) {
-				ep.outstanding--
-				deliver()
-			})
-		return
-	}
-	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
-	// Elan source retry: the wormhole fabric bounces a failed route back
-	// to the source, whose thread processor re-issues the packet from NIC
-	// SDRAM after a short fixed interval — many cheap retries rather than
-	// the host-visible timeouts of the other two interconnects. The
-	// command-queue slot stays occupied for the whole retry chain. Each
-	// re-issue re-resolves its route (adaptive routing's leaf-local state
-	// forgets dead planes at detection), and a detected dead end — crashed
-	// peer, partitioned fabric — fails typed without burning retries.
-	attempt := 1
-	var try func(at sim.Time)
-	try = func(at sim.Time) {
-		if inj.NodeDeadDetected(dst, at) || inj.NodeDeadDetected(ep.node, at) {
-			node := dst
-			if inj.NodeDeadDetected(ep.node, at) {
-				node = ep.node
-			}
-			ep.outstanding--
-			ep.fail(&faults.NodeDownError{Node: node, At: at})
-			return
+	// Domain mode: the command-queue slot is source-NIC state, so its
+	// release rides a cross-domain hop back — one wire flight after
+	// delivery, carrying the destination's skew so commit order stays a
+	// pure function of simulated time. ScheduleOn degrades to a same-engine
+	// Schedule with the identical delay when both nodes share a shard, so
+	// the release time is the same at every shard count.
+	eng, dstEng := ep.net.EngineFor(ep.Node()), ep.net.EngineFor(dst)
+	ep.Hold(m)
+	ep.SendCut(m, func(sim.Time) {
+		if dst == ep.Node() {
+			ep.Release(m)
+		} else {
+			dstEng.ScheduleOn(eng, wireLatency+ep.net.Skew(dst), func() { ep.Release(m) })
 		}
-		path := ep.path(dst, size)
-		fate := fabric.LastRouteOf(ep.net.topo)
-		if fate.State == fabric.RoutePartitioned {
-			ep.outstanding--
-			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
-			return
-		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					ep.outstanding--
-					deliver()
-					return
-				}
-				if attempt > elanRetry.Limit {
-					ep.outstanding--
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "Elan source retry"})
-					return
-				}
-				delay := elanRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() {
-					hw := ep.net.nodes[ep.node]
-					hw.elanProc.Use(eng.Now(), elanPerMsg)
-					try(eng.Now())
-				})
-			})
-	}
-	try(start)
-}
-
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
+		deliver()
+	})
 }
 
 // Eager implements dev.Endpoint (Tports queued send).
 func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.nic.Eager(size)
+	ep.NIC.Eager(size)
 	ep.transfer(dst, size+32, deliver)
 }
 
 // Control implements dev.Endpoint.
 func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.nic.Control()
+	ep.NIC.Control()
 	ep.transfer(dst, 64, deliver)
 }
 
 // Bulk implements dev.Endpoint (Elan remote DMA).
 func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.nic.Bulk(size)
+	ep.NIC.Bulk(size)
 	ep.transfer(dst, size, deliver)
 }
 

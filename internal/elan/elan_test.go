@@ -8,16 +8,6 @@ import (
 	"mpinet/internal/units"
 )
 
-func TestNetworkBasics(t *testing.T) {
-	n := New(sim.New(), DefaultConfig(8))
-	if n.Name() != "QSN" || n.Nodes() != 8 {
-		t.Fatalf("name=%q nodes=%d", n.Name(), n.Nodes())
-	}
-	if n.ShmemBelow() != 0 {
-		t.Fatal("Quadrics MPI loops intra-node traffic through the NIC")
-	}
-}
-
 func TestDeviceProperties(t *testing.T) {
 	n := New(sim.New(), DefaultConfig(2))
 	ep := n.NewEndpoint(0)
@@ -124,37 +114,6 @@ func TestLoopbackWorseThanWire(t *testing.T) {
 	}
 	if lb, rm := measure(0), measure(1); lb <= rm {
 		t.Fatalf("loopback %v should be slower than remote %v", lb, rm)
-	}
-}
-
-func TestTooManyNodesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(sim.New(), Config{Nodes: 17, SwitchPorts: 16})
-}
-
-func TestEagerThresholdOverride(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.EagerThreshold = 2048
-	n := New(sim.New(), cfg)
-	if got := n.NewEndpoint(0).EagerThreshold(); got != 2048 {
-		t.Fatalf("threshold = %d", got)
-	}
-}
-
-func TestUtilizations(t *testing.T) {
-	eng := sim.New()
-	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	us := n.Utilizations()
-	if len(us) != 2*6 { // 2 nodes x (bus, elanproc, dma-tx, dma-rx, up, down)
-		t.Fatalf("utilization entries = %d, want 12", len(us))
 	}
 }
 

@@ -123,7 +123,7 @@ func (r *Runner) MicroComparisons() []report.Comparison {
 	}
 	groups = append(groups, func() []report.Comparison {
 		return one("peak bandwidth", "IBA-PCI", report.PaperMicro["iba_pci_bw_MBs"]["IBA-PCI"],
-			microbench.Bandwidth(r.pf(cluster.IBAPCI()), []int64{512 * units.KB}, 16).Y[0], "MB/s")
+			microbench.Bandwidth(r.pf(cluster.IBA().With(cluster.PCIBus())), []int64{512 * units.KB}, 16).Y[0], "MB/s")
 	})
 	return r.gatherComparisons("micro anchors", groups)
 }

@@ -238,7 +238,7 @@ func (r *Runner) Fig28() report.Table {
 	for _, name := range []string{"IS", "CG", "MG", "LU", "FT", "SP", "BT"} {
 		procs := appProcs(name)
 		x := r.app(name, cluster.IBA(), procs, 1).Elapsed.Seconds()
-		pci := r.app(name, cluster.IBAPCI(), procs, 1).Elapsed.Seconds()
+		pci := r.app(name, cluster.IBA().With(cluster.PCIBus()), procs, 1).Elapsed.Seconds()
 		t.Rows = append(t.Rows, []string{name,
 			fmt.Sprintf("%.2f", x), fmt.Sprintf("%.2f", pci),
 			fmt.Sprintf("%.1f", (pci-x)/x*100)})

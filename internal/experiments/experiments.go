@@ -348,7 +348,7 @@ func (r *Runner) Fig26() report.Figure {
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
 	cx := microbench.Latency(r.pf(cluster.IBA()), r.sizes(4, 4*units.KB))
 	cx.Label = "PCI-X"
-	ci := microbench.Latency(r.pf(cluster.IBAPCI()), r.sizes(4, 4*units.KB))
+	ci := microbench.Latency(r.pf(cluster.IBA().With(cluster.PCIBus())), r.sizes(4, 4*units.KB))
 	ci.Label = "PCI"
 	f.Curves = []microbench.Curve{cx, ci}
 	return f
@@ -361,7 +361,7 @@ func (r *Runner) Fig27() report.Figure {
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
 	cx := microbench.Bandwidth(r.pf(cluster.IBA()), r.sizes(4, units.MB), 16)
 	cx.Label = "PCI-X"
-	ci := microbench.Bandwidth(r.pf(cluster.IBAPCI()), r.sizes(4, units.MB), 16)
+	ci := microbench.Bandwidth(r.pf(cluster.IBA().With(cluster.PCIBus())), r.sizes(4, units.MB), 16)
 	ci.Label = "PCI"
 	f.Curves = []microbench.Curve{cx, ci}
 	return f

@@ -24,7 +24,7 @@ func (r *Runner) ExtMemory() report.Figure {
 	if !r.Quick {
 		counts = []int{2, 3, 4, 5, 6, 7, 8}
 	}
-	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBAOnDemand())} {
+	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.OnDemand()))} {
 		c := microbench.Curve{Label: p.Name}
 		for _, n := range counts {
 			w := mpi.MustWorld(mpi.Config{Net: p.New(n), Procs: n})
@@ -52,7 +52,7 @@ func (r *Runner) ExtBcast() report.Figure {
 	f := report.Figure{ID: "Ext B", Title: "MPI_Bcast 1KB: binomial tree vs switch multicast",
 		XLabel: "Nodes", YLabel: "Time (us)"}
 	counts := []int{2, 4, 8}
-	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBAMulticast())} {
+	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.Multicast()))} {
 		label := "tree"
 		if p.Name == "IBA-MC" {
 			label = "multicast"

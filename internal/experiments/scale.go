@@ -24,7 +24,7 @@ func (r *Runner) ExtScaleMemory() report.Figure {
 		counts = []int{64, 256, 1024}
 	}
 	plats := []cluster.Platform{
-		r.pf(cluster.IBA()), r.pf(cluster.IBAOnDemand()),
+		r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.OnDemand())),
 		r.pf(cluster.Myri()), r.pf(cluster.QSN()),
 	}
 	for _, p := range plats {

@@ -19,6 +19,9 @@
 //   - MPICH-GM's eager path copies through pre-registered staging up to a
 //     16 KB threshold; beyond it, directed send is zero-copy and pays
 //     registration on pin-down cache misses (Figures 7, 8).
+//
+// Fabric wiring, the per-peer path cache and the retry ladder come from
+// internal/nic.
 package gm
 
 import (
@@ -31,34 +34,21 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
 	"mpinet/internal/metrics"
-	"mpinet/internal/msgtrace"
+	"mpinet/internal/nic"
 	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
 
-// Config selects the Myrinet platform variant.
+// Config selects the Myrinet platform variant; the paper's Myrinet-2000
+// switch has 8 ports.
 type Config struct {
-	Nodes       int
-	SwitchPorts int // 8 on the paper's Myrinet-2000 switch
-	// EagerThreshold overrides MPICH-GM's default 16 KB rendezvous switch
-	// point (0 = default); an ablation knob.
-	EagerThreshold int64
-	// Faults, when non-nil, injects the plan's link/NIC/bus faults and
-	// enables the GM send-token resend machinery below.
-	Faults *faults.Plan
-	// Clos, when non-nil, replaces the single crossbar with a parameterized
-	// multi-stage Clos fabric (the redesigned topology API).
-	Clos *fabric.ClosConfig
-	// Domains, when non-nil, is the node-domain placement capability: the
-	// engines and node->shard map of a sharded world, consumed when
-	// ActivateDomains is called (see dev.DomainNetwork).
-	Domains *dev.Domains
+	nic.Config
 }
 
 // DefaultConfig is the paper's 8-node testbed.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, SwitchPorts: 8}
+	return Config{nic.Config{Nodes: nodes, SwitchPorts: 8}}
 }
 
 // Calibration constants (see DESIGN.md §5).
@@ -105,32 +95,29 @@ const (
 	memFlat = 22 * units.MB
 )
 
-// gmRetry is GM's send-token reliability: a sent token is only returned by
-// the peer's ACK; when the ACK timeout lapses the LANai resends at a fixed
-// interval, and after the resend budget it marks the connection dead and
-// completes the send with GM_SEND_TIMED_OUT.
-var gmRetry = faults.RetryPolicy{Limit: 15, Interval: 200 * units.Microsecond}
+// spec wires the Myrinet-2000 crossbar and carries GM's send-token
+// reliability: a sent token is only returned by the peer's ACK; when the
+// ACK timeout lapses the LANai resends at a fixed interval, and after the
+// resend budget it marks the connection dead and completes the send with
+// GM_SEND_TIMED_OUT. Each resend re-resolves the route (the GM mapper's
+// up*/down* route remap).
+var spec = nic.Spec{
+	Pkg:         "gm",
+	Crossbar:    "myrinet2000",
+	Clos:        "myri-clos",
+	Ports:       8,
+	LinkRate:    units.BytesPerSecond(linkRateBps),
+	Crossing:    switchCrossing,
+	WireLatency: wireLatency,
+	EagerMax:    eagerMax,
+	Retry:       faults.RetryPolicy{Limit: 15, Interval: 200 * units.Microsecond},
+	Protocol:    "GM send-token resend",
+}
 
 // Network is a wired Myrinet cluster.
 type Network struct {
-	eng   *sim.Engine
-	cfg   Config
-	topo  fabric.Topology
+	*nic.Net
 	nodes []*nodeHW
-	met   *metrics.Registry
-	inj   *faults.Injector
-	rec   *msgtrace.Recorder
-
-	// dynamic marks adaptive routing: paths are chosen per message and
-	// must not be cached.
-	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
-	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
-	cfgErr error
 }
 
 type nodeHW struct {
@@ -172,53 +159,7 @@ func min64(a, b int64) int64 {
 
 // New wires a Myrinet network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes < 1 {
-		panic("gm: need at least one node")
-	}
-	if cfg.SwitchPorts == 0 {
-		cfg.SwitchPorts = 8
-	}
-	n := &Network{eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
-	if cfg.Clos != nil {
-		cc := *cfg.Clos
-		if cc.LinkRate == 0 {
-			cc.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if cc.Crossing == 0 {
-			cc.Crossing = switchCrossing
-		}
-		if cc.WireLatency == 0 {
-			cc.WireLatency = wireLatency
-		}
-		topo, err := fabric.NewClos("myri-clos", cc, cfg.Nodes)
-		if err != nil {
-			n.cfgErr = fmt.Errorf("gm: %w", err)
-		} else {
-			n.topo = topo
-			n.dynamic = cc.Routing == fabric.Adaptive
-			if cfg.Faults.HasElements() {
-				if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
-					n.cfgErr = fmt.Errorf("gm: %w", err)
-				}
-				// Element deaths invalidate cached paths: every message must
-				// re-resolve its route so detection-time re-hashes take effect.
-				n.dynamic = true
-			}
-		}
-	} else {
-		if cfg.Nodes > cfg.SwitchPorts {
-			panic(fmt.Sprintf("gm: %d nodes exceed %d switch ports", cfg.Nodes, cfg.SwitchPorts))
-		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch("myrinet2000", fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: switchCrossing,
-			Rate:     units.BytesPerSecond(linkRateBps),
-		}))
-	}
-	if cfg.Faults.HasElements() && cfg.Clos == nil {
-		n.cfgErr = fmt.Errorf("gm: fault plan schedules fabric-element deaths but the topology is not a Clos")
-	}
-	n.announceElementDeaths()
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec, nil)}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("myri%d", i)
 		hw := &nodeHW{
@@ -240,110 +181,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "Myri" }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Network) Topology() fabric.Topology { return n.topo }
-
-// Engine implements dev.Network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Nodes implements dev.Network.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MinLinkLatency implements dev.LookaheadReporter: the cross-node latency
-// floor is one wire hop.
-func (n *Network) MinLinkLatency() sim.Time { return wireLatency }
-
 // ShmemBelow implements dev.Network: MPICH-GM uses shared memory for all
 // intra-node message sizes.
 func (n *Network) ShmemBelow() int64 { return math.MaxInt64 }
-
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
-func (n *Network) FaultPlan() *faults.Plan { return n.inj.Plan() }
-
-// Diameter implements dev.DiameterReporter.
-func (n *Network) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
-
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
-func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
-}
-
-// announceElementDeaths schedules one FlightElementDown incident per
-// switch kill at its death instant, so a postmortem names the dead element
-// even when no packet happened to ride it. Node crashes are announced by
-// the MPI layer, which owns rank death.
-func (n *Network) announceElementDeaths() {
-	p := n.inj.Plan()
-	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
-		return
-	}
-	uplinks := n.cfg.Clos.Uplinks()
-	for _, k := range p.SwitchKills {
-		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
-		if k.Level >= 1 {
-			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
-		}
-		at, repair := k.At, int64(k.RepairAt)
-		c := code
-		n.eng.At(at, func() {
-			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
-		})
-	}
-}
-
-// AttachTracer implements dev.TraceAttacher.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
-
-// ConfigErr implements dev.ConfigErrer.
-func (n *Network) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Network) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. The GM send-token resend machinery reads fault
-// verdicts at delivery time on the shared engine, so a fault plan refuses
-// activation.
-func (n *Network) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.inj != nil {
-		return false
-	}
-	n.scale = true
-	return true
-}
-
-// engineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
-func (n *Network) engineFor(node int) *sim.Engine {
-	if !n.scale {
-		return n.eng
-	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop so
-// cross-shard commit order agrees with serial dispatch order at same-instant
-// collisions (see the verbs twin for the full rationale).
-func (n *Network) skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
-}
 
 // ShmemConfig returns the intra-node channel parameters for MPICH-GM, whose
 // shared-memory path has the lowest small-message cost of the three
@@ -362,7 +202,6 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
@@ -382,13 +221,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 		hw.link.Instrument(m, i)
 		hw.acks = m.Counter(prefix + "/acks")
 	}
-	// The star path carries switch output contention on the destination's
-	// down-link (see fabric.Switch), so the crossbar's own port pipes never
-	// run; multi-stage fabrics register their leaf-tier links here.
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
-	n.inj.Instrument(m)
+	n.InstrumentFabric(m)
 }
 
 // Utilizations implements dev.UtilizationReporter.
@@ -409,101 +242,24 @@ func (n *Network) Utilizations() []dev.Utilization {
 
 // NewEndpoint implements dev.Network.
 func (n *Network) NewEndpoint(node int) dev.Endpoint {
-	if node < 0 || node >= len(n.nodes) {
-		panic("gm: bad node index")
-	}
 	ep := &endpoint{
-		net:  n,
-		node: node,
+		net: n,
 		pin: memreg.NewPinCache(
 			memreg.CostModel{PerOp: regPerOp, PerPage: regPerPage},
 			memreg.CostModel{PerOp: deregPerOp, PerPage: deregPage},
 			pinCapPages),
 	}
-	ep.nic = dev.NewNICCounters(n.met, node)
-	ep.retries = n.met.Counter(metrics.NodePrefix(node) + "nic/retries")
-	ep.retryErrors = n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted")
-	dev.InstrumentPinCache(n.met, node, ep.pin)
+	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
+	dev.InstrumentPinCache(n.Metrics(), node, ep.pin)
 	return ep
 }
 
 type endpoint struct {
-	net  *Network
-	node int
-	pin  *memreg.PinCache
-	nic  dev.NICCounters
-
-	// sink receives permanent transfer failures (dev.FaultReporter).
-	sink func(error)
-	// onRetry observes each individual resend (dev.RetryReporter).
-	onRetry     func()
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
-
-	// peers holds the resolved per-destination send state: the staged path
-	// through LANai, DMA engines and the fabric (static per (src, dst)
-	// under deterministic routing) plus its source-side stage count. One
-	// dense slice of lazily materialized blocks — the hot path is a single
-	// index, no map lookups, and an endpoint in a 4k-node world only pays
-	// for the peers it actually speaks to. Adaptive routing bypasses the
-	// cache: the up-link choice is per message.
-	peers []*peerState
+	nic.Endpoint
+	net *Network
+	pin *memreg.PinCache
 }
 
-// peerState is one destination's resolved send state.
-type peerState struct {
-	path      []fabric.PathStage
-	srcStages int
-}
-
-// peer returns dst's state block, materializing it (and the index slice)
-// on first contact.
-func (ep *endpoint) peer(dst int) *peerState {
-	if ep.peers == nil {
-		ep.peers = make([]*peerState, len(ep.net.nodes))
-	}
-	p := ep.peers[dst]
-	if p == nil {
-		p = &peerState{}
-		ep.peers[dst] = p
-	}
-	return p
-}
-
-// OnFault implements dev.FaultReporter.
-func (ep *endpoint) OnFault(sink func(error)) { ep.sink = sink }
-
-// OnRetry implements dev.RetryReporter.
-func (ep *endpoint) OnRetry(observe func()) { ep.onRetry = observe }
-
-// retried counts one resend and feeds the passive health observer.
-func (ep *endpoint) retried() {
-	ep.retries.Inc()
-	if ep.onRetry != nil {
-		ep.onRetry()
-	}
-}
-
-// fail reports a permanent transfer failure to the registered sink, or
-// raises it directly when the device is used without the MPI layer.
-func (ep *endpoint) fail(err error) {
-	ep.retryErrors.Inc()
-	if ep.sink != nil {
-		ep.sink(err)
-		return
-	}
-	panic(err)
-}
-
-func (ep *endpoint) Node() int { return ep.node }
-
-// EagerThreshold implements dev.Endpoint, honouring the config override.
-func (ep *endpoint) EagerThreshold() int64 {
-	if ep.net.cfg.EagerThreshold > 0 {
-		return ep.net.cfg.EagerThreshold
-	}
-	return eagerMax
-}
 func (ep *endpoint) NICProgress() bool    { return false }
 func (ep *endpoint) AcquireOnEager() bool { return false }
 func (ep *endpoint) IssueStall() sim.Time { return 0 }
@@ -537,38 +293,15 @@ func (l lanaiStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, lanaiPerMsg)
 }
 
-// path returns the staged path to dst, assembled once per destination and
-// cached in the peer block — except under adaptive routing, where the
-// fabric picks the up-link per message and the path must be rebuilt.
-func (ep *endpoint) path(dst int) []fabric.PathStage {
-	p, _ := ep.resolved(dst)
-	return p
-}
-
-// resolved returns the staged path to dst and its source-side stage count —
-// bus, LANai, send-DMA and link up, plus whatever the topology keeps on the
-// source leaf (TransferCut runs those on the source's domain engine). Both
-// are cached in the peer block; adaptive routing rebuilds the path per
-// message.
-func (ep *endpoint) resolved(dst int) ([]fabric.PathStage, int) {
-	if ep.net.dynamic && dst != ep.node {
-		return ep.buildPath(dst), 4 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	p := ep.peer(dst)
-	if p.path == nil {
-		p.path = ep.buildPath(dst)
-		p.srcStages = 4 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	return p.path, p.srcStages
-}
-
-// buildPath assembles the staged path to dst. The LANai engine appears once
-// per side per message (envelope processing); payload chunks flow through
-// the per-direction DMA engines and the link, with the topology's stages
-// (none for the star crossbar, leaf links for a Clos) between them.
-func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
-	src := ep.net.nodes[ep.node]
-	if dst == ep.node {
+// Path implements nic.Model: the staged path to dst. The LANai engine
+// appears once per side per message (envelope processing); payload chunks
+// flow through the per-direction DMA engines and the link, with the
+// topology's stages (none for the star crossbar, leaf links for a Clos)
+// between them. Bus, LANai, send-DMA and link up run on the source's
+// hardware.
+func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
+	src := ep.net.nodes[ep.Node()]
+	if dst == ep.Node() {
 		return []fabric.PathStage{
 			{Stage: src.bus},
 			{Stage: lanaiStage{src.lanai}},
@@ -576,15 +309,15 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 			{Stage: src.rdma},
 			{Stage: lanaiStage{src.lanai}},
 			{Stage: src.bus},
-		}
+		}, 4
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.topo.Between(ep.node, dst)
+	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages := []fabric.PathStage{
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
-		{Stage: src.link.Up(), Latency: wireLatency + ep.net.skew(ep.node)},
+		{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
 	}
 	stages = append(stages, between...)
 	return append(stages,
@@ -592,116 +325,60 @@ func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
 		fabric.PathStage{Stage: lanaiStage{d.lanai}},
 		fabric.PathStage{Stage: d.rdma},
 		fabric.PathStage{Stage: d.bus},
-	)
+	), 4
+}
+
+// Hold implements nic.Holder: a bulk payload claims SRAM staging on both
+// NICs. The send token — and with it the staging — stays held across
+// resends, exactly why faulty links amplify the Figure 5 staging pressure.
+func (ep *endpoint) Hold(m nic.Msg) {
+	if m.Bulk {
+		ep.net.nodes[ep.Node()].outTx += m.Size
+		ep.net.nodes[m.Dst].outRx += m.Size
+	}
+}
+
+// Release implements nic.Holder.
+func (ep *endpoint) Release(m nic.Msg) {
+	if m.Bulk {
+		ep.net.nodes[ep.Node()].outTx -= m.Size
+		ep.net.nodes[m.Dst].outRx -= m.Size
+	}
+}
+
+// Ack implements nic.Acker, GM reliability: the receiving LANai generates
+// an ACK that the sending LANai must absorb one ack flight later.
+func (ep *endpoint) Ack(m nic.Msg) {
+	eng := ep.net.Engine()
+	src, dstHW := ep.net.nodes[ep.Node()], ep.net.nodes[m.Dst]
+	dstHW.lanai.Use(eng.Now(), ackProcess)
+	dstHW.acks.Inc()
+	if dstHW != src {
+		eng.Schedule(ackFlight, func() {
+			src.lanai.Use(eng.Now(), ackProcess)
+			src.acks.Inc()
+		})
+	}
+}
+
+// Resend implements nic.Resender: a lapsed ACK timeout runs the LANai's
+// firmware timeout handler before the resend.
+func (ep *endpoint) Resend() {
+	ep.net.nodes[ep.Node()].lanai.Use(ep.net.Engine().Now(), ackProcess)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
-	if ep.net.scale {
-		ep.scaleTransfer(dst, size, bulk, deliver)
+	m := nic.Msg{Dst: dst, Size: size, Bulk: bulk}
+	if ep.net.Scale() {
+		ep.scaleTransfer(m, deliver)
 		return
 	}
-	eng := ep.net.eng
-	src := ep.net.nodes[ep.node]
-	dstHW := ep.net.nodes[dst]
-	if bulk {
-		src.outTx += size
-		dstHW.outRx += size
-	}
-	// finish is the delivered-intact path: release SRAM staging and run
-	// GM reliability — the receiving LANai generates an ACK that the
-	// sending LANai must absorb.
-	finish := func() {
-		if bulk {
-			src.outTx -= size
-			dstHW.outRx -= size
-		}
-		dstHW.lanai.Use(eng.Now(), ackProcess)
-		dstHW.acks.Inc()
-		if dstHW != src {
-			eng.Schedule(ackFlight, func() {
-				src.lanai.Use(eng.Now(), ackProcess)
-				src.acks.Inc()
-			})
-		}
-		deliver()
-	}
-	rec := ep.net.rec
-	tid, rail := rec.Cur(), rec.CurRail()
-	inj := ep.net.inj
-	if inj == nil || dst == ep.node {
-		ep.wireAttempt(ep.path(dst), tid, rail, 0, size, eng.Now(), func(sim.Time) { finish() })
-		return
-	}
-	start := eng.Now() + inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
-	// release undoes the staging claim when the transfer fails permanently.
-	release := func() {
-		if bulk {
-			src.outTx -= size
-			dstHW.outRx -= size
-		}
-	}
-	// GM send-token reliability: a lost or damaged packet means no ACK;
-	// the sending LANai times out and resends at a fixed interval. The
-	// send token (and its SRAM staging) stays held across resends —
-	// exactly why faulty links amplify the Figure 5 staging pressure —
-	// and each resend costs the LANai a firmware timeout handler. Each
-	// attempt re-resolves the route (the GM mapper's up*/down* route remap):
-	// after the detection delay a resend re-hashes around a dead element,
-	// while a detected dead end fails typed without burning resends.
-	attempt := 1
-	var try func(at sim.Time)
-	try = func(at sim.Time) {
-		if inj.NodeDeadDetected(dst, at) || inj.NodeDeadDetected(ep.node, at) {
-			node := dst
-			if inj.NodeDeadDetected(ep.node, at) {
-				node = ep.node
-			}
-			release()
-			ep.fail(&faults.NodeDownError{Node: node, At: at})
-			return
-		}
-		path := ep.path(dst)
-		fate := fabric.LastRouteOf(ep.net.topo)
-		if fate.State == fabric.RoutePartitioned {
-			release()
-			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
-			return
-		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					finish()
-					return
-				}
-				if attempt > gmRetry.Limit {
-					release()
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "GM send-token resend"})
-					return
-				}
-				delay := gmRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() {
-					src.lanai.Use(eng.Now(), ackProcess)
-					try(eng.Now())
-				})
-			})
-	}
-	try(start)
+	ep.Send(m, deliver)
 }
 
-// scaleTransfer is the domain-mode transfer: fault-free by construction
-// (activation refuses fault plans) and untraced, with the staged path split
-// at the wire so each node's hardware state stays on its own engine. The
-// SRAM staging and GM-reliability side effects that touch the peer node are
-// routed through cross-domain hops instead of mutated in place:
+// scaleTransfer is the domain-mode transfer (see nic.Endpoint.SendCut).
+// The SRAM staging and GM-reliability side effects that touch the peer
+// node are routed through cross-domain hops instead of mutated in place:
 //
 //   - the receiver's outRx staging claim lands one wire flight after issue,
 //   - the sender's ACK (LANai absorb + outTx release) lands one ack flight
@@ -709,79 +386,60 @@ func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
 //
 // each carrying the originating node's skew so commit order stays a pure
 // function of simulated time at every shard count.
-func (ep *endpoint) scaleTransfer(dst int, size int64, bulk bool, deliver func()) {
-	eng := ep.net.engineFor(ep.node)
-	dstEng := ep.net.engineFor(dst)
-	src := ep.net.nodes[ep.node]
+func (ep *endpoint) scaleTransfer(m nic.Msg, deliver func()) {
+	node, dst, size, bulk := ep.Node(), m.Dst, m.Size, m.Bulk
+	eng := ep.net.EngineFor(node)
+	dstEng := ep.net.EngineFor(dst)
+	src := ep.net.nodes[node]
 	dstHW := ep.net.nodes[dst]
 	if bulk {
 		src.outTx += size
 		if dstHW == src {
 			dstHW.outRx += size
 		} else {
-			eng.ScheduleOn(dstEng, wireLatency+ep.net.skew(ep.node), func() {
+			eng.ScheduleOn(dstEng, wireLatency+ep.net.Skew(node), func() {
 				dstHW.outRx += size
 			})
 		}
 	}
-	path, srcN := ep.resolved(dst)
-	fabric.TransferCut(eng, dstEng, path, srcN,
-		size, fabric.ChunkFor(size), eng.Now(), func(sim.Time) {
+	ep.SendCut(m, func(sim.Time) {
+		if bulk {
+			dstHW.outRx -= size
+		}
+		dstHW.lanai.Use(dstEng.Now(), ackProcess)
+		dstHW.acks.Inc()
+		if dstHW == src {
 			if bulk {
-				dstHW.outRx -= size
+				src.outTx -= size
 			}
-			dstHW.lanai.Use(dstEng.Now(), ackProcess)
-			dstHW.acks.Inc()
-			if dstHW == src {
+		} else {
+			dstEng.ScheduleOn(eng, ackFlight+ep.net.Skew(dst), func() {
 				if bulk {
 					src.outTx -= size
 				}
-			} else {
-				dstEng.ScheduleOn(eng, ackFlight+ep.net.skew(dst), func() {
-					if bulk {
-						src.outTx -= size
-					}
-					src.lanai.Use(eng.Now(), ackProcess)
-					src.acks.Inc()
-				})
-			}
-			deliver()
-		})
-}
-
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
+				src.lanai.Use(eng.Now(), ackProcess)
+				src.acks.Inc()
+			})
 		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
+		deliver()
+	})
 }
 
 // Eager implements dev.Endpoint (gm_send into a pre-posted receive buffer).
 func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.nic.Eager(size)
+	ep.NIC.Eager(size)
 	ep.transfer(dst, size+32, false, deliver)
 }
 
 // Control implements dev.Endpoint.
 func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.nic.Control()
+	ep.NIC.Control()
 	ep.transfer(dst, 64, false, deliver)
 }
 
 // Bulk implements dev.Endpoint (gm_directed_send, zero copy).
 func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.nic.Bulk(size)
+	ep.NIC.Bulk(size)
 	ep.transfer(dst, size, true, deliver)
 }
 

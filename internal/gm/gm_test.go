@@ -1,23 +1,12 @@
 package gm
 
 import (
-	"math"
 	"testing"
 
 	"mpinet/internal/memreg"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
-
-func TestNetworkBasics(t *testing.T) {
-	n := New(sim.New(), DefaultConfig(8))
-	if n.Name() != "Myri" || n.Nodes() != 8 {
-		t.Fatalf("name=%q nodes=%d", n.Name(), n.Nodes())
-	}
-	if n.ShmemBelow() != math.MaxInt64 {
-		t.Fatal("MPICH-GM uses shared memory at every intra-node size")
-	}
-}
 
 func TestDeviceProperties(t *testing.T) {
 	n := New(sim.New(), DefaultConfig(2))
@@ -109,37 +98,6 @@ func TestRegistrationCache(t *testing.T) {
 	}
 }
 
-func TestTooManyNodesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(sim.New(), Config{Nodes: 9, SwitchPorts: 8})
-}
-
-func TestEagerThresholdOverride(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.EagerThreshold = 4096
-	n := New(sim.New(), cfg)
-	if got := n.NewEndpoint(0).EagerThreshold(); got != 4096 {
-		t.Fatalf("threshold = %d", got)
-	}
-}
-
-func TestUtilizations(t *testing.T) {
-	eng := sim.New()
-	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	us := n.Utilizations()
-	if len(us) != 2*6 { // 2 nodes x (bus, lanai, sdma, rdma, up, down)
-		t.Fatalf("utilization entries = %d, want 12", len(us))
-	}
-}
-
 func TestShmemConfigHandshake(t *testing.T) {
 	if New(sim.New(), DefaultConfig(1)).ShmemConfig().Handshake <= 0 {
 		t.Fatal("no handshake configured")
@@ -148,7 +106,7 @@ func TestShmemConfigHandshake(t *testing.T) {
 
 func TestLoopbackPath(t *testing.T) {
 	eng := sim.New()
-	n := New(eng, Config{Nodes: 1, SwitchPorts: 8})
+	n := New(eng, DefaultConfig(1))
 	done := false
 	n.NewEndpoint(0).Eager(0, 64, func() { done = true })
 	if err := eng.Run(); err != nil {

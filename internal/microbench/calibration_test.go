@@ -260,7 +260,7 @@ func TestFig13MemoryUsage(t *testing.T) {
 func TestFig26PCILatencyPenalty(t *testing.T) {
 	// Paper: small-message latency only increases by ~0.6us on PCI.
 	pcix := Latency(cluster.IBA(), []int64{4}).Y[0]
-	pci := Latency(cluster.IBAPCI(), []int64{4}).Y[0]
+	pci := Latency(cluster.IBA().With(cluster.PCIBus()), []int64{4}).Y[0]
 	delta := pci - pcix
 	if delta < 0.3 || delta > 1.2 {
 		t.Errorf("PCI latency penalty = %.2fus, want ~0.6", delta)
@@ -269,5 +269,5 @@ func TestFig26PCILatencyPenalty(t *testing.T) {
 
 func TestFig27PCIBandwidthCap(t *testing.T) {
 	// Paper: bandwidth only reaches ~378 MB/s on PCI.
-	within(t, "IBA-PCI peak bw", Bandwidth(cluster.IBAPCI(), []int64{512 * units.KB}, 16).Y[0], 378, 0.06)
+	within(t, "IBA-PCI peak bw", Bandwidth(cluster.IBA().With(cluster.PCIBus()), []int64{512 * units.KB}, 16).Y[0], 378, 0.06)
 }

@@ -33,7 +33,7 @@ func measureBcast(t *testing.T, p cluster.Platform, size int64, iters int) sim.T
 
 func TestHWMulticastBcastFaster(t *testing.T) {
 	plain := measureBcast(t, cluster.IBA(), 1024, 8)
-	mc := measureBcast(t, cluster.IBAMulticast(), 1024, 8)
+	mc := measureBcast(t, cluster.IBA().With(cluster.Multicast()), 1024, 8)
 	if mc >= plain {
 		t.Fatalf("hardware multicast bcast %v not faster than binomial tree %v", mc, plain)
 	}
@@ -46,7 +46,7 @@ func TestHWMulticastBcastFaster(t *testing.T) {
 func TestHWMulticastCorrectCompletion(t *testing.T) {
 	// Every rank must leave the Bcast after the root entered it, for
 	// several back-to-back broadcasts from the same root.
-	w := MustWorld(Config{Net: cluster.IBAMulticast().New(4), Procs: 4})
+	w := MustWorld(Config{Net: cluster.IBA().With(cluster.Multicast()).New(4), Procs: 4})
 	var rootEntry sim.Time
 	exits := make([]sim.Time, 4)
 	if err := w.Run(func(r *Rank) {
@@ -74,7 +74,7 @@ func TestHWMulticastCorrectCompletion(t *testing.T) {
 func TestHWMulticastFallsBackInSMPMode(t *testing.T) {
 	// With two ranks per node the multicast path must not be used (it
 	// addresses nodes, not ranks); the tree must still complete.
-	w := MustWorld(Config{Net: cluster.IBAMulticast().New(4), Procs: 8, ProcsPerNode: 2})
+	w := MustWorld(Config{Net: cluster.IBA().With(cluster.Multicast()).New(4), Procs: 8, ProcsPerNode: 2})
 	if err := w.Run(func(r *Rank) {
 		r.Bcast(r.Malloc(512), 0)
 	}); err != nil {
@@ -100,7 +100,7 @@ func TestOnDemandConnectionsMemory(t *testing.T) {
 		return w.MemoryUsage(0)
 	}
 	static := run(cluster.IBA())
-	onDemand := run(cluster.IBAOnDemand())
+	onDemand := run(cluster.IBA().With(cluster.OnDemand()))
 	if onDemand >= static {
 		t.Fatalf("on-demand memory %d not below static %d", onDemand, static)
 	}
@@ -138,7 +138,7 @@ func TestOnDemandFirstContactStall(t *testing.T) {
 		}
 		return
 	}
-	f, s := measure(cluster.IBAOnDemand())
+	f, s := measure(cluster.IBA().With(cluster.OnDemand()))
 	if f < s+200*units.Microsecond {
 		t.Fatalf("first contact %v does not show the setup stall (steady state %v)", f, s)
 	}
@@ -152,7 +152,7 @@ func TestEagerThresholdAblation(t *testing.T) {
 	// Raising the eager threshold past a message size removes the
 	// rendezvous handshake for that size.
 	lat := func(threshold int64) sim.Time {
-		w := MustWorld(Config{Net: cluster.IBAEagerThreshold(threshold).New(2), Procs: 2})
+		w := MustWorld(Config{Net: cluster.IBA().With(cluster.EagerThreshold(threshold)).New(2), Procs: 2})
 		var rtt sim.Time
 		if err := w.Run(func(r *Rank) {
 			buf := r.Malloc(8 * units.KB)

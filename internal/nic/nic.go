@@ -1,0 +1,288 @@
+// Package nic is the substrate the three NIC models are built on:
+// internal/verbs (InfiniBand), internal/gm (Myrinet) and internal/elan
+// (Quadrics). It owns everything about a wired network that the paper does
+// not use to tell the interconnects apart: the fabric topology, the dev
+// plumbing every network exposes, the per-peer path cache, and the one
+// retry ladder every reliability protocol runs under a fault plan.
+//
+// A model supplies only what the paper distinguishes:
+//
+//   - its staged hardware paths and cost constants (Model),
+//   - its faults.RetryPolicy and protocol name (Spec),
+//   - what a message holds across a retry chain (Holder): nothing for
+//     VAPI RC, the send token and its SRAM staging for GM, a command-queue
+//     slot for Elan,
+//   - what each resend costs its NIC (Resender): the LANai timeout handler
+//     for GM, the thread-processor re-issue for Elan,
+//   - its ack path (Acker): GM's LANai-absorbed reliability ACK.
+package nic
+
+import (
+	"fmt"
+
+	"mpinet/internal/dev"
+	"mpinet/internal/fabric"
+	"mpinet/internal/faults"
+	"mpinet/internal/metrics"
+	"mpinet/internal/msgtrace"
+	"mpinet/internal/sim"
+	"mpinet/internal/units"
+)
+
+// Config is the part of a network's configuration every interconnect
+// shares; each model's Config embeds it.
+type Config struct {
+	// Nodes is the number of hosts attached.
+	Nodes int
+	// SwitchPorts is the single crossbar's radix (0 = the model's default).
+	SwitchPorts int
+	// EagerThreshold overrides the MPI implementation's default
+	// eager/rendezvous switch point (0 = default); an ablation knob.
+	EagerThreshold int64
+	// Clos, when non-nil, replaces the single crossbar with a parameterized
+	// multi-stage Clos fabric (the redesigned topology API). LinkRate,
+	// Crossing and WireLatency zero-values are filled with the model's
+	// calibration.
+	Clos *fabric.ClosConfig
+	// Domains, when non-nil, is the node-domain placement capability: the
+	// engines and node->shard map of a sharded world, consumed when
+	// ActivateDomains is called (see dev.DomainNetwork).
+	Domains *dev.Domains
+	// Faults, when non-nil, injects the plan's link/NIC/bus faults and arms
+	// the retry ladder.
+	Faults *faults.Plan
+}
+
+// Spec is a model's fixed description: the names and calibration its
+// fabric is wired with, its MPI implementation's eager threshold, and its
+// reliability protocol.
+type Spec struct {
+	// Pkg prefixes configuration errors and panics ("verbs", "gm", "elan").
+	Pkg string
+	// Crossbar and Clos name the single-crossbar element and the Clos
+	// fabric.
+	Crossbar, Clos string
+	// Ports is the default crossbar radix.
+	Ports int
+	// LinkRate and Crossing calibrate the crossbar and fill a Clos
+	// configuration's zero values, as does WireLatency, which is also the
+	// network's cross-node latency floor (MinLinkLatency).
+	LinkRate    units.BytesPerSecond
+	Crossing    sim.Time
+	WireLatency sim.Time
+	// EagerMax is the default eager/rendezvous switch point.
+	EagerMax int64
+	// Retry is the reliability protocol's resend policy, and Protocol its
+	// name in a faults.LinkError.
+	Retry    faults.RetryPolicy
+	Protocol string
+}
+
+// Net is the shared half of a wired network. A model embeds *Net, which
+// gives it Engine and Nodes (dev.Network) and the capability interfaces
+// dev declares: LookaheadReporter, FaultPlanner, DiameterReporter,
+// ElementHealth, TraceAttacher, ConfigErrer and DomainNetwork.
+type Net struct {
+	spec *Spec
+	eng  *sim.Engine
+	cfg  Config
+	topo fabric.Topology
+	met  *metrics.Registry
+	inj  *faults.Injector
+	rec  *msgtrace.Recorder
+
+	// dynamic marks per-message routing (adaptive, or element faults whose
+	// detection re-hashes routes): paths must not be cached.
+	dynamic bool
+	// scale flips on domain mode: per-node engines, split transfers, and
+	// the per-source picosecond skew that keeps sharded commit order equal
+	// to serial dispatch order.
+	scale bool
+	// cfgErr carries a topology-validation failure to mpi.NewWorld
+	// (dev.ConfigErrer); construction itself cannot return an error.
+	cfgErr error
+}
+
+// New wires the fabric for cfg: a Clos when cfg.Clos is set, else legacy
+// when non-nil (verbs' fat tree), else the model's single crossbar, which
+// panics when the nodes outnumber its ports. An invalid Clos, or a fault
+// plan that kills fabric elements of anything but a Clos, rides the
+// network as its ConfigErr.
+func New(eng *sim.Engine, cfg Config, spec *Spec, legacy fabric.Topology) *Net {
+	if cfg.Nodes < 1 {
+		panic(spec.Pkg + ": need at least one node")
+	}
+	if cfg.SwitchPorts == 0 {
+		cfg.SwitchPorts = spec.Ports
+	}
+	n := &Net{spec: spec, eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
+	switch {
+	case cfg.Clos != nil:
+		cc := *cfg.Clos
+		if cc.LinkRate == 0 {
+			cc.LinkRate = spec.LinkRate
+		}
+		if cc.Crossing == 0 {
+			cc.Crossing = spec.Crossing
+		}
+		if cc.WireLatency == 0 {
+			cc.WireLatency = spec.WireLatency
+		}
+		topo, err := fabric.NewClos(spec.Clos, cc, cfg.Nodes)
+		if err != nil {
+			n.cfgErr = fmt.Errorf("%s: %w", spec.Pkg, err)
+			break
+		}
+		n.topo = topo
+		n.dynamic = cc.Routing == fabric.Adaptive
+		if cfg.Faults.HasElements() {
+			if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
+				n.cfgErr = fmt.Errorf("%s: %w", spec.Pkg, err)
+			}
+			// Element deaths invalidate cached paths: every message must
+			// re-resolve its route so detection-time re-hashes take effect.
+			n.dynamic = true
+		}
+	case legacy != nil:
+		n.topo = legacy
+	default:
+		if cfg.Nodes > cfg.SwitchPorts {
+			panic(fmt.Sprintf("%s: %d nodes exceed %d switch ports", spec.Pkg, cfg.Nodes, cfg.SwitchPorts))
+		}
+		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch(spec.Crossbar, fabric.SwitchConfig{
+			Ports:    cfg.SwitchPorts,
+			Crossing: spec.Crossing,
+			Rate:     spec.LinkRate,
+		}))
+	}
+	if cfg.Faults.HasElements() && cfg.Clos == nil {
+		n.cfgErr = fmt.Errorf("%s: fault plan schedules fabric-element deaths but the topology is not a Clos", spec.Pkg)
+	}
+	n.announceElementDeaths()
+	return n
+}
+
+// announceElementDeaths schedules one FlightElementDown incident per
+// switch kill at its death instant, so a postmortem names the dead element
+// even when no packet happened to ride it. Node crashes are announced by
+// the MPI layer, which owns rank death; emitting them here too would
+// duplicate the incident on every rail of a bond.
+func (n *Net) announceElementDeaths() {
+	p := n.inj.Plan()
+	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
+		return
+	}
+	uplinks := n.cfg.Clos.Uplinks()
+	for _, k := range p.SwitchKills {
+		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
+		if k.Level >= 1 {
+			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
+		}
+		at, repair := k.At, int64(k.RepairAt)
+		c := code
+		n.eng.At(at, func() {
+			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
+		})
+	}
+}
+
+// Topology exposes the wired fabric topology — a debug surface for tests
+// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
+// on a built network.
+func (n *Net) Topology() fabric.Topology { return n.topo }
+
+// Engine implements dev.Network.
+func (n *Net) Engine() *sim.Engine { return n.eng }
+
+// Nodes implements dev.Network.
+func (n *Net) Nodes() int { return n.cfg.Nodes }
+
+// MinLinkLatency implements dev.LookaheadReporter: no message leaves a node
+// and lands on another in less than one wire hop, whatever the protocol
+// stacked above adds.
+func (n *Net) MinLinkLatency() sim.Time { return n.spec.WireLatency }
+
+// FaultPlan implements dev.FaultPlanner (nil when faults are off).
+func (n *Net) FaultPlan() *faults.Plan { return n.inj.Plan() }
+
+// Diameter implements dev.DiameterReporter.
+func (n *Net) Diameter() int {
+	if n.topo == nil {
+		return 1
+	}
+	return fabric.DiameterOf(n.topo)
+}
+
+// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
+// knows which of the plan's element kills is in effect.
+func (n *Net) DeadElement(now sim.Time) (string, int64, bool) {
+	if eh, ok := n.topo.(interface {
+		DeadElement(sim.Time) (string, int64, bool)
+	}); ok {
+		return eh.DeadElement(now)
+	}
+	return "", 0, false
+}
+
+// AttachTracer implements dev.TraceAttacher.
+func (n *Net) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
+
+// ConfigErr implements dev.ConfigErrer.
+func (n *Net) ConfigErr() error { return n.cfgErr }
+
+// Domains implements dev.DomainNetwork.
+func (n *Net) Domains() *dev.Domains { return n.cfg.Domains }
+
+// ActivateDomains implements dev.DomainNetwork: flips the network into
+// domain (scale) mode. The retry ladder reads fault verdicts at delivery
+// time on the shared engine, so a fault plan refuses activation.
+func (n *Net) ActivateDomains() bool {
+	if n.cfg.Domains == nil || n.inj != nil {
+		return false
+	}
+	n.scale = true
+	return true
+}
+
+// Scale reports whether the network runs in domain (scale) mode.
+func (n *Net) Scale() bool { return n.scale }
+
+// EngineFor returns the engine owning a node's device state: the shared
+// engine in classic mode, the node's domain engine in scale mode.
+func (n *Net) EngineFor(node int) *sim.Engine {
+	if !n.scale {
+		return n.eng
+	}
+	return n.cfg.Domains.EngineFor(node)
+}
+
+// Skew is the deterministic per-source-node latency perturbation of domain
+// mode: one picosecond times (node+1), added to every cross-node hop. It
+// breaks the systematic same-instant ties lockstep SPMD programs generate
+// (identical compute constants on every rank), so cross-shard commit order
+// — sorted (time, source shard, sequence) — agrees with serial dispatch
+// order at every collision point. At 4096 nodes the perturbation tops out
+// near 4 ns, well under any modelled wire latency.
+func (n *Net) Skew(node int) sim.Time {
+	if !n.scale {
+		return 0
+	}
+	return sim.Time(node + 1)
+}
+
+// Metrics returns the registry the network was instrumented with (nil
+// when metrics are off).
+func (n *Net) Metrics() *metrics.Registry { return n.met }
+
+// InstrumentFabric binds the registry that endpoints created afterwards
+// count into, and registers the fabric's and the fault injector's
+// counters. A crossbar carries its output contention on the destination's
+// down-link, so its port pipes never run and stay unregistered; multi-stage
+// fabrics register their leaf-tier links.
+func (n *Net) InstrumentFabric(m *metrics.Registry) {
+	n.met = m
+	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
+		ti.Instrument(m)
+	}
+	n.inj.Instrument(m)
+}

@@ -17,6 +17,9 @@
 //     above the 2 KB eager threshold (Figures 7, 8).
 //   - Per-Reliable-Connection resources: memory grows with the number of
 //     peers (Figure 13).
+//
+// Fabric wiring, the per-peer path cache and the RC retry ladder come from
+// internal/nic.
 package verbs
 
 import (
@@ -28,7 +31,7 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
 	"mpinet/internal/metrics"
-	"mpinet/internal/msgtrace"
+	"mpinet/internal/nic"
 	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
@@ -36,13 +39,10 @@ import (
 
 // Config selects the InfiniBand platform variant.
 type Config struct {
-	Nodes       int
-	Bus         bus.Kind // PCIX64x133 (default testbed) or PCI64x66
-	SwitchPorts int      // 8 (InfiniScale) or 24 (Topspin 360)
+	nic.Config
 
-	// EagerThreshold overrides MVAPICH's default 2 KB eager/rendezvous
-	// switch point (0 = default). Exposed for ablation studies.
-	EagerThreshold int64
+	// Bus is PCIX64x133 (default testbed) or PCI64x66.
+	Bus bus.Kind
 
 	// OnDemandConnections enables the connection-management extension the
 	// paper points to for its memory-usage finding (Section 3.8, citing Wu
@@ -58,28 +58,14 @@ type Config struct {
 
 	// FatTree, when non-nil, replaces the single crossbar with a two-level
 	// folded-Clos fabric built from crossbar elements — the scaling
-	// extension for clusters larger than one switch.
+	// extension for clusters larger than one switch. Config.Clos wins over
+	// it.
 	FatTree *fabric.FatTreeConfig
-
-	// Clos, when non-nil, replaces the single crossbar with a parameterized
-	// multi-stage Clos fabric (the redesigned topology API); it wins over
-	// FatTree. LinkRate/Crossing/WireLatency zero-values are filled with the
-	// InfiniBand calibration.
-	Clos *fabric.ClosConfig
-
-	// Domains, when non-nil, is the node-domain placement capability: the
-	// network can run each node's device state on its own engine once
-	// ActivateDomains is called (see dev.DomainNetwork).
-	Domains *dev.Domains
-
-	// Faults, when non-nil, injects the plan's link/NIC/bus faults and
-	// enables the RC retransmit machinery below.
-	Faults *faults.Plan
 }
 
 // DefaultConfig is the paper's 8-node OSU testbed.
 func DefaultConfig(nodes int) Config {
-	return Config{Nodes: nodes, Bus: bus.PCIX64x133, SwitchPorts: 8}
+	return Config{Config: nic.Config{Nodes: nodes, SwitchPorts: 8}, Bus: bus.PCIX64x133}
 }
 
 // Calibration constants. Physical rates come from the hardware description
@@ -131,32 +117,32 @@ const (
 	connSetup = 350 * units.Microsecond
 )
 
-// rcRetry is the VAPI Reliable Connection retransmit policy: the HCA
-// detects a missing ACK after a local-ack-timeout and resends, doubling
-// the timeout each consecutive retry; after retry_count resends it posts a
-// completion with a transport-retry-exceeded error.
-var rcRetry = faults.RetryPolicy{Limit: 7, Interval: 150 * units.Microsecond, Exponential: true}
+// spec wires the InfiniScale crossbar and carries the VAPI Reliable
+// Connection retransmit policy: the HCA detects a missing ACK after a
+// local-ack-timeout and resends, doubling the timeout each consecutive
+// retry; after retry_count resends it posts a completion with a
+// transport-retry-exceeded error. An RC retry chain holds nothing beyond
+// the QP state every connection keeps, and the resend costs no extra HCA
+// work: each attempt re-runs the full staged path (bus, HCA engines and
+// link).
+var spec = nic.Spec{
+	Pkg:         "verbs",
+	Crossbar:    "infiniscale",
+	Clos:        "ib-clos",
+	Ports:       8,
+	LinkRate:    units.BytesPerSecond(linkRateBps),
+	Crossing:    switchCrossing,
+	WireLatency: wireLatency,
+	EagerMax:    eagerMax,
+	Retry:       faults.RetryPolicy{Limit: 7, Interval: 150 * units.Microsecond, Exponential: true},
+	Protocol:    "RC retransmit",
+}
 
 // Network is a wired InfiniBand cluster.
 type Network struct {
-	eng   *sim.Engine
+	*nic.Net
 	cfg   Config
-	topo  fabric.Topology
 	nodes []*nodeHW
-	met   *metrics.Registry
-	inj   *faults.Injector
-	rec   *msgtrace.Recorder
-
-	// dynamic marks adaptive routing: paths are chosen per message and
-	// must not be cached.
-	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
-	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
-	cfgErr error
 }
 
 type nodeHW struct {
@@ -168,40 +154,8 @@ type nodeHW struct {
 
 // New wires an InfiniBand network with the given configuration.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.Nodes < 1 {
-		panic("verbs: need at least one node")
-	}
-	if cfg.SwitchPorts == 0 {
-		cfg.SwitchPorts = 8
-	}
-	n := &Network{eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
-	if cfg.Clos != nil {
-		cc := *cfg.Clos
-		if cc.LinkRate == 0 {
-			cc.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if cc.Crossing == 0 {
-			cc.Crossing = switchCrossing
-		}
-		if cc.WireLatency == 0 {
-			cc.WireLatency = wireLatency
-		}
-		topo, err := fabric.NewClos("ib-clos", cc, cfg.Nodes)
-		if err != nil {
-			n.cfgErr = fmt.Errorf("verbs: %w", err)
-		} else {
-			n.topo = topo
-			n.dynamic = cc.Routing == fabric.Adaptive
-			if cfg.Faults.HasElements() {
-				if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
-					n.cfgErr = fmt.Errorf("verbs: %w", err)
-				}
-				// Element deaths invalidate cached paths: every message must
-				// re-resolve its route so detection-time re-hashes take effect.
-				n.dynamic = true
-			}
-		}
-	} else if cfg.FatTree != nil {
+	var tree fabric.Topology
+	if cfg.Clos == nil && cfg.FatTree != nil {
 		ft := *cfg.FatTree
 		if ft.LinkRate == 0 {
 			ft.LinkRate = units.BytesPerSecond(linkRateBps)
@@ -212,25 +166,13 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		if ft.WireLatency == 0 {
 			ft.WireLatency = wireLatency
 		}
-		tree := fabric.NewFatTree("ib-fattree", ft)
-		if cfg.Nodes > tree.Nodes() {
-			panic(fmt.Sprintf("verbs: %d nodes exceed fat-tree capacity %d", cfg.Nodes, tree.Nodes()))
+		t := fabric.NewFatTree("ib-fattree", ft)
+		if cfg.Nodes > t.Nodes() {
+			panic(fmt.Sprintf("verbs: %d nodes exceed fat-tree capacity %d", cfg.Nodes, t.Nodes()))
 		}
-		n.topo = tree
-	} else {
-		if cfg.Nodes > cfg.SwitchPorts {
-			panic(fmt.Sprintf("verbs: %d nodes exceed %d switch ports", cfg.Nodes, cfg.SwitchPorts))
-		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch("infiniscale", fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: switchCrossing,
-			Rate:     units.BytesPerSecond(linkRateBps),
-		}))
+		tree = t
 	}
-	if cfg.Faults.HasElements() && cfg.Clos == nil {
-		n.cfgErr = fmt.Errorf("verbs: fault plan schedules fabric-element deaths but the topology is not a Clos")
-	}
-	n.announceElementDeaths()
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec, tree), cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("iba%d", i)
 		n.nodes = append(n.nodes, &nodeHW{
@@ -250,114 +192,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "IBA" }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Network) Topology() fabric.Topology { return n.topo }
-
-// Engine implements dev.Network.
-func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Nodes implements dev.Network.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// MinLinkLatency implements dev.LookaheadReporter: no message leaves a node
-// and lands on another in less than one wire hop, whatever the protocol
-// stacked above adds.
-func (n *Network) MinLinkLatency() sim.Time { return wireLatency }
-
 // ShmemBelow implements dev.Network: MVAPICH uses the shared-memory channel
 // for intra-node messages under 16 KB and NIC loopback above.
 func (n *Network) ShmemBelow() int64 { return 16 * units.KB }
 
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
-func (n *Network) FaultPlan() *faults.Plan { return n.inj.Plan() }
-
-// Diameter implements dev.DiameterReporter.
-func (n *Network) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
-
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
-func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
-}
-
-// announceElementDeaths schedules one FlightElementDown incident per
-// switch kill at its death instant, so a postmortem names the dead element
-// even when no packet happened to ride it. Node crashes are announced by
-// the MPI layer, which owns rank death; emitting them here too would
-// duplicate the incident on every rail of a bond.
-func (n *Network) announceElementDeaths() {
-	p := n.inj.Plan()
-	if !p.HasElements() || n.cfgErr != nil || n.cfg.Clos == nil {
-		return
-	}
-	uplinks := n.cfg.Clos.Uplinks()
-	for _, k := range p.SwitchKills {
-		code := msgtrace.ElemCode(msgtrace.ElemLeaf, k.Index)
-		if k.Level >= 1 {
-			code = msgtrace.ElemCode(msgtrace.ElemPlane, k.Index%uplinks)
-		}
-		at, repair := k.At, int64(k.RepairAt)
-		c := code
-		n.eng.At(at, func() {
-			n.rec.Flight(msgtrace.FlightElementDown, at, -1, 0, msgtrace.StageHop, c, repair)
-		})
-	}
-}
-
-// AttachTracer implements dev.TraceAttacher.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
-
-// ConfigErr implements dev.ConfigErrer.
-func (n *Network) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Network) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. Hardware multicast fans out across every node from
-// one event and a fault plan retransmits on verdicts read at delivery time —
-// both are single-domain mechanisms, so either refuses activation.
+// ActivateDomains implements dev.DomainNetwork. Hardware multicast fans out
+// across every node from one event — a single-domain mechanism — so it
+// refuses activation on top of the substrate's own refusals.
 func (n *Network) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.cfg.HWMulticast || n.inj != nil {
-		return false
-	}
-	n.scale = true
-	return true
-}
-
-// engineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
-func (n *Network) engineFor(node int) *sim.Engine {
-	if !n.scale {
-		return n.eng
-	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop. It
-// breaks the systematic same-instant ties lockstep SPMD programs generate
-// (identical compute constants on every rank), so cross-shard commit order
-// — sorted (time, source shard, sequence) — agrees with serial dispatch
-// order at every collision point. At 4096 nodes the perturbation tops out
-// near 4 ns, well under any modelled wire latency.
-func (n *Network) skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
+	return !n.cfg.HWMulticast && n.Net.ActivateDomains()
 }
 
 // ShmemConfig returns the intra-node channel parameters for MVAPICH.
@@ -375,7 +218,6 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
@@ -385,10 +227,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 		hw.hcaRx.RecordSpans(m, i, "rx", "nic")
 		hw.link.Instrument(m, i)
 	}
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
-	n.inj.Instrument(m)
+	n.InstrumentFabric(m)
 }
 
 // Utilizations implements dev.UtilizationReporter.
@@ -408,108 +247,30 @@ func (n *Network) Utilizations() []dev.Utilization {
 
 // NewEndpoint implements dev.Network.
 func (n *Network) NewEndpoint(node int) dev.Endpoint {
-	if node < 0 || node >= len(n.nodes) {
-		panic("verbs: bad node index")
-	}
 	ep := &endpoint{
-		net:  n,
-		node: node,
+		net: n,
 		pin: memreg.NewPinCache(
 			memreg.CostModel{PerOp: regPerOp, PerPage: regPerPage},
 			memreg.CostModel{PerOp: deregPerOp, PerPage: deregPage},
 			pinCapPages),
 	}
-	ep.nic = dev.NewNICCounters(n.met, node)
-	ep.connSetups = n.met.Counter(metrics.NodePrefix(node) + "nic/conn_setups")
-	ep.retries = n.met.Counter(metrics.NodePrefix(node) + "nic/retries")
-	ep.retryErrors = n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted")
-	dev.InstrumentPinCache(n.met, node, ep.pin)
+	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
+	ep.connSetups = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/conn_setups")
+	dev.InstrumentPinCache(n.Metrics(), node, ep.pin)
 	return ep
 }
 
 type endpoint struct {
-	net  *Network
-	node int
-	pin  *memreg.PinCache
+	nic.Endpoint
+	net *Network
+	pin *memreg.PinCache
 
-	// sink receives permanent transfer failures (dev.FaultReporter).
-	sink func(error)
-	// onRetry observes each individual retransmit (dev.RetryReporter).
-	onRetry func()
-
-	// metric handles (nil-safe no-ops when instrumentation is off)
-	nic         dev.NICCounters
-	connSetups  *metrics.Counter
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
-
-	// peers holds the resolved per-destination send state: the assembled
-	// hardware path (the stage list for a (src, dst) pair never changes
-	// under deterministic routing), its source-side stage count, and the
-	// RC-connection flag for on-demand mode. One dense slice of lazily
-	// materialized blocks: the hot path is a single index — no map lookups —
-	// while an endpoint in a 4k-node world still only pays for the peers it
-	// actually speaks to. Adaptive routing bypasses the cached path (the
-	// up-link choice is per message) but keeps using the connection flag.
-	peers []*peerState
-	// nconn counts established RC connections under on-demand mode.
-	nconn int
-}
-
-// peerState is one destination's resolved send state.
-type peerState struct {
-	path      []fabric.PathStage
-	srcStages int
-	connected bool
-}
-
-// peer returns dst's state block, materializing it (and the index slice)
-// on first contact.
-func (ep *endpoint) peer(dst int) *peerState {
-	if ep.peers == nil {
-		ep.peers = make([]*peerState, len(ep.net.nodes))
-	}
-	p := ep.peers[dst]
-	if p == nil {
-		p = &peerState{}
-		ep.peers[dst] = p
-	}
-	return p
-}
-
-// OnFault implements dev.FaultReporter.
-func (ep *endpoint) OnFault(sink func(error)) { ep.sink = sink }
-
-// OnRetry implements dev.RetryReporter.
-func (ep *endpoint) OnRetry(observe func()) { ep.onRetry = observe }
-
-// retried counts one retransmit and feeds the passive health observer.
-func (ep *endpoint) retried() {
-	ep.retries.Inc()
-	if ep.onRetry != nil {
-		ep.onRetry()
-	}
-}
-
-// fail reports a permanent transfer failure to the registered sink. With
-// no sink (device used bare, without the MPI layer) the error is raised
-// directly: losing it would turn a modelled failure into a silent hang.
-func (ep *endpoint) fail(err error) {
-	ep.retryErrors.Inc()
-	if ep.sink != nil {
-		ep.sink(err)
-		return
-	}
-	panic(err)
-}
-
-func (ep *endpoint) Node() int { return ep.node }
-
-func (ep *endpoint) EagerThreshold() int64 {
-	if ep.net.cfg.EagerThreshold > 0 {
-		return ep.net.cfg.EagerThreshold
-	}
-	return eagerMax
+	// connSetups counts on-demand RC establishments (nil-safe).
+	connSetups *metrics.Counter
+	// connected marks the peers an RC connection is established to under
+	// on-demand mode (allocated on first contact); nconn counts them.
+	connected []bool
+	nconn     int
 }
 
 func (ep *endpoint) NICProgress() bool    { return false }
@@ -543,14 +304,16 @@ func (ep *endpoint) MemoryUsage(npeers int) int64 {
 // connect pays the RC setup cost on first contact with a peer node under
 // on-demand connection management; zero otherwise.
 func (ep *endpoint) connect(dst int) sim.Time {
-	if !ep.net.cfg.OnDemandConnections || dst == ep.node {
+	if !ep.net.cfg.OnDemandConnections || dst == ep.Node() {
 		return 0
 	}
-	p := ep.peer(dst)
-	if p.connected {
+	if ep.connected == nil {
+		ep.connected = make([]bool, ep.net.Nodes())
+	}
+	if ep.connected[dst] {
 		return 0
 	}
-	p.connected = true
+	ep.connected[dst] = true
 	ep.nconn++
 	ep.connSetups.Inc()
 	return connSetup
@@ -568,155 +331,44 @@ func (ep *endpoint) pioPenalty() sim.Time {
 	return 0
 }
 
-// path returns the staged hardware path to dst, assembled once per
-// destination and cached in the peer block — except under adaptive routing,
-// where the fabric picks the up-link per message and the path must be
-// rebuilt.
-func (ep *endpoint) path(dst int) []fabric.PathStage {
-	p, _ := ep.resolved(dst)
-	return p
-}
-
-// resolved returns the staged path to dst and its source-side stage count —
-// bus, HCA TX and link up, plus whatever the topology keeps on the source
-// leaf (TransferCut runs those on the source's domain engine). Both are
-// cached in the peer block; adaptive routing rebuilds the path per message.
-func (ep *endpoint) resolved(dst int) ([]fabric.PathStage, int) {
-	if ep.net.dynamic && dst != ep.node {
-		return ep.buildPath(dst), 3 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	p := ep.peer(dst)
-	if p.path == nil {
-		p.path = ep.buildPath(dst)
-		p.srcStages = 3 + fabric.SrcStagesOf(ep.net.topo, ep.node, dst)
-	}
-	return p.path, p.srcStages
-}
-
-// buildPath assembles the staged hardware path to dst. The fabric is cut-
-// through: injection serializes on the source's up-link and drain on the
-// destination's down-link (which doubles as the switch output port in a
-// star), with the switch crossing as pure latency. Same-node traffic loops
-// through the HCA without touching the link or switch.
-func (ep *endpoint) buildPath(dst int) []fabric.PathStage {
-	src := ep.net.nodes[ep.node]
-	if dst == ep.node {
+// Path implements nic.Model: the staged hardware path to dst. The fabric
+// is cut-through: injection serializes on the source's up-link and drain on
+// the destination's down-link (which doubles as the switch output port in
+// a star), with the switch crossing as pure latency. Same-node traffic
+// loops through the HCA without touching the link or switch. Bus, HCA TX
+// and link up run on the source's hardware.
+func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
+	src := ep.net.nodes[ep.Node()]
+	if dst == ep.Node() {
 		return []fabric.PathStage{
 			{Stage: src.bus, Latency: ep.pioPenalty()},
 			{Stage: src.hcaTx, Latency: hcaSetup},
 			{Stage: src.hcaRx, Latency: hcaSetup},
 			{Stage: src.bus},
-		}
+		}, 3
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.topo.Between(ep.node, dst)
+	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages := []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
-		{Stage: src.link.Up(), Latency: wireLatency + ep.net.skew(ep.node)},
+		{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
 	}
 	stages = append(stages, between...)
 	return append(stages,
 		fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
 		fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
 		fabric.PathStage{Stage: d.bus},
-	)
+	), 3
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	if ep.net.scale {
-		// Domain mode: the attempt is fault-free by construction (activation
-		// refuses fault plans) and untraced; the staged path is split at the
-		// wire so each node's hardware state stays on its own engine.
-		eng := ep.net.engineFor(ep.node)
-		start := eng.Now() + ep.connect(dst)
-		path, srcN := ep.resolved(dst)
-		fabric.TransferCut(eng, ep.net.engineFor(dst), path, srcN,
-			size, fabric.ChunkFor(size), start, func(sim.Time) { deliver() })
+	m := nic.Msg{Dst: dst, Size: size, Setup: ep.connect(dst)}
+	if ep.net.Scale() {
+		ep.SendCut(m, func(sim.Time) { deliver() })
 		return
 	}
-	eng := ep.net.eng
-	rec := ep.net.rec
-	// Capture trace context synchronously at issue time: the MPI layer (or
-	// the rail bond) scoped it around this call.
-	tid, rail := rec.Cur(), rec.CurRail()
-	start := eng.Now() + ep.connect(dst)
-	inj := ep.net.inj
-	if inj == nil || dst == ep.node {
-		// Healthy fabric, or HCA loopback that never touches the cable.
-		ep.wireAttempt(ep.path(dst), tid, rail, 0, size, start, func(sim.Time) { deliver() })
-		return
-	}
-	start += inj.NICStall(ep.node, eng.Now()) + inj.BusDelay(ep.node, eng.Now())
-	// VAPI RC reliability: each attempt re-resolves the route and re-runs
-	// the full staged path (the retransmit re-occupies bus, HCA engines and
-	// link), the verdict lands at delivery time, and a lost or CRC-failed
-	// packet is retransmitted after an exponentially growing
-	// local-ack-timeout. Under element faults the re-resolve is what heals:
-	// a retry after the detection delay re-hashes onto a surviving plane,
-	// while a detected dead end (crashed peer, partitioned fabric) fails
-	// typed immediately instead of burning the retry budget.
-	attempt := 1
-	var try func(at sim.Time)
-	try = func(at sim.Time) {
-		if inj.NodeDeadDetected(dst, at) || inj.NodeDeadDetected(ep.node, at) {
-			node := dst
-			if inj.NodeDeadDetected(ep.node, at) {
-				node = ep.node
-			}
-			ep.fail(&faults.NodeDownError{Node: node, At: at})
-			return
-		}
-		path := ep.path(dst)
-		fate := fabric.LastRouteOf(ep.net.topo)
-		if fate.State == fabric.RoutePartitioned {
-			ep.fail(&faults.PartitionError{Src: ep.node, Dst: dst, Element: fate.Element})
-			return
-		}
-		ep.wireAttempt(path, tid, rail, uint8(attempt-1), size, at,
-			func(end sim.Time) {
-				v := faults.Drop // black-holed: structural loss, no PRNG draw
-				if fate.State != fabric.RouteBlackhole {
-					v = inj.VerdictExtra(ep.node, dst, end, fate.ExtraDrop)
-				}
-				if v == faults.Deliver {
-					deliver()
-					return
-				}
-				if attempt > rcRetry.Limit {
-					ep.fail(&faults.LinkError{Src: ep.node, Dst: dst,
-						Attempts: attempt, Bytes: size, Proto: "RC retransmit"})
-					return
-				}
-				delay := rcRetry.Delay(attempt)
-				attempt++
-				ep.retried()
-				rec.Flight(msgtrace.FlightRetransmit, end, ep.node, tid, msgtrace.StageWire, int64(attempt-1), int64(dst))
-				rec.Span(tid, msgtrace.StageBackoff, ep.node, rail, uint8(attempt-1), -1, end, end+delay, size)
-				eng.At(end+delay, func() { try(eng.Now()) })
-			})
-	}
-	try(start)
-}
-
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path. The path
-// is resolved by the caller: retry loops must pair each attempt's route
-// with the fate annotation read at resolve time.
-func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := ep.net.rec
-	if rec.Sampled(tid) {
-		inner := done
-		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, ep.node, rail, attempt, -1, at, end, size)
-			inner(end)
-		}
-		fabric.TransferTraced(ep.net.eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, ep.node, rail, attempt, done)
-		return
-	}
-	fabric.Transfer(ep.net.eng, path, size, fabric.ChunkFor(size), at, done)
+	ep.Send(m, deliver)
 }
 
 // Multicast implements dev.Multicaster when the platform enables hardware
@@ -724,8 +376,8 @@ func (ep *endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail i
 // every down-link. Only compiled in spirit — the method exists always, but
 // the MPI layer consults HWMulticastEnabled before using it.
 func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
-	eng := ep.net.eng
-	src := ep.net.nodes[ep.node]
+	eng := ep.net.Engine()
+	src := ep.net.nodes[ep.Node()]
 	up := []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
@@ -733,12 +385,12 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 	}
 	fabric.Transfer(eng, up, size+32, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
 		for i := range ep.net.nodes {
-			if i == ep.node {
+			if i == ep.Node() {
 				continue
 			}
 			i := i
 			d := ep.net.nodes[i]
-			between, downLat := ep.net.topo.Between(ep.node, i)
+			between, downLat := ep.net.Topology().Between(ep.Node(), i)
 			down := append(append([]fabric.PathStage{}, between...),
 				fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
 				fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
@@ -758,19 +410,19 @@ func (ep *endpoint) HWMulticastEnabled() bool { return ep.net.cfg.HWMulticast }
 // into pre-registered remote buffers; on the wire this is envelope+payload
 // through the full path.
 func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.nic.Eager(size)
+	ep.NIC.Eager(size)
 	ep.transfer(dst, size+32, deliver) // 32-byte envelope/header
 }
 
 // Control implements dev.Endpoint (RTS/CTS/FIN as small RDMA writes).
 func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.nic.Control()
+	ep.NIC.Control()
 	ep.transfer(dst, 64, deliver)
 }
 
 // Bulk implements dev.Endpoint: the rendezvous payload as one RDMA write.
 func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.nic.Bulk(size)
+	ep.NIC.Bulk(size)
 	ep.transfer(dst, size, deliver)
 }
 

@@ -6,28 +6,10 @@ import (
 	"mpinet/internal/bus"
 	"mpinet/internal/fabric"
 	"mpinet/internal/memreg"
+	"mpinet/internal/nic"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
-
-func TestNetworkBasics(t *testing.T) {
-	n := New(sim.New(), DefaultConfig(8))
-	if n.Name() != "IBA" || n.Nodes() != 8 {
-		t.Fatalf("name=%q nodes=%d", n.Name(), n.Nodes())
-	}
-	if n.ShmemBelow() != 16*units.KB {
-		t.Fatalf("ShmemBelow = %d", n.ShmemBelow())
-	}
-}
-
-func TestTooManyNodesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("9 nodes on an 8-port switch did not panic")
-		}
-	}()
-	New(sim.New(), Config{Nodes: 9, SwitchPorts: 8})
-}
 
 func TestTopspinConfigAllows16(t *testing.T) {
 	cfg := DefaultConfig(16)
@@ -196,18 +178,9 @@ func TestOnDemandConnectTracksPeers(t *testing.T) {
 	}
 }
 
-func TestEagerThresholdOverride(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.EagerThreshold = 64 * units.KB
-	n := New(sim.New(), cfg)
-	if got := n.NewEndpoint(0).EagerThreshold(); got != 64*units.KB {
-		t.Fatalf("threshold = %d", got)
-	}
-}
-
 func TestFatTreeConfigWiring(t *testing.T) {
 	eng := sim.New()
-	cfg := Config{Nodes: 32, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}}
+	cfg := Config{Config: nic.Config{Nodes: 32}, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}}
 	n := New(eng, cfg)
 	if n.Nodes() != 32 {
 		t.Fatal("fat-tree wiring failed")
@@ -229,27 +202,7 @@ func TestFatTreeCapacityPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New(sim.New(), Config{Nodes: 64, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}})
-}
-
-func TestUtilizationsCoverAllResources(t *testing.T) {
-	eng := sim.New()
-	n := New(eng, DefaultConfig(2))
-	n.NewEndpoint(0).Eager(1, 4096, func() {})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	us := n.Utilizations()
-	if len(us) != 2*5 { // 2 nodes x (bus, tx, rx, up, down)
-		t.Fatalf("utilization entries = %d, want 10", len(us))
-	}
-	var busy sim.Time
-	for _, u := range us {
-		busy += u.Busy
-	}
-	if busy <= 0 {
-		t.Fatal("no busy time recorded")
-	}
+	New(sim.New(), Config{Config: nic.Config{Nodes: 64}, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}})
 }
 
 func TestShmemConfigHandshake(t *testing.T) {

@@ -339,12 +339,6 @@ const (
 // PCI-X, InfiniScale switch, MVAPICH-style MPI).
 func InfiniBand() Platform { return cluster.IBA() }
 
-// InfiniBandPCI is InfiniBand forced onto a 64-bit/66 MHz PCI bus
-// (Section 4.7).
-//
-// Deprecated: use InfiniBand().With(PCIBus()).
-func InfiniBandPCI() Platform { return cluster.IBAPCI() }
-
 // Myrinet returns the paper's Myrinet platform (M3F NICs, Myrinet-2000
 // switch, MPICH-GM-style MPI).
 func Myrinet() Platform { return cluster.Myri() }
@@ -362,18 +356,6 @@ func Topspin() Platform { return cluster.Topspin() }
 func Bond(primary Platform, others ...Platform) Platform {
 	return cluster.Bond(primary, others...)
 }
-
-// InfiniBandOnDemand is InfiniBand with on-demand connection management —
-// the memory-usage fix the paper's Section 3.8 points to.
-//
-// Deprecated: use InfiniBand().With(OnDemand()).
-func InfiniBandOnDemand() Platform { return cluster.IBAOnDemand() }
-
-// InfiniBandMulticast is InfiniBand with the hardware-collective extension
-// of Section 3.7: broadcasts ride switch multicast.
-//
-// Deprecated: use InfiniBand().With(Multicast()).
-func InfiniBandMulticast() Platform { return cluster.IBAMulticast() }
 
 // LogP extracts LogGP parameters (L, os, or, G) for an interconnect, per
 // the methodology of the paper's related work.

@@ -13,16 +13,6 @@ func TestFacadeOptionsCompose(t *testing.T) {
 	if p.Name != "IBA-PCI" {
 		t.Fatalf("With(PCIBus()) name = %q, want IBA-PCI", p.Name)
 	}
-	// Deprecated wrappers must be the same platform as their option form.
-	if got := InfiniBandPCI().Name; got != p.Name {
-		t.Fatalf("InfiniBandPCI() = %q, option form = %q", got, p.Name)
-	}
-	if got := InfiniBandOnDemand().Name; got != InfiniBand().With(OnDemand()).Name {
-		t.Fatalf("InfiniBandOnDemand() = %q diverges from option form", got)
-	}
-	if got := InfiniBandMulticast().Name; got != InfiniBand().With(Multicast()).Name {
-		t.Fatalf("InfiniBandMulticast() = %q diverges from option form", got)
-	}
 	// Derivation must not mutate the base.
 	if InfiniBand().Name != "IBA" {
 		t.Fatal("With mutated the predefined platform")

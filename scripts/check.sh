@@ -5,11 +5,13 @@
 # must produce byte-identical metrics snapshots, Chrome traces and blame
 # reports, and the fault-injected postmortem must name its blame.
 #
-# Usage: check.sh [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
+# Usage: check.sh [-guards] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
 #
 # The determinism smoke also re-renders the document at -shards 4 and
 # requires the same bytes as the serial engine (docs/MODEL.md §17).
 #
+#   -guards  run only the banned-pattern guards (seconds; the CI build
+#            job runs this)
 #   -short   pass -short to go test (the CI race-shard budget: quick-mode
 #            suites only, minutes-long class B gates skipped)
 #   -full    nightly mode: the complete class B suite including the
@@ -32,6 +34,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+guards=""
 short=""
 timeout=30m
 jobs=8
@@ -41,6 +44,7 @@ chaos=""
 seed=0
 while [ $# -gt 0 ]; do
     case "$1" in
+    -guards) guards=1 ;;
     -short) short="-short" ;;
     -full) short="" timeout=60m ;;
     -j)
@@ -55,7 +59,7 @@ while [ $# -gt 0 ]; do
         seed="$1"
         ;;
     *)
-        echo "usage: check.sh [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
+        echo "usage: check.sh [-guards] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
         exit 2
         ;;
     esac
@@ -82,7 +86,19 @@ if grep -n 'time\.Now\|time\.Since\|atomic\.' internal/sim/shard.go; then
     echo "FAIL: internal/sim/shard.go reads wall-clock or shared atomics (nondeterministic under shard scheduling)" >&2
     exit 1
 fi
+# The retry ladder (node-down check, route re-resolve, partition check,
+# verdict, backoff) lives once, in internal/nic; a NIC model supplies only
+# its hooks. Any of the ladder's own calls in a model means it forked again.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'NodeDeadDetected|LastRouteOf|VerdictExtra|FlightRetransmit' \
+    internal/verbs/ internal/gm/ internal/elan/; then
+    echo "FAIL: a NIC model runs its own retry ladder again (it belongs to internal/nic)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
+if [ -n "$guards" ]; then
+    exit 0
+fi
 
 echo "== go vet =="
 go vet ./...
