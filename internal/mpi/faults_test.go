@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +51,33 @@ func TestRetryExhaustionTyped(t *testing.T) {
 				t.Errorf("error %q does not attribute the failing rank", err)
 			}
 		})
+	}
+}
+
+// A job aborted by a fault plan returns its typed error with no rank left
+// behind: the ranks still parked when the abort surfaced are reaped, so
+// their goroutines exit instead of keeping the world reachable.
+func TestAbortedRunLeavesNoRankGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := cluster.IBA().With(cluster.WithFaults(faults.DropPlan(7, 1.0)))
+	w := MustWorld(Config{Net: p.New(8), Procs: 8})
+	err := w.Run(func(r *Rank) {
+		buf := r.Malloc(512)
+		switch r.Rank() {
+		case 0:
+			r.Send(buf, 1, 0)
+		default:
+			r.Recv(buf, 0, 0) // only rank 1's message is ever sent
+		}
+	})
+	if !errors.Is(err, faults.ErrRetryExhausted) {
+		t.Fatalf("Run: %v, want ErrRetryExhausted", err)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after the aborted run, want the baseline %d", got, base)
+	}
+	if live := w.Engine().LiveProcs(); live != 0 {
+		t.Errorf("%d rank processes still live after Run", live)
 	}
 }
 

@@ -135,9 +135,9 @@ type World struct {
 	// CommWorld view; read-only after construction.
 	worldRanks []int
 	met        *metrics.Registry
-	rec   *msgtrace.Recorder
-	start sim.Time
-	end   sim.Time
+	rec        *msgtrace.Recorder
+	start      sim.Time
+	end        sim.Time
 	// fault is the first fatal job error (device retry exhaustion, watchdog
 	// timeout, truncation); once set, every rank aborts at its next
 	// progress point and Run returns it. In scale mode it may be written
@@ -414,6 +414,10 @@ func (w *World) Size() int { return w.cfg.Procs }
 // (with the failing rank and link attributed), ErrTimeout when the watchdog
 // expired, ErrTruncate on a receive-buffer overflow. Errors are fatal to
 // the whole job, as in the paper's MPI implementations.
+//
+// Ranks still parked when the job ends (the survivors of an abort, the
+// members of a deadlock) are reaped before Run returns, so their goroutines
+// exit and stop keeping the world reachable.
 func (w *World) Run(main func(r *Rank)) (err error) {
 	defer func() {
 		r := recover()
@@ -428,6 +432,7 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 			if ja, ok := pf.Value.(*jobAbort); ok {
 				w.end = w.eng.MaxNow()
 				err = ja.err
+				w.eng.Reap()
 				return
 			}
 		}
@@ -450,6 +455,8 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 					// the death, not by the victim's unwinding.
 					return
 				}
+				// Everything else, the engine's reap signal included,
+				// continues unchanged to the process wrapper.
 				panic(r)
 			}()
 			main(&Rank{p: p, ps: ps})
@@ -461,6 +468,7 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 		}
 	}
 	runErr := w.eng.Run()
+	w.eng.Reap()
 	// End-of-run clock: the latest shard clock, which for a plain engine is
 	// just its Now.
 	w.end = w.eng.MaxNow()

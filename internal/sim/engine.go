@@ -356,8 +356,8 @@ func (e *Engine) CallAt(t Time, h Handler, a, b int64) {
 	e.enqueue(event{at: t, h: h, a: a, b: b})
 }
 
-// schedProc queues a control-token handoff to p after delay — the park/wake
-// path. Proc implements Handler, so this allocates nothing.
+// schedProc queues a resume of p after delay — the park/wake path. Proc
+// implements Handler, so this allocates nothing.
 func (e *Engine) schedProc(p *Proc, delay Time) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))

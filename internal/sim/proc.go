@@ -1,8 +1,19 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23 for
+// iter.Pull while the module (and the bench module that replaces it) stays
+// at go 1.22.
+
 package sim
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"iter"
+	"slices"
+)
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // with the event loop so that exactly one of (engine, some process) runs at
 // a time. A Proc advances the virtual clock only by blocking — Sleep for
 // compute time, Cond.Wait for synchronization — and therefore reads as
@@ -10,86 +21,85 @@ import "fmt"
 type Proc struct {
 	eng  *Engine
 	name string
+	// seq is the sequence number of the starter event, unique on the engine
+	// and increasing in spawn order; Reap releases processes in this order.
+	seq uint64
 
-	// tok is the single control-token handoff channel. Ownership strictly
-	// alternates — the engine sends to resume the process, the process
-	// sends to park or finish — so one unbuffered channel serves both
-	// directions: whenever one side sends, the other is already receiving,
-	// and the rendezvous completes without an extra blocking round-trip.
-	// (The previous design used a resume channel plus a parked channel —
-	// two channel structures and a parkMsg copied through one of them on
-	// every cycle.)
-	tok chan struct{}
+	// next resumes the coroutine until it parks (true) or returns (false);
+	// yield, called from inside it, suspends it back to next's caller and
+	// reports false once stop has cancelled it. A coroutine switch hands
+	// the thread over directly, without a trip through the Go scheduler.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
-	// msg is the reusable park report, written by the process before it
-	// hands the token back. The channel send orders the write before the
-	// engine's read, so a plain field is race-free.
-	msg parkMsg
+	// panicked is the value fn panicked with, recovered inside the
+	// coroutine and read by the engine once next reports completion.
+	panicked interface{}
 
 	// blockedOn describes what the process is waiting for; surfaced in
 	// deadlock reports.
 	blockedOn string
 
-	// blocked/slept accounting. Updated only while this process holds the
-	// control token, so plain fields are race-free.
+	// blocked/slept accounting. Updated only while this process runs, so
+	// plain fields are race-free.
 	blocked Time // time parked on conditions (waiting, not computing)
 	slept   Time // time parked in Sleep (modelled compute)
 }
 
-type parkMsg struct {
-	finished bool
-	panicked interface{}
-}
+// reaped is the panic value park raises in a process that Reap cancelled.
+// It unwinds the process's stack, running its deferred calls, and Spawn's
+// wrapper swallows it; model code that recovers panics must re-panic values
+// it does not own.
+type reaped struct{}
 
 // Spawn creates a process named name running fn, starting at the current
-// simulated time. fn runs on its own goroutine but only while the engine has
-// handed it the control token.
+// simulated time. fn runs as a coroutine, only while the engine has resumed
+// it. A panic in fn is recovered inside the coroutine and re-raised by Run
+// as a *ProcFailure, so it never unwinds through the engine's next call.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		tok:  make(chan struct{}),
-	}
-	e.procs[p] = struct{}{}
-	go func() {
-		<-p.tok // wait for the starter event
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			p.msg = parkMsg{finished: true, panicked: r}
-			p.tok <- struct{}{}
+			if r := recover(); r != nil {
+				if _, ok := r.(reaped); !ok {
+					p.panicked = r
+				}
+			}
 		}()
 		fn(p)
-	}()
+	})
+	e.procs[p] = struct{}{}
 	e.schedProc(p, 0)
+	p.seq = e.seq
 	return p
 }
 
-// step hands the control token to p and blocks the engine until p parks or
-// finishes.
+// step resumes p and blocks the engine until p parks or finishes.
 func (e *Engine) step(p *Proc) {
-	p.tok <- struct{}{}
-	<-p.tok
-	if p.msg.finished {
-		delete(e.procs, p)
-		if p.msg.panicked != nil {
-			e.failure = &ProcFailure{Proc: p.name, Value: p.msg.panicked}
-		}
+	if _, parked := p.next(); parked {
+		return
+	}
+	delete(e.procs, p)
+	if p.panicked != nil {
+		e.failure = &ProcFailure{Proc: p.name, Value: p.panicked}
 	}
 }
 
 // HandleEvent implements Handler: a wake event reached its instant, so the
-// engine hands this process the control token. Engine use only — model
-// code wakes processes through Cond, Sleep and Yield.
+// engine resumes this process. Engine use only — model code wakes processes
+// through Cond, Sleep and Yield.
 func (p *Proc) HandleEvent(int64, int64) { p.eng.step(p) }
 
-// park gives the token back to the engine and blocks until somebody resumes
-// this process via a wake event.
+// park suspends the process back to the engine until somebody resumes it
+// via a wake event. If Reap cancels it instead, park panics with reaped.
 func (p *Proc) park(why string) {
 	p.blockedOn = why
 	t0 := p.eng.now
-	p.msg = parkMsg{}
-	p.tok <- struct{}{}
-	<-p.tok
+	if !p.yield(struct{}{}) {
+		panic(reaped{})
+	}
 	d := p.eng.now - t0
 	if why == "sleep" {
 		p.slept += d
@@ -101,11 +111,48 @@ func (p *Proc) park(why string) {
 	p.blockedOn = ""
 }
 
+// Reap releases every process still parked on this engine — or, for a
+// member of a Sharded group, on every engine of the group — once Run has
+// returned with processes blocked (a DeadlockError) or re-panicked a
+// process failure. Each process unwinds from its park point, running its
+// deferred calls, and ends without a ProcFailure and without blocked or
+// slept accounting for the abandoned wait; its goroutine exits and no
+// longer keeps the model reachable. Processes are reaped in shard order,
+// then spawn order. A run stopped at a RunUntil horizon that will resume
+// must not be reaped.
+func (e *Engine) Reap() {
+	if e.owner == nil {
+		e.reap()
+		return
+	}
+	if e.owner.running {
+		panic("sim: Reap during Run")
+	}
+	for _, s := range e.owner.shards {
+		s.reap()
+	}
+}
+
+// reap cancels this engine's parked processes in spawn order.
+func (e *Engine) reap() {
+	if e.running {
+		panic("sim: Reap during Run")
+	}
+	ps := make([]*Proc, 0, len(e.procs))
+	for p := range e.procs {
+		ps = append(ps, p)
+	}
+	slices.SortFunc(ps, func(a, b *Proc) int { return cmp.Compare(a.seq, b.seq) })
+	for _, p := range ps {
+		delete(e.procs, p)
+		p.stop()
+	}
+}
+
 // wake schedules an event that transfers control back to p. It must be
-// called while the engine (or another process holding the token) is
-// running. The wake is a typed event — no closure, no allocation — which
-// matters because every Sleep, Yield and Cond wakeup in the simulator
-// passes through here.
+// called while the engine (or a process it resumed) is running. The wake
+// is a typed event — no closure, no allocation — which matters because
+// every Sleep, Yield and Cond wakeup in the simulator passes through here.
 func (p *Proc) wake(delay Time) {
 	p.eng.schedProc(p, delay)
 }

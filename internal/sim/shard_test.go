@@ -383,6 +383,80 @@ func TestPartitionNodes(t *testing.T) {
 	}
 }
 
+// mailbox counts the messages delivered to one process and wakes it.
+type mailbox struct {
+	got int
+	c   Cond
+}
+
+func (m *mailbox) HandleEvent(int64, int64) {
+	m.got++
+	m.c.Broadcast()
+}
+
+// TestShardedProcResumeAcrossGoroutines: processes on shards 0 and 2 of a
+// three-shard group trade one message per round through SendTo. In an
+// exchange round both send at once, so both shards hold events in the same
+// window and shard 2 runs on its worker; in a ping-pong round shard 2 holds
+// the only events while "b" receives, so the coordinator runs it inline.
+// The coroutine of "b" is therefore resumed from both goroutines, and every
+// wake must still land on its instant.
+func TestShardedProcResumeAcrossGoroutines(t *testing.T) {
+	const rounds = 64
+	period := 4 * testHop
+	s := NewSharded(3, testHop)
+	var boxA, boxB mailbox
+	var wakeA, wakeB []Time
+	align := func(p *Proc, k int) { p.Sleep(Time(k)*period - p.Now()) }
+	recv := func(p *Proc, box *mailbox, k int) {
+		box.c.WaitUntil(p, "message", func() bool { return box.got > k })
+	}
+	s.Shard(0).Spawn("a", func(p *Proc) {
+		for k := 0; k < rounds; k++ {
+			align(p, k)
+			p.Engine().SendTo(2, testHop, &boxB, 0, 0)
+			recv(p, &boxA, k)
+			wakeA = append(wakeA, p.Now())
+		}
+	})
+	s.Shard(2).Spawn("b", func(p *Proc) {
+		for k := 0; k < rounds; k++ {
+			align(p, k)
+			exchange := k%2 == 0
+			if exchange {
+				p.Engine().SendTo(0, testHop, &boxA, 0, 0)
+			}
+			recv(p, &boxB, k)
+			wakeB = append(wakeB, p.Now())
+			if !exchange {
+				p.Engine().SendTo(0, testHop, &boxA, 0, 0)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(wakeA) != rounds || len(wakeB) != rounds {
+		t.Fatalf("completed %d/%d rounds, want %d each", len(wakeA), len(wakeB), rounds)
+	}
+	for k := 0; k < rounds; k++ {
+		start := Time(k) * period
+		wantA := start + testHop // exchange: b's message left at the round start
+		if k%2 == 1 {
+			wantA += testHop // ping-pong: b replied on receipt
+		}
+		if wakeA[k] != wantA {
+			t.Errorf("round %d: a woke at %v, want %v", k, wakeA[k], wantA)
+		}
+		if want := start + testHop; wakeB[k] != want {
+			t.Errorf("round %d: b woke at %v, want %v", k, wakeB[k], want)
+		}
+	}
+	if s.Windows() < 2*rounds {
+		t.Errorf("%d windows for %d rounds; the rounds did not span separate windows", s.Windows(), rounds)
+	}
+}
+
 // TestSoloFastPathWindows: a workload living entirely on one shard of a
 // multi-shard group runs in a single window — the unpartitioned-world
 // overhead guarantee.

@@ -78,6 +78,12 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'Schedule(0, func()' internal
     echo "FAIL: internal/sim wakes procs via per-event closures again (allocation per park/wake)" >&2
     exit 1
 fi
+# Park and resume are a coroutine switch (iter.Pull); a channel handoff
+# costs two trips through the Go scheduler per cycle and may not return.
+if grep -nw 'chan' internal/sim/proc.go || grep -n '<-' internal/sim/proc.go; then
+    echo "FAIL: internal/sim/proc.go hands processes off over a channel again (scheduler round trip per park/wake)" >&2
+    exit 1
+fi
 # The shard scheduler must stay deterministic: wall-clock reads and shared
 # mutable counters inside the window loop would make the commit order (and
 # so the replay bytes) depend on host scheduling. Process-wide counters
