@@ -20,7 +20,8 @@
 //     enabling it cannot perturb results.
 //   - Zero allocation on the hot path. Handles are resolved by name once at
 //     wiring time; increments are plain field updates. Name formatting
-//     happens only during instrumentation and snapshotting.
+//     happens only during instrumentation and snapshotting. A span is one
+//     pointer-free record appended to a fixed-size chunk (see SpanTrack).
 //   - Deterministic. Recording never iterates a map; Snapshot sorts by name,
 //     so two identical runs render byte-identical snapshots.
 //
@@ -168,7 +169,7 @@ type probe struct {
 	f    func() int64
 }
 
-// DefaultSpanMax bounds the span log (see Registry.Span); large enough for
+// DefaultSpanMax bounds the span log (see SpanTrack.Emit); large enough for
 // the observability demo runs, small enough that a runaway instrumented
 // sweep cannot exhaust memory. Dropped spans are counted, not silent.
 const DefaultSpanMax = 1 << 20
@@ -186,7 +187,9 @@ type Registry struct {
 
 	// SpanMax caps the span log; spans past it increment SpanDropped.
 	SpanMax     int
-	spans       []Span
+	lanes       []Span                // one template per Track call
+	chunks      []*[spanChunk]spanRec // the span log, filled in order
+	nspans      int
 	spanDropped int64
 }
 

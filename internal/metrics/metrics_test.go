@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +26,11 @@ func TestNilRegistryIsInert(t *testing.T) {
 	g.Add(1)
 	tm.Add(units.Microsecond)
 	h.Observe(4096, units.Microsecond)
-	r.Span(Span{})
+	sp := r.Track(0, "bus", "dma", "bus")
+	if sp != nil {
+		t.Fatalf("nil registry must hand out a nil span track")
+	}
+	sp.Emit(0, units.Microsecond, 64)
 	r.ProbeCount("p", func() int64 { return 1 })
 	if c.Value() != 0 || g.HighWater() != 0 || tm.Total() != 0 {
 		t.Fatalf("nil handles must stay zero")
@@ -98,14 +103,93 @@ func TestProbeComposition(t *testing.T) {
 func TestSpanCapAndDropCount(t *testing.T) {
 	r := New()
 	r.SpanMax = 2
+	sp := r.Track(0, "bus", "dma", "")
 	for i := 0; i < 5; i++ {
-		r.Span(Span{Node: 0, Track: "bus", Name: "dma"})
+		sp.Emit(0, 0, 0)
 	}
 	if len(r.Spans()) != 2 || r.SpanDropped() != 3 {
 		t.Fatalf("got %d spans, %d dropped; want 2, 3", len(r.Spans()), r.SpanDropped())
 	}
 	if v, ok := r.Snapshot().Get("metrics/spans_dropped"); !ok || v != 3 {
 		t.Fatalf("snapshot must surface the drop count, got %d (%v)", v, ok)
+	}
+}
+
+// TestSpanLogRoundTrip interleaves three lanes across two chunk boundaries:
+// Spans must rebuild every field in recording order, and a cap just past
+// one chunk must count exactly the excess as dropped.
+func TestSpanLogRoundTrip(t *testing.T) {
+	const n = 2*spanChunk + 3
+	emitAll := func(r *Registry) []Span {
+		tmpl := []Span{
+			{Node: 0, Track: "bus", Name: "dma", Cat: "bus"},
+			{Node: FabricNode, Track: "link7", Name: "xfer", Cat: "fabric"},
+			{Node: 3, Track: "rank3", Name: "send", Cat: "mpi"},
+		}
+		var tracks []*SpanTrack
+		for _, s := range tmpl {
+			tracks = append(tracks, r.Track(s.Node, s.Track, s.Name, s.Cat))
+		}
+		want := make([]Span, n)
+		for i := range want {
+			s := tmpl[i%3]
+			s.Start = units.Time(i) * units.Nanosecond
+			s.End = s.Start + units.Time(i%7+1)
+			s.Size = int64(i) * 3
+			tracks[i%3].Emit(s.Start, s.End, s.Size)
+			want[i] = s
+		}
+		return want
+	}
+
+	r := New()
+	want := emitAll(r)
+	got := r.Spans()
+	if len(got) != n || r.SpanDropped() != 0 {
+		t.Fatalf("got %d spans, %d dropped; want %d, 0", len(got), r.SpanDropped(), n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	r = New()
+	r.SpanMax = spanChunk + 1
+	want = emitAll(r)[:spanChunk+1]
+	got = r.Spans()
+	if len(got) != len(want) || r.SpanDropped() != int64(n-len(want)) {
+		t.Fatalf("capped: got %d spans, %d dropped; want %d, %d",
+			len(got), r.SpanDropped(), len(want), n-len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("capped span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSpanLogBytesPerSpan holds the span log to its allocation contract: a
+// full default-capacity log costs its fixed-size records and nothing else —
+// no regrowth copies, no per-span strings.
+func TestSpanLogBytesPerSpan(t *testing.T) {
+	const n = 1 << 20
+	r := New()
+	sp := r.Track(0, "bus", "dma", "bus")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		sp.Emit(units.Time(i), units.Time(i+1), 64)
+	}
+	runtime.ReadMemStats(&after)
+	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f B/span in %d allocations", perSpan, after.Mallocs-before.Mallocs)
+	if perSpan > 40 {
+		t.Fatalf("span log allocated %.1f B/span, want <= 40", perSpan)
+	}
+	if r.SpanDropped() != 0 {
+		t.Fatalf("default cap dropped %d of %d spans", r.SpanDropped(), n)
 	}
 }
 
@@ -151,10 +235,8 @@ func TestSnapshotDeterministicRender(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	r := New()
-	r.Span(Span{Node: 0, Track: "bus", Name: "dma", Cat: "bus",
-		Start: 0, End: 2 * units.Microsecond, Size: 4096})
-	r.Span(Span{Node: 1, Track: "nic", Name: "eager", Cat: "nic",
-		Start: units.Microsecond, End: 3 * units.Microsecond})
+	r.Track(0, "bus", "dma", "bus").Emit(0, 2*units.Microsecond, 4096)
+	r.Track(1, "nic", "eager", "nic").Emit(units.Microsecond, 3*units.Microsecond, 0)
 	events := []trace.Event{
 		{At: units.Microsecond, Rank: 1, Kind: trace.EvSendStart, Peer: 0, Tag: 7, Size: 4096},
 	}

@@ -22,26 +22,32 @@ type Span struct {
 	Size  int64      // payload bytes, 0 when not applicable
 }
 
-// Span appends one interval to the span log, dropping (and counting) past
-// SpanMax. No-op on a nil registry; never schedules or charges sim time.
-func (r *Registry) Span(s Span) {
-	if r == nil {
-		return
-	}
-	if r.SpanMax > 0 && len(r.spans) >= r.SpanMax {
-		r.spanDropped++
-		return
-	}
-	r.spans = append(r.spans, s)
+// spanChunk is the number of records per span-log chunk. The log grows by
+// whole chunks, so a record is written once and never copied again.
+const spanChunk = 4096
+
+// spanRec is one logged interval: a lane index into Registry.lanes plus
+// the times and size. It holds no pointers, so a chunk of them is never
+// scanned by the garbage collector.
+type spanRec struct {
+	lane       int32
+	start, end units.Time
+	size       int64
 }
 
-// Spans returns the recorded span log in recording order (nil on a nil
-// registry). The slice is the registry's own; callers must not mutate it.
+// Spans rebuilds the recorded span log in recording order (nil on a nil
+// registry or an empty log). The slice is a fresh copy on every call.
 func (r *Registry) Spans() []Span {
-	if r == nil {
+	if r == nil || r.nspans == 0 {
 		return nil
 	}
-	return r.spans
+	out := make([]Span, r.nspans)
+	for i := range out {
+		rec := &r.chunks[i/spanChunk][i%spanChunk]
+		out[i] = r.lanes[rec.lane]
+		out[i].Start, out[i].End, out[i].Size = rec.start, rec.end, rec.size
+	}
+	return out
 }
 
 // SpanDropped reports how many spans were discarded after the log filled.
@@ -52,30 +58,42 @@ func (r *Registry) SpanDropped() int64 {
 	return r.spanDropped
 }
 
-// SpanTrack is a pre-resolved span template for one fixed (node, track,
-// name, cat) lane, captured at wiring time so recording a job on a hot path
-// is a struct copy plus an append — no per-event field assembly. Same
-// design rule as counter/timer handles: resolve once, emit many.
+// SpanTrack is a pre-resolved emitter for one fixed (node, track, name,
+// cat) lane, captured at wiring time so recording a job on a hot path
+// writes one 32-byte record — no per-event field assembly. Same design
+// rule as counter/timer handles: resolve once, emit many.
 type SpanTrack struct {
 	r    *Registry
-	tmpl Span
+	lane int32
 }
 
 // Track returns a pre-resolved emitter for the given lane, or nil on a nil
-// registry; Emit is nil-safe, so wiring code needs no guards.
+// registry; Emit is nil-safe, so wiring code needs no guards. Every call
+// adds a lane, even for a (node, track, name, cat) seen before.
 func (r *Registry) Track(node int, track, name, cat string) *SpanTrack {
 	if r == nil {
 		return nil
 	}
-	return &SpanTrack{r: r, tmpl: Span{Node: node, Track: track, Name: name, Cat: cat}}
+	r.lanes = append(r.lanes, Span{Node: node, Track: track, Name: name, Cat: cat})
+	return &SpanTrack{r: r, lane: int32(len(r.lanes) - 1)}
 }
 
-// Emit logs one interval on the track. No-op on a nil SpanTrack.
+// Emit logs one interval on the track, dropping (and counting) it past the
+// registry's SpanMax. No-op on a nil SpanTrack; never schedules or charges
+// sim time.
 func (t *SpanTrack) Emit(start, end units.Time, size int64) {
 	if t == nil {
 		return
 	}
-	s := t.tmpl
-	s.Start, s.End, s.Size = start, end, size
-	t.r.Span(s)
+	r := t.r
+	if r.SpanMax > 0 && r.nspans >= r.SpanMax {
+		r.spanDropped++
+		return
+	}
+	i := r.nspans % spanChunk
+	if i == 0 {
+		r.chunks = append(r.chunks, new([spanChunk]spanRec))
+	}
+	r.chunks[len(r.chunks)-1][i] = spanRec{lane: t.lane, start: start, end: end, size: size}
+	r.nspans++
 }

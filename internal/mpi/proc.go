@@ -89,7 +89,9 @@ type procState struct {
 
 	// Observability handles (all nil-safe no-ops when metrics are off).
 	met         *metrics.Registry
-	track       string // Chrome-trace thread name, "rank<N>"
+	sendSpans   *metrics.SpanTrack // request-lifetime lanes on "rank<N>"
+	recvSpans   *metrics.SpanTrack
+	failSpans   *metrics.SpanTrack
 	unexpHW     *metrics.Gauge
 	postedHW    *metrics.Gauge
 	reqHist     *metrics.SizeHist
@@ -117,7 +119,10 @@ func (ps *procState) markNICPeer(peer int) {
 // every handle comes back nil and every update is a no-op.
 func (ps *procState) bindMetrics(m *metrics.Registry) {
 	ps.met = m
-	ps.track = "rank" + strconv.Itoa(ps.rank)
+	track := "rank" + strconv.Itoa(ps.rank)
+	ps.sendSpans = m.Track(ps.node, track, "send", "mpi")
+	ps.recvSpans = m.Track(ps.node, track, "recv", "mpi")
+	ps.failSpans = m.Track(ps.node, track, "rank-failed", "mpi")
 	pfx := metrics.RankPrefix(ps.rank) + "mpi"
 	ps.unexpHW = m.Gauge(pfx + "/unexp_depth")
 	ps.postedHW = m.Gauge(pfx + "/posted_depth")
@@ -129,18 +134,16 @@ func (ps *procState) bindMetrics(m *metrics.Registry) {
 }
 
 // finishReq records a completed request's lifetime in the per-rank size-class
-// histogram and emits an "mpi" span covering post-to-completion. Called from
-// every completion site; a no-op when metrics are off.
-func (ps *procState) finishReq(r *Request, name string) {
+// histogram and emits an "mpi" span covering post-to-completion on lane, one
+// of the rank's send/recv/fail tracks. Called from every completion site; a
+// no-op when metrics are off.
+func (ps *procState) finishReq(r *Request, lane *metrics.SpanTrack) {
 	if ps.met == nil {
 		return
 	}
 	now := ps.eng.Now()
 	ps.reqHist.Observe(r.size, now-r.born)
-	ps.met.Span(metrics.Span{
-		Node: ps.node, Track: ps.track, Name: name, Cat: "mpi",
-		Start: r.born, End: now, Size: r.size,
-	})
+	lane.Emit(r.born, now, r.size)
 }
 
 // scratch returns a persistent buffer of at least size bytes for collective

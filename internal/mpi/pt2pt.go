@@ -97,7 +97,7 @@ func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
 	ch.Deliver(func() { dstPS.arrive(m) })
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
-	ps.finishReq(req, "send")
+	ps.finishReq(req, ps.sendSpans)
 }
 
 // eagerSend copies into pre-registered staging (VAPI/GM) or hands the user
@@ -129,7 +129,7 @@ func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
 	rec.ClearCur()
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
-	ps.finishReq(req, "send")
+	ps.finishReq(req, ps.sendSpans)
 }
 
 // rndvSend opens the rendezvous: register the buffer, send RTS, and wait

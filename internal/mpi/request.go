@@ -89,7 +89,7 @@ func (r *Request) complete(src, tag int, size int64) {
 		r.ps.world.rec.Finish(r.matched.tid, r.ps.eng.Now())
 	}
 	r.ps.record(trace.EvRecvDone, src, tag, r.comm, size)
-	r.ps.finishReq(r, "recv")
+	r.ps.finishReq(r, r.ps.recvSpans)
 	r.ps.notify()
 }
 
@@ -97,6 +97,6 @@ func (r *Request) complete(src, tag int, size int64) {
 func (r *Request) completeSend() {
 	r.done = true
 	r.ps.record(trace.EvSendDone, r.peer, r.tag, r.comm, r.size)
-	r.ps.finishReq(r, "send")
+	r.ps.finishReq(r, r.ps.sendSpans)
 	r.ps.notify()
 }

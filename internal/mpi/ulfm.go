@@ -119,7 +119,7 @@ func (ps *procState) failPeer(req *Request, failed int, why string) {
 		if !req.isSend {
 			ps.removePosted(req)
 		}
-		ps.finishReq(req, "rank-failed")
+		ps.finishReq(req, ps.failSpans)
 		ps.notify()
 		return
 	}
