@@ -129,12 +129,15 @@ type Clos struct {
 	health *elementHealth
 	// routes is the deterministic route cache: routes[leaf][dst] memoizes the
 	// stage pair and fate of any (src on leaf, dst) route, keyed by the
-	// health epoch (always 0 on a healthy fabric). Rows are lazily allocated
-	// and written only under their leaf — the same leaf-locality the adaptive
-	// counters rely on — so the leaf-aligned shard partition gives each row a
-	// single writing engine. Adaptive routing with more than one up-link is
-	// load-dependent and bypasses the cache entirely.
-	routes [][]closRoute
+	// health epoch (always 0 on a healthy fabric). Each leaf's table is keyed
+	// by destination and holds only the destinations its hosts have routed
+	// to, so the cache grows with the traffic pattern, not with leaves ×
+	// nodes. Tables are allocated lazily and written only under their leaf —
+	// the same leaf-locality the adaptive counters rely on — so the
+	// leaf-aligned shard partition gives each table a single writing engine.
+	// Adaptive routing with more than one up-link is load-dependent and
+	// bypasses the cache entirely.
+	routes []map[int]closRoute
 	// cacheOff disables the route cache (SetRouteCache): a debug knob for
 	// verifying cached and uncached runs are byte-identical.
 	cacheOff bool
@@ -146,7 +149,6 @@ type closRoute struct {
 	stages []PathStage
 	info   RouteInfo
 	epoch  uint32
-	valid  bool
 }
 
 // SetRouteCache enables or disables the deterministic route cache. The cache
@@ -180,7 +182,7 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 		hostsPerLeaf: hpl,
 		uplinks:      cfg.Uplinks(),
 		counter:      make([]uint64, leaves),
-		routes:       make([][]closRoute, leaves),
+		routes:       make([]map[int]closRoute, leaves),
 	}
 	t.up = make([][]*sim.Pipe, leaves)
 	t.down = make([][]*sim.Pipe, leaves)
@@ -270,18 +272,17 @@ func (t *Clos) Between(src, dst int) ([]PathStage, sim.Time) {
 	if t.health != nil {
 		epoch = t.health.advance()
 	}
-	row := t.routes[sl]
-	if row == nil {
-		row = make([]closRoute, t.Nodes())
-		t.routes[sl] = row
-	}
-	e := &row[dst]
-	if !e.valid || e.epoch != epoch {
+	e, ok := t.routes[sl][dst]
+	if !ok || e.epoch != epoch {
 		e.stages, _ = t.routeOnce(src, dst, sl, dl)
 		if t.health != nil {
 			e.info = t.health.last
 		}
-		e.valid, e.epoch = true, epoch
+		e.epoch = epoch
+		if t.routes[sl] == nil {
+			t.routes[sl] = make(map[int]closRoute)
+		}
+		t.routes[sl][dst] = e
 	}
 	if t.health != nil {
 		t.health.last = e.info

@@ -12,6 +12,7 @@ package fabric
 
 import (
 	"fmt"
+	"sync"
 
 	"mpinet/internal/metrics"
 	"mpinet/internal/msgtrace"
@@ -21,7 +22,8 @@ import (
 
 // Stage is one hardware stage of a transfer path: submitting n bytes at time
 // now occupies the stage for some interval. sim.Pipe and bus.Bus implement
-// it.
+// it. A stage is FIFO: a later submission never ends before an earlier one,
+// which is what lets a transfer recycle its record at completion.
 type Stage interface {
 	Send(now sim.Time, n int64) (start, end sim.Time)
 }
@@ -126,8 +128,7 @@ type PathStage struct {
 // xfer is one in-flight Transfer: a typed event handler whose (ci, stage)
 // arguments drive the chunk pipeline, so the steady state — every chunk
 // through every stage — schedules events without allocating. stage ==
-// len(path) is the completion sentinel. The struct itself is the only heap
-// allocation per message.
+// len(path) is the completion sentinel. Records are recycled through xfers.
 type xfer struct {
 	e       *sim.Engine
 	path    []PathStage
@@ -147,11 +148,49 @@ type xfer struct {
 	hopEnter []sim.Time // per-stage entry time of chunk 0
 }
 
+// Transfer records are recycled from their completion sentinel: chunks keep
+// FIFO order at every stage (each stage is a FIFO station and every chunk
+// pays the same latency after it), so once the last chunk clears the last
+// stage no event of the transfer is left and the sentinel is the record's
+// last reference. The pools are sync.Pools rather than per-engine free lists
+// because a cutXfer completes on the destination's engine, which under
+// sharded windows runs on another goroutine than the one that issued it.
+var (
+	xfers    = sync.Pool{New: func() any { return new(xfer) }}
+	cutXfers = sync.Pool{New: func() any { return new(cutXfer) }}
+)
+
+// chunking splits size bytes into chunks of at most chunk bytes: the chunk
+// count and the size of the last one. A size of zero or less — a control
+// message — still occupies the path as one byte.
+func chunking(size, chunk int64) (nchunks, last int64) {
+	if chunk <= 0 {
+		panic("fabric: non-positive chunk")
+	}
+	if size <= 0 {
+		size = 1
+	}
+	nchunks = (size + chunk - 1) / chunk
+	return nchunks, size - (nchunks-1)*chunk
+}
+
+// newXfer takes a record from the pool, set up for an untraced transfer.
+func newXfer(e *sim.Engine, path []PathStage, size, chunk int64, done func(end sim.Time)) *xfer {
+	nchunks, last := chunking(size, chunk)
+	x := xfers.Get().(*xfer)
+	x.e, x.path, x.done = e, path, done
+	x.chunk, x.nchunks, x.last = chunk, nchunks, last
+	return x
+}
+
 // HandleEvent implements sim.Handler: chunk ci reached stage, occupy it and
 // self-clock the successors.
 func (x *xfer) HandleEvent(ci, stage int64) {
 	if stage == int64(len(x.path)) {
-		x.done(x.e.Now())
+		done, now := x.done, x.e.Now()
+		*x = xfer{hopEnter: x.hopEnter[:0]}
+		xfers.Put(x)
+		done(now)
 		return
 	}
 	n := x.chunk
@@ -194,27 +233,8 @@ func (x *xfer) HandleEvent(ci, stage int64) {
 // k. Contending transfers interleave naturally through the shared stage
 // FIFOs.
 func Transfer(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time, done func(end sim.Time)) {
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
-	}
-	if len(path) == 0 {
-		x := &xfer{e: e, done: done}
-		e.CallAt(start, x, 0, 0) // stage 0 == len(path): immediate completion
-		return
-	}
-	if size <= 0 {
-		size = 1 // control messages still occupy the path minimally
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &xfer{
-		e:       e,
-		path:    path,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-	}
-	e.CallAt(start, x, 0, 0)
+	// An empty path completes at once: stage 0 is the sentinel.
+	e.CallAt(start, newXfer(e, path, size, chunk, done), 0, 0)
 }
 
 // TransferTraced is Transfer plus per-hop span recording for a sampled
@@ -228,29 +248,15 @@ func TransferTraced(e *sim.Engine, path []PathStage, size, chunk int64, start si
 		Transfer(e, path, size, chunk, start, done)
 		return
 	}
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
+	x := newXfer(e, path, size, chunk, done)
+	x.rec, x.tid, x.rank, x.rail, x.attempt = rec, tid, rank, rail, attempt
+	x.bytes = max(size, 1) // a control message bills one byte
+	// Chunk 0 writes each stage's entry before the last chunk reads it, so
+	// a recycled slice needs no clearing.
+	if cap(x.hopEnter) < len(path) {
+		x.hopEnter = make([]sim.Time, len(path))
 	}
-	if size <= 0 {
-		size = 1
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &xfer{
-		e:       e,
-		path:    path,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-
-		rec:      rec,
-		tid:      tid,
-		rank:     rank,
-		rail:     rail,
-		attempt:  attempt,
-		bytes:    size,
-		hopEnter: make([]sim.Time, len(path)),
-	}
+	x.hopEnter = x.hopEnter[:len(path)]
 	e.CallAt(start, x, 0, 0)
 }
 
@@ -317,7 +323,10 @@ func (x *cutXfer) engineFor(stage int64) *sim.Engine {
 func (x *cutXfer) HandleEvent(ci, stage int64) {
 	e := x.engineFor(stage)
 	if stage == int64(len(x.path)) {
-		x.done(e.Now())
+		done, now := x.done, e.Now()
+		*x = cutXfer{}
+		cutXfers.Put(x)
+		done(now)
 		return
 	}
 	n := x.chunk
@@ -351,9 +360,7 @@ func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk 
 		Transfer(srcE, path, size, chunk, start, done)
 		return
 	}
-	if chunk <= 0 {
-		panic("fabric: non-positive chunk")
-	}
+	nchunks, last := chunking(size, chunk)
 	if cut < 1 || cut > len(path) {
 		// Stage 0 must be source-side: the transfer is issued on the source
 		// engine, and every physical path starts at the source's own bus.
@@ -362,19 +369,8 @@ func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk 
 	if len(path) == 0 {
 		panic("fabric: TransferCut needs a staged path to cross domains")
 	}
-	if size <= 0 {
-		size = 1
-	}
-	nchunks := (size + chunk - 1) / chunk
-	x := &cutXfer{
-		src:     srcE,
-		dst:     dstE,
-		path:    path,
-		cut:     cut,
-		done:    done,
-		chunk:   chunk,
-		last:    size - (nchunks-1)*chunk,
-		nchunks: nchunks,
-	}
+	x := cutXfers.Get().(*cutXfer)
+	x.src, x.dst, x.path, x.cut, x.done = srcE, dstE, path, cut, done
+	x.chunk, x.nchunks, x.last = chunk, nchunks, last
 	srcE.CallAt(start, x, 0, 0)
 }

@@ -60,3 +60,37 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("transfer allocates %.4f per chunk in steady state, want 0", per)
 	}
 }
+
+// TestTransferRecyclesRecords: a transfer's record returns to the pool at
+// its completion sentinel, so a stream of sequential single-chunk messages
+// — each issued as the previous one lands — reuses one record instead of
+// allocating one per message.
+func TestTransferRecyclesRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool discards records at random")
+	}
+	const msgs = 1000
+	e := sim.New()
+	path := benchPath()
+	left := 0
+	var next func(end sim.Time)
+	next = func(end sim.Time) {
+		if left > 0 {
+			left--
+			Transfer(e, path, 256, 512, end, next)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		left = msgs - 1
+		Transfer(e, path, 256, 512, e.Now(), next)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if left != 0 {
+			t.Fatalf("%d transfers never issued", left)
+		}
+	})
+	if per := allocs / msgs; per >= 0.1 {
+		t.Errorf("sequential transfers allocate %.3f per message, want < 0.1", per)
+	}
+}

@@ -55,10 +55,11 @@ type Msg struct {
 // variants bounds Msg.Variant: Elan keeps a PIO and a DMA path per peer.
 const variants = 2
 
-// peer is one destination's resolved send state, per path variant.
-type peer struct {
-	path [variants][]fabric.PathStage
-	cut  [variants]int
+// peerRoute is one (destination, variant)'s resolved send state: the staged
+// path and the stage count TransferCut runs on the source's engine.
+type peerRoute struct {
+	path []fabric.PathStage
+	cut  int
 }
 
 // Endpoint is the shared half of a model's endpoint: node identity, the
@@ -86,11 +87,14 @@ type Endpoint struct {
 	// onRetry observes each individual resend (dev.RetryReporter).
 	onRetry func()
 
-	// peers holds the resolved per-destination send state. One dense slice
-	// of lazily materialized blocks: the hot path is a single index — no
-	// map lookups — while an endpoint in a 4k-node world still only pays
-	// for the peers it actually speaks to.
-	peers []*peer
+	// peers holds the resolved send state of the peers this endpoint has
+	// routed to, keyed by dst*variants+variant. It grows with the peers the
+	// endpoint actually speaks to, not with the world: a rank in a 4k-node
+	// job that talks to a handful of neighbours keeps a handful of entries.
+	// One map lookup per message, next to the dozen or so events a message
+	// costs; a warm lookup does not allocate. Only the endpoint's own shard
+	// routes from it, so the table has a single writer.
+	peers map[int]peerRoute
 }
 
 // NewEndpoint builds the shared half of an endpoint on node, bound to the
@@ -160,18 +164,16 @@ func (e *Endpoint) route(dst, variant int) ([]fabric.PathStage, int) {
 	if e.net.dynamic && dst != e.node {
 		return e.resolve(dst, variant)
 	}
-	if e.peers == nil {
-		e.peers = make([]*peer, e.net.cfg.Nodes)
+	key := dst*variants + variant
+	r, ok := e.peers[key]
+	if !ok {
+		if e.peers == nil {
+			e.peers = make(map[int]peerRoute)
+		}
+		r.path, r.cut = e.resolve(dst, variant)
+		e.peers[key] = r
 	}
-	p := e.peers[dst]
-	if p == nil {
-		p = &peer{}
-		e.peers[dst] = p
-	}
-	if p.path[variant] == nil {
-		p.path[variant], p.cut[variant] = e.resolve(dst, variant)
-	}
-	return p.path[variant], p.cut[variant]
+	return r.path, r.cut
 }
 
 func (e *Endpoint) resolve(dst, variant int) ([]fabric.PathStage, int) {
