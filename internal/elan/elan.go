@@ -148,7 +148,7 @@ type nodeHW struct {
 
 // New wires a Quadrics network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	n := &Network{Net: nic.New(eng, cfg.Config, &spec, nil)}
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec)}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("qsn%d", i)
 		n.nodes = append(n.nodes, &nodeHW{
@@ -228,6 +228,7 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 			mmuCapPages),
 	}
 	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
+	ep.freeSlot = func() { ep.outstanding-- }
 	ep.cmdqStalls = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
 	ep.matches = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/matches")
 	dev.InstrumentPinCache(n.Metrics(), node, ep.mmu)
@@ -242,6 +243,9 @@ type endpoint struct {
 	// outstanding NIC commands (issued, not yet delivered) for the
 	// command-queue model.
 	outstanding int
+	// freeSlot releases one slot; bound once, so the release hop of every
+	// delivered message allocates nothing.
+	freeSlot func()
 
 	// metric handles (nil-safe no-ops when instrumentation is off)
 	cmdqStalls *metrics.Counter
@@ -350,7 +354,7 @@ func (ep *endpoint) Path(dst, variant int) ([]fabric.PathStage, int) {
 	stages = append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
-		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
+		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	)
 	stages = append(stages, between...)
 	return append(stages,
@@ -365,13 +369,24 @@ func (ep *endpoint) Path(dst, variant int) ([]fabric.PathStage, int) {
 // for the whole retry chain under faults.
 func (ep *endpoint) Hold(nic.Msg) { ep.outstanding++ }
 
-// Release implements nic.Holder.
-func (ep *endpoint) Release(nic.Msg) { ep.outstanding-- }
+// Delivered implements nic.Holder: the slot is source-NIC state, so its
+// release rides a cross-domain hop back, one wire flight after delivery
+// plus the destination's skew.
+func (ep *endpoint) Delivered(m nic.Msg) {
+	if m.Dst == ep.Node() {
+		ep.freeSlot()
+		return
+	}
+	ep.net.EngineFor(m.Dst).ScheduleOn(ep.net.EngineFor(ep.Node()), wireLatency+dev.Skew(m.Dst), ep.freeSlot)
+}
+
+// Aborted implements nic.Holder: a failed message frees its slot at once.
+func (ep *endpoint) Aborted(nic.Msg) { ep.outstanding-- }
 
 // Resend implements nic.Resender: the thread processor re-issues the
 // packet from NIC SDRAM.
 func (ep *endpoint) Resend() {
-	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.Engine().Now(), elanPerMsg)
+	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.EngineFor(ep.Node()).Now(), elanPerMsg)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
@@ -379,26 +394,7 @@ func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
 	if size > pioMax {
 		m.Variant = pathDMA
 	}
-	if !ep.net.Scale() {
-		ep.Send(m, deliver)
-		return
-	}
-	// Domain mode: the command-queue slot is source-NIC state, so its
-	// release rides a cross-domain hop back — one wire flight after
-	// delivery, carrying the destination's skew so commit order stays a
-	// pure function of simulated time. ScheduleOn degrades to a same-engine
-	// Schedule with the identical delay when both nodes share a shard, so
-	// the release time is the same at every shard count.
-	eng, dstEng := ep.net.EngineFor(ep.Node()), ep.net.EngineFor(dst)
-	ep.Hold(m)
-	ep.SendCut(m, func(sim.Time) {
-		if dst == ep.Node() {
-			ep.Release(m)
-		} else {
-			dstEng.ScheduleOn(eng, wireLatency+ep.net.Skew(dst), func() { ep.Release(m) })
-		}
-		deliver()
-	})
+	ep.Send(m, deliver)
 }
 
 // Eager implements dev.Endpoint (Tports queued send).

@@ -245,8 +245,8 @@ func chaosTolerant(p cluster.Platform, procs int) (int, units.Time, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	// Classic mode (a fault plan forces it), so the cooperative scheduler
-	// serializes rank bodies: a plain counter is race-free.
+	// A fault plan keeps every domain on one engine, so the cooperative
+	// scheduler serializes rank bodies: a plain counter is race-free.
 	notified := 0
 	err = w.Run(func(rk *mpi.Rank) {
 		const rounds = 4

@@ -132,7 +132,7 @@ func TestKillRepairConservation(t *testing.T) {
 			cluster.WithSeed(FaultSeed))
 		const procs = 32
 		w := mpi.MustWorld(mpi.Config{Net: p.New(procs), Procs: procs})
-		// Classic mode (fault plan), so a plain counter is race-free.
+		// One engine (fault plan), so a plain counter is race-free.
 		delivered := 0
 		err := w.Run(func(rk *mpi.Rank) {
 			const rounds = 8

@@ -34,7 +34,7 @@ func TestRouteCacheWorldByteIdentical(t *testing.T) {
 			topo.(*fabric.Clos).SetRouteCache(false)
 		}
 		w := mpi.MustWorld(mpi.Config{Net: net, Procs: procs})
-		// Classic mode (fault plan), so the fixed-slot transcript is
+		// One engine (fault plan), so the fixed-slot transcript is
 		// race-free; fixed slots also make it interleaving-independent.
 		lines := make([]string, procs*rounds)
 		err := w.Run(func(rk *mpi.Rank) {

@@ -41,7 +41,7 @@ func (r *Runner) ExtScaleMemory() report.Figure {
 				panic(err)
 			}
 			c.X = append(c.X, int64(n))
-			c.Y = append(c.Y, float64(w.MemoryUsage(0))/float64(units.MB))
+			c.Y = append(c.Y, float64(w.EstablishedMemoryUsage(0))/float64(units.MB))
 		}
 		f.Curves = append(f.Curves, c)
 	}

@@ -43,7 +43,7 @@ func BenchmarkScaleWorld(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				perRank = w.MemoryUsage(0)
+				perRank = w.EstablishedMemoryUsage(0)
 				// Live heap with the world still reachable: build + run
 				// footprint, before the iteration's world is collected.
 				runtime.ReadMemStats(&ms)

@@ -307,7 +307,7 @@ func (t *Clos) routeOnce(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 		{Stage: t.down[dl][u], Latency: climbs * hop},
 	}
 	// The last crossing (destination leaf onto the host link) rides the
-	// down-link latency, as in the two-level FatTree.
+	// down-link latency.
 	return stages, t.cfg.Crossing
 }
 

@@ -65,8 +65,8 @@ func TestClosCapacityError(t *testing.T) {
 }
 
 func TestClosLegacyFatTreeShape(t *testing.T) {
-	// FatTree(24, 2) must reproduce the legacy auto-sized tree's element
-	// split so existing scale-out numbers carry over.
+	// FatTree(24, 2) is 16 hosts and 8 up-links per leaf: same-leaf routes
+	// cross one element, cross-leaf routes three.
 	tr, err := NewClos("c", closCfg(2, 24, 2, Deterministic), 64)
 	if err != nil {
 		t.Fatal(err)

@@ -118,6 +118,45 @@ func (s *Switch) Instrument(m *metrics.Registry) {
 // Ports returns the port count.
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
+// Topology abstracts the switching fabric between a source host's up-link
+// and a destination host's down-link: a single crossbar (the paper's
+// testbeds) or a multi-stage Clos (the scaling extension).
+type Topology interface {
+	// Between returns the intermediate stages a message crosses from src
+	// node to dst node (possibly none), plus the latency to add to the
+	// destination's down-link stage (switch crossings and wire time).
+	Between(src, dst int) (stages []PathStage, downLatency sim.Time)
+	// Nodes reports how many hosts the fabric can attach.
+	Nodes() int
+}
+
+// CrossbarTopology adapts the single-switch star: no intermediate stages,
+// one crossing.
+type CrossbarTopology struct {
+	sw *Switch
+}
+
+// NewCrossbarTopology wraps a switch as a Topology.
+func NewCrossbarTopology(sw *Switch) *CrossbarTopology {
+	return &CrossbarTopology{sw: sw}
+}
+
+// Between implements Topology.
+func (c *CrossbarTopology) Between(src, dst int) ([]PathStage, sim.Time) {
+	return nil, c.sw.Crossing()
+}
+
+// Nodes implements Topology.
+func (c *CrossbarTopology) Nodes() int { return c.sw.Ports() }
+
+// Instrument is a no-op: in the star path the crossbar's output contention
+// is carried by the destination's down-link, so the switch's own port pipes
+// never run and would register only as zero rows.
+func (c *CrossbarTopology) Instrument(m *metrics.Registry) {}
+
+// Diameter reports the single crossing of the star topology.
+func (c *CrossbarTopology) Diameter() int { return 1 }
+
 // PathStage pairs a Stage with a propagation latency paid by each chunk
 // after it clears the stage (wire flight time, switch crossing).
 type PathStage struct {
@@ -351,10 +390,10 @@ func (x *cutXfer) HandleEvent(ci, stage int64) {
 
 // TransferCut is Transfer with the path split across the source and
 // destination node domains of a sharded engine group: cut names the first
-// destination-side stage. With both ends on the same engine (same shard, or
-// a serial scale-mode run) it degrades to the plain single-engine pipeline,
-// scheduling the exact same (time, stage) sequence — the transport differs,
-// never the timing.
+// destination-side stage. With both ends on the same engine (same shard, a
+// serial run, or unplaced domains) it degrades to the plain single-engine
+// pipeline, scheduling the exact same (time, stage) sequence — the
+// transport differs, never the timing.
 func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk int64, start sim.Time, done func(end sim.Time)) {
 	if srcE == dstE {
 		Transfer(srcE, path, size, chunk, start, done)

@@ -187,3 +187,15 @@ func TestTransferEmptyPath(t *testing.T) {
 		t.Fatal("done not called")
 	}
 }
+
+func TestCrossbarTopology(t *testing.T) {
+	sw := NewSwitch("x", SwitchConfig{Ports: 8, Crossing: 150 * units.Nanosecond, Rate: units.MBps(100)})
+	topo := NewCrossbarTopology(sw)
+	if topo.Nodes() != 8 {
+		t.Fatal("crossbar nodes")
+	}
+	stages, lat := topo.Between(0, 5)
+	if len(stages) != 0 || lat != 150*units.Nanosecond {
+		t.Fatal("crossbar Between")
+	}
+}

@@ -7,15 +7,15 @@ import (
 	"mpinet/internal/units"
 )
 
-func testTree() *FatTree {
-	return NewFatTree("t", FatTreeConfig{
-		HostsPerLeaf: 4,
-		Leaves:       4,
-		Spines:       2,
-		LinkRate:     units.MBps(800),
-		Crossing:     200 * units.Nanosecond,
-		WireLatency:  100 * units.Nanosecond,
-	})
+// testTree is the two-level fat tree the FatTree(radix, oversub) platform
+// option builds, at a small radix: 6-port elements 2:1 oversubscribed give
+// 4 hosts and 2 up-links per leaf, 4 leaves for 16 hosts.
+func testTree() *Clos {
+	tr, err := NewClos("t", closCfg(2, 6, 2, Deterministic), 16)
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 func TestFatTreeDimensions(t *testing.T) {
@@ -108,22 +108,7 @@ func TestFatTreeUplinkContention(t *testing.T) {
 }
 
 func TestFatTreeValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero dimensions accepted")
-		}
-	}()
-	NewFatTree("bad", FatTreeConfig{})
-}
-
-func TestCrossbarTopology(t *testing.T) {
-	sw := NewSwitch("x", SwitchConfig{Ports: 8, Crossing: 150 * units.Nanosecond, Rate: units.MBps(100)})
-	topo := NewCrossbarTopology(sw)
-	if topo.Nodes() != 8 {
-		t.Fatal("crossbar nodes")
-	}
-	stages, lat := topo.Between(0, 5)
-	if len(stages) != 0 || lat != 150*units.Nanosecond {
-		t.Fatal("crossbar Between")
+	if _, err := NewClos("bad", ClosConfig{}, 16); err == nil {
+		t.Fatal("zero dimensions accepted")
 	}
 }

@@ -73,7 +73,7 @@ func ElemCode(kind int64, index int) int64 { return msgtrace.ElemCode(kind, inde
 
 // elementHealth is the Clos topology's view of the fault plan's element
 // faults. The engine is the clock: Between has no now parameter, and under
-// a fault plan the world always runs classic single-engine mode, so the
+// a fault plan the world keeps every node domain on one engine, so the
 // engine's now is the packet's send instant.
 type elementHealth struct {
 	kills    []faults.SwitchKill
@@ -87,8 +87,8 @@ type elementHealth struct {
 	// cache keys entries by the epoch: within one epoch every route is a pure
 	// function of (source leaf, dst), so advancing the epoch is the entire
 	// invalidation protocol. Lazy advance on the engine's now is sound
-	// because element faults force classic single-engine mode, where Between
-	// observes a monotonic clock.
+	// because element faults keep every node domain on one engine, where
+	// Between observes a monotonic clock.
 	transitions []sim.Time
 	epoch       uint32
 }

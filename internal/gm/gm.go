@@ -159,7 +159,7 @@ func min64(a, b int64) int64 {
 
 // New wires a Myrinet network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	n := &Network{Net: nic.New(eng, cfg.Config, &spec, nil)}
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec)}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("myri%d", i)
 		hw := &nodeHW{
@@ -317,7 +317,7 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
-		{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
+		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	}
 	stages = append(stages, between...)
 	return append(stages,
@@ -329,100 +329,74 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 }
 
 // Hold implements nic.Holder: a bulk payload claims SRAM staging on both
-// NICs. The send token — and with it the staging — stays held across
-// resends, exactly why faulty links amplify the Figure 5 staging pressure.
+// NICs, the receiver's one wire flight after issue. The send token — and
+// with it the staging — stays held across resends, exactly why faulty
+// links amplify the Figure 5 staging pressure.
 func (ep *endpoint) Hold(m nic.Msg) {
-	if m.Bulk {
-		ep.net.nodes[ep.Node()].outTx += m.Size
-		ep.net.nodes[m.Dst].outRx += m.Size
+	if !m.Bulk {
+		return
 	}
+	node, rx := ep.Node(), ep.net.nodes[m.Dst]
+	ep.net.nodes[node].outTx += m.Size
+	ep.peerHop(node, m.Dst, wireLatency, func() { rx.outRx += m.Size })
 }
 
-// Release implements nic.Holder.
-func (ep *endpoint) Release(m nic.Msg) {
+// Delivered implements nic.Holder, GM reliability: the receiving LANai
+// frees the staging and generates an ACK; one ack flight later the sending
+// LANai absorbs it and the send token, with its staging, returns.
+func (ep *endpoint) Delivered(m nic.Msg) {
+	node, dst := ep.Node(), m.Dst
+	dstHW := ep.net.nodes[dst]
 	if m.Bulk {
-		ep.net.nodes[ep.Node()].outTx -= m.Size
-		ep.net.nodes[m.Dst].outRx -= m.Size
+		dstHW.outRx -= m.Size
 	}
-}
-
-// Ack implements nic.Acker, GM reliability: the receiving LANai generates
-// an ACK that the sending LANai must absorb one ack flight later.
-func (ep *endpoint) Ack(m nic.Msg) {
-	eng := ep.net.Engine()
-	src, dstHW := ep.net.nodes[ep.Node()], ep.net.nodes[m.Dst]
-	dstHW.lanai.Use(eng.Now(), ackProcess)
+	dstHW.lanai.Use(ep.net.EngineFor(dst).Now(), ackProcess)
 	dstHW.acks.Inc()
-	if dstHW != src {
-		eng.Schedule(ackFlight, func() {
-			src.lanai.Use(eng.Now(), ackProcess)
-			src.acks.Inc()
-		})
+	if dst == node {
+		if m.Bulk {
+			dstHW.outTx -= m.Size
+		}
+		return
 	}
+	src := ep.net.nodes[node]
+	ep.peerHop(dst, node, ackFlight, func() {
+		if m.Bulk {
+			src.outTx -= m.Size
+		}
+		src.lanai.Use(ep.net.EngineFor(node).Now(), ackProcess)
+		src.acks.Inc()
+	})
+}
+
+// Aborted implements nic.Holder: a timed-out send returns its token and
+// staging; the receiver learns of it one wire flight later.
+func (ep *endpoint) Aborted(m nic.Msg) {
+	if !m.Bulk {
+		return
+	}
+	node, rx := ep.Node(), ep.net.nodes[m.Dst]
+	ep.net.nodes[node].outTx -= m.Size
+	ep.peerHop(node, m.Dst, wireLatency, func() { rx.outRx -= m.Size })
+}
+
+// peerHop runs fn, an effect on node to's NIC: at once when that is from's
+// own NIC, else as a cross-domain hop one flight plus from's skew later.
+func (ep *endpoint) peerHop(from, to int, flight sim.Time, fn func()) {
+	if from == to {
+		fn()
+		return
+	}
+	ep.net.EngineFor(from).ScheduleOn(ep.net.EngineFor(to), flight+dev.Skew(from), fn)
 }
 
 // Resend implements nic.Resender: a lapsed ACK timeout runs the LANai's
 // firmware timeout handler before the resend.
 func (ep *endpoint) Resend() {
-	ep.net.nodes[ep.Node()].lanai.Use(ep.net.Engine().Now(), ackProcess)
+	ep.net.nodes[ep.Node()].lanai.Use(ep.net.EngineFor(ep.Node()).Now(), ackProcess)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
-	m := nic.Msg{Dst: dst, Size: size, Bulk: bulk}
-	if ep.net.Scale() {
-		ep.scaleTransfer(m, deliver)
-		return
-	}
-	ep.Send(m, deliver)
-}
-
-// scaleTransfer is the domain-mode transfer (see nic.Endpoint.SendCut).
-// The SRAM staging and GM-reliability side effects that touch the peer
-// node are routed through cross-domain hops instead of mutated in place:
-//
-//   - the receiver's outRx staging claim lands one wire flight after issue,
-//   - the sender's ACK (LANai absorb + outTx release) lands one ack flight
-//     after delivery,
-//
-// each carrying the originating node's skew so commit order stays a pure
-// function of simulated time at every shard count.
-func (ep *endpoint) scaleTransfer(m nic.Msg, deliver func()) {
-	node, dst, size, bulk := ep.Node(), m.Dst, m.Size, m.Bulk
-	eng := ep.net.EngineFor(node)
-	dstEng := ep.net.EngineFor(dst)
-	src := ep.net.nodes[node]
-	dstHW := ep.net.nodes[dst]
-	if bulk {
-		src.outTx += size
-		if dstHW == src {
-			dstHW.outRx += size
-		} else {
-			eng.ScheduleOn(dstEng, wireLatency+ep.net.Skew(node), func() {
-				dstHW.outRx += size
-			})
-		}
-	}
-	ep.SendCut(m, func(sim.Time) {
-		if bulk {
-			dstHW.outRx -= size
-		}
-		dstHW.lanai.Use(dstEng.Now(), ackProcess)
-		dstHW.acks.Inc()
-		if dstHW == src {
-			if bulk {
-				src.outTx -= size
-			}
-		} else {
-			dstEng.ScheduleOn(eng, ackFlight+ep.net.Skew(dst), func() {
-				if bulk {
-					src.outTx -= size
-				}
-				src.lanai.Use(eng.Now(), ackProcess)
-				src.acks.Inc()
-			})
-		}
-		deliver()
-	})
+	ep.Send(nic.Msg{Dst: dst, Size: size, Bulk: bulk}, deliver)
 }
 
 // Eager implements dev.Endpoint (gm_send into a pre-posted receive buffer).

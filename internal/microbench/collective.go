@@ -1,6 +1,8 @@
 package microbench
 
 import (
+	"slices"
+
 	"mpinet/internal/cluster"
 	"mpinet/internal/mpi"
 	"mpinet/internal/sim"
@@ -12,7 +14,8 @@ import (
 // operation, barrier synchronization, the slowest rank's average reported).
 func collectiveTime(p cluster.Platform, procs int, iters int, setup func(r *mpi.Rank) func()) sim.Time {
 	w := mpi.MustWorld(mpi.Config{Net: p.New(procs), Procs: procs})
-	var worst sim.Time
+	// One slot per rank: ranks on different shards run concurrently.
+	avg := make([]sim.Time, procs)
 	mustRun(w, func(r *mpi.Rank) {
 		op := setup(r)
 		op() // warmup
@@ -21,12 +24,9 @@ func collectiveTime(p cluster.Platform, procs int, iters int, setup func(r *mpi.
 		for i := 0; i < iters; i++ {
 			op()
 		}
-		avg := (r.Wtime() - start) / sim.Time(iters)
-		if avg > worst {
-			worst = avg
-		}
+		avg[r.Rank()] = (r.Wtime() - start) / sim.Time(iters)
 	})
-	return worst
+	return slices.Max(avg)
 }
 
 // Alltoall reproduces Figure 11: MPI_Alltoall time (us) on procs nodes as a

@@ -250,7 +250,7 @@ func (ps *procState) nextSplitGen(parent int) int {
 
 // commID returns a stable context id for a rank list, identical across all
 // members (the simulation analogue of context-id agreement). Guarded by
-// commMu: in scale mode the members run on different shards, and the
+// commMu: with domains placed the members run on different shards, and the
 // completed agreement traffic — not this map — is what orders their calls.
 func (w *World) commID(ranks []int) int {
 	key := rankKey(ranks)

@@ -19,7 +19,7 @@ import (
 type procState struct {
 	world *World
 	// eng is the engine this rank's state lives on: the node's domain
-	// engine in scale mode, the world engine otherwise. Every timestamp
+	// engine once placed, the world engine otherwise. Every timestamp
 	// and timer of this rank reads it, never world.eng, so rank state is
 	// only ever touched from its owning shard.
 	eng  *sim.Engine
@@ -79,11 +79,10 @@ type procState struct {
 	reqScratch []*Request
 	// nicPeers is the set of cross-node ranks this rank has exchanged NIC
 	// traffic with (either direction), as a bitset over world ranks;
-	// nicPeerCount is its population. Tracked only in scale mode, where
-	// MemoryUsage accounts established connections rather than the static
-	// full-world formula (see World.MemoryUsage). Send-side bits are set on
-	// the sender's engine, receive-side bits on this rank's own engine at
-	// arrival, so the set is never touched cross-shard.
+	// nicPeerCount is its population, the connection count behind
+	// World.EstablishedMemoryUsage. Send-side bits are set on the sender's
+	// engine, receive-side bits on this rank's own engine at arrival, so the
+	// set is never touched cross-shard.
 	nicPeers     []uint64
 	nicPeerCount int
 
@@ -99,12 +98,8 @@ type procState struct {
 }
 
 // markNICPeer records peer as a rank this one holds NIC connection state
-// toward (scale mode only — classic worlds keep the paper's static
-// accounting). Cheap enough for every send/arrival: one bitset probe.
+// toward. Cheap enough for every send/arrival: one bitset probe.
 func (ps *procState) markNICPeer(peer int) {
-	if !ps.world.scale {
-		return
-	}
 	if ps.nicPeers == nil {
 		ps.nicPeers = make([]uint64, (ps.world.cfg.Procs+63)/64)
 	}

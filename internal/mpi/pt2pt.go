@@ -290,13 +290,12 @@ func (ps *procState) arriveCTS(m *inMsg, dstPS *procState, r *Request) {
 		ps.ep.Bulk(dstPS.node, m.size, func() {
 			// Payload is in the receiver's user buffer. The bulk completion
 			// runs on the receiver's domain; the sender-side FIN must land on
-			// the sender's own engine. The hop is taken whenever the nodes
-			// differ — not only when the engines do — so its extra latency is
-			// identical at every shard count, and it carries the receiver
+			// the sender's own. The hop is taken whenever the nodes differ —
+			// not only when the engines do — so its extra latency is
+			// identical at every placement, and it carries the receiver
 			// node's deterministic skew like every other cross-domain event.
-			w := ps.world
-			if w.scale && dstPS.node != ps.node {
-				dstPS.eng.ScheduleOn(ps.eng, w.finLat+w.skew(dstPS.node), func() {
+			if dstPS.node != ps.node {
+				dstPS.eng.ScheduleOn(ps.eng, ps.world.finLat+dev.Skew(dstPS.node), func() {
 					m.sender.completeSend()
 				})
 			} else {

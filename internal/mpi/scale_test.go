@@ -7,6 +7,8 @@ import (
 	"mpinet/internal/cluster"
 	"mpinet/internal/metrics"
 	"mpinet/internal/mpi"
+	"mpinet/internal/msgtrace"
+	"mpinet/internal/trace"
 )
 
 // scaleWorkload mixes the protocol paths whose completions cross domains:
@@ -112,27 +114,53 @@ func TestScaleClosThreeLevel(t *testing.T) {
 	}
 }
 
-// TestScaleModeRequiresCleanConfig: observability hooks keep the classic
-// single-engine path, byte-for-byte.
-func TestScaleModeRequiresCleanConfig(t *testing.T) {
-	p := cluster.IBA().With(cluster.FatTree(24, 2), cluster.WithShards(4))
-	w, err := mpi.NewWorld(mpi.Config{Net: p.New(32), Procs: 32, Metrics: metrics.New()})
-	if err != nil {
-		t.Fatal(err)
+// TestObservationShardInvariance: observing a run never changes it. A
+// timeline, a metrics registry or a span recorder keeps every node domain
+// on shard 0, while the plain run places them on their own shards; all four
+// run the same timing model and finish at the identical simulated time.
+func TestObservationShardInvariance(t *testing.T) {
+	observers := []struct {
+		name string
+		set  func(*mpi.Config)
+	}{
+		{"plain", func(*mpi.Config) {}},
+		{"metrics", func(c *mpi.Config) { c.Metrics = metrics.New() }},
+		{"timeline", func(c *mpi.Config) { c.Timeline = &trace.Timeline{} }},
+		{"msgtrace", func(c *mpi.Config) { c.MsgTrace = msgtrace.New(1) }},
 	}
-	if w.ScaleMode() {
-		t.Fatal("metrics-instrumented world must not activate node domains")
+	cases := []struct {
+		plat  cluster.Platform
+		procs int
+	}{
+		{cluster.IBA().With(cluster.FatTree(24, 2)), 64},
+		{cluster.Myri().With(cluster.FatTree(24, 2)), 64},
+		{cluster.QSN().With(cluster.FatTree(24, 2)), 64},
+		{cluster.IBA(), 8},
+		{cluster.Myri(), 8},
+		{cluster.QSN(), 8},
 	}
-	if err := w.Run(func(r *mpi.Rank) { r.Barrier() }); err != nil {
-		t.Fatal(err)
-	}
-	// Classic platforms (no topology option) never activate.
-	w2, err := mpi.NewWorld(mpi.Config{Net: cluster.IBA().New(8), Procs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.ScaleMode() {
-		t.Fatal("classic crossbar world must not activate node domains")
+	for _, c := range cases {
+		p := c.plat.With(cluster.WithShards(4))
+		var base int64
+		for i, o := range observers {
+			cfg := mpi.Config{Net: p.New(c.procs), Procs: c.procs}
+			o.set(&cfg)
+			w, err := mpi.NewWorld(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.Name, o.name, err)
+			}
+			if w.ScaleMode() != (i == 0) {
+				t.Fatalf("%s/%s: ScaleMode() = %v", p.Name, o.name, w.ScaleMode())
+			}
+			if err := w.Run(scaleWorkload); err != nil {
+				t.Fatalf("%s/%s: %v", p.Name, o.name, err)
+			}
+			if i == 0 {
+				base = int64(w.Elapsed())
+			} else if got := int64(w.Elapsed()); got != base {
+				t.Errorf("%s: elapsed %d with %s, %d plain", p.Name, got, o.name, base)
+			}
+		}
 	}
 }
 
@@ -202,7 +230,7 @@ func TestScaleMemoryOrdering(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		mem[plat.Name] = w.MemoryUsage(0)
+		mem[plat.Name] = w.EstablishedMemoryUsage(0)
 	}
 	if !(mem["IBA"] > mem["Myri"] && mem["Myri"] > mem["QSN"]) {
 		t.Fatalf("per-rank memory ordering broken: %v", mem)

@@ -140,36 +140,34 @@ type World struct {
 	end        sim.Time
 	// fault is the first fatal job error (device retry exhaustion, watchdog
 	// timeout, truncation); once set, every rank aborts at its next
-	// progress point and Run returns it. In scale mode it may be written
-	// from any shard's goroutine, so writes go through faultMu and readers
-	// check faultSet first (the atomic store/load pair orders the error
-	// value behind the flag).
+	// progress point and Run returns it. With node domains placed it may be
+	// written from any shard's goroutine, so writes go through faultMu and
+	// readers check faultSet first (the atomic store/load pair orders the
+	// error value behind the flag).
 	fault    error
 	faultMu  sync.Mutex
 	faultSet atomic.Bool
 
-	// scale is true when the network's node-domain placement is active:
-	// each rank's protocol state lives on its node's engine, cross-rank
-	// completions hop between engines with a deterministic per-source skew,
-	// and shared maps are mutex-guarded. Activated in NewWorld only for
-	// domain-clean configurations, so every other world keeps the classic
-	// single-engine semantics byte-for-byte.
-	scale   bool
+	// domains is the network's node-domain placement once activated: each
+	// rank's protocol state then lives on its node's shard engine, and
+	// shared maps are mutex-guarded. Nil while every domain shares the
+	// world engine. Placement never changes timing: cross-rank completions
+	// hop between domains with a deterministic per-source skew either way.
 	domains *dev.Domains
 	// finLat is the cross-domain completion-hop latency (the network's
 	// minimum link latency, which is also the shard group's lookahead).
 	finLat sim.Time
 
 	// Communicator-context bookkeeping (see comm.go). commMu guards the
-	// maps in scale mode, where ranks on different shards agree on
-	// contexts concurrently.
+	// maps once domains are placed, where ranks on different shards agree
+	// on contexts concurrently.
 	commMu      sync.Mutex
 	commIDs     map[string]int
 	nextComm    int
 	splitBoards map[[2]int]map[int][2]int
 
-	// ULFM-lite rank-death state (see ulfm.go). A fault plan forces the
-	// classic single-engine path, so none of this needs locking. crashed
+	// ULFM-lite rank-death state (see ulfm.go). A fault plan keeps every
+	// domain on the world engine, so none of this needs locking. crashed
 	// marks ranks whose node died — each unwinds at its next library call;
 	// failed marks deaths the job has detected (crash + detection delay),
 	// visible to peers' pending operations. anyFailed is the fast path for
@@ -219,20 +217,17 @@ func NewWorld(cfg Config) (*World, error) {
 	for i := range w.worldRanks {
 		w.worldRanks[i] = i
 	}
-	// Scale (node-domain) mode: only for domain-capable networks under a
-	// domain-clean configuration — no timeline, metrics or span tracing,
-	// whose recorders and registries are not safe to mutate from parallel
-	// shards. The device may still refuse (fault plan, hardware multicast);
-	// then the world keeps classic semantics.
+	if lr, ok := cfg.Net.(dev.LookaheadReporter); ok {
+		w.finLat = lr.MinLinkLatency()
+	}
+	// Node-domain placement: each node's domain on its own shard engine,
+	// unless an observer is not shard-safe yet — a timeline, metrics
+	// registry or span recorder is mutated from every domain. The device
+	// may still refuse (fault plan, hardware multicast). Refused or not,
+	// the world runs the same timing; only the engines differ.
 	if dn, ok := cfg.Net.(dev.DomainNetwork); ok &&
-		cfg.Timeline == nil && cfg.Metrics == nil && cfg.MsgTrace == nil {
-		if lr, ok := cfg.Net.(dev.LookaheadReporter); ok && lr.MinLinkLatency() > 0 {
-			if dn.ActivateDomains() {
-				w.scale = true
-				w.domains = dn.Domains()
-				w.finLat = lr.MinLinkLatency()
-			}
-		}
+		cfg.Timeline == nil && cfg.Metrics == nil && cfg.MsgTrace == nil && dn.ActivateDomains() {
+		w.domains = dn.Domains()
 	}
 	// Wire the hardware layers before any endpoint exists, so endpoints
 	// created below find the registry and bind their counters.
@@ -242,13 +237,13 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		w.eng.Instrument(w.met)
 	}
-	// Every classic world owns a recorder: the configured one (span tracing
-	// on) or a disabled one whose always-on flight ring still captures
-	// incidents for the failure postmortem. A scale-mode world runs with a
-	// nil recorder instead — even the disabled recorder's trace-context slot
-	// is mutable state the parallel shards would race on — and every
-	// recorder method is a nil-safe no-op.
-	if !w.scale {
+	// Every unplaced world owns a recorder: the configured one (span
+	// tracing on) or a disabled one whose always-on flight ring still
+	// captures incidents for the failure postmortem. A placed world runs
+	// with a nil recorder instead — even the disabled recorder's
+	// trace-context slot is mutable state the parallel shards would race
+	// on — and every recorder method is a nil-safe no-op.
+	if w.domains == nil {
 		w.rec = cfg.MsgTrace
 		if w.rec == nil {
 			w.rec = msgtrace.Disabled()
@@ -304,7 +299,7 @@ func NewWorld(cfg Config) (*World, error) {
 		w.procs = append(w.procs, ps)
 	}
 	w.tolerant = cfg.FaultTolerant
-	if fp, ok := cfg.Net.(dev.FaultPlanner); ok && !w.scale {
+	if fp, ok := cfg.Net.(dev.FaultPlanner); ok {
 		if plan := fp.FaultPlan(); plan != nil && len(plan.NodeCrashes) > 0 {
 			w.armCrashes(plan)
 		}
@@ -330,13 +325,14 @@ func MustWorld(cfg Config) *World {
 
 // fail records the job's first fatal error and wakes every rank so each
 // aborts at its next progress point. Safe to call from device completion
-// events or from rank processes; in scale mode, from any shard's goroutine.
+// events or from rank processes; once domains are placed, from any shard's
+// goroutine.
 func (w *World) fail(err error) {
 	w.faultMu.Lock()
 	if w.fault == nil {
 		w.fault = err
 		w.faultSet.Store(true)
-		if !w.scale {
+		if w.domains == nil {
 			// Fallback freeze for failure paths that did not freeze with more
 			// specific blame (truncation, direct aborts); the first freeze
 			// wins, so this is a no-op after a watchdog or device-fault freeze.
@@ -346,7 +342,7 @@ func (w *World) fail(err error) {
 		}
 	}
 	w.faultMu.Unlock()
-	if w.scale {
+	if w.domains != nil {
 		// Cross-shard wakes would touch other engines' queues mid-window.
 		// Ranks observe faultSet at their next progress point; ranks parked
 		// with nothing left in flight quiesce, ending the group run, and Run
@@ -363,23 +359,12 @@ func (w *World) fail(err error) {
 func (w *World) faulted() bool { return w.faultSet.Load() }
 
 // engFor returns the engine owning a node's domain: the node's shard engine
-// in scale mode, the world engine otherwise.
+// once placed, the world engine otherwise.
 func (w *World) engFor(node int) *sim.Engine {
 	if w.domains == nil {
 		return w.eng
 	}
 	return w.domains.EngineFor(node)
-}
-
-// skew is the deterministic per-source tie-breaker added to cross-domain
-// completion hops, matching the device models' convention (node index + 1
-// picoseconds): it makes event order at the destination independent of the
-// shard count without measurably perturbing the modelled latency.
-func (w *World) skew(node int) sim.Time {
-	if !w.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
 }
 
 // nodeOf maps a rank to its node under the configured mapping.
@@ -397,11 +382,12 @@ func (w *World) nodeOf(rank int) int {
 // active).
 func (w *World) Engine() *sim.Engine { return w.eng }
 
-// ScaleMode reports whether the world activated the network's node-domain
-// placement: rank state distributed over the shard group's engines, with
-// deterministic cross-domain completion hops. False for every world on a
-// classic network or with a domain-unclean configuration.
-func (w *World) ScaleMode() bool { return w.scale }
+// ScaleMode reports whether the world's node domains are placed on the
+// shard group's engines (see NewWorld). False for a world with a timeline,
+// metrics or span tracing, or whose network refuses placement (fault plan,
+// hardware multicast, rail bond); such a world keeps every domain on the
+// world engine and finishes at the same simulated time.
+func (w *World) ScaleMode() bool { return w.domains != nil }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.cfg.Procs }
@@ -441,8 +427,8 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 	w.start = w.eng.Now()
 	for _, ps := range w.procs {
 		ps := ps
-		// Each rank's process runs on its node's engine; on a classic world
-		// that is the single world engine for every rank.
+		// Each rank's process runs on its node's engine; on an unplaced
+		// world that is the world engine for every rank.
 		proc := ps.eng.Spawn(fmt.Sprintf("rank%d", ps.rank), func(p *sim.Proc) {
 			defer func() {
 				r := recover()
@@ -474,7 +460,7 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 	w.end = w.eng.MaxNow()
 	if w.faulted() {
 		// A fault was recorded but every rank happened to finish (or the
-		// queue drained first): the job still failed. A scale-mode fault
+		// queue drained first): the job still failed. A placed world's fault
 		// surfaces here even when the group run ended in a deadlock report —
 		// the fault is the cause, the quiescence only the symptom.
 		return w.fault
@@ -525,8 +511,8 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 
 // MsgTrace returns the world's message-trace recorder: the one configured
 // via Config.MsgTrace, or the default disabled recorder whose always-on
-// flight ring still captured recent incidents. Nil only for a scale-mode
-// world (node domains active), which runs without a recorder; every
+// flight ring still captured recent incidents. Nil only for a world whose
+// node domains are placed, which runs without a recorder; every
 // recorder method is a nil-safe no-op, so callers need not check.
 func (w *World) MsgTrace() *msgtrace.Recorder { return w.rec }
 
@@ -553,20 +539,25 @@ func (w *World) AggregateProfile() *trace.Profile {
 // MPI library (the quantity behind the paper's host-overhead figure).
 func (w *World) HostBusy(rank int) sim.Time { return w.procs[rank].hostBusy }
 
-// MemoryUsage returns the library + device memory footprint of one rank:
-// the device's per-connection resources plus shared-memory segments toward
-// co-located ranks. Classic worlds report the fully connected footprint —
-// Figure 13's quantity, where every rank pair holds static RC state. Scale
-// (node-domain) worlds account established connections instead: the rank
-// pairs that actually exchanged NIC traffic, which is what a thousand-rank
-// job's memory looks like in practice (the paper's Section 3.8 argument) —
-// a 1024-rank neighbor exchange holds a few peers' state, not 1023.
+// MemoryUsage returns the library + device memory footprint of one rank
+// connected to every other rank: the device's per-connection resources plus
+// shared-memory segments toward co-located ranks. This is Figure 13's
+// quantity, where every rank pair holds static RC state.
 func (w *World) MemoryUsage(rank int) int64 {
+	return w.memoryUsage(rank, w.cfg.Procs-1)
+}
+
+// EstablishedMemoryUsage is MemoryUsage over established connections only:
+// the ranks this one actually exchanged NIC traffic with during the run.
+// That is what a thousand-rank job's memory looks like in practice (the
+// paper's Section 3.8 argument) — a 1024-rank neighbor exchange holds a few
+// peers' state, not 1023.
+func (w *World) EstablishedMemoryUsage(rank int) int64 {
+	return w.memoryUsage(rank, w.procs[rank].nicPeerCount)
+}
+
+func (w *World) memoryUsage(rank, peers int) int64 {
 	ps := w.procs[rank]
-	peers := w.cfg.Procs - 1
-	if w.scale {
-		peers = ps.nicPeerCount
-	}
 	mem := ps.ep.MemoryUsage(peers)
 	if ch := w.shm[ps.node]; ch != nil {
 		co := 0

@@ -19,21 +19,20 @@ type Model interface {
 }
 
 // Holder is implemented by models whose messages hold NIC resources from
-// issue until they end. Hold runs when a message is issued; Release runs
-// once, when it is delivered (before the ack path) or when it fails.
+// issue until they end. Hold runs on the source's engine when a message is
+// issued; exactly one of Delivered and Aborted runs when it ends. A claim or
+// release on the other node's NIC is a cross-domain hop (see
+// sim.Engine.ScheduleOn) of at least one wire flight plus the sending
+// side's dev.Skew.
 type Holder interface {
 	// Hold claims what m keeps across its retry chain.
 	Hold(m Msg)
-	// Release returns what Hold claimed.
-	Release(m Msg)
-}
-
-// Acker is implemented by models whose reliability protocol acknowledges
-// every delivered message.
-type Acker interface {
-	// Ack runs the ack path of a delivered message, before the message's
-	// deliver callback.
-	Ack(m Msg)
+	// Delivered runs on the destination's engine as m lands, before its
+	// deliver callback: the model's ack path, returning what Hold claimed.
+	Delivered(m Msg)
+	// Aborted runs on the source's engine when m fails, returning what
+	// Hold claimed.
+	Aborted(m Msg)
 }
 
 // Resender is implemented by models whose NIC does work for each resend.
@@ -73,7 +72,6 @@ type Endpoint struct {
 	// are nil when the model does not implement them.
 	model    Model
 	holder   Holder
-	acker    Acker
 	resender Resender
 
 	// NIC counts the protocol traffic the model's Eager, Control and Bulk
@@ -112,7 +110,6 @@ func NewEndpoint(n *Net, node int, m Model) Endpoint {
 		retryErrors: n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted"),
 	}
 	e.holder, _ = m.(Holder)
-	e.acker, _ = m.(Acker)
 	e.resender, _ = m.(Resender)
 	return e
 }
@@ -155,7 +152,7 @@ func (e *Endpoint) fail(err error) {
 }
 
 // route returns the staged path to dst for a variant and the stage count
-// TransferCut runs on the source's domain engine: the model's local stages
+// TransferCut runs on the source's engine: the model's local stages
 // plus whatever the topology keeps on the source leaf. Both are assembled
 // once per (destination, variant) and cached, except under per-message
 // routing, where the fabric picks the up-link per message and the path is
@@ -181,11 +178,11 @@ func (e *Endpoint) resolve(dst, variant int) ([]fabric.PathStage, int) {
 	return path, local + fabric.SrcStagesOf(e.net.topo, e.node, dst)
 }
 
-// Send moves m to its destination on the shared engine (classic mode) and
-// calls deliver there. A healthy network, or a message looping back
-// through its own NIC, takes one attempt; under a fault plan the message
-// climbs the retry ladder, and a permanent failure goes to the OnFault sink
-// instead of deliver.
+// Send moves m to its destination and calls deliver on the destination's
+// engine. A healthy network, or a message looping back through its own
+// NIC, takes one attempt; under a fault plan the message climbs the retry
+// ladder, and a permanent failure goes to the OnFault sink instead of
+// deliver.
 func (e *Endpoint) Send(m Msg, deliver func()) {
 	if e.holder != nil {
 		e.holder.Hold(m)
@@ -194,66 +191,53 @@ func (e *Endpoint) Send(m Msg, deliver func()) {
 	// Capture trace context synchronously at issue time: the MPI layer (or
 	// the rail bond) scoped it around this call.
 	tid, rail := n.rec.Cur(), n.rec.CurRail()
-	now := n.eng.Now()
+	now := n.EngineFor(e.node).Now()
 	if n.inj == nil || m.Dst == e.node {
-		path, _ := e.route(m.Dst, m.Variant)
-		e.wireAttempt(path, tid, rail, 0, m.Size, now+m.Setup, func(sim.Time) { e.landed(m, deliver) })
+		path, cut := e.route(m.Dst, m.Variant)
+		e.wireAttempt(path, cut, m.Dst, tid, rail, 0, m.Size, now+m.Setup, func(sim.Time) { e.landed(m, deliver) })
 		return
 	}
 	l := &ladder{e: e, m: m, deliver: deliver, tid: tid, rail: rail, attempt: 1}
 	l.try(now + m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
 }
 
-// SendCut moves m in domain (scale) mode: the staged path is split at the
-// wire so each node's hardware state stays on its own engine, and done
-// fires on the destination's engine. Domain mode is fault-free (activation
-// refuses fault plans) and untraced, so there is no ladder; a model carries
-// its holds and acks across domains itself.
-func (e *Endpoint) SendCut(m Msg, done func(end sim.Time)) {
-	eng := e.net.EngineFor(e.node)
-	path, cut := e.route(m.Dst, m.Variant)
-	fabric.TransferCut(eng, e.net.EngineFor(m.Dst), path, cut,
-		m.Size, fabric.ChunkFor(m.Size), eng.Now()+m.Setup, done)
-}
-
-// landed ends a delivered message: release its hold, run the ack path,
-// then hand it to the MPI layer.
+// landed ends a delivered message: the model's ack path, then the MPI
+// layer's deliver.
 func (e *Endpoint) landed(m Msg, deliver func()) {
 	if e.holder != nil {
-		e.holder.Release(m)
-	}
-	if e.acker != nil {
-		e.acker.Ack(m)
+		e.holder.Delivered(m)
 	}
 	deliver()
 }
 
-// abort ends a failed message: release its hold and report err.
+// abort ends a failed message: return its hold and report err.
 func (e *Endpoint) abort(m Msg, err error) {
 	if e.holder != nil {
-		e.holder.Release(m)
+		e.holder.Aborted(m)
 	}
 	e.fail(err)
 }
 
-// wireAttempt runs one transfer attempt over the staged path, recording the
-// attempt's wire span (and per-hop fabric detail) when the message is
-// sampled; unsampled messages take the plain zero-extra-cost path. The path
-// is resolved by the caller: the retry ladder must pair each attempt's
-// route with the fate annotation read at resolve time.
-func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec := e.net.rec
+// wireAttempt runs one transfer attempt over the staged path. The path is
+// split at cut so each node's hardware state stays on its own engine, and
+// done fires on dst's engine; on one engine the split degrades to a plain
+// transfer. A sampled message records the attempt's wire span and
+// per-hop fabric detail instead — tracing keeps its world on one engine.
+// The path is resolved by the caller: the retry ladder must pair each
+// attempt's route with the fate annotation read at resolve time.
+func (e *Endpoint) wireAttempt(path []fabric.PathStage, cut, dst int, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
+	rec, eng := e.net.rec, e.net.EngineFor(e.node)
 	if rec.Sampled(tid) {
 		inner := done
 		done = func(end sim.Time) {
 			rec.Span(tid, msgtrace.StageWire, e.node, rail, attempt, -1, at, end, size)
 			inner(end)
 		}
-		fabric.TransferTraced(e.net.eng, path, size, fabric.ChunkFor(size), at,
+		fabric.TransferTraced(eng, path, size, fabric.ChunkFor(size), at,
 			rec, tid, e.node, rail, attempt, done)
 		return
 	}
-	fabric.Transfer(e.net.eng, path, size, fabric.ChunkFor(size), at, done)
+	fabric.TransferCut(eng, e.net.EngineFor(dst), path, cut, size, fabric.ChunkFor(size), at, done)
 }
 
 // ladder is one message's retry chain under a fault plan. Every attempt
@@ -289,7 +273,7 @@ func (l *ladder) try(at sim.Time) {
 		e.abort(l.m, &faults.NodeDownError{Node: node, At: at})
 		return
 	}
-	path, _ := e.route(l.m.Dst, l.m.Variant)
+	path, cut := e.route(l.m.Dst, l.m.Variant)
 	l.fate = fabric.LastRouteOf(e.net.topo)
 	if l.fate.State == fabric.RoutePartitioned {
 		e.abort(l.m, &faults.PartitionError{Src: e.node, Dst: l.m.Dst, Element: l.fate.Element})
@@ -298,7 +282,7 @@ func (l *ladder) try(at sim.Time) {
 	if l.ended == nil {
 		l.ended = l.end
 	}
-	e.wireAttempt(path, l.tid, l.rail, uint8(l.attempt-1), l.m.Size, at, l.ended)
+	e.wireAttempt(path, cut, l.m.Dst, l.tid, l.rail, uint8(l.attempt-1), l.m.Size, at, l.ended)
 }
 
 // end takes the verdict on the attempt that cleared the path at time at.
@@ -325,7 +309,7 @@ func (l *ladder) end(at sim.Time) {
 	if l.refire == nil {
 		l.refire = l.fire
 	}
-	n.eng.At(at+delay, l.refire)
+	n.EngineFor(e.node).At(at+delay, l.refire)
 }
 
 // fire runs as the backoff expires: bill the resend, then try again.
@@ -333,5 +317,5 @@ func (l *ladder) fire() {
 	if l.e.resender != nil {
 		l.e.resender.Resend()
 	}
-	l.try(l.e.net.eng.Now())
+	l.try(l.e.net.EngineFor(l.e.node).Now())
 }

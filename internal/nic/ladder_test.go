@@ -47,10 +47,10 @@ func (f *fakeModel) Path(dst, _ int) ([]fabric.PathStage, int) {
 	return append([]fabric.PathStage{{Stage: f}}, between...), 1
 }
 
-func (f *fakeModel) Hold(Msg)    { f.holds++ }
-func (f *fakeModel) Release(Msg) { f.releases++ }
-func (f *fakeModel) Ack(Msg)     { f.acks++ }
-func (f *fakeModel) Resend()     { f.resends++ }
+func (f *fakeModel) Hold(Msg)      { f.holds++ }
+func (f *fakeModel) Delivered(Msg) { f.releases++; f.acks++ }
+func (f *fakeModel) Aborted(Msg)   { f.releases++ }
+func (f *fakeModel) Resend()       { f.resends++ }
 
 // ladderRun is what one message's trip up the ladder left behind.
 type ladderRun struct {
@@ -67,7 +67,7 @@ type ladderRun struct {
 func climb(t *testing.T, cfg Config, dst int, sink bool) ladderRun {
 	t.Helper()
 	eng := sim.New()
-	net := New(eng, cfg, &fakeSpec, nil)
+	net := New(eng, cfg, &fakeSpec)
 	if err := net.ConfigErr(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,18 @@
 //
 //   - its staged hardware paths and cost constants (Model),
 //   - its faults.RetryPolicy and protocol name (Spec),
-//   - what a message holds across a retry chain (Holder): nothing for
-//     VAPI RC, the send token and its SRAM staging for GM, a command-queue
-//     slot for Elan,
+//   - what a message holds from issue until it ends, and how its end
+//     reaches the holding NICs (Holder): nothing for VAPI RC, the send
+//     token, its SRAM staging and the LANai-absorbed reliability ACK for
+//     GM, a command-queue slot for Elan,
 //   - what each resend costs its NIC (Resender): the LANai timeout handler
-//     for GM, the thread-processor re-issue for Elan,
-//   - its ack path (Acker): GM's LANai-absorbed reliability ACK.
+//     for GM, the thread-processor re-issue for Elan.
+//
+// There is one timing model. Each node's device state belongs to its node
+// domain, and every effect on another node's state travels as a
+// cross-domain hop of at least one wire flight plus the source's
+// dev.Skew. Whether the domains run on their own shard engines or all
+// share one is placement (ActivateDomains), which never changes timing.
 package nic
 
 import (
@@ -44,9 +50,9 @@ type Config struct {
 	// Crossing and WireLatency zero-values are filled with the model's
 	// calibration.
 	Clos *fabric.ClosConfig
-	// Domains, when non-nil, is the node-domain placement capability: the
-	// engines and node->shard map of a sharded world, consumed when
-	// ActivateDomains is called (see dev.DomainNetwork).
+	// Domains, when non-nil, is the node-domain placement: the engines and
+	// node->shard map of the world, used once ActivateDomains is called
+	// (see dev.DomainNetwork).
 	Domains *dev.Domains
 	// Faults, when non-nil, injects the plan's link/NIC/bus faults and arms
 	// the retry ladder.
@@ -94,21 +100,19 @@ type Net struct {
 	// dynamic marks per-message routing (adaptive, or element faults whose
 	// detection re-hashes routes): paths must not be cached.
 	dynamic bool
-	// scale flips on domain mode: per-node engines, split transfers, and
-	// the per-source picosecond skew that keeps sharded commit order equal
-	// to serial dispatch order.
-	scale bool
+	// placed is the active node-domain placement, nil while every domain
+	// shares the network's engine.
+	placed *dev.Domains
 	// cfgErr carries a topology-validation failure to mpi.NewWorld
 	// (dev.ConfigErrer); construction itself cannot return an error.
 	cfgErr error
 }
 
-// New wires the fabric for cfg: a Clos when cfg.Clos is set, else legacy
-// when non-nil (verbs' fat tree), else the model's single crossbar, which
-// panics when the nodes outnumber its ports. An invalid Clos, or a fault
-// plan that kills fabric elements of anything but a Clos, rides the
-// network as its ConfigErr.
-func New(eng *sim.Engine, cfg Config, spec *Spec, legacy fabric.Topology) *Net {
+// New wires the fabric for cfg: a Clos when cfg.Clos is set, else the
+// model's single crossbar, which panics when the nodes outnumber its ports.
+// An invalid Clos, or a fault plan that kills fabric elements of anything
+// but a Clos, rides the network as its ConfigErr.
+func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 	if cfg.Nodes < 1 {
 		panic(spec.Pkg + ": need at least one node")
 	}
@@ -143,8 +147,6 @@ func New(eng *sim.Engine, cfg Config, spec *Spec, legacy fabric.Topology) *Net {
 			// re-resolve its route so detection-time re-hashes take effect.
 			n.dynamic = true
 		}
-	case legacy != nil:
-		n.topo = legacy
 	default:
 		if cfg.Nodes > cfg.SwitchPorts {
 			panic(fmt.Sprintf("%s: %d nodes exceed %d switch ports", spec.Pkg, cfg.Nodes, cfg.SwitchPorts))
@@ -233,41 +235,24 @@ func (n *Net) ConfigErr() error { return n.cfgErr }
 // Domains implements dev.DomainNetwork.
 func (n *Net) Domains() *dev.Domains { return n.cfg.Domains }
 
-// ActivateDomains implements dev.DomainNetwork: flips the network into
-// domain (scale) mode. The retry ladder reads fault verdicts at delivery
-// time on the shared engine, so a fault plan refuses activation.
+// ActivateDomains implements dev.DomainNetwork: places each node's device
+// state on its domain's engine. The fault injector and the retry ladder
+// read shared state at delivery time, so a fault plan refuses placement.
 func (n *Net) ActivateDomains() bool {
 	if n.cfg.Domains == nil || n.inj != nil {
 		return false
 	}
-	n.scale = true
+	n.placed = n.cfg.Domains
 	return true
 }
 
-// Scale reports whether the network runs in domain (scale) mode.
-func (n *Net) Scale() bool { return n.scale }
-
-// EngineFor returns the engine owning a node's device state: the shared
-// engine in classic mode, the node's domain engine in scale mode.
+// EngineFor returns the engine owning a node's device state: the node's
+// domain engine once placed, the network's engine before.
 func (n *Net) EngineFor(node int) *sim.Engine {
-	if !n.scale {
+	if n.placed == nil {
 		return n.eng
 	}
-	return n.cfg.Domains.EngineFor(node)
-}
-
-// Skew is the deterministic per-source-node latency perturbation of domain
-// mode: one picosecond times (node+1), added to every cross-node hop. It
-// breaks the systematic same-instant ties lockstep SPMD programs generate
-// (identical compute constants on every rank), so cross-shard commit order
-// — sorted (time, source shard, sequence) — agrees with serial dispatch
-// order at every collision point. At 4096 nodes the perturbation tops out
-// near 4 ns, well under any modelled wire latency.
-func (n *Net) Skew(node int) sim.Time {
-	if !n.scale {
-		return 0
-	}
-	return sim.Time(node + 1)
+	return n.placed.EngineFor(node)
 }
 
 // Metrics returns the registry the network was instrumented with (nil

@@ -18,7 +18,7 @@ var routeProbe = []int{1, 17, 40, 63, 90, 130, 200, 255}
 func closEndpoint(t *testing.T, nodes int) *Endpoint {
 	t.Helper()
 	cfg := Config{Nodes: nodes, Clos: &fabric.ClosConfig{Levels: 3, Radix: 24, Oversub: 2}}
-	net := New(sim.New(), cfg, &fakeSpec, nil)
+	net := New(sim.New(), cfg, &fakeSpec)
 	if err := net.ConfigErr(); err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,6 @@ type Config struct {
 	// paper's Section 3.7 announces (Kini et al.): broadcasts ride a
 	// switch-replicated multicast instead of a point-to-point tree.
 	HWMulticast bool
-
-	// FatTree, when non-nil, replaces the single crossbar with a two-level
-	// folded-Clos fabric built from crossbar elements — the scaling
-	// extension for clusters larger than one switch. Config.Clos wins over
-	// it.
-	FatTree *fabric.FatTreeConfig
 }
 
 // DefaultConfig is the paper's 8-node OSU testbed.
@@ -154,25 +148,7 @@ type nodeHW struct {
 
 // New wires an InfiniBand network with the given configuration.
 func New(eng *sim.Engine, cfg Config) *Network {
-	var tree fabric.Topology
-	if cfg.Clos == nil && cfg.FatTree != nil {
-		ft := *cfg.FatTree
-		if ft.LinkRate == 0 {
-			ft.LinkRate = units.BytesPerSecond(linkRateBps)
-		}
-		if ft.Crossing == 0 {
-			ft.Crossing = switchCrossing
-		}
-		if ft.WireLatency == 0 {
-			ft.WireLatency = wireLatency
-		}
-		t := fabric.NewFatTree("ib-fattree", ft)
-		if cfg.Nodes > t.Nodes() {
-			panic(fmt.Sprintf("verbs: %d nodes exceed fat-tree capacity %d", cfg.Nodes, t.Nodes()))
-		}
-		tree = t
-	}
-	n := &Network{Net: nic.New(eng, cfg.Config, &spec, tree), cfg: cfg}
+	n := &Network{Net: nic.New(eng, cfg.Config, &spec), cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("iba%d", i)
 		n.nodes = append(n.nodes, &nodeHW{
@@ -197,8 +173,8 @@ func (n *Network) Name() string { return "IBA" }
 func (n *Network) ShmemBelow() int64 { return 16 * units.KB }
 
 // ActivateDomains implements dev.DomainNetwork. Hardware multicast fans out
-// across every node from one event — a single-domain mechanism — so it
-// refuses activation on top of the substrate's own refusals.
+// across every node from one event — not shard-safe yet — so it refuses
+// placement on top of the substrate's own refusals.
 func (n *Network) ActivateDomains() bool {
 	return !n.cfg.HWMulticast && n.Net.ActivateDomains()
 }
@@ -352,7 +328,7 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 	stages := []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
-		{Stage: src.link.Up(), Latency: wireLatency + ep.net.Skew(ep.Node())},
+		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	}
 	stages = append(stages, between...)
 	return append(stages,
@@ -363,12 +339,7 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	m := nic.Msg{Dst: dst, Size: size, Setup: ep.connect(dst)}
-	if ep.net.Scale() {
-		ep.SendCut(m, func(sim.Time) { deliver() })
-		return
-	}
-	ep.Send(m, deliver)
+	ep.Send(nic.Msg{Dst: dst, Size: size, Setup: ep.connect(dst)}, deliver)
 }
 
 // Multicast implements dev.Multicaster when the platform enables hardware

@@ -180,10 +180,10 @@ func TestOnDemandConnectTracksPeers(t *testing.T) {
 
 func TestFatTreeConfigWiring(t *testing.T) {
 	eng := sim.New()
-	cfg := Config{Config: nic.Config{Nodes: 32}, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}}
+	cfg := Config{Config: nic.Config{Nodes: 32, Clos: &fabric.ClosConfig{Levels: 2, Radix: 24, Oversub: 2}}}
 	n := New(eng, cfg)
-	if n.Nodes() != 32 {
-		t.Fatal("fat-tree wiring failed")
+	if err := n.ConfigErr(); err != nil || n.Nodes() != 32 {
+		t.Fatalf("fat-tree wiring failed: %v", err)
 	}
 	// Cross-leaf transfer completes.
 	done := false
@@ -194,15 +194,6 @@ func TestFatTreeConfigWiring(t *testing.T) {
 	if !done {
 		t.Fatal("cross-leaf eager lost")
 	}
-}
-
-func TestFatTreeCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(sim.New(), Config{Config: nic.Config{Nodes: 64}, FatTree: &fabric.FatTreeConfig{HostsPerLeaf: 16, Leaves: 2, Spines: 4}})
 }
 
 func TestShmemConfigHandshake(t *testing.T) {

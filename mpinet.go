@@ -233,12 +233,6 @@ func OnDemand() Option { return cluster.OnDemand() }
 // Multicast enables hardware-multicast collectives (Section 3.7).
 func Multicast() Option { return cluster.Multicast() }
 
-// AutoFatTree builds the legacy two-level fat tree sized from the node
-// count (InfiniBand only).
-//
-// Deprecated: use FatTree(24, 2), the parameterized topology API.
-func AutoFatTree() Option { return cluster.AutoFatTree() }
-
 // Crossbar pins the platform to a single-crossbar fabric whose radix grows
 // with the node count (the topology API's explicit default).
 func Crossbar() Option { return cluster.Crossbar() }

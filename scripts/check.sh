@@ -101,6 +101,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: a NIC model runs its own retry ladder again (it belongs to internal/nic)" >&2
     exit 1
 fi
+# There is one timing model: a node domain's placement on a shard engine
+# is chosen by the MPI layer and never changes timing, so no device model
+# may branch on it again.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\bScale\(\)|\.scale\b' \
+    internal/nic/ internal/verbs/ internal/gm/ internal/elan/; then
+    echo "FAIL: a NIC model branches on domain placement again (one timing model; see internal/nic)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
