@@ -328,12 +328,12 @@ func (l elanStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 }
 
 // Path implements nic.Model: the staged path to dst for a PIO or DMA
-// variant. PIO-sized sends skip the sender-side bus DMA (the host
+// variant, around the fabric segment seg. PIO-sized sends skip the sender-side bus DMA (the host
 // PIO-copied into Elan SDRAM already, billed in SendOverhead). Same-node
 // traffic loops through the NIC, crossing the node's PCI bus twice. The
 // NIC thread processor, send DMA and link up — plus the sender bus for
 // DMA-sized payloads — run on the source's hardware.
-func (ep *endpoint) Path(dst, variant int) ([]fabric.PathStage, int) {
+func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) ([]fabric.PathStage, int) {
 	src := ep.net.nodes[ep.Node()]
 	var stages []fabric.PathStage
 	local := 3
@@ -350,15 +350,14 @@ func (ep *endpoint) Path(dst, variant int) ([]fabric.PathStage, int) {
 		), local
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages = append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
 		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	)
-	stages = append(stages, between...)
+	stages = append(stages, seg.Stages...)
 	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
+		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
 		fabric.PathStage{Stage: elanStage{d.elanProc}},
 		fabric.PathStage{Stage: d.dmaRx},
 		fabric.PathStage{Stage: d.bus},

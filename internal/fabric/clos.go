@@ -123,12 +123,28 @@ type Clos struct {
 	// adaptive-routing state, all leaf-local: one dispersion counter per
 	// leaf, consumed with the config seed by a counter PRNG.
 	counter []uint64
+	// planes lists every up-link plane, 0..uplinks-1: the healthy adaptive
+	// policy's candidate set.
+	planes []int
+	// scratch holds two plane buffers per leaf — the fault path's routable
+	// set and the adaptive policy's tie set (leafScratch) — so per-message
+	// plane selection allocates nothing. Like the counters, a leaf's
+	// buffers are written only under that leaf.
+	scratch []int
+	// pairs memoizes the cross-leaf stage pair of a route:
+	// pairs[sl][dl*uplinks+u] holds the up-link and down-link stages from
+	// leaf sl to leaf dl over plane u. The pair is a pure function of those
+	// three, so per-message routing — adaptive, or re-hashed around
+	// element faults — returns a shared slice instead of building one.
+	// Tables fill lazily with the leaf pairs traffic actually joins and are
+	// written only under their source leaf.
+	pairs []map[int][]PathStage
 	// health, when non-nil, arms failure-domain rendering (health.go):
 	// Between routes around detected element deaths and annotates each route
 	// with its fate.
 	health *elementHealth
 	// routes is the deterministic route cache: routes[leaf][dst] memoizes the
-	// stage pair and fate of any (src on leaf, dst) route, keyed by the
+	// segment and fate of any (src on leaf, dst) route, keyed by the
 	// health epoch (always 0 on a healthy fabric). Each leaf's table is keyed
 	// by destination and holds only the destinations its hosts have routed
 	// to, so the cache grows with the traffic pattern, not with leaves ×
@@ -136,19 +152,19 @@ type Clos struct {
 	// the same leaf-locality the adaptive counters rely on — so the
 	// leaf-aligned shard partition gives each table a single writing engine.
 	// Adaptive routing with more than one up-link is load-dependent and
-	// bypasses the cache entirely.
+	// re-picks its plane per message instead.
 	routes []map[int]closRoute
 	// cacheOff disables the route cache (SetRouteCache): a debug knob for
 	// verifying cached and uncached runs are byte-identical.
 	cacheOff bool
 }
 
-// closRoute is one route-cache entry: the stages and fate computed for a
+// closRoute is one route-cache entry: the segment and fate computed for a
 // (source leaf, dst) pair during one health epoch.
 type closRoute struct {
-	stages []PathStage
-	info   RouteInfo
-	epoch  uint32
+	seg   Segment
+	info  RouteInfo
+	epoch uint32
 }
 
 // SetRouteCache enables or disables the deterministic route cache. The cache
@@ -182,7 +198,13 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 		hostsPerLeaf: hpl,
 		uplinks:      cfg.Uplinks(),
 		counter:      make([]uint64, leaves),
+		planes:       make([]int, cfg.Uplinks()),
+		scratch:      make([]int, 2*leaves*cfg.Uplinks()),
+		pairs:        make([]map[int][]PathStage, leaves),
 		routes:       make([]map[int]closRoute, leaves),
+	}
+	for u := range t.planes {
+		t.planes[u] = u
 	}
 	t.up = make([][]*sim.Pipe, leaves)
 	t.down = make([][]*sim.Pipe, leaves)
@@ -223,50 +245,63 @@ func (t *Clos) climbs(sl, dl int) int {
 	return t.cfg.Levels - 1
 }
 
-// pickUplink selects the up-link index for one message from leaf sl to
-// leaf dl under the configured routing policy.
-func (t *Clos) pickUplink(sl, dl, dst int) int {
+// pickUplink selects the up-link plane for one message from leaf sl to
+// dst under the configured routing policy. Adaptive dispersion considers
+// every plane; all its inputs are leaf-local, so the choice is identical at
+// any shard count.
+func (t *Clos) pickUplink(sl, dst int) int {
 	if t.cfg.Routing == Deterministic || t.uplinks == 1 {
 		return dst % t.uplinks
 	}
-	// Adaptive dispersive: take the least-backlogged up-link of the source
-	// leaf; ties fall to a seeded counter PRNG so the choice disperses
-	// rather than herding onto link 0. All inputs are leaf-local, so the
-	// choice is identical at any shard count.
-	best := []int{0}
-	bestAt := t.up[sl][0].FreeAt()
-	for u := 1; u < t.uplinks; u++ {
-		at := t.up[sl][u].FreeAt()
-		if at < bestAt {
-			best, bestAt = best[:0], at
-			best = append(best, u)
-		} else if at == bestAt {
-			best = append(best, u)
-		}
+	return t.pickAdaptive(sl, t.planes)
+}
+
+// leafScratch returns leaf l's two plane buffers, empty: routable for the
+// fault path's surviving planes and best for the adaptive policy's ties.
+func (t *Clos) leafScratch(l int) (routable, best []int) {
+	s := t.scratch[2*l*t.uplinks : 2*(l+1)*t.uplinks]
+	return s[:0:t.uplinks], s[t.uplinks:t.uplinks]
+}
+
+// stagePair returns the memoized stages of a cross-leaf route from leaf sl
+// to leaf dl over plane u: the source leaf's up-link, then the
+// destination leaf's matching down-link, each carrying the pure-latency
+// climb over the upper levels. Callers share the slice and must not modify
+// it.
+func (t *Clos) stagePair(sl, dl, u int) []PathStage {
+	key := dl*t.uplinks + u
+	if p, ok := t.pairs[sl][key]; ok {
+		return p
 	}
-	if len(best) == 1 {
-		return best[0]
+	if t.pairs[sl] == nil {
+		t.pairs[sl] = make(map[int][]PathStage)
 	}
-	n := t.counter[sl]
-	t.counter[sl] = n + 1
-	r := sim.NewRNG(t.cfg.Seed ^ uint64(sl)<<32 ^ n)
-	return best[r.Intn(len(best))]
+	climb := sim.Time(t.climbs(sl, dl)) * (t.cfg.Crossing + t.cfg.WireLatency)
+	p := []PathStage{
+		{Stage: t.up[sl][u], Latency: climb},
+		{Stage: t.down[dl][u], Latency: climb},
+	}
+	t.pairs[sl][key] = p
+	return p
 }
 
 // Between implements Topology: same-leaf traffic crosses one element;
 // cross-leaf traffic takes its leaf up-link, the pure-latency climb over
-// the upper levels, and the destination leaf's matching down-link.
+// the upper levels, and the destination leaf's matching down-link. The
+// last crossing (destination leaf onto the host link) rides the down-link
+// latency.
 //
 // Deterministic routes are served from the per-(leaf, dst) cache: within one
 // health epoch the plane choice, stages and fate of such a route are pure
-// functions of the pair, so re-resolution (and its per-message stage-slice
-// allocation) is paid once per epoch instead of once per message. The fate
-// annotation is replayed from the entry so LastRoute behaves identically on
-// hits and misses.
-func (t *Clos) Between(src, dst int) ([]PathStage, sim.Time) {
+// functions of the pair, so re-resolution is paid once per epoch instead of
+// once per message. The fate annotation is replayed from the entry so
+// LastRoute behaves identically on hits and misses. Adaptive routes re-pick
+// their plane per message; their stages come from the stage-pair memo, so
+// neither path allocates once warm.
+func (t *Clos) Between(src, dst int) Segment {
 	sl, dl := t.LeafOf(src), t.LeafOf(dst)
 	if t.cacheOff || (t.cfg.Routing == Adaptive && t.uplinks > 1) {
-		return t.routeOnce(src, dst, sl, dl)
+		return t.routeOnce(dst, sl, dl)
 	}
 	var epoch uint32
 	if t.health != nil {
@@ -274,7 +309,7 @@ func (t *Clos) Between(src, dst int) ([]PathStage, sim.Time) {
 	}
 	e, ok := t.routes[sl][dst]
 	if !ok || e.epoch != epoch {
-		e.stages, _ = t.routeOnce(src, dst, sl, dl)
+		e.seg = t.routeOnce(dst, sl, dl)
 		if t.health != nil {
 			e.info = t.health.last
 		}
@@ -287,28 +322,20 @@ func (t *Clos) Between(src, dst int) ([]PathStage, sim.Time) {
 	if t.health != nil {
 		t.health.last = e.info
 	}
-	return e.stages, t.cfg.Crossing
+	return e.seg
 }
 
 // routeOnce resolves a route without consulting the cache: the faulty path
 // when element faults are armed, the healthy geometry otherwise.
-func (t *Clos) routeOnce(src, dst, sl, dl int) ([]PathStage, sim.Time) {
+func (t *Clos) routeOnce(dst, sl, dl int) Segment {
 	if t.health != nil {
-		return t.betweenFaulty(src, dst, sl, dl)
+		return t.betweenFaulty(dst, sl, dl)
 	}
 	if sl == dl {
-		return nil, t.cfg.Crossing
+		return Segment{Down: t.cfg.Crossing, Plane: -1}
 	}
-	climbs := sim.Time(t.climbs(sl, dl))
-	u := t.pickUplink(sl, dl, dst)
-	hop := t.cfg.Crossing + t.cfg.WireLatency
-	stages := []PathStage{
-		{Stage: t.up[sl][u], Latency: climbs * hop},
-		{Stage: t.down[dl][u], Latency: climbs * hop},
-	}
-	// The last crossing (destination leaf onto the host link) rides the
-	// down-link latency.
-	return stages, t.cfg.Crossing
+	u := t.pickUplink(sl, dst)
+	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u}
 }
 
 // SrcStages implements SplitTopology: the up-link stage of a cross-leaf

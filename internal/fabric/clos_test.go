@@ -80,10 +80,10 @@ func TestClosLegacyFatTreeShape(t *testing.T) {
 	if tr.Hops(0, 17) != 3 {
 		t.Fatalf("cross-leaf hops = %d, want 3", tr.Hops(0, 17))
 	}
-	if stages, _ := tr.Between(0, 1); len(stages) != 0 {
+	if stages := tr.Between(0, 1).Stages; len(stages) != 0 {
 		t.Fatal("same-leaf route must not touch up-links")
 	}
-	if stages, _ := tr.Between(0, 17); len(stages) != 2 {
+	if stages := tr.Between(0, 17).Stages; len(stages) != 2 {
 		t.Fatal("cross-leaf route must take up-link + down-link")
 	}
 	if tr.SrcStages(0, 1) != 0 || tr.SrcStages(0, 17) != 1 {
@@ -102,20 +102,20 @@ func TestClosDeterministicECMP(t *testing.T) {
 	a, b := build(), build()
 	// Same route, any call order, any instance: the same up-link index.
 	for _, dst := range []int{8, 9, 10, 20, 30} {
-		pa, _ := a.Between(0, dst)
-		pb, _ := b.Between(0, dst)
+		pa := a.Between(0, dst).Stages
+		pb := b.Between(0, dst).Stages
 		// Interleave unrelated routing decisions on b only; determinism
 		// means they cannot perturb the route choice.
 		b.Between(dst, 0)
 		b.Between(1, dst)
-		pb2, _ := b.Between(0, dst)
+		pb2 := b.Between(0, dst).Stages
 		if pa[0].Stage != pb[0].Stage && pa[0].Stage.(*sim.Pipe).Name() != pb[0].Stage.(*sim.Pipe).Name() || pb[0].Stage != pb2[0].Stage {
 			t.Fatalf("route 0->%d not deterministic", dst)
 		}
 	}
 	// Destinations on one remote leaf spread across up-links.
-	p8, _ := a.Between(0, 8)
-	p9, _ := a.Between(0, 9)
+	p8 := a.Between(0, 8).Stages
+	p9 := a.Between(0, 9).Stages
 	if p8[0].Stage == p9[0].Stage {
 		t.Fatal("ECMP did not spread destinations")
 	}
@@ -132,7 +132,7 @@ func TestClosAdaptiveReplay(t *testing.T) {
 			if tr.LeafOf(src) == tr.LeafOf(dst) {
 				continue
 			}
-			p, _ := tr.Between(src, dst)
+			p := tr.Between(src, dst).Stages
 			picks = append(picks, p[0].Stage.(*sim.Pipe).Name())
 		}
 		return picks
@@ -192,18 +192,20 @@ func TestClosConservationAtScale(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		stages, lat := tr.Between(src, dst)
+		seg := tr.Between(src, dst)
 		sent++
 		done := func(at sim.Time) {
 			delivered++
 			bytes += size
 		}
-		if len(stages) == 0 {
+		if len(seg.Stages) == 0 {
 			// Same-leaf: one element crossing, no shared links.
-			e.Schedule(lat, func() { done(e.Now()) })
+			e.Schedule(seg.Down, func() { done(e.Now()) })
 			continue
 		}
-		stages[len(stages)-1].Latency += lat
+		// The segment's stages are shared with the route memo: extend a copy.
+		stages := append([]PathStage(nil), seg.Stages...)
+		stages[len(stages)-1].Latency += seg.Down
 		Transfer(e, stages, size, ChunkFor(size), 0, done)
 	}
 	if err := e.Run(); err != nil {

@@ -122,12 +122,23 @@ func (s *Switch) Ports() int { return s.cfg.Ports }
 // and a destination host's down-link: a single crossbar (the paper's
 // testbeds) or a multi-stage Clos (the scaling extension).
 type Topology interface {
-	// Between returns the intermediate stages a message crosses from src
-	// node to dst node (possibly none), plus the latency to add to the
-	// destination's down-link stage (switch crossings and wire time).
-	Between(src, dst int) (stages []PathStage, downLatency sim.Time)
+	// Between resolves the fabric segment of a message from src node to
+	// dst node.
+	Between(src, dst int) Segment
 	// Nodes reports how many hosts the fabric can attach.
 	Nodes() int
+}
+
+// Segment is the fabric's share of one route: the intermediate stages a
+// message crosses between the source's up-link and the destination's
+// down-link (possibly none), the latency to add to that down-link (switch
+// crossings and wire time), and the up-link plane the route rides, -1 when
+// it never climbs. Within a plane the segment between two nodes never
+// changes, so a route's plane is all a path cache needs to key it by.
+type Segment struct {
+	Stages []PathStage
+	Down   sim.Time
+	Plane  int
 }
 
 // CrossbarTopology adapts the single-switch star: no intermediate stages,
@@ -142,8 +153,8 @@ func NewCrossbarTopology(sw *Switch) *CrossbarTopology {
 }
 
 // Between implements Topology.
-func (c *CrossbarTopology) Between(src, dst int) ([]PathStage, sim.Time) {
-	return nil, c.sw.Crossing()
+func (c *CrossbarTopology) Between(src, dst int) Segment {
+	return Segment{Down: c.sw.Crossing(), Plane: -1}
 }
 
 // Nodes implements Topology.

@@ -194,8 +194,8 @@ func TestCrossbarTopology(t *testing.T) {
 	if topo.Nodes() != 8 {
 		t.Fatal("crossbar nodes")
 	}
-	stages, lat := topo.Between(0, 5)
-	if len(stages) != 0 || lat != 150*units.Nanosecond {
+	seg := topo.Between(0, 5)
+	if len(seg.Stages) != 0 || seg.Down != 150*units.Nanosecond || seg.Plane != -1 {
 		t.Fatal("crossbar Between")
 	}
 }

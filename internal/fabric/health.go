@@ -91,6 +91,27 @@ type elementHealth struct {
 	// Between observes a monotonic clock.
 	transitions []sim.Time
 	epoch       uint32
+	// names caches element display names by element code: a black-holed
+	// plane is named on every message routed into it until detection.
+	names map[int64]string
+}
+
+// name returns the display name of a leaf or plane element ("leaf 3",
+// "spine plane 1"), formatted once per element.
+func (h *elementHealth) name(kind int64, index int) string {
+	code := ElemCode(kind, index)
+	if s, ok := h.names[code]; ok {
+		return s
+	}
+	s := fmt.Sprintf("spine plane %d", index)
+	if kind == ElemLeaf {
+		s = fmt.Sprintf("leaf %d", index)
+	}
+	if h.names == nil {
+		h.names = make(map[int64]string)
+	}
+	h.names[code] = s
+	return s
 }
 
 // advance moves the fault epoch up to the engine's current time and returns
@@ -207,13 +228,13 @@ func (t *Clos) routeExtra(sl, dl, plane int, now sim.Time) float64 {
 // the healthy path exactly when no fault is active at now — same plane
 // choice, same adaptive draws — so arming an all-future plan does not
 // perturb the pre-fault prefix of a run.
-func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
+func (t *Clos) betweenFaulty(dst, sl, dl int) Segment {
 	h := t.health
 	now := h.eng.Now()
 	if sl == dl {
 		info := RouteInfo{Plane: -1}
 		if dead, det := t.leafState(sl, now); dead {
-			info.Element = fmt.Sprintf("leaf %d", sl)
+			info.Element = h.name(ElemLeaf, sl)
 			info.ElementCode = ElemCode(ElemLeaf, sl)
 			if det {
 				info.State = RoutePartitioned
@@ -223,7 +244,7 @@ func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 		}
 		info.ExtraDrop = t.routeExtra(sl, dl, -1, now)
 		h.last = info
-		return nil, t.cfg.Crossing
+		return Segment{Down: t.cfg.Crossing, Plane: -1}
 	}
 	// A dead endpoint leaf beats plane selection: no plane routes around it.
 	// A detected leaf death partitions; an undetected one black-holes.
@@ -234,7 +255,7 @@ func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 			continue
 		}
 		if det || info.State == RouteOK {
-			info.Element = fmt.Sprintf("leaf %d", l)
+			info.Element = h.name(ElemLeaf, l)
 			info.ElementCode = ElemCode(ElemLeaf, l)
 			if det {
 				info.State = RoutePartitioned
@@ -249,7 +270,7 @@ func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 	// Routable planes: those whose death, if any, is not yet detected.
 	// Detection removes a plane from the hash space (the re-hash); repair
 	// puts it straight back (Dead turns false at RepairAt).
-	routable := make([]int, 0, t.uplinks)
+	routable, _ := t.leafScratch(sl)
 	firstDetected := -1
 	for u := 0; u < t.uplinks; u++ {
 		if _, det := t.planeState(u, now); det {
@@ -269,7 +290,7 @@ func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 		u = dst % t.uplinks
 		if info.State != RoutePartitioned {
 			info.State = RoutePartitioned
-			info.Element = fmt.Sprintf("spine plane %d", firstDetected)
+			info.Element = h.name(ElemPlane, firstDetected)
 			info.ElementCode = ElemCode(ElemPlane, firstDetected)
 		}
 	case t.cfg.Routing == Deterministic || len(routable) == 1:
@@ -282,27 +303,25 @@ func (t *Clos) betweenFaulty(src, dst, sl, dl int) ([]PathStage, sim.Time) {
 	if dead, _ := t.planeState(u, now); dead && info.State == RouteOK {
 		// Chosen plane is dead but not yet detected: black-hole.
 		info.State = RouteBlackhole
-		info.Element = fmt.Sprintf("spine plane %d", u)
+		info.Element = h.name(ElemPlane, u)
 		info.ElementCode = ElemCode(ElemPlane, u)
 	}
 	info.Plane = u
 	info.ExtraDrop = t.routeExtra(sl, dl, u, now)
 	h.last = info
-
-	climbs := sim.Time(t.climbs(sl, dl))
-	hop := t.cfg.Crossing + t.cfg.WireLatency
-	stages := []PathStage{
-		{Stage: t.up[sl][u], Latency: climbs * hop},
-		{Stage: t.down[dl][u], Latency: climbs * hop},
-	}
-	return stages, t.cfg.Crossing
+	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u}
 }
 
 // pickAdaptive is the adaptive policy restricted to a candidate plane set:
-// least-backlogged up-link, seeded counter tie-break. With the full plane
-// set it consumes exactly the draws the healthy pickUplink would.
+// the least-backlogged up-link of the source leaf, ties falling to a seeded
+// counter PRNG so the choice disperses rather than herding onto the first
+// candidate. With the full plane set (pickUplink) it is the healthy policy,
+// so a fault-free prefix consumes exactly the healthy draws. The tie set
+// lives in the leaf's scratch, beside (never overlapping) the routable set
+// candidates may be.
 func (t *Clos) pickAdaptive(sl int, candidates []int) int {
-	best := []int{candidates[0]}
+	_, best := t.leafScratch(sl)
+	best = append(best, candidates[0])
 	bestAt := t.up[sl][candidates[0]].FreeAt()
 	for _, u := range candidates[1:] {
 		at := t.up[sl][u].FreeAt()

@@ -130,7 +130,7 @@ func TestClosAllPlanesDeadPartition(t *testing.T) {
 	}
 	tr, eng := armedClos(t, Deterministic, plan)
 	eng.At(3*units.Millisecond, func() {
-		stages, _ := tr.Between(0, 5)
+		stages := tr.Between(0, 5).Stages
 		info := tr.LastRoute()
 		if info.State != RoutePartitioned {
 			t.Errorf("all planes dead: state %v, want partitioned", info.State)

@@ -20,10 +20,10 @@ import (
 // routeSig renders one Between call into a comparable signature: every stage's
 // pipe name and latency, the final-hop latency, and the full fate annotation.
 func routeSig(tr *Clos, src, dst int) string {
-	stages, down := tr.Between(src, dst)
+	seg := tr.Between(src, dst)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d->%d:", src, dst)
-	for _, st := range stages {
+	for _, st := range seg.Stages {
 		name := "?"
 		if n, ok := st.Stage.(interface{ Name() string }); ok {
 			name = n.Name()
@@ -32,7 +32,7 @@ func routeSig(tr *Clos, src, dst int) string {
 	}
 	info := tr.LastRoute()
 	fmt.Fprintf(&b, " down=%v state=%d plane=%d elem=%q code=%d drop=%g",
-		down, info.State, info.Plane, info.Element, info.ElementCode, info.ExtraDrop)
+		seg.Down, info.State, info.Plane, info.Element, info.ElementCode, info.ExtraDrop)
 	return b.String()
 }
 

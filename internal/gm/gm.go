@@ -121,6 +121,8 @@ type Network struct {
 }
 
 type nodeHW struct {
+	net   *Network
+	node  int
 	bus   *bus.Bus
 	lanai *sim.Station // shared firmware engine
 	sdma  *stallPipe   // host->wire DMA
@@ -133,6 +135,32 @@ type nodeHW struct {
 
 	// acks counts GM reliability ACKs this node's LANai absorbed (nil-safe)
 	acks *metrics.Counter
+}
+
+// Effects a peer's message has on this node's NIC, delivered as typed
+// events (HandleEvent's op argument) so the per-message hops allocate
+// nothing.
+const (
+	claimRx   int64 = iota // bulk staging claimed on the receiver
+	releaseRx              // a failed bulk send's receiver staging returned
+	absorbAck              // the reliability ACK returns to the sender
+)
+
+// HandleEvent implements sim.Handler: apply op to this NIC. n is the bulk
+// size the op moves, 0 for an eager or control message's ACK.
+func (hw *nodeHW) HandleEvent(op, n int64) {
+	switch op {
+	case claimRx:
+		hw.outRx += n
+	case releaseRx:
+		hw.outRx -= n
+	case absorbAck:
+		// The sending LANai absorbs the ACK and the send token, with its
+		// staging, returns.
+		hw.outTx -= n
+		hw.lanai.Use(hw.net.EngineFor(hw.node).Now(), ackProcess)
+		hw.acks.Inc()
+	}
 }
 
 // stallPipe is a DMA engine whose per-chunk occupancy inflates while the
@@ -163,6 +191,8 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	for i := 0; i < cfg.Nodes; i++ {
 		name := fmt.Sprintf("myri%d", i)
 		hw := &nodeHW{
+			net:   n,
+			node:  i,
 			bus:   bus.New(name+"/bus", bus.PCIX64x133),
 			lanai: sim.NewStation(name + "/lanai"),
 			link: fabric.NewLink(name+"/link", fabric.LinkConfig{
@@ -293,13 +323,13 @@ func (l lanaiStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, lanaiPerMsg)
 }
 
-// Path implements nic.Model: the staged path to dst. The LANai engine
-// appears once per side per message (envelope processing); payload chunks
-// flow through the per-direction DMA engines and the link, with the
-// topology's stages (none for the star crossbar, leaf links for a Clos)
-// between them. Bus, LANai, send-DMA and link up run on the source's
-// hardware.
-func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
+// Path implements nic.Model: the staged path to dst around the fabric
+// segment seg. The LANai engine appears once per side per message
+// (envelope processing); payload chunks flow through the per-direction DMA
+// engines and the link, with the segment's stages (none for the star
+// crossbar, leaf links for a Clos) between them. Bus, LANai, send-DMA and
+// link up run on the source's hardware.
+func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
 	src := ep.net.nodes[ep.Node()]
 	if dst == ep.Node() {
 		return []fabric.PathStage{
@@ -312,16 +342,15 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 		}, 4
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages := []fabric.PathStage{
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
 		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	}
-	stages = append(stages, between...)
+	stages = append(stages, seg.Stages...)
 	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
+		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
 		fabric.PathStage{Stage: lanaiStage{d.lanai}},
 		fabric.PathStage{Stage: d.rdma},
 		fabric.PathStage{Stage: d.bus},
@@ -336,9 +365,9 @@ func (ep *endpoint) Hold(m nic.Msg) {
 	if !m.Bulk {
 		return
 	}
-	node, rx := ep.Node(), ep.net.nodes[m.Dst]
+	node := ep.Node()
 	ep.net.nodes[node].outTx += m.Size
-	ep.peerHop(node, m.Dst, wireLatency, func() { rx.outRx += m.Size })
+	ep.peerHop(node, m.Dst, wireLatency, claimRx, m.Size)
 }
 
 // Delivered implements nic.Holder, GM reliability: the receiving LANai
@@ -346,26 +375,19 @@ func (ep *endpoint) Hold(m nic.Msg) {
 // LANai absorbs it and the send token, with its staging, returns.
 func (ep *endpoint) Delivered(m nic.Msg) {
 	node, dst := ep.Node(), m.Dst
-	dstHW := ep.net.nodes[dst]
+	var staged int64 // the SRAM staging a bulk payload held
 	if m.Bulk {
-		dstHW.outRx -= m.Size
+		staged = m.Size
 	}
+	dstHW := ep.net.nodes[dst]
+	dstHW.outRx -= staged
 	dstHW.lanai.Use(ep.net.EngineFor(dst).Now(), ackProcess)
 	dstHW.acks.Inc()
 	if dst == node {
-		if m.Bulk {
-			dstHW.outTx -= m.Size
-		}
+		dstHW.outTx -= staged
 		return
 	}
-	src := ep.net.nodes[node]
-	ep.peerHop(dst, node, ackFlight, func() {
-		if m.Bulk {
-			src.outTx -= m.Size
-		}
-		src.lanai.Use(ep.net.EngineFor(node).Now(), ackProcess)
-		src.acks.Inc()
-	})
+	ep.peerHop(dst, node, ackFlight, absorbAck, staged)
 }
 
 // Aborted implements nic.Holder: a timed-out send returns its token and
@@ -374,19 +396,21 @@ func (ep *endpoint) Aborted(m nic.Msg) {
 	if !m.Bulk {
 		return
 	}
-	node, rx := ep.Node(), ep.net.nodes[m.Dst]
+	node := ep.Node()
 	ep.net.nodes[node].outTx -= m.Size
-	ep.peerHop(node, m.Dst, wireLatency, func() { rx.outRx -= m.Size })
+	ep.peerHop(node, m.Dst, wireLatency, releaseRx, m.Size)
 }
 
-// peerHop runs fn, an effect on node to's NIC: at once when that is from's
-// own NIC, else as a cross-domain hop one flight plus from's skew later.
-func (ep *endpoint) peerHop(from, to int, flight sim.Time, fn func()) {
+// peerHop applies op, an effect on node to's NIC moving n bytes: at once
+// when that is from's own NIC, else as a cross-domain hop one flight plus
+// from's skew later.
+func (ep *endpoint) peerHop(from, to int, flight sim.Time, op, n int64) {
+	hw := ep.net.nodes[to]
 	if from == to {
-		fn()
+		hw.HandleEvent(op, n)
 		return
 	}
-	ep.net.EngineFor(from).ScheduleOn(ep.net.EngineFor(to), flight+dev.Skew(from), fn)
+	ep.net.EngineFor(from).CallOn(ep.net.EngineFor(to), flight+dev.Skew(from), hw, op, n)
 }
 
 // Resend implements nic.Resender: a lapsed ACK timeout runs the LANai's

@@ -1,0 +1,182 @@
+package mpi
+
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"mpinet/internal/cluster"
+	"mpinet/internal/faults"
+	"mpinet/internal/units"
+)
+
+// msgPathFabric is one fabric the message-path gates run on: a platform
+// option set, the node count, and the ring stride (a stride that is not a
+// multiple of the hosts per leaf makes every ring hop cross leaves).
+type msgPathFabric struct {
+	name   string
+	opts   []cluster.Option
+	nodes  int
+	stride int
+}
+
+// msgPathFabrics are the crossbar, an adaptive Clos(3, 8, 1) (four hosts
+// and four up-link planes per leaf), and that Clos under packet drops plus
+// a spine-plane kill that is detected and repaired early in the run.
+func msgPathFabrics() []msgPathFabric {
+	adaptive := []cluster.Option{cluster.Clos(3, 8, 1), cluster.WithRouting(cluster.Adaptive)}
+	faulty := append(append([]cluster.Option(nil), adaptive...),
+		cluster.WithFaults(faults.DropPlan(11, 0.01)),
+		cluster.WithSwitchKills(faults.SwitchKill{
+			Level: 1, Index: 1, At: 20 * units.Microsecond, RepairAt: 400 * units.Microsecond,
+		}),
+		cluster.WithDetectDelay(50*units.Microsecond))
+	return []msgPathFabric{
+		{name: "crossbar", nodes: 8, stride: 1},
+		{name: "adaptive-clos", opts: adaptive, nodes: 16, stride: 5},
+		{name: "faulty-clos", opts: faulty, nodes: 16, stride: 5},
+	}
+}
+
+// ringRounds runs rounds of a ring exchange — an eager and a rendezvous
+// Sendrecv per round to the rank stride ahead — and returns the heap
+// allocations the whole job made, world construction included.
+func ringRounds(t *testing.T, p cluster.Platform, f msgPathFabric, rounds int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w, err := NewWorld(Config{Net: p.New(f.nodes), Procs: f.nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(r *Rank) {
+		n := r.Size()
+		next, prev := (r.Rank()+f.stride)%n, (r.Rank()-f.stride+n)%n
+		small, smallIn := r.Malloc(1*units.KB), r.Malloc(1*units.KB)
+		big, bigIn := r.Malloc(64*units.KB), r.Malloc(64*units.KB)
+		for i := 0; i < rounds; i++ {
+			r.Sendrecv(small, next, 1, smallIn, prev, 1)
+			r.Sendrecv(big, next, 2, bigIn, prev, 2)
+		}
+	})
+	if err != nil {
+		t.Fatalf("%d rounds: %v", rounds, err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestMessagePathZeroAlloc gates the steady-state message path: once a
+// ring's routes, records and pin caches are warm, another round of eager
+// and rendezvous traffic allocates nothing, on every interconnect and on
+// the crossbar, an adaptive Clos and a faulty adaptive Clos. The extra
+// allocations between R and 2R rounds, per extra message, must stay at or
+// below 0.05 — slack for the sync.Pool refills a garbage collection forces.
+func TestMessagePathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool discards records at random")
+	}
+	const rounds = 60
+	for _, f := range msgPathFabrics() {
+		for _, base := range []cluster.Platform{cluster.IBA(), cluster.Myri(), cluster.QSN()} {
+			p := base.With(f.opts...)
+			t.Run(base.Name+"/"+f.name, func(t *testing.T) {
+				ringRounds(t, p, f, rounds) // warm the record pools
+				short := ringRounds(t, p, f, rounds)
+				long := ringRounds(t, p, f, 2*rounds)
+				msgs := float64(rounds * f.nodes * 2)
+				per := (float64(long) - float64(short)) / msgs
+				t.Logf("%d allocations at %d rounds, %d at %d: %.4f per extra message",
+					short, rounds, long, 2*rounds, per)
+				if per > 0.05 {
+					t.Errorf("steady-state message path allocates %.3f times per message, want <= 0.05", per)
+				}
+			})
+		}
+	}
+}
+
+// ringTranscript runs a mixed ring workload and renders every rank's
+// completions — statuses, errors and simulated completion times — plus the
+// world's end time. placed reports whether the world's node domains ran on
+// the shard group's engines.
+func ringTranscript(t *testing.T, p cluster.Platform, procs int) (transcript string, placed bool) {
+	t.Helper()
+	w, err := NewWorld(Config{Net: p.New(procs), Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := make([][]string, procs)
+	err = w.Run(func(r *Rank) {
+		n, me := r.Size(), r.Rank()
+		log := func(format string, args ...any) {
+			lines[me] = append(lines[me], fmt.Sprintf("%v ", r.Wtime())+fmt.Sprintf(format, args...))
+		}
+		small, smallIn := r.Malloc(2*units.KB), r.Malloc(2*units.KB)
+		big, bigIn := r.Malloc(128*units.KB), r.Malloc(128*units.KB)
+		for i, stride := range []int{1, 7, 17, 33} {
+			next, prev := (me+stride)%n, (me-stride+n)%n
+			st := r.Sendrecv(small, next, i, smallIn, prev, i)
+			log("eager stride %d: %+v", stride, st)
+			st = r.Sendrecv(big, next, 100+i, bigIn, prev, 100+i)
+			log("rndv stride %d: %+v", stride, st)
+		}
+		// Unexpected arrivals: everyone sends to rank 0 before it posts.
+		if me == 0 {
+			for i := 1; i < n; i++ {
+				st := r.Recv(bigIn, AnySource, 200)
+				log("gather from %d: %+v", st.Source, st)
+			}
+		} else {
+			r.Send(big, 0, 200)
+		}
+		r.Barrier()
+		log("done")
+	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "err=%v elapsed=%v\n", err, w.Elapsed())
+	for rank, l := range lines {
+		for _, s := range l {
+			fmt.Fprintf(&b, "rank %d: %s\n", rank, s)
+		}
+	}
+	return b.String(), w.ScaleMode()
+}
+
+// TestRecycledRecordsAcrossShards runs 64 ranks on an adaptive Clos, where
+// recycled MPI messages and NIC send records complete on other shards than
+// the ones that issued them, and the same world under a fault plan (drops
+// plus a spine kill and repair), whose retry ladders recycle their records
+// too. The transcripts at -shards 4 must equal those at -shards 1. A fault
+// plan still keeps its world on one engine (see nic.Net.ActivateDomains),
+// so the cross-shard recycling is exercised by the fault-free world.
+func TestRecycledRecordsAcrossShards(t *testing.T) {
+	const procs = 64
+	clos := []cluster.Option{cluster.Clos(3, 8, 1), cluster.WithRouting(cluster.Adaptive)}
+	plan := []cluster.Option{
+		cluster.WithFaults(faults.DropPlan(5, 0.02)),
+		cluster.WithSwitchKills(faults.SwitchKill{
+			Level: 1, Index: 2, At: 30 * units.Microsecond, RepairAt: 500 * units.Microsecond,
+		}),
+	}
+	for _, base := range []cluster.Platform{cluster.IBA(), cluster.Myri(), cluster.QSN()} {
+		for _, faulty := range []bool{false, true} {
+			p := base.With(clos...)
+			if faulty {
+				p = p.With(plan...)
+			}
+			serial, _ := ringTranscript(t, p.With(cluster.WithShards(1)), procs)
+			if !strings.HasPrefix(serial, "err=<nil>") {
+				t.Fatalf("%s faulty=%v: %s", p.Name, faulty, serial[:strings.Index(serial, "\n")])
+			}
+			sharded, placed := ringTranscript(t, p.With(cluster.WithShards(4)), procs)
+			if placed == faulty {
+				t.Errorf("%s faulty=%v: node domains placed = %v", p.Name, faulty, placed)
+			}
+			if sharded != serial {
+				t.Errorf("%s faulty=%v: transcript at -shards 4 differs from -shards 1", p.Name, faulty)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"strconv"
+	"sync"
 
 	"mpinet/internal/dev"
 	"mpinet/internal/memreg"
@@ -32,7 +34,9 @@ type procState struct {
 	posted []*Request // receive queue, post order
 	unexp  []*inMsg   // unexpected messages, arrival order
 
-	actions  []func(p *sim.Proc) // host-driven protocol steps pending
+	// actions are the host-driven protocol steps pending, from actHead on.
+	actions  []hostAction
+	actHead  int
 	progress sim.Cond
 
 	hostBusy sim.Time
@@ -48,6 +52,9 @@ type procState struct {
 	// once: waitOne runs on every blocking completion, and formatting the
 	// same string there dominated the MPI layer's allocation profile.
 	waitWhy string
+	// why is the reason of the wait in progress, which the rank's parked
+	// process points a deadlock report at (waitFor).
+	why waitReason
 
 	// quiet suppresses point-to-point profiling while a collective runs so
 	// the profile records the collective call, not its decomposition.
@@ -167,7 +174,16 @@ const (
 	chShm
 )
 
-// inMsg is an arrived-but-not-completed message at the receiver.
+// inMsg is one point-to-point message from the send that issues it until
+// the receive it matches completes: an arrived-but-not-completed message
+// at the receiver, and the state a rendezvous's RTS, CTS and payload share.
+//
+// Records are recycled through inMsgs once the receive completes. The
+// device callbacks are bound once, when a record is first allocated, so a
+// recycled message crosses the device without allocating. The pool is a
+// sync.Pool because a message is issued on its sender's engine and
+// completes on its receiver's, which under sharded windows run on
+// different goroutines.
 type inMsg struct {
 	comm     int // communicator context id
 	src, tag int // src is a world rank
@@ -178,6 +194,104 @@ type inMsg struct {
 	ch       chKind
 	sender   *Request // rendezvous: the sender's request, for CTS routing
 	matched  bool
+	// to is the receiving rank; req is the receive the message matched.
+	to  *procState
+	req *Request
+
+	// The device callbacks: arrived lands the message (or its RTS) at the
+	// receiver, nicMatched ends a NIC-side match there, cts lands the
+	// clear-to-send at the sender, and bulkDone lands the rendezvous
+	// payload at the receiver.
+	arrived, nicMatched, cts, bulkDone func()
+}
+
+var inMsgs sync.Pool
+
+// newInMsg takes a record from the pool, allocating and binding one on a
+// miss.
+func newInMsg() *inMsg {
+	if m, ok := inMsgs.Get().(*inMsg); ok {
+		return m
+	}
+	m := new(inMsg)
+	m.arrived = func() { m.to.arrive(m) }
+	m.nicMatched = func() { m.to.arriveMatched(m) }
+	m.cts = func() { m.to.world.procs[m.src].arriveCTS(m) }
+	m.bulkDone = func() { m.to.bulkLanded(m) }
+	return m
+}
+
+// release returns the record to the pool, keeping its bound callbacks.
+func (m *inMsg) release() {
+	*m = inMsg{arrived: m.arrived, nicMatched: m.nicMatched, cts: m.cts, bulkDone: m.bulkDone}
+	inMsgs.Put(m)
+}
+
+// hostAction is one host-driven protocol step a rank runs at its next
+// progress poll. Steps are typed entries rather than closures, so queueing
+// one allocates nothing.
+type hostAction struct {
+	kind actionKind
+	m    *inMsg
+	cost sim.Time // actDeliver: the host cost to charge
+}
+
+type actionKind uint8
+
+const (
+	// actDeliver charges cost and completes m's receive (deliver).
+	actDeliver actionKind = iota
+	// actDeliverBulk completes a rendezvous receive whose payload has
+	// landed, charging the receive overhead.
+	actDeliverBulk
+	// actAcceptRndv registers the receive buffer, parses the RTS and sends
+	// the CTS.
+	actAcceptRndv
+	// actStartBulk parses the CTS at the sender and starts the payload.
+	actStartBulk
+)
+
+// run executes one host action on the rank's process.
+func (ps *procState) run(p *sim.Proc, a hostAction) {
+	switch a.kind {
+	case actDeliver:
+		ps.deliver(p, a.m, a.cost)
+	case actDeliverBulk:
+		ps.deliver(p, a.m, ps.ep.RecvOverhead(a.m.size))
+	case actAcceptRndv:
+		ps.prepRndv(p, a.m)
+		ps.sendCTS(a.m)
+	case actStartBulk:
+		start := ps.eng.Now()
+		ps.busy(p, rndvStep)
+		ps.world.rec.Span(a.m.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, ps.eng.Now(), a.m.size)
+		ps.startBulk(a.m)
+	}
+}
+
+// waitReason names what a blocked rank waits for: a fixed text, or the
+// request a blocking point-to-point call waits on. It is formatted only
+// where something reads it — a TimeoutError, a RankFailedError, the flight
+// recorder's freeze, a deadlock report — because formatting it on every
+// wait was a large share of a faulty run's allocations.
+type waitReason struct {
+	req  *Request // nil: the reason is text
+	text string
+}
+
+// String implements fmt.Stringer.
+func (w *waitReason) String() string {
+	r := w.req
+	switch {
+	case r == nil:
+		return w.text
+	case r.isSend:
+		return fmt.Sprintf("send to rank %d (tag %d, %d B)", r.peer, r.tag, r.size)
+	case r.src == AnySource:
+		return fmt.Sprintf("recv from any source (tag %d)", r.tag)
+	default:
+		return fmt.Sprintf("recv from rank %d (tag %d)", r.src, r.tag)
+	}
 }
 
 // record appends a timeline event if the world collects one.
@@ -206,8 +320,8 @@ func (ps *procState) busy(p *sim.Proc, d sim.Time) {
 // a rank parked inside an MPI call picks it up immediately. Steps enqueued
 // while the rank computes outside MPI wait for its next MPI call — exactly
 // the host-driven rendezvous limitation the overlap benchmark measures.
-func (ps *procState) enqueue(step func(p *sim.Proc)) {
-	ps.actions = append(ps.actions, step)
+func (ps *procState) enqueue(a hostAction) {
+	ps.actions = append(ps.actions, a)
 	ps.progress.Broadcast()
 }
 
@@ -219,11 +333,15 @@ func (ps *procState) poll(p *sim.Proc) {
 	if ps.world.rankDead(ps.rank) {
 		panic(&rankKilled{rank: ps.rank})
 	}
-	for len(ps.actions) > 0 {
-		step := ps.actions[0]
-		ps.actions = ps.actions[1:]
-		step(p)
+	// Steps run in arrival order, including those enqueued while an earlier
+	// one charges host time; the drained queue keeps its backing array.
+	for ps.actHead < len(ps.actions) {
+		a := ps.actions[ps.actHead]
+		ps.actions[ps.actHead] = hostAction{}
+		ps.actHead++
+		ps.run(p, a)
 	}
+	ps.actions, ps.actHead = ps.actions[:0], 0
 }
 
 // waitFor blocks the rank inside the MPI library until pred holds,
@@ -233,7 +351,7 @@ func (ps *procState) poll(p *sim.Proc) {
 // on a faulty network a rank can starve forever (peer dead, message
 // unrecoverable), and the watchdog converts that hang into a typed,
 // attributed error.
-func (ps *procState) waitFor(p *sim.Proc, why string, pred func() bool) {
+func (ps *procState) waitFor(p *sim.Proc, why waitReason, pred func() bool) {
 	w := ps.world
 	if w.cfg.Timeout > 0 {
 		// The watchdog is a reusable per-rank timer: one allocation the first
@@ -260,12 +378,14 @@ func (ps *procState) waitFor(p *sim.Proc, why string, pred func() bool) {
 		}
 		if ps.wdFired {
 			now := ps.eng.Now()
+			op := why.String()
 			w.rec.Flight(msgtrace.FlightTimeout, now, ps.rank, 0, msgtrace.StageWait, int64(w.cfg.Timeout), 0)
-			w.rec.Freeze("watchdog timeout: "+why, now, ps.rank, msgtrace.StageWait, 0)
-			w.fail(&TimeoutError{Rank: ps.rank, Op: why, After: w.cfg.Timeout})
+			w.rec.Freeze("watchdog timeout: "+op, now, ps.rank, msgtrace.StageWait, 0)
+			w.fail(&TimeoutError{Rank: ps.rank, Op: op, After: w.cfg.Timeout})
 			panic(&jobAbort{err: w.fault})
 		}
-		ps.progress.Wait(p, why)
+		ps.why = why
+		ps.progress.WaitFor(p, &ps.why)
 	}
 }
 

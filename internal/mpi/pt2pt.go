@@ -80,6 +80,18 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 	return req
 }
 
+// newMsg takes a message record from the pool for req's payload (or its
+// RTS) from this rank to rank to.
+func (ps *procState) newMsg(req *Request, to *procState, kind msgKind, ch chKind) *inMsg {
+	m := newInMsg()
+	m.comm, m.src, m.tag, m.size, m.seq, m.tid = req.comm, ps.rank, req.tag, req.size, req.seq, req.tid
+	m.kind, m.ch, m.to = kind, ch, to
+	if kind == rtsMsg {
+		m.sender = req
+	}
+	return m
+}
+
 // shmSend crosses the intra-node shared-memory channel: the sender copies
 // into the shared segment and the message is visible a half-handshake later.
 func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
@@ -93,8 +105,7 @@ func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
 		rec.Span(req.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, now-copyCost, req.size)
 		rec.Span(req.tid, msgtrace.StageCopy, ps.rank, -1, 0, -1, now-copyCost, now, req.size)
 	}
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: eagerMsg, ch: chShm}
-	ch.Deliver(func() { dstPS.arrive(m) })
+	ch.Deliver(ps.newMsg(req, dstPS, eagerMsg, chShm).arrived)
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
 	ps.finishReq(req, ps.sendSpans)
@@ -123,9 +134,9 @@ func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
 			rec.Span(req.tid, msgtrace.StageCopy, ps.rank, -1, 0, -1, start+sendCost, start+sendCost+copyCost, req.size)
 		}
 	}
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: eagerMsg, ch: chNet}
+	m := ps.newMsg(req, dstPS, eagerMsg, chNet)
 	rec.SetCur(req.tid)
-	ps.ep.Eager(dstPS.node, req.size, func() { dstPS.arrive(m) })
+	ps.ep.Eager(dstPS.node, req.size, m.arrived)
 	rec.ClearCur()
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
@@ -146,9 +157,9 @@ func (ps *procState) rndvSend(p *sim.Proc, req *Request, dstPS *procState) {
 		rec.Span(req.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start+sendCost, start+sendCost+regCost, req.size)
 	}
 	req.hsStart = ps.eng.Now()
-	m := &inMsg{comm: req.comm, src: ps.rank, tag: req.tag, size: req.size, seq: req.seq, tid: req.tid, kind: rtsMsg, ch: chNet, sender: req}
+	m := ps.newMsg(req, dstPS, rtsMsg, chNet)
 	rec.SetCur(req.tid)
-	ps.ep.Control(dstPS.node, func() { dstPS.arrive(m) })
+	ps.ep.Control(dstPS.node, m.arrived)
 	rec.ClearCur()
 }
 
@@ -171,7 +182,7 @@ func (ps *procState) arrive(m *inMsg) {
 			})
 			return
 		}
-		nm.MatchDelay(pending, func() { ps.arriveMatched(m) })
+		nm.MatchDelay(pending, m.nicMatched)
 		return
 	}
 	ps.arriveMatched(m)
@@ -186,145 +197,162 @@ func (ps *procState) arriveMatched(m *inMsg) {
 		ps.notify()
 		return
 	}
-	r.matched = m
-	m.matched = true
+	bind(r, m)
 	// The receive was posted first and waited for this arrival: the gap is
 	// the receiver's exposed wait (clipped to the message's own interval by
 	// the blame decomposition).
 	ps.world.rec.Span(m.tid, msgtrace.StageWait, ps.rank, -1, 0, -1, r.born, ps.eng.Now(), m.size)
 	switch m.kind {
 	case eagerMsg:
-		ps.deliverEager(r, m, false)
+		ps.deliverEager(m, nil)
 	case rtsMsg:
-		ps.acceptRndv(r, m, false)
+		ps.acceptRndv(m, nil)
 	}
 }
 
-// deliverEager completes a matched eager receive. inline reports whether we
-// are already running on the receiving rank's process (receive posted
-// against an unexpected arrival) — then p is valid and costs are paid
-// directly; otherwise a host action is enqueued (or, for NIC-matching
-// devices with a pre-posted receive, completion is free and immediate).
-func (ps *procState) deliverEager(r *Request, m *inMsg, inline bool, pOpt ...*sim.Proc) {
-	finish := func() { r.complete(m.src, m.tag, m.size) }
-	// work charges the completion cost on the rank's process and records the
-	// receive-side span over exactly the charged interval.
-	work := func(p *sim.Proc, cost sim.Time) {
-		start := ps.eng.Now()
-		ps.busy(p, cost)
-		ps.world.rec.Span(m.tid, msgtrace.StageDeliver, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-		finish()
-	}
+// bind matches receive r with message m.
+func bind(r *Request, m *inMsg) {
+	r.matched, m.req = m, r
+	m.matched = true
+}
+
+// deliverEager completes a matched eager receive. A non-nil p means we are
+// already running on the receiving rank's process (receive posted against
+// an unexpected arrival), so costs are paid directly; otherwise a host
+// action is enqueued (or, for NIC-matching devices with a pre-posted
+// receive, completion is free and immediate).
+func (ps *procState) deliverEager(m *inMsg, p *sim.Proc) {
 	switch {
 	case m.ch == chShm:
 		ch := ps.world.shm[ps.node]
 		copyCost := ch.CopyTime(m.size)
 		ch.CountCopy(m.size, copyCost)
-		cost := ch.HalfHandshake() + copyCost
-		if inline {
-			work(pOpt[0], cost)
-		} else {
-			ps.enqueue(func(p *sim.Proc) { work(p, cost) })
-		}
-	case ps.ep.NICProgress() && !inline:
+		ps.deliverOn(p, m, ch.HalfHandshake()+copyCost)
+	case ps.ep.NICProgress() && p == nil:
 		// Pre-posted receive on a NIC-matching device: payload lands in the
 		// user buffer with no host involvement.
-		finish()
-	case ps.ep.NICProgress() && inline:
+		ps.completeRecv(m)
+	case ps.ep.NICProgress():
 		// Unexpected on a NIC-matching device: drain from NIC buffering.
 		ps.eagerCopies.Inc()
-		work(pOpt[0], ps.ep.CopyTime(m.size))
+		ps.deliver(p, m, ps.ep.CopyTime(m.size))
 	default:
 		ps.eagerCopies.Inc()
-		cost := ps.ep.RecvOverhead(m.size) + ps.ep.CopyTime(m.size)
-		if inline {
-			work(pOpt[0], cost)
-		} else {
-			ps.enqueue(func(p *sim.Proc) { work(p, cost) })
-		}
+		ps.deliverOn(p, m, ps.ep.RecvOverhead(m.size)+ps.ep.CopyTime(m.size))
+	}
+}
+
+// deliverOn completes m's receive at host cost: at once on p when the
+// rank's process is running, else as a host action at its next poll.
+func (ps *procState) deliverOn(p *sim.Proc, m *inMsg, cost sim.Time) {
+	if p == nil {
+		ps.enqueue(hostAction{kind: actDeliver, m: m, cost: cost})
+		return
+	}
+	ps.deliver(p, m, cost)
+}
+
+// deliver charges a completion cost on the rank's process, records the
+// receive-side span over exactly the charged interval, and completes m's
+// receive.
+func (ps *procState) deliver(p *sim.Proc, m *inMsg, cost sim.Time) {
+	start := ps.eng.Now()
+	ps.busy(p, cost)
+	ps.world.rec.Span(m.tid, msgtrace.StageDeliver, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
+	ps.completeRecv(m)
+}
+
+// completeRecv completes the receive m matched and recycles m, which
+// nothing references once its receive is done. A truncated receive does
+// not complete (the job is failing), and keeps its message.
+func (ps *procState) completeRecv(m *inMsg) {
+	r := m.req
+	r.complete(m.src, m.tag, m.size)
+	if r.done {
+		r.matched = nil
+		m.release()
 	}
 }
 
 // acceptRndv reacts to a matched RTS: make the receive buffer NIC-usable
 // and send the CTS. On NIC-matching devices the NIC does this without the
-// host.
-func (ps *procState) acceptRndv(r *Request, m *inMsg, inline bool, pOpt ...*sim.Proc) {
-	rec := ps.world.rec
-	sendCTS := func() {
-		srcPS := ps.world.procs[m.src]
-		rec.SetCur(m.tid)
-		ps.ep.Control(srcPS.node, func() { srcPS.arriveCTS(m, ps, r) })
-		rec.ClearCur()
-	}
-	// prep registers the receive buffer and parses the RTS on the host,
-	// recording the acquire as the receiver's registration span.
-	prep := func(p *sim.Proc) {
-		start := ps.eng.Now()
-		ps.busy(p, rndvStep+ps.ep.AcquireBuf(r.buf))
-		rec.Span(m.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-	}
+// host; otherwise it runs on p when the rank's process is running, else as
+// a host action.
+func (ps *procState) acceptRndv(m *inMsg, p *sim.Proc) {
 	switch {
 	case ps.ep.NICProgress():
 		// Buffer acquisition was paid when the receive was posted.
-		sendCTS()
-	case inline:
-		prep(pOpt[0])
-		sendCTS()
+		ps.sendCTS(m)
+	case p != nil:
+		ps.prepRndv(p, m)
+		ps.sendCTS(m)
 	default:
-		ps.enqueue(func(p *sim.Proc) {
-			prep(p)
-			sendCTS()
-		})
+		ps.enqueue(hostAction{kind: actAcceptRndv, m: m})
 	}
 }
 
-// arriveCTS reacts, at the sender, to the receiver's clear-to-send: start
-// the zero-copy bulk transfer.
-func (ps *procState) arriveCTS(m *inMsg, dstPS *procState, r *Request) {
+// prepRndv registers the receive buffer and parses the RTS on the host,
+// recording the acquire as the receiver's registration span.
+func (ps *procState) prepRndv(p *sim.Proc, m *inMsg) {
+	start := ps.eng.Now()
+	ps.busy(p, rndvStep+ps.ep.AcquireBuf(m.req.buf))
+	ps.world.rec.Span(m.tid, msgtrace.StageRegister, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
+}
+
+// sendCTS answers a matched RTS with the clear-to-send.
+func (ps *procState) sendCTS(m *inMsg) {
 	rec := ps.world.rec
+	rec.SetCur(m.tid)
+	ps.ep.Control(ps.world.procs[m.src].node, m.cts)
+	rec.ClearCur()
+}
+
+// arriveCTS reacts, at the sender, to the receiver's clear-to-send: start
+// the zero-copy bulk transfer, after parsing the CTS on the host unless
+// the NIC drives the rendezvous.
+func (ps *procState) arriveCTS(m *inMsg) {
 	// The RTS->CTS round trip the sender just completed is the rendezvous
 	// handshake: it started when the RTS left (hsStart) and ends now.
-	rec.Span(m.tid, msgtrace.StageHandshake, ps.rank, -1, 0, -1, m.sender.hsStart, ps.eng.Now(), m.size)
-	startBulk := func() {
-		rec.SetCur(m.tid)
-		ps.ep.Bulk(dstPS.node, m.size, func() {
-			// Payload is in the receiver's user buffer. The bulk completion
-			// runs on the receiver's domain; the sender-side FIN must land on
-			// the sender's own. The hop is taken whenever the nodes differ —
-			// not only when the engines do — so its extra latency is
-			// identical at every placement, and it carries the receiver
-			// node's deterministic skew like every other cross-domain event.
-			if dstPS.node != ps.node {
-				dstPS.eng.ScheduleOn(ps.eng, ps.world.finLat+dev.Skew(dstPS.node), func() {
-					m.sender.completeSend()
-				})
-			} else {
-				m.sender.completeSend()
-			}
-			if dstPS.ep.NICProgress() {
-				r.complete(m.src, m.tag, m.size)
-			} else {
-				dstPS.enqueue(func(p *sim.Proc) {
-					start := dstPS.eng.Now()
-					dstPS.busy(p, dstPS.ep.RecvOverhead(m.size))
-					rec.Span(m.tid, msgtrace.StageDeliver, dstPS.rank, -1, 0, -1, start, dstPS.eng.Now(), m.size)
-					r.complete(m.src, m.tag, m.size)
-				})
-			}
-		})
-		rec.ClearCur()
-	}
+	ps.world.rec.Span(m.tid, msgtrace.StageHandshake, ps.rank, -1, 0, -1, m.sender.hsStart, ps.eng.Now(), m.size)
 	if ps.ep.NICProgress() {
-		startBulk()
+		ps.startBulk(m)
 		return
 	}
-	ps.enqueue(func(p *sim.Proc) {
-		start := ps.eng.Now()
-		ps.busy(p, rndvStep)
-		rec.Span(m.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, ps.eng.Now(), m.size)
-		startBulk()
-	})
+	ps.enqueue(hostAction{kind: actStartBulk, m: m})
 }
+
+// startBulk pushes the rendezvous payload to the receiver.
+func (ps *procState) startBulk(m *inMsg) {
+	rec := ps.world.rec
+	rec.SetCur(m.tid)
+	ps.ep.Bulk(m.to.node, m.size, m.bulkDone)
+	rec.ClearCur()
+}
+
+// bulkLanded runs on the receiver as the payload lands in its user buffer.
+// The sender-side FIN must land on the sender's own domain. The hop is
+// taken whenever the nodes differ — not only when the engines do — so its
+// extra latency is identical at every placement, and it carries the
+// receiver node's deterministic skew like every other cross-domain event.
+func (ps *procState) bulkLanded(m *inMsg) {
+	if src := ps.world.procs[m.src]; src.node != ps.node {
+		ps.eng.CallOn(src.eng, ps.world.finLat+dev.Skew(ps.node), (*finHop)(m.sender), 0, 0)
+	} else {
+		m.sender.completeSend()
+	}
+	if ps.ep.NICProgress() {
+		ps.completeRecv(m)
+		return
+	}
+	ps.enqueue(hostAction{kind: actDeliverBulk, m: m})
+}
+
+// finHop is a rendezvous send request seen as the handler of its FIN: the
+// request itself is the event target, so the hop allocates nothing.
+type finHop Request
+
+// HandleEvent implements sim.Handler: the FIN landed at the sender.
+func (f *finHop) HandleEvent(int64, int64) { (*Request)(f).completeSend() }
 
 // irecvImpl posts a receive and returns its request.
 func (ps *procState) irecvImpl(p *sim.Proc, buf memreg.Buf, src, tag int, nonblocking bool) *Request {
@@ -354,20 +382,19 @@ func (ps *procState) startRecv(p *sim.Proc, buf memreg.Buf, comm, src, tag int, 
 	}
 	ps.record(trace.EvRecvPost, src, tag, comm, buf.Size)
 	if m := ps.matchUnexpected(comm, src, tag); m != nil {
-		m.matched = true
-		r.matched = m
+		bind(r, m)
 		ps.removeUnexpected(m)
 		// Keep the request discoverable for completion bookkeeping.
 		ps.posted = append(ps.posted, r)
 		ps.postedHW.Set(int64(len(ps.posted)))
 		switch m.kind {
 		case eagerMsg:
-			ps.deliverEager(r, m, true, p)
+			ps.deliverEager(m, p)
 		case rtsMsg:
 			if ps.ep.NICProgress() {
 				ps.busy(p, ps.ep.RecvOverhead(buf.Size)+ps.ep.AcquireBuf(buf))
 			}
-			ps.acceptRndv(r, m, true, p)
+			ps.acceptRndv(m, p)
 		}
 		return r
 	}

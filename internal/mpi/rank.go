@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"mpinet/internal/memreg"
 	"mpinet/internal/msgtrace"
 	"mpinet/internal/sim"
@@ -152,7 +150,7 @@ func (r *Rank) Waitany(reqs []*Request) (int, Status) {
 		panic("mpi: Waitany on empty request list")
 	}
 	idx := -1
-	r.ps.waitFor(r.p, "waitany", func() bool {
+	r.ps.waitFor(r.p, waitReason{text: "waitany"}, func() bool {
 		for i, req := range reqs {
 			if req != nil && !req.done {
 				if failed, ok := r.ps.world.peerFailed(req); ok {
@@ -180,17 +178,11 @@ func (r *Rank) Sendrecv(sendBuf memreg.Buf, dst, sendTag int, recvBuf memreg.Buf
 }
 
 func (r *Rank) waitOne(req *Request) Status {
-	why := r.ps.waitWhy
+	why := waitReason{text: r.ps.waitWhy}
 	if r.ps.world.cfg.Timeout > 0 {
-		// With the watchdog armed, spend a little on a descriptive wait
-		// reason so a TimeoutError names the stuck operation and peer.
-		if req.isSend {
-			why = fmt.Sprintf("send to rank %d (tag %d, %d B)", req.peer, req.tag, req.size)
-		} else if req.src == AnySource {
-			why = fmt.Sprintf("recv from any source (tag %d)", req.tag)
-		} else {
-			why = fmt.Sprintf("recv from rank %d (tag %d)", req.src, req.tag)
-		}
+		// With the watchdog armed, the wait reason names the stuck operation
+		// and peer, so a TimeoutError does too; it is formatted only if read.
+		why = waitReason{req: req}
 	}
 	r.ps.waitFor(r.p, why, func() bool {
 		if !req.done {
@@ -198,7 +190,7 @@ func (r *Rank) waitOne(req *Request) Status {
 			// exceptionally completed under FaultTolerant, a typed job abort
 			// otherwise — instead of riding the watchdog to a TimeoutError.
 			if failed, ok := r.ps.world.peerFailed(req); ok {
-				r.ps.failPeer(req, failed, why)
+				r.ps.failPeer(req, failed, why.String())
 			}
 		}
 		return req.done

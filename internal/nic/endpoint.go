@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"sync"
+
 	"mpinet/internal/dev"
 	"mpinet/internal/fabric"
 	"mpinet/internal/faults"
@@ -12,10 +14,13 @@ import (
 // Model is what a NIC model's endpoint supplies to the shared send paths.
 type Model interface {
 	// Path assembles the staged hardware path to dst for one of the
-	// model's path variants (a model with one path uses variant 0) and
+	// model's path variants (a model with one path uses variant 0) around
+	// seg, the fabric segment the endpoint resolved for the route, and
 	// reports how many leading stages run on the source node's own
-	// hardware.
-	Path(dst, variant int) (path []fabric.PathStage, local int)
+	// hardware. A loopback path (dst is the endpoint's own node) gets an
+	// empty segment. The model must not modify seg.Stages, which the
+	// fabric shares.
+	Path(dst, variant int, seg fabric.Segment) (path []fabric.PathStage, local int)
 }
 
 // Holder is implemented by models whose messages hold NIC resources from
@@ -51,11 +56,16 @@ type Msg struct {
 	Setup   sim.Time // stall before the first attempt (on-demand RC setup)
 }
 
-// variants bounds Msg.Variant: Elan keeps a PIO and a DMA path per peer.
-const variants = 2
+// peerKey names one cached path: a destination, a model path variant, and
+// the fabric plane the route rides (-1 when it never climbs).
+type peerKey struct {
+	dst     int32
+	variant int16
+	plane   int16
+}
 
-// peerRoute is one (destination, variant)'s resolved send state: the staged
-// path and the stage count TransferCut runs on the source's engine.
+// peerRoute is one cached path: the staged path and the stage count
+// TransferCut runs on the source's engine.
 type peerRoute struct {
 	path []fabric.PathStage
 	cut  int
@@ -85,14 +95,15 @@ type Endpoint struct {
 	// onRetry observes each individual resend (dev.RetryReporter).
 	onRetry func()
 
-	// peers holds the resolved send state of the peers this endpoint has
-	// routed to, keyed by dst*variants+variant. It grows with the peers the
+	// peers caches the assembled paths this endpoint has routed over, keyed
+	// by destination, variant and fabric plane. It grows with the peers the
 	// endpoint actually speaks to, not with the world: a rank in a 4k-node
-	// job that talks to a handful of neighbours keeps a handful of entries.
-	// One map lookup per message, next to the dozen or so events a message
-	// costs; a warm lookup does not allocate. Only the endpoint's own shard
-	// routes from it, so the table has a single writer.
-	peers map[int]peerRoute
+	// job that talks to a handful of neighbours keeps a handful of entries
+	// per plane its routes ride. One map lookup per message, next to the
+	// dozen or so events a message costs; a warm lookup does not allocate.
+	// Only the endpoint's own shard routes from it, so the table has a
+	// single writer.
+	peers map[peerKey]peerRoute
 }
 
 // NewEndpoint builds the shared half of an endpoint on node, bound to the
@@ -152,31 +163,37 @@ func (e *Endpoint) fail(err error) {
 }
 
 // route returns the staged path to dst for a variant and the stage count
-// TransferCut runs on the source's engine: the model's local stages
-// plus whatever the topology keeps on the source leaf. Both are assembled
-// once per (destination, variant) and cached, except under per-message
-// routing, where the fabric picks the up-link per message and the path is
-// rebuilt.
+// TransferCut runs on the source's engine: the model's local stages plus
+// whatever the topology keeps on the source leaf. The fabric resolves the
+// route's segment for every message — an adaptive or fault-aware fabric
+// picks the plane per message, and the ladder reads the route's fate right
+// after — while the model's path around it is assembled once per
+// (destination, variant, plane) and cached.
 func (e *Endpoint) route(dst, variant int) ([]fabric.PathStage, int) {
-	if e.net.dynamic && dst != e.node {
-		return e.resolve(dst, variant)
+	seg := fabric.Segment{Plane: -1}
+	if dst != e.node {
+		seg = e.net.topo.Between(e.node, dst)
 	}
-	key := dst*variants + variant
+	key := peerKey{dst: int32(dst), variant: int16(variant), plane: int16(seg.Plane)}
 	r, ok := e.peers[key]
 	if !ok {
 		if e.peers == nil {
-			e.peers = make(map[int]peerRoute)
+			e.peers = make(map[peerKey]peerRoute)
 		}
-		r.path, r.cut = e.resolve(dst, variant)
+		path, local := e.model.Path(dst, variant, seg)
+		r = peerRoute{path: path, cut: local}
+		if dst != e.node {
+			r.cut += fabric.SrcStagesOf(e.net.topo, e.node, dst)
+		}
 		e.peers[key] = r
 	}
 	return r.path, r.cut
 }
 
-func (e *Endpoint) resolve(dst, variant int) ([]fabric.PathStage, int) {
-	path, local := e.model.Path(dst, variant)
-	return path, local + fabric.SrcStagesOf(e.net.topo, e.node, dst)
-}
+// Segment resolves the fabric segment from this endpoint's node to dst,
+// for a model's paths that bypass the per-message send path (hardware
+// multicast).
+func (e *Endpoint) Segment(dst int) fabric.Segment { return e.net.topo.Between(e.node, dst) }
 
 // Send moves m to its destination and calls deliver on the destination's
 // engine. A healthy network, or a message looping back through its own
@@ -188,34 +205,19 @@ func (e *Endpoint) Send(m Msg, deliver func()) {
 		e.holder.Hold(m)
 	}
 	n := e.net
+	s := newSend()
+	s.e, s.m, s.deliver = e, m, deliver
 	// Capture trace context synchronously at issue time: the MPI layer (or
 	// the rail bond) scoped it around this call.
-	tid, rail := n.rec.Cur(), n.rec.CurRail()
+	s.tid, s.rail = n.rec.Cur(), n.rec.CurRail()
 	now := n.EngineFor(e.node).Now()
 	if n.inj == nil || m.Dst == e.node {
 		path, cut := e.route(m.Dst, m.Variant)
-		e.wireAttempt(path, cut, m.Dst, tid, rail, 0, m.Size, now+m.Setup, func(sim.Time) { e.landed(m, deliver) })
+		e.wireAttempt(path, cut, m.Dst, s.tid, s.rail, 0, m.Size, now+m.Setup, s.ended)
 		return
 	}
-	l := &ladder{e: e, m: m, deliver: deliver, tid: tid, rail: rail, attempt: 1}
-	l.try(now + m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
-}
-
-// landed ends a delivered message: the model's ack path, then the MPI
-// layer's deliver.
-func (e *Endpoint) landed(m Msg, deliver func()) {
-	if e.holder != nil {
-		e.holder.Delivered(m)
-	}
-	deliver()
-}
-
-// abort ends a failed message: return its hold and report err.
-func (e *Endpoint) abort(m Msg, err error) {
-	if e.holder != nil {
-		e.holder.Aborted(m)
-	}
-	e.fail(err)
+	s.ladder, s.attempt = true, 1
+	s.try(now + m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
 }
 
 // wireAttempt runs one transfer attempt over the staged path. The path is
@@ -240,82 +242,133 @@ func (e *Endpoint) wireAttempt(path []fabric.PathStage, cut, dst int, tid msgtra
 	fabric.TransferCut(eng, e.net.EngineFor(dst), path, cut, size, fabric.ChunkFor(size), at, done)
 }
 
-// ladder is one message's retry chain under a fault plan. Every attempt
-// re-resolves the route and re-runs the full staged path, so a resend after
-// the fabric's detection delay re-hashes around a dead element, while a
-// detected dead end — a crashed node, a partitioned fabric — fails typed at
-// once instead of burning the budget. The verdict lands at delivery time; a
-// lost or damaged packet is resent after the model's RetryPolicy delay,
-// and the attempt numbered Limit+1 failing exhausts it.
-type ladder struct {
+// send is one message in flight, from Send until it is delivered or fails:
+// the message, the MPI layer's deliver callback and, under a fault plan,
+// its retry ladder. Every attempt of the ladder re-resolves the route and
+// re-runs the full staged path, so a resend after the fabric's detection
+// delay re-hashes around a dead element, while a detected dead end — a
+// crashed node, a partitioned fabric — fails typed at once instead of
+// burning the budget. The verdict lands at delivery time; a lost or
+// damaged packet is resent after the model's RetryPolicy delay, and the
+// attempt numbered Limit+1 failing exhausts it.
+//
+// Records are recycled through sends when the message ends. The pool is a
+// sync.Pool because a record ends on the destination's engine, which under
+// sharded windows runs on another goroutine than the one that issued it.
+// The callbacks are bound once, when a record is first allocated, so a
+// recycled record schedules its attempts without allocating.
+type send struct {
 	e       *Endpoint
 	m       Msg
 	deliver func()
 	tid     msgtrace.ID
 	rail    int8
+	// ladder marks a message climbing the retry ladder; attempt numbers
+	// its current attempt from 1.
+	ladder  bool
 	attempt int
 	// fate is the current attempt's route annotation.
 	fate fabric.RouteInfo
-	// ended and refire are l.end and l.fire, bound once for the chain.
+	// ended and refire are s.end and s.fire, bound at allocation.
 	ended  func(sim.Time)
 	refire func()
 }
 
-// try issues attempt l.attempt at time at, unless a detected dead end
+var sends sync.Pool
+
+// newSend takes a record from the pool, allocating and binding one on a
+// miss.
+func newSend() *send {
+	if s, ok := sends.Get().(*send); ok {
+		return s
+	}
+	s := new(send)
+	s.ended, s.refire = s.end, s.fire
+	return s
+}
+
+// release returns the record to the pool, keeping its bound callbacks.
+func (s *send) release() {
+	*s = send{ended: s.ended, refire: s.refire}
+	sends.Put(s)
+}
+
+// try issues attempt s.attempt at time at, unless a detected dead end
 // fails the message first.
-func (l *ladder) try(at sim.Time) {
-	e, inj := l.e, l.e.net.inj
-	if inj.NodeDeadDetected(l.m.Dst, at) || inj.NodeDeadDetected(e.node, at) {
-		node := l.m.Dst
+func (s *send) try(at sim.Time) {
+	e, inj := s.e, s.e.net.inj
+	if inj.NodeDeadDetected(s.m.Dst, at) || inj.NodeDeadDetected(e.node, at) {
+		node := s.m.Dst
 		if inj.NodeDeadDetected(e.node, at) {
 			node = e.node
 		}
-		e.abort(l.m, &faults.NodeDownError{Node: node, At: at})
+		s.abort(&faults.NodeDownError{Node: node, At: at})
 		return
 	}
-	path, cut := e.route(l.m.Dst, l.m.Variant)
-	l.fate = fabric.LastRouteOf(e.net.topo)
-	if l.fate.State == fabric.RoutePartitioned {
-		e.abort(l.m, &faults.PartitionError{Src: e.node, Dst: l.m.Dst, Element: l.fate.Element})
+	path, cut := e.route(s.m.Dst, s.m.Variant)
+	s.fate = fabric.LastRouteOf(e.net.topo)
+	if s.fate.State == fabric.RoutePartitioned {
+		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.fate.Element})
 		return
 	}
-	if l.ended == nil {
-		l.ended = l.end
-	}
-	e.wireAttempt(path, cut, l.m.Dst, l.tid, l.rail, uint8(l.attempt-1), l.m.Size, at, l.ended)
+	e.wireAttempt(path, cut, s.m.Dst, s.tid, s.rail, uint8(s.attempt-1), s.m.Size, at, s.ended)
 }
 
-// end takes the verdict on the attempt that cleared the path at time at.
-func (l *ladder) end(at sim.Time) {
-	e, n := l.e, l.e.net
+// end takes the verdict on the attempt that cleared the path at time at:
+// a single-attempt message has landed; a ladder attempt is delivered, resent
+// after its backoff, or failed once the budget is spent.
+func (s *send) end(at sim.Time) {
+	if !s.ladder {
+		s.land()
+		return
+	}
+	e, n := s.e, s.e.net
 	v := faults.Drop // black-holed: structural loss, no PRNG draw
-	if l.fate.State != fabric.RouteBlackhole {
-		v = n.inj.VerdictExtra(e.node, l.m.Dst, at, l.fate.ExtraDrop)
+	if s.fate.State != fabric.RouteBlackhole {
+		v = n.inj.VerdictExtra(e.node, s.m.Dst, at, s.fate.ExtraDrop)
 	}
 	if v == faults.Deliver {
-		e.landed(l.m, l.deliver)
+		s.land()
 		return
 	}
-	if l.attempt > n.spec.Retry.Limit {
-		e.abort(l.m, &faults.LinkError{Src: e.node, Dst: l.m.Dst,
-			Attempts: l.attempt, Bytes: l.m.Size, Proto: n.spec.Protocol})
+	if s.attempt > n.spec.Retry.Limit {
+		s.abort(&faults.LinkError{Src: e.node, Dst: s.m.Dst,
+			Attempts: s.attempt, Bytes: s.m.Size, Proto: n.spec.Protocol})
 		return
 	}
-	delay := n.spec.Retry.Delay(l.attempt)
-	l.attempt++
+	delay := n.spec.Retry.Delay(s.attempt)
+	s.attempt++
 	e.retried()
-	n.rec.Flight(msgtrace.FlightRetransmit, at, e.node, l.tid, msgtrace.StageWire, int64(l.attempt-1), int64(l.m.Dst))
-	n.rec.Span(l.tid, msgtrace.StageBackoff, e.node, l.rail, uint8(l.attempt-1), -1, at, at+delay, l.m.Size)
-	if l.refire == nil {
-		l.refire = l.fire
-	}
-	n.EngineFor(e.node).At(at+delay, l.refire)
+	n.rec.Flight(msgtrace.FlightRetransmit, at, e.node, s.tid, msgtrace.StageWire, int64(s.attempt-1), int64(s.m.Dst))
+	n.rec.Span(s.tid, msgtrace.StageBackoff, e.node, s.rail, uint8(s.attempt-1), -1, at, at+delay, s.m.Size)
+	n.EngineFor(e.node).At(at+delay, s.refire)
 }
 
 // fire runs as the backoff expires: bill the resend, then try again.
-func (l *ladder) fire() {
-	if l.e.resender != nil {
-		l.e.resender.Resend()
+func (s *send) fire() {
+	if s.e.resender != nil {
+		s.e.resender.Resend()
 	}
-	l.try(l.e.net.EngineFor(l.e.node).Now())
+	s.try(s.e.net.EngineFor(s.e.node).Now())
+}
+
+// land ends a delivered message: the model's ack path, then the MPI
+// layer's deliver.
+func (s *send) land() {
+	e, m, deliver := s.e, s.m, s.deliver
+	s.release()
+	if e.holder != nil {
+		e.holder.Delivered(m)
+	}
+	deliver()
+}
+
+// abort ends a failed message: return its hold and report err.
+func (s *send) abort(err error) {
+	e, m := s.e, s.m
+	s.release()
+	if e.holder != nil {
+		e.holder.Aborted(m)
+	}
+	e.fail(err)
 }

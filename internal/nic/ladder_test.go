@@ -42,9 +42,8 @@ func (f *fakeModel) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return now, now + 100*units.Nanosecond
 }
 
-func (f *fakeModel) Path(dst, _ int) ([]fabric.PathStage, int) {
-	between, _ := f.net.Topology().Between(f.node, dst)
-	return append([]fabric.PathStage{{Stage: f}}, between...), 1
+func (f *fakeModel) Path(_, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
+	return append([]fabric.PathStage{{Stage: f}}, seg.Stages...), 1
 }
 
 func (f *fakeModel) Hold(Msg)      { f.holds++ }

@@ -97,9 +97,6 @@ type Net struct {
 	inj  *faults.Injector
 	rec  *msgtrace.Recorder
 
-	// dynamic marks per-message routing (adaptive, or element faults whose
-	// detection re-hashes routes): paths must not be cached.
-	dynamic bool
 	// placed is the active node-domain placement, nil while every domain
 	// shares the network's engine.
 	placed *dev.Domains
@@ -138,14 +135,13 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 			break
 		}
 		n.topo = topo
-		n.dynamic = cc.Routing == fabric.Adaptive
 		if cfg.Faults.HasElements() {
+			// Element deaths move routes between planes as they are detected
+			// and repaired; the endpoints' path caches are keyed by plane,
+			// so a re-hash lands on another cached path, never a stale one.
 			if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
 				n.cfgErr = fmt.Errorf("%s: %w", spec.Pkg, err)
 			}
-			// Element deaths invalidate cached paths: every message must
-			// re-resolve its route so detection-time re-hashes take effect.
-			n.dynamic = true
 		}
 	default:
 		if cfg.Nodes > cfg.SwitchPorts {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"mpinet/internal/fabric"
+	"mpinet/internal/faults"
 	"mpinet/internal/sim"
+	"mpinet/internal/units"
 )
 
 // routeProbe is the destination set the route-state tests warm: eight peers
@@ -63,5 +65,50 @@ func TestRouteWarmZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm route allocated %.1f times per sweep of %d peers, want 0", allocs, len(routeProbe))
+	}
+}
+
+// TestDynamicRouteZeroAlloc: under per-message routing — adaptive
+// dispersion, and adaptive dispersion re-hashed around a dead spine plane —
+// a warm route allocates nothing. The fabric picks a plane per message and
+// the endpoint serves the path it assembled for that plane from its cache.
+func TestDynamicRouteZeroAlloc(t *testing.T) {
+	kill := faults.SwitchKill{Level: 1, Index: 3, At: 0, RepairAt: 5 * units.Millisecond}
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"adaptive", nil},
+		{"adaptive+element-faults", &faults.Plan{SwitchKills: []faults.SwitchKill{kill}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New()
+			cfg := Config{Nodes: 256, Faults: tc.plan,
+				Clos: &fabric.ClosConfig{Levels: 3, Radix: 24, Oversub: 2, Routing: fabric.Adaptive}}
+			net := New(eng, cfg, &fakeSpec)
+			if err := net.ConfigErr(); err != nil {
+				t.Fatal(err)
+			}
+			ep := NewEndpoint(net, 0, &fakeModel{net: net})
+			sweep := func() {
+				for _, dst := range routeProbe {
+					ep.route(dst, 0)
+				}
+			}
+			// Before detection the dead plane black-holes, after it the
+			// routes re-hash around it, after the repair it is back.
+			for _, at := range []sim.Time{0, 2 * units.Millisecond, 6 * units.Millisecond} {
+				if err := eng.RunUntil(at); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 200; i++ {
+					sweep()
+				}
+				if allocs := testing.AllocsPerRun(100, sweep); allocs != 0 {
+					t.Errorf("at %v: warm route allocated %.1f times per sweep of %d peers, want 0",
+						at, allocs, len(routeProbe))
+				}
+			}
+		})
 	}
 }

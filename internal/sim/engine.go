@@ -520,7 +520,7 @@ func (e *Engine) runSerial(limit Time) error {
 	if n := len(e.procs); n > 0 {
 		names := make([]string, 0, n)
 		for p := range e.procs {
-			names = append(names, fmt.Sprintf("%s (blocked: %s)", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("%s (blocked: %s)", p.name, p.reason()))
 		}
 		sort.Strings(names)
 		return &DeadlockError{At: e.now, Procs: names}

@@ -37,9 +37,11 @@ type Proc struct {
 	// coroutine and read by the engine once next reports completion.
 	panicked interface{}
 
-	// blockedOn describes what the process is waiting for; surfaced in
-	// deadlock reports.
-	blockedOn string
+	// blockedOn describes what the process is waiting for, surfaced in
+	// deadlock reports; blockedFor, when set, replaces it with a
+	// description formatted only if a report reads it (Cond.WaitFor).
+	blockedOn  string
+	blockedFor fmt.Stringer
 
 	// blocked/slept accounting. Updated only while this process runs, so
 	// plain fields are race-free.
@@ -108,7 +110,15 @@ func (p *Proc) park(why string) {
 		p.blocked += d
 		p.eng.blocked += d
 	}
-	p.blockedOn = ""
+	p.blockedOn, p.blockedFor = "", nil
+}
+
+// reason describes what a parked process waits for.
+func (p *Proc) reason() string {
+	if p.blockedFor != nil {
+		return p.blockedFor.String()
+	}
+	return p.blockedOn
 }
 
 // Reap releases every process still parked on this engine — or, for a
@@ -207,6 +217,15 @@ type Cond struct {
 func (c *Cond) Wait(p *Proc, why string) {
 	c.waiters = append(c.waiters, p)
 	p.park(why)
+}
+
+// WaitFor is Wait with a lazily described reason: why.String() runs only
+// if a deadlock report names the process, so a caller whose reason needs
+// formatting pays for it only then. why must stay valid while p waits.
+func (c *Cond) WaitFor(p *Proc, why fmt.Stringer) {
+	c.waiters = append(c.waiters, p)
+	p.blockedFor = why
+	p.park("")
 }
 
 // Broadcast wakes every current waiter, in wait order. The waiter slice's

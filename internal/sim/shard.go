@@ -291,7 +291,7 @@ func (s *Sharded) RunUntil(limit Time) error {
 			at = e.now
 		}
 		for p := range e.procs {
-			names = append(names, fmt.Sprintf("%s (blocked: %s)", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("%s (blocked: %s)", p.name, p.reason()))
 		}
 	}
 	if len(names) > 0 {

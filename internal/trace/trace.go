@@ -79,7 +79,13 @@ type Profile struct {
 	BufferCalls int64
 	BufferBytes int64
 
-	seen map[memreg.Buf]struct{}
+	// seen holds every buffer used so far; recent the last few of them, a
+	// ring probed before the map. Every point-to-point call notes its
+	// buffer, and applications cycle through a handful, so most reuses hit
+	// the ring and skip the map lookup.
+	seen       map[memreg.Buf]struct{}
+	recent     [4]memreg.Buf
+	recentNext int
 }
 
 // New returns an empty profile.
@@ -97,12 +103,21 @@ func (p *Profile) noteBuffer(b memreg.Buf) {
 	}
 	p.BufferCalls++
 	p.BufferBytes += b.Size
+	for _, r := range p.recent {
+		if r == b {
+			p.ReuseCalls++
+			p.ReuseBytes += b.Size
+			return
+		}
+	}
 	if _, ok := p.seen[b]; ok {
 		p.ReuseCalls++
 		p.ReuseBytes += b.Size
 	} else {
 		p.seen[b] = struct{}{}
 	}
+	p.recent[p.recentNext] = b
+	p.recentNext = (p.recentNext + 1) % len(p.recent)
 }
 
 // Send records a blocking or non-blocking point-to-point send.

@@ -215,3 +215,44 @@ func TestSharesBoundedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecentBufferRingMatchesMap: the recently-seen ring in front of the
+// reuse map changes no count. Over an interleaved sequence — runs of one
+// buffer, cycles wider than the ring, slices sharing an address — the
+// profile's reuse statistics equal a plain map's.
+func TestRecentBufferRingMatchesMap(t *testing.T) {
+	var seq []memreg.Buf
+	for i := 0; i < 2000; i++ {
+		switch {
+		case i%7 == 0:
+			seq = append(seq, buf(0, 512)) // a hot buffer
+		case i%5 == 0:
+			seq = append(seq, buf(0, int64(256+i%3))) // same address, other sizes
+		default:
+			seq = append(seq, buf(int64(4096*(i*i%11)), 1024)) // an 11-buffer cycle
+		}
+	}
+	p := New()
+	seen := map[memreg.Buf]bool{}
+	var reuseCalls, reuseBytes, bytes int64
+	for i, b := range seq {
+		if i%2 == 0 {
+			p.Send(b, false, false)
+		} else {
+			p.Recv(b, false, true)
+		}
+		bytes += b.Size
+		if seen[b] {
+			reuseCalls++
+			reuseBytes += b.Size
+		}
+		seen[b] = true
+	}
+	if p.BufferCalls != int64(len(seq)) || p.BufferBytes != bytes {
+		t.Errorf("buffer counts = %d calls, %d B; want %d, %d", p.BufferCalls, p.BufferBytes, len(seq), bytes)
+	}
+	if p.ReuseCalls != reuseCalls || p.ReuseBytes != reuseBytes {
+		t.Errorf("reuse counts = %d calls, %d B; a plain map counts %d, %d",
+			p.ReuseCalls, p.ReuseBytes, reuseCalls, reuseBytes)
+	}
+}

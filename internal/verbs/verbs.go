@@ -307,13 +307,14 @@ func (ep *endpoint) pioPenalty() sim.Time {
 	return 0
 }
 
-// Path implements nic.Model: the staged hardware path to dst. The fabric
-// is cut-through: injection serializes on the source's up-link and drain on
-// the destination's down-link (which doubles as the switch output port in
-// a star), with the switch crossing as pure latency. Same-node traffic
-// loops through the HCA without touching the link or switch. Bus, HCA TX
-// and link up run on the source's hardware.
-func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
+// Path implements nic.Model: the staged hardware path to dst around the
+// fabric segment seg. The fabric is cut-through: injection serializes on
+// the source's up-link and drain on the destination's down-link (which
+// doubles as the switch output port in a star), with the switch crossing
+// as pure latency. Same-node traffic loops through the HCA without
+// touching the link or switch. Bus, HCA TX and link up run on the source's
+// hardware.
+func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
 	src := ep.net.nodes[ep.Node()]
 	if dst == ep.Node() {
 		return []fabric.PathStage{
@@ -324,15 +325,14 @@ func (ep *endpoint) Path(dst, _ int) ([]fabric.PathStage, int) {
 		}, 3
 	}
 	d := ep.net.nodes[dst]
-	between, downLat := ep.net.Topology().Between(ep.Node(), dst)
 	stages := []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
 		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
 	}
-	stages = append(stages, between...)
+	stages = append(stages, seg.Stages...)
 	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
+		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
 		fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
 		fabric.PathStage{Stage: d.bus},
 	), 3
@@ -361,9 +361,9 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 			}
 			i := i
 			d := ep.net.nodes[i]
-			between, downLat := ep.net.Topology().Between(ep.Node(), i)
-			down := append(append([]fabric.PathStage{}, between...),
-				fabric.PathStage{Stage: d.link.Down(), Latency: downLat + wireLatency},
+			seg := ep.Segment(i)
+			down := append(append([]fabric.PathStage{}, seg.Stages...),
+				fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
 				fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
 				fabric.PathStage{Stage: d.bus},
 			)

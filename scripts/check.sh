@@ -109,6 +109,15 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\bScale\(\)|\.scale\b' \
     echo "FAIL: a NIC model branches on domain placement again (one timing model; see internal/nic)" >&2
     exit 1
 fi
+# The endpoint resolves each message's fabric segment once and caches the
+# model's path around it per (destination, variant, plane); a model that
+# asks the topology for a route itself bypasses that cache and rebuilds a
+# path per message.
+if grep -rn --include='*.go' --exclude='*_test.go' 'Between(' \
+    internal/verbs/ internal/gm/ internal/elan/; then
+    echo "FAIL: a NIC model resolves fabric routes itself again (the endpoint hands it the segment; see internal/nic)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
