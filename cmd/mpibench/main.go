@@ -3,16 +3,14 @@
 //
 // Usage:
 //
-//	mpibench [-fig N] [-quick] [-j N] [-shards N] [-v]
+//	mpibench [-fig N] [-quick] [-j N] [-v]
 //	mpibench [-metrics FILE] [-tracefile FILE] [-blame FILE] [-tracemsgs N] [-obsnet IBA|Myri|QSN]
 //
 // Without -fig it runs the whole suite: Figures 1-13 plus the PCI
 // comparison Figures 26-27. -quick thins the size sweeps for a fast smoke
 // run. Figures are independent simulations and fan out over -j worker
 // goroutines (default: one per core); output order and bytes are identical
-// for every -j value. -shards N partitions each simulated world's event
-// queue into N conservatively synchronized shards (docs/MODEL.md §17);
-// like -j it changes only how the simulation executes, never its output.
+// for every -j value.
 //
 // The second form runs the instrumented observability demo workload:
 // -metrics writes the cross-layer metrics snapshot, -tracefile a Chrome
@@ -43,7 +41,6 @@ func main() {
 	csv := flag.Bool("csv", false, "with -fig: emit CSV instead of the data table")
 	quick := flag.Bool("quick", false, "thin sweeps for a fast smoke run")
 	jobs := flag.Int("j", runtime.NumCPU(), "figures to run concurrently (output is identical for any value)")
-	shards := flag.Int("shards", 1, "event-queue shards per simulated world (output is identical for any value)")
 	logp := flag.Bool("logp", false, "extract LogGP parameters per interconnect and exit")
 	verbose := flag.Bool("v", false, "print progress to stderr")
 	metricsOut := flag.String("metrics", "", "run the observability demo, write its metrics snapshot here (- = stdout), and exit")
@@ -57,7 +54,7 @@ func main() {
 
 	os.Exit(profiling.Run(*cpuProfile, *memProfile, "mpibench", func() int {
 		if *metricsOut != "" || *traceOut != "" || *blameOut != "" {
-			if err := runObserved(*obsNet, *metricsOut, *traceOut, *blameOut, *traceMsgs, *shards); err != nil {
+			if err := runObserved(*obsNet, *metricsOut, *traceOut, *blameOut, *traceMsgs); err != nil {
 				fmt.Fprintln(os.Stderr, "mpibench:", err)
 				return 1
 			}
@@ -79,7 +76,6 @@ func main() {
 		}
 		r := experiments.NewRunner(*quick, log)
 		r.Jobs = *jobs
-		r.Shards = *shards
 
 		if *fig == 0 {
 			r.RunMicro(os.Stdout)
@@ -112,13 +108,10 @@ func main() {
 
 // runObserved executes the instrumented demo workload and writes the
 // requested artifacts. -blame implies full tracing when -tracemsgs is 0.
-func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery, shards int) error {
+func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery int) error {
 	p, err := experiments.PlatformByName(net)
 	if err != nil {
 		return err
-	}
-	if shards > 1 {
-		p = p.With(cluster.WithShards(shards))
 	}
 	if blamePath != "" && traceEvery <= 0 {
 		traceEvery = 1

@@ -6,7 +6,7 @@
 //	nasbench                          # Figures 14-25, 28 and Tables 1-6
 //	nasbench -app LU -net QSN -procs 8
 //	nasbench -quick                   # class S smoke run
-//	nasbench -app LU -procs 1024 -topo clos:3:24:2 -shards 8
+//	nasbench -app LU -procs 1024 -topo clos:3:24:2
 //
 // Single-app mode prints the execution time and the per-process
 // communication profile.
@@ -26,9 +26,9 @@ import (
 	"mpinet/internal/trace"
 )
 
-// topoOptions translates the -topo/-routing/-shards flags into platform
-// options. An empty -topo keeps the classic auto-sized crossbar.
-func topoOptions(topo, routing string, shards int) ([]cluster.Option, error) {
+// topoOptions translates the -topo/-routing flags into platform options.
+// An empty -topo keeps the classic auto-sized crossbar.
+func topoOptions(topo, routing string) ([]cluster.Option, error) {
 	var opts []cluster.Option
 	if topo != "" {
 		parts := strings.Split(topo, ":")
@@ -60,9 +60,6 @@ func topoOptions(topo, routing string, shards int) ([]cluster.Option, error) {
 	default:
 		return nil, fmt.Errorf("bad -routing %q: want deterministic or adaptive", routing)
 	}
-	if shards > 1 {
-		opts = append(opts, cluster.WithShards(shards))
-	}
 	return opts, nil
 }
 
@@ -75,7 +72,6 @@ func main() {
 	quick := flag.Bool("quick", false, "full suite in class S smoke mode")
 	topo := flag.String("topo", "", "fabric topology: crossbar, fattree:RADIX:OVERSUB, clos:LEVELS:RADIX:OVERSUB")
 	routing := flag.String("routing", "", "up-link routing on a multi-stage topology: deterministic, adaptive")
-	shards := flag.Int("shards", 1, "event-loop shards (output is identical for any value)")
 	timeline := flag.Int("timeline", 0, "with -app: dump the first N message events")
 	util := flag.Bool("util", false, "with -app: print the busiest hardware resources")
 	verbose := flag.Bool("v", false, "print progress to stderr")
@@ -101,7 +97,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nasbench: unknown network %q\n", *net)
 		os.Exit(2)
 	}
-	opts, err := topoOptions(*topo, *routing, *shards)
+	opts, err := topoOptions(*topo, *routing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nasbench:", err)
 		os.Exit(2)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperrepro [-o EXPERIMENTS.md] [-quick] [-j N] [-shards N] [-benchjson FILE]
+//	paperrepro [-o EXPERIMENTS.md] [-quick] [-j N] [-benchjson FILE]
 //	paperrepro [-metrics FILE] [-tracefile FILE] [-blame FILE] [-tracemsgs N] [-obsnet IBA|Myri|QSN]
 //	paperrepro -postmortem [-obsnet IBA|Myri|QSN] [-droprate P] [-seed N]
 //	paperrepro -faults [-droprate P] [-seed N] [-faultnet IBA|Myri|QSN]
@@ -20,9 +20,6 @@
 // Each figure and table is an independent simulation, so the suite fans out
 // over -j worker goroutines (default: one per core) with output committed
 // in figure order — the document is byte-identical for every -j value.
-// -shards N additionally partitions each simulated world's event queue into
-// N conservatively synchronized shards (docs/MODEL.md §17); like -j it is an
-// execution knob only, and the document is byte-identical for every value.
 // -benchjson additionally writes a host-performance record of the run
 // (per-task wall-clock, total wall-clock, simulation events/sec; - for
 // stdout), which scripts/bench.sh folds into BENCH_parallel.json.
@@ -72,7 +69,6 @@ import (
 	"strings"
 	"time"
 
-	"mpinet/internal/cluster"
 	"mpinet/internal/experiments"
 	"mpinet/internal/profiling"
 	"mpinet/internal/report"
@@ -83,7 +79,6 @@ func main() {
 	out := flag.String("o", "-", "output file (- = stdout)")
 	quick := flag.Bool("quick", false, "class S smoke mode")
 	jobs := flag.Int("j", runtime.NumCPU(), "experiments to run concurrently (output is identical for any value)")
-	shards := flag.Int("shards", 1, "event-queue shards per simulated world (output is identical for any value)")
 	benchOut := flag.String("benchjson", "", "also write a host-performance JSON record of the run (- = stdout)")
 	csvDir := flag.String("csv", "", "also write each figure/table as CSV into this directory")
 	metricsOut := flag.String("metrics", "", "run the observability demo, write its metrics snapshot here (- = stdout), and exit")
@@ -107,7 +102,7 @@ func main() {
 
 	os.Exit(profiling.Run(*cpuProfile, *memProfile, "paperrepro", func() int {
 		return run(runOpts{
-			out: *out, quick: *quick, jobs: *jobs, shards: *shards, benchOut: *benchOut,
+			out: *out, quick: *quick, jobs: *jobs, benchOut: *benchOut,
 			csvDir: *csvDir, metricsOut: *metricsOut, traceOut: *traceOut,
 			obsNet: *obsNet, traceMsgs: *traceMsgs, blameOut: *blameOut,
 			postmortem: *postmortem, faultsRun: *faultsRun, dropRate: *dropRate,
@@ -122,7 +117,6 @@ type runOpts struct {
 	out        string
 	quick      bool
 	jobs       int
-	shards     int
 	benchOut   string
 	csvDir     string
 	metricsOut string
@@ -149,7 +143,7 @@ func run(o runOpts) int {
 			nets = []string{o.faultNet}
 		}
 		for _, net := range nets {
-			if err := experiments.ChaosSoak(os.Stdout, net, o.routing, o.seed, o.shards); err != nil {
+			if err := experiments.ChaosSoak(os.Stdout, net, o.routing, o.seed, 0); err != nil {
 				fmt.Fprintln(os.Stderr, "paperrepro:", err)
 				return 1
 			}
@@ -158,7 +152,7 @@ func run(o runOpts) int {
 	}
 
 	if o.railRun {
-		if err := experiments.RailFailSmoke(os.Stdout, o.railPair, o.railPolicy, o.seed, o.shards); err != nil {
+		if err := experiments.RailFailSmoke(os.Stdout, o.railPair, o.railPolicy, o.seed); err != nil {
 			fmt.Fprintln(os.Stderr, "paperrepro:", err)
 			return 1
 		}
@@ -166,7 +160,7 @@ func run(o runOpts) int {
 	}
 
 	if o.postmortem {
-		if err := experiments.Postmortem(os.Stdout, o.obsNet, o.dropRate, o.seed, o.shards); err != nil {
+		if err := experiments.Postmortem(os.Stdout, o.obsNet, o.dropRate, o.seed); err != nil {
 			fmt.Fprintln(os.Stderr, "paperrepro:", err)
 			return 1
 		}
@@ -179,7 +173,7 @@ func run(o runOpts) int {
 			nets = []string{o.faultNet}
 		}
 		for _, net := range nets {
-			if err := experiments.FaultSmoke(os.Stdout, net, o.dropRate, o.seed, o.shards); err != nil {
+			if err := experiments.FaultSmoke(os.Stdout, net, o.dropRate, o.seed); err != nil {
 				fmt.Fprintln(os.Stderr, "paperrepro:", err)
 				return 1
 			}
@@ -188,7 +182,7 @@ func run(o runOpts) int {
 	}
 
 	if o.metricsOut != "" || o.traceOut != "" || o.blameOut != "" {
-		if err := runObserved(o.obsNet, o.metricsOut, o.traceOut, o.blameOut, o.traceMsgs, o.shards); err != nil {
+		if err := runObserved(o.obsNet, o.metricsOut, o.traceOut, o.blameOut, o.traceMsgs); err != nil {
 			fmt.Fprintln(os.Stderr, "paperrepro:", err)
 			return 1
 		}
@@ -197,7 +191,6 @@ func run(o runOpts) int {
 
 	r := experiments.NewRunner(o.quick, os.Stderr)
 	r.Jobs = o.jobs
-	r.Shards = o.shards
 	start := time.Now()
 
 	if o.csvDir != "" {
@@ -269,13 +262,10 @@ func writeBenchJSON(path string, r *experiments.Runner, jobs int, wall time.Dura
 
 // runObserved executes the instrumented demo workload and writes the
 // requested artifacts. -blame implies full tracing when -tracemsgs is 0.
-func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery, shards int) error {
+func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery int) error {
 	p, err := experiments.PlatformByName(net)
 	if err != nil {
 		return err
-	}
-	if shards > 1 {
-		p = p.With(cluster.WithShards(shards))
 	}
 	if blamePath != "" && traceEvery <= 0 {
 		traceEvery = 1

@@ -25,7 +25,6 @@ import (
 	"mpinet/internal/rail"
 	"mpinet/internal/sim"
 	"mpinet/internal/trace"
-	"mpinet/internal/units"
 	"mpinet/internal/verbs"
 )
 
@@ -58,9 +57,6 @@ type Settings struct {
 	// Heartbeat overrides the bond's health-monitor probe period (0 = rail
 	// package default; bonded platforms only).
 	Heartbeat sim.Time
-	// Shards is the conservative-parallel shard count the network's engine
-	// group is built with (0 or 1 = plain serial engine). See WithShards.
-	Shards int
 	// Topology, when non-nil, selects a parameterized fabric from the
 	// topology option family (Crossbar, FatTree, Clos); nil keeps the
 	// platform's classic single crossbar.
@@ -68,9 +64,6 @@ type Settings struct {
 	// Routing selects the multi-stage fabric's path policy (WithRouting);
 	// inert on crossbar fabrics.
 	Routing fabric.Routing
-	// domains is the node-domain placement Platform.New computes and hands
-	// to the device builders; never set by an Option.
-	domains *dev.Domains
 }
 
 // TopoKind enumerates the parameterized fabrics of the topology API.
@@ -180,21 +173,8 @@ type Platform struct {
 	build func(eng *sim.Engine, nodes int, s Settings) dev.Network
 }
 
-// defaultLookahead is the cross-shard lookahead used when a network cannot
-// state its own latency floor (dev.LookaheadReporter): half the smallest
-// wire latency of the modelled fabrics, conservatively safe for all three.
-const defaultLookahead = 40 * units.Nanosecond
-
 // New returns a freshly wired network (with its own simulation engine) of
 // the given node count, configured per the platform's settings.
-//
-// With Shards > 1 the engine is shard 0 of a sim.Sharded group whose
-// cross-shard lookahead is the network's own MinLinkLatency (or a
-// conservative default when the network cannot state one). Every network
-// carries a node-domain placement — leaf-aligned on multi-stage fabrics,
-// contiguous blocks on a crossbar, as Partition reports — and each node's
-// device state moves to its shard once the MPI layer activates it (see
-// docs/MODEL.md §17). Placement never changes simulated time.
 func (p Platform) New(nodes int) dev.Network {
 	s := p.base
 	if s.Topology != nil {
@@ -202,54 +182,7 @@ func (p Platform) New(nodes int) dev.Network {
 			return errNetwork{eng: sim.New(), err: err}
 		}
 	}
-	s.domains = &dev.Domains{NodeShard: s.partitionFor(nodes).NodeShard}
-	if s.Shards <= 1 {
-		eng := sim.New()
-		s.domains.Engines = []*sim.Engine{eng}
-		return p.build(eng, nodes, s)
-	}
-	group := sim.NewSharded(s.Shards, defaultLookahead)
-	s.domains.Engines = make([]*sim.Engine, s.Shards)
-	for i := range s.domains.Engines {
-		s.domains.Engines[i] = group.Shard(i)
-	}
-	net := p.build(group.Shard(0), nodes, s)
-	if lr, ok := net.(dev.LookaheadReporter); ok {
-		if la := lr.MinLinkLatency(); la > 0 {
-			group.SetLookahead(la)
-		}
-	}
-	return net
-}
-
-// Partition reports the node/switch → shard placement New would use for an
-// n-node world at the platform's configured shard count.
-func (p Platform) Partition(nodes int) sim.Partition {
-	return p.base.partitionFor(nodes)
-}
-
-// partitionFor computes the node → shard placement. Multi-stage fabrics get
-// a leaf-aligned split — all hosts of a leaf share a shard, so every
-// leaf-local fabric resource (up-link pipes, dispersion counters) is owned
-// by exactly one engine; everything else keeps the contiguous block split.
-func (s Settings) partitionFor(nodes int) sim.Partition {
-	shards := s.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if t := s.Topology; t != nil && t.Kind != TopoCrossbar {
-		hpl := t.hostsPerLeaf()
-		leaves := (nodes + hpl - 1) / hpl
-		if leaves < 2 {
-			leaves = 2
-		}
-		p := sim.Partition{Shards: shards, NodeShard: make([]int, nodes)}
-		for i := range p.NodeShard {
-			p.NodeShard[i] = (i / hpl) * shards / leaves
-		}
-		return p
-	}
-	return sim.PartitionNodes(nodes, shards)
+	return p.build(sim.New(), nodes, s)
 }
 
 // errNetwork is the network a misconfigured platform builds: it carries the
@@ -260,12 +193,12 @@ type errNetwork struct {
 	err error
 }
 
-func (n errNetwork) Name() string                  { return "invalid" }
-func (n errNetwork) Engine() *sim.Engine           { return n.eng }
-func (n errNetwork) Nodes() int                    { return 0 }
-func (n errNetwork) NewEndpoint(int) dev.Endpoint  { panic(n.err) }
-func (n errNetwork) ShmemBelow() int64             { return 0 }
-func (n errNetwork) ConfigErr() error              { return n.err }
+func (n errNetwork) Name() string                 { return "invalid" }
+func (n errNetwork) Engine() *sim.Engine          { return n.eng }
+func (n errNetwork) Nodes() int                   { return 0 }
+func (n errNetwork) NewEndpoint(int) dev.Endpoint { panic(n.err) }
+func (n errNetwork) ShmemBelow() int64            { return 0 }
+func (n errNetwork) ConfigErr() error             { return n.err }
 
 // With derives a variant platform with the options' platform-side effects
 // applied. Options that carry a name suffix (PCIBus -> "-PCI") extend the
@@ -513,18 +446,15 @@ func WithHeartbeat(d sim.Time) Option {
 	return Option{platform: func(s *Settings) { s.Heartbeat = d }}
 }
 
-// WithShards builds the platform's engine as an n-shard conservative
-// parallel group (sim.Sharded); n <= 1 keeps the plain serial engine.
-// Deliberately no name suffix: shard count is an execution knob, not a
-// model variant — figure labels, metrics snapshots and blame reports must
-// stay byte-identical at every shard count.
-func WithShards(n int) Option {
-	return Option{platform: func(s *Settings) { s.Shards = n }}
-}
+// WithShards does nothing: every world runs on one serial engine.
+//
+// Deprecated: kept only so the benchmark module builds; it goes with
+// ROADMAP item 2's benchmark change.
+func WithShards(int) Option { return Option{} }
 
 // nicConfig resolves the configuration fields every interconnect shares
 // over a builder's defaults: the eager-threshold and radix overrides, the
-// topology-API fabric, the node-domain placement, and the fault plan.
+// topology-API fabric, and the fault plan.
 func (s Settings) nicConfig(c nic.Config) nic.Config {
 	c.EagerThreshold = s.EagerThreshold
 	if s.SwitchPorts > 0 {
@@ -539,7 +469,6 @@ func (s Settings) nicConfig(c nic.Config) nic.Config {
 			c.Clos = s.Topology.closConfig(s)
 		}
 	}
-	c.Domains = s.domains
 	c.Faults = s.plan().Flatten(0)
 	return c
 }
@@ -617,9 +546,7 @@ func Bond(primary Platform, others ...Platform) Platform {
 			for i, m := range members {
 				ms := m.base
 				if ms.Topology == nil {
-					// Bond-level fabric choice applies to every rail; node
-					// domains stay unset — the rail bond is not shard-safe
-					// yet, so its members keep every domain on one engine.
+					// Bond-level fabric choice applies to every rail.
 					ms.Topology = s.Topology
 					ms.Routing = s.Routing
 				}

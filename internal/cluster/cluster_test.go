@@ -102,33 +102,9 @@ func TestPlatformNamesUnique(t *testing.T) {
 	}
 }
 
-func TestWithShardsBuildsShardedGroup(t *testing.T) {
-	for _, mk := range []func() Platform{IBA, Myri, QSN} {
-		p := mk().With(WithShards(4))
-		if got := p.Name; got != mk().Name {
-			t.Fatalf("WithShards changed the platform name to %q; shard count must not leak into reports", got)
-		}
-		net := p.New(4)
-		eng := net.Engine()
-		if eng.ShardID() != 0 {
-			t.Fatalf("%s: network engine is shard %d, want 0", net.Name(), eng.ShardID())
-		}
-		// The member engine must drive the whole group: a trivial event on
-		// shard 0 runs to completion under the window scheduler.
-		ran := false
-		eng.Schedule(0, func() { ran = true })
-		if err := eng.Run(); err != nil {
-			t.Fatalf("%s sharded Run: %v", net.Name(), err)
-		}
-		if !ran {
-			t.Fatalf("%s: sharded engine dispatched nothing", net.Name())
-		}
-	}
-}
-
-func TestShardedLookaheadFromNetwork(t *testing.T) {
+func TestMinLinkLatencyFromNetwork(t *testing.T) {
 	// Each fabric states its own latency floor; the bond takes the fastest
-	// member's. These feed the shard scheduler's lookahead directly.
+	// member's. The MPI layer times its cross-node FIN hop at this floor.
 	la := func(p Platform) sim.Time {
 		lr, ok := p.New(2).(dev.LookaheadReporter)
 		if !ok {
@@ -142,15 +118,5 @@ func TestShardedLookaheadFromNetwork(t *testing.T) {
 	}
 	if got := la(Bond(IBA(), QSN())); got != qsn {
 		t.Errorf("bond lookahead %v, want fastest member %v", got, qsn)
-	}
-}
-
-func TestPlatformPartition(t *testing.T) {
-	p := IBA().With(WithShards(4)).Partition(8)
-	if p.Shards != 4 || len(p.NodeShard) != 8 || p.SwitchShard != 0 {
-		t.Fatalf("partition = %+v", p)
-	}
-	if q := IBA().Partition(8); q.Shards != 1 {
-		t.Fatalf("unsharded partition has %d shards, want 1", q.Shards)
 	}
 }

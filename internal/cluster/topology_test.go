@@ -64,10 +64,6 @@ func TestValidTopologiesBuild(t *testing.T) {
 		if net.Nodes() < 32 {
 			t.Fatalf("%s wired %d nodes", p.Name, net.Nodes())
 		}
-		dn, ok := net.(dev.DomainNetwork)
-		if !ok || dn.Domains() == nil {
-			t.Fatalf("%s: topology API network lacks a domain placement", p.Name)
-		}
 	}
 }
 
@@ -82,22 +78,5 @@ func TestIBAFatTreeHonorsNodeCount(t *testing.T) {
 	ft, want := IBAFatTree(16), IBA().With(FatTree(24, 2))
 	if ft.Name != want.Name || *ft.Settings().Topology != *want.Settings().Topology {
 		t.Fatalf("IBAFatTree = %s %+v, want %s %+v", ft.Name, ft.Settings().Topology, want.Name, want.Settings().Topology)
-	}
-}
-
-func TestLeafAlignedPartition(t *testing.T) {
-	p := IBA().With(FatTree(24, 2), WithShards(4))
-	part := p.Partition(64) // 16 hosts/leaf, 4 leaves
-	if part.Shards != 4 {
-		t.Fatalf("shards = %d", part.Shards)
-	}
-	hpl := 16
-	for leaf := 0; leaf < 4; leaf++ {
-		want := part.NodeShard[leaf*hpl]
-		for i := 0; i < hpl; i++ {
-			if part.NodeShard[leaf*hpl+i] != want {
-				t.Fatalf("leaf %d split across shards", leaf)
-			}
-		}
 	}
 }

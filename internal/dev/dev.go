@@ -152,12 +152,8 @@ type Network interface {
 // LookaheadReporter is implemented by networks that can state a lower bound
 // on the simulated latency of any message crossing between nodes — cable
 // flight plus the cheapest port logic, with every queueing and protocol
-// delay excluded. The sharded scheduler (sim.Sharded) uses it as the
-// conservative lookahead for cross-shard edges: no event executed in one
-// node domain can affect another sooner than this bound, so domains may
-// dispatch a window of that width in parallel. Returning a bound larger
-// than the true minimum would break causality (the scheduler trusts it);
-// smaller is merely slower.
+// delay excluded. The MPI layer times its cross-node completion hop (the
+// rendezvous FIN back to the sender's node) at this bound.
 type LookaheadReporter interface {
 	MinLinkLatency() sim.Time
 }
@@ -219,30 +215,6 @@ type TraceAttacher interface {
 	AttachTracer(rec *msgtrace.Recorder)
 }
 
-// Domains is the node-domain placement of a world: which shard owns each
-// node's device state (NIC, bus, link, leaf fabric ports) and the engine of
-// every shard. The cluster layer computes it for every platform —
-// leaf-aligned on multi-stage fabrics, so all hosts of one leaf element
-// share a shard and leaf-tier fabric state is only ever touched by its
-// owner domain; contiguous blocks on a crossbar. A serial run uses a
-// one-entry engine list; EngineFor then always returns that engine and
-// cross-domain scheduling degrades to plain scheduling at identical
-// timestamps.
-type Domains struct {
-	// NodeShard maps node index to owning shard.
-	NodeShard []int
-	// Engines holds the engine of each shard, in shard order.
-	Engines []*sim.Engine
-}
-
-// EngineFor returns the engine owning a node's device state.
-func (d *Domains) EngineFor(node int) *sim.Engine {
-	if len(d.Engines) == 1 {
-		return d.Engines[0]
-	}
-	return d.Engines[d.NodeShard[node]]
-}
-
 // Skew is the deterministic per-source-node latency perturbation every
 // cross-node hop carries, in the device models and the MPI layer alike: one
 // picosecond times (node+1). It breaks the systematic same-instant ties
@@ -252,24 +224,6 @@ func (d *Domains) EngineFor(node int) *sim.Engine {
 // point. At 4096 nodes the perturbation tops out near 4 ns, well under any
 // modelled wire latency.
 func Skew(node int) sim.Time { return sim.Time(node + 1) }
-
-// DomainNetwork is implemented by networks wired with a Domains placement.
-// Placement never changes timing — the device models run the same
-// cross-domain semantics whether a node's domain sits on its own shard
-// engine or all domains share shard 0 — so it is a pure execution choice.
-// The MPI layer activates it only for worlds whose observers are shard-safe
-// (no timeline, metrics or message tracing); everything else runs with all
-// domains on shard 0.
-type DomainNetwork interface {
-	// Domains returns the wired placement, nil when the network was built
-	// without one.
-	Domains() *Domains
-	// ActivateDomains places each node's device state on its domain's
-	// engine. It reports false (and keeps every domain on shard 0) when a
-	// device mechanism is not shard-safe yet: a fault plan's injector, or
-	// hardware multicast.
-	ActivateDomains() bool
-}
 
 // ConfigErrer is implemented by networks built from an invalid
 // configuration: construction cannot return an error through the Platform

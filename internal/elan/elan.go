@@ -278,7 +278,7 @@ func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
 	cost := ep.mmu.Acquire(b)
 	if cost > 0 {
 		hw := ep.net.nodes[ep.Node()]
-		now := ep.net.EngineFor(ep.Node()).Now()
+		now := ep.net.Engine().Now()
 		hw.elanProc.Use(now, cost)
 		hw.dmaTx.Use(now, cost)
 		hw.dmaRx.Use(now, cost)
@@ -300,7 +300,7 @@ func (ep *endpoint) IssueStall() sim.Time {
 	}
 	ep.cmdqStalls.Inc()
 	hw := ep.net.nodes[ep.Node()]
-	hw.elanProc.Use(ep.net.EngineFor(ep.Node()).Now(), queueThrash)
+	hw.elanProc.Use(ep.net.Engine().Now(), queueThrash)
 	return slowIssue
 }
 
@@ -314,7 +314,7 @@ func (ep *endpoint) MatchDelay(pending int, cb func()) {
 		pending = maxWalk
 	}
 	ep.matches.Inc()
-	eng := ep.net.EngineFor(ep.Node())
+	eng := ep.net.Engine()
 	hw := ep.net.nodes[ep.Node()]
 	_, end := hw.elanProc.Use(eng.Now(), matchBase+sim.Time(pending)*matchPerEntry)
 	eng.At(end, cb)
@@ -330,16 +330,12 @@ func (l elanStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 // Path implements nic.Model: the staged path to dst for a PIO or DMA
 // variant, around the fabric segment seg. PIO-sized sends skip the sender-side bus DMA (the host
 // PIO-copied into Elan SDRAM already, billed in SendOverhead). Same-node
-// traffic loops through the NIC, crossing the node's PCI bus twice. The
-// NIC thread processor, send DMA and link up — plus the sender bus for
-// DMA-sized payloads — run on the source's hardware.
-func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) ([]fabric.PathStage, int) {
+// traffic loops through the NIC, crossing the node's PCI bus twice.
+func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
 	var stages []fabric.PathStage
-	local := 3
 	if variant == pathDMA {
 		stages = append(stages, fabric.PathStage{Stage: src.bus})
-		local++
 	}
 	if dst == ep.Node() {
 		return append(stages,
@@ -347,7 +343,7 @@ func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) ([]fabric.PathSta
 			fabric.PathStage{Stage: src.dmaTx},
 			fabric.PathStage{Stage: src.dmaRx},
 			fabric.PathStage{Stage: src.bus},
-		), local
+		)
 	}
 	d := ep.net.nodes[dst]
 	stages = append(stages,
@@ -361,7 +357,7 @@ func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) ([]fabric.PathSta
 		fabric.PathStage{Stage: elanStage{d.elanProc}},
 		fabric.PathStage{Stage: d.dmaRx},
 		fabric.PathStage{Stage: d.bus},
-	), local
+	)
 }
 
 // Hold implements nic.Holder: every message occupies a command-queue slot,
@@ -376,7 +372,7 @@ func (ep *endpoint) Delivered(m nic.Msg) {
 		ep.freeSlot()
 		return
 	}
-	ep.net.EngineFor(m.Dst).ScheduleOn(ep.net.EngineFor(ep.Node()), wireLatency+dev.Skew(m.Dst), ep.freeSlot)
+	ep.net.Engine().Schedule(wireLatency+dev.Skew(m.Dst), ep.freeSlot)
 }
 
 // Aborted implements nic.Holder: a failed message frees its slot at once.
@@ -385,7 +381,7 @@ func (ep *endpoint) Aborted(nic.Msg) { ep.outstanding-- }
 // Resend implements nic.Resender: the thread processor re-issues the
 // packet from NIC SDRAM.
 func (ep *endpoint) Resend() {
-	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.EngineFor(ep.Node()).Now(), elanPerMsg)
+	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.Engine().Now(), elanPerMsg)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {

@@ -19,7 +19,7 @@ import (
 // exercising the self-healing path (ECMP re-hash after detection), the
 // typed failure taxonomy (faults.ErrPartitioned, mpi.ErrRankFailed) and the
 // ULFM-style rank-death notification. Everything is seeded and
-// counter-based: the same storms hit the same packets at any -j or -shards.
+// counter-based: the same storms hit the same packets at any -j.
 
 // chaosLU runs the LU benchmark (class S) on the platform and returns its
 // completion time.
@@ -67,10 +67,10 @@ func (r *Runner) ExtSpineFailures() report.Figure {
 		kills = []int{0, 1, 2}
 	}
 	plats := []cluster.Platform{
-		r.pf(cluster.IBA()),
-		r.pf(cluster.IBA()).With(cluster.WithRouting(cluster.Adaptive)),
-		r.pf(cluster.Myri()),
-		r.pf(cluster.QSN()),
+		cluster.IBA(),
+		cluster.IBA().With(cluster.WithRouting(cluster.Adaptive)),
+		cluster.Myri(),
+		cluster.QSN(),
 	}
 	for _, p := range plats {
 		p = p.With(topo)
@@ -124,7 +124,10 @@ func classifyChaos(err error) string {
 // survivable storms, a typed error for lethal ones, never a hang (the
 // scaled MPI watchdog guarantees termination) and never an untyped error.
 // Output is deterministic, so CI replays the soak and byte-compares.
-func ChaosSoak(w io.Writer, net, routing string, seed uint64, shards int) error {
+//
+// Deprecated: the final argument is ignored; it is kept only so the
+// benchmark module builds, and goes with ROADMAP item 2's benchmark change.
+func ChaosSoak(w io.Writer, net, routing string, seed uint64, _ int) error {
 	base, err := faultPlatform(net)
 	if err != nil {
 		return err
@@ -139,9 +142,6 @@ func ChaosSoak(w io.Writer, net, routing string, seed uint64, shards int) error 
 		opts = append(opts, cluster.WithRouting(cluster.Adaptive))
 	default:
 		return fmt.Errorf("experiments: unknown routing %q (have deterministic, adaptive)", routing)
-	}
-	if shards > 1 {
-		opts = append(opts, cluster.WithShards(shards))
 	}
 	p := base.With(opts...)
 	const procs = 64

@@ -12,20 +12,19 @@ import (
 )
 
 // The chaos soak's whole transcript — healthy baseline, storm outcomes,
-// notification counts — must be byte-identical at any shard count: fault
-// verdicts are counter-based, element deaths are wall-clock scheduled, and
-// sharding is a performance knob, never a semantics knob.
-func TestChaosSoakShardInvariant(t *testing.T) {
-	soak := func(shards int) string {
+// notification counts — must replay byte-identically: fault verdicts are
+// counter-based and element deaths are scheduled in simulated time.
+func TestChaosSoakReplayIdentical(t *testing.T) {
+	soak := func() string {
 		var buf bytes.Buffer
-		if err := ChaosSoak(&buf, "IBA", "deterministic", 0, shards); err != nil {
-			t.Fatalf("soak at -shards %d: %v\n%s", shards, err, buf.String())
+		if err := ChaosSoak(&buf, "IBA", "deterministic", 0, 0); err != nil {
+			t.Fatalf("soak: %v\n%s", err, buf.String())
 		}
 		return buf.String()
 	}
-	one, eight := soak(1), soak(8)
-	if one != eight {
-		t.Fatalf("soak transcript differs between -shards 1 and 8:\n--- 1:\n%s--- 8:\n%s", one, eight)
+	one, again := soak(), soak()
+	if one != again {
+		t.Fatalf("soak transcript differs between two runs:\n--- first:\n%s--- second:\n%s", one, again)
 	}
 	if !bytes.Contains([]byte(one), []byte("typed: rank-failed")) ||
 		!bytes.Contains([]byte(one), []byte("typed: partitioned")) {
@@ -44,7 +43,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 		for _, routing := range []string{"deterministic", "adaptive"} {
 			t.Run(net+"/"+routing, func(t *testing.T) {
 				var buf bytes.Buffer
-				if err := ChaosSoak(&buf, net, routing, 0, 1); err != nil {
+				if err := ChaosSoak(&buf, net, routing, 0, 0); err != nil {
 					t.Fatalf("%v\n%s", err, buf.String())
 				}
 			})
@@ -54,8 +53,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 
 // The headline acceptance case: a 512-rank LU on a 3-level Clos survives a
 // spine-plane kill on all three interconnects under both routing policies,
-// pays a real (but bounded) completion-time price, and replays
-// byte-identically across shard counts.
+// and pays a real (but bounded) completion-time price.
 func TestSpineKillAcceptance512(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-rank chaos acceptance")
@@ -75,28 +73,17 @@ func TestSpineKillAcceptance512(t *testing.T) {
 			if err != nil {
 				t.Fatalf("healthy baseline: %v", err)
 			}
-			kill := func(shards int) units.Time {
-				pk := p.With(
-					cluster.WithSwitchKills(faults.SwitchKill{Level: 1, Index: 2, At: healthy / 4}),
-					cluster.WithSeed(FaultSeed))
-				if shards > 1 {
-					pk = pk.With(cluster.WithShards(shards))
-				}
-				elapsed, err := chaosLU(pk, procs)
-				if err != nil {
-					t.Fatalf("spine kill at -shards %d: %v", shards, err)
-				}
-				return elapsed
+			killed, err := chaosLU(p.With(
+				cluster.WithSwitchKills(faults.SwitchKill{Level: 1, Index: 2, At: healthy / 4}),
+				cluster.WithSeed(FaultSeed)), procs)
+			if err != nil {
+				t.Fatalf("spine kill: %v", err)
 			}
-			killed := kill(1)
 			if killed < healthy {
 				t.Errorf("losing a spine plane sped LU up: %v healthy, %v killed", healthy, killed)
 			}
 			if killed > 10*healthy {
 				t.Errorf("self-healing did not bound the damage: %v healthy, %v killed", healthy, killed)
-			}
-			if again := kill(8); again != killed {
-				t.Errorf("kill run not shard-invariant: %v at -shards 1, %v at -shards 8", killed, again)
 			}
 		})
 	}

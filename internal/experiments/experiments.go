@@ -37,11 +37,6 @@ type Runner struct {
 	// Log, when non-nil, receives progress lines. Under parallel execution
 	// lines stay whole but their order follows task completion.
 	Log io.Writer
-	// Shards builds every testbed's engine as an n-shard conservative
-	// parallel group (see sim.Sharded); 0 or 1 keeps the serial engine. Any
-	// value produces identical output — shard count, like Jobs, is an
-	// execution knob, not a model parameter.
-	Shards int
 
 	logMu    sync.Mutex
 	cacheMu  sync.Mutex
@@ -128,7 +123,7 @@ func (r *Runner) app(name string, p cluster.Platform, procs, ppn int) apps.Resul
 			panic(err)
 		}
 		r.logf("  running %s class %s on %s, %d procs (%d/node)", name, r.class(), p.Name, procs, maxInt(ppn, 1))
-		res, err := a.Run(apps.RunConfig{Platform: r.pf(p), Class: r.class(), Procs: procs, ProcsPerNode: ppn})
+		res, err := a.Run(apps.RunConfig{Platform: p, Class: r.class(), Procs: procs, ProcsPerNode: ppn})
 		if err != nil {
 			panic(err)
 		}
@@ -160,32 +155,12 @@ func (r *Runner) sizes(lo, hi int64) []int64 {
 // osu returns the three platforms of the 8-node testbed.
 func osu() []cluster.Platform { return cluster.OSU() }
 
-// pf applies the runner's execution knobs (today: the shard count) to a
-// platform. Every figure builds its testbeds through pf or r.osu so -shards
-// reaches each simulation; it never alters the platform name or model.
-func (r *Runner) pf(p cluster.Platform) cluster.Platform {
-	if r.Shards > 1 {
-		return p.With(cluster.WithShards(r.Shards))
-	}
-	return p
-}
-
-// osu is the runner-aware form of the package osu: the three testbed
-// platforms with the runner's execution knobs applied.
-func (r *Runner) osu() []cluster.Platform {
-	ps := osu()
-	for i := range ps {
-		ps[i] = r.pf(ps[i])
-	}
-	return ps
-}
-
 // Fig1 regenerates Figure 1: MPI latency across the three interconnects.
 func (r *Runner) Fig1() report.Figure {
 	r.logf("Fig 1: latency")
 	f := report.Figure{ID: "Fig 1", Title: "MPI Latency across Three Interconnects",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.Latency(p, r.sizes(4, 16*units.KB)))
 	}
 	return f
@@ -197,7 +172,7 @@ func (r *Runner) Fig2() report.Figure {
 	r.logf("Fig 2: bandwidth")
 	f := report.Figure{ID: "Fig 2", Title: "MPI Bandwidth (windows 4 and 16)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		for _, w := range []int{4, 16} {
 			c := microbench.Bandwidth(p, r.sizes(4, units.MB), w)
 			c.Label = fmt.Sprintf("%s %d", p.Name, w)
@@ -212,7 +187,7 @@ func (r *Runner) Fig3() report.Figure {
 	r.logf("Fig 3: host overhead")
 	f := report.Figure{ID: "Fig 3", Title: "MPI Host Overhead in Latency Test",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.HostOverhead(p, r.sizes(2, units.KB)))
 	}
 	return f
@@ -223,7 +198,7 @@ func (r *Runner) Fig4() report.Figure {
 	r.logf("Fig 4: bi-directional latency")
 	f := report.Figure{ID: "Fig 4", Title: "MPI Bi-Directional Latency",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.BiLatency(p, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -234,7 +209,7 @@ func (r *Runner) Fig5() report.Figure {
 	r.logf("Fig 5: bi-directional bandwidth")
 	f := report.Figure{ID: "Fig 5", Title: "MPI Bi-Directional Bandwidth (window 16)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.BiBandwidth(p, r.sizes(4, units.MB)))
 	}
 	return f
@@ -245,7 +220,7 @@ func (r *Runner) Fig6() report.Figure {
 	r.logf("Fig 6: overlap potential")
 	f := report.Figure{ID: "Fig 6", Title: "Overlap Potential",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.Overlap(p, r.sizes(4, 64*units.KB)))
 	}
 	return f
@@ -257,7 +232,7 @@ func (r *Runner) Fig7() report.Figure {
 	r.logf("Fig 7: latency vs buffer reuse")
 	f := report.Figure{ID: "Fig 7", Title: "MPI Latency with Buffer Reuse (0/50/100%)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		for _, pct := range []int{0, 50, 100} {
 			c := microbench.ReuseLatency(p, r.sizes(64, 16*units.KB), pct)
 			c.Label = fmt.Sprintf("%s %d", p.Name, pct)
@@ -272,7 +247,7 @@ func (r *Runner) Fig8() report.Figure {
 	r.logf("Fig 8: bandwidth vs buffer reuse")
 	f := report.Figure{ID: "Fig 8", Title: "MPI Bandwidth with Buffer Reuse (0/50/100%)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		for _, pct := range []int{0, 50, 100} {
 			c := microbench.ReuseBandwidth(p, r.sizes(4, 64*units.KB), pct)
 			c.Label = fmt.Sprintf("%s %d", p.Name, pct)
@@ -287,7 +262,7 @@ func (r *Runner) Fig9() report.Figure {
 	r.logf("Fig 9: intra-node latency")
 	f := report.Figure{ID: "Fig 9", Title: "MPI Intra-Node Latency",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.IntraLatency(p, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -298,7 +273,7 @@ func (r *Runner) Fig10() report.Figure {
 	r.logf("Fig 10: intra-node bandwidth")
 	f := report.Figure{ID: "Fig 10", Title: "MPI Intra-Node Bandwidth",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.IntraBandwidth(p, r.sizes(4, units.MB)))
 	}
 	return f
@@ -309,7 +284,7 @@ func (r *Runner) Fig11() report.Figure {
 	r.logf("Fig 11: alltoall")
 	f := report.Figure{ID: "Fig 11", Title: "MPI Alltoall (8 nodes)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.Alltoall(p, 8, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -320,7 +295,7 @@ func (r *Runner) Fig12() report.Figure {
 	r.logf("Fig 12: allreduce")
 	f := report.Figure{ID: "Fig 12", Title: "MPI Allreduce (8 nodes)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.Allreduce(p, 8, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -335,7 +310,7 @@ func (r *Runner) Fig13() report.Figure {
 	if r.Quick {
 		counts = []int{2, 8}
 	}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		f.Curves = append(f.Curves, microbench.MemoryUsage(p, counts))
 	}
 	return f
@@ -346,9 +321,9 @@ func (r *Runner) Fig26() report.Figure {
 	r.logf("Fig 26: IBA latency PCI vs PCI-X")
 	f := report.Figure{ID: "Fig 26", Title: "MPI over InfiniBand Latency (PCI vs PCI-X)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	cx := microbench.Latency(r.pf(cluster.IBA()), r.sizes(4, 4*units.KB))
+	cx := microbench.Latency(cluster.IBA(), r.sizes(4, 4*units.KB))
 	cx.Label = "PCI-X"
-	ci := microbench.Latency(r.pf(cluster.IBA().With(cluster.PCIBus())), r.sizes(4, 4*units.KB))
+	ci := microbench.Latency(cluster.IBA().With(cluster.PCIBus()), r.sizes(4, 4*units.KB))
 	ci.Label = "PCI"
 	f.Curves = []microbench.Curve{cx, ci}
 	return f
@@ -359,9 +334,9 @@ func (r *Runner) Fig27() report.Figure {
 	r.logf("Fig 27: IBA bandwidth PCI vs PCI-X")
 	f := report.Figure{ID: "Fig 27", Title: "MPI over InfiniBand Bandwidth (PCI vs PCI-X)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	cx := microbench.Bandwidth(r.pf(cluster.IBA()), r.sizes(4, units.MB), 16)
+	cx := microbench.Bandwidth(cluster.IBA(), r.sizes(4, units.MB), 16)
 	cx.Label = "PCI-X"
-	ci := microbench.Bandwidth(r.pf(cluster.IBA().With(cluster.PCIBus())), r.sizes(4, units.MB), 16)
+	ci := microbench.Bandwidth(cluster.IBA().With(cluster.PCIBus()), r.sizes(4, units.MB), 16)
 	ci.Label = "PCI"
 	f.Curves = []microbench.Curve{cx, ci}
 	return f

@@ -25,7 +25,7 @@ func (r *Runner) ExtMemory() report.Figure {
 	if !r.Quick {
 		counts = []int{2, 3, 4, 5, 6, 7, 8}
 	}
-	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.OnDemand()))} {
+	for _, p := range []cluster.Platform{cluster.IBA(), cluster.IBA().With(cluster.OnDemand())} {
 		c := microbench.Curve{Label: p.Name}
 		for _, n := range counts {
 			w := mpi.MustWorld(mpi.Config{Net: p.New(n), Procs: n})
@@ -53,7 +53,7 @@ func (r *Runner) ExtBcast() report.Figure {
 	f := report.Figure{ID: "Ext B", Title: "MPI_Bcast 1KB: binomial tree vs switch multicast",
 		XLabel: "Nodes", YLabel: "Time (us)"}
 	counts := []int{2, 4, 8}
-	for _, p := range []cluster.Platform{r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.Multicast()))} {
+	for _, p := range []cluster.Platform{cluster.IBA(), cluster.IBA().With(cluster.Multicast())} {
 		label := "tree"
 		if p.Name == "IBA-MC" {
 			label = "multicast"
@@ -71,7 +71,7 @@ func (r *Runner) ExtBcast() report.Figure {
 
 func bcastTime(p cluster.Platform, nodes int) sim.Time {
 	w := mpi.MustWorld(mpi.Config{Net: p.New(nodes), Procs: nodes})
-	// One slot per rank: ranks on different shards run concurrently.
+	// One slot per rank, written only by that rank.
 	per := make([]sim.Time, nodes)
 	if err := w.Run(func(rk *mpi.Rank) {
 		buf := rk.Malloc(1024)
@@ -94,7 +94,7 @@ func (r *Runner) ExtLogP() report.Table {
 	r.logf("Ext C: LogGP parameters")
 	t := report.Table{ID: "Ext C", Title: "LogGP Parameters (Culler et al. model)",
 		Header: []string{"Net", "L (us)", "os (us)", "or (us)", "G (us/KB)", "1/G (MB/s)"}}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		lp := microbench.LogP(p)
 		t.Rows = append(t.Rows, []string{p.Name,
 			fmt.Sprintf("%.2f", lp.L), fmt.Sprintf("%.2f", lp.Os),
@@ -110,7 +110,7 @@ func (r *Runner) ExtLowLevel() report.Table {
 	r.logf("Ext D: below-MPI layers")
 	t := report.Table{ID: "Ext D", Title: "Messaging Layer vs MPI (protocol cost isolation)",
 		Header: []string{"Net", "raw lat us", "MPI lat us", "gap us", "raw bw MB/s", "MPI bw MB/s"}}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		rawLat := lowlevel.Latency(p, 8).Micros()
 		mpiLat := microbench.Latency(p, []int64{8}).Y[0]
 		rawBW := lowlevel.Bandwidth(p, 512*units.KB, 8)

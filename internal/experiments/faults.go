@@ -51,7 +51,7 @@ func (r *Runner) ExtFaults() report.Figure {
 	if r.Quick {
 		iters = 128
 	}
-	for _, p := range r.osu() {
+	for _, p := range osu() {
 		for _, drop := range []float64{0, 0.001, 0.01} {
 			f.Curves = append(f.Curves,
 				microbench.LatencyIters(Faulty(p, drop), r.sizes(4, 4*units.KB), iters))
@@ -80,13 +80,10 @@ func faultPlatform(net string) (cluster.Platform, error) {
 // healthy control. Any run that deadlocks instead of finishing or failing
 // with a typed error is a bug — the MPI watchdog converts starvation into
 // mpi.ErrTimeout, so this function always returns.
-func FaultSmoke(w io.Writer, net string, drop float64, seed uint64, shards int) error {
+func FaultSmoke(w io.Writer, net string, drop float64, seed uint64) error {
 	base, err := faultPlatform(net)
 	if err != nil {
 		return err
-	}
-	if shards > 1 {
-		base = base.With(cluster.WithShards(shards))
 	}
 	if seed == 0 {
 		seed = FaultSeed

@@ -37,7 +37,7 @@ func TestLUSurvivesPacketLoss(t *testing.T) {
 		for _, drop := range []float64{0, 0.01} {
 			done := make(chan error, 1)
 			var out bytes.Buffer
-			go func() { done <- FaultSmoke(&out, net, drop, 0, 1) }()
+			go func() { done <- FaultSmoke(&out, net, drop, 0) }()
 			select {
 			case err := <-done:
 				if err != nil {
@@ -71,7 +71,7 @@ func TestExtFaultsIdenticalAcrossJobs(t *testing.T) {
 
 func TestFaultSmokeRejectsUnknownNet(t *testing.T) {
 	var out bytes.Buffer
-	if err := FaultSmoke(&out, "Ethernet", 0.01, 0, 1); err == nil {
+	if err := FaultSmoke(&out, "Ethernet", 0.01, 0); err == nil {
 		t.Fatal("unknown interconnect accepted")
 	}
 }

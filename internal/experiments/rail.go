@@ -145,14 +145,14 @@ func (r *Runner) ExtRailLatency() report.Figure {
 	if r.Quick {
 		iters = 64
 	}
-	bond := r.pf(cluster.Bond(cluster.IBA(), cluster.Myri()))
+	bond := cluster.Bond(cluster.IBA(), cluster.Myri())
 	healthy := microbench.Curve{Label: bond.Name + " healthy"}
 	killed := microbench.Curve{Label: bond.Name + " IBA killed at 50%"}
 	solo := microbench.Curve{Label: "Myri (survivor solo)"}
 	for _, s := range r.sizes(4, 4*units.KB) {
 		hLat, hMid := railPingPong(bond, s, iters)
 		kLat, _ := railPingPong(railKilled(bond, 0, hMid), s, iters)
-		sLat, _ := railPingPong(r.pf(cluster.Myri()), s, iters)
+		sLat, _ := railPingPong(cluster.Myri(), s, iters)
 		healthy.X, healthy.Y = append(healthy.X, s), append(healthy.Y, hLat.Micros())
 		killed.X, killed.Y = append(killed.X, s), append(killed.Y, kLat.Micros())
 		solo.X, solo.Y = append(solo.X, s), append(solo.Y, sLat.Micros())
@@ -174,7 +174,7 @@ func (r *Runner) ExtRailBandwidth() report.Figure {
 	if r.Quick {
 		rounds = 4
 	}
-	bond := r.pf(cluster.Bond(cluster.IBA(), cluster.Myri()))
+	bond := cluster.Bond(cluster.IBA(), cluster.Myri())
 	stripe := bond.With(cluster.WithRailPolicy(rail.Stripe))
 	fo := microbench.Curve{Label: bond.Name + " failover"}
 	st := microbench.Curve{Label: stripe.Name}
@@ -184,7 +184,7 @@ func (r *Runner) ExtRailBandwidth() report.Figure {
 		foBW, _ := railStream(bond, s, window, rounds)
 		stBW, stMid := railStream(stripe, s, window, rounds)
 		degBW, _ := railStream(railKilled(stripe, 0, stMid), s, window, rounds)
-		soloBW, _ := railStream(r.pf(cluster.Myri()), s, window, rounds)
+		soloBW, _ := railStream(cluster.Myri(), s, window, rounds)
 		for _, c := range []*microbench.Curve{&fo, &st, &deg, &solo} {
 			c.X = append(c.X, s)
 		}
@@ -204,7 +204,7 @@ func (r *Runner) ExtRailBandwidth() report.Figure {
 // healthy elapsed (must complete via failover, slower than healthy), and
 // the same plan on the solo primary (must fail with the device's typed
 // retry exhaustion, not hang). Deterministic in seed at any -j.
-func RailFailSmoke(w io.Writer, pair, policy string, seed uint64, shards int) error {
+func RailFailSmoke(w io.Writer, pair, policy string, seed uint64) error {
 	members, err := railMembers(pair)
 	if err != nil {
 		return err
@@ -217,12 +217,6 @@ func RailFailSmoke(w io.Writer, pair, policy string, seed uint64, shards int) er
 		seed = FaultSeed
 	}
 	bond := cluster.Bond(members[0], members[1:]...).With(cluster.WithRailPolicy(pol))
-	if shards > 1 {
-		bond = bond.With(cluster.WithShards(shards))
-		for i := range members {
-			members[i] = members[i].With(cluster.WithShards(shards))
-		}
-	}
 
 	lu, err := apps.ByName("LU")
 	if err != nil {

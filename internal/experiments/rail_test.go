@@ -19,7 +19,7 @@ func TestRailFailSmoke(t *testing.T) {
 	} {
 		done := make(chan error, 1)
 		var out bytes.Buffer
-		go func() { done <- RailFailSmoke(&out, cfg.pair, cfg.policy, 0, 1) }()
+		go func() { done <- RailFailSmoke(&out, cfg.pair, cfg.policy, 0) }()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -58,13 +58,13 @@ func TestExtRailIdenticalAcrossJobs(t *testing.T) {
 
 func TestRailFailSmokeRejectsBadArgs(t *testing.T) {
 	var out bytes.Buffer
-	if err := RailFailSmoke(&out, "IBA", "failover", 0, 1); err == nil {
+	if err := RailFailSmoke(&out, "IBA", "failover", 0); err == nil {
 		t.Error("single-interconnect pair accepted")
 	}
-	if err := RailFailSmoke(&out, "IBA+Ethernet", "failover", 0, 1); err == nil {
+	if err := RailFailSmoke(&out, "IBA+Ethernet", "failover", 0); err == nil {
 		t.Error("unknown interconnect accepted")
 	}
-	if err := RailFailSmoke(&out, "IBA+Myri", "roundrobin", 0, 1); err == nil {
+	if err := RailFailSmoke(&out, "IBA+Myri", "roundrobin", 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

@@ -24,8 +24,8 @@ func (r *Runner) ExtScaleMemory() report.Figure {
 		counts = []int{64, 256, 1024}
 	}
 	plats := []cluster.Platform{
-		r.pf(cluster.IBA()), r.pf(cluster.IBA().With(cluster.OnDemand())),
-		r.pf(cluster.Myri()), r.pf(cluster.QSN()),
+		cluster.IBA(), cluster.IBA().With(cluster.OnDemand()),
+		cluster.Myri(), cluster.QSN(),
 	}
 	for _, p := range plats {
 		p = p.With(cluster.Clos(3, 24, 2))
@@ -64,10 +64,10 @@ func (r *Runner) ExtIncast() report.Figure {
 		senders = []int{4, 8, 16, 32, 48, 63}
 	}
 	plats := []cluster.Platform{
-		r.pf(cluster.IBA()),
-		r.pf(cluster.IBA()).With(cluster.WithRouting(cluster.Adaptive)),
-		r.pf(cluster.Myri()),
-		r.pf(cluster.QSN()),
+		cluster.IBA(),
+		cluster.IBA().With(cluster.WithRouting(cluster.Adaptive)),
+		cluster.Myri(),
+		cluster.QSN(),
 	}
 	for _, p := range plats {
 		p = p.With(cluster.FatTree(24, 2))

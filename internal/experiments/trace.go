@@ -73,13 +73,10 @@ func TraceLatency(p cluster.Platform, size int64, iters, topK int) (*msgtrace.Bl
 // and the flight-recorder dump plus blame report written to w must name
 // the failing rank and stage (and, via the flight ring's incident
 // fallback, the message that ran out of retries). Deterministic in seed.
-func Postmortem(w io.Writer, net string, drop float64, seed uint64, shards int) error {
+func Postmortem(w io.Writer, net string, drop float64, seed uint64) error {
 	p, err := faultPlatform(net)
 	if err != nil {
 		return err
-	}
-	if shards > 1 {
-		p = p.With(cluster.WithShards(shards))
 	}
 	if seed == 0 {
 		seed = FaultSeed

@@ -207,7 +207,7 @@ func assertNoOrphans(t *testing.T, rec *msgtrace.Recorder) {
 // stage and message.
 func TestPostmortem(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Postmortem(&buf, "IBA", 0.01, 0, 1); err != nil {
+	if err := Postmortem(&buf, "IBA", 0.01, 0); err != nil {
 		t.Fatalf("postmortem: %v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()

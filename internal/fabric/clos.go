@@ -140,30 +140,26 @@ type Clos struct {
 	// written only under their source leaf.
 	pairs []map[int][]PathStage
 	// health, when non-nil, arms failure-domain rendering (health.go):
-	// Between routes around detected element deaths and annotates each route
+	// Between routes around detected element deaths and returns each route
 	// with its fate.
 	health *elementHealth
 	// routes is the deterministic route cache: routes[leaf][dst] memoizes the
-	// segment and fate of any (src on leaf, dst) route, keyed by the
+	// segment, fate included, of any (src on leaf, dst) route, keyed by the
 	// health epoch (always 0 on a healthy fabric). Each leaf's table is keyed
 	// by destination and holds only the destinations its hosts have routed
 	// to, so the cache grows with the traffic pattern, not with leaves ×
-	// nodes. Tables are allocated lazily and written only under their leaf —
-	// the same leaf-locality the adaptive counters rely on — so the
-	// leaf-aligned shard partition gives each table a single writing engine.
-	// Adaptive routing with more than one up-link is load-dependent and
-	// re-picks its plane per message instead.
+	// nodes. Tables are allocated lazily. Adaptive routing with more than one
+	// up-link is load-dependent and re-picks its plane per message instead.
 	routes []map[int]closRoute
 	// cacheOff disables the route cache (SetRouteCache): a debug knob for
 	// verifying cached and uncached runs are byte-identical.
 	cacheOff bool
 }
 
-// closRoute is one route-cache entry: the segment and fate computed for a
-// (source leaf, dst) pair during one health epoch.
+// closRoute is one route-cache entry: the segment, fate included, computed
+// for a (source leaf, dst) pair during one health epoch.
 type closRoute struct {
 	seg   Segment
-	info  RouteInfo
 	epoch uint32
 }
 
@@ -247,8 +243,7 @@ func (t *Clos) climbs(sl, dl int) int {
 
 // pickUplink selects the up-link plane for one message from leaf sl to
 // dst under the configured routing policy. Adaptive dispersion considers
-// every plane; all its inputs are leaf-local, so the choice is identical at
-// any shard count.
+// every plane.
 func (t *Clos) pickUplink(sl, dst int) int {
 	if t.cfg.Routing == Deterministic || t.uplinks == 1 {
 		return dst % t.uplinks
@@ -294,58 +289,41 @@ func (t *Clos) stagePair(sl, dl, u int) []PathStage {
 // Deterministic routes are served from the per-(leaf, dst) cache: within one
 // health epoch the plane choice, stages and fate of such a route are pure
 // functions of the pair, so re-resolution is paid once per epoch instead of
-// once per message. The fate annotation is replayed from the entry so
-// LastRoute behaves identically on hits and misses. Adaptive routes re-pick
-// their plane per message; their stages come from the stage-pair memo, so
-// neither path allocates once warm.
-func (t *Clos) Between(src, dst int) Segment {
+// once per message. Adaptive routes re-pick their plane per message; their
+// stages come from the stage-pair memo, so neither path allocates once warm.
+// now must not decrease from one call to the next: the health epoch only
+// advances.
+func (t *Clos) Between(src, dst int, now sim.Time) Segment {
 	sl, dl := t.LeafOf(src), t.LeafOf(dst)
 	if t.cacheOff || (t.cfg.Routing == Adaptive && t.uplinks > 1) {
-		return t.routeOnce(dst, sl, dl)
+		return t.routeOnce(dst, sl, dl, now)
 	}
 	var epoch uint32
 	if t.health != nil {
-		epoch = t.health.advance()
+		epoch = t.health.advance(now)
 	}
 	e, ok := t.routes[sl][dst]
 	if !ok || e.epoch != epoch {
-		e.seg = t.routeOnce(dst, sl, dl)
-		if t.health != nil {
-			e.info = t.health.last
-		}
-		e.epoch = epoch
+		e = closRoute{seg: t.routeOnce(dst, sl, dl, now), epoch: epoch}
 		if t.routes[sl] == nil {
 			t.routes[sl] = make(map[int]closRoute)
 		}
 		t.routes[sl][dst] = e
-	}
-	if t.health != nil {
-		t.health.last = e.info
 	}
 	return e.seg
 }
 
 // routeOnce resolves a route without consulting the cache: the faulty path
 // when element faults are armed, the healthy geometry otherwise.
-func (t *Clos) routeOnce(dst, sl, dl int) Segment {
+func (t *Clos) routeOnce(dst, sl, dl int, now sim.Time) Segment {
 	if t.health != nil {
-		return t.betweenFaulty(dst, sl, dl)
+		return t.betweenFaulty(dst, sl, dl, now)
 	}
 	if sl == dl {
 		return Segment{Down: t.cfg.Crossing, Plane: -1}
 	}
 	u := t.pickUplink(sl, dst)
 	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u}
-}
-
-// SrcStages implements SplitTopology: the up-link stage of a cross-leaf
-// route lives with the source leaf's node domain; everything after the
-// spine turn belongs to the destination's.
-func (t *Clos) SrcStages(src, dst int) int {
-	if t.LeafOf(src) == t.LeafOf(dst) {
-		return 0
-	}
-	return 1
 }
 
 // Hops reports the element count a (src, dst) route crosses.
@@ -372,22 +350,4 @@ func (t *Clos) Instrument(m *metrics.Registry) {
 			}
 		}
 	}
-}
-
-// SplitTopology is implemented by topologies that can say how many of the
-// stages Between returns lie on the source node's side of the inter-domain
-// wire crossing. The domain-split transfer (TransferCut) runs those stages
-// on the source's engine and the rest on the destination's; a topology
-// without the method keeps every intermediate stage destination-side.
-type SplitTopology interface {
-	SrcStages(src, dst int) int
-}
-
-// SrcStagesOf reports t's source-side stage count for a route, 0 when the
-// topology does not split.
-func SrcStagesOf(t Topology, src, dst int) int {
-	if st, ok := t.(SplitTopology); ok {
-		return st.SrcStages(src, dst)
-	}
-	return 0
 }

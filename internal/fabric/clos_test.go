@@ -80,14 +80,11 @@ func TestClosLegacyFatTreeShape(t *testing.T) {
 	if tr.Hops(0, 17) != 3 {
 		t.Fatalf("cross-leaf hops = %d, want 3", tr.Hops(0, 17))
 	}
-	if stages := tr.Between(0, 1).Stages; len(stages) != 0 {
+	if stages := tr.Between(0, 1, 0).Stages; len(stages) != 0 {
 		t.Fatal("same-leaf route must not touch up-links")
 	}
-	if stages := tr.Between(0, 17).Stages; len(stages) != 2 {
+	if stages := tr.Between(0, 17, 0).Stages; len(stages) != 2 {
 		t.Fatal("cross-leaf route must take up-link + down-link")
-	}
-	if tr.SrcStages(0, 1) != 0 || tr.SrcStages(0, 17) != 1 {
-		t.Fatal("source-side stage split wrong")
 	}
 }
 
@@ -102,20 +99,20 @@ func TestClosDeterministicECMP(t *testing.T) {
 	a, b := build(), build()
 	// Same route, any call order, any instance: the same up-link index.
 	for _, dst := range []int{8, 9, 10, 20, 30} {
-		pa := a.Between(0, dst).Stages
-		pb := b.Between(0, dst).Stages
+		pa := a.Between(0, dst, 0).Stages
+		pb := b.Between(0, dst, 0).Stages
 		// Interleave unrelated routing decisions on b only; determinism
 		// means they cannot perturb the route choice.
-		b.Between(dst, 0)
-		b.Between(1, dst)
-		pb2 := b.Between(0, dst).Stages
+		b.Between(dst, 0, 0)
+		b.Between(1, dst, 0)
+		pb2 := b.Between(0, dst, 0).Stages
 		if pa[0].Stage != pb[0].Stage && pa[0].Stage.(*sim.Pipe).Name() != pb[0].Stage.(*sim.Pipe).Name() || pb[0].Stage != pb2[0].Stage {
 			t.Fatalf("route 0->%d not deterministic", dst)
 		}
 	}
 	// Destinations on one remote leaf spread across up-links.
-	p8 := a.Between(0, 8).Stages
-	p9 := a.Between(0, 9).Stages
+	p8 := a.Between(0, 8, 0).Stages
+	p9 := a.Between(0, 9, 0).Stages
 	if p8[0].Stage == p9[0].Stage {
 		t.Fatal("ECMP did not spread destinations")
 	}
@@ -132,7 +129,7 @@ func TestClosAdaptiveReplay(t *testing.T) {
 			if tr.LeafOf(src) == tr.LeafOf(dst) {
 				continue
 			}
-			p := tr.Between(src, dst).Stages
+			p := tr.Between(src, dst, 0).Stages
 			picks = append(picks, p[0].Stage.(*sim.Pipe).Name())
 		}
 		return picks
@@ -192,7 +189,7 @@ func TestClosConservationAtScale(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		seg := tr.Between(src, dst)
+		seg := tr.Between(src, dst, 0)
 		sent++
 		done := func(at sim.Time) {
 			delivered++

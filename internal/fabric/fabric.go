@@ -123,8 +123,8 @@ func (s *Switch) Ports() int { return s.cfg.Ports }
 // testbeds) or a multi-stage Clos (the scaling extension).
 type Topology interface {
 	// Between resolves the fabric segment of a message from src node to
-	// dst node.
-	Between(src, dst int) Segment
+	// dst node sent at now, the fate of its route included.
+	Between(src, dst int, now sim.Time) Segment
 	// Nodes reports how many hosts the fabric can attach.
 	Nodes() int
 }
@@ -132,13 +132,16 @@ type Topology interface {
 // Segment is the fabric's share of one route: the intermediate stages a
 // message crosses between the source's up-link and the destination's
 // down-link (possibly none), the latency to add to that down-link (switch
-// crossings and wire time), and the up-link plane the route rides, -1 when
-// it never climbs. Within a plane the segment between two nodes never
-// changes, so a route's plane is all a path cache needs to key it by.
+// crossings and wire time), the up-link plane the route rides (-1 when it
+// never climbs), and the route's fate under element faults (the zero
+// RouteInfo, RouteOK, on a healthy fabric). Within a plane the stages
+// between two nodes never change, so a route's plane is all a path cache
+// needs to key it by.
 type Segment struct {
 	Stages []PathStage
 	Down   sim.Time
 	Plane  int
+	Fate   RouteInfo
 }
 
 // CrossbarTopology adapts the single-switch star: no intermediate stages,
@@ -153,7 +156,7 @@ func NewCrossbarTopology(sw *Switch) *CrossbarTopology {
 }
 
 // Between implements Topology.
-func (c *CrossbarTopology) Between(src, dst int) Segment {
+func (c *CrossbarTopology) Between(src, dst int, now sim.Time) Segment {
 	return Segment{Down: c.sw.Crossing(), Plane: -1}
 }
 
@@ -202,13 +205,9 @@ type xfer struct {
 // FIFO order at every stage (each stage is a FIFO station and every chunk
 // pays the same latency after it), so once the last chunk clears the last
 // stage no event of the transfer is left and the sentinel is the record's
-// last reference. The pools are sync.Pools rather than per-engine free lists
-// because a cutXfer completes on the destination's engine, which under
-// sharded windows runs on another goroutine than the one that issued it.
-var (
-	xfers    = sync.Pool{New: func() any { return new(xfer) }}
-	cutXfers = sync.Pool{New: func() any { return new(cutXfer) }}
-)
+// last reference. The pool is a sync.Pool rather than a per-engine free list
+// so the independent worlds of a -j run share it safely.
+var xfers = sync.Pool{New: func() any { return new(xfer) }}
 
 // chunking splits size bytes into chunks of at most chunk bytes: the chunk
 // count and the size of the last one. A size of zero or less — a control
@@ -339,88 +338,4 @@ func ChunkFor(size int64) int64 {
 		return DefaultChunk
 	}
 	return c
-}
-
-// cutXfer is an in-flight TransferCut: the cut-through chunk pipeline of
-// xfer, with the path split across two engines of one sharded group. Stages
-// [0, cut) — the source node's bus/NIC/link plus any source-leaf fabric
-// stage — execute on the source's engine; stages [cut, len) and the
-// completion sentinel execute on the destination's. The hand-off between
-// stage cut-1 and stage cut rides the wire-latency hop, which is at least
-// the group's cross-shard lookahead by construction (the lookahead IS the
-// minimum wire latency), so the cross-engine schedule never violates the
-// conservative window.
-type cutXfer struct {
-	src, dst *sim.Engine
-	path     []PathStage
-	cut      int
-	done     func(end sim.Time)
-	chunk    int64
-	last     int64
-	nchunks  int64
-}
-
-// engineFor returns the engine that owns a stage index (the sentinel
-// len(path) belongs to the destination).
-func (x *cutXfer) engineFor(stage int64) *sim.Engine {
-	if stage < int64(x.cut) {
-		return x.src
-	}
-	return x.dst
-}
-
-// HandleEvent implements sim.Handler on whichever engine owns the stage.
-func (x *cutXfer) HandleEvent(ci, stage int64) {
-	e := x.engineFor(stage)
-	if stage == int64(len(x.path)) {
-		done, now := x.done, e.Now()
-		*x = cutXfer{}
-		cutXfers.Put(x)
-		done(now)
-		return
-	}
-	n := x.chunk
-	if ci == x.nchunks-1 {
-		n = x.last
-	}
-	st := x.path[stage]
-	_, end := st.Stage.Send(e.Now(), n)
-	arrive := end + st.Latency
-	if stage == 0 && ci+1 < x.nchunks {
-		e.CallAt(end, x, ci+1, 0)
-	}
-	next := stage + 1
-	if next < int64(len(x.path)) || ci == x.nchunks-1 {
-		if ne := x.engineFor(next); ne == e {
-			e.CallAt(arrive, x, ci, next)
-		} else {
-			e.SendTo(ne.ShardID(), arrive-e.Now(), x, ci, next)
-		}
-	}
-}
-
-// TransferCut is Transfer with the path split across the source and
-// destination node domains of a sharded engine group: cut names the first
-// destination-side stage. With both ends on the same engine (same shard, a
-// serial run, or unplaced domains) it degrades to the plain single-engine
-// pipeline, scheduling the exact same (time, stage) sequence — the
-// transport differs, never the timing.
-func TransferCut(srcE, dstE *sim.Engine, path []PathStage, cut int, size, chunk int64, start sim.Time, done func(end sim.Time)) {
-	if srcE == dstE {
-		Transfer(srcE, path, size, chunk, start, done)
-		return
-	}
-	nchunks, last := chunking(size, chunk)
-	if cut < 1 || cut > len(path) {
-		// Stage 0 must be source-side: the transfer is issued on the source
-		// engine, and every physical path starts at the source's own bus.
-		panic(fmt.Sprintf("fabric: cut %d outside path of %d stages", cut, len(path)))
-	}
-	if len(path) == 0 {
-		panic("fabric: TransferCut needs a staged path to cross domains")
-	}
-	x := cutXfers.Get().(*cutXfer)
-	x.src, x.dst, x.path, x.cut, x.done = srcE, dstE, path, cut, done
-	x.chunk, x.nchunks, x.last = chunk, nchunks, last
-	srcE.CallAt(start, x, 0, 0)
 }

@@ -194,7 +194,7 @@ func TestCrossbarTopology(t *testing.T) {
 	if topo.Nodes() != 8 {
 		t.Fatal("crossbar nodes")
 	}
-	seg := topo.Between(0, 5)
+	seg := topo.Between(0, 5, 0)
 	if len(seg.Stages) != 0 || seg.Down != 150*units.Nanosecond || seg.Plane != -1 {
 		t.Fatal("crossbar Between")
 	}

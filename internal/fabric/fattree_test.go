@@ -40,11 +40,11 @@ func TestFatTreeHops(t *testing.T) {
 
 func TestFatTreeBetween(t *testing.T) {
 	tr := testTree()
-	seg := tr.Between(0, 1)
+	seg := tr.Between(0, 1, 0)
 	if len(seg.Stages) != 0 || seg.Down != 200*units.Nanosecond {
 		t.Fatalf("same-leaf: %d stages, latency %v", len(seg.Stages), seg.Down)
 	}
-	stages := tr.Between(0, 5).Stages
+	stages := tr.Between(0, 5, 0).Stages
 	if len(stages) != 2 {
 		t.Fatalf("cross-leaf: %d stages, want 2", len(stages))
 	}
@@ -52,14 +52,14 @@ func TestFatTreeBetween(t *testing.T) {
 
 func TestFatTreeDeterministicECMP(t *testing.T) {
 	tr := testTree()
-	a := tr.Between(0, 5).Stages
-	b := tr.Between(0, 5).Stages
+	a := tr.Between(0, 5, 0).Stages
+	b := tr.Between(0, 5, 0).Stages
 	if a[0].Stage != b[0].Stage || a[1].Stage != b[1].Stage {
 		t.Fatal("route to the same destination changed")
 	}
 	// Different destinations on the same remote leaf spread across spines.
-	r5 := tr.Between(0, 5).Stages
-	r6 := tr.Between(0, 6).Stages
+	r5 := tr.Between(0, 5, 0).Stages
+	r6 := tr.Between(0, 6, 0).Stages
 	if r5[0].Stage == r6[0].Stage {
 		t.Fatal("ECMP did not spread destinations across spines")
 	}
@@ -74,7 +74,7 @@ func TestFatTreeUplinkContention(t *testing.T) {
 	run := func(dsts []int) sim.Time {
 		var last sim.Time
 		for _, dst := range dsts {
-			stages := tr.Between(0, dst).Stages
+			stages := tr.Between(0, dst, 0).Stages
 			Transfer(eng, stages, size, DefaultChunk, eng.Now(), func(at sim.Time) {
 				if at > last {
 					last = at
@@ -92,7 +92,7 @@ func TestFatTreeUplinkContention(t *testing.T) {
 	tr2 := testTree()
 	var last2 sim.Time
 	for _, dst := range []int{4, 5} { // spines 0 and 1: disjoint uplinks
-		stages := tr2.Between(0, dst).Stages
+		stages := tr2.Between(0, dst, 0).Stages
 		Transfer(eng2, stages, size, DefaultChunk, eng2.Now(), func(at sim.Time) {
 			if at > last2 {
 				last2 = at

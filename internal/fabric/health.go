@@ -39,15 +39,10 @@ const (
 	RoutePartitioned
 )
 
-// RouteInfo is the fate annotation of the last route computed by a
-// fault-aware topology, read back via LastRouteOf immediately after the
-// path-building call (safe under the cooperative scheduler: nothing runs
-// between Between and the read-back).
+// RouteInfo is the fate of a route under element faults, returned by
+// Between inside the route's Segment.
 type RouteInfo struct {
 	State RouteState
-	// Plane is the up-link equivalence class the route rides (-1 for
-	// same-leaf traffic that never climbs).
-	Plane int
 	// Element names the dead element responsible for a Blackhole or
 	// Partitioned verdict ("leaf 3", "spine plane 1").
 	Element string
@@ -72,23 +67,18 @@ const (
 func ElemCode(kind int64, index int) int64 { return msgtrace.ElemCode(kind, index) }
 
 // elementHealth is the Clos topology's view of the fault plan's element
-// faults. The engine is the clock: Between has no now parameter, and under
-// a fault plan the world keeps every node domain on one engine, so the
-// engine's now is the packet's send instant.
+// faults, read at the now each Between call passes.
 type elementHealth struct {
 	kills    []faults.SwitchKill
 	degrades []faults.LinecardDegrade
 	detect   sim.Time
-	eng      *sim.Engine
-	last     RouteInfo
 	// transitions is the sorted set of instants at which any armed fault
 	// changes observable routing state (death, detection, repair, degrade
 	// start or end); epoch counts how many lie in the past. Between's route
 	// cache keys entries by the epoch: within one epoch every route is a pure
 	// function of (source leaf, dst), so advancing the epoch is the entire
-	// invalidation protocol. Lazy advance on the engine's now is sound
-	// because element faults keep every node domain on one engine, where
-	// Between observes a monotonic clock.
+	// invalidation protocol. Lazy advance is sound because Between's callers
+	// pass a monotonic clock.
 	transitions []sim.Time
 	epoch       uint32
 	// names caches element display names by element code: a black-holed
@@ -114,10 +104,9 @@ func (h *elementHealth) name(kind int64, index int) string {
 	return s
 }
 
-// advance moves the fault epoch up to the engine's current time and returns
-// it. O(1) amortized: each transition instant is consumed once per run.
-func (h *elementHealth) advance() uint32 {
-	now := h.eng.Now()
+// advance moves the fault epoch up to now and returns it. O(1) amortized:
+// each transition instant is consumed once per run.
+func (h *elementHealth) advance(now sim.Time) uint32 {
 	for int(h.epoch) < len(h.transitions) && now >= h.transitions[h.epoch] {
 		h.epoch++
 	}
@@ -126,9 +115,9 @@ func (h *elementHealth) advance() uint32 {
 
 // SetElementFaults arms the topology's failure-domain rendering from a
 // plan's SwitchKills/LinecardDegrades. The device calls it at construction
-// when the plan has element faults; eng supplies the clock. Kills at
-// levels the fabric does not have are rejected.
-func (t *Clos) SetElementFaults(p *faults.Plan, eng *sim.Engine) error {
+// when the plan has element faults. Kills at levels the fabric does not
+// have are rejected.
+func (t *Clos) SetElementFaults(p *faults.Plan) error {
 	if p == nil || !p.HasElements() {
 		return nil
 	}
@@ -144,7 +133,6 @@ func (t *Clos) SetElementFaults(p *faults.Plan, eng *sim.Engine) error {
 		kills:    append([]faults.SwitchKill(nil), p.SwitchKills...),
 		degrades: append([]faults.LinecardDegrade(nil), p.LinecardDegrades...),
 		detect:   p.DetectionDelay(),
-		eng:      eng,
 	}
 	// Precompute every instant routing behaviour can change. Superfluous
 	// entries (a detection instant past the repair, duplicates) only cost a
@@ -161,15 +149,6 @@ func (t *Clos) SetElementFaults(p *faults.Plan, eng *sim.Engine) error {
 	slices.Sort(h.transitions)
 	t.health = h
 	return nil
-}
-
-// LastRoute returns the fate annotation of the most recent Between call.
-// Zero-valued (RouteOK) when the topology has no element faults armed.
-func (t *Clos) LastRoute() RouteInfo {
-	if t.health == nil {
-		return RouteInfo{Plane: -1}
-	}
-	return t.health.last
 }
 
 // planeState reports whether up-link plane u is dead at now and whether the
@@ -228,11 +207,10 @@ func (t *Clos) routeExtra(sl, dl, plane int, now sim.Time) float64 {
 // the healthy path exactly when no fault is active at now — same plane
 // choice, same adaptive draws — so arming an all-future plan does not
 // perturb the pre-fault prefix of a run.
-func (t *Clos) betweenFaulty(dst, sl, dl int) Segment {
+func (t *Clos) betweenFaulty(dst, sl, dl int, now sim.Time) Segment {
 	h := t.health
-	now := h.eng.Now()
 	if sl == dl {
-		info := RouteInfo{Plane: -1}
+		var info RouteInfo
 		if dead, det := t.leafState(sl, now); dead {
 			info.Element = h.name(ElemLeaf, sl)
 			info.ElementCode = ElemCode(ElemLeaf, sl)
@@ -243,12 +221,11 @@ func (t *Clos) betweenFaulty(dst, sl, dl int) Segment {
 			}
 		}
 		info.ExtraDrop = t.routeExtra(sl, dl, -1, now)
-		h.last = info
-		return Segment{Down: t.cfg.Crossing, Plane: -1}
+		return Segment{Down: t.cfg.Crossing, Plane: -1, Fate: info}
 	}
 	// A dead endpoint leaf beats plane selection: no plane routes around it.
 	// A detected leaf death partitions; an undetected one black-holes.
-	info := RouteInfo{Plane: -1}
+	var info RouteInfo
 	for _, l := range [2]int{sl, dl} {
 		dead, det := t.leafState(l, now)
 		if !dead {
@@ -306,10 +283,8 @@ func (t *Clos) betweenFaulty(dst, sl, dl int) Segment {
 		info.Element = h.name(ElemPlane, u)
 		info.ElementCode = ElemCode(ElemPlane, u)
 	}
-	info.Plane = u
 	info.ExtraDrop = t.routeExtra(sl, dl, u, now)
-	h.last = info
-	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u}
+	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u, Fate: info}
 }
 
 // pickAdaptive is the adaptive policy restricted to a candidate plane set:
@@ -373,13 +348,4 @@ func DiameterOf(t Topology) int {
 		return d.Diameter()
 	}
 	return 1
-}
-
-// LastRouteOf reads back the fate of the last route a topology computed;
-// RouteOK for topologies without fault-aware routing.
-func LastRouteOf(t Topology) RouteInfo {
-	if lr, ok := t.(interface{ LastRoute() RouteInfo }); ok {
-		return lr.LastRoute()
-	}
-	return RouteInfo{Plane: -1}
 }

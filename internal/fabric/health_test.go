@@ -27,7 +27,7 @@ func armedClos(t *testing.T, routing Routing, plan *faults.Plan) (*Clos, *sim.En
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	if err := tr.SetElementFaults(plan, eng); err != nil {
+	if err := tr.SetElementFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	return tr, eng
@@ -38,9 +38,8 @@ func armedClos(t *testing.T, routing Routing, plan *faults.Plan) (*Clos, *sim.En
 func routeAt(eng *sim.Engine, tr *Clos, at sim.Time, dsts []int, out *[]probe) {
 	eng.At(at, func() {
 		for _, dst := range dsts {
-			tr.Between(0, dst)
-			info := tr.LastRoute()
-			*out = append(*out, probe{info.State, info.Plane, info.Element})
+			seg := tr.Between(0, dst, eng.Now())
+			*out = append(*out, probe{seg.Fate.State, seg.Plane, seg.Fate.Element})
 		}
 	})
 }
@@ -130,8 +129,8 @@ func TestClosAllPlanesDeadPartition(t *testing.T) {
 	}
 	tr, eng := armedClos(t, Deterministic, plan)
 	eng.At(3*units.Millisecond, func() {
-		stages := tr.Between(0, 5).Stages
-		info := tr.LastRoute()
+		seg := tr.Between(0, 5, eng.Now())
+		stages, info := seg.Stages, seg.Fate
 		if info.State != RoutePartitioned {
 			t.Errorf("all planes dead: state %v, want partitioned", info.State)
 		}
@@ -142,8 +141,7 @@ func TestClosAllPlanesDeadPartition(t *testing.T) {
 			t.Errorf("partitioned route not well-formed: %d stages", len(stages))
 		}
 		// Same-leaf traffic does not ride the spine and survives.
-		tr.Between(0, 1)
-		if got := tr.LastRoute(); got.State != RouteOK {
+		if got := tr.Between(0, 1, eng.Now()).Fate; got.State != RouteOK {
 			t.Errorf("same-leaf route died with the spines: %+v", got)
 		}
 	})
@@ -161,24 +159,21 @@ func TestClosLeafKillPartition(t *testing.T) {
 	}}
 	tr, eng := armedClos(t, Deterministic, plan)
 	eng.At(1500*units.Microsecond, func() {
-		tr.Between(0, 5) // host 5 lives under leaf 1
-		if got := tr.LastRoute(); got.State != RouteBlackhole || got.Element != "leaf 1" {
+		// host 5 lives under leaf 1
+		if got := tr.Between(0, 5, eng.Now()).Fate; got.State != RouteBlackhole || got.Element != "leaf 1" {
 			t.Errorf("undetected leaf death: %+v, want blackhole on leaf 1", got)
 		}
 	})
 	eng.At(2500*units.Microsecond, func() {
-		tr.Between(0, 5)
-		if got := tr.LastRoute(); got.State != RoutePartitioned || got.Element != "leaf 1" {
+		if got := tr.Between(0, 5, eng.Now()).Fate; got.State != RoutePartitioned || got.Element != "leaf 1" {
 			t.Errorf("detected leaf death: %+v, want partitioned on leaf 1", got)
 		}
 		// Same-leaf traffic under the dead leaf is gone too.
-		tr.Between(4, 5)
-		if got := tr.LastRoute(); got.State != RoutePartitioned {
+		if got := tr.Between(4, 5, eng.Now()).Fate; got.State != RoutePartitioned {
 			t.Errorf("same-leaf route under dead leaf: %+v, want partitioned", got)
 		}
 		// Leaves 0 and 2 route around the corpse unperturbed.
-		tr.Between(0, 8)
-		if got := tr.LastRoute(); got.State != RouteOK {
+		if got := tr.Between(0, 8, eng.Now()).Fate; got.State != RouteOK {
 			t.Errorf("bystander route 0->8: %+v, want OK", got)
 		}
 	})
@@ -197,8 +192,7 @@ func TestClosLinecardDegradeExtraDrop(t *testing.T) {
 	}}
 	tr, eng := armedClos(t, Deterministic, plan)
 	extra := func(src, dst int) float64 {
-		tr.Between(src, dst)
-		return tr.LastRoute().ExtraDrop
+		return tr.Between(src, dst, eng.Now()).Fate.ExtraDrop
 	}
 	eng.At(500*units.Microsecond, func() {
 		if got := extra(0, 6); got != 0 {
@@ -249,9 +243,8 @@ func TestClosAdaptiveAvoidsDeadPlanes(t *testing.T) {
 				if tr.LeafOf(src) == tr.LeafOf(dst) {
 					continue
 				}
-				tr.Between(src, dst)
-				info := tr.LastRoute()
-				got = append(got, probe{info.State, info.Plane, info.Element})
+				seg := tr.Between(src, dst, eng.Now())
+				got = append(got, probe{seg.Fate.State, seg.Plane, seg.Fate.Element})
 			}
 		})
 		if err := eng.Run(); err != nil {
@@ -286,23 +279,22 @@ func TestSetElementFaultsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New()
 	bad := []*faults.Plan{
 		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 2, Index: 0, At: 1}}},  // no tier 2
 		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 0, Index: 8, At: 1}}},  // 8 leaves: 0..7
 		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 0, Index: -1, At: 1}}}, // negative leaf
 	}
 	for i, p := range bad {
-		if err := tr.SetElementFaults(p, eng); err == nil {
+		if err := tr.SetElementFaults(p); err == nil {
 			t.Errorf("plan %d accepted: %+v", i, p.SwitchKills[0])
 		}
 	}
 	// A plan without element faults arms nothing and is fine.
-	if err := tr.SetElementFaults(&faults.Plan{Seed: 1, Drop: 0.1}, eng); err != nil {
+	if err := tr.SetElementFaults(&faults.Plan{Seed: 1, Drop: 0.1}); err != nil {
 		t.Fatalf("element-free plan rejected: %v", err)
 	}
-	if tr.LastRoute().Plane != -1 {
-		t.Fatal("unarmed topology should report the zero RouteInfo")
+	if got := tr.Between(0, 5, 0).Fate; got != (RouteInfo{}) {
+		t.Fatalf("unarmed topology reported fate %+v, want the zero RouteInfo", got)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 
 // routeSig renders one Between call into a comparable signature: every stage's
 // pipe name and latency, the final-hop latency, and the full fate annotation.
-func routeSig(tr *Clos, src, dst int) string {
-	seg := tr.Between(src, dst)
+func routeSig(tr *Clos, src, dst int, now sim.Time) string {
+	seg := tr.Between(src, dst, now)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d->%d:", src, dst)
 	for _, st := range seg.Stages {
@@ -30,9 +30,9 @@ func routeSig(tr *Clos, src, dst int) string {
 		}
 		fmt.Fprintf(&b, " %s@%v", name, st.Latency)
 	}
-	info := tr.LastRoute()
+	info := seg.Fate
 	fmt.Fprintf(&b, " down=%v state=%d plane=%d elem=%q code=%d drop=%g",
-		seg.Down, info.State, info.Plane, info.Element, info.ElementCode, info.ExtraDrop)
+		seg.Down, info.State, seg.Plane, info.Element, info.ElementCode, info.ExtraDrop)
 	return b.String()
 }
 
@@ -51,8 +51,8 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 	plan := &faults.Plan{
 		Seed: 1,
 		SwitchKills: []faults.SwitchKill{
-			{Level: 1, Index: 1, At: kill, RepairAt: repair},        // spine plane 1 dies, heals
-			{Level: 0, Index: 2, At: 2 * units.Millisecond},         // leaf 2 dies for good
+			{Level: 1, Index: 1, At: kill, RepairAt: repair}, // spine plane 1 dies, heals
+			{Level: 0, Index: 2, At: 2 * units.Millisecond},  // leaf 2 dies for good
 		},
 		LinecardDegrades: []faults.LinecardDegrade{
 			{Level: 1, Index: 2, From: kill, Until: 3 * units.Millisecond, Drop: 0.05},
@@ -66,7 +66,7 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	if err := tr.SetElementFaults(plan, eng); err != nil {
+	if err := tr.SetElementFaults(plan); err != nil {
 		t.Fatal(err)
 	}
 	tr.SetRouteCache(cacheOn)
@@ -95,12 +95,12 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 		at := at
 		eng.At(at, func() {
 			for _, pr := range pairs {
-				got = append(got, fmt.Sprintf("%v %s", at, routeSig(tr, pr[0], pr[1])))
+				got = append(got, fmt.Sprintf("%v %s", at, routeSig(tr, pr[0], pr[1], eng.Now())))
 			}
 			// Sample each pair twice per instant so cache hits inside one
 			// epoch are exercised, not just first-resolution misses.
 			for _, pr := range pairs {
-				got = append(got, fmt.Sprintf("%v bis %s", at, routeSig(tr, pr[0], pr[1])))
+				got = append(got, fmt.Sprintf("%v bis %s", at, routeSig(tr, pr[0], pr[1], eng.Now())))
 			}
 		})
 	}
@@ -164,11 +164,11 @@ func TestRouteCacheHitsZeroAlloc(t *testing.T) {
 	// Warm every probed route once (first resolution allocates the row and
 	// the stage slice).
 	for dst := 0; dst < 64; dst++ {
-		tr.Between(0, dst)
+		tr.Between(0, dst, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for dst := 0; dst < 64; dst++ {
-			tr.Between(0, dst)
+			tr.Between(0, dst, 0)
 		}
 	})
 	if allocs != 0 {

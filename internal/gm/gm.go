@@ -158,7 +158,7 @@ func (hw *nodeHW) HandleEvent(op, n int64) {
 		// The sending LANai absorbs the ACK and the send token, with its
 		// staging, returns.
 		hw.outTx -= n
-		hw.lanai.Use(hw.net.EngineFor(hw.node).Now(), ackProcess)
+		hw.lanai.Use(hw.net.Engine().Now(), ackProcess)
 		hw.acks.Inc()
 	}
 }
@@ -327,9 +327,8 @@ func (l lanaiStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 // segment seg. The LANai engine appears once per side per message
 // (envelope processing); payload chunks flow through the per-direction DMA
 // engines and the link, with the segment's stages (none for the star
-// crossbar, leaf links for a Clos) between them. Bus, LANai, send-DMA and
-// link up run on the source's hardware.
-func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
+// crossbar, leaf links for a Clos) between them.
+func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
 	if dst == ep.Node() {
 		return []fabric.PathStage{
@@ -339,7 +338,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, in
 			{Stage: src.rdma},
 			{Stage: lanaiStage{src.lanai}},
 			{Stage: src.bus},
-		}, 4
+		}
 	}
 	d := ep.net.nodes[dst]
 	stages := []fabric.PathStage{
@@ -354,7 +353,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, in
 		fabric.PathStage{Stage: lanaiStage{d.lanai}},
 		fabric.PathStage{Stage: d.rdma},
 		fabric.PathStage{Stage: d.bus},
-	), 4
+	)
 }
 
 // Hold implements nic.Holder: a bulk payload claims SRAM staging on both
@@ -381,7 +380,7 @@ func (ep *endpoint) Delivered(m nic.Msg) {
 	}
 	dstHW := ep.net.nodes[dst]
 	dstHW.outRx -= staged
-	dstHW.lanai.Use(ep.net.EngineFor(dst).Now(), ackProcess)
+	dstHW.lanai.Use(ep.net.Engine().Now(), ackProcess)
 	dstHW.acks.Inc()
 	if dst == node {
 		dstHW.outTx -= staged
@@ -410,13 +409,13 @@ func (ep *endpoint) peerHop(from, to int, flight sim.Time, op, n int64) {
 		hw.HandleEvent(op, n)
 		return
 	}
-	ep.net.EngineFor(from).CallOn(ep.net.EngineFor(to), flight+dev.Skew(from), hw, op, n)
+	ep.net.Engine().Call(flight+dev.Skew(from), hw, op, n)
 }
 
 // Resend implements nic.Resender: a lapsed ACK timeout runs the LANai's
 // firmware timeout handler before the resend.
 func (ep *endpoint) Resend() {
-	ep.net.nodes[ep.Node()].lanai.Use(ep.net.EngineFor(ep.Node()).Now(), ackProcess)
+	ep.net.nodes[ep.Node()].lanai.Use(ep.net.Engine().Now(), ackProcess)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {

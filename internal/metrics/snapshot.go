@@ -104,9 +104,8 @@ func (s Snapshot) Merged() Snapshot {
 // MergeSnapshots folds any number of snapshots into one deterministic
 // aggregate: items sharing a name combine by kind (counts and times sum,
 // gauge high-waters take the maximum) and the result is name-sorted, so the
-// output is invariant under input order — the shard-safe way to combine
-// per-shard registries at snapshot time, where Engine-side merging would
-// depend on which shard's probes fired first.
+// output is invariant under input order: the deterministic way to combine
+// the registries of independent worlds.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	agg := make(map[string]*Item)
 	var names []string

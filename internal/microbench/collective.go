@@ -14,7 +14,7 @@ import (
 // operation, barrier synchronization, the slowest rank's average reported).
 func collectiveTime(p cluster.Platform, procs int, iters int, setup func(r *mpi.Rank) func()) sim.Time {
 	w := mpi.MustWorld(mpi.Config{Net: p.New(procs), Procs: procs})
-	// One slot per rank: ranks on different shards run concurrently.
+	// One slot per rank, written only by that rank.
 	avg := make([]sim.Time, procs)
 	mustRun(w, func(r *mpi.Rank) {
 		op := setup(r)

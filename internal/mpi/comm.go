@@ -26,8 +26,7 @@ type Comm struct {
 // per rank over the world's shared rank list: every collective resolves it,
 // and rebuilding a world-size []int per call was the single largest
 // allocation site in 1k-rank worlds. The list is read-only (Split reads it,
-// Dup copies it), so sharing one across all ranks is safe even when ranks
-// run on different shards.
+// Dup copies it), so sharing one across all ranks is safe.
 func (r *Rank) CommWorld() *Comm {
 	ps := r.ps
 	if c := ps.worldComm; c != nil && c.r == r {
@@ -250,8 +249,8 @@ func (ps *procState) nextSplitGen(parent int) int {
 
 // commID returns a stable context id for a rank list, identical across all
 // members (the simulation analogue of context-id agreement). Guarded by
-// commMu: with domains placed the members run on different shards, and the
-// completed agreement traffic — not this map — is what orders their calls.
+// commMu; the completed agreement traffic — not this map — is what orders
+// the members' calls.
 func (w *World) commID(ranks []int) int {
 	key := rankKey(ranks)
 	w.commMu.Lock()
@@ -285,8 +284,8 @@ func (w *World) postSplit(parentComm, gen, me, color, key int) {
 }
 
 // readSplit snapshots the board once the member's allgather has completed,
-// which guarantees (through the message traffic's cross-shard ordering)
-// that all p postings are present.
+// which guarantees (through the message traffic's ordering) that all p
+// postings are present.
 func (w *World) readSplit(parentComm, gen, p int) map[int][2]int {
 	w.commMu.Lock()
 	defer w.commMu.Unlock()

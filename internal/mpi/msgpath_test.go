@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"mpinet/internal/cluster"
@@ -93,90 +91,6 @@ func TestMessagePathZeroAlloc(t *testing.T) {
 					t.Errorf("steady-state message path allocates %.3f times per message, want <= 0.05", per)
 				}
 			})
-		}
-	}
-}
-
-// ringTranscript runs a mixed ring workload and renders every rank's
-// completions — statuses, errors and simulated completion times — plus the
-// world's end time. placed reports whether the world's node domains ran on
-// the shard group's engines.
-func ringTranscript(t *testing.T, p cluster.Platform, procs int) (transcript string, placed bool) {
-	t.Helper()
-	w, err := NewWorld(Config{Net: p.New(procs), Procs: procs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([][]string, procs)
-	err = w.Run(func(r *Rank) {
-		n, me := r.Size(), r.Rank()
-		log := func(format string, args ...any) {
-			lines[me] = append(lines[me], fmt.Sprintf("%v ", r.Wtime())+fmt.Sprintf(format, args...))
-		}
-		small, smallIn := r.Malloc(2*units.KB), r.Malloc(2*units.KB)
-		big, bigIn := r.Malloc(128*units.KB), r.Malloc(128*units.KB)
-		for i, stride := range []int{1, 7, 17, 33} {
-			next, prev := (me+stride)%n, (me-stride+n)%n
-			st := r.Sendrecv(small, next, i, smallIn, prev, i)
-			log("eager stride %d: %+v", stride, st)
-			st = r.Sendrecv(big, next, 100+i, bigIn, prev, 100+i)
-			log("rndv stride %d: %+v", stride, st)
-		}
-		// Unexpected arrivals: everyone sends to rank 0 before it posts.
-		if me == 0 {
-			for i := 1; i < n; i++ {
-				st := r.Recv(bigIn, AnySource, 200)
-				log("gather from %d: %+v", st.Source, st)
-			}
-		} else {
-			r.Send(big, 0, 200)
-		}
-		r.Barrier()
-		log("done")
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "err=%v elapsed=%v\n", err, w.Elapsed())
-	for rank, l := range lines {
-		for _, s := range l {
-			fmt.Fprintf(&b, "rank %d: %s\n", rank, s)
-		}
-	}
-	return b.String(), w.ScaleMode()
-}
-
-// TestRecycledRecordsAcrossShards runs 64 ranks on an adaptive Clos, where
-// recycled MPI messages and NIC send records complete on other shards than
-// the ones that issued them, and the same world under a fault plan (drops
-// plus a spine kill and repair), whose retry ladders recycle their records
-// too. The transcripts at -shards 4 must equal those at -shards 1. A fault
-// plan still keeps its world on one engine (see nic.Net.ActivateDomains),
-// so the cross-shard recycling is exercised by the fault-free world.
-func TestRecycledRecordsAcrossShards(t *testing.T) {
-	const procs = 64
-	clos := []cluster.Option{cluster.Clos(3, 8, 1), cluster.WithRouting(cluster.Adaptive)}
-	plan := []cluster.Option{
-		cluster.WithFaults(faults.DropPlan(5, 0.02)),
-		cluster.WithSwitchKills(faults.SwitchKill{
-			Level: 1, Index: 2, At: 30 * units.Microsecond, RepairAt: 500 * units.Microsecond,
-		}),
-	}
-	for _, base := range []cluster.Platform{cluster.IBA(), cluster.Myri(), cluster.QSN()} {
-		for _, faulty := range []bool{false, true} {
-			p := base.With(clos...)
-			if faulty {
-				p = p.With(plan...)
-			}
-			serial, _ := ringTranscript(t, p.With(cluster.WithShards(1)), procs)
-			if !strings.HasPrefix(serial, "err=<nil>") {
-				t.Fatalf("%s faulty=%v: %s", p.Name, faulty, serial[:strings.Index(serial, "\n")])
-			}
-			sharded, placed := ringTranscript(t, p.With(cluster.WithShards(4)), procs)
-			if placed == faulty {
-				t.Errorf("%s faulty=%v: node domains placed = %v", p.Name, faulty, placed)
-			}
-			if sharded != serial {
-				t.Errorf("%s faulty=%v: transcript at -shards 4 differs from -shards 1", p.Name, faulty)
-			}
 		}
 	}
 }

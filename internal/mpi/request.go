@@ -45,8 +45,8 @@ type Request struct {
 }
 
 // newRequest takes a zeroed Request from the rank's free list, allocating
-// only on a pool miss. Requests are owned by their rank's shard, so the
-// per-rank pool needs no locking even with domains placed on shards.
+// only on a pool miss. Requests are owned by their rank, so the per-rank
+// pool needs no locking.
 func (ps *procState) newRequest() *Request {
 	if n := len(ps.reqFree); n > 0 {
 		r := ps.reqFree[n-1]

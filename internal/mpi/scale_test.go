@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"mpinet/internal/cluster"
@@ -39,85 +40,32 @@ func scaleWorkload(r *mpi.Rank) {
 	sub.Barrier()
 }
 
-// runScale executes the workload at one shard count and returns the
-// simulated end time.
-func runScale(t *testing.T, p cluster.Platform, shards, procs, ppn int) int64 {
-	t.Helper()
-	p = p.With(cluster.WithShards(shards))
-	w, err := mpi.NewWorld(mpi.Config{Net: p.New((procs + ppn - 1) / ppn), Procs: procs, ProcsPerNode: ppn})
-	if err != nil {
-		t.Fatalf("%s shards=%d: %v", p.Name, shards, err)
-	}
-	if !w.ScaleMode() {
-		t.Fatalf("%s shards=%d: node domains not active", p.Name, shards)
-	}
-	if err := w.Run(scaleWorkload); err != nil {
-		t.Fatalf("%s shards=%d: %v", p.Name, shards, err)
-	}
-	return int64(w.Elapsed())
-}
-
-// TestScaleShardInvariance is the headline determinism contract: a world on
-// the topology API finishes at the identical simulated time at every shard
-// count, on all three interconnects.
-func TestScaleShardInvariance(t *testing.T) {
-	for _, plat := range []cluster.Platform{
-		cluster.IBA().With(cluster.FatTree(24, 2)),
-		cluster.Myri().With(cluster.FatTree(24, 2)),
-		cluster.QSN().With(cluster.FatTree(24, 2)),
-	} {
-		base := runScale(t, plat, 1, 64, 1)
-		for _, shards := range []int{2, 4, 8} {
-			if got := runScale(t, plat, shards, 64, 1); got != base {
-				t.Fatalf("%s: elapsed %d at shards=%d, %d at shards=1", plat.Name, got, shards, base)
-			}
-		}
-	}
-}
-
-// TestScaleSMPShardInvariance adds co-located ranks: the shared-memory
-// channels live on each node's own engine, so intra-node traffic must stay
-// shard-invariant too.
-func TestScaleSMPShardInvariance(t *testing.T) {
-	plat := cluster.IBA().With(cluster.FatTree(24, 2))
-	base := runScale(t, plat, 1, 64, 2)
-	if got := runScale(t, plat, 4, 64, 2); got != base {
-		t.Fatalf("SMP world shard-variant: %d vs %d", got, base)
-	}
-}
-
-// TestScaleAdaptiveShardInvariance pins the adaptive routing policy's
-// replay: all its inputs (leaf queue depths, the seeded counter PRNG) are
-// leaf-local, so a fixed seed must give byte-identical runs at any shard
-// count.
-func TestScaleAdaptiveShardInvariance(t *testing.T) {
-	plat := cluster.QSN().With(cluster.FatTree(24, 2),
-		cluster.WithRouting(cluster.Adaptive), cluster.WithSeed(99))
-	base := runScale(t, plat, 1, 64, 1)
-	for _, shards := range []int{2, 8} {
-		if got := runScale(t, plat, shards, 64, 1); got != base {
-			t.Fatalf("adaptive routing shard-variant: %d at shards=%d vs %d", got, shards, base)
-		}
-	}
-}
-
 // TestScaleClosThreeLevel exercises the deep fabric at a world size past
-// the 2-level capacity, across shard counts.
+// the 2-level capacity and requires two runs to finish at the identical
+// simulated time.
 func TestScaleClosThreeLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("512-rank world")
 	}
 	plat := cluster.Myri().With(cluster.Clos(3, 24, 2))
-	base := runScale(t, plat, 1, 512, 1)
-	if got := runScale(t, plat, 8, 512, 1); got != base {
-		t.Fatalf("3-level Clos shard-variant: %d vs %d", got, base)
+	run := func() int64 {
+		w, err := mpi.NewWorld(mpi.Config{Net: plat.New(512), Procs: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(scaleWorkload); err != nil {
+			t.Fatal(err)
+		}
+		return int64(w.Elapsed())
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("3-level Clos replay diverged: %d vs %d", a, b)
 	}
 }
 
 // TestObservationShardInvariance: observing a run never changes it. A
-// timeline, a metrics registry or a span recorder keeps every node domain
-// on shard 0, while the plain run places them on their own shards; all four
-// run the same timing model and finish at the identical simulated time.
+// plain run and runs with a timeline, a metrics registry or a span recorder
+// all finish at the identical simulated time.
 func TestObservationShardInvariance(t *testing.T) {
 	observers := []struct {
 		name string
@@ -140,7 +88,7 @@ func TestObservationShardInvariance(t *testing.T) {
 		{cluster.QSN(), 8},
 	}
 	for _, c := range cases {
-		p := c.plat.With(cluster.WithShards(4))
+		p := c.plat
 		var base int64
 		for i, o := range observers {
 			cfg := mpi.Config{Net: p.New(c.procs), Procs: c.procs}
@@ -148,9 +96,6 @@ func TestObservationShardInvariance(t *testing.T) {
 			w, err := mpi.NewWorld(cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, o.name, err)
-			}
-			if w.ScaleMode() != (i == 0) {
-				t.Fatalf("%s/%s: ScaleMode() = %v", p.Name, o.name, w.ScaleMode())
 			}
 			if err := w.Run(scaleWorkload); err != nil {
 				t.Fatalf("%s/%s: %v", p.Name, o.name, err)
@@ -183,17 +128,13 @@ func TestScaleConfigErrorSurfaced(t *testing.T) {
 	}
 }
 
-// TestScaleFaultSurfaces: a truncation in a multi-shard run still tears the
-// job down with the typed error even though cross-shard wakes are deferred
-// to quiescence.
+// TestScaleFaultSurfaces: a truncation in a fat-tree world tears the job
+// down with the typed error.
 func TestScaleFaultSurfaces(t *testing.T) {
-	p := cluster.IBA().With(cluster.FatTree(24, 2), cluster.WithShards(4))
+	p := cluster.IBA().With(cluster.FatTree(24, 2))
 	w, err := mpi.NewWorld(mpi.Config{Net: p.New(32), Procs: 32})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !w.ScaleMode() {
-		t.Fatal("node domains not active")
 	}
 	err = w.Run(func(r *mpi.Rank) {
 		if r.Rank() == 17 {
@@ -206,6 +147,39 @@ func TestScaleFaultSurfaces(t *testing.T) {
 	})
 	if !errors.Is(err, mpi.ErrTruncate) {
 		t.Fatalf("err = %v, want ErrTruncate", err)
+	}
+}
+
+// TestFlightRecorderOnClos: an unobserved Clos world still owns a recorder,
+// so a truncation freezes the flight ring at the job abort on every
+// interconnect.
+func TestFlightRecorderOnClos(t *testing.T) {
+	for _, plat := range []cluster.Platform{cluster.IBA(), cluster.Myri(), cluster.QSN()} {
+		p := plat.With(cluster.Clos(3, 8, 1))
+		w, err := mpi.NewWorld(mpi.Config{Net: p.New(32), Procs: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(r *mpi.Rank) {
+			if r.Rank() == 17 {
+				r.Send(r.Malloc(8<<10), 18, 3)
+			}
+			if r.Rank() == 18 {
+				r.Recv(r.Malloc(1<<10), 17, 3) // too small: MPI_ERR_TRUNCATE
+			}
+			r.Barrier()
+		})
+		if !errors.Is(err, mpi.ErrTruncate) {
+			t.Fatalf("%s: err = %v, want ErrTruncate", p.Name, err)
+		}
+		rec := w.MsgTrace()
+		if rec == nil {
+			t.Fatalf("%s: world has no message-trace recorder", p.Name)
+		}
+		why, ok := rec.Frozen()
+		if !ok || !strings.HasPrefix(why, "job abort: ") || !strings.Contains(why, "truncat") {
+			t.Errorf("%s: flight ring frozen = %v, why %q; want the job abort", p.Name, ok, why)
+		}
 	}
 }
 
@@ -236,4 +210,3 @@ func TestScaleMemoryOrdering(t *testing.T) {
 		t.Fatalf("per-rank memory ordering broken: %v", mem)
 	}
 }
-

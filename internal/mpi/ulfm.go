@@ -15,8 +15,8 @@ package mpi
 // process on it is gone — there is no respawn, exactly as in ULFM, where a
 // failed rank stays failed for the life of the job.
 //
-// All of this runs with every node domain on one engine (a fault plan
-// refuses placement), so the cooperative scheduler is the only lock needed.
+// All of this runs on the world's one engine, so the cooperative scheduler
+// is the only lock needed.
 
 import (
 	"mpinet/internal/faults"

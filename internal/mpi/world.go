@@ -140,34 +140,26 @@ type World struct {
 	end        sim.Time
 	// fault is the first fatal job error (device retry exhaustion, watchdog
 	// timeout, truncation); once set, every rank aborts at its next
-	// progress point and Run returns it. With node domains placed it may be
-	// written from any shard's goroutine, so writes go through faultMu and
+	// progress point and Run returns it. Writes go through faultMu and
 	// readers check faultSet first (the atomic store/load pair orders the
-	// error value behind the flag).
+	// error value behind the flag), so the fault is safe to read from any
+	// goroutine.
 	fault    error
 	faultMu  sync.Mutex
 	faultSet atomic.Bool
 
-	// domains is the network's node-domain placement once activated: each
-	// rank's protocol state then lives on its node's shard engine, and
-	// shared maps are mutex-guarded. Nil while every domain shares the
-	// world engine. Placement never changes timing: cross-rank completions
-	// hop between domains with a deterministic per-source skew either way.
-	domains *dev.Domains
-	// finLat is the cross-domain completion-hop latency (the network's
-	// minimum link latency, which is also the shard group's lookahead).
+	// finLat is the cross-domain completion-hop latency: the network's
+	// minimum link latency.
 	finLat sim.Time
 
-	// Communicator-context bookkeeping (see comm.go). commMu guards the
-	// maps once domains are placed, where ranks on different shards agree
-	// on contexts concurrently.
+	// Communicator-context bookkeeping (see comm.go), guarded by commMu.
 	commMu      sync.Mutex
 	commIDs     map[string]int
 	nextComm    int
 	splitBoards map[[2]int]map[int][2]int
 
-	// ULFM-lite rank-death state (see ulfm.go). A fault plan keeps every
-	// domain on the world engine, so none of this needs locking. crashed
+	// ULFM-lite rank-death state (see ulfm.go). Every rank runs on the
+	// world engine, so none of this needs locking. crashed
 	// marks ranks whose node died — each unwinds at its next library call;
 	// failed marks deaths the job has detected (crash + detection delay),
 	// visible to peers' pending operations. anyFailed is the fast path for
@@ -220,15 +212,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if lr, ok := cfg.Net.(dev.LookaheadReporter); ok {
 		w.finLat = lr.MinLinkLatency()
 	}
-	// Node-domain placement: each node's domain on its own shard engine,
-	// unless an observer is not shard-safe yet — a timeline, metrics
-	// registry or span recorder is mutated from every domain. The device
-	// may still refuse (fault plan, hardware multicast). Refused or not,
-	// the world runs the same timing; only the engines differ.
-	if dn, ok := cfg.Net.(dev.DomainNetwork); ok &&
-		cfg.Timeline == nil && cfg.Metrics == nil && cfg.MsgTrace == nil && dn.ActivateDomains() {
-		w.domains = dn.Domains()
-	}
 	// Wire the hardware layers before any endpoint exists, so endpoints
 	// created below find the registry and bind their counters.
 	if w.met != nil {
@@ -237,20 +220,15 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		w.eng.Instrument(w.met)
 	}
-	// Every unplaced world owns a recorder: the configured one (span
-	// tracing on) or a disabled one whose always-on flight ring still
-	// captures incidents for the failure postmortem. A placed world runs
-	// with a nil recorder instead — even the disabled recorder's
-	// trace-context slot is mutable state the parallel shards would race
-	// on — and every recorder method is a nil-safe no-op.
-	if w.domains == nil {
-		w.rec = cfg.MsgTrace
-		if w.rec == nil {
-			w.rec = msgtrace.Disabled()
-		}
-		if ta, ok := cfg.Net.(dev.TraceAttacher); ok {
-			ta.AttachTracer(w.rec)
-		}
+	// Every world owns a recorder: the configured one (span tracing on) or
+	// a disabled one whose always-on flight ring still captures incidents
+	// for the failure postmortem.
+	w.rec = cfg.MsgTrace
+	if w.rec == nil {
+		w.rec = msgtrace.Disabled()
+	}
+	if ta, ok := cfg.Net.(dev.TraceAttacher); ok {
+		ta.AttachTracer(w.rec)
 	}
 	type shmemConfigurer interface{ ShmemConfig() shmem.Config }
 	shmCfg := shmem.DefaultConfig()
@@ -261,13 +239,13 @@ func NewWorld(cfg Config) (*World, error) {
 	for r := 0; r < cfg.Procs; r++ {
 		node := w.nodeOf(r)
 		if w.shm[node] == nil {
-			ch := shmem.New(w.engFor(node), shmCfg)
+			ch := shmem.New(w.eng, shmCfg)
 			ch.Instrument(w.met, node)
 			w.shm[node] = ch
 		}
 		ps := &procState{
 			world:   w,
-			eng:     w.engFor(node),
+			eng:     w.eng,
 			rank:    r,
 			node:    node,
 			ep:      cfg.Net.NewEndpoint(node),
@@ -323,49 +301,30 @@ func MustWorld(cfg Config) *World {
 	return w
 }
 
-// fail records the job's first fatal error and wakes every rank so each
-// aborts at its next progress point. Safe to call from device completion
-// events or from rank processes; once domains are placed, from any shard's
-// goroutine.
+// fail records the job's first fatal error, freezes the flight ring and
+// wakes every rank so each aborts at its next progress point. Safe to call
+// from device completion events or from rank processes.
 func (w *World) fail(err error) {
 	w.faultMu.Lock()
 	if w.fault == nil {
 		w.fault = err
 		w.faultSet.Store(true)
-		if w.domains == nil {
-			// Fallback freeze for failure paths that did not freeze with more
-			// specific blame (truncation, direct aborts); the first freeze
-			// wins, so this is a no-op after a watchdog or device-fault freeze.
-			now := w.eng.Now()
-			w.rec.Flight(msgtrace.FlightAbort, now, -1, 0, 0, 0, 0)
-			w.rec.Freeze("job abort: "+err.Error(), now, -1, msgtrace.NumStages, 0)
-		}
+		// Fallback freeze for failure paths that did not freeze with more
+		// specific blame (truncation, direct aborts); the first freeze wins,
+		// so this is a no-op after a watchdog or device-fault freeze.
+		now := w.eng.Now()
+		w.rec.Flight(msgtrace.FlightAbort, now, -1, 0, 0, 0, 0)
+		w.rec.Freeze("job abort: "+err.Error(), now, -1, msgtrace.NumStages, 0)
 	}
 	w.faultMu.Unlock()
-	if w.domains != nil {
-		// Cross-shard wakes would touch other engines' queues mid-window.
-		// Ranks observe faultSet at their next progress point; ranks parked
-		// with nothing left in flight quiesce, ending the group run, and Run
-		// still returns the fault.
-		return
-	}
 	for _, ps := range w.procs {
 		ps.progress.Broadcast()
 	}
 }
 
-// faulted reports whether a job fault has been recorded; safe from any
-// shard. Reading w.fault after a true result is ordered by the atomic pair.
+// faulted reports whether a job fault has been recorded. Reading w.fault
+// after a true result is ordered by the atomic pair.
 func (w *World) faulted() bool { return w.faultSet.Load() }
-
-// engFor returns the engine owning a node's domain: the node's shard engine
-// once placed, the world engine otherwise.
-func (w *World) engFor(node int) *sim.Engine {
-	if w.domains == nil {
-		return w.eng
-	}
-	return w.domains.EngineFor(node)
-}
 
 // nodeOf maps a rank to its node under the configured mapping.
 func (w *World) nodeOf(rank int) int {
@@ -378,16 +337,15 @@ func (w *World) nodeOf(rank int) int {
 	}
 }
 
-// Engine returns the simulation engine (shard 0's when node domains are
-// active).
+// Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
 
-// ScaleMode reports whether the world's node domains are placed on the
-// shard group's engines (see NewWorld). False for a world with a timeline,
-// metrics or span tracing, or whose network refuses placement (fault plan,
-// hardware multicast, rail bond); such a world keeps every domain on the
-// world engine and finishes at the same simulated time.
-func (w *World) ScaleMode() bool { return w.domains != nil }
+// ScaleMode reports true: every world runs the one node-domain timing
+// model on its one engine.
+//
+// Deprecated: kept only so the benchmark module builds; it goes with
+// ROADMAP item 2's benchmark change.
+func (w *World) ScaleMode() bool { return true }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.cfg.Procs }
@@ -416,7 +374,7 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 		// keeps panicking.
 		if pf, ok := r.(*sim.ProcFailure); ok {
 			if ja, ok := pf.Value.(*jobAbort); ok {
-				w.end = w.eng.MaxNow()
+				w.end = w.eng.Now()
 				err = ja.err
 				w.eng.Reap()
 				return
@@ -427,8 +385,6 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 	w.start = w.eng.Now()
 	for _, ps := range w.procs {
 		ps := ps
-		// Each rank's process runs on its node's engine; on an unplaced
-		// world that is the world engine for every rank.
 		proc := ps.eng.Spawn(fmt.Sprintf("rank%d", ps.rank), func(p *sim.Proc) {
 			defer func() {
 				r := recover()
@@ -455,14 +411,12 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 	}
 	runErr := w.eng.Run()
 	w.eng.Reap()
-	// End-of-run clock: the latest shard clock, which for a plain engine is
-	// just its Now.
-	w.end = w.eng.MaxNow()
+	w.end = w.eng.Now()
 	if w.faulted() {
 		// A fault was recorded but every rank happened to finish (or the
-		// queue drained first): the job still failed. A placed world's fault
-		// surfaces here even when the group run ended in a deadlock report —
-		// the fault is the cause, the quiescence only the symptom.
+		// queue drained first): the job still failed. The fault surfaces
+		// even when the run ended in a deadlock report — the fault is the
+		// cause, the quiescence only the symptom.
 		return w.fault
 	}
 	return runErr
@@ -511,9 +465,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 
 // MsgTrace returns the world's message-trace recorder: the one configured
 // via Config.MsgTrace, or the default disabled recorder whose always-on
-// flight ring still captured recent incidents. Nil only for a world whose
-// node domains are placed, which runs without a recorder; every
-// recorder method is a nil-safe no-op, so callers need not check.
+// flight ring still captured recent incidents.
 func (w *World) MsgTrace() *msgtrace.Recorder { return w.rec }
 
 // FlightDump writes the flight-recorder postmortem: the ring frozen at the

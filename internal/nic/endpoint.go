@@ -15,28 +15,24 @@ import (
 type Model interface {
 	// Path assembles the staged hardware path to dst for one of the
 	// model's path variants (a model with one path uses variant 0) around
-	// seg, the fabric segment the endpoint resolved for the route, and
-	// reports how many leading stages run on the source node's own
-	// hardware. A loopback path (dst is the endpoint's own node) gets an
-	// empty segment. The model must not modify seg.Stages, which the
-	// fabric shares.
-	Path(dst, variant int, seg fabric.Segment) (path []fabric.PathStage, local int)
+	// seg, the fabric segment the endpoint resolved for the route. A
+	// loopback path (dst is the endpoint's own node) gets an empty segment.
+	// The model must not modify seg.Stages, which the fabric shares.
+	Path(dst, variant int, seg fabric.Segment) []fabric.PathStage
 }
 
 // Holder is implemented by models whose messages hold NIC resources from
-// issue until they end. Hold runs on the source's engine when a message is
-// issued; exactly one of Delivered and Aborted runs when it ends. A claim or
-// release on the other node's NIC is a cross-domain hop (see
-// sim.Engine.ScheduleOn) of at least one wire flight plus the sending
-// side's dev.Skew.
+// issue until they end. Hold runs when a message is issued; exactly one of
+// Delivered and Aborted runs when it ends. A claim or release on the other
+// node's NIC is a cross-domain hop of at least one wire flight plus the
+// sending side's dev.Skew.
 type Holder interface {
 	// Hold claims what m keeps across its retry chain.
 	Hold(m Msg)
-	// Delivered runs on the destination's engine as m lands, before its
-	// deliver callback: the model's ack path, returning what Hold claimed.
+	// Delivered runs as m lands, before its deliver callback: the model's
+	// ack path, returning what Hold claimed.
 	Delivered(m Msg)
-	// Aborted runs on the source's engine when m fails, returning what
-	// Hold claimed.
+	// Aborted runs when m fails, returning what Hold claimed.
 	Aborted(m Msg)
 }
 
@@ -62,13 +58,6 @@ type peerKey struct {
 	dst     int32
 	variant int16
 	plane   int16
-}
-
-// peerRoute is one cached path: the staged path and the stage count
-// TransferCut runs on the source's engine.
-type peerRoute struct {
-	path []fabric.PathStage
-	cut  int
 }
 
 // Endpoint is the shared half of a model's endpoint: node identity, the
@@ -101,9 +90,7 @@ type Endpoint struct {
 	// job that talks to a handful of neighbours keeps a handful of entries
 	// per plane its routes ride. One map lookup per message, next to the
 	// dozen or so events a message costs; a warm lookup does not allocate.
-	// Only the endpoint's own shard routes from it, so the table has a
-	// single writer.
-	peers map[peerKey]peerRoute
+	peers map[peerKey][]fabric.PathStage
 }
 
 // NewEndpoint builds the shared half of an endpoint on node, bound to the
@@ -162,41 +149,36 @@ func (e *Endpoint) fail(err error) {
 	panic(err)
 }
 
-// route returns the staged path to dst for a variant and the stage count
-// TransferCut runs on the source's engine: the model's local stages plus
-// whatever the topology keeps on the source leaf. The fabric resolves the
-// route's segment for every message — an adaptive or fault-aware fabric
-// picks the plane per message, and the ladder reads the route's fate right
-// after — while the model's path around it is assembled once per
-// (destination, variant, plane) and cached.
-func (e *Endpoint) route(dst, variant int) ([]fabric.PathStage, int) {
+// route returns the staged path to dst for a variant and the route's fate
+// at now. The fabric resolves the route's segment for every message — an
+// adaptive or fault-aware fabric picks the plane per message — while the
+// model's path around it is assembled once per (destination, variant,
+// plane) and cached.
+func (e *Endpoint) route(dst, variant int, now sim.Time) ([]fabric.PathStage, fabric.RouteInfo) {
 	seg := fabric.Segment{Plane: -1}
 	if dst != e.node {
-		seg = e.net.topo.Between(e.node, dst)
+		seg = e.net.topo.Between(e.node, dst, now)
 	}
 	key := peerKey{dst: int32(dst), variant: int16(variant), plane: int16(seg.Plane)}
-	r, ok := e.peers[key]
+	path, ok := e.peers[key]
 	if !ok {
 		if e.peers == nil {
-			e.peers = make(map[peerKey]peerRoute)
+			e.peers = make(map[peerKey][]fabric.PathStage)
 		}
-		path, local := e.model.Path(dst, variant, seg)
-		r = peerRoute{path: path, cut: local}
-		if dst != e.node {
-			r.cut += fabric.SrcStagesOf(e.net.topo, e.node, dst)
-		}
-		e.peers[key] = r
+		path = e.model.Path(dst, variant, seg)
+		e.peers[key] = path
 	}
-	return r.path, r.cut
+	return path, seg.Fate
 }
 
 // Segment resolves the fabric segment from this endpoint's node to dst,
 // for a model's paths that bypass the per-message send path (hardware
 // multicast).
-func (e *Endpoint) Segment(dst int) fabric.Segment { return e.net.topo.Between(e.node, dst) }
+func (e *Endpoint) Segment(dst int) fabric.Segment {
+	return e.net.topo.Between(e.node, dst, e.net.eng.Now())
+}
 
-// Send moves m to its destination and calls deliver on the destination's
-// engine. A healthy network, or a message looping back through its own
+// Send moves m to its destination and calls deliver as it lands. A healthy network, or a message looping back through its own
 // NIC, takes one attempt; under a fault plan the message climbs the retry
 // ladder, and a permanent failure goes to the OnFault sink instead of
 // deliver.
@@ -210,25 +192,22 @@ func (e *Endpoint) Send(m Msg, deliver func()) {
 	// Capture trace context synchronously at issue time: the MPI layer (or
 	// the rail bond) scoped it around this call.
 	s.tid, s.rail = n.rec.Cur(), n.rec.CurRail()
-	now := n.EngineFor(e.node).Now()
+	now := n.eng.Now()
 	if n.inj == nil || m.Dst == e.node {
-		path, cut := e.route(m.Dst, m.Variant)
-		e.wireAttempt(path, cut, m.Dst, s.tid, s.rail, 0, m.Size, now+m.Setup, s.ended)
+		path, _ := e.route(m.Dst, m.Variant, now)
+		e.wireAttempt(path, s.tid, s.rail, 0, m.Size, now+m.Setup, s.ended)
 		return
 	}
 	s.ladder, s.attempt = true, 1
 	s.try(now + m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
 }
 
-// wireAttempt runs one transfer attempt over the staged path. The path is
-// split at cut so each node's hardware state stays on its own engine, and
-// done fires on dst's engine; on one engine the split degrades to a plain
-// transfer. A sampled message records the attempt's wire span and
-// per-hop fabric detail instead — tracing keeps its world on one engine.
+// wireAttempt runs one transfer attempt over the staged path; a sampled
+// message also records the attempt's wire span and per-hop fabric detail.
 // The path is resolved by the caller: the retry ladder must pair each
-// attempt's route with the fate annotation read at resolve time.
-func (e *Endpoint) wireAttempt(path []fabric.PathStage, cut, dst int, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec, eng := e.net.rec, e.net.EngineFor(e.node)
+// attempt's route with the fate resolved with it.
+func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
+	rec, eng := e.net.rec, e.net.eng
 	if rec.Sampled(tid) {
 		inner := done
 		done = func(end sim.Time) {
@@ -239,7 +218,7 @@ func (e *Endpoint) wireAttempt(path []fabric.PathStage, cut, dst int, tid msgtra
 			rec, tid, e.node, rail, attempt, done)
 		return
 	}
-	fabric.TransferCut(eng, e.net.EngineFor(dst), path, cut, size, fabric.ChunkFor(size), at, done)
+	fabric.Transfer(eng, path, size, fabric.ChunkFor(size), at, done)
 }
 
 // send is one message in flight, from Send until it is delivered or fails:
@@ -253,9 +232,8 @@ func (e *Endpoint) wireAttempt(path []fabric.PathStage, cut, dst int, tid msgtra
 // attempt numbered Limit+1 failing exhausts it.
 //
 // Records are recycled through sends when the message ends. The pool is a
-// sync.Pool because a record ends on the destination's engine, which under
-// sharded windows runs on another goroutine than the one that issued it.
-// The callbacks are bound once, when a record is first allocated, so a
+// sync.Pool so the independent worlds of a -j run share it safely. The
+// callbacks are bound once, when a record is first allocated, so a
 // recycled record schedules its attempts without allocating.
 type send struct {
 	e       *Endpoint
@@ -267,7 +245,7 @@ type send struct {
 	// its current attempt from 1.
 	ladder  bool
 	attempt int
-	// fate is the current attempt's route annotation.
+	// fate is the current attempt's route fate.
 	fate fabric.RouteInfo
 	// ended and refire are s.end and s.fire, bound at allocation.
 	ended  func(sim.Time)
@@ -305,13 +283,15 @@ func (s *send) try(at sim.Time) {
 		s.abort(&faults.NodeDownError{Node: node, At: at})
 		return
 	}
-	path, cut := e.route(s.m.Dst, s.m.Variant)
-	s.fate = fabric.LastRouteOf(e.net.topo)
+	// The route is resolved at the engine's now, not at the attempt's start
+	// at: a resend's stalls have not elapsed when it is routed.
+	var path []fabric.PathStage
+	path, s.fate = e.route(s.m.Dst, s.m.Variant, e.net.eng.Now())
 	if s.fate.State == fabric.RoutePartitioned {
 		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.fate.Element})
 		return
 	}
-	e.wireAttempt(path, cut, s.m.Dst, s.tid, s.rail, uint8(s.attempt-1), s.m.Size, at, s.ended)
+	e.wireAttempt(path, s.tid, s.rail, uint8(s.attempt-1), s.m.Size, at, s.ended)
 }
 
 // end takes the verdict on the attempt that cleared the path at time at:
@@ -341,7 +321,7 @@ func (s *send) end(at sim.Time) {
 	e.retried()
 	n.rec.Flight(msgtrace.FlightRetransmit, at, e.node, s.tid, msgtrace.StageWire, int64(s.attempt-1), int64(s.m.Dst))
 	n.rec.Span(s.tid, msgtrace.StageBackoff, e.node, s.rail, uint8(s.attempt-1), -1, at, at+delay, s.m.Size)
-	n.EngineFor(e.node).At(at+delay, s.refire)
+	n.eng.At(at+delay, s.refire)
 }
 
 // fire runs as the backoff expires: bill the resend, then try again.
@@ -349,7 +329,7 @@ func (s *send) fire() {
 	if s.e.resender != nil {
 		s.e.resender.Resend()
 	}
-	s.try(s.e.net.EngineFor(s.e.node).Now())
+	s.try(s.e.net.eng.Now())
 }
 
 // land ends a delivered message: the model's ack path, then the MPI

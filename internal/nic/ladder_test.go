@@ -42,8 +42,8 @@ func (f *fakeModel) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return now, now + 100*units.Nanosecond
 }
 
-func (f *fakeModel) Path(_, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
-	return append([]fabric.PathStage{{Stage: f}}, seg.Stages...), 1
+func (f *fakeModel) Path(_, _ int, seg fabric.Segment) []fabric.PathStage {
+	return append([]fabric.PathStage{{Stage: f}}, seg.Stages...)
 }
 
 func (f *fakeModel) Hold(Msg)      { f.holds++ }

@@ -16,17 +16,15 @@
 //   - what each resend costs its NIC (Resender): the LANai timeout handler
 //     for GM, the thread-processor re-issue for Elan.
 //
-// There is one timing model. Each node's device state belongs to its node
-// domain, and every effect on another node's state travels as a
-// cross-domain hop of at least one wire flight plus the source's
-// dev.Skew. Whether the domains run on their own shard engines or all
-// share one is placement (ActivateDomains), which never changes timing.
+// There is one timing model, run on the network's one engine. Each node's
+// device state belongs to its node domain, and every effect on another
+// node's state travels as a cross-domain hop of at least one wire flight
+// plus the source's dev.Skew.
 package nic
 
 import (
 	"fmt"
 
-	"mpinet/internal/dev"
 	"mpinet/internal/fabric"
 	"mpinet/internal/faults"
 	"mpinet/internal/metrics"
@@ -50,10 +48,6 @@ type Config struct {
 	// Crossing and WireLatency zero-values are filled with the model's
 	// calibration.
 	Clos *fabric.ClosConfig
-	// Domains, when non-nil, is the node-domain placement: the engines and
-	// node->shard map of the world, used once ActivateDomains is called
-	// (see dev.DomainNetwork).
-	Domains *dev.Domains
 	// Faults, when non-nil, injects the plan's link/NIC/bus faults and arms
 	// the retry ladder.
 	Faults *faults.Plan
@@ -87,7 +81,7 @@ type Spec struct {
 // Net is the shared half of a wired network. A model embeds *Net, which
 // gives it Engine and Nodes (dev.Network) and the capability interfaces
 // dev declares: LookaheadReporter, FaultPlanner, DiameterReporter,
-// ElementHealth, TraceAttacher, ConfigErrer and DomainNetwork.
+// ElementHealth, TraceAttacher and ConfigErrer.
 type Net struct {
 	spec *Spec
 	eng  *sim.Engine
@@ -97,9 +91,6 @@ type Net struct {
 	inj  *faults.Injector
 	rec  *msgtrace.Recorder
 
-	// placed is the active node-domain placement, nil while every domain
-	// shares the network's engine.
-	placed *dev.Domains
 	// cfgErr carries a topology-validation failure to mpi.NewWorld
 	// (dev.ConfigErrer); construction itself cannot return an error.
 	cfgErr error
@@ -139,7 +130,7 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 			// Element deaths move routes between planes as they are detected
 			// and repaired; the endpoints' path caches are keyed by plane,
 			// so a re-hash lands on another cached path, never a stale one.
-			if err := topo.SetElementFaults(cfg.Faults, eng); err != nil {
+			if err := topo.SetElementFaults(cfg.Faults); err != nil {
 				n.cfgErr = fmt.Errorf("%s: %w", spec.Pkg, err)
 			}
 		}
@@ -227,29 +218,6 @@ func (n *Net) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
 
 // ConfigErr implements dev.ConfigErrer.
 func (n *Net) ConfigErr() error { return n.cfgErr }
-
-// Domains implements dev.DomainNetwork.
-func (n *Net) Domains() *dev.Domains { return n.cfg.Domains }
-
-// ActivateDomains implements dev.DomainNetwork: places each node's device
-// state on its domain's engine. The fault injector and the retry ladder
-// read shared state at delivery time, so a fault plan refuses placement.
-func (n *Net) ActivateDomains() bool {
-	if n.cfg.Domains == nil || n.inj != nil {
-		return false
-	}
-	n.placed = n.cfg.Domains
-	return true
-}
-
-// EngineFor returns the engine owning a node's device state: the node's
-// domain engine once placed, the network's engine before.
-func (n *Net) EngineFor(node int) *sim.Engine {
-	if n.placed == nil {
-		return n.eng
-	}
-	return n.placed.EngineFor(node)
-}
 
 // Metrics returns the registry the network was instrumented with (nil
 // when metrics are off).

@@ -38,7 +38,7 @@ func TestRouteStateScalesWithPeers(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, dst := range routeProbe {
-			ep.route(dst, 0)
+			ep.route(dst, 0, 0)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -56,11 +56,11 @@ func TestRouteStateScalesWithPeers(t *testing.T) {
 func TestRouteWarmZeroAlloc(t *testing.T) {
 	ep := closEndpoint(t, 256)
 	for _, dst := range routeProbe {
-		ep.route(dst, 0)
+		ep.route(dst, 0, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, dst := range routeProbe {
-			ep.route(dst, 0)
+			ep.route(dst, 0, 0)
 		}
 	})
 	if allocs != 0 {
@@ -92,7 +92,7 @@ func TestDynamicRouteZeroAlloc(t *testing.T) {
 			ep := NewEndpoint(net, 0, &fakeModel{net: net})
 			sweep := func() {
 				for _, dst := range routeProbe {
-					ep.route(dst, 0)
+					ep.route(dst, 0, 0)
 				}
 			}
 			// Before detection the dead plane black-holes, after it the

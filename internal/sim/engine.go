@@ -248,10 +248,7 @@ const compactMinStopped = 64
 
 // Engine is a discrete-event simulator instance. It is not safe for
 // concurrent use; all model code runs on the engine's goroutine or on a
-// process that the engine has handed control to. An engine may also be one
-// shard of a Sharded group (see shard.go), in which case Run delegates to
-// the group's conservative window scheduler and the engine's queue is
-// dispatched one lookahead-bounded window at a time.
+// process that the engine has handed control to.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -280,19 +277,6 @@ type Engine struct {
 	// maybeCompact removes them in bulk once they dominate.
 	stoppedTimers int
 	compactions   uint64
-
-	// Shard membership (nil/zero for a plain serial engine). owner is the
-	// conservative group scheduler this engine belongs to, shard its index
-	// in the group. windowCap is live only inside a runWindow dispatch: the
-	// exclusive upper time bound of the window, shrunk by SendTo mid-window.
-	// echoDist[dst] is this engine's column of the group's lookahead
-	// distance matrix — how soon anything shard dst does can causally reach
-	// this shard — set by the group scheduler before dispatch begins (nil
-	// for a serial engine).
-	owner     *Sharded
-	shard     int
-	windowCap Time
-	echoDist  []Time
 }
 
 // New returns an empty engine with the clock at zero.
@@ -437,11 +421,6 @@ func (e *Engine) StoppedPending() int { return e.stoppedTimers }
 // Run dispatches events until the queue is empty. If live processes remain
 // blocked when the queue drains, Run returns a DeadlockError naming them. If
 // a process panicked, Run re-panics with the process name attached.
-//
-// On an engine that belongs to a Sharded group, Run drives the whole group:
-// the conservative window scheduler advances every shard together, so model
-// code built against a single engine keeps working unchanged when that
-// engine is shard 0 of a partitioned world.
 func (e *Engine) Run() error {
 	return e.RunUntil(-1)
 }
@@ -451,15 +430,6 @@ func (e *Engine) Run() error {
 // horizon. Processes still blocked at exit are not an error when the horizon
 // was reached.
 func (e *Engine) RunUntil(limit Time) error {
-	if e.owner != nil {
-		return e.owner.RunUntil(limit)
-	}
-	return e.runSerial(limit)
-}
-
-// runSerial is the single-engine dispatch loop — the -shards 1 fast path,
-// byte-for-byte the pre-shard engine with zero added work per event.
-func (e *Engine) runSerial(limit Time) error {
 	if e.running {
 		panic("sim: Run re-entered")
 	}
@@ -528,132 +498,6 @@ func (e *Engine) runSerial(limit Time) error {
 	return nil
 }
 
-// nextEventAt reports the earliest queued occurrence's timestamp, or false
-// when the queue is empty — the shard scheduler's window-planning probe.
-func (e *Engine) nextEventAt() (Time, bool) {
-	if e.nowqHead < len(e.nowq) {
-		t := e.nowq[e.nowqHead].at
-		if len(e.events) > 0 && e.events[0].at < t {
-			t = e.events[0].at
-		}
-		return t, true
-	}
-	if len(e.events) > 0 {
-		return e.events[0].at, true
-	}
-	return 0, false
-}
-
-// runWindow dispatches every event with at < cap — one conservative window.
-// It mirrors runSerial's loop exactly (FIFO lane preference, stale-timer
-// drops without dispatch counts) but stops at the window cap instead of a
-// drained queue, and returns a captured process failure instead of
-// panicking, so the group coordinator can re-raise the lowest shard's
-// failure deterministically. The cap is read afresh each iteration because
-// SendTo shrinks it mid-window on every cross-shard send (the earliest
-// possible causal echo is the send's arrival plus the lookahead distance
-// back from its destination).
-func (e *Engine) runWindow(cap Time) (failure interface{}) {
-	if e.running {
-		panic("sim: Run re-entered")
-	}
-	e.running = true
-	e.windowCap = cap
-	defer func() { e.running = false }()
-	for {
-		var ev event
-		if e.nowqHead < len(e.nowq) && (len(e.events) == 0 || e.events[0].at > e.now) {
-			// FIFO-lane events sit at e.now, which is < windowCap by
-			// construction (the window admitted the event that queued them),
-			// so no cap check is needed: the lane always drains.
-			ev = e.nowq[e.nowqHead]
-			e.nowq[e.nowqHead] = event{}
-			e.nowqHead++
-			if e.nowqHead == len(e.nowq) {
-				e.nowq = e.nowq[:0]
-				e.nowqHead = 0
-			}
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
-				e.stoppedTimers--
-				continue
-			}
-		} else if len(e.events) > 0 {
-			ev = e.events[0]
-			if t, ok := ev.h.(*Timer); ok && t.stale(ev.a) {
-				e.stoppedTimers--
-				e.events.pop()
-				continue
-			}
-			if ev.at >= e.windowCap {
-				break
-			}
-			e.events.pop()
-			e.now = ev.at
-		} else {
-			break
-		}
-		e.dispatched++
-		ev.h.HandleEvent(ev.a, ev.b)
-		if e.failure != nil {
-			f := e.failure
-			e.failure = nil
-			return f
-		}
-	}
-	return nil
-}
-
-// ShardID reports this engine's index within its Sharded group (0 for a
-// plain serial engine).
-func (e *Engine) ShardID() int { return e.shard }
-
-// SendTo schedules h.HandleEvent(a, b) after delay on shard dst of this
-// engine's group — the cross-shard counterpart of Call. The delay must be at
-// least the configured lookahead for the (src, dst) edge; a shorter delay is
-// a model bug (the edge's physical latency was overstated to the scheduler)
-// and panics with a *LookaheadError. Sends to the engine's own shard degrade
-// to Call. The message is buffered in the per-shard outbox and committed at
-// the next window barrier in (at, source shard, source sequence) order, so
-// delivery order is a pure function of the model, not of goroutine timing.
-func (e *Engine) SendTo(dst int, delay Time, h Handler, a, b int64) {
-	s := e.owner
-	if s == nil {
-		panic("sim: SendTo on an engine outside a Sharded group")
-	}
-	if dst < 0 || dst >= len(s.shards) {
-		panic(fmt.Sprintf("sim: SendTo shard %d out of range [0,%d)", dst, len(s.shards)))
-	}
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	if dst == e.shard {
-		e.Call(delay, h, a, b)
-		return
-	}
-	if la := s.edgeLookahead(e.shard, dst); delay < la {
-		panic(&LookaheadError{Src: e.shard, Dst: dst, Delay: delay, Lookahead: la})
-	}
-	at := e.now + delay
-	e.seq++
-	s.outbox[e.shard] = append(s.outbox[e.shard],
-		xmsg{at: at, src: e.shard, srcSeq: e.seq, dst: dst, a: a, b: b, h: h})
-	// Every cross-shard send re-bounds the live window: the earliest event
-	// this message could cause to reach back here — directly or through any
-	// relay chain — lands at its arrival plus the lookahead distance from
-	// the destination, so dispatch past that point is unsafe. This is what
-	// keeps unbounded solo windows and the per-shard caps honest against
-	// echoes through shards that held no events at planning time.
-	if e.running && e.echoDist != nil {
-		if c := at + e.echoDist[dst]; c < e.windowCap {
-			e.windowCap = c
-		}
-	}
-}
-
-// addTotalDispatched folds a completed run's dispatch delta into the
-// process-wide counter (one atomic add per run, never per event).
-func addTotalDispatched(n uint64) { totalDispatched.Add(n) }
-
 // Pending reports the number of queued events (heap and current-instant
 // FIFO lane together).
 func (e *Engine) Pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }
@@ -683,12 +527,6 @@ func (e *Engine) SleptTime() Time { return e.slept }
 // event loop itself is untouched.
 func (e *Engine) Instrument(m *metrics.Registry) {
 	if m == nil {
-		return
-	}
-	if e.owner != nil && len(e.owner.shards) > 1 {
-		// A grouped engine's counters cover only its shard; report the
-		// group-wide aggregate instead so snapshots measure the whole world.
-		e.owner.Instrument(m)
 		return
 	}
 	m.ProbeCount("engine/events_dispatched", func() int64 { return int64(e.dispatched) })

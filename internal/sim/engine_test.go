@@ -229,8 +229,7 @@ func TestProcPanicPropagates(t *testing.T) {
 }
 
 // goroutinesSettle waits, up to a bound, for the goroutine count to fall to
-// base (a finished sharded run's workers exit asynchronously) and returns
-// the count it saw last.
+// base and returns the count it saw last.
 func goroutinesSettle(base int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	n := runtime.NumGoroutine()
@@ -241,67 +240,56 @@ func goroutinesSettle(base int) int {
 	return n
 }
 
-// TestReapReleasesGoroutines: processes left blocked by a deadlocked run,
-// serial and sharded, stay live until Reap; Reap unwinds them (their
-// deferred calls run), returns the goroutine count to its baseline and
-// leaves the blocked/slept accounting as the run left it.
+// TestReapReleasesGoroutines: processes left blocked by a deadlocked run
+// stay live until Reap; Reap unwinds them (their deferred calls run),
+// returns the goroutine count to its baseline and leaves the blocked/slept
+// accounting as the run left it.
 func TestReapReleasesGoroutines(t *testing.T) {
 	const n = 12
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			s := NewSharded(shards, testHop)
-			var c Cond
-			var procs []*Proc
-			unwound := 0
-			for i := 0; i < n; i++ {
-				procs = append(procs, s.Shard(i%shards).Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-					defer func() { unwound++ }()
-					p.Sleep(Time(i+1) * testHop)
-					c.Wait(p, "never")
-				}))
-			}
-			var dl *DeadlockError
-			if err := s.Run(); !errors.As(err, &dl) || len(dl.Procs) != n {
-				t.Fatalf("Run: %v, want a DeadlockError naming %d procs", err, n)
-			}
-			blocked := make([]Time, n)
-			slept := make([]Time, n)
-			for i, p := range procs {
-				blocked[i], slept[i] = p.BlockedTime(), p.SleptTime()
-			}
-			engineTimes := func() (blocked, slept Time) {
-				for i := 0; i < shards; i++ {
-					blocked += s.Shard(i).BlockedTime()
-					slept += s.Shard(i).SleptTime()
-				}
-				return blocked, slept
-			}
-			engBlocked, engSlept := engineTimes()
+	const hop = 100 * units.Nanosecond
+	base := runtime.NumGoroutine()
+	e := New()
+	var c Cond
+	var procs []*Proc
+	unwound := 0
+	for i := 0; i < n; i++ {
+		procs = append(procs, e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			defer func() { unwound++ }()
+			p.Sleep(Time(i+1) * hop)
+			c.Wait(p, "never")
+		}))
+	}
+	var dl *DeadlockError
+	if err := e.Run(); !errors.As(err, &dl) || len(dl.Procs) != n {
+		t.Fatalf("Run: %v, want a DeadlockError naming %d procs", err, n)
+	}
+	blocked := make([]Time, n)
+	slept := make([]Time, n)
+	for i, p := range procs {
+		blocked[i], slept[i] = p.BlockedTime(), p.SleptTime()
+	}
+	engBlocked, engSlept := e.BlockedTime(), e.SleptTime()
 
-			s.Shard(shards - 1).Reap()
+	e.Reap()
 
-			if got := goroutinesSettle(base); got > base {
-				t.Errorf("%d goroutines after Reap, want the baseline %d", got, base)
-			}
-			if unwound != n {
-				t.Errorf("%d procs ran their deferred calls, want %d", unwound, n)
-			}
-			for i := 0; i < shards; i++ {
-				if live := s.Shard(i).LiveProcs(); live != 0 {
-					t.Errorf("shard %d: %d live procs after Reap", i, live)
-				}
-			}
-			for i, p := range procs {
-				if p.BlockedTime() != blocked[i] || p.SleptTime() != slept[i] {
-					t.Errorf("%s: blocked/slept %v/%v after Reap, want %v/%v",
-						p.Name(), p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
-				}
-			}
-			if b, sl := engineTimes(); b != engBlocked || sl != engSlept {
-				t.Errorf("engine blocked/slept %v/%v after Reap, want %v/%v", b, sl, engBlocked, engSlept)
-			}
-		})
+	if got := goroutinesSettle(base); got > base {
+		t.Errorf("%d goroutines after Reap, want the baseline %d", got, base)
+	}
+	if unwound != n {
+		t.Errorf("%d procs ran their deferred calls, want %d", unwound, n)
+	}
+	if live := e.LiveProcs(); live != 0 {
+		t.Errorf("%d live procs after Reap", live)
+	}
+	for i, p := range procs {
+		if p.BlockedTime() != blocked[i] || p.SleptTime() != slept[i] {
+			t.Errorf("%s: blocked/slept %v/%v after Reap, want %v/%v",
+				p.Name(), p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
+		}
+	}
+	if e.BlockedTime() != engBlocked || e.SleptTime() != engSlept {
+		t.Errorf("engine blocked/slept %v/%v after Reap, want %v/%v",
+			e.BlockedTime(), e.SleptTime(), engBlocked, engSlept)
 	}
 }
 

@@ -121,30 +121,14 @@ func (p *Proc) reason() string {
 	return p.blockedOn
 }
 
-// Reap releases every process still parked on this engine — or, for a
-// member of a Sharded group, on every engine of the group — once Run has
+// Reap releases every process still parked on this engine once Run has
 // returned with processes blocked (a DeadlockError) or re-panicked a
 // process failure. Each process unwinds from its park point, running its
 // deferred calls, and ends without a ProcFailure and without blocked or
 // slept accounting for the abandoned wait; its goroutine exits and no
-// longer keeps the model reachable. Processes are reaped in shard order,
-// then spawn order. A run stopped at a RunUntil horizon that will resume
-// must not be reaped.
+// longer keeps the model reachable. Processes are reaped in spawn order. A
+// run stopped at a RunUntil horizon that will resume must not be reaped.
 func (e *Engine) Reap() {
-	if e.owner == nil {
-		e.reap()
-		return
-	}
-	if e.owner.running {
-		panic("sim: Reap during Run")
-	}
-	for _, s := range e.owner.shards {
-		s.reap()
-	}
-}
-
-// reap cancels this engine's parked processes in spawn order.
-func (e *Engine) reap() {
 	if e.running {
 		panic("sim: Reap during Run")
 	}

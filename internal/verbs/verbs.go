@@ -172,13 +172,6 @@ func (n *Network) Name() string { return "IBA" }
 // for intra-node messages under 16 KB and NIC loopback above.
 func (n *Network) ShmemBelow() int64 { return 16 * units.KB }
 
-// ActivateDomains implements dev.DomainNetwork. Hardware multicast fans out
-// across every node from one event — not shard-safe yet — so it refuses
-// placement on top of the substrate's own refusals.
-func (n *Network) ActivateDomains() bool {
-	return !n.cfg.HWMulticast && n.Net.ActivateDomains()
-}
-
 // ShmemConfig returns the intra-node channel parameters for MVAPICH.
 func (n *Network) ShmemConfig() shmem.Config {
 	c := shmem.DefaultConfig()
@@ -312,9 +305,8 @@ func (ep *endpoint) pioPenalty() sim.Time {
 // the source's up-link and drain on the destination's down-link (which
 // doubles as the switch output port in a star), with the switch crossing
 // as pure latency. Same-node traffic loops through the HCA without
-// touching the link or switch. Bus, HCA TX and link up run on the source's
-// hardware.
-func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, int) {
+// touching the link or switch.
+func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
 	if dst == ep.Node() {
 		return []fabric.PathStage{
@@ -322,7 +314,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, in
 			{Stage: src.hcaTx, Latency: hcaSetup},
 			{Stage: src.hcaRx, Latency: hcaSetup},
 			{Stage: src.bus},
-		}, 3
+		}
 	}
 	d := ep.net.nodes[dst]
 	stages := []fabric.PathStage{
@@ -335,7 +327,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) ([]fabric.PathStage, in
 		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
 		fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
 		fabric.PathStage{Stage: d.bus},
-	), 3
+	)
 }
 
 func (ep *endpoint) transfer(dst int, size int64, deliver func()) {

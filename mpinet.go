@@ -304,11 +304,6 @@ func WithMetrics(m *Metrics) Option { return cluster.WithMetrics(m) }
 // WithTimeout sets the per-wait MPI watchdog (negative disables it).
 func WithTimeout(d Time) Option { return cluster.WithTimeout(d) }
 
-// WithShards partitions the world's event queue into n conservatively
-// synchronized shards (docs/MODEL.md §17). Purely an execution knob: every
-// figure, metric snapshot and trace is byte-identical at any shard count.
-func WithShards(n int) Option { return cluster.WithShards(n) }
-
 // NewMetrics returns an empty observability registry for
 // WorldConfig.Metrics.
 func NewMetrics() *Metrics { return metrics.New() }

@@ -14,11 +14,7 @@
 #   bench.sh -engine [-o FILE]
 #       Engine hot-path record: run the macro suite-throughput benchmark
 #       (BenchmarkSuiteEventsPerSec) plus the park/wake, typed-event and
-#       transfer-chunk micro-benchmarks and the conservative-PDES
-#       shard-scaling sweep (BenchmarkShardScaling: events/sec, window
-#       count and allocs/op at 1/2/4/8 shards — raw per-count numbers
-#       only; a cross-shard-count speedup ratio is a host statement, not
-#       a model statement, so none is recorded) plus the 1024-rank Clos
+#       transfer-chunk micro-benchmarks plus the 1024-rank Clos
 #       scale-out record (BenchmarkScaleWorld: events/sec, bytes/rank,
 #       allocs/op and peak live heap per interconnect), and emit
 #       BENCH_engine.json with events/sec and allocs/op. The committed
@@ -76,9 +72,6 @@ if [ -n "$engine" ]; then
         ./internal/sim/ >"$tmp/sim.txt"
     go test -run '^$' -benchmem -bench 'BenchmarkTransferChunk$' \
         ./internal/fabric/ >"$tmp/fabric.txt"
-    echo "== shard scaling: conservative PDES events/sec at 1/2/4/8 shards ==" >&2
-    go test -run '^$' -benchmem -bench 'BenchmarkShardScaling$' -benchtime 3x \
-        ./internal/sim/ >"$tmp/shard.txt"
     echo "== scale-out: 1024-rank Clos worlds (events/sec, bytes/rank) ==" >&2
     go test -run '^$' -benchmem -bench 'BenchmarkScaleWorld$' -benchtime 3x \
         ./internal/experiments/ >"$tmp/scale.txt"
@@ -91,9 +84,6 @@ if [ -n "$engine" ]; then
     # go test suffixes benchmark names with -GOMAXPROCS (no suffix = 1).
     gmp=$(awk '$1 ~ /^BenchmarkSuiteEventsPerSec/ {n = split($1, a, "-"); if (n > 1) print a[n]; exit}' "$tmp/macro.txt")
     [ -n "$gmp" ] || gmp=1
-
-    # shard_m N UNIT: the N-shard sub-benchmark's metric.
-    shard_m() { metric "$tmp/shard.txt" "BenchmarkShardScaling/shards=$1" "$2"; }
 
     # scale_m NET UNIT: a BenchmarkScaleWorld sub-benchmark's metric.
     scale_m() { metric "$tmp/scale.txt" "BenchmarkScaleWorld/$1" "$2"; }
@@ -113,17 +103,6 @@ if [ -n "$engine" ]; then
         printf '    "mode": "quick",\n'
         printf '    "events_per_op": %s,\n' "$(metric "$tmp/macro.txt" BenchmarkSuiteEventsPerSec events/op)"
         printf '    "events_per_sec": %s\n' "$(metric "$tmp/macro.txt" BenchmarkSuiteEventsPerSec events/s)"
-        printf '  },\n'
-        printf '  "shard_scaling": {\n'
-        printf '    "bench": "BenchmarkShardScaling",\n'
-        printf '    "workload": "8 node domains + switch domain, 96-op compute grain, 400 rounds",\n'
-        printf '    "events_per_sec": {"shards_1": %s, "shards_2": %s, "shards_4": %s, "shards_8": %s},\n' \
-            "$(shard_m 1 events/s)" "$(shard_m 2 events/s)" "$(shard_m 4 events/s)" "$(shard_m 8 events/s)"
-        printf '    "windows_per_op": {"shards_1": %s, "shards_2": %s, "shards_4": %s, "shards_8": %s},\n' \
-            "$(shard_m 1 windows/op)" "$(shard_m 2 windows/op)" "$(shard_m 4 windows/op)" "$(shard_m 8 windows/op)"
-        printf '    "allocs_per_op": {"shards_1": %s, "shards_2": %s, "shards_4": %s, "shards_8": %s},\n' \
-            "$(shard_m 1 allocs/op)" "$(shard_m 2 allocs/op)" "$(shard_m 4 allocs/op)" "$(shard_m 8 allocs/op)"
-        printf '    "speedup_note": "no cross-shard-count ratio is recorded: it measures host parallelism, not the model; compare each count against the committed baseline"\n'
         printf '  },\n'
         printf '  "scale_1k": {\n'
         printf '    "bench": "BenchmarkScaleWorld",\n'

@@ -7,9 +7,6 @@
 #
 # Usage: check.sh [-guards] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
 #
-# The determinism smoke also re-renders the document at -shards 4 and
-# requires the same bytes as the serial engine (docs/MODEL.md §17).
-#
 #   -guards  run only the banned-pattern guards (seconds; the CI build
 #            job runs this)
 #   -short   pass -short to go test (the CI race-shard budget: quick-mode
@@ -24,7 +21,7 @@
 #            {failover, stripe}) and its seeded-replay determinism check
 #   -chaos   also run the Clos chaos soak (kill storms x interconnects x
 #            routing policies — every scenario must land typed-or-success,
-#            never hang) with sharded and unsharded seeded-replay checks
+#            never hang) and its seeded-replay determinism check
 #   -seed N  fault-plan seed for -faults/-rail/-chaos (default 0 = the
 #            committed seed)
 #
@@ -84,29 +81,20 @@ if grep -nw 'chan' internal/sim/proc.go || grep -n '<-' internal/sim/proc.go; th
     echo "FAIL: internal/sim/proc.go hands processes off over a channel again (scheduler round trip per park/wake)" >&2
     exit 1
 fi
-# The shard scheduler must stay deterministic: wall-clock reads and shared
-# mutable counters inside the window loop would make the commit order (and
-# so the replay bytes) depend on host scheduling. Process-wide counters
-# accumulate per shard and merge through engine.go helpers instead.
-if grep -n 'time\.Now\|time\.Since\|atomic\.' internal/sim/shard.go; then
-    echo "FAIL: internal/sim/shard.go reads wall-clock or shared atomics (nondeterministic under shard scheduling)" >&2
-    exit 1
-fi
 # The retry ladder (node-down check, route re-resolve, partition check,
 # verdict, backoff) lives once, in internal/nic; a NIC model supplies only
 # its hooks. Any of the ladder's own calls in a model means it forked again.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'NodeDeadDetected|LastRouteOf|VerdictExtra|FlightRetransmit' \
+    'NodeDeadDetected|RoutePartitioned|VerdictExtra|FlightRetransmit' \
     internal/verbs/ internal/gm/ internal/elan/; then
     echo "FAIL: a NIC model runs its own retry ladder again (it belongs to internal/nic)" >&2
     exit 1
 fi
-# There is one timing model: a node domain's placement on a shard engine
-# is chosen by the MPI layer and never changes timing, so no device model
-# may branch on it again.
+# There is one timing model, so no device model may branch on an
+# execution mode again.
 if grep -rnE --include='*.go' --exclude='*_test.go' '\bScale\(\)|\.scale\b' \
     internal/nic/ internal/verbs/ internal/gm/ internal/elan/; then
-    echo "FAIL: a NIC model branches on domain placement again (one timing model; see internal/nic)" >&2
+    echo "FAIL: a NIC model branches on an execution mode again (one timing model; see internal/nic)" >&2
     exit 1
 fi
 # The endpoint resolves each message's fabric segment once and caches the
@@ -142,15 +130,6 @@ cmp "$tmp/doc_j1.md" "$tmp/doc_jN.md" || {
     exit 1
 }
 echo "figure document byte-identical at -j 1 and -j $jobs"
-
-# The sharded-engine contract (docs/MODEL.md §17): partitioning each
-# world's event queue is an execution knob like -j, never visible in output.
-"$tmp/paperrepro" -quick -j 2 -shards 4 -o "$tmp/doc_s4.md" 2>/dev/null
-cmp "$tmp/doc_j1.md" "$tmp/doc_s4.md" || {
-    echo "FAIL: figure document differs between -shards 1 and -shards 4" >&2
-    exit 1
-}
-echo "figure document byte-identical at -shards 1 and -shards 4"
 
 # The observability contract: identical runs, identical artifacts.
 for i in 1 2; do
@@ -244,20 +223,14 @@ if [ -n "$chaos" ]; then
             fi
         done
     done
-    # ...and the seeded storm must replay byte-identically, sharded or not.
+    # ...and the seeded storm must replay byte-identically.
     "$tmp/paperrepro" -chaos -faultnet IBA -routing deterministic \
         -seed "$seed" >"$tmp/chaos_replay.txt"
     cmp "$tmp/chaos_IBA_deterministic.txt" "$tmp/chaos_replay.txt" || {
         echo "FAIL: seeded chaos soak differs between identical replays" >&2
         exit 1
     }
-    "$tmp/paperrepro" -chaos -faultnet IBA -routing deterministic \
-        -seed "$seed" -shards 8 >"$tmp/chaos_s8.txt"
-    cmp "$tmp/chaos_IBA_deterministic.txt" "$tmp/chaos_s8.txt" || {
-        echo "FAIL: chaos soak differs between -shards 1 and -shards 8" >&2
-        exit 1
-    }
-    echo "chaos soak passed; seeded storms byte-identical, sharded and not"
+    echo "chaos soak passed; seeded storms byte-identical"
 fi
 
 echo "OK"
