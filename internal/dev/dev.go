@@ -215,16 +215,6 @@ type TraceAttacher interface {
 	AttachTracer(rec *msgtrace.Recorder)
 }
 
-// Skew is the deterministic per-source-node latency perturbation every
-// cross-node hop carries, in the device models and the MPI layer alike: one
-// picosecond times (node+1). It breaks the systematic same-instant ties
-// lockstep SPMD programs generate (identical compute constants on every
-// rank), so cross-shard commit order — sorted (time, source shard,
-// sequence) — agrees with single-engine dispatch order at every collision
-// point. At 4096 nodes the perturbation tops out near 4 ns, well under any
-// modelled wire latency.
-func Skew(node int) sim.Time { return sim.Time(node + 1) }
-
 // ConfigErrer is implemented by networks built from an invalid
 // configuration: construction cannot return an error through the Platform
 // builder chain, so the network carries it and mpi.NewWorld surfaces it as

@@ -349,7 +349,7 @@ func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) []fabric.PathStag
 	stages = append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
-		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
+		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency},
 	)
 	stages = append(stages, seg.Stages...)
 	return append(stages,
@@ -365,14 +365,13 @@ func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) []fabric.PathStag
 func (ep *endpoint) Hold(nic.Msg) { ep.outstanding++ }
 
 // Delivered implements nic.Holder: the slot is source-NIC state, so its
-// release rides a cross-domain hop back, one wire flight after delivery
-// plus the destination's skew.
+// release rides a cross-domain hop back, one wire flight after delivery.
 func (ep *endpoint) Delivered(m nic.Msg) {
 	if m.Dst == ep.Node() {
 		ep.freeSlot()
 		return
 	}
-	ep.net.Engine().Schedule(wireLatency+dev.Skew(m.Dst), ep.freeSlot)
+	ep.net.Engine().Schedule(wireLatency, ep.freeSlot)
 }
 
 // Aborted implements nic.Holder: a failed message frees its slot at once.

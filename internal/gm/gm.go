@@ -345,7 +345,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
-		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
+		{Stage: src.link.Up(), Latency: wireLatency},
 	}
 	stages = append(stages, seg.Stages...)
 	return append(stages,
@@ -401,15 +401,14 @@ func (ep *endpoint) Aborted(m nic.Msg) {
 }
 
 // peerHop applies op, an effect on node to's NIC moving n bytes: at once
-// when that is from's own NIC, else as a cross-domain hop one flight plus
-// from's skew later.
+// when that is from's own NIC, else as a cross-domain hop one flight later.
 func (ep *endpoint) peerHop(from, to int, flight sim.Time, op, n int64) {
 	hw := ep.net.nodes[to]
 	if from == to {
 		hw.HandleEvent(op, n)
 		return
 	}
-	ep.net.Engine().Call(flight+dev.Skew(from), hw, op, n)
+	ep.net.Engine().Call(flight, hw, op, n)
 }
 
 // Resend implements nic.Resender: a lapsed ACK timeout runs the LANai's

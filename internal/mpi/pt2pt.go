@@ -331,11 +331,10 @@ func (ps *procState) startBulk(m *inMsg) {
 
 // bulkLanded runs on the receiver as the payload lands in its user buffer.
 // The sender-side FIN must land on the sender's own domain: across nodes it
-// is a hop of one minimum link latency plus the receiver node's
-// deterministic skew, like every other cross-domain event.
+// is a cross-domain hop of one minimum link latency.
 func (ps *procState) bulkLanded(m *inMsg) {
 	if src := ps.world.procs[m.src]; src.node != ps.node {
-		ps.eng.Call(ps.world.finLat+dev.Skew(ps.node), (*finHop)(m.sender), 0, 0)
+		ps.eng.Call(ps.world.finLat, (*finHop)(m.sender), 0, 0)
 	} else {
 		m.sender.completeSend()
 	}

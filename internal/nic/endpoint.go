@@ -24,8 +24,7 @@ type Model interface {
 // Holder is implemented by models whose messages hold NIC resources from
 // issue until they end. Hold runs when a message is issued; exactly one of
 // Delivered and Aborted runs when it ends. A claim or release on the other
-// node's NIC is a cross-domain hop of at least one wire flight plus the
-// sending side's dev.Skew.
+// node's NIC is a cross-domain hop of at least one wire flight.
 type Holder interface {
 	// Hold claims what m keeps across its retry chain.
 	Hold(m Msg)

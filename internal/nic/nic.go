@@ -18,8 +18,7 @@
 //
 // There is one timing model, run on the network's one engine. Each node's
 // device state belongs to its node domain, and every effect on another
-// node's state travels as a cross-domain hop of at least one wire flight
-// plus the source's dev.Skew.
+// node's state travels as a cross-domain hop of at least one wire flight.
 package nic
 
 import (

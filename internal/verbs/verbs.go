@@ -320,7 +320,7 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
 	stages := []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
-		{Stage: src.link.Up(), Latency: wireLatency + dev.Skew(ep.Node())},
+		{Stage: src.link.Up(), Latency: wireLatency},
 	}
 	stages = append(stages, seg.Stages...)
 	return append(stages,
