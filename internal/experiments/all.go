@@ -61,35 +61,35 @@ func (r *Runner) MicroComparisons() []report.Comparison {
 			Name: fmt.Sprintf("%s %s", name, net), Paper: paper, Sim: sim, Unit: unit}}
 	}
 	var groups []func() []report.Comparison
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("latency 4B", p.Name, report.PaperMicro["latency_4B_us"][p.Name],
 				microbench.Latency(p, []int64{4}).Y[0], "us")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("peak bandwidth", p.Name, report.PaperMicro["peak_bw_MBs"][p.Name],
 				microbench.Bandwidth(p, []int64{512 * units.KB}, 16).Y[0], "MB/s")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("host overhead", p.Name, report.PaperMicro["overhead_us"][p.Name],
 				microbench.HostOverhead(p, []int64{4}).Y[0], "us")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("bi-dir latency 4B", p.Name, report.PaperMicro["bidir_latency_us"][p.Name],
 				microbench.BiLatency(p, []int64{4}).Y[0], "us")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			size := int64(256 * units.KB)
@@ -107,14 +107,14 @@ func (r *Runner) MicroComparisons() []report.Comparison {
 				microbench.IntraLatency(p, []int64{4}).Y[0], "us")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("alltoall 4B 8n", p.Name, report.PaperMicro["alltoall_small_us"][p.Name],
 				microbench.Alltoall(p, 8, []int64{4}).Y[0], "us")
 		})
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		p := p
 		groups = append(groups, func() []report.Comparison {
 			return one("allreduce 4B 8n", p.Name, report.PaperMicro["allreduce_small_us"][p.Name],
@@ -133,7 +133,7 @@ func (r *Runner) MicroComparisons() []report.Comparison {
 func (r *Runner) Table2Comparisons() []report.Comparison {
 	var groups []func() []report.Comparison
 	for _, name := range []string{"IS", "CG", "MG", "LU", "FT", "S3D-50", "S3D-150"} {
-		for _, p := range osu() {
+		for _, p := range cluster.OSU() {
 			name, p := name, p
 			groups = append(groups, func() []report.Comparison {
 				var comps []report.Comparison

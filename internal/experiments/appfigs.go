@@ -30,7 +30,7 @@ func (r *Runner) Figs14to17() report.Table {
 	for _, name := range report.AppOrder {
 		procs := appProcs(name)
 		row := []string{name, fmt.Sprint(procs)}
-		for _, p := range osu() {
+		for _, p := range cluster.OSU() {
 			res := r.app(name, p, procs, 1)
 			row = append(row, fmt.Sprintf("%.2f", res.Elapsed.Seconds()))
 		}
@@ -62,7 +62,7 @@ func (r *Runner) Tab2() report.Table {
 		Header: []string{"App", "IBA 2", "IBA 4", "IBA 8", "Myri 2", "Myri 4", "Myri 8", "QSN 2", "QSN 4", "QSN 8"}}
 	for _, name := range []string{"IS", "CG", "MG", "LU", "FT", "S3D-50", "S3D-150"} {
 		row := []string{name}
-		for _, p := range osu() {
+		for _, p := range cluster.OSU() {
 			for _, procs := range report.Table2Procs {
 				if name == "FT" && procs == 2 {
 					row = append(row, "-")
@@ -155,7 +155,7 @@ func (r *Runner) speedupFig(name string) report.Figure {
 	r.logf("%s: speedup of %s", speedupIDs[name], name)
 	f := report.Figure{ID: speedupIDs[name], Title: "Speedup of " + name,
 		XLabel: "Nodes", YLabel: "Speedup"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		var times []float64
 		for _, procs := range report.Table2Procs {
 			times = append(times, r.app(name, p, procs, 1).Elapsed.Seconds())
@@ -220,7 +220,7 @@ func (r *Runner) Fig25() report.Table {
 		Header: []string{"App", "IBA", "Myri", "QSN"}}
 	for _, name := range report.AppOrder {
 		row := []string{name}
-		for _, p := range osu() {
+		for _, p := range cluster.OSU() {
 			res := r.app(name, p, 16, 2)
 			row = append(row, fmt.Sprintf("%.2f", res.Elapsed.Seconds()))
 		}

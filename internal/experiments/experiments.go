@@ -152,15 +152,12 @@ func (r *Runner) sizes(lo, hi int64) []int64 {
 	return out
 }
 
-// osu returns the three platforms of the 8-node testbed.
-func osu() []cluster.Platform { return cluster.OSU() }
-
 // Fig1 regenerates Figure 1: MPI latency across the three interconnects.
 func (r *Runner) Fig1() report.Figure {
 	r.logf("Fig 1: latency")
 	f := report.Figure{ID: "Fig 1", Title: "MPI Latency across Three Interconnects",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.Latency(p, r.sizes(4, 16*units.KB)))
 	}
 	return f
@@ -172,7 +169,7 @@ func (r *Runner) Fig2() report.Figure {
 	r.logf("Fig 2: bandwidth")
 	f := report.Figure{ID: "Fig 2", Title: "MPI Bandwidth (windows 4 and 16)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		for _, w := range []int{4, 16} {
 			c := microbench.Bandwidth(p, r.sizes(4, units.MB), w)
 			c.Label = fmt.Sprintf("%s %d", p.Name, w)
@@ -187,7 +184,7 @@ func (r *Runner) Fig3() report.Figure {
 	r.logf("Fig 3: host overhead")
 	f := report.Figure{ID: "Fig 3", Title: "MPI Host Overhead in Latency Test",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.HostOverhead(p, r.sizes(2, units.KB)))
 	}
 	return f
@@ -198,7 +195,7 @@ func (r *Runner) Fig4() report.Figure {
 	r.logf("Fig 4: bi-directional latency")
 	f := report.Figure{ID: "Fig 4", Title: "MPI Bi-Directional Latency",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.BiLatency(p, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -209,7 +206,7 @@ func (r *Runner) Fig5() report.Figure {
 	r.logf("Fig 5: bi-directional bandwidth")
 	f := report.Figure{ID: "Fig 5", Title: "MPI Bi-Directional Bandwidth (window 16)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.BiBandwidth(p, r.sizes(4, units.MB)))
 	}
 	return f
@@ -220,7 +217,7 @@ func (r *Runner) Fig6() report.Figure {
 	r.logf("Fig 6: overlap potential")
 	f := report.Figure{ID: "Fig 6", Title: "Overlap Potential",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.Overlap(p, r.sizes(4, 64*units.KB)))
 	}
 	return f
@@ -232,7 +229,7 @@ func (r *Runner) Fig7() report.Figure {
 	r.logf("Fig 7: latency vs buffer reuse")
 	f := report.Figure{ID: "Fig 7", Title: "MPI Latency with Buffer Reuse (0/50/100%)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		for _, pct := range []int{0, 50, 100} {
 			c := microbench.ReuseLatency(p, r.sizes(64, 16*units.KB), pct)
 			c.Label = fmt.Sprintf("%s %d", p.Name, pct)
@@ -247,7 +244,7 @@ func (r *Runner) Fig8() report.Figure {
 	r.logf("Fig 8: bandwidth vs buffer reuse")
 	f := report.Figure{ID: "Fig 8", Title: "MPI Bandwidth with Buffer Reuse (0/50/100%)",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		for _, pct := range []int{0, 50, 100} {
 			c := microbench.ReuseBandwidth(p, r.sizes(4, 64*units.KB), pct)
 			c.Label = fmt.Sprintf("%s %d", p.Name, pct)
@@ -262,7 +259,7 @@ func (r *Runner) Fig9() report.Figure {
 	r.logf("Fig 9: intra-node latency")
 	f := report.Figure{ID: "Fig 9", Title: "MPI Intra-Node Latency",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.IntraLatency(p, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -273,7 +270,7 @@ func (r *Runner) Fig10() report.Figure {
 	r.logf("Fig 10: intra-node bandwidth")
 	f := report.Figure{ID: "Fig 10", Title: "MPI Intra-Node Bandwidth",
 		XLabel: "Message Size (Bytes)", YLabel: "Bandwidth (MB/s)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.IntraBandwidth(p, r.sizes(4, units.MB)))
 	}
 	return f
@@ -284,7 +281,7 @@ func (r *Runner) Fig11() report.Figure {
 	r.logf("Fig 11: alltoall")
 	f := report.Figure{ID: "Fig 11", Title: "MPI Alltoall (8 nodes)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.Alltoall(p, 8, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -295,7 +292,7 @@ func (r *Runner) Fig12() report.Figure {
 	r.logf("Fig 12: allreduce")
 	f := report.Figure{ID: "Fig 12", Title: "MPI Allreduce (8 nodes)",
 		XLabel: "Message Size (Bytes)", YLabel: "Time (us)"}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.Allreduce(p, 8, r.sizes(4, 4*units.KB)))
 	}
 	return f
@@ -310,7 +307,7 @@ func (r *Runner) Fig13() report.Figure {
 	if r.Quick {
 		counts = []int{2, 8}
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		f.Curves = append(f.Curves, microbench.MemoryUsage(p, counts))
 	}
 	return f

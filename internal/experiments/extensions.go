@@ -94,7 +94,7 @@ func (r *Runner) ExtLogP() report.Table {
 	r.logf("Ext C: LogGP parameters")
 	t := report.Table{ID: "Ext C", Title: "LogGP Parameters (Culler et al. model)",
 		Header: []string{"Net", "L (us)", "os (us)", "or (us)", "G (us/KB)", "1/G (MB/s)"}}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		lp := microbench.LogP(p)
 		t.Rows = append(t.Rows, []string{p.Name,
 			fmt.Sprintf("%.2f", lp.L), fmt.Sprintf("%.2f", lp.Os),
@@ -110,7 +110,7 @@ func (r *Runner) ExtLowLevel() report.Table {
 	r.logf("Ext D: below-MPI layers")
 	t := report.Table{ID: "Ext D", Title: "Messaging Layer vs MPI (protocol cost isolation)",
 		Header: []string{"Net", "raw lat us", "MPI lat us", "gap us", "raw bw MB/s", "MPI bw MB/s"}}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		rawLat := lowlevel.Latency(p, 8).Micros()
 		mpiLat := microbench.Latency(p, []int64{8}).Y[0]
 		rawBW := lowlevel.Bandwidth(p, 512*units.KB, 8)

@@ -51,7 +51,7 @@ func (r *Runner) ExtFaults() report.Figure {
 	if r.Quick {
 		iters = 128
 	}
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		for _, drop := range []float64{0, 0.001, 0.01} {
 			f.Curves = append(f.Curves,
 				microbench.LatencyIters(Faulty(p, drop), r.sizes(4, 4*units.KB), iters))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mpinet/internal/cluster"
 	"mpinet/internal/microbench"
 	"mpinet/internal/units"
 )
@@ -17,7 +18,7 @@ import (
 func TestFaultLatencyDominatesHealthy(t *testing.T) {
 	r := NewRunner(false, nil)
 	sizes := r.sizes(4, 4*units.KB)
-	for _, p := range osu() {
+	for _, p := range cluster.OSU() {
 		healthy := microbench.LatencyIters(p, sizes, faultIters)
 		faulty := microbench.LatencyIters(Faulty(p, 0.01), sizes, faultIters)
 		for i, s := range sizes {
