@@ -245,52 +245,56 @@ func goroutinesSettle(base int) int {
 // returns the goroutine count to its baseline and leaves the blocked/slept
 // accounting as the run left it.
 func TestReapReleasesGoroutines(t *testing.T) {
-	const n = 12
-	const hop = 100 * units.Nanosecond
-	base := runtime.NumGoroutine()
-	e := New()
-	var c Cond
-	var procs []*Proc
-	unwound := 0
-	for i := 0; i < n; i++ {
-		procs = append(procs, e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			defer func() { unwound++ }()
-			p.Sleep(Time(i+1) * hop)
-			c.Wait(p, "never")
-		}))
-	}
-	var dl *DeadlockError
-	if err := e.Run(); !errors.As(err, &dl) || len(dl.Procs) != n {
-		t.Fatalf("Run: %v, want a DeadlockError naming %d procs", err, n)
-	}
-	blocked := make([]Time, n)
-	slept := make([]Time, n)
-	for i, p := range procs {
-		blocked[i], slept[i] = p.BlockedTime(), p.SleptTime()
-	}
-	engBlocked, engSlept := e.BlockedTime(), e.SleptTime()
-
-	e.Reap()
-
-	if got := goroutinesSettle(base); got > base {
-		t.Errorf("%d goroutines after Reap, want the baseline %d", got, base)
-	}
-	if unwound != n {
-		t.Errorf("%d procs ran their deferred calls, want %d", unwound, n)
-	}
-	if live := e.LiveProcs(); live != 0 {
-		t.Errorf("%d live procs after Reap", live)
-	}
-	for i, p := range procs {
-		if p.BlockedTime() != blocked[i] || p.SleptTime() != slept[i] {
-			t.Errorf("%s: blocked/slept %v/%v after Reap, want %v/%v",
-				p.Name(), p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
+	// One engine: the case keeps the name it had when sharded groups
+	// were checked beside it.
+	t.Run("shards=1", func(t *testing.T) {
+		const n = 12
+		const hop = 100 * units.Nanosecond
+		base := runtime.NumGoroutine()
+		e := New()
+		var c Cond
+		var procs []*Proc
+		unwound := 0
+		for i := 0; i < n; i++ {
+			procs = append(procs, e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Sleep(Time(i+1) * hop)
+				c.Wait(p, "never")
+			}))
 		}
-	}
-	if e.BlockedTime() != engBlocked || e.SleptTime() != engSlept {
-		t.Errorf("engine blocked/slept %v/%v after Reap, want %v/%v",
-			e.BlockedTime(), e.SleptTime(), engBlocked, engSlept)
-	}
+		var dl *DeadlockError
+		if err := e.Run(); !errors.As(err, &dl) || len(dl.Procs) != n {
+			t.Fatalf("Run: %v, want a DeadlockError naming %d procs", err, n)
+		}
+		blocked := make([]Time, n)
+		slept := make([]Time, n)
+		for i, p := range procs {
+			blocked[i], slept[i] = p.BlockedTime(), p.SleptTime()
+		}
+		engBlocked, engSlept := e.BlockedTime(), e.SleptTime()
+
+		e.Reap()
+
+		if got := goroutinesSettle(base); got > base {
+			t.Errorf("%d goroutines after Reap, want the baseline %d", got, base)
+		}
+		if unwound != n {
+			t.Errorf("%d procs ran their deferred calls, want %d", unwound, n)
+		}
+		if live := e.LiveProcs(); live != 0 {
+			t.Errorf("%d live procs after Reap", live)
+		}
+		for i, p := range procs {
+			if p.BlockedTime() != blocked[i] || p.SleptTime() != slept[i] {
+				t.Errorf("%s: blocked/slept %v/%v after Reap, want %v/%v",
+					p.Name(), p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
+			}
+		}
+		if e.BlockedTime() != engBlocked || e.SleptTime() != engSlept {
+			t.Errorf("engine blocked/slept %v/%v after Reap, want %v/%v",
+				e.BlockedTime(), e.SleptTime(), engBlocked, engSlept)
+		}
+	})
 }
 
 func TestYieldLetsSameInstantEventsRun(t *testing.T) {
