@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -54,7 +53,7 @@ func main() {
 
 	os.Exit(profiling.Run(*cpuProfile, *memProfile, "mpibench", func() int {
 		if *metricsOut != "" || *traceOut != "" || *blameOut != "" {
-			if err := runObserved(*obsNet, *metricsOut, *traceOut, *blameOut, *traceMsgs); err != nil {
+			if err := experiments.RunObserved(*obsNet, *metricsOut, *traceOut, *blameOut, *traceMsgs, writeOut); err != nil {
 				fmt.Fprintln(os.Stderr, "mpibench:", err)
 				return 1
 			}
@@ -104,48 +103,6 @@ func main() {
 		fmt.Println(f().Render())
 		return 0
 	}))
-}
-
-// runObserved executes the instrumented demo workload and writes the
-// requested artifacts. -blame implies full tracing when -tracemsgs is 0.
-func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery int) error {
-	p, err := experiments.PlatformByName(net)
-	if err != nil {
-		return err
-	}
-	if blamePath != "" && traceEvery <= 0 {
-		traceEvery = 1
-	}
-	w, err := experiments.ObserveTraced(p, traceEvery)
-	if err != nil {
-		return err
-	}
-	if metricsPath != "" {
-		var b bytes.Buffer
-		w.Metrics().Snapshot().RenderGrouped(&b)
-		if err := writeOut(metricsPath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		var b bytes.Buffer
-		if err := w.WriteChromeTrace(&b); err != nil {
-			return err
-		}
-		if err := writeOut(tracePath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	if blamePath != "" {
-		var b bytes.Buffer
-		if err := report.WriteBlameJSON(&b, w.MsgTrace().Analyze(5)); err != nil {
-			return err
-		}
-		if err := writeOut(blamePath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeOut writes data to path, with - meaning stdout.

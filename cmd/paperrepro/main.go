@@ -182,7 +182,7 @@ func run(o runOpts) int {
 	}
 
 	if o.metricsOut != "" || o.traceOut != "" || o.blameOut != "" {
-		if err := runObserved(o.obsNet, o.metricsOut, o.traceOut, o.blameOut, o.traceMsgs); err != nil {
+		if err := experiments.RunObserved(o.obsNet, o.metricsOut, o.traceOut, o.blameOut, o.traceMsgs, writeOut); err != nil {
 			fmt.Fprintln(os.Stderr, "paperrepro:", err)
 			return 1
 		}
@@ -258,48 +258,6 @@ func writeBenchJSON(path string, r *experiments.Runner, jobs int, wall time.Dura
 		return err
 	}
 	return writeOut(path, append(data, '\n'))
-}
-
-// runObserved executes the instrumented demo workload and writes the
-// requested artifacts. -blame implies full tracing when -tracemsgs is 0.
-func runObserved(net, metricsPath, tracePath, blamePath string, traceEvery int) error {
-	p, err := experiments.PlatformByName(net)
-	if err != nil {
-		return err
-	}
-	if blamePath != "" && traceEvery <= 0 {
-		traceEvery = 1
-	}
-	w, err := experiments.ObserveTraced(p, traceEvery)
-	if err != nil {
-		return err
-	}
-	if metricsPath != "" {
-		var b bytes.Buffer
-		w.Metrics().Snapshot().RenderGrouped(&b)
-		if err := writeOut(metricsPath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		var b bytes.Buffer
-		if err := w.WriteChromeTrace(&b); err != nil {
-			return err
-		}
-		if err := writeOut(tracePath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	if blamePath != "" {
-		var b bytes.Buffer
-		if err := report.WriteBlameJSON(&b, w.MsgTrace().Analyze(5)); err != nil {
-			return err
-		}
-		if err := writeOut(blamePath, b.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeOut writes data to path, with - meaning stdout.

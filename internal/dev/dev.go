@@ -27,6 +27,14 @@ import (
 	"mpinet/internal/sim"
 )
 
+// Wire sizes every interconnect shares: an eager packet carries its payload
+// behind an EnvelopeBytes header, and a control message (RTS/CTS/FIN) is
+// ControlBytes on the wire.
+const (
+	EnvelopeBytes = 32
+	ControlBytes  = 64
+)
+
 // Endpoint is one process's attachment to an interconnect. Endpoints on the
 // same node share that node's NIC, bus and link hardware, so contention
 // between co-located processes is modelled for free.
@@ -70,15 +78,16 @@ type Endpoint interface {
 	IssueStall() sim.Time
 
 	// Eager moves an eager packet (envelope + payload) to the destination
-	// node's eager region; deliver fires there when it has landed.
-	Eager(dst int, size int64, deliver func())
+	// node's eager region; deliver fires there when it has landed. tid is
+	// the message's trace ID (0 = untraced), as for Control and Bulk.
+	Eager(dst int, size int64, tid msgtrace.ID, deliver func())
 
 	// Control moves a small protocol message (RTS/CTS/FIN).
-	Control(dst int, deliver func())
+	Control(dst int, tid msgtrace.ID, deliver func())
 
 	// Bulk moves rendezvous payload zero-copy; deliver fires when the last
 	// byte is in the destination user buffer.
-	Bulk(dst int, size int64, deliver func())
+	Bulk(dst int, size int64, tid msgtrace.ID, deliver func())
 
 	// MemoryUsage is the bytes of library+device memory this process
 	// consumes when connected to npeers other processes.
@@ -204,15 +213,14 @@ type ElementHealth interface {
 
 // TraceAttacher is implemented by networks that can carry per-message
 // trace context (see internal/msgtrace). The MPI world attaches its
-// recorder at wiring time; device models then read the current message's
-// trace ID from the recorder synchronously at the Eager/Control/Bulk entry
-// (the cooperative scheduler makes the scoped handoff race-free), capture
-// it into their completion and retry closures, and record wire, hop,
-// backoff and flight-recorder observations against it. Composite networks
-// (the rail bond) forward the attachment to every member and add their own
-// dispatch/failover spans.
+// recorder at wiring time with rail -1; the rail bond forwards it to each
+// member network with that member's rail index, fixed for the network's
+// lifetime. Device models take each message's trace ID from the
+// Eager/Control/Bulk call, keep it with the message across its retry
+// chain, and record wire, hop, backoff and flight-recorder observations
+// against it, attributed to the attached rail.
 type TraceAttacher interface {
-	AttachTracer(rec *msgtrace.Recorder)
+	AttachTracer(rec *msgtrace.Recorder, rail int8)
 }
 
 // ConfigErrer is implemented by networks built from an invalid

@@ -6,47 +6,6 @@ import (
 	"mpinet/internal/units"
 )
 
-// NICCounters bundles the protocol counters every NIC model reports:
-// eager vs rendezvous message counts and volumes, plus control traffic.
-// Built from a nil registry the handles are nil and every method is a
-// no-op, so endpoints count unconditionally. Endpoints on the same node
-// resolve the same names and therefore share counters — per-node totals
-// come for free.
-type NICCounters struct {
-	EagerMsgs  *metrics.Counter
-	EagerBytes *metrics.Counter
-	CtrlMsgs   *metrics.Counter
-	BulkMsgs   *metrics.Counter
-	BulkBytes  *metrics.Counter
-}
-
-// NewNICCounters resolves the per-node NIC counter set under nodeN/nic/....
-func NewNICCounters(m *metrics.Registry, node int) NICCounters {
-	prefix := metrics.NodePrefix(node) + "nic"
-	return NICCounters{
-		EagerMsgs:  m.Counter(prefix + "/eager_msgs"),
-		EagerBytes: m.Counter(prefix + "/eager_bytes"),
-		CtrlMsgs:   m.Counter(prefix + "/ctrl_msgs"),
-		BulkMsgs:   m.Counter(prefix + "/rndv_msgs"),
-		BulkBytes:  m.Counter(prefix + "/rndv_bytes"),
-	}
-}
-
-// Eager counts one eager-protocol message of size bytes.
-func (c NICCounters) Eager(size int64) {
-	c.EagerMsgs.Inc()
-	c.EagerBytes.Add(size)
-}
-
-// Control counts one protocol control message (RTS/CTS/FIN).
-func (c NICCounters) Control() { c.CtrlMsgs.Inc() }
-
-// Bulk counts one rendezvous bulk transfer of size bytes.
-func (c NICCounters) Bulk(size int64) {
-	c.BulkMsgs.Inc()
-	c.BulkBytes.Add(size)
-}
-
 // InstrumentPinCache registers snapshot-time probes over a pin-down cache's
 // public statistics under nodeN/pin/.... Several caches on one node (one
 // per endpoint) compose: counts and times sum. The cache itself is

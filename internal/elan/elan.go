@@ -22,8 +22,8 @@
 //   - No registration, but the NIC MMU must hold translations: first touch
 //     of a new buffer costs host time at any message size (Figures 7, 8).
 //
-// Fabric wiring, the per-peer path cache and the retry ladder come from
-// internal/nic.
+// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// and the retry ladder come from internal/nic.
 package elan
 
 import (
@@ -383,30 +383,12 @@ func (ep *endpoint) Resend() {
 	ep.net.nodes[ep.Node()].elanProc.Use(ep.net.Engine().Now(), elanPerMsg)
 }
 
-func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	m := nic.Msg{Dst: dst, Size: size}
-	if size > pioMax {
+// Shape implements nic.Shaper: a message past pioMax rides the DMA path.
+func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
+	if m.Size > pioMax {
 		m.Variant = pathDMA
 	}
-	ep.Send(m, deliver)
-}
-
-// Eager implements dev.Endpoint (Tports queued send).
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.NIC.Eager(size)
-	ep.transfer(dst, size+32, deliver)
-}
-
-// Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.NIC.Control()
-	ep.transfer(dst, 64, deliver)
-}
-
-// Bulk implements dev.Endpoint (Elan remote DMA).
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.NIC.Bulk(size)
-	ep.transfer(dst, size, deliver)
+	return m
 }
 
 var _ dev.Network = (*Network)(nil)

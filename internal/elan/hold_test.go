@@ -46,13 +46,13 @@ func TestHoldBalance(t *testing.T) {
 			ep.OnFault(func(err error) { errs = append(errs, err) })
 			delivered := 0
 			eng.At(units.Microsecond, func() {
-				ep.Eager(c.dst, 64, func() {
+				ep.Eager(c.dst, 64, 0, func() {
 					delivered++
 					if c.dst != 0 && ep.outstanding < 1 {
 						t.Errorf("slot freed before its release crossed back: outstanding %d", ep.outstanding)
 					}
 				})
-				ep.Bulk(c.dst, 64*units.KB, func() { delivered++ })
+				ep.Bulk(c.dst, 64*units.KB, 0, func() { delivered++ })
 			})
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ package experiments
 // report must name the failing rank and stage.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -39,6 +40,46 @@ func ObserveTraced(p cluster.Platform, every int) (*mpi.World, error) {
 	w := mpi.MustWorld(cfg)
 	err := w.Run(func(r *Rank) { observeBody(r) })
 	return w, err
+}
+
+// RunObserved backs the commands' -metrics/-tracefile/-blame flags: it runs
+// the observability demo on the named interconnect, tracing one message in
+// traceEvery (a blame report implies 1 when tracing is off), and hands
+// write each requested artifact in turn — the grouped metrics snapshot,
+// the Chrome trace and the blame report JSON. An empty path skips its
+// artifact.
+func RunObserved(net, metricsPath, tracePath, blamePath string, traceEvery int, write func(path string, data []byte) error) error {
+	p, err := PlatformByName(net)
+	if err != nil {
+		return err
+	}
+	if blamePath != "" && traceEvery <= 0 {
+		traceEvery = 1
+	}
+	w, err := ObserveTraced(p, traceEvery)
+	if err != nil {
+		return err
+	}
+	for _, a := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{metricsPath, func(b io.Writer) error { w.Metrics().Snapshot().RenderGrouped(b); return nil }},
+		{tracePath, w.WriteChromeTrace},
+		{blamePath, func(b io.Writer) error { return report.WriteBlameJSON(b, w.MsgTrace().Analyze(5)) }},
+	} {
+		if a.path == "" {
+			continue
+		}
+		var b bytes.Buffer
+		if err := a.render(&b); err != nil {
+			return err
+		}
+		if err := write(a.path, b.Bytes()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TraceLatency runs a healthy Figure-1-style cross-node ping-pong with

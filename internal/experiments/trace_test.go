@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"mpinet/internal/cluster"
+	"mpinet/internal/metrics"
 	"mpinet/internal/mpi"
 	"mpinet/internal/msgtrace"
+	"mpinet/internal/rail"
 	"mpinet/internal/report"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
@@ -183,6 +185,91 @@ func TestTraceFailoverKeepsContext(t *testing.T) {
 	// dead between operations and the bond simply routed around it.
 	if w.MsgTrace() != rec {
 		t.Fatal("world is not using the test's recorder")
+	}
+}
+
+// TestBondedSpansCarryRail checks NIC span attribution on a bond: on a
+// 3-rail Stripe bond whose primary rail is killed mid-run (so later
+// messages ride only the other two), every wire, hop and backoff
+// span names a member rail, and each message's wire rails are among the
+// rails its StageRail dispatch spans name; on a solo network every such
+// span carries rail -1.
+func TestBondedSpansCarryRail(t *testing.T) {
+	const nodes, iters = 4, 24
+	var mid sim.Time
+	body := func(r *Rank) {
+		n := r.Size()
+		dst, src := (r.Rank()+1)%n, (r.Rank()+n-1)%n
+		start := r.Wtime()
+		for i := 0; i < iters; i++ {
+			size := int64(256 * units.KB) // striped bulk
+			if i%2 == 1 {
+				size = 1 * units.KB // eager
+			}
+			r.Sendrecv(r.Malloc(size), dst, i, r.Malloc(size), src, i)
+		}
+		if r.Rank() == 0 {
+			mid = start + (r.Wtime()-start)/2
+		}
+	}
+	bond := cluster.Bond(cluster.IBA(), cluster.Myri(), cluster.QSN()).
+		With(cluster.WithRailPolicy(rail.Stripe))
+	if err := mpi.MustWorld(mpi.Config{Net: bond.New(nodes), Procs: nodes}).Run(body); err != nil {
+		t.Fatalf("healthy striped run failed: %v", err)
+	}
+	nicStage := func(st msgtrace.Stage) bool {
+		return st == msgtrace.StageWire || st == msgtrace.StageHop || st == msgtrace.StageBackoff
+	}
+
+	rec, m := msgtrace.New(1), metrics.New()
+	w := mpi.MustWorld(mpi.Config{Net: railKilled(bond, 0, mid).New(nodes), Procs: nodes, MsgTrace: rec, Metrics: m})
+	if err := w.Run(body); err != nil {
+		t.Fatalf("striped run did not survive the rail kill: %v", err)
+	}
+	if m.Counter("rail/deaths").Value() == 0 {
+		t.Error("the rail kill was never detected (rail/deaths = 0)")
+	}
+	dispatched := map[msgtrace.ID]map[int8]bool{}
+	for _, s := range rec.Spans() {
+		if s.Stage == msgtrace.StageRail {
+			if dispatched[s.ID] == nil {
+				dispatched[s.ID] = map[int8]bool{}
+			}
+			dispatched[s.ID][s.Rail] = true
+		}
+	}
+	wireRails := map[int8]bool{}
+	for _, s := range rec.Spans() {
+		if !nicStage(s.Stage) {
+			continue
+		}
+		if s.Rail < 0 || s.Rail >= 3 {
+			t.Fatalf("%v span of %v has rail %d, want one of the bond's 3 rails", s.Stage, s.ID, s.Rail)
+		}
+		if !dispatched[s.ID][s.Rail] {
+			t.Fatalf("%v span of %v rode rail %d, which no StageRail span of the message names", s.Stage, s.ID, s.Rail)
+		}
+		wireRails[s.Rail] = true
+	}
+	if len(wireRails) < 2 {
+		t.Errorf("wire spans rode rails %v, want the stripe spread over several", wireRails)
+	}
+
+	rec = msgtrace.New(1)
+	if err := mpi.MustWorld(mpi.Config{Net: cluster.IBA().New(nodes), Procs: nodes, MsgTrace: rec}).Run(body); err != nil {
+		t.Fatalf("solo run failed: %v", err)
+	}
+	seen := 0
+	for _, s := range rec.Spans() {
+		if nicStage(s.Stage) {
+			seen++
+			if s.Rail != -1 {
+				t.Fatalf("solo %v span of %v has rail %d, want -1", s.Stage, s.ID, s.Rail)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Error("solo run recorded no wire spans")
 	}
 }
 

@@ -20,8 +20,8 @@
 //     16 KB threshold; beyond it, directed send is zero-copy and pays
 //     registration on pin-down cache misses (Figures 7, 8).
 //
-// Fabric wiring, the per-peer path cache and the retry ladder come from
-// internal/nic.
+// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// and the retry ladder come from internal/nic.
 package gm
 
 import (
@@ -415,28 +415,6 @@ func (ep *endpoint) peerHop(from, to int, flight sim.Time, op, n int64) {
 // firmware timeout handler before the resend.
 func (ep *endpoint) Resend() {
 	ep.net.nodes[ep.Node()].lanai.Use(ep.net.Engine().Now(), ackProcess)
-}
-
-func (ep *endpoint) transfer(dst int, size int64, bulk bool, deliver func()) {
-	ep.Send(nic.Msg{Dst: dst, Size: size, Bulk: bulk}, deliver)
-}
-
-// Eager implements dev.Endpoint (gm_send into a pre-posted receive buffer).
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.NIC.Eager(size)
-	ep.transfer(dst, size+32, false, deliver)
-}
-
-// Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.NIC.Control()
-	ep.transfer(dst, 64, false, deliver)
-}
-
-// Bulk implements dev.Endpoint (gm_directed_send, zero copy).
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.NIC.Bulk(size)
-	ep.transfer(dst, size, true, deliver)
 }
 
 var _ dev.Network = (*Network)(nil)

@@ -60,7 +60,7 @@ func TestHoldBalance(t *testing.T) {
 			})
 			delivered := 0
 			eng.At(units.Microsecond, func() {
-				ep.Bulk(c.dst, 64*units.KB, func() { delivered++ })
+				ep.Bulk(c.dst, 64*units.KB, 0, func() { delivered++ })
 				if len(errs) == 0 && !unbalanced() {
 					t.Error("bulk send claimed no staging")
 				}

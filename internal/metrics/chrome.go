@@ -44,24 +44,19 @@ type Flow struct {
 func toMicros(t units.Time) float64 { return float64(t) / 1e6 }
 
 // WriteChromeTrace renders device-level spans fused with message-level
-// timeline events as Chrome trace_event JSON, loadable in chrome://tracing
-// or https://ui.perfetto.dev. Each simulated node is a trace "process";
-// each track within a node ("bus", "nic", "rank3", ...) is a "thread".
-// Spans become complete ("X") events; timeline events become thread-scoped
-// instants ("i") on the owning rank's track. nodeOf maps a world rank to
-// its node index (needed because the timeline records ranks, not nodes);
-// pass nil when events is empty. Output is deterministic: tids are
-// assigned by sorted (node, track) order and encoding/json sorts arg keys.
-func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf func(rank int) int) error {
-	return WriteChromeTraceWithFlows(w, spans, events, nodeOf, nil)
-}
-
-// WriteChromeTraceWithFlows is WriteChromeTrace plus message-flow arrows:
-// each Flow becomes a flow-start ("s") event on its source lane and a
+// timeline events and message-flow arrows as Chrome trace_event JSON,
+// loadable in chrome://tracing or https://ui.perfetto.dev. Each simulated
+// node is a trace "process"; each track within a node ("bus", "nic",
+// "rank3", ...) is a "thread". Spans become complete ("X") events;
+// timeline events become thread-scoped instants ("i") on the owning rank's
+// track. nodeOf maps a world rank to its node index (needed because the
+// timeline records ranks, not nodes); pass nil when events is empty. Each
+// Flow becomes a flow-start ("s") event on its source lane and a
 // flow-finish ("f", bind point "e") event on its destination lane, so the
-// viewer draws a causal arrow from send to delivery. With flows == nil the
-// output is byte-identical to WriteChromeTrace.
-func WriteChromeTraceWithFlows(w io.Writer, spans []Span, events []trace.Event, nodeOf func(rank int) int, flows []Flow) error {
+// viewer draws a causal arrow from send to delivery; flows may be nil.
+// Output is deterministic: tids are assigned by sorted (node, track) order
+// and encoding/json sorts arg keys.
+func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf func(rank int) int, flows []Flow) error {
 	type lane struct {
 		node  int
 		track string

@@ -241,7 +241,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		{At: units.Microsecond, Rank: 1, Kind: trace.EvSendStart, Peer: 0, Tag: 7, Size: 4096},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Spans(), events, func(rank int) int { return rank }); err != nil {
+	if err := WriteChromeTrace(&buf, r.Spans(), events, func(rank int) int { return rank }, nil); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc struct {
@@ -266,7 +266,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	// Determinism: same inputs, byte-identical output.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, r.Spans(), events, func(rank int) int { return rank }); err != nil {
+	if err := WriteChromeTrace(&buf2, r.Spans(), events, func(rank int) int { return rank }, nil); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {

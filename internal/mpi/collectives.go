@@ -225,6 +225,7 @@ func (r *Rank) Alltoallv(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts []i
 }
 
 func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts []int64) {
+	c := r.CommWorld()
 	p := r.Size()
 	me := r.Rank()
 	// Offsets and the request list live in per-rank scratch: collectives are
@@ -242,13 +243,13 @@ func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts
 	for i := 1; i < p; i++ {
 		src := (me - i + p) % p
 		if recvCounts[src] > 0 {
-			reqs = append(reqs, r.irecvInternal(recvBuf.Slice(recvOff[src], recvCounts[src]), src, tagAlltoall))
+			reqs = append(reqs, c.irecvInternal(recvBuf.Slice(recvOff[src], recvCounts[src]), src, tagAlltoall))
 		}
 	}
 	for i := 1; i < p; i++ {
 		dst := (me + i) % p
 		if sendCounts[dst] > 0 {
-			reqs = append(reqs, r.isendInternal(sendBuf.Slice(sendOff[dst], sendCounts[dst]), dst, tagAlltoall))
+			reqs = append(reqs, c.isendInternal(sendBuf.Slice(sendOff[dst], sendCounts[dst]), dst, tagAlltoall))
 		}
 	}
 	// Local block "copies" itself; charge the memcpy.
@@ -287,7 +288,7 @@ func (r *Rank) Allgather(sendBuf, recvBuf memreg.Buf) {
 		if n == 1 {
 			return
 		}
-		me := r.Rank()
+		c, me := r.CommWorld(), r.Rank()
 		right := (me + 1) % n
 		left := (me - 1 + n) % n
 		// Own block "arrives" by local copy.
@@ -295,8 +296,8 @@ func (r *Rank) Allgather(sendBuf, recvBuf memreg.Buf) {
 		for s := 0; s < n-1; s++ {
 			outIdx := (me - s + n) % n
 			inIdx := (me - s - 1 + n) % n
-			sr := r.isendInternal(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather)
-			rr := r.irecvInternal(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather)
+			sr := c.isendInternal(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather)
+			rr := c.irecvInternal(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather)
 			r.waitOne(sr)
 			r.waitOne(rr)
 		}

@@ -11,7 +11,7 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 		panic("mpi: Gather recv buffer must divide evenly by world size")
 	}
 	r.collective("Gather", sendBuf.Size, func() {
-		me := r.Rank()
+		c, me := r.CommWorld(), r.Rank()
 		if me == root {
 			block := recvBuf.Size / p
 			var reqs []*Request
@@ -20,14 +20,14 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 					r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 					continue
 				}
-				reqs = append(reqs, r.irecvInternal(recvBuf.Slice(int64(src)*block, block), src, tagGather))
+				reqs = append(reqs, c.irecvInternal(recvBuf.Slice(int64(src)*block, block), src, tagGather))
 			}
 			for _, req := range reqs {
 				r.waitOne(req)
 			}
 			return
 		}
-		r.sendInternal(sendBuf, root, tagGather)
+		c.sendInternal(sendBuf, root, tagGather)
 	}, sendBuf, recvBuf)
 }
 
@@ -40,7 +40,7 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 		panic("mpi: Scatter send buffer must divide evenly by world size")
 	}
 	r.collective("Scatter", recvBuf.Size, func() {
-		me := r.Rank()
+		c, me := r.CommWorld(), r.Rank()
 		if me == root {
 			block := sendBuf.Size / p
 			var reqs []*Request
@@ -49,14 +49,14 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 					r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 					continue
 				}
-				reqs = append(reqs, r.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
+				reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
 			}
 			for _, req := range reqs {
 				r.waitOne(req)
 			}
 			return
 		}
-		r.recvInternal(recvBuf, root, tagGather)
+		c.recvInternal(recvBuf, root, tagGather)
 	}, sendBuf, recvBuf)
 }
 
@@ -69,14 +69,15 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 		panic("mpi: ReduceScatter send buffer must divide evenly by world size")
 	}
 	r.collective("ReduceScatter", sendBuf.Size, func() {
-		r.CommWorld().reduceBody(sendBuf, 0)
+		c := r.CommWorld()
+		c.reduceBody(sendBuf, 0)
 		// Scatter the combined blocks from rank 0.
 		me := r.Rank()
 		block := sendBuf.Size / p
 		if me == 0 {
 			var reqs []*Request
 			for dst := 1; dst < int(p); dst++ {
-				reqs = append(reqs, r.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
+				reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
 			}
 			r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 			for _, req := range reqs {
@@ -84,7 +85,7 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 			}
 			return
 		}
-		r.recvInternal(recvBuf, 0, tagGather)
+		c.recvInternal(recvBuf, 0, tagGather)
 	}, sendBuf, recvBuf)
 }
 
@@ -93,14 +94,14 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 // implements it.
 func (r *Rank) Scan(buf memreg.Buf) {
 	r.collective("Scan", buf.Size, func() {
-		me := r.Rank()
+		c, me := r.CommWorld(), r.Rank()
 		tmp := r.ps.scratch(buf.Size)
 		if me > 0 {
-			r.recvInternal(tmp, me-1, tagScan)
+			c.recvInternal(tmp, me-1, tagScan)
 			r.ps.busy(r.p, reduceBW.TimeFor(buf.Size))
 		}
 		if me < r.Size()-1 {
-			r.sendInternal(buf, me+1, tagScan)
+			c.sendInternal(buf, me+1, tagScan)
 		}
 	}, buf)
 }

@@ -114,8 +114,9 @@ func (c *Comm) commRankOf(worldRank int) int {
 	return worldRank // e.g. zero-value statuses
 }
 
-// internal helpers mirroring Rank's, but communicator-scoped; used by the
-// generic collective algorithms.
+// The internal point-to-point helpers every collective algorithm sends
+// with (the world ones through the cached CommWorld): they bypass user-tag
+// validation (internal tags are negative) but are otherwise full sends.
 func (c *Comm) sendInternal(buf memreg.Buf, dst, tag int) {
 	ps := c.r.ps
 	ps.poll(c.r.p)

@@ -135,9 +135,7 @@ func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
 		}
 	}
 	m := ps.newMsg(req, dstPS, eagerMsg, chNet)
-	rec.SetCur(req.tid)
-	ps.ep.Eager(dstPS.node, req.size, m.arrived)
-	rec.ClearCur()
+	ps.ep.Eager(dstPS.node, req.size, req.tid, m.arrived)
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
 	ps.finishReq(req, ps.sendSpans)
@@ -158,9 +156,7 @@ func (ps *procState) rndvSend(p *sim.Proc, req *Request, dstPS *procState) {
 	}
 	req.hsStart = ps.eng.Now()
 	m := ps.newMsg(req, dstPS, rtsMsg, chNet)
-	rec.SetCur(req.tid)
-	ps.ep.Control(dstPS.node, m.arrived)
-	rec.ClearCur()
+	ps.ep.Control(dstPS.node, req.tid, m.arrived)
 }
 
 // arrive handles a message landing at this rank (event context: no host
@@ -301,10 +297,7 @@ func (ps *procState) prepRndv(p *sim.Proc, m *inMsg) {
 
 // sendCTS answers a matched RTS with the clear-to-send.
 func (ps *procState) sendCTS(m *inMsg) {
-	rec := ps.world.rec
-	rec.SetCur(m.tid)
-	ps.ep.Control(ps.world.procs[m.src].node, m.cts)
-	rec.ClearCur()
+	ps.ep.Control(ps.world.procs[m.src].node, m.tid, m.cts)
 }
 
 // arriveCTS reacts, at the sender, to the receiver's clear-to-send: start
@@ -323,10 +316,7 @@ func (ps *procState) arriveCTS(m *inMsg) {
 
 // startBulk pushes the rendezvous payload to the receiver.
 func (ps *procState) startBulk(m *inMsg) {
-	rec := ps.world.rec
-	rec.SetCur(m.tid)
-	ps.ep.Bulk(m.to.node, m.size, m.bulkDone)
-	rec.ClearCur()
+	ps.ep.Bulk(m.to.node, m.size, m.tid, m.bulkDone)
 }
 
 // bulkLanded runs on the receiver as the payload lands in its user buffer.

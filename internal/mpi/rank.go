@@ -201,33 +201,3 @@ func (r *Rank) waitOne(req *Request) Status {
 	}
 	return st
 }
-
-// sendInternal/recvInternal are used by collectives: they bypass user-tag
-// validation (internal tags are negative) but are otherwise full sends.
-func (r *Rank) sendInternal(buf memreg.Buf, dst, tag int) {
-	r.ps.poll(r.p)
-	req := r.ps.startSend(r.p, buf, commWorldID, dst, tag, false)
-	req.pooled = true
-	r.waitOne(req)
-}
-
-func (r *Rank) isendInternal(buf memreg.Buf, dst, tag int) *Request {
-	r.ps.poll(r.p)
-	req := r.ps.startSend(r.p, buf, commWorldID, dst, tag, true)
-	req.pooled = true // collectives always waitOne their internal requests
-	return req
-}
-
-func (r *Rank) irecvInternal(buf memreg.Buf, src, tag int) *Request {
-	r.ps.poll(r.p)
-	req := r.ps.startRecv(r.p, buf, commWorldID, src, tag, true)
-	req.pooled = true
-	return req
-}
-
-func (r *Rank) recvInternal(buf memreg.Buf, src, tag int) {
-	r.ps.poll(r.p)
-	req := r.ps.startRecv(r.p, buf, commWorldID, src, tag, false)
-	req.pooled = true
-	r.waitOne(req)
-}

@@ -228,7 +228,7 @@ func NewWorld(cfg Config) (*World, error) {
 		w.rec = msgtrace.Disabled()
 	}
 	if ta, ok := cfg.Net.(dev.TraceAttacher); ok {
-		ta.AttachTracer(w.rec)
+		ta.AttachTracer(w.rec, -1)
 	}
 	type shmemConfigurer interface{ ShmemConfig() shmem.Config }
 	shmCfg := shmem.DefaultConfig()
@@ -460,7 +460,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 			},
 		})
 	}
-	return metrics.WriteChromeTraceWithFlows(out, spans, events, w.nodeOf, flows)
+	return metrics.WriteChromeTrace(out, spans, events, w.nodeOf, flows)
 }
 
 // MsgTrace returns the world's message-trace recorder: the one configured

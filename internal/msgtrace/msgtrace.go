@@ -155,13 +155,13 @@ type FlightKind uint8
 
 // Flight-recorder entry kinds.
 const (
-	FlightSend       FlightKind = iota // message entered the library
-	FlightRetransmit                   // a NIC recovery attempt fired
-	FlightFailover                     // the bond re-issued on another rail
-	FlightRailDown                     // a rail was declared dead
-	FlightTimeout                      // the MPI watchdog fired
-	FlightAbort                        // the job aborted
-	FlightElementDown                  // a fabric element or node died (A = packed element code)
+	FlightSend        FlightKind = iota // message entered the library
+	FlightRetransmit                    // a NIC recovery attempt fired
+	FlightFailover                      // the bond re-issued on another rail
+	FlightRailDown                      // a rail was declared dead
+	FlightTimeout                       // the MPI watchdog fired
+	FlightAbort                         // the job aborted
+	FlightElementDown                   // a fabric element or node died (A = packed element code)
 )
 
 var flightNames = [...]string{
@@ -248,9 +248,6 @@ type Recorder struct {
 	SpanMax int
 	MsgMax  int
 
-	cur     ID   // scoped current-message context for the mpi->device handoff
-	curRail int8 // bond rail the current dispatch rides (-1 = no bond)
-
 	msgs         []MsgRec
 	midx         map[ID]int32
 	spans        []SpanRec
@@ -284,7 +281,6 @@ func New(every int) *Recorder {
 		every:   int64(every),
 		SpanMax: DefaultSpanMax,
 		MsgMax:  DefaultMsgMax,
-		curRail: -1,
 		midx:    make(map[ID]int32),
 		spans:   make([]SpanRec, 0, 1024),
 		msgs:    make([]MsgRec, 0, 256),
@@ -293,7 +289,7 @@ func New(every int) *Recorder {
 
 // Disabled returns a recorder with span tracing off: only the always-on
 // flight ring records. This is what every world owns by default.
-func Disabled() *Recorder { return &Recorder{curRail: -1} }
+func Disabled() *Recorder { return &Recorder{} }
 
 // Enabled reports whether span tracing is on.
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
@@ -303,50 +299,6 @@ func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 // receiver, NIC and rail all agree without coordination, at any -j.
 func (r *Recorder) Sampled(id ID) bool {
 	return r != nil && r.enabled && id != 0 && (id.Seq()-1)%r.every == 0
-}
-
-// SetCur installs the current-message context for the duration of a
-// synchronous mpi -> device call; the device model reads it with Cur and
-// captures it into its completion closures. The cooperative single-token
-// scheduler makes this scoped handoff safe: nothing else runs between
-// SetCur and ClearCur.
-func (r *Recorder) SetCur(id ID) {
-	if r != nil {
-		r.cur = id
-	}
-}
-
-// Cur returns the current-message context (0 when none).
-func (r *Recorder) Cur() ID {
-	if r == nil {
-		return 0
-	}
-	return r.cur
-}
-
-// ClearCur removes the context (message and rail).
-func (r *Recorder) ClearCur() {
-	if r != nil {
-		r.cur = 0
-		r.curRail = -1
-	}
-}
-
-// SetCurRail tags the scoped dispatch context with the bond rail it rides;
-// the rail layer sets it around each member dispatch so the NIC below can
-// attribute wire spans to the rail without knowing about bonding.
-func (r *Recorder) SetCurRail(rail int8) {
-	if r != nil {
-		r.curRail = rail
-	}
-}
-
-// CurRail returns the rail of the current dispatch (-1 when not bonded).
-func (r *Recorder) CurRail() int8 {
-	if r == nil {
-		return -1
-	}
-	return r.curRail
 }
 
 // Begin records a message root (when sampled) and always stamps the flight

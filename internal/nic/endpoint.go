@@ -35,6 +35,14 @@ type Holder interface {
 	Aborted(m Msg)
 }
 
+// Shaper is implemented by models that set per-message fields the shared
+// send path cannot: Shape runs as a message enters Send and returns it
+// with the model's fields filled in (verbs' on-demand RC setup stall,
+// Elan's PIO or DMA path variant).
+type Shaper interface {
+	Shape(m Msg) Msg
+}
+
 // Resender is implemented by models whose NIC does work for each resend.
 type Resender interface {
 	// Resend bills the resend as its backoff expires, before the attempt is
@@ -44,11 +52,12 @@ type Resender interface {
 
 // Msg is one message handed to the send paths.
 type Msg struct {
-	Dst     int      // destination node
-	Size    int64    // bytes on the wire
-	Bulk    bool     // rendezvous payload, as opposed to eager or control
-	Variant int      // the model's path variant for this message
-	Setup   sim.Time // stall before the first attempt (on-demand RC setup)
+	Dst     int         // destination node
+	Size    int64       // bytes on the wire
+	Bulk    bool        // rendezvous payload, as opposed to eager or control
+	TID     msgtrace.ID // trace ID (0 = untraced)
+	Variant int         // the model's path variant for this message
+	Setup   sim.Time    // stall before the first attempt (on-demand RC setup)
 }
 
 // peerKey names one cached path: a destination, a model path variant, and
@@ -60,8 +69,9 @@ type peerKey struct {
 }
 
 // Endpoint is the shared half of a model's endpoint: node identity, the
-// eager threshold, fault and retry reporting, the per-peer path cache and
-// the send paths. A model embeds it, built by NewEndpoint.
+// eager threshold, the device verbs (Eager, Control, Bulk), fault and retry
+// reporting, the per-peer path cache and the send paths. A model embeds it,
+// built by NewEndpoint.
 type Endpoint struct {
 	net  *Net
 	node int
@@ -69,14 +79,15 @@ type Endpoint struct {
 	// The model's hooks, resolved once by NewEndpoint; the optional ones
 	// are nil when the model does not implement them.
 	model    Model
+	shaper   Shaper
 	holder   Holder
 	resender Resender
 
-	// NIC counts the protocol traffic the model's Eager, Control and Bulk
-	// issue (nil-safe no-ops when instrumentation is off).
-	NIC         dev.NICCounters
-	retries     *metrics.Counter
-	retryErrors *metrics.Counter
+	// Per-node protocol counters (nil-safe no-ops when instrumentation is
+	// off); endpoints on one node resolve the same names and share them.
+	eagerMsgs, eagerBytes, ctrlMsgs *metrics.Counter
+	bulkMsgs, bulkBytes             *metrics.Counter
+	retries, retryErrors            *metrics.Counter
 
 	// sink receives permanent transfer failures (dev.FaultReporter).
 	sink func(error)
@@ -98,14 +109,20 @@ func NewEndpoint(n *Net, node int, m Model) Endpoint {
 	if node < 0 || node >= n.cfg.Nodes {
 		panic(n.spec.Pkg + ": bad node index")
 	}
+	prefix := metrics.NodePrefix(node) + "nic/"
 	e := Endpoint{
 		net:         n,
 		node:        node,
 		model:       m,
-		NIC:         dev.NewNICCounters(n.met, node),
-		retries:     n.met.Counter(metrics.NodePrefix(node) + "nic/retries"),
-		retryErrors: n.met.Counter(metrics.NodePrefix(node) + "nic/retry_exhausted"),
+		eagerMsgs:   n.met.Counter(prefix + "eager_msgs"),
+		eagerBytes:  n.met.Counter(prefix + "eager_bytes"),
+		ctrlMsgs:    n.met.Counter(prefix + "ctrl_msgs"),
+		bulkMsgs:    n.met.Counter(prefix + "rndv_msgs"),
+		bulkBytes:   n.met.Counter(prefix + "rndv_bytes"),
+		retries:     n.met.Counter(prefix + "retries"),
+		retryErrors: n.met.Counter(prefix + "retry_exhausted"),
 	}
+	e.shaper, _ = m.(Shaper)
 	e.holder, _ = m.(Holder)
 	e.resender, _ = m.(Resender)
 	return e
@@ -177,24 +194,49 @@ func (e *Endpoint) Segment(dst int) fabric.Segment {
 	return e.net.topo.Between(e.node, dst, e.net.eng.Now())
 }
 
-// Send moves m to its destination and calls deliver as it lands. A healthy network, or a message looping back through its own
-// NIC, takes one attempt; under a fault plan the message climbs the retry
-// ladder, and a permanent failure goes to the OnFault sink instead of
-// deliver.
+// Eager implements dev.Endpoint: the envelope and payload through the
+// full path (an RDMA write into a pre-registered remote buffer for VAPI,
+// gm_send for GM, a Tports queued send for Elan).
+func (e *Endpoint) Eager(dst int, size int64, tid msgtrace.ID, deliver func()) {
+	e.eagerMsgs.Inc()
+	e.eagerBytes.Add(size)
+	e.Send(Msg{Dst: dst, Size: size + dev.EnvelopeBytes, TID: tid}, deliver)
+}
+
+// Control implements dev.Endpoint: one RTS, CTS or FIN.
+func (e *Endpoint) Control(dst int, tid msgtrace.ID, deliver func()) {
+	e.ctrlMsgs.Inc()
+	e.Send(Msg{Dst: dst, Size: dev.ControlBytes, TID: tid}, deliver)
+}
+
+// Bulk implements dev.Endpoint: the rendezvous payload zero-copy (an RDMA
+// write, a GM directed send, an Elan remote DMA).
+func (e *Endpoint) Bulk(dst int, size int64, tid msgtrace.ID, deliver func()) {
+	e.bulkMsgs.Inc()
+	e.bulkBytes.Add(size)
+	e.Send(Msg{Dst: dst, Size: size, Bulk: true, TID: tid}, deliver)
+}
+
+// Send moves m to its destination and calls deliver as it lands. A healthy
+// network, or a message looping back through its own NIC, takes one
+// attempt; under a fault plan the message climbs the retry ladder, and a
+// permanent failure goes to the OnFault sink instead of deliver.
 func (e *Endpoint) Send(m Msg, deliver func()) {
+	// The model's hook runs here rather than in a frame of its own between
+	// the verbs and Send: every rank's send stack is that much shallower.
+	if e.shaper != nil {
+		m = e.shaper.Shape(m)
+	}
 	if e.holder != nil {
 		e.holder.Hold(m)
 	}
 	n := e.net
 	s := newSend()
 	s.e, s.m, s.deliver = e, m, deliver
-	// Capture trace context synchronously at issue time: the MPI layer (or
-	// the rail bond) scoped it around this call.
-	s.tid, s.rail = n.rec.Cur(), n.rec.CurRail()
 	now := n.eng.Now()
 	if n.inj == nil || m.Dst == e.node {
 		path, _ := e.route(m.Dst, m.Variant, now)
-		e.wireAttempt(path, s.tid, s.rail, 0, m.Size, now+m.Setup, s.ended)
+		e.wireAttempt(path, m.TID, 0, m.Size, now+m.Setup, s.ended)
 		return
 	}
 	s.ladder, s.attempt = true, 1
@@ -205,8 +247,8 @@ func (e *Endpoint) Send(m Msg, deliver func()) {
 // message also records the attempt's wire span and per-hop fabric detail.
 // The path is resolved by the caller: the retry ladder must pair each
 // attempt's route with the fate resolved with it.
-func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, rail int8, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec, eng := e.net.rec, e.net.eng
+func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
+	rec, eng, rail := e.net.rec, e.net.eng, e.net.rail
 	if rec.Sampled(tid) {
 		inner := done
 		done = func(end sim.Time) {
@@ -238,8 +280,6 @@ type send struct {
 	e       *Endpoint
 	m       Msg
 	deliver func()
-	tid     msgtrace.ID
-	rail    int8
 	// ladder marks a message climbing the retry ladder; attempt numbers
 	// its current attempt from 1.
 	ladder  bool
@@ -290,7 +330,7 @@ func (s *send) try(at sim.Time) {
 		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.fate.Element})
 		return
 	}
-	e.wireAttempt(path, s.tid, s.rail, uint8(s.attempt-1), s.m.Size, at, s.ended)
+	e.wireAttempt(path, s.m.TID, uint8(s.attempt-1), s.m.Size, at, s.ended)
 }
 
 // end takes the verdict on the attempt that cleared the path at time at:
@@ -318,8 +358,8 @@ func (s *send) end(at sim.Time) {
 	delay := n.spec.Retry.Delay(s.attempt)
 	s.attempt++
 	e.retried()
-	n.rec.Flight(msgtrace.FlightRetransmit, at, e.node, s.tid, msgtrace.StageWire, int64(s.attempt-1), int64(s.m.Dst))
-	n.rec.Span(s.tid, msgtrace.StageBackoff, e.node, s.rail, uint8(s.attempt-1), -1, at, at+delay, s.m.Size)
+	n.rec.Flight(msgtrace.FlightRetransmit, at, e.node, s.m.TID, msgtrace.StageWire, int64(s.attempt-1), int64(s.m.Dst))
+	n.rec.Span(s.m.TID, msgtrace.StageBackoff, e.node, n.rail, uint8(s.attempt-1), -1, at, at+delay, s.m.Size)
 	n.eng.At(at+delay, s.refire)
 }
 

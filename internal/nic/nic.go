@@ -2,13 +2,16 @@
 // internal/verbs (InfiniBand), internal/gm (Myrinet) and internal/elan
 // (Quadrics). It owns everything about a wired network that the paper does
 // not use to tell the interconnects apart: the fabric topology, the dev
-// plumbing every network exposes, the per-peer path cache, and the one
+// plumbing every network exposes, the device verbs (Eager, Control, Bulk)
+// with their wire sizes and counters, the per-peer path cache, and the one
 // retry ladder every reliability protocol runs under a fault plan.
 //
 // A model supplies only what the paper distinguishes:
 //
 //   - its staged hardware paths and cost constants (Model),
 //   - its faults.RetryPolicy and protocol name (Spec),
+//   - the per-message fields it sets itself (Shaper): verbs' on-demand RC
+//     setup stall, Elan's PIO or DMA path variant,
 //   - what a message holds from issue until it ends, and how its end
 //     reaches the holding NICs (Holder): nothing for VAPI RC, the send
 //     token, its SRAM staging and the LANai-absorbed reliability ACK for
@@ -89,6 +92,9 @@ type Net struct {
 	met  *metrics.Registry
 	inj  *faults.Injector
 	rec  *msgtrace.Recorder
+	// rail is the bond rail this network serves (-1 when not bonded), the
+	// rail its NIC spans are attributed to.
+	rail int8
 
 	// cfgErr carries a topology-validation failure to mpi.NewWorld
 	// (dev.ConfigErrer); construction itself cannot return an error.
@@ -106,7 +112,7 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 	if cfg.SwitchPorts == 0 {
 		cfg.SwitchPorts = spec.Ports
 	}
-	n := &Net{spec: spec, eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults)}
+	n := &Net{spec: spec, eng: eng, cfg: cfg, inj: faults.NewInjector(cfg.Faults), rail: -1}
 	switch {
 	case cfg.Clos != nil:
 		cc := *cfg.Clos
@@ -213,7 +219,7 @@ func (n *Net) DeadElement(now sim.Time) (string, int64, bool) {
 }
 
 // AttachTracer implements dev.TraceAttacher.
-func (n *Net) AttachTracer(rec *msgtrace.Recorder) { n.rec = rec }
+func (n *Net) AttachTracer(rec *msgtrace.Recorder, rail int8) { n.rec, n.rail = rec, rail }
 
 // ConfigErr implements dev.ConfigErrer.
 func (n *Net) ConfigErr() error { return n.cfgErr }

@@ -53,16 +53,15 @@ type op struct {
 	firstLand sim.Time
 }
 
-// wire returns the operation's packet size on the wire, mirroring the
-// device models' conventions (eager adds a 32-byte envelope, control
-// messages are 64 bytes). Failover uses it to match a device's LinkError
-// back to the op that suffered it.
+// wire returns the operation's packet size on the wire (dev's envelope and
+// control sizes). Failover uses it to match a device's LinkError back to
+// the op that suffered it.
 func (o *op) wire() int64 {
 	switch o.kind {
 	case opEager:
-		return o.size + 32
+		return o.size + dev.EnvelopeBytes
 	case opControl:
-		return 64
+		return dev.ControlBytes
 	default:
 		return o.size
 	}
@@ -176,25 +175,25 @@ func (ep *endpoint) MemoryUsage(npeers int) int64 {
 func (ep *endpoint) OnFault(sink func(err error)) { ep.sink = sink }
 
 // Eager implements dev.Endpoint.
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.net.send(ep, opEager, dst, size, deliver)
+func (ep *endpoint) Eager(dst int, size int64, tid msgtrace.ID, deliver func()) {
+	ep.net.send(ep, opEager, dst, size, tid, deliver)
 }
 
 // Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.net.send(ep, opControl, dst, 0, deliver)
+func (ep *endpoint) Control(dst int, tid msgtrace.ID, deliver func()) {
+	ep.net.send(ep, opControl, dst, 0, tid, deliver)
 }
 
 // Bulk implements dev.Endpoint.
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.net.send(ep, opBulk, dst, size, deliver)
+func (ep *endpoint) Bulk(dst int, size int64, tid msgtrace.ID, deliver func()) {
+	ep.net.send(ep, opBulk, dst, size, tid, deliver)
 }
 
 // send stamps the operation into its pair's sequence space, wakes the
 // health monitors, and routes it by policy: stripe eligible bulks across
 // the healthy set, everything else onto the preferred live rail. With no
 // live rail left the send fails typed immediately.
-func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, deliver func()) {
+func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtrace.ID, deliver func()) {
 	n.issued++
 	pr := n.pairOf(ep.node, dst)
 	o := &op{
@@ -205,7 +204,7 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, deliver f
 		seq:  pr.sendSeq,
 		born: n.eng.Now(),
 		fire: deliver,
-		tid:  n.rec.Cur(),
+		tid:  tid,
 	}
 	pr.sendSeq++
 	n.armMonitors()
@@ -225,11 +224,8 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, deliver f
 
 // issue hands the operation (or stripe chunk) to one member rail and
 // tracks it in that rail's in-flight FIFO until it lands or fails. The
-// trace context is (re)installed around the member dispatch so the device
-// model picks up the message ID and rail index — on the first issue this
-// mirrors the MPI layer's own scoped handoff; on a failover re-issue (an
-// event context with no caller-installed scope) it is what keeps the
-// re-issued operation attached to its original message.
+// operation's trace ID rides the member dispatch, so a failover re-issue
+// stays attached to its original message.
 func (ep *endpoint) issue(o *op, r int) {
 	ep.pending[r] = append(ep.pending[r], o)
 	ep.net.inflight++
@@ -247,17 +243,14 @@ func (ep *endpoint) issue(o *op, r int) {
 			start, ep.net.eng.Now(), o.size)
 	}
 	cb := func() { ep.landed(o, r) }
-	rec.SetCur(o.tid)
-	rec.SetCurRail(int8(r))
 	switch o.kind {
 	case opEager:
-		ep.eps[r].Eager(o.dst, o.size, cb)
+		ep.eps[r].Eager(o.dst, o.size, o.tid, cb)
 	case opControl:
-		ep.eps[r].Control(o.dst, cb)
+		ep.eps[r].Control(o.dst, o.tid, cb)
 	default:
-		ep.eps[r].Bulk(o.dst, o.size, cb)
+		ep.eps[r].Bulk(o.dst, o.size, o.tid, cb)
 	}
-	rec.ClearCur()
 }
 
 // stripe splits a bulk across the given rails: an even split with the

@@ -157,7 +157,7 @@ func (m *monitor) probe() {
 	m.net.heartbeats.Inc()
 	delivered := false
 	var tm *sim.Timer
-	m.probeEps[src].Control(dst, func() {
+	m.probeEps[src].Control(dst, 0, func() {
 		if delivered {
 			return
 		}

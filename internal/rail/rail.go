@@ -340,13 +340,15 @@ func (n *Network) FaultPlan() *faults.Plan {
 
 // AttachTracer implements dev.TraceAttacher: the bond keeps the recorder
 // for its own dispatch, failover and rail-death records and forwards it to
-// every member fabric, so a message traced through the bond carries both the
-// bond-level StageRail spans and the member device's wire/hop spans.
-func (n *Network) AttachTracer(rec *msgtrace.Recorder) {
+// every member fabric with the member's rail index, so a message traced
+// through the bond carries both the bond-level StageRail spans and the
+// member device's wire/hop spans, each attributed to its rail. The bond is
+// never a member itself, so its own rail argument is unused.
+func (n *Network) AttachTracer(rec *msgtrace.Recorder, _ int8) {
 	n.rec = rec
-	for _, r := range n.rails {
+	for i, r := range n.rails {
 		if ta, ok := r.(dev.TraceAttacher); ok {
-			ta.AttachTracer(rec)
+			ta.AttachTracer(rec, int8(i))
 		}
 	}
 }

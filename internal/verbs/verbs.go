@@ -18,8 +18,8 @@
 //   - Per-Reliable-Connection resources: memory grows with the number of
 //     peers (Figure 13).
 //
-// Fabric wiring, the per-peer path cache and the RC retry ladder come from
-// internal/nic.
+// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// and the RC retry ladder come from internal/nic.
 package verbs
 
 import (
@@ -330,8 +330,11 @@ func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
 	)
 }
 
-func (ep *endpoint) transfer(dst int, size int64, deliver func()) {
-	ep.Send(nic.Msg{Dst: dst, Size: size, Setup: ep.connect(dst)}, deliver)
+// Shape implements nic.Shaper: under on-demand connection management the
+// first message to a peer stalls for the RC setup.
+func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
+	m.Setup = ep.connect(m.Dst)
+	return m
 }
 
 // Multicast implements dev.Multicaster when the platform enables hardware
@@ -346,7 +349,7 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 		{Stage: src.hcaTx, Latency: hcaSetup},
 		{Stage: src.link.Up(), Latency: wireLatency},
 	}
-	fabric.Transfer(eng, up, size+32, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
+	fabric.Transfer(eng, up, size+dev.EnvelopeBytes, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
 		for i := range ep.net.nodes {
 			if i == ep.Node() {
 				continue
@@ -359,7 +362,7 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 				fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
 				fabric.PathStage{Stage: d.bus},
 			)
-			fabric.Transfer(eng, down, size+32, fabric.ChunkFor(size), at,
+			fabric.Transfer(eng, down, size+dev.EnvelopeBytes, fabric.ChunkFor(size), at,
 				func(sim.Time) { deliver(i) })
 		}
 	})
@@ -368,26 +371,6 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 // HWMulticastEnabled reports whether the platform was configured with the
 // hardware-collective extension.
 func (ep *endpoint) HWMulticastEnabled() bool { return ep.net.cfg.HWMulticast }
-
-// Eager implements dev.Endpoint: MVAPICH sends small messages by RDMA write
-// into pre-registered remote buffers; on the wire this is envelope+payload
-// through the full path.
-func (ep *endpoint) Eager(dst int, size int64, deliver func()) {
-	ep.NIC.Eager(size)
-	ep.transfer(dst, size+32, deliver) // 32-byte envelope/header
-}
-
-// Control implements dev.Endpoint (RTS/CTS/FIN as small RDMA writes).
-func (ep *endpoint) Control(dst int, deliver func()) {
-	ep.NIC.Control()
-	ep.transfer(dst, 64, deliver)
-}
-
-// Bulk implements dev.Endpoint: the rendezvous payload as one RDMA write.
-func (ep *endpoint) Bulk(dst int, size int64, deliver func()) {
-	ep.NIC.Bulk(size)
-	ep.transfer(dst, size, deliver)
-}
 
 var _ dev.Network = (*Network)(nil)
 var _ dev.Endpoint = (*endpoint)(nil)

@@ -90,6 +90,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: a NIC model runs its own retry ladder again (it belongs to internal/nic)" >&2
     exit 1
 fi
+# A message's trace ID rides the dev.Endpoint call and nic.Msg.TID; the
+# recorder's ambient current-message cursor may not come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'SetCur|ClearCur|CurRail' internal/; then
+    echo "FAIL: the trace ID travels through an ambient recorder cursor again (pass it to Eager/Control/Bulk)" >&2
+    exit 1
+fi
+# The device verbs are implemented once, in internal/nic; a model supplies
+# hooks (Shaper, Holder, Resender), not a send path of its own.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'func \(ep \*endpoint\) (Eager|Control|Bulk)\(' \
+    internal/verbs/ internal/gm/ internal/elan/; then
+    echo "FAIL: a NIC model defines its own Eager/Control/Bulk again (they belong to internal/nic)" >&2
+    exit 1
+fi
 # There is one timing model, so no device model may branch on an
 # execution mode again.
 if grep -rnE --include='*.go' --exclude='*_test.go' '\bScale\(\)|\.scale\b' \
