@@ -131,8 +131,8 @@ func (t *TopologySpec) closConfig(s Settings) *fabric.ClosConfig {
 // ConfigError reports an invalid platform option combination, named after
 // the option call that produced it (the same typed-validation style the
 // options of internal/faults use). Platform.New cannot return an error, so
-// the value rides the built network as its ConfigErr (dev.ConfigErrer) and
-// surfaces from mpi.NewWorld.
+// the value rides the built network as its ConfigErr and surfaces from
+// mpi.NewWorld.
 type ConfigError struct {
 	Option string // the option call, e.g. "FatTree(24, 3)"
 	Reason string // what is wrong with it
@@ -186,19 +186,18 @@ func (p Platform) New(nodes int) dev.Network {
 }
 
 // errNetwork is the network a misconfigured platform builds: it carries the
-// validation failure for mpi.NewWorld to surface (dev.ConfigErrer) and
-// panics with it on any attempt at actual use.
+// validation failure for mpi.NewWorld to surface (ConfigErr) and answers
+// the read-only Engine and Nodes; every other dev.Network method reaches
+// the nil embedded interface and panics.
 type errNetwork struct {
+	dev.Network
 	eng *sim.Engine
 	err error
 }
 
-func (n errNetwork) Name() string                 { return "invalid" }
-func (n errNetwork) Engine() *sim.Engine          { return n.eng }
-func (n errNetwork) Nodes() int                   { return 0 }
-func (n errNetwork) NewEndpoint(int) dev.Endpoint { panic(n.err) }
-func (n errNetwork) ShmemBelow() int64            { return 0 }
-func (n errNetwork) ConfigErr() error             { return n.err }
+func (n errNetwork) Engine() *sim.Engine { return n.eng }
+func (n errNetwork) Nodes() int          { return 0 }
+func (n errNetwork) ConfigErr() error    { return n.err }
 
 // With derives a variant platform with the options' platform-side effects
 // applied. Options that carry a name suffix (PCIBus -> "-PCI") extend the

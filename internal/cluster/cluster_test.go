@@ -3,7 +3,6 @@ package cluster
 import (
 	"testing"
 
-	"mpinet/internal/dev"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
 )
@@ -57,9 +56,9 @@ func TestIBAPCIIsDistinctPlatform(t *testing.T) {
 }
 
 func TestShmemPolicyDiffersAcrossPlatforms(t *testing.T) {
-	iba := IBA().New(2).ShmemBelow()
-	myri := Myri().New(2).ShmemBelow()
-	qsn := QSN().New(2).ShmemBelow()
+	iba, _ := IBA().New(2).ShmemPolicy()
+	myri, _ := Myri().New(2).ShmemPolicy()
+	qsn, _ := QSN().New(2).ShmemPolicy()
 	if iba != 16*units.KB {
 		t.Errorf("IBA shmem policy = %d", iba)
 	}
@@ -106,11 +105,7 @@ func TestMinLinkLatencyFromNetwork(t *testing.T) {
 	// Each fabric states its own latency floor; the bond takes the fastest
 	// member's. The MPI layer times its cross-node FIN hop at this floor.
 	la := func(p Platform) sim.Time {
-		lr, ok := p.New(2).(dev.LookaheadReporter)
-		if !ok {
-			t.Fatalf("%s does not report a lookahead", p.Name)
-		}
-		return lr.MinLinkLatency()
+		return p.New(2).MinLinkLatency()
 	}
 	iba, myri, qsn := la(IBA()), la(Myri()), la(QSN())
 	if !(qsn < myri && myri < iba) {

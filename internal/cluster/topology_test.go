@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"mpinet/internal/dev"
 )
 
 func TestTopologyOptionNames(t *testing.T) {
@@ -29,13 +27,12 @@ func TestInvalidTopologySurfacesConfigError(t *testing.T) {
 	// 25 ports cannot split 2:1; the builder cannot return an error, so the
 	// network must carry a typed ConfigError naming the option call.
 	net := IBA().With(FatTree(25, 2)).New(8)
-	ce, ok := net.(dev.ConfigErrer)
-	if !ok || ce.ConfigErr() == nil {
+	if net.ConfigErr() == nil {
 		t.Fatal("invalid FatTree built a usable network")
 	}
 	var cfgErr *ConfigError
-	if !errors.As(ce.ConfigErr(), &cfgErr) {
-		t.Fatalf("error type %T, want *ConfigError", ce.ConfigErr())
+	if !errors.As(net.ConfigErr(), &cfgErr) {
+		t.Fatalf("error type %T, want *ConfigError", net.ConfigErr())
 	}
 	if cfgErr.Option != "FatTree(25, 2)" {
 		t.Errorf("Option = %q, want the offending call", cfgErr.Option)
@@ -58,8 +55,8 @@ func TestValidTopologiesBuild(t *testing.T) {
 		QSN().With(Clos(3, 24, 2), WithRouting(Adaptive)),
 	} {
 		net := p.New(32)
-		if ce, ok := net.(dev.ConfigErrer); ok && ce.ConfigErr() != nil {
-			t.Fatalf("%s: %v", p.Name, ce.ConfigErr())
+		if err := net.ConfigErr(); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		if net.Nodes() < 32 {
 			t.Fatalf("%s wired %d nodes", p.Name, net.Nodes())

@@ -4,26 +4,42 @@
 //
 // The MPI point-to-point engine (internal/mpi) implements the eager and
 // rendezvous protocols once; each interconnect (internal/verbs, internal/gm,
-// internal/elan) supplies an Endpoint that prices host participation,
-// registration, and wire movement according to its hardware. Everything that
-// differentiates the three MPI implementations in the paper enters through
-// this interface:
+// internal/elan, all built on internal/nic) and the multi-rail bond over
+// them (internal/rail) supplies a Network and its Endpoints. The contract
+// is one fixed method set, required of every network, so the layers above
+// call it directly instead of discovering capabilities:
 //
-//   - host overheads (Figure 3) via SendOverhead/RecvOverhead,
-//   - protocol switch points (Figures 1, 2, 7, 8) via EagerThreshold,
-//   - registration / NIC-MMU cost (Figures 7, 8) via AcquireBuf and
-//     AcquireOnEager,
-//   - NIC-driven rendezvous progress (Figure 6) via NICProgress,
-//   - command-queue backpressure (Figure 2's Quadrics window-16 sag) via
-//     IssueStall,
-//   - per-connection memory (Figure 13) via MemoryUsage,
-//   - the intra-node channel policy (Figures 9, 10, 25) via ShmemBelow.
+//   - Network: Name, Engine, Nodes and NewEndpoint wire a job;
+//     ShmemPolicy is the intra-node channel policy (Figures 9, 10, 25);
+//     MinLinkLatency, Diameter and FaultPlan time and arm the MPI layer's
+//     completion hop and watchdog; ConfigErr carries a configuration
+//     failure to mpi.NewWorld; AttachTracer, InstrumentMetrics,
+//     Utilizations and DeadElement feed tracing, metrics, bottleneck
+//     analysis and incident attribution.
+//   - Endpoint: host overheads (Figure 3) via SendOverhead/RecvOverhead;
+//     protocol switch points (Figures 1, 2, 7, 8) via EagerThreshold;
+//     registration / NIC-MMU cost (Figures 7, 8) via AcquireBuf and
+//     AcquireOnEager; NIC-driven rendezvous progress (Figure 6) via
+//     NICProgress; command-queue backpressure (Figure 2's Quadrics
+//     window-16 sag) via IssueStall; per-connection memory (Figure 13) via
+//     MemoryUsage; the device verbs Eager, Control and Bulk; and the
+//     failure and retransmit reports OnFault and OnRetry.
+//
+// Two capabilities stay optional, discovered by type assertion, because
+// they are exactly the per-model differences the paper measures: only
+// Elan's NIC matches messages itself (NICMatcher, behind Quadrics'
+// Alltoall cost), and only the InfiniBand model can multicast
+// (Multicaster, the Section 3.7 extension a platform switches on). A
+// network without them is not missing a feature; it is a different
+// interconnect.
 package dev
 
 import (
 	"mpinet/internal/faults"
 	"mpinet/internal/memreg"
+	"mpinet/internal/metrics"
 	"mpinet/internal/msgtrace"
+	"mpinet/internal/shmem"
 	"mpinet/internal/sim"
 )
 
@@ -92,6 +108,20 @@ type Endpoint interface {
 	// MemoryUsage is the bytes of library+device memory this process
 	// consumes when connected to npeers other processes.
 	MemoryUsage(npeers int) int64
+
+	// OnFault registers the sink permanent transfer failures (retry
+	// exhaustion under a fault plan) are delivered to, replacing any
+	// previous sink; the MPI layer installs one per rank so errors arrive
+	// attributed to the rank that issued the operation. An endpoint with
+	// no fault plan never calls it.
+	OnFault(sink func(err error))
+
+	// OnRetry registers an observer of each individual retransmit of the
+	// reliability protocol, before the retry budget is exhausted. The rail
+	// bond installs one as a passive health signal: a run of retransmits
+	// without an intervening delivery marks the rail suspect long before
+	// OnFault would fire. An endpoint with no fault plan never calls it.
+	OnRetry(observe func())
 }
 
 // NICMatcher is implemented by endpoints whose NIC performs message
@@ -127,14 +157,6 @@ type Utilization struct {
 	Jobs int64
 }
 
-// UtilizationReporter is implemented by networks that expose per-resource
-// occupancy accounting.
-type UtilizationReporter interface {
-	// Utilizations returns a snapshot for every modelled resource, in a
-	// stable order.
-	Utilizations() []Utilization
-}
-
 // Network is a fully wired interconnect instance for a cluster.
 type Network interface {
 	// Name is the short interconnect name used in reports ("IBA", "Myri",
@@ -150,83 +172,60 @@ type Network interface {
 	// NewEndpoint attaches one more process to the given node.
 	NewEndpoint(node int) Endpoint
 
-	// ShmemBelow reports this MPI implementation's intra-node policy:
-	// messages strictly smaller than the returned size use the shared-
-	// memory channel between co-located ranks; larger ones (and everything,
-	// if it returns 0) loop back through the NIC. MVAPICH returns 16 KB,
-	// MPICH-GM effectively infinity, Quadrics MPI 0.
-	ShmemBelow() int64
-}
+	// ShmemPolicy reports this MPI implementation's intra-node policy:
+	// messages strictly smaller than below use the shared-memory channel
+	// between co-located ranks, whose parameters are ch; larger ones (and
+	// everything, if below is 0) loop back through the NIC. MVAPICH uses
+	// 16 KB, MPICH-GM effectively infinity, Quadrics MPI 0.
+	ShmemPolicy() (below int64, ch shmem.Config)
 
-// LookaheadReporter is implemented by networks that can state a lower bound
-// on the simulated latency of any message crossing between nodes — cable
-// flight plus the cheapest port logic, with every queueing and protocol
-// delay excluded. The MPI layer times its cross-node completion hop (the
-// rendezvous FIN back to the sender's node) at this bound.
-type LookaheadReporter interface {
+	// MinLinkLatency is a lower bound on the simulated latency of any
+	// message crossing between nodes — cable flight plus the cheapest port
+	// logic, with every queueing and protocol delay excluded. The MPI layer
+	// times its cross-node completion hop (the rendezvous FIN back to the
+	// sender's node) at this bound.
 	MinLinkLatency() sim.Time
-}
 
-// FaultPlanner is implemented by networks wired with a fault-injection
-// plan (see internal/faults). The MPI layer uses it to auto-arm its
-// per-wait watchdog: a run on a faulty network must end in a typed error,
-// never a silent hang. A nil plan means faults are off.
-type FaultPlanner interface {
-	FaultPlan() *faults.Plan
-}
-
-// FaultReporter is implemented by endpoints that can fail permanently
-// (retry exhaustion under a fault plan). OnFault registers the sink those
-// failures are delivered to, replacing any previous sink; the MPI layer
-// installs one per rank so errors arrive attributed to the rank that
-// issued the operation. An endpoint with no fault plan never calls it.
-type FaultReporter interface {
-	OnFault(sink func(err error))
-}
-
-// RetryReporter is implemented by endpoints that can surface each
-// individual retransmit of their reliability protocol as it happens —
-// before the retry budget is exhausted. The rail bonding layer
-// (internal/rail) installs an observer as a passive health signal: a run
-// of consecutive retransmits without an intervening delivery marks the
-// rail suspect long before a permanent FaultReporter error would. An
-// endpoint with no fault plan never calls the observer.
-type RetryReporter interface {
-	OnRetry(observe func())
-}
-
-// DiameterReporter is implemented by networks that can state their fabric's
-// diameter — the element count of the longest route. The MPI layer folds it
-// into the scaled watchdog budget (faults.ScaledTimeout): a deep Clos under
-// faults needs more slack per wait than the paper's single crossbar.
-type DiameterReporter interface {
+	// Diameter is the element count of the fabric's longest route. The MPI
+	// layer folds it into the scaled watchdog budget
+	// (faults.ScaledTimeout): a deep Clos under faults needs more slack per
+	// wait than the paper's single crossbar.
 	Diameter() int
-}
 
-// ElementHealth is implemented by networks whose fabric can suffer element
-// deaths (switch kills). DeadElement names the element currently down, for
-// incident attribution: the rail layer asks it when a rail goes dead so the
-// flight recorder can blame the switch rather than just the rail.
-type ElementHealth interface {
-	DeadElement(now sim.Time) (name string, code int64, ok bool)
-}
+	// FaultPlan is the fault-injection plan the network is wired with (see
+	// internal/faults), nil when faults are off. The MPI layer arms its
+	// per-wait watchdog from it: a run on a faulty network must end in a
+	// typed error, never a silent hang.
+	FaultPlan() *faults.Plan
 
-// TraceAttacher is implemented by networks that can carry per-message
-// trace context (see internal/msgtrace). The MPI world attaches its
-// recorder at wiring time with rail -1; the rail bond forwards it to each
-// member network with that member's rail index, fixed for the network's
-// lifetime. Device models take each message's trace ID from the
-// Eager/Control/Bulk call, keep it with the message across its retry
-// chain, and record wire, hop, backoff and flight-recorder observations
-// against it, attributed to the attached rail.
-type TraceAttacher interface {
-	AttachTracer(rec *msgtrace.Recorder, rail int8)
-}
-
-// ConfigErrer is implemented by networks built from an invalid
-// configuration: construction cannot return an error through the Platform
-// builder chain, so the network carries it and mpi.NewWorld surfaces it as
-// a validation failure before anything runs.
-type ConfigErrer interface {
+	// ConfigErr is the configuration failure the network was built with,
+	// or nil: construction cannot return an error through the Platform
+	// builder chain, so the network carries it and mpi.NewWorld surfaces
+	// it as a validation failure before anything runs.
 	ConfigErr() error
+
+	// AttachTracer carries per-message trace context (see
+	// internal/msgtrace). The MPI world attaches its recorder at wiring
+	// time with rail -1; the rail bond forwards it to each member network
+	// with that member's rail index, fixed for the network's lifetime.
+	// Device models take each message's trace ID from the
+	// Eager/Control/Bulk call, keep it with the message across its retry
+	// chain, and record wire, hop, backoff and flight-recorder observations
+	// against it, attributed to the attached rail.
+	AttachTracer(rec *msgtrace.Recorder, rail int8)
+
+	// InstrumentMetrics wires the network's hardware into the registry
+	// (a nil registry is a no-op). Endpoints created afterwards bind their
+	// protocol counters to it.
+	InstrumentMetrics(m *metrics.Registry)
+
+	// Utilizations returns per-resource occupancy accounting for every
+	// modelled resource, in a stable order.
+	Utilizations() []Utilization
+
+	// DeadElement names a fabric element (switch) down at now, for
+	// incident attribution: the rail layer asks when a rail goes dead so
+	// the flight recorder can blame the switch rather than just the rail.
+	// ok is false when nothing is dead.
+	DeadElement(now sim.Time) (name string, code int64, ok bool)
 }

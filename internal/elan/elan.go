@@ -169,15 +169,12 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "QSN" }
 
-// ShmemBelow implements dev.Network: the Quadrics MPI of the paper loops
-// intra-node traffic through the NIC at every size.
-func (n *Network) ShmemBelow() int64 { return 0 }
+// ShmemPolicy implements dev.Network: the Quadrics MPI of the paper loops
+// intra-node traffic through the NIC at every size, so the channel
+// parameters go unused.
+func (n *Network) ShmemPolicy() (int64, shmem.Config) { return 0, shmem.DefaultConfig() }
 
-// ShmemConfig returns intra-node channel parameters (unused in practice
-// since ShmemBelow is 0, but required for interface completeness).
-func (n *Network) ShmemConfig() shmem.Config { return shmem.DefaultConfig() }
-
-// InstrumentMetrics implements metrics.Instrumentable: per-node bus, NIC
+// InstrumentMetrics implements dev.Network: per-node bus, NIC
 // thread processor, DMA engine and link counters plus device-level spans
 // and switch port counters. Endpoints created afterwards bind protocol
 // counters, MMU-cache probes, and the Elan-specific command-queue stall
@@ -202,7 +199,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	n.InstrumentFabric(m)
 }
 
-// Utilizations implements dev.UtilizationReporter.
+// Utilizations implements dev.Network.
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, hw := range n.nodes {
@@ -390,6 +387,3 @@ func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
 	}
 	return m
 }
-
-var _ dev.Network = (*Network)(nil)
-var _ dev.Endpoint = (*endpoint)(nil)

@@ -123,7 +123,7 @@ func TestCopyTimeAndShmemConfig(t *testing.T) {
 	if ep.CopyTime(1<<20) <= ep.CopyTime(1<<10) {
 		t.Fatal("copy time not increasing")
 	}
-	if n.ShmemConfig().CacheBW <= 0 {
+	if _, ch := n.ShmemPolicy(); ch.CacheBW <= 0 {
 		t.Fatal("shmem config empty")
 	}
 	if ep.MemoryUsage(7) != ep.MemoryUsage(1) {

@@ -127,6 +127,13 @@ type Topology interface {
 	Between(src, dst int, now sim.Time) Segment
 	// Nodes reports how many hosts the fabric can attach.
 	Nodes() int
+	// Diameter reports the element count of the longest route.
+	Diameter() int
+	// DeadElement names an element down at now under the fabric's
+	// element-fault plan; ok is false when nothing is dead.
+	DeadElement(now sim.Time) (name string, code int64, ok bool)
+	// Instrument registers the fabric's stateful stages with the registry.
+	Instrument(m *metrics.Registry)
 }
 
 // Segment is the fabric's share of one route: the intermediate stages a
@@ -170,6 +177,9 @@ func (c *CrossbarTopology) Instrument(m *metrics.Registry) {}
 
 // Diameter reports the single crossing of the star topology.
 func (c *CrossbarTopology) Diameter() int { return 1 }
+
+// DeadElement reports nothing: a crossbar suffers no element faults.
+func (c *CrossbarTopology) DeadElement(sim.Time) (string, int64, bool) { return "", 0, false }
 
 // PathStage pairs a Stage with a propagation latency paid by each chunk
 // after it clears the stage (wire flight time, switch crossing).

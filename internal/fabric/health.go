@@ -339,13 +339,3 @@ func (t *Clos) DeadElement(now sim.Time) (name string, code int64, ok bool) {
 // Diameter reports the element count of the longest route: up through
 // Levels-1 tiers and back down, plus the destination leaf (Hops' maximum).
 func (t *Clos) Diameter() int { return 2*(t.cfg.Levels-1) + 1 }
-
-// DiameterOf reports a topology's diameter — the element count of its
-// longest route — defaulting to 1 (single crossbar) for topologies that do
-// not report one.
-func DiameterOf(t Topology) int {
-	if d, ok := t.(interface{ Diameter() int }); ok {
-		return d.Diameter()
-	}
-	return 1
-}

@@ -308,8 +308,8 @@ func TestClosDiameter(t *testing.T) {
 		if got := tr.Diameter(); got != tc.want {
 			t.Errorf("Diameter(levels=%d) = %d, want %d", tc.levels, got, tc.want)
 		}
-		if got := DiameterOf(tr); got != tc.want {
-			t.Errorf("DiameterOf(levels=%d) = %d, want %d", tc.levels, got, tc.want)
+		if got := Topology(tr).Diameter(); got != tc.want {
+			t.Errorf("Topology.Diameter(levels=%d) = %d, want %d", tc.levels, got, tc.want)
 		}
 	}
 }

@@ -211,20 +211,16 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "Myri" }
 
-// ShmemBelow implements dev.Network: MPICH-GM uses shared memory for all
-// intra-node message sizes.
-func (n *Network) ShmemBelow() int64 { return math.MaxInt64 }
-
-// ShmemConfig returns the intra-node channel parameters for MPICH-GM, whose
-// shared-memory path has the lowest small-message cost of the three
-// implementations (~1.3 us).
-func (n *Network) ShmemConfig() shmem.Config {
+// ShmemPolicy implements dev.Network: MPICH-GM uses shared memory for all
+// intra-node message sizes, and its shared-memory path has the lowest
+// small-message cost of the three implementations (~1.3 us).
+func (n *Network) ShmemPolicy() (int64, shmem.Config) {
 	c := shmem.DefaultConfig()
 	c.Handshake = 900 * units.Nanosecond
-	return c
+	return math.MaxInt64, c
 }
 
-// InstrumentMetrics implements metrics.Instrumentable: per-node bus, LANai,
+// InstrumentMetrics implements dev.Network: per-node bus, LANai,
 // DMA-engine and link counters plus device-level spans, switch port
 // counters, and a GM-specific reliability-ACK count. Endpoints created
 // afterwards bind protocol counters and pin-cache probes.
@@ -254,7 +250,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	n.InstrumentFabric(m)
 }
 
-// Utilizations implements dev.UtilizationReporter.
+// Utilizations implements dev.Network.
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, hw := range n.nodes {
@@ -416,6 +412,3 @@ func (ep *endpoint) peerHop(from, to int, flight sim.Time, op, n int64) {
 func (ep *endpoint) Resend() {
 	ep.net.nodes[ep.Node()].lanai.Use(ep.net.Engine().Now(), ackProcess)
 }
-
-var _ dev.Network = (*Network)(nil)
-var _ dev.Endpoint = (*endpoint)(nil)

@@ -99,7 +99,7 @@ func TestRegistrationCache(t *testing.T) {
 }
 
 func TestShmemConfigHandshake(t *testing.T) {
-	if New(sim.New(), DefaultConfig(1)).ShmemConfig().Handshake <= 0 {
+	if _, ch := New(sim.New(), DefaultConfig(1)).ShmemPolicy(); ch.Handshake <= 0 {
 		t.Fatal("no handshake configured")
 	}
 }

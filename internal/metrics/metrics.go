@@ -322,9 +322,3 @@ func NodePrefix(node int) string { return "node" + strconv.Itoa(node) + "/" }
 // RankPrefix returns the canonical per-rank name prefix ("rank2/"),
 // likewise stripped by Snapshot.Merged.
 func RankPrefix(rank int) string { return "rank" + strconv.Itoa(rank) + "/" }
-
-// Instrumentable is implemented by components (networks, devices) that can
-// wire themselves into a registry.
-type Instrumentable interface {
-	InstrumentMetrics(m *Registry)
-}

@@ -10,22 +10,28 @@ import (
 // ops on the paper's 2.4 GHz Xeons).
 var reduceBW = units.MBps(800)
 
-// collective wraps a collective body: records the call once and silences
-// point-to-point profiling of its decomposition, matching what the MPICH
-// logging interface sees at the MPI layer.
-func (r *Rank) collective(name string, bytes int64, body func(), bufs ...memreg.Buf) {
+// collective opens a collective call: it records the call once and
+// silences point-to-point profiling of its decomposition until the caller's
+// deferred endCollective, matching what the MPICH logging interface sees at
+// the MPI layer:
+//
+//	defer r.collective("Bcast", buf.Size, buf).endCollective()
+//
+// The algorithm then runs in the caller's own frame, not in a closure
+// called from here: two frames fewer on every rank's stack, which a
+// thousand-rank world holds a thousand of.
+func (r *Rank) collective(name string, bytes int64, bufs ...memreg.Buf) *procState {
 	r.ps.prof.Collective(name, bytes, bufs...)
 	r.ps.quiet = true
-	defer func() { r.ps.quiet = false }()
-	body()
+	return r.ps
 }
+
+// endCollective resumes point-to-point profiling after a collective.
+func (ps *procState) endCollective() { ps.quiet = false }
 
 // Barrier blocks until every rank has entered it (dissemination algorithm,
 // correct for any world size).
-func (r *Rank) Barrier() {
-	c := r.CommWorld()
-	r.collective("Barrier", 0, c.barrierBody)
-}
+func (r *Rank) Barrier() { r.CommWorld().Barrier() }
 
 // Bcast broadcasts buf from root. By default it runs the MPICH 1.2.x
 // binomial tree; on a platform with the hardware-multicast extension
@@ -34,31 +40,22 @@ func (r *Rank) Barrier() {
 func (r *Rank) Bcast(buf memreg.Buf, root int) {
 	if mc, ok := r.ps.ep.(hwMulticaster); ok && mc.HWMulticastEnabled() &&
 		r.ps.world.cfg.ProcsPerNode == 1 && r.Size() > 1 {
-		r.collective("Bcast", buf.Size, func() { r.hwBcast(mc, buf, root) }, buf)
+		defer r.collective("Bcast", buf.Size, buf).endCollective()
+		r.hwBcast(mc, buf, root)
 		return
 	}
-	c := r.CommWorld()
-	r.collective("Bcast", buf.Size, func() { c.bcastBody(buf, root) }, buf)
+	r.CommWorld().Bcast(buf, root)
 }
 
 // Reduce combines contributions into root over a binomial tree, charging
 // the combine cost per received operand (commutative operation assumed, as
 // for the workloads' MPI_SUM/MPI_MAX).
-func (r *Rank) Reduce(buf memreg.Buf, root int) {
-	c := r.CommWorld()
-	r.collective("Reduce", buf.Size, func() { c.reduceBody(buf, root) }, buf)
-}
+func (r *Rank) Reduce(buf memreg.Buf, root int) { r.CommWorld().Reduce(buf, root) }
 
 // Allreduce is Reduce to rank 0 followed by Bcast — the MPICH 1.2.x
 // composition, whose 2·log2(P) latency chain is why the lowest-latency
 // interconnect (Quadrics) wins this operation in the paper.
-func (r *Rank) Allreduce(buf memreg.Buf) {
-	c := r.CommWorld()
-	r.collective("Allreduce", buf.Size, func() {
-		c.reduceBody(buf, 0)
-		c.bcastBody(buf, 0)
-	}, buf)
-}
+func (r *Rank) Allreduce(buf memreg.Buf) { r.CommWorld().Allreduce(buf) }
 
 // hwMulticaster is the optional device capability behind the accelerated
 // broadcast (the paper's Section 3.7 extension).
@@ -92,31 +89,10 @@ func (r *Rank) hwBcast(mc hwMulticaster, buf memreg.Buf, root int) {
 // profile and runs the same algorithms as the world-level operations, but
 // scoped to the communicator's group and matching context.
 
-// Barrier blocks until every communicator member has entered it.
+// Barrier blocks until every communicator member has entered it
+// (dissemination algorithm, correct for any group size).
 func (c *Comm) Barrier() {
-	c.r.collective("Barrier", 0, c.barrierBody)
-}
-
-// Bcast broadcasts buf from the communicator rank root.
-func (c *Comm) Bcast(buf memreg.Buf, root int) {
-	c.r.collective("Bcast", buf.Size, func() { c.bcastBody(buf, root) }, buf)
-}
-
-// Reduce combines contributions into the communicator rank root.
-func (c *Comm) Reduce(buf memreg.Buf, root int) {
-	c.r.collective("Reduce", buf.Size, func() { c.reduceBody(buf, root) }, buf)
-}
-
-// Allreduce combines contributions into every member.
-func (c *Comm) Allreduce(buf memreg.Buf) {
-	c.r.collective("Allreduce", buf.Size, func() {
-		c.reduceBody(buf, 0)
-		c.bcastBody(buf, 0)
-	}, buf)
-}
-
-// barrierBody is the dissemination barrier over this communicator.
-func (c *Comm) barrierBody() {
+	defer c.r.collective("Barrier", 0).endCollective()
 	p := c.Size()
 	if p == 1 {
 		return
@@ -130,6 +106,25 @@ func (c *Comm) barrierBody() {
 		c.r.waitOne(sr)
 		c.r.waitOne(rr)
 	}
+}
+
+// Bcast broadcasts buf from the communicator rank root.
+func (c *Comm) Bcast(buf memreg.Buf, root int) {
+	defer c.r.collective("Bcast", buf.Size, buf).endCollective()
+	c.bcastBody(buf, root)
+}
+
+// Reduce combines contributions into the communicator rank root.
+func (c *Comm) Reduce(buf memreg.Buf, root int) {
+	defer c.r.collective("Reduce", buf.Size, buf).endCollective()
+	c.reduceBody(buf, root)
+}
+
+// Allreduce combines contributions into every member.
+func (c *Comm) Allreduce(buf memreg.Buf) {
+	defer c.r.collective("Allreduce", buf.Size, buf).endCollective()
+	c.reduceBody(buf, 0)
+	c.bcastBody(buf, 0)
 }
 
 // bcastBody is the binomial-tree broadcast over this communicator.
@@ -204,9 +199,8 @@ func (r *Rank) Alltoall(sendBuf, recvBuf memreg.Buf) {
 	for i := range counts {
 		counts[i] = block
 	}
-	r.collective("Alltoall", sendBuf.Size, func() {
-		r.alltoallvBody(sendBuf, recvBuf, counts, counts)
-	}, sendBuf, recvBuf)
+	defer r.collective("Alltoall", sendBuf.Size, sendBuf, recvBuf).endCollective()
+	r.alltoallvBody(sendBuf, recvBuf, counts, counts)
 }
 
 // Alltoallv is the variable-block variant; sendCounts[i] bytes go to rank i
@@ -219,9 +213,8 @@ func (r *Rank) Alltoallv(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts []i
 	for _, c := range sendCounts {
 		total += c
 	}
-	r.collective("Alltoallv", total, func() {
-		r.alltoallvBody(sendBuf, recvBuf, sendCounts, recvCounts)
-	}, sendBuf, recvBuf)
+	defer r.collective("Alltoallv", total, sendBuf, recvBuf).endCollective()
+	r.alltoallvBody(sendBuf, recvBuf, sendCounts, recvCounts)
 }
 
 func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts []int64) {
@@ -283,23 +276,22 @@ func (r *Rank) Allgather(sendBuf, recvBuf memreg.Buf) {
 	if sendBuf.Size != block {
 		panic("mpi: Allgather send buffer must be one block")
 	}
-	r.collective("Allgather", recvBuf.Size, func() {
-		n := r.Size()
-		if n == 1 {
-			return
-		}
-		c, me := r.CommWorld(), r.Rank()
-		right := (me + 1) % n
-		left := (me - 1 + n) % n
-		// Own block "arrives" by local copy.
-		r.ps.busy(r.p, r.ps.ep.CopyTime(block))
-		for s := 0; s < n-1; s++ {
-			outIdx := (me - s + n) % n
-			inIdx := (me - s - 1 + n) % n
-			sr := c.isendInternal(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather)
-			rr := c.irecvInternal(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather)
-			r.waitOne(sr)
-			r.waitOne(rr)
-		}
-	}, sendBuf, recvBuf)
+	defer r.collective("Allgather", recvBuf.Size, sendBuf, recvBuf).endCollective()
+	n := r.Size()
+	if n == 1 {
+		return
+	}
+	c, me := r.CommWorld(), r.Rank()
+	right := (me + 1) % n
+	left := (me - 1 + n) % n
+	// Own block "arrives" by local copy.
+	r.ps.busy(r.p, r.ps.ep.CopyTime(block))
+	for s := 0; s < n-1; s++ {
+		outIdx := (me - s + n) % n
+		inIdx := (me - s - 1 + n) % n
+		sr := c.isendInternal(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather)
+		rr := c.irecvInternal(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather)
+		r.waitOne(sr)
+		r.waitOne(rr)
+	}
 }

@@ -10,25 +10,24 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 	if r.Rank() == root && recvBuf.Size%p != 0 {
 		panic("mpi: Gather recv buffer must divide evenly by world size")
 	}
-	r.collective("Gather", sendBuf.Size, func() {
-		c, me := r.CommWorld(), r.Rank()
-		if me == root {
-			block := recvBuf.Size / p
-			var reqs []*Request
-			for src := 0; src < int(p); src++ {
-				if src == root {
-					r.ps.busy(r.p, r.ps.ep.CopyTime(block))
-					continue
-				}
-				reqs = append(reqs, c.irecvInternal(recvBuf.Slice(int64(src)*block, block), src, tagGather))
+	defer r.collective("Gather", sendBuf.Size, sendBuf, recvBuf).endCollective()
+	c, me := r.CommWorld(), r.Rank()
+	if me == root {
+		block := recvBuf.Size / p
+		var reqs []*Request
+		for src := 0; src < int(p); src++ {
+			if src == root {
+				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
+				continue
 			}
-			for _, req := range reqs {
-				r.waitOne(req)
-			}
-			return
+			reqs = append(reqs, c.irecvInternal(recvBuf.Slice(int64(src)*block, block), src, tagGather))
 		}
-		c.sendInternal(sendBuf, root, tagGather)
-	}, sendBuf, recvBuf)
+		for _, req := range reqs {
+			r.waitOne(req)
+		}
+		return
+	}
+	c.sendInternal(sendBuf, root, tagGather)
 }
 
 // Scatter distributes root's sendBuf in equal blocks: rank i receives the
@@ -39,25 +38,24 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 	if r.Rank() == root && sendBuf.Size%p != 0 {
 		panic("mpi: Scatter send buffer must divide evenly by world size")
 	}
-	r.collective("Scatter", recvBuf.Size, func() {
-		c, me := r.CommWorld(), r.Rank()
-		if me == root {
-			block := sendBuf.Size / p
-			var reqs []*Request
-			for dst := 0; dst < int(p); dst++ {
-				if dst == root {
-					r.ps.busy(r.p, r.ps.ep.CopyTime(block))
-					continue
-				}
-				reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
+	defer r.collective("Scatter", recvBuf.Size, sendBuf, recvBuf).endCollective()
+	c, me := r.CommWorld(), r.Rank()
+	if me == root {
+		block := sendBuf.Size / p
+		var reqs []*Request
+		for dst := 0; dst < int(p); dst++ {
+			if dst == root {
+				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
+				continue
 			}
-			for _, req := range reqs {
-				r.waitOne(req)
-			}
-			return
+			reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
 		}
-		c.recvInternal(recvBuf, root, tagGather)
-	}, sendBuf, recvBuf)
+		for _, req := range reqs {
+			r.waitOne(req)
+		}
+		return
+	}
+	c.recvInternal(recvBuf, root, tagGather)
 }
 
 // ReduceScatter combines per-block contributions and scatters the result:
@@ -68,42 +66,40 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 	if sendBuf.Size%p != 0 {
 		panic("mpi: ReduceScatter send buffer must divide evenly by world size")
 	}
-	r.collective("ReduceScatter", sendBuf.Size, func() {
-		c := r.CommWorld()
-		c.reduceBody(sendBuf, 0)
-		// Scatter the combined blocks from rank 0.
-		me := r.Rank()
-		block := sendBuf.Size / p
-		if me == 0 {
-			var reqs []*Request
-			for dst := 1; dst < int(p); dst++ {
-				reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
-			}
-			r.ps.busy(r.p, r.ps.ep.CopyTime(block))
-			for _, req := range reqs {
-				r.waitOne(req)
-			}
-			return
+	defer r.collective("ReduceScatter", sendBuf.Size, sendBuf, recvBuf).endCollective()
+	c := r.CommWorld()
+	c.reduceBody(sendBuf, 0)
+	// Scatter the combined blocks from rank 0.
+	me := r.Rank()
+	block := sendBuf.Size / p
+	if me == 0 {
+		var reqs []*Request
+		for dst := 1; dst < int(p); dst++ {
+			reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
 		}
-		c.recvInternal(recvBuf, 0, tagGather)
-	}, sendBuf, recvBuf)
+		r.ps.busy(r.p, r.ps.ep.CopyTime(block))
+		for _, req := range reqs {
+			r.waitOne(req)
+		}
+		return
+	}
+	c.recvInternal(recvBuf, 0, tagGather)
 }
 
 // Scan computes the inclusive prefix reduction: rank i ends with the
 // combination of ranks 0..i's contributions. Linear chain, as MPICH 1.2.x
 // implements it.
 func (r *Rank) Scan(buf memreg.Buf) {
-	r.collective("Scan", buf.Size, func() {
-		c, me := r.CommWorld(), r.Rank()
-		tmp := r.ps.scratch(buf.Size)
-		if me > 0 {
-			c.recvInternal(tmp, me-1, tagScan)
-			r.ps.busy(r.p, reduceBW.TimeFor(buf.Size))
-		}
-		if me < r.Size()-1 {
-			c.sendInternal(buf, me+1, tagScan)
-		}
-	}, buf)
+	defer r.collective("Scan", buf.Size, buf).endCollective()
+	c, me := r.CommWorld(), r.Rank()
+	tmp := r.ps.scratch(buf.Size)
+	if me > 0 {
+		c.recvInternal(tmp, me-1, tagScan)
+		r.ps.busy(r.p, reduceBW.TimeFor(buf.Size))
+	}
+	if me < r.Size()-1 {
+		c.sendInternal(buf, me+1, tagScan)
+	}
 }
 
 // tagScan is the internal tag for Scan's chain.

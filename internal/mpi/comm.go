@@ -54,11 +54,7 @@ func (c *Comm) WorldRank(rank int) int {
 // Send is a blocking send to a communicator rank.
 func (c *Comm) Send(buf memreg.Buf, dst, tag int) {
 	c.validateTag(tag)
-	ps := c.r.ps
-	ps.poll(c.r.p)
-	req := ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, false)
-	req.pooled = true
-	c.r.waitOne(req)
+	c.sendInternal(buf, dst, tag)
 }
 
 // Recv is a blocking receive from a communicator rank (or AnySource).
@@ -165,19 +161,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	// Agreement traffic: ring allgather of 8-byte entries over the parent.
 	// Completing it guarantees every member has posted to the board. It is
 	// profiled as the collective call MPI_Comm_split is.
-	c.r.collective("CommSplit", 8, func() {
-		if p == 1 {
-			return
-		}
-		entry := ps.scratch(8)
-		prev := (c.me - 1 + p) % p
-		next := (c.me + 1) % p
-		for s := 0; s < p-1; s++ {
-			rr := c.irecvInternal(entry, prev, tagSplit)
-			c.sendInternal(entry, next, tagSplit)
-			c.r.waitOne(rr)
-		}
-	})
+	c.agree("CommSplit", 8, p-1)
 
 	// Build my group: members with my color, ordered by (key, parent rank).
 	board := ps.world.readSplit(c.id, gen, p)
@@ -214,18 +198,7 @@ func (c *Comm) Split(color, key int) *Comm {
 func (c *Comm) Dup() *Comm {
 	// Context agreement costs a barrier-equivalent round, profiled as the
 	// collective call it is.
-	c.r.collective("CommDup", 0, func() {
-		if c.Size() == 1 {
-			return
-		}
-		entry := c.r.ps.scratch(8)
-		p := c.Size()
-		prev := (c.me - 1 + p) % p
-		next := (c.me + 1) % p
-		rr := c.irecvInternal(entry, prev, tagSplit)
-		c.sendInternal(entry, next, tagSplit)
-		c.r.waitOne(rr)
-	})
+	c.agree("CommDup", 0, 1)
 	gen := c.r.ps.nextSplitGen(c.id)
 	ranks := append([]int(nil), c.ranks...)
 	id := c.r.ps.world.commID(append(append([]int(nil), ranks...), -1-gen))
@@ -234,6 +207,25 @@ func (c *Comm) Dup() *Comm {
 
 // tagSplit is the internal tag for Split/Dup agreement traffic.
 const tagSplit = -17
+
+// agree runs Split's and Dup's context-agreement traffic, profiled as the
+// collective call name: rounds of a ring exchange of 8-byte entries
+// over this communicator.
+func (c *Comm) agree(name string, bytes int64, rounds int) {
+	defer c.r.collective(name, bytes).endCollective()
+	p := c.Size()
+	if p == 1 {
+		return
+	}
+	entry := c.r.ps.scratch(8)
+	prev := (c.me - 1 + p) % p
+	next := (c.me + 1) % p
+	for s := 0; s < rounds; s++ {
+		rr := c.irecvInternal(entry, prev, tagSplit)
+		c.sendInternal(entry, next, tagSplit)
+		c.r.waitOne(rr)
+	}
+}
 
 // nextSplitGen returns and advances this rank's Split/Dup generation for a
 // parent communicator. The map materializes on first use: most ranks never

@@ -61,7 +61,7 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 	ps.record(trace.EvSendStart, dst, tag, comm, buf.Size)
 
 	rec := ps.world.rec
-	if sameNode && buf.Size < ps.world.shmemBelow() {
+	if sameNode && buf.Size < ps.world.shmBelow {
 		rec.Begin(req.tid, int32(ps.rank), int32(dst), int32(tag), req.size, msgtrace.KindShmem, req.born)
 		ps.shmSend(p, req, dstPS)
 		return req

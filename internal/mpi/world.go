@@ -58,11 +58,11 @@ type Config struct {
 	// Timeout is the per-wait watchdog: a blocking MPI operation that makes
 	// no progress for this long fails the job with a TimeoutError instead
 	// of hanging. 0 means the default policy — armed when the network
-	// carries a fault plan (dev.FaultPlanner) at faults.ScaledTimeout(Procs,
-	// diameter), which grows with the rank count and the fabric's hop
-	// diameter (dev.DiameterReporter) so a thousand-rank Clos job is not
-	// held to a crossbar's deadline; off otherwise; negative disables the
-	// watchdog unconditionally.
+	// carries a fault plan (dev.Network.FaultPlan) at
+	// faults.ScaledTimeout(Procs, diameter), which grows with the rank
+	// count and the fabric's hop diameter (dev.Network.Diameter) so a
+	// thousand-rank Clos job is not held to a crossbar's deadline; off
+	// otherwise; negative disables the watchdog unconditionally.
 	Timeout sim.Time
 	// FaultTolerant selects ULFM-style rank-death handling: when a node
 	// crash (faults.Plan.NodeCrashes) kills a peer, pending user-level
@@ -131,6 +131,9 @@ type World struct {
 	// node (nil entries for unused nodes). A dense slice: the intra-node
 	// send path resolves it per message.
 	shm []*shmem.Channel
+	// shmBelow is the network's intra-node policy: co-located messages
+	// strictly smaller than this ride shm, larger ones the NIC.
+	shmBelow int64
 	// worldRanks is the shared identity rank list behind every rank's cached
 	// CommWorld view; read-only after construction.
 	worldRanks []int
@@ -177,8 +180,8 @@ func NewWorld(cfg Config) (*World, error) {
 	// A network built from an invalid platform configuration carries its
 	// constructor's error (the builder chain cannot return one); surface it
 	// here, before Validate trips over the stub's zero node count.
-	if ce, ok := cfg.Net.(dev.ConfigErrer); ok && cfg.Net != nil {
-		if err := ce.ConfigErr(); err != nil {
+	if cfg.Net != nil {
+		if err := cfg.Net.ConfigErr(); err != nil {
 			return nil, err
 		}
 	}
@@ -188,20 +191,16 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.ProcsPerNode < 1 {
 		cfg.ProcsPerNode = 1
 	}
-	if cfg.Timeout == 0 {
-		if fp, ok := cfg.Net.(dev.FaultPlanner); ok && fp.FaultPlan() != nil {
-			diam := 1
-			if dr, ok := cfg.Net.(dev.DiameterReporter); ok {
-				diam = dr.Diameter()
-			}
-			cfg.Timeout = faults.ScaledTimeout(cfg.Procs, diam)
-		}
+	plan := cfg.Net.FaultPlan()
+	if cfg.Timeout == 0 && plan != nil {
+		cfg.Timeout = faults.ScaledTimeout(cfg.Procs, cfg.Net.Diameter())
 	}
 	w := &World{
 		eng:         cfg.Net.Engine(),
 		cfg:         cfg,
 		shm:         make([]*shmem.Channel, cfg.Net.Nodes()),
 		met:         cfg.Metrics,
+		finLat:      cfg.Net.MinLinkLatency(),
 		commIDs:     make(map[string]int),
 		splitBoards: make(map[[2]int]map[int][2]int),
 	}
@@ -209,15 +208,10 @@ func NewWorld(cfg Config) (*World, error) {
 	for i := range w.worldRanks {
 		w.worldRanks[i] = i
 	}
-	if lr, ok := cfg.Net.(dev.LookaheadReporter); ok {
-		w.finLat = lr.MinLinkLatency()
-	}
 	// Wire the hardware layers before any endpoint exists, so endpoints
 	// created below find the registry and bind their counters.
 	if w.met != nil {
-		if in, ok := cfg.Net.(metrics.Instrumentable); ok {
-			in.InstrumentMetrics(w.met)
-		}
+		cfg.Net.InstrumentMetrics(w.met)
 		w.eng.Instrument(w.met)
 	}
 	// Every world owns a recorder: the configured one (span tracing on) or
@@ -227,14 +221,9 @@ func NewWorld(cfg Config) (*World, error) {
 	if w.rec == nil {
 		w.rec = msgtrace.Disabled()
 	}
-	if ta, ok := cfg.Net.(dev.TraceAttacher); ok {
-		ta.AttachTracer(w.rec, -1)
-	}
-	type shmemConfigurer interface{ ShmemConfig() shmem.Config }
-	shmCfg := shmem.DefaultConfig()
-	if sc, ok := cfg.Net.(shmemConfigurer); ok {
-		shmCfg = sc.ShmemConfig()
-	}
+	cfg.Net.AttachTracer(w.rec, -1)
+	var shmCfg shmem.Config
+	w.shmBelow, shmCfg = cfg.Net.ShmemPolicy()
 	w.procs = make([]*procState, 0, cfg.Procs)
 	for r := 0; r < cfg.Procs; r++ {
 		node := w.nodeOf(r)
@@ -257,30 +246,26 @@ func NewWorld(cfg Config) (*World, error) {
 		// Route permanent device failures (retry exhaustion under a fault
 		// plan) into the world, attributed to the rank that issued the
 		// operation.
-		if fr, ok := ps.ep.(dev.FaultReporter); ok {
-			rank, node := ps.rank, ps.node
-			fr.OnFault(func(err error) {
-				var nde *faults.NodeDownError
-				if w.tolerant && errors.As(err, &nde) {
-					// A transfer ran into a crashed node while the job runs
-					// fault-tolerant: the death surfaces on the pending
-					// operation as a RankFailedError (see peerFailed), not as
-					// a job abort.
-					return
-				}
-				// Freeze the flight ring at the original sin: the recorder
-				// fills in the failing message from its last incident entry.
-				w.rec.Freeze("device fault: "+err.Error(), w.eng.Now(), rank, msgtrace.StageWire, 0)
-				w.fail(fmt.Errorf("mpi: rank %d (node %d): %w", rank, node, err))
-			})
-		}
+		rank, node := ps.rank, ps.node
+		ps.ep.OnFault(func(err error) {
+			var nde *faults.NodeDownError
+			if w.tolerant && errors.As(err, &nde) {
+				// A transfer ran into a crashed node while the job runs
+				// fault-tolerant: the death surfaces on the pending
+				// operation as a RankFailedError (see peerFailed), not as a
+				// job abort.
+				return
+			}
+			// Freeze the flight ring at the original sin: the recorder
+			// fills in the failing message from its last incident entry.
+			w.rec.Freeze("device fault: "+err.Error(), w.eng.Now(), rank, msgtrace.StageWire, 0)
+			w.fail(fmt.Errorf("mpi: rank %d (node %d): %w", rank, node, err))
+		})
 		w.procs = append(w.procs, ps)
 	}
 	w.tolerant = cfg.FaultTolerant
-	if fp, ok := cfg.Net.(dev.FaultPlanner); ok {
-		if plan := fp.FaultPlan(); plan != nil && len(plan.NodeCrashes) > 0 {
-			w.armCrashes(plan)
-		}
+	if plan != nil && len(plan.NodeCrashes) > 0 {
+		w.armCrashes(plan)
 	}
 	return w, nil
 }
@@ -523,18 +508,9 @@ func (w *World) memoryUsage(rank, peers int) int64 {
 	return mem
 }
 
-// Utilizations returns per-resource busy-time accounting when the network
-// supports it (all built-in devices do), or nil.
+// Utilizations returns the network's per-resource busy-time accounting.
 func (w *World) Utilizations() []dev.Utilization {
-	if ur, ok := w.cfg.Net.(dev.UtilizationReporter); ok {
-		return ur.Utilizations()
-	}
-	return nil
-}
-
-// shmemBelow is the interconnect's intra-node channel policy.
-func (w *World) shmemBelow() int64 {
-	return w.cfg.Net.ShmemBelow()
+	return w.cfg.Net.Utilizations()
 }
 
 // internal tag space for collectives; user tags must be non-negative.

@@ -89,9 +89,9 @@ type Endpoint struct {
 	bulkMsgs, bulkBytes             *metrics.Counter
 	retries, retryErrors            *metrics.Counter
 
-	// sink receives permanent transfer failures (dev.FaultReporter).
+	// sink receives permanent transfer failures (OnFault).
 	sink func(error)
-	// onRetry observes each individual resend (dev.RetryReporter).
+	// onRetry observes each individual resend (OnRetry).
 	onRetry func()
 
 	// peers caches the assembled paths this endpoint has routed over, keyed
@@ -139,10 +139,10 @@ func (e *Endpoint) EagerThreshold() int64 {
 	return e.net.spec.EagerMax
 }
 
-// OnFault implements dev.FaultReporter.
+// OnFault implements dev.Endpoint.
 func (e *Endpoint) OnFault(sink func(error)) { e.sink = sink }
 
-// OnRetry implements dev.RetryReporter.
+// OnRetry implements dev.Endpoint.
 func (e *Endpoint) OnRetry(observe func()) { e.onRetry = observe }
 
 // retried counts one resend and feeds the passive health observer.

@@ -19,7 +19,7 @@ import (
 var models = []struct {
 	name      string
 	ports     int   // default crossbar radix
-	shmem     int64 // ShmemBelow: the MPI's intra-node channel policy
+	shmem     int64 // ShmemPolicy's threshold: the MPI's intra-node channel policy
 	resources int   // Utilizations entries per node
 	build     func(cfg nic.Config) dev.Network
 }{
@@ -41,8 +41,8 @@ func TestNetworkBasics(t *testing.T) {
 			if n.Name() != m.name || n.Nodes() != 8 {
 				t.Fatalf("name=%q nodes=%d", n.Name(), n.Nodes())
 			}
-			if n.ShmemBelow() != m.shmem {
-				t.Fatalf("ShmemBelow = %d, want %d", n.ShmemBelow(), m.shmem)
+			if below, _ := n.ShmemPolicy(); below != m.shmem {
+				t.Fatalf("ShmemPolicy threshold = %d, want %d", below, m.shmem)
 			}
 		})
 	}
@@ -80,7 +80,7 @@ func TestUtilizations(t *testing.T) {
 			if err := n.Engine().Run(); err != nil {
 				t.Fatal(err)
 			}
-			us := n.(dev.UtilizationReporter).Utilizations()
+			us := n.Utilizations()
 			if len(us) != 2*m.resources {
 				t.Fatalf("utilization entries = %d, want %d", len(us), 2*m.resources)
 			}

@@ -81,9 +81,9 @@ type Spec struct {
 }
 
 // Net is the shared half of a wired network. A model embeds *Net, which
-// gives it Engine and Nodes (dev.Network) and the capability interfaces
-// dev declares: LookaheadReporter, FaultPlanner, DiameterReporter,
-// ElementHealth, TraceAttacher and ConfigErrer.
+// gives it the dev.Network methods every model answers the same way:
+// Engine, Nodes, MinLinkLatency, Diameter, FaultPlan, ConfigErr,
+// AttachTracer and DeadElement.
 type Net struct {
 	spec *Spec
 	eng  *sim.Engine
@@ -97,7 +97,7 @@ type Net struct {
 	rail int8
 
 	// cfgErr carries a topology-validation failure to mpi.NewWorld
-	// (dev.ConfigErrer); construction itself cannot return an error.
+	// (ConfigErr); construction itself cannot return an error.
 	cfgErr error
 }
 
@@ -191,37 +191,27 @@ func (n *Net) Engine() *sim.Engine { return n.eng }
 // Nodes implements dev.Network.
 func (n *Net) Nodes() int { return n.cfg.Nodes }
 
-// MinLinkLatency implements dev.LookaheadReporter: no message leaves a node
+// MinLinkLatency implements dev.Network: no message leaves a node
 // and lands on another in less than one wire hop, whatever the protocol
 // stacked above adds.
 func (n *Net) MinLinkLatency() sim.Time { return n.spec.WireLatency }
 
-// FaultPlan implements dev.FaultPlanner (nil when faults are off).
+// FaultPlan implements dev.Network (nil when faults are off).
 func (n *Net) FaultPlan() *faults.Plan { return n.inj.Plan() }
 
-// Diameter implements dev.DiameterReporter.
-func (n *Net) Diameter() int {
-	if n.topo == nil {
-		return 1
-	}
-	return fabric.DiameterOf(n.topo)
-}
+// Diameter implements dev.Network.
+func (n *Net) Diameter() int { return n.topo.Diameter() }
 
-// DeadElement implements dev.ElementHealth: forwarded to the fabric, which
-// knows which of the plan's element kills is in effect.
+// DeadElement implements dev.Network: forwarded to the fabric, which knows
+// which of the plan's element kills is in effect.
 func (n *Net) DeadElement(now sim.Time) (string, int64, bool) {
-	if eh, ok := n.topo.(interface {
-		DeadElement(sim.Time) (string, int64, bool)
-	}); ok {
-		return eh.DeadElement(now)
-	}
-	return "", 0, false
+	return n.topo.DeadElement(now)
 }
 
-// AttachTracer implements dev.TraceAttacher.
+// AttachTracer implements dev.Network.
 func (n *Net) AttachTracer(rec *msgtrace.Recorder, rail int8) { n.rec, n.rail = rec, rail }
 
-// ConfigErr implements dev.ConfigErrer.
+// ConfigErr implements dev.Network.
 func (n *Net) ConfigErr() error { return n.cfgErr }
 
 // Metrics returns the registry the network was instrumented with (nil
@@ -235,8 +225,6 @@ func (n *Net) Metrics() *metrics.Registry { return n.met }
 // fabrics register their leaf-tier links.
 func (n *Net) InstrumentFabric(m *metrics.Registry) {
 	n.met = m
-	if ti, ok := n.topo.(interface{ Instrument(*metrics.Registry) }); ok {
-		ti.Instrument(m)
-	}
+	n.topo.Instrument(m)
 	n.inj.Instrument(m)
 }

@@ -91,12 +91,8 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 		rep := rn.NewEndpoint(node)
 		ep.eps = append(ep.eps, rep)
 		r := r
-		if fr, ok := rep.(dev.FaultReporter); ok {
-			fr.OnFault(func(err error) { ep.railFailed(r, err) })
-		}
-		if rr, ok := rep.(dev.RetryReporter); ok {
-			rr.OnRetry(func() { n.mon[r].retransmit() })
-		}
+		rep.OnFault(func(err error) { ep.railFailed(r, err) })
+		rep.OnRetry(func() { n.mon[r].retransmit() })
 	}
 	n.eps = append(n.eps, ep)
 	return ep
@@ -169,10 +165,15 @@ func (ep *endpoint) MemoryUsage(npeers int) int64 {
 	return total
 }
 
-// OnFault implements dev.FaultReporter for the bond itself: the sink
-// receives only bond-level permanent failures (AllRailsError) — single-
-// rail deaths are absorbed by failover.
+// OnFault implements dev.Endpoint for the bond itself: the sink receives
+// only bond-level permanent failures (AllRailsError) — single-rail deaths
+// are absorbed by failover.
 func (ep *endpoint) OnFault(sink func(err error)) { ep.sink = sink }
+
+// OnRetry implements dev.Endpoint as a no-op: the bond never retransmits.
+// It re-issues a failed operation on another rail instead, and each
+// member's own retransmits already feed that rail's health monitor.
+func (ep *endpoint) OnRetry(func()) {}
 
 // Eager implements dev.Endpoint.
 func (ep *endpoint) Eager(dst int, size int64, tid msgtrace.ID, deliver func()) {
@@ -409,6 +410,3 @@ func (ep *endpoint) fail(err error) {
 	}
 	ep.sink(err)
 }
-
-var _ dev.Endpoint = (*endpoint)(nil)
-var _ dev.FaultReporter = (*endpoint)(nil)

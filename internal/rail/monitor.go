@@ -188,9 +188,7 @@ func (m *monitor) ensureEps() {
 	rn := m.net.rails[m.rail]
 	for node := 0; node < rn.Nodes(); node++ {
 		pe := rn.NewEndpoint(node)
-		if fr, ok := pe.(dev.FaultReporter); ok {
-			fr.OnFault(func(error) { m.hardFail() })
-		}
+		pe.OnFault(func(error) { m.hardFail() })
 		m.probeEps = append(m.probeEps, pe)
 	}
 }
@@ -263,10 +261,8 @@ func (m *monitor) to(s State) {
 		// carries the element's code in B so the dump blames the switch, not
 		// just the rail.
 		var elem int64
-		if eh, ok := m.net.rails[m.rail].(dev.ElementHealth); ok {
-			if _, code, dead := eh.DeadElement(m.net.eng.Now()); dead {
-				elem = code
-			}
+		if _, code, dead := m.net.rails[m.rail].DeadElement(m.net.eng.Now()); dead {
+			elem = code
 		}
 		m.net.rec.Flight(msgtrace.FlightRailDown, m.net.eng.Now(), -1, 0,
 			msgtrace.StageRail, int64(m.rail), elem)

@@ -186,8 +186,7 @@ type pair struct {
 }
 
 // Network is a bonded multi-rail interconnect: it implements dev.Network
-// (and the optional FaultPlanner / Instrumentable / UtilizationReporter
-// faces) by delegating to 2-3 member fabrics wired on one shared engine.
+// by delegating to 2-3 member fabrics wired on one shared engine.
 type Network struct {
 	eng   *sim.Engine
 	rails []dev.Network
@@ -275,35 +274,24 @@ func (n *Network) Nodes() int { return n.rails[0].Nodes() }
 // Rails exposes the member fabrics (for tests and diagnostics).
 func (n *Network) Rails() []dev.Network { return n.rails }
 
-// MinLinkLatency implements dev.LookaheadReporter: a bonded message may ride
-// any member rail, so the bound is the fastest member's. Members that cannot
-// state a bound make the bond unable to either (returns 0).
+// MinLinkLatency implements dev.Network: a bonded message may ride any
+// member rail, so the bound is the fastest member's.
 func (n *Network) MinLinkLatency() sim.Time {
-	var min sim.Time
-	for _, r := range n.rails {
-		lr, ok := r.(dev.LookaheadReporter)
-		if !ok {
-			return 0
-		}
-		if la := lr.MinLinkLatency(); min == 0 || la < min {
-			min = la
-		}
+	la := n.rails[0].MinLinkLatency()
+	for _, r := range n.rails[1:] {
+		la = min(la, r.MinLinkLatency())
 	}
-	return min
+	return la
 }
 
-// Diameter implements dev.DiameterReporter: a bonded message may ride any
-// member rail, so the watchdog must budget for the deepest one.
+// Diameter implements dev.Network: a bonded message may ride any member
+// rail, so the watchdog must budget for the deepest one.
 func (n *Network) Diameter() int {
-	max := 1
+	d := 1
 	for _, r := range n.rails {
-		if dr, ok := r.(dev.DiameterReporter); ok {
-			if d := dr.Diameter(); d > max {
-				max = d
-			}
-		}
+		d = max(d, r.Diameter())
 	}
-	return max
+	return d
 }
 
 // Tuning exposes the resolved knob set.
@@ -312,33 +300,47 @@ func (n *Network) Tuning() Tuning { return n.tun }
 // RailState reports rail r's current detector state.
 func (n *Network) RailState(r int) State { return n.mon[r].state }
 
-// ShmemBelow implements dev.Network: the primary rail's MPI implementation
+// ShmemPolicy implements dev.Network: the primary rail's MPI implementation
 // decides the intra-node policy (the bond only multiplexes the wire side).
-func (n *Network) ShmemBelow() int64 { return n.rails[0].ShmemBelow() }
+func (n *Network) ShmemPolicy() (int64, shmem.Config) { return n.rails[0].ShmemPolicy() }
 
-// ShmemConfig forwards the primary rail's intra-node channel parameters.
-func (n *Network) ShmemConfig() shmem.Config {
-	if sc, ok := n.rails[0].(interface{ ShmemConfig() shmem.Config }); ok {
-		return sc.ShmemConfig()
-	}
-	return shmem.DefaultConfig()
-}
-
-// FaultPlan implements dev.FaultPlanner so the MPI watchdog arms on bonds
-// whose members run under fault plans.
+// FaultPlan implements dev.Network so the MPI watchdog arms on bonds whose
+// members run under fault plans.
 func (n *Network) FaultPlan() *faults.Plan {
 	if n.plan != nil {
 		return n.plan
 	}
 	for _, r := range n.rails {
-		if fp, ok := r.(dev.FaultPlanner); ok && fp.FaultPlan() != nil {
-			return fp.FaultPlan()
+		if p := r.FaultPlan(); p != nil {
+			return p
 		}
 	}
 	return nil
 }
 
-// AttachTracer implements dev.TraceAttacher: the bond keeps the recorder
+// ConfigErr implements dev.Network: a bond is as misconfigured as its first
+// misconfigured member, named by rail index and interconnect.
+func (n *Network) ConfigErr() error {
+	for i, r := range n.rails {
+		if err := r.ConfigErr(); err != nil {
+			return fmt.Errorf("rail %d (%s): %w", i, r.Name(), err)
+		}
+	}
+	return nil
+}
+
+// DeadElement implements dev.Network: the first member reporting a dead
+// fabric element names it.
+func (n *Network) DeadElement(now sim.Time) (string, int64, bool) {
+	for _, r := range n.rails {
+		if name, code, ok := r.DeadElement(now); ok {
+			return name, code, true
+		}
+	}
+	return "", 0, false
+}
+
+// AttachTracer implements dev.Network: the bond keeps the recorder
 // for its own dispatch, failover and rail-death records and forwards it to
 // every member fabric with the member's rail index, so a message traced
 // through the bond carries both the bond-level StageRail spans and the
@@ -347,13 +349,11 @@ func (n *Network) FaultPlan() *faults.Plan {
 func (n *Network) AttachTracer(rec *msgtrace.Recorder, _ int8) {
 	n.rec = rec
 	for i, r := range n.rails {
-		if ta, ok := r.(dev.TraceAttacher); ok {
-			ta.AttachTracer(rec, int8(i))
-		}
+		r.AttachTracer(rec, int8(i))
 	}
 }
 
-// InstrumentMetrics implements metrics.Instrumentable: the bond's own
+// InstrumentMetrics implements dev.Network: the bond's own
 // rail/* instruments plus every member fabric's (same-name handles across
 // rails aggregate, as co-located endpoints already do).
 func (n *Network) InstrumentMetrics(m *metrics.Registry) {
@@ -374,20 +374,16 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	n.stripeImbal = m.Timer("rail/stripe_imbalance")
 	n.heldHW = m.Gauge("rail/reorder_held")
 	for _, r := range n.rails {
-		if in, ok := r.(metrics.Instrumentable); ok {
-			in.InstrumentMetrics(m)
-		}
+		r.InstrumentMetrics(m)
 	}
 }
 
-// Utilizations implements dev.UtilizationReporter: the concatenation of
-// every member's accounting (resource names are already fabric-prefixed).
+// Utilizations implements dev.Network: the concatenation of every
+// member's accounting (resource names are already fabric-prefixed).
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, r := range n.rails {
-		if ur, ok := r.(dev.UtilizationReporter); ok {
-			out = append(out, ur.Utilizations()...)
-		}
+		out = append(out, r.Utilizations()...)
 	}
 	return out
 }
@@ -476,9 +472,3 @@ func (n *Network) armMonitors() {
 		m.arm()
 	}
 }
-
-var _ dev.Network = (*Network)(nil)
-var _ dev.TraceAttacher = (*Network)(nil)
-var _ dev.FaultPlanner = (*Network)(nil)
-var _ dev.UtilizationReporter = (*Network)(nil)
-var _ metrics.Instrumentable = (*Network)(nil)

@@ -231,3 +231,32 @@ func TestBondPanicsOnMismatchedRails(t *testing.T) {
 	}()
 	rail.New(sim.New(), rail.Tuning{}, nil, cluster.IBA().New(4))
 }
+
+// A bond is as misconfigured as its members: an invalid member fabric, or a
+// bond-level plan that kills fabric elements of a crossbar, must fail
+// mpi.NewWorld with an error naming the member, before any rank runs.
+func TestBondSurfacesMemberConfigErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    cluster.Platform
+		want []string
+	}{
+		{"invalid member Clos", cluster.Bond(cluster.IBA().With(cluster.Clos(3, 7, 2)), cluster.Myri()),
+			[]string{"rail 0 (IBA)", "verbs:"}},
+		{"switch kills on a crossbar", cluster.Bond(cluster.IBA(), cluster.Myri()).With(
+			cluster.WithSwitchKills(faults.SwitchKill{Level: 1, Index: 0, At: 10 * units.Microsecond})),
+			[]string{"rail 0 (IBA)", "not a Clos"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := mpi.NewWorld(mpi.Config{Net: tc.p.New(4), Procs: 4})
+			if err == nil {
+				t.Fatal("NewWorld accepted the bond; want its member's configuration error")
+			}
+			for _, s := range tc.want {
+				if !strings.Contains(err.Error(), s) {
+					t.Errorf("error %q does not contain %q", err, s)
+				}
+			}
+		})
+	}
+}

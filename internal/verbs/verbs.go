@@ -168,18 +168,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 // Name implements dev.Network.
 func (n *Network) Name() string { return "IBA" }
 
-// ShmemBelow implements dev.Network: MVAPICH uses the shared-memory channel
-// for intra-node messages under 16 KB and NIC loopback above.
-func (n *Network) ShmemBelow() int64 { return 16 * units.KB }
-
-// ShmemConfig returns the intra-node channel parameters for MVAPICH.
-func (n *Network) ShmemConfig() shmem.Config {
+// ShmemPolicy implements dev.Network: MVAPICH uses the shared-memory
+// channel for intra-node messages under 16 KB and NIC loopback above.
+func (n *Network) ShmemPolicy() (int64, shmem.Config) {
 	c := shmem.DefaultConfig()
 	c.Handshake = 1000 * units.Nanosecond // MVAPICH smp channel: ~1.6us small-message latency
-	return c
+	return 16 * units.KB, c
 }
 
-// InstrumentMetrics implements metrics.Instrumentable: per-node bus, HCA
+// InstrumentMetrics implements dev.Network: per-node bus, HCA
 // engine, and link counters plus device-level spans, and the switching
 // fabric's per-port counters. Endpoints created afterwards bind protocol
 // counters and pin-cache probes to the same registry.
@@ -199,7 +196,7 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	n.InstrumentFabric(m)
 }
 
-// Utilizations implements dev.UtilizationReporter.
+// Utilizations implements dev.Network.
 func (n *Network) Utilizations() []dev.Utilization {
 	var out []dev.Utilization
 	for _, hw := range n.nodes {
@@ -371,6 +368,3 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 // HWMulticastEnabled reports whether the platform was configured with the
 // hardware-collective extension.
 func (ep *endpoint) HWMulticastEnabled() bool { return ep.net.cfg.HWMulticast }
-
-var _ dev.Network = (*Network)(nil)
-var _ dev.Endpoint = (*endpoint)(nil)

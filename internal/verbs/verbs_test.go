@@ -198,7 +198,7 @@ func TestFatTreeConfigWiring(t *testing.T) {
 
 func TestShmemConfigHandshake(t *testing.T) {
 	n := New(sim.New(), DefaultConfig(2))
-	if n.ShmemConfig().Handshake <= 0 {
+	if _, ch := n.ShmemPolicy(); ch.Handshake <= 0 {
 		t.Fatal("no handshake configured")
 	}
 }

@@ -119,6 +119,16 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'Between(' \
     echo "FAIL: a NIC model resolves fabric routes itself again (the endpoint hands it the segment; see internal/nic)" >&2
     exit 1
 fi
+# Every capability all networks share is a required dev.Network /
+# dev.Endpoint / fabric.Topology method; only Elan's NIC matching
+# (dev.NICMatcher) stays discovered by type assertion. An assertion to an
+# anonymous interface or to another dev/metrics interface means a
+# capability went optional again, with a dead fallback branch behind it.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.\(interface ?\{|\.\((dev|metrics)\.' internal/ |
+    grep -v '\.(dev\.NICMatcher)'; then
+    echo "FAIL: a device capability is discovered by type assertion again (make it a required method; see internal/dev)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
