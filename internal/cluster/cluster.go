@@ -562,11 +562,16 @@ func Bond(primary Platform, others ...Platform) Platform {
 					ms.Faults = &cp
 				}
 				rails[i] = m.build(eng, nodes, ms)
+				// A member's own fabric choice is validated here, as New
+				// validates a solo platform's: the typed error names the
+				// member's rail.
+				if ms.Topology != nil {
+					if err := ms.Topology.validate(); err != nil {
+						return errNetwork{eng: eng, err: fmt.Errorf("rail %d (%s): %w", i, rails[i].Name(), err)}
+					}
+				}
 			}
 			tun := rail.Tuning{Policy: s.RailPolicy, Heartbeat: s.Heartbeat}
-			if plan != nil {
-				tun.Seed = plan.Seed
-			}
 			return rail.New(eng, tun, plan, rails...)
 		},
 	}

@@ -23,7 +23,15 @@
 //     NICProgress; command-queue backpressure (Figure 2's Quadrics
 //     window-16 sag) via IssueStall; per-connection memory (Figure 13) via
 //     MemoryUsage; the device verbs Eager, Control and Bulk; and the
-//     failure and retransmit reports OnFault and OnRetry.
+//     retransmit report OnRetry.
+//
+// Each verb reports its own outcome, the way a VAPI completion-queue entry
+// carries its work request's status and GM hands a send's status to that
+// send's callback: the done callback passed to Eager, Control or Bulk runs
+// exactly once, with nil when the operation has landed or with the typed
+// error that ended it (faults.LinkError, faults.NodeDownError,
+// faults.PartitionError, rail.AllRailsError). There is no endpoint-wide
+// failure sink, so whoever issues an operation receives its error.
 //
 // Two capabilities stay optional, discovered by type assertion, because
 // they are exactly the per-model differences the paper measures: only
@@ -94,33 +102,31 @@ type Endpoint interface {
 	IssueStall() sim.Time
 
 	// Eager moves an eager packet (envelope + payload) to the destination
-	// node's eager region; deliver fires there when it has landed. tid is
-	// the message's trace ID (0 = untraced), as for Control and Bulk.
-	Eager(dst int, size int64, tid msgtrace.ID, deliver func())
+	// node's eager region; done(nil) fires there when it has landed. tid is
+	// the message's trace ID (0 = untraced), as for Control and Bulk. A
+	// permanent failure (retry exhaustion, a dead node, a partitioned
+	// fabric, every rail of a bond down) calls done with its typed error
+	// instead; done runs exactly once either way.
+	Eager(dst int, size int64, tid msgtrace.ID, done func(err error))
 
-	// Control moves a small protocol message (RTS/CTS/FIN).
-	Control(dst int, tid msgtrace.ID, deliver func())
+	// Control moves a small protocol message (RTS/CTS/FIN), completing as
+	// Eager does.
+	Control(dst int, tid msgtrace.ID, done func(err error))
 
-	// Bulk moves rendezvous payload zero-copy; deliver fires when the last
-	// byte is in the destination user buffer.
-	Bulk(dst int, size int64, tid msgtrace.ID, deliver func())
+	// Bulk moves rendezvous payload zero-copy; done(nil) fires when the last
+	// byte is in the destination user buffer, and a failure completes it as
+	// for Eager.
+	Bulk(dst int, size int64, tid msgtrace.ID, done func(err error))
 
 	// MemoryUsage is the bytes of library+device memory this process
 	// consumes when connected to npeers other processes.
 	MemoryUsage(npeers int) int64
 
-	// OnFault registers the sink permanent transfer failures (retry
-	// exhaustion under a fault plan) are delivered to, replacing any
-	// previous sink; the MPI layer installs one per rank so errors arrive
-	// attributed to the rank that issued the operation. An endpoint with
-	// no fault plan never calls it.
-	OnFault(sink func(err error))
-
 	// OnRetry registers an observer of each individual retransmit of the
 	// reliability protocol, before the retry budget is exhausted. The rail
 	// bond installs one as a passive health signal: a run of retransmits
 	// without an intervening delivery marks the rail suspect long before
-	// OnFault would fire. An endpoint with no fault plan never calls it.
+	// an operation fails. An endpoint with no fault plan never calls it.
 	OnRetry(observe func())
 }
 

@@ -48,7 +48,7 @@ func TestCommandQueueBackpressure(t *testing.T) {
 	}
 	// Saturate the 16-deep queue with undelivered commands.
 	for i := 0; i < cmdQueueDepth; i++ {
-		ep.Eager(1, 64, 0, func() {})
+		ep.Eager(1, 64, 0, func(error) {})
 	}
 	if ep.IssueStall() == 0 {
 		t.Fatal("full command queue did not stall")
@@ -88,7 +88,7 @@ func TestUniBandwidthIsDMABound(t *testing.T) {
 	ep := n.NewEndpoint(0)
 	size := int64(4 * units.MB)
 	var at sim.Time
-	ep.Bulk(1, size, 0, func() { at = eng.Now() })
+	ep.Bulk(1, size, 0, func(error) { at = eng.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLoopbackWorseThanWire(t *testing.T) {
 		n := New(eng, DefaultConfig(2))
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Eager(dst, 64, 0, func() { at = eng.Now() })
+		ep.Eager(dst, 64, 0, func(error) { at = eng.Now() })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}

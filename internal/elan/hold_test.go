@@ -43,16 +43,23 @@ func TestHoldBalance(t *testing.T) {
 			}
 			ep := n.NewEndpoint(0).(*endpoint)
 			var errs []error
-			ep.OnFault(func(err error) { errs = append(errs, err) })
 			delivered := 0
+			// landed counts one completion, reporting whether it delivered.
+			landed := func(err error) bool {
+				if err != nil {
+					errs = append(errs, err)
+					return false
+				}
+				delivered++
+				return true
+			}
 			eng.At(units.Microsecond, func() {
-				ep.Eager(c.dst, 64, 0, func() {
-					delivered++
-					if c.dst != 0 && ep.outstanding < 1 {
+				ep.Eager(c.dst, 64, 0, func(err error) {
+					if landed(err) && c.dst != 0 && ep.outstanding < 1 {
 						t.Errorf("slot freed before its release crossed back: outstanding %d", ep.outstanding)
 					}
 				})
-				ep.Bulk(c.dst, 64*units.KB, 0, func() { delivered++ })
+				ep.Bulk(c.dst, 64*units.KB, 0, func(err error) { landed(err) })
 			})
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)

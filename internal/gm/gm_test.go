@@ -33,7 +33,7 @@ func TestLinkIsUniDirectionalBottleneck(t *testing.T) {
 	ep := n.NewEndpoint(0)
 	size := int64(4 * units.MB)
 	var at sim.Time
-	ep.Bulk(1, size, 0, func() { at = eng.Now() })
+	ep.Bulk(1, size, 0, func(error) { at = eng.Now() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +53,9 @@ func TestSRAMStagingStallsOnBidirBulk(t *testing.T) {
 		ep1 := n.NewEndpoint(1)
 		size := int64(4 * units.MB)
 		var done sim.Time
-		ep0.Bulk(1, size, 0, func() { done = eng.Now() })
+		ep0.Bulk(1, size, 0, func(error) { done = eng.Now() })
 		if bidir {
-			ep1.Bulk(0, size, 0, func() {})
+			ep1.Bulk(0, size, 0, func(error) {})
 		}
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestACKsConsumeLANai(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(2))
 	ep := n.NewEndpoint(0)
-	ep.Eager(1, 64, 0, func() {})
+	ep.Eager(1, 64, 0, func(error) {})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestLoopbackPath(t *testing.T) {
 	eng := sim.New()
 	n := New(eng, DefaultConfig(1))
 	done := false
-	n.NewEndpoint(0).Eager(0, 64, 0, func() { done = true })
+	n.NewEndpoint(0).Eager(0, 64, 0, func(error) { done = true })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -50,17 +50,20 @@ func TestHoldBalance(t *testing.T) {
 			}
 			ep := n.NewEndpoint(0).(*endpoint)
 			var errs []error
-			ep.OnFault(func(err error) {
-				for i, hw := range n.nodes {
-					if hw.outTx < 0 || hw.outRx < 0 {
-						t.Errorf("node %d staging negative at abort: tx %d rx %d", i, hw.outTx, hw.outRx)
-					}
-				}
-				errs = append(errs, err)
-			})
 			delivered := 0
 			eng.At(units.Microsecond, func() {
-				ep.Bulk(c.dst, 64*units.KB, 0, func() { delivered++ })
+				ep.Bulk(c.dst, 64*units.KB, 0, func(err error) {
+					if err == nil {
+						delivered++
+						return
+					}
+					for i, hw := range n.nodes {
+						if hw.outTx < 0 || hw.outRx < 0 {
+							t.Errorf("node %d staging negative at abort: tx %d rx %d", i, hw.outTx, hw.outRx)
+						}
+					}
+					errs = append(errs, err)
+				})
 				if len(errs) == 0 && !unbalanced() {
 					t.Error("bulk send claimed no staging")
 				}

@@ -29,6 +29,18 @@ func twoNodes(p cluster.Platform) (dev.Network, dev.Endpoint, dev.Endpoint) {
 	return net, net.NewEndpoint(0), net.NewEndpoint(1)
 }
 
+// landed is the completion of a measured operation: it runs f on
+// delivery and raises a failure, which a measurement without a fault plan
+// cannot survive.
+func landed(f func()) func(error) {
+	return func(err error) {
+		if err != nil {
+			panic(err)
+		}
+		f()
+	}
+}
+
 // Latency measures raw one-way delivery time of an eager message at the
 // messaging layer: injection to remote-memory landing, no hosts involved.
 func Latency(p cluster.Platform, size int64) sim.Time {
@@ -48,7 +60,7 @@ func Latency(p cluster.Platform, size int64) sim.Time {
 			ep = ep1
 			dst = 0
 		}
-		ep.Eager(dst, size, 0, func() { bounce(n + 1) })
+		ep.Eager(dst, size, 0, landed(func() { bounce(n + 1) }))
 	}
 	eng.Schedule(0, func() { bounce(0) })
 	if err := eng.Run(); err != nil {
@@ -73,12 +85,12 @@ func Bandwidth(p cluster.Platform, size int64, inflight int) float64 {
 		for outstanding < inflight && issued < messages {
 			issued++
 			outstanding++
-			ep0.Bulk(1, size, 0, func() {
+			ep0.Bulk(1, size, 0, landed(func() {
 				outstanding--
 				completed++
 				last = eng.Now()
 				issue()
-			})
+			}))
 		}
 	}
 	eng.Schedule(0, issue)
@@ -126,12 +138,12 @@ func BiBandwidth(p cluster.Platform, size int64, inflight int) float64 {
 			for outstanding < inflight && issued < messages {
 				issued++
 				outstanding++
-				ep.Bulk(dst, size, 0, func() {
+				ep.Bulk(dst, size, 0, landed(func() {
 					outstanding--
 					completed++
 					last = eng.Now()
 					issue()
-				})
+				}))
 			}
 		}
 		eng.Schedule(0, issue)

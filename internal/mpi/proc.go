@@ -193,11 +193,15 @@ type inMsg struct {
 	to  *procState
 	req *Request
 
-	// The device callbacks: arrived lands the message (or its RTS) at the
-	// receiver, nicMatched ends a NIC-side match there, cts lands the
-	// clear-to-send at the sender, and bulkDone lands the rendezvous
-	// payload at the receiver.
-	arrived, nicMatched, cts, bulkDone func()
+	// The completions: arrived lands the message (or its RTS) at the
+	// receiver, cts lands the clear-to-send at the sender, and bulkDone
+	// lands the rendezvous payload at the receiver. A device failure on one
+	// of them goes to the rank that issued the operation: the sender for
+	// the eager packet, the RTS and the payload, the receiver for the CTS.
+	// match runs the receive-side match once the message is there: after a
+	// NIC-side match on Tports, or as the shared-memory channel delivers.
+	arrived, cts, bulkDone func(error)
+	match                  func()
 }
 
 var inMsgs sync.Pool
@@ -209,16 +213,34 @@ func newInMsg() *inMsg {
 		return m
 	}
 	m := new(inMsg)
-	m.arrived = func() { m.to.arrive(m) }
-	m.nicMatched = func() { m.to.arriveMatched(m) }
-	m.cts = func() { m.to.world.procs[m.src].arriveCTS(m) }
-	m.bulkDone = func() { m.to.bulkLanded(m) }
+	m.arrived = func(err error) {
+		if err != nil {
+			m.to.world.procs[m.src].deviceFailed(err)
+			return
+		}
+		m.to.arrive(m)
+	}
+	m.cts = func(err error) {
+		if err != nil {
+			m.to.deviceFailed(err)
+			return
+		}
+		m.to.world.procs[m.src].arriveCTS(m)
+	}
+	m.bulkDone = func(err error) {
+		if err != nil {
+			m.to.world.procs[m.src].deviceFailed(err)
+			return
+		}
+		m.to.bulkLanded(m)
+	}
+	m.match = func() { m.to.arriveMatched(m) }
 	return m
 }
 
 // release returns the record to the pool, keeping its bound callbacks.
 func (m *inMsg) release() {
-	*m = inMsg{arrived: m.arrived, nicMatched: m.nicMatched, cts: m.cts, bulkDone: m.bulkDone}
+	*m = inMsg{arrived: m.arrived, cts: m.cts, bulkDone: m.bulkDone, match: m.match}
 	inMsgs.Put(m)
 }
 

@@ -105,7 +105,7 @@ func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
 		rec.Span(req.tid, msgtrace.StageSend, ps.rank, -1, 0, -1, start, now-copyCost, req.size)
 		rec.Span(req.tid, msgtrace.StageCopy, ps.rank, -1, 0, -1, now-copyCost, now, req.size)
 	}
-	ch.Deliver(ps.newMsg(req, dstPS, eagerMsg, chShm).arrived)
+	ch.Deliver(ps.newMsg(req, dstPS, eagerMsg, chShm).match)
 	req.done = true
 	ps.record(trace.EvSendDone, req.peer, req.tag, req.comm, req.size)
 	ps.finishReq(req, ps.sendSpans)
@@ -178,7 +178,7 @@ func (ps *procState) arrive(m *inMsg) {
 			})
 			return
 		}
-		nm.MatchDelay(pending, m.nicMatched)
+		nm.MatchDelay(pending, m.match)
 		return
 	}
 	ps.arriveMatched(m)

@@ -243,24 +243,6 @@ func NewWorld(cfg Config) (*World, error) {
 			waitWhy: fmt.Sprintf("rank%d:wait", r),
 		}
 		ps.bindMetrics(w.met)
-		// Route permanent device failures (retry exhaustion under a fault
-		// plan) into the world, attributed to the rank that issued the
-		// operation.
-		rank, node := ps.rank, ps.node
-		ps.ep.OnFault(func(err error) {
-			var nde *faults.NodeDownError
-			if w.tolerant && errors.As(err, &nde) {
-				// A transfer ran into a crashed node while the job runs
-				// fault-tolerant: the death surfaces on the pending
-				// operation as a RankFailedError (see peerFailed), not as a
-				// job abort.
-				return
-			}
-			// Freeze the flight ring at the original sin: the recorder
-			// fills in the failing message from its last incident entry.
-			w.rec.Freeze("device fault: "+err.Error(), w.eng.Now(), rank, msgtrace.StageWire, 0)
-			w.fail(fmt.Errorf("mpi: rank %d (node %d): %w", rank, node, err))
-		})
 		w.procs = append(w.procs, ps)
 	}
 	w.tolerant = cfg.FaultTolerant
@@ -305,6 +287,24 @@ func (w *World) fail(err error) {
 	for _, ps := range w.procs {
 		ps.progress.Broadcast()
 	}
+}
+
+// deviceFailed takes the permanent failure of a device operation this rank
+// issued (retry exhaustion, a dead node or a partition under a fault plan),
+// as the operation's completion reports it, into the world.
+func (ps *procState) deviceFailed(err error) {
+	w := ps.world
+	var nde *faults.NodeDownError
+	if w.tolerant && errors.As(err, &nde) {
+		// A transfer ran into a crashed node while the job runs
+		// fault-tolerant: the death surfaces on the pending operation as a
+		// RankFailedError (see peerFailed), not as a job abort.
+		return
+	}
+	// Freeze the flight ring at the original sin: the recorder fills in the
+	// failing message from its last incident entry.
+	w.rec.Freeze("device fault: "+err.Error(), w.eng.Now(), ps.rank, msgtrace.StageWire, 0)
+	w.fail(fmt.Errorf("mpi: rank %d (node %d): %w", ps.rank, ps.node, err))
 }
 
 // faulted reports whether a job fault has been recorded. Reading w.fault

@@ -28,7 +28,7 @@ type Model interface {
 type Holder interface {
 	// Hold claims what m keeps across its retry chain.
 	Hold(m Msg)
-	// Delivered runs as m lands, before its deliver callback: the model's
+	// Delivered runs as m lands, before its completion: the model's
 	// ack path, returning what Hold claimed.
 	Delivered(m Msg)
 	// Aborted runs when m fails, returning what Hold claimed.
@@ -69,7 +69,7 @@ type peerKey struct {
 }
 
 // Endpoint is the shared half of a model's endpoint: node identity, the
-// eager threshold, the device verbs (Eager, Control, Bulk), fault and retry
+// eager threshold, the device verbs (Eager, Control, Bulk), retry
 // reporting, the per-peer path cache and the send paths. A model embeds it,
 // built by NewEndpoint.
 type Endpoint struct {
@@ -89,8 +89,6 @@ type Endpoint struct {
 	bulkMsgs, bulkBytes             *metrics.Counter
 	retries, retryErrors            *metrics.Counter
 
-	// sink receives permanent transfer failures (OnFault).
-	sink func(error)
 	// onRetry observes each individual resend (OnRetry).
 	onRetry func()
 
@@ -139,9 +137,6 @@ func (e *Endpoint) EagerThreshold() int64 {
 	return e.net.spec.EagerMax
 }
 
-// OnFault implements dev.Endpoint.
-func (e *Endpoint) OnFault(sink func(error)) { e.sink = sink }
-
 // OnRetry implements dev.Endpoint.
 func (e *Endpoint) OnRetry(observe func()) { e.onRetry = observe }
 
@@ -151,18 +146,6 @@ func (e *Endpoint) retried() {
 	if e.onRetry != nil {
 		e.onRetry()
 	}
-}
-
-// fail reports a permanent transfer failure to the registered sink. With
-// no sink (device used bare, without the MPI layer) the error is raised
-// directly: losing it would turn a modelled failure into a silent hang.
-func (e *Endpoint) fail(err error) {
-	e.retryErrors.Inc()
-	if e.sink != nil {
-		e.sink(err)
-		return
-	}
-	panic(err)
 }
 
 // route returns the staged path to dst for a variant and the route's fate
@@ -197,31 +180,31 @@ func (e *Endpoint) Segment(dst int) fabric.Segment {
 // Eager implements dev.Endpoint: the envelope and payload through the
 // full path (an RDMA write into a pre-registered remote buffer for VAPI,
 // gm_send for GM, a Tports queued send for Elan).
-func (e *Endpoint) Eager(dst int, size int64, tid msgtrace.ID, deliver func()) {
+func (e *Endpoint) Eager(dst int, size int64, tid msgtrace.ID, done func(error)) {
 	e.eagerMsgs.Inc()
 	e.eagerBytes.Add(size)
-	e.Send(Msg{Dst: dst, Size: size + dev.EnvelopeBytes, TID: tid}, deliver)
+	e.Send(Msg{Dst: dst, Size: size + dev.EnvelopeBytes, TID: tid}, done)
 }
 
 // Control implements dev.Endpoint: one RTS, CTS or FIN.
-func (e *Endpoint) Control(dst int, tid msgtrace.ID, deliver func()) {
+func (e *Endpoint) Control(dst int, tid msgtrace.ID, done func(error)) {
 	e.ctrlMsgs.Inc()
-	e.Send(Msg{Dst: dst, Size: dev.ControlBytes, TID: tid}, deliver)
+	e.Send(Msg{Dst: dst, Size: dev.ControlBytes, TID: tid}, done)
 }
 
 // Bulk implements dev.Endpoint: the rendezvous payload zero-copy (an RDMA
 // write, a GM directed send, an Elan remote DMA).
-func (e *Endpoint) Bulk(dst int, size int64, tid msgtrace.ID, deliver func()) {
+func (e *Endpoint) Bulk(dst int, size int64, tid msgtrace.ID, done func(error)) {
 	e.bulkMsgs.Inc()
 	e.bulkBytes.Add(size)
-	e.Send(Msg{Dst: dst, Size: size, Bulk: true, TID: tid}, deliver)
+	e.Send(Msg{Dst: dst, Size: size, Bulk: true, TID: tid}, done)
 }
 
-// Send moves m to its destination and calls deliver as it lands. A healthy
-// network, or a message looping back through its own NIC, takes one
-// attempt; under a fault plan the message climbs the retry ladder, and a
-// permanent failure goes to the OnFault sink instead of deliver.
-func (e *Endpoint) Send(m Msg, deliver func()) {
+// Send moves m to its destination and calls done(nil) as it lands. A
+// healthy network, or a message looping back through its own NIC, takes
+// one attempt; under a fault plan the message climbs the retry ladder, and
+// a permanent failure calls done with its typed error instead.
+func (e *Endpoint) Send(m Msg, done func(error)) {
 	// The model's hook runs here rather than in a frame of its own between
 	// the verbs and Send: every rank's send stack is that much shallower.
 	if e.shaper != nil {
@@ -232,7 +215,7 @@ func (e *Endpoint) Send(m Msg, deliver func()) {
 	}
 	n := e.net
 	s := newSend()
-	s.e, s.m, s.deliver = e, m, deliver
+	s.e, s.m, s.done = e, m, done
 	now := n.eng.Now()
 	if n.inj == nil || m.Dst == e.node {
 		path, _ := e.route(m.Dst, m.Variant, now)
@@ -263,7 +246,7 @@ func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, attempt
 }
 
 // send is one message in flight, from Send until it is delivered or fails:
-// the message, the MPI layer's deliver callback and, under a fault plan,
+// the message, its issuer's completion and, under a fault plan,
 // its retry ladder. Every attempt of the ladder re-resolves the route and
 // re-runs the full staged path, so a resend after the fabric's detection
 // delay re-hashes around a dead element, while a detected dead end — a
@@ -277,9 +260,9 @@ func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, attempt
 // callbacks are bound once, when a record is first allocated, so a
 // recycled record schedules its attempts without allocating.
 type send struct {
-	e       *Endpoint
-	m       Msg
-	deliver func()
+	e    *Endpoint
+	m    Msg
+	done func(error)
 	// ladder marks a message climbing the retry ladder; attempt numbers
 	// its current attempt from 1.
 	ladder  bool
@@ -371,23 +354,25 @@ func (s *send) fire() {
 	s.try(s.e.net.eng.Now())
 }
 
-// land ends a delivered message: the model's ack path, then the MPI
-// layer's deliver.
+// land ends a delivered message: the model's ack path, then the issuer's
+// completion.
 func (s *send) land() {
-	e, m, deliver := s.e, s.m, s.deliver
+	e, m, done := s.e, s.m, s.done
 	s.release()
 	if e.holder != nil {
 		e.holder.Delivered(m)
 	}
-	deliver()
+	done(nil)
 }
 
-// abort ends a failed message: return its hold and report err.
+// abort ends a failed message: return its hold and report err on the
+// message's own completion.
 func (s *send) abort(err error) {
-	e, m := s.e, s.m
+	e, m, done := s.e, s.m, s.done
 	s.release()
 	if e.holder != nil {
 		e.holder.Aborted(m)
 	}
-	e.fail(err)
+	e.retryErrors.Inc()
+	done(err)
 }

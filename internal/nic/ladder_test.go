@@ -61,9 +61,9 @@ type ladderRun struct {
 	exhausted int64 // node0/nic/retry_exhausted
 }
 
-// climb sends one 64-byte message from node 0 to dst under cfg. With
-// sink false no OnFault sink is installed, so a failure must panic.
-func climb(t *testing.T, cfg Config, dst int, sink bool) ladderRun {
+// climb sends one 64-byte message from node 0 to dst under cfg; its
+// completion records the delivery or the failure.
+func climb(t *testing.T, cfg Config, dst int) ladderRun {
 	t.Helper()
 	eng := sim.New()
 	net := New(eng, cfg, &fakeSpec)
@@ -75,10 +75,13 @@ func climb(t *testing.T, cfg Config, dst int, sink bool) ladderRun {
 	r := ladderRun{model: &fakeModel{net: net}}
 	ep := NewEndpoint(net, 0, r.model)
 	ep.OnRetry(func() { r.onRetry++ })
-	if sink {
-		ep.OnFault(func(err error) { r.errs = append(r.errs, err) })
-	}
-	ep.Send(Msg{Dst: dst, Size: 64}, func() { r.delivered++ })
+	ep.Send(Msg{Dst: dst, Size: 64}, func(err error) {
+		if err != nil {
+			r.errs = append(r.errs, err)
+			return
+		}
+		r.delivered++
+	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestRetryLadderTerminalPaths(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := climb(t, c.cfg, c.dst, true)
+			r := climb(t, c.cfg, c.dst)
 			f := r.model
 			if f.attempts != c.attempts || r.onRetry != c.retries || f.resends != c.retries {
 				t.Errorf("attempts %d, OnRetry %d, resends %d; want %d, %d, %d",
@@ -164,15 +167,6 @@ func TestRetryLadderTerminalPaths(t *testing.T) {
 			if le, ok := r.errs[0].(*faults.LinkError); ok && le.Attempts != c.attempts {
 				t.Fatalf("LinkError.Attempts = %d, want %d", le.Attempts, c.attempts)
 			}
-
-			// Without a sink the same failure is raised, typed.
-			defer func() {
-				err, _ := recover().(error)
-				if err == nil || !sameType(err, c.err) {
-					t.Fatalf("bare endpoint panicked with %v, want a %T", err, c.err)
-				}
-			}()
-			climb(t, c.cfg, c.dst, false)
 		})
 	}
 }

@@ -76,7 +76,7 @@ func TestUtilizations(t *testing.T) {
 	for _, m := range models {
 		t.Run(m.name, func(t *testing.T) {
 			n := m.build(nic.Config{Nodes: 2})
-			n.NewEndpoint(0).Eager(1, 4096, 0, func() {})
+			n.NewEndpoint(0).Eager(1, 4096, 0, func(error) {})
 			if err := n.Engine().Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package rail
 
 import (
 	"errors"
-	"fmt"
 
 	"mpinet/internal/dev"
 	"mpinet/internal/faults"
@@ -37,7 +36,7 @@ type op struct {
 	size int64
 	seq  uint64 // per-(src,dst) order stamp; unused on stripe chunks
 	born sim.Time
-	fire func()      // the MPI layer's deliver callback
+	fire func(error) // the MPI layer's completion
 	done bool        // landed or permanently failed; late deliveries suppressed
 	tid  msgtrace.ID // trace context captured at send, carried across re-issues
 	// attempt counts bond-level issues of this op (0 on the first), so
@@ -54,8 +53,7 @@ type op struct {
 }
 
 // wire returns the operation's packet size on the wire (dev's envelope and
-// control sizes). Failover uses it to match a device's LinkError back to
-// the op that suffered it.
+// control sizes), as failover accounts and AllRailsError reports it.
 func (o *op) wire() int64 {
 	switch o.kind {
 	case opEager:
@@ -68,19 +66,18 @@ func (o *op) wire() int64 {
 }
 
 // endpoint is one process's attachment to the bond: a member endpoint per
-// rail, plus per-rail FIFOs of in-flight operations for failure matching
-// and stall detection.
+// rail, plus per-rail lists of in-flight operations for stall detection.
 type endpoint struct {
 	net     *Network
 	node    int
 	eps     []dev.Endpoint
 	pending [][]*op
-	sink    func(error)
 }
 
 // NewEndpoint implements dev.Network: it attaches the process to every
-// member rail and routes the members' fault and retransmit reports into
-// the bond's escalation ladder and health monitor.
+// member rail and routes the members' retransmit reports into the rail's
+// health monitor. Each operation's failure comes back on the completion
+// issue binds for it.
 func (n *Network) NewEndpoint(node int) dev.Endpoint {
 	ep := &endpoint{
 		net:     n,
@@ -90,8 +87,6 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 	for r, rn := range n.rails {
 		rep := rn.NewEndpoint(node)
 		ep.eps = append(ep.eps, rep)
-		r := r
-		rep.OnFault(func(err error) { ep.railFailed(r, err) })
 		rep.OnRetry(func() { n.mon[r].retransmit() })
 	}
 	n.eps = append(n.eps, ep)
@@ -165,36 +160,33 @@ func (ep *endpoint) MemoryUsage(npeers int) int64 {
 	return total
 }
 
-// OnFault implements dev.Endpoint for the bond itself: the sink receives
-// only bond-level permanent failures (AllRailsError) — single-rail deaths
-// are absorbed by failover.
-func (ep *endpoint) OnFault(sink func(err error)) { ep.sink = sink }
-
 // OnRetry implements dev.Endpoint as a no-op: the bond never retransmits.
 // It re-issues a failed operation on another rail instead, and each
 // member's own retransmits already feed that rail's health monitor.
 func (ep *endpoint) OnRetry(func()) {}
 
-// Eager implements dev.Endpoint.
-func (ep *endpoint) Eager(dst int, size int64, tid msgtrace.ID, deliver func()) {
-	ep.net.send(ep, opEager, dst, size, tid, deliver)
+// Eager implements dev.Endpoint. The operation fails on its completion
+// only when its node is dead or every rail is (AllRailsError): single-rail
+// deaths are absorbed by failover.
+func (ep *endpoint) Eager(dst int, size int64, tid msgtrace.ID, done func(error)) {
+	ep.net.send(ep, opEager, dst, size, tid, done)
 }
 
-// Control implements dev.Endpoint.
-func (ep *endpoint) Control(dst int, tid msgtrace.ID, deliver func()) {
-	ep.net.send(ep, opControl, dst, 0, tid, deliver)
+// Control implements dev.Endpoint, completing as Eager does.
+func (ep *endpoint) Control(dst int, tid msgtrace.ID, done func(error)) {
+	ep.net.send(ep, opControl, dst, 0, tid, done)
 }
 
-// Bulk implements dev.Endpoint.
-func (ep *endpoint) Bulk(dst int, size int64, tid msgtrace.ID, deliver func()) {
-	ep.net.send(ep, opBulk, dst, size, tid, deliver)
+// Bulk implements dev.Endpoint, completing as Eager does.
+func (ep *endpoint) Bulk(dst int, size int64, tid msgtrace.ID, done func(error)) {
+	ep.net.send(ep, opBulk, dst, size, tid, done)
 }
 
 // send stamps the operation into its pair's sequence space, wakes the
 // health monitors, and routes it by policy: stripe eligible bulks across
 // the healthy set, everything else onto the preferred live rail. With no
 // live rail left the send fails typed immediately.
-func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtrace.ID, deliver func()) {
+func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtrace.ID, done func(error)) {
 	n.issued++
 	pr := n.pairOf(ep.node, dst)
 	o := &op{
@@ -204,12 +196,12 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtr
 		size: size,
 		seq:  pr.sendSeq,
 		born: n.eng.Now(),
-		fire: deliver,
+		fire: done,
 		tid:  tid,
 	}
 	pr.sendSeq++
 	n.armMonitors()
-	if kind == opBulk && n.tun.Policy == Stripe && size >= n.tun.StripeThreshold {
+	if kind == opBulk && n.tun.Policy == Stripe && size >= stripeThreshold {
 		if set := n.stripeSet(); len(set) > 1 {
 			ep.stripe(o, set)
 			return
@@ -224,9 +216,10 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtr
 }
 
 // issue hands the operation (or stripe chunk) to one member rail and
-// tracks it in that rail's in-flight FIFO until it lands or fails. The
-// operation's trace ID rides the member dispatch, so a failover re-issue
-// stays attached to its original message.
+// tracks it in that rail's in-flight list until it lands or fails. The
+// completion bound here names the op and the rail, so a failure report
+// needs no matching. The operation's trace ID rides the member dispatch,
+// so a failover re-issue stays attached to its original message.
 func (ep *endpoint) issue(o *op, r int) {
 	ep.pending[r] = append(ep.pending[r], o)
 	ep.net.inflight++
@@ -243,7 +236,13 @@ func (ep *endpoint) issue(o *op, r int) {
 		rec.Span(o.tid, msgtrace.StageRail, ep.node, int8(r), o.attempt, -1,
 			start, ep.net.eng.Now(), o.size)
 	}
-	cb := func() { ep.landed(o, r) }
+	cb := func(err error) {
+		if err != nil {
+			ep.railFailed(o, r, err)
+			return
+		}
+		ep.landed(o, r)
+	}
 	switch o.kind {
 	case opEager:
 		ep.eps[r].Eager(o.dst, o.size, o.tid, cb)
@@ -272,8 +271,8 @@ func (ep *endpoint) stripe(o *op, set []int) {
 	}
 }
 
-// landed is every member delivery callback: suppress late duplicates,
-// retire the op from its rail FIFO, reassemble stripes, and push the
+// landed is every member delivery: suppress late duplicates, retire the
+// op from its rail's in-flight list, reassemble stripes, and push the
 // completed message through the pair's reorder buffer.
 func (ep *endpoint) landed(o *op, r int) {
 	n := ep.net
@@ -305,7 +304,7 @@ func (n *Network) complete(o *op) {
 	n.arrived(o.ep.node, o.dst, o.seq, o.fire)
 }
 
-// unpend removes o from rail r's in-flight FIFO.
+// unpend removes o from rail r's in-flight list.
 func (ep *endpoint) unpend(o *op, r int) {
 	q := ep.pending[r]
 	for i, p := range q {
@@ -316,25 +315,25 @@ func (ep *endpoint) unpend(o *op, r int) {
 	}
 }
 
-// railFailed is the escalation ladder's middle rung: a member device
-// exhausted its NIC-level retry budget. The rail is declared dead, the
-// doomed operation is matched out of the rail's in-flight FIFO and
-// re-issued on the surviving preferred rail under a bumped pair epoch.
-// Only when no live rail remains does the failure escalate to the MPI
-// layer, typed ErrAllRailsDown.
-func (ep *endpoint) railFailed(r int, err error) {
+// railFailed is the escalation ladder's middle rung: the member device on
+// rail r failed operation o for good. A dead node fails the operation, not
+// the rail — no other rail reaches a crashed host either — so its
+// NodeDownError goes straight to the message's completion. Any other
+// failure means the member exhausted its NIC-level retry budget or found
+// its fabric partitioned: the rail is declared dead and o is re-issued on
+// the surviving preferred rail under a bumped pair epoch. Only when no
+// live rail remains does the failure escalate to the MPI layer, typed
+// ErrAllRailsDown.
+func (ep *endpoint) railFailed(o *op, r int, err error) {
 	n := ep.net
-	n.mon[r].hardFail()
-	o := ep.matchFailure(r, err)
-	if o == nil {
-		// Nothing in flight matches the report — this cannot happen with
-		// the current device models (one failure per issued transfer), so
-		// escalate rather than swallow a failure.
-		ep.fail(fmt.Errorf("rail %s: unmatched device failure: %w", n.rails[r].Name(), err))
-		return
-	}
 	ep.unpend(o, r)
 	n.inflight--
+	var nde *faults.NodeDownError
+	if errors.As(err, &nde) {
+		o.abort(err)
+		return
+	}
+	n.mon[r].hardFail()
 	nr, ok := n.pickRail(r)
 	if !ok {
 		ep.allDown(o, err)
@@ -355,58 +354,32 @@ func (ep *endpoint) railFailed(r int, err error) {
 	ep.issue(o, nr)
 }
 
-// matchFailure finds the in-flight operation a device failure report
-// refers to: the oldest op on that rail with the failure's destination and
-// wire size, falling back to destination only, then to the rail's oldest.
-func (ep *endpoint) matchFailure(r int, err error) *op {
-	q := ep.pending[r]
-	var le *faults.LinkError
-	if errors.As(err, &le) {
-		for _, o := range q {
-			if o.dst == le.Dst && o.wire() == le.Bytes {
-				return o
-			}
-		}
-		for _, o := range q {
-			if o.dst == le.Dst {
-				return o
-			}
-		}
-	}
-	if len(q) > 0 {
-		return q[0]
-	}
-	return nil
-}
-
 // allDown retires the operation with the bond's typed terminal error.
 func (ep *endpoint) allDown(o *op, last error) {
-	o.done = true
-	top := o
-	if o.parent != nil {
-		top = o.parent
-		top.done = true
-	}
 	// Stamp the doomed operation into the flight ring before escalating:
 	// the MPI layer's freeze site sees only an error, and this entry is
 	// what lets the recorder name the message that ran out of rails.
 	ep.net.rec.Flight(msgtrace.FlightRailDown, ep.net.eng.Now(), ep.node, o.tid,
 		msgtrace.StageRail, int64(len(ep.net.rails)), o.wire())
-	ep.fail(&AllRailsError{
+	o.abort(&AllRailsError{
 		Src:   ep.node,
-		Dst:   top.dst,
+		Dst:   o.dst,
 		Bytes: o.wire(),
 		Rails: len(ep.net.rails),
 		Last:  last,
 	})
 }
 
-// fail delivers a bond-level permanent failure to the installed sink, or
-// panics without one — matching the member devices' convention that
-// permanent failures must never be silently dropped.
-func (ep *endpoint) fail(err error) {
-	if ep.sink == nil {
-		panic(fmt.Sprintf("rail: permanent failure with no OnFault sink installed: %v", err))
+// abort retires o and reports err on its message's completion. A striped
+// message fails once, on its first failing chunk.
+func (o *op) abort(err error) {
+	o.done = true
+	if p := o.parent; p != nil {
+		if p.done {
+			return
+		}
+		p.done = true
+		o = p
 	}
-	ep.sink(err)
+	o.fire(err)
 }

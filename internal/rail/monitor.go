@@ -1,6 +1,8 @@
 package rail
 
 import (
+	"errors"
+
 	"mpinet/internal/dev"
 	"mpinet/internal/faults"
 	"mpinet/internal/msgtrace"
@@ -15,12 +17,13 @@ const (
 	Healthy State = iota
 	// Suspect rails are demoted below healthy ones but still usable; the
 	// state is reached by consecutive probe misses or a run of device
-	// retransmits, and left again (hysteresis) after RecoverAfter
+	// retransmits, and left again (hysteresis) after recoverAfter
 	// consecutive probe successes.
 	Suspect
-	// Dead rails carry nothing; reached by DeadAfter consecutive misses or
-	// immediately on a device-level permanent failure. A dead rail that
-	// starts answering probes again (a flap window ending) recovers.
+	// Dead rails carry nothing; reached by deadAfter consecutive misses or
+	// immediately when an operation on the rail fails for good for any
+	// reason but a dead node. A dead rail that starts answering probes
+	// again (a flap window ending) recovers.
 	Dead
 )
 
@@ -38,9 +41,9 @@ func (s State) String() string {
 
 // monitor is one rail's failure detector. It is driven by three signals:
 // active heartbeat probes (a Control message between a seeded pair of
-// nodes each tick, raced against ProbeTimeout), passive consecutive-
+// nodes each tick, raced against the probe timeout), passive consecutive-
 // retransmit reports from the data endpoints, and a watchdog-adjacent scan
-// for operations stalled in flight longer than StallAfter.
+// for operations stalled in flight longer than stallBeats heartbeats.
 //
 // The tick loop self-disarms after two quiet ticks (nothing in flight and
 // no operations issued since the last tick) and is re-armed from the send
@@ -64,14 +67,14 @@ type monitor struct {
 	probeEps []dev.Endpoint // per-node probe endpoints, created on first arm
 }
 
-func newMonitor(n *Network, r int) *monitor {
+func newMonitor(n *Network, r int, seed uint64) *monitor {
 	return &monitor{
 		net:  n,
 		rail: r,
 		// Mix the rail index into the seed so co-bonded monitors draw
 		// independent streams, and keep the stream space away from the
 		// fault injector's link-indexed streams.
-		seed: faults.RailSeed(n.tun.Seed^0xb0d9, r+1),
+		seed: faults.RailSeed(seed^0xb0d9, r+1),
 	}
 }
 
@@ -119,14 +122,14 @@ func (m *monitor) HandleEvent(int64, int64) {
 }
 
 // scanStalls implements the watchdog-adjacent passive signal: any
-// operation in flight on this rail for longer than StallAfter counts as
-// one probe miss this tick.
+// operation in flight on this rail for longer than stallBeats heartbeats
+// counts as one probe miss this tick.
 func (m *monitor) scanStalls() {
 	n := m.net
 	now := n.eng.Now()
 	for _, ep := range n.eps {
 		for _, o := range ep.pending[m.rail] {
-			if now-o.born > n.tun.StallAfter {
+			if now-o.born > stallBeats*n.tun.Heartbeat {
 				n.waitStalls.Inc()
 				m.miss()
 				return
@@ -136,15 +139,17 @@ func (m *monitor) scanStalls() {
 }
 
 // probe sends one heartbeat Control between a seeded (source, target)
-// node pair and races it against ProbeTimeout. Dead rails are probed too:
-// that is how a rail whose flap window has ended recovers.
+// node pair and races it against the probe timeout. Dead rails are probed
+// too: that is how a rail whose flap window has ended recovers.
 //
 // A probe that lands after its timeout still counts as a hit: a rail
 // saturated with bulk traffic queues probes behind data for milliseconds,
 // and that is slowness, not death. Misses therefore only accumulate to the
 // demotion thresholds when probes stop arriving entirely — which under the
-// fault model means they are being dropped (and the probe endpoint's own
-// retry exhaustion reports the hard failure independently).
+// fault model means they are being dropped (and the probe's own retry
+// exhaustion reports the hard failure independently). A probe whose target
+// or source node is dead says nothing about the rail: it stops its timer
+// and counts as neither a hit nor a miss.
 func (m *monitor) probe() {
 	nodes := m.net.Nodes()
 	m.ensureEps()
@@ -155,41 +160,42 @@ func (m *monitor) probe() {
 	}
 	dst := (src + off) % nodes
 	m.net.heartbeats.Inc()
-	delivered := false
+	settled := false
 	var tm *sim.Timer
-	m.probeEps[src].Control(dst, 0, func() {
-		if delivered {
+	m.probeEps[src].Control(dst, 0, func(err error) {
+		var nde *faults.NodeDownError
+		if err != nil && !errors.As(err, &nde) {
+			// A dead probe is a dead rail, not a dead job; the timer still
+			// runs and records the miss.
+			m.hardFail()
 			return
 		}
-		delivered = true
+		settled = true
 		if tm != nil {
 			tm.Stop()
 		}
-		m.hit()
+		if err == nil {
+			m.hit()
+		}
 	})
-	if delivered {
-		return // defensive: a zero-latency model could deliver inline
+	if settled {
+		return // a probe touching a node already known dead settles inline
 	}
-	tm = m.net.eng.AfterTimer(m.net.tun.ProbeTimeout, func() {
-		if !delivered {
+	tm = m.net.eng.AfterTimer(m.net.tun.Heartbeat/probeTimeoutDiv, func() {
+		if !settled {
 			m.miss()
 		}
 	})
 }
 
-// ensureEps lazily creates this rail's per-node probe endpoints. Their
-// permanent failures (a probe exhausting the device retry budget) feed
-// hardFail rather than the job's error sink: a dead probe is a dead rail,
-// not a dead job.
+// ensureEps lazily creates this rail's per-node probe endpoints.
 func (m *monitor) ensureEps() {
 	if m.probeEps != nil {
 		return
 	}
 	rn := m.net.rails[m.rail]
 	for node := 0; node < rn.Nodes(); node++ {
-		pe := rn.NewEndpoint(node)
-		pe.OnFault(func(error) { m.hardFail() })
-		m.probeEps = append(m.probeEps, pe)
+		m.probeEps = append(m.probeEps, rn.NewEndpoint(node))
 	}
 }
 
@@ -199,23 +205,22 @@ func (m *monitor) miss() {
 	m.net.probeMisses.Inc()
 	m.consecOK = 0
 	m.consecMiss++
-	t := m.net.tun
 	switch {
-	case m.state == Healthy && m.consecMiss >= t.SuspectAfter:
+	case m.state == Healthy && m.consecMiss >= suspectAfter:
 		m.to(Suspect)
-	case m.state == Suspect && m.consecMiss >= t.DeadAfter:
+	case m.state == Suspect && m.consecMiss >= deadAfter:
 		m.to(Dead)
 	}
 }
 
-// hit records one successful probe; RecoverAfter consecutive hits restore
+// hit records one successful probe; recoverAfter consecutive hits restore
 // a demoted rail (the hysteresis that keeps a flapping link from
 // thrashing the policy).
 func (m *monitor) hit() {
 	m.consecMiss = 0
 	m.consecRetx = 0
 	m.consecOK++
-	if m.state != Healthy && m.consecOK >= m.net.tun.RecoverAfter {
+	if m.state != Healthy && m.consecOK >= recoverAfter {
 		m.to(Healthy)
 		m.net.recoveries.Inc()
 	}
@@ -226,7 +231,7 @@ func (m *monitor) hit() {
 // delivery marks the rail suspect before any probe could.
 func (m *monitor) retransmit() {
 	m.consecRetx++
-	if m.state == Healthy && m.consecRetx >= m.net.tun.RetxSuspect {
+	if m.state == Healthy && m.consecRetx >= retxSuspect {
 		m.to(Suspect)
 	}
 }
@@ -236,9 +241,9 @@ func (m *monitor) delivered() {
 	m.consecRetx = 0
 }
 
-// hardFail is the unambiguous signal: a device reported permanent failure
-// (retry budget exhausted), so the rail is dead immediately — no
-// consecutive-miss ceremony.
+// hardFail is the unambiguous signal: an operation on the rail failed for
+// good (retry budget exhausted, fabric partitioned), so the rail is dead
+// immediately — no consecutive-miss ceremony.
 func (m *monitor) hardFail() {
 	m.consecOK = 0
 	m.to(Dead)

@@ -15,9 +15,10 @@
 //
 //   - An escalation ladder (endpoint.go): NIC-level retransmit (the
 //     device's own reliability protocol, unchanged) escalates to rail-level
-//     failover — the in-flight eager/rendezvous operation is re-issued on a
-//     surviving rail — and only when every rail is dead does the job fail,
-//     with the typed ErrAllRailsDown.
+//     failover — the operation whose completion reports the failure is
+//     re-issued on a surviving rail — and only when every rail is dead does
+//     the job fail, with the typed ErrAllRailsDown. A dead node fails the
+//     operation, not the rail.
 //
 //   - Degraded-mode policies: Failover (primary/backup in declaration
 //     order) and Stripe (large messages split across every healthy rail
@@ -89,7 +90,7 @@ const (
 	// operations on the next one when it dies.
 	Failover Policy = iota
 	// Stripe additionally splits bulk (rendezvous) payloads at or above
-	// StripeThreshold across every healthy rail, reassembling at the
+	// stripeThreshold across every healthy rail, reassembling at the
 	// receiver; when rails die it degrades to striping over the survivors,
 	// and to Failover semantics with one rail left.
 	Stripe
@@ -103,74 +104,40 @@ func (p Policy) String() string {
 	return "failover"
 }
 
-// Tuning is the bond's knob set. The zero value selects the documented
-// defaults (applied by New); cluster.WithRailPolicy / cluster.WithHeartbeat
-// adjust the two that experiments turn.
+// Tuning is what a bond's caller chooses: cluster.WithRailPolicy and
+// cluster.WithHeartbeat set its two fields. The zero value selects
+// Failover and a 1 ms heartbeat.
 type Tuning struct {
 	// Policy is the degraded-mode policy (default Failover).
 	Policy Policy
 	// Heartbeat is the probe period of the health monitor (default 1 ms).
 	Heartbeat sim.Time
-	// ProbeTimeout is how long the monitor waits for a probe before
-	// declaring a miss (default Heartbeat/10).
-	ProbeTimeout sim.Time
-	// SuspectAfter / DeadAfter are the consecutive-miss thresholds for the
-	// healthy->suspect and suspect->dead transitions (defaults 2 and 4).
-	SuspectAfter, DeadAfter int
-	// RecoverAfter is the hysteresis: consecutive probe successes before a
-	// suspect or dead rail is declared healthy again (default 3).
-	RecoverAfter int
-	// RetxSuspect is the passive-signal threshold: this many consecutive
-	// device retransmits without an intervening delivery mark the rail
-	// suspect (default 8).
-	RetxSuspect int
-	// StallAfter is the watchdog-adjacent passive signal: an operation
-	// in flight on a rail for longer than this counts as a probe miss at
-	// the next heartbeat tick (default 5*Heartbeat).
-	StallAfter sim.Time
-	// StripeThreshold is the smallest bulk payload the Stripe policy
-	// splits (default 64 KB).
-	StripeThreshold int64
-	// Seed keys the monitor's probe-jitter and target draws (default: the
-	// fault plan's seed, or a fixed constant without one).
-	Seed uint64
 }
 
-// withDefaults resolves the zero values.
-func (t Tuning) withDefaults(plan *faults.Plan) Tuning {
-	if t.Heartbeat <= 0 {
-		t.Heartbeat = 1 * units.Millisecond
-	}
-	if t.ProbeTimeout <= 0 {
-		t.ProbeTimeout = t.Heartbeat / 10
-	}
-	if t.SuspectAfter <= 0 {
-		t.SuspectAfter = 2
-	}
-	if t.DeadAfter <= t.SuspectAfter {
-		t.DeadAfter = t.SuspectAfter + 2
-	}
-	if t.RecoverAfter <= 0 {
-		t.RecoverAfter = 3
-	}
-	if t.RetxSuspect <= 0 {
-		t.RetxSuspect = 8
-	}
-	if t.StallAfter <= 0 {
-		t.StallAfter = 5 * t.Heartbeat
-	}
-	if t.StripeThreshold <= 0 {
-		t.StripeThreshold = 64 * units.KB
-	}
-	if t.Seed == 0 {
-		if plan != nil && plan.Seed != 0 {
-			t.Seed = plan.Seed
-		} else {
-			t.Seed = 0x5EEDDA11
-		}
-	}
-	return t
-}
+// The health monitor's thresholds and the stripe cut-off. The probe
+// timeout and the stall limit scale with the heartbeat period.
+const (
+	// probeTimeoutDiv: the monitor waits Heartbeat/probeTimeoutDiv for a
+	// probe before declaring a miss.
+	probeTimeoutDiv = 10
+	// suspectAfter / deadAfter are the consecutive-miss thresholds for the
+	// healthy->suspect and suspect->dead transitions.
+	suspectAfter, deadAfter = 2, 4
+	// recoverAfter is the hysteresis: consecutive probe successes before a
+	// suspect or dead rail is declared healthy again.
+	recoverAfter = 3
+	// retxSuspect is the passive-signal threshold: this many consecutive
+	// device retransmits without an intervening delivery mark the rail
+	// suspect.
+	retxSuspect = 8
+	// stallBeats is the watchdog-adjacent passive signal: an operation in
+	// flight on a rail for longer than stallBeats heartbeats counts as a
+	// probe miss at the next tick.
+	stallBeats = 5
+	// stripeThreshold is the smallest bulk payload the Stripe policy
+	// splits.
+	stripeThreshold = 64 * units.KB
+)
 
 // pair is the ordering state of one directed (source node, destination
 // node) flow: the send-side sequence stamp, the failover epoch, and the
@@ -182,7 +149,7 @@ type pair struct {
 	sendSeq     uint64
 	epoch       uint64
 	nextDeliver uint64
-	held        map[uint64]func()
+	held        map[uint64]func(error)
 }
 
 // Network is a bonded multi-rail interconnect: it implements dev.Network
@@ -240,15 +207,24 @@ func New(eng *sim.Engine, tun Tuning, plan *faults.Plan, rails ...dev.Network) *
 				i, r.Name(), r.Nodes(), rails[0].Name(), rails[0].Nodes()))
 		}
 	}
+	if tun.Heartbeat <= 0 {
+		tun.Heartbeat = 1 * units.Millisecond
+	}
 	n := &Network{
 		eng:   eng,
 		rails: rails,
-		tun:   tun.withDefaults(plan),
+		tun:   tun,
 		plan:  plan,
 		pairs: make(map[[2]int]*pair),
 	}
+	// The monitors' probe-jitter and target draws are keyed by the fault
+	// plan's seed, or a fixed constant without one.
+	seed := uint64(0x5EEDDA11)
+	if plan != nil && plan.Seed != 0 {
+		seed = plan.Seed
+	}
 	for i := range rails {
-		n.mon = append(n.mon, newMonitor(n, i))
+		n.mon = append(n.mon, newMonitor(n, i, seed))
 	}
 	return n
 }
@@ -293,9 +269,6 @@ func (n *Network) Diameter() int {
 	}
 	return d
 }
-
-// Tuning exposes the resolved knob set.
-func (n *Network) Tuning() Tuning { return n.tun }
 
 // RailState reports rail r's current detector state.
 func (n *Network) RailState(r int) State { return n.mon[r].state }
@@ -402,7 +375,7 @@ func (n *Network) pairOf(src, dst int) *pair {
 // arrived runs the receive-side reorder buffer: fire in-order deliveries
 // immediately, hold ahead-of-order ones, and suppress (count) any sequence
 // number that has already fired — the no-duplicate-delivery guarantee.
-func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
+func (n *Network) arrived(src, dst int, seq uint64, fire func(error)) {
 	pr := n.pairOf(src, dst)
 	if seq < pr.nextDeliver {
 		n.dupSuppressed.Inc()
@@ -410,7 +383,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 	}
 	if seq > pr.nextDeliver {
 		if pr.held == nil {
-			pr.held = make(map[uint64]func())
+			pr.held = make(map[uint64]func(error))
 		}
 		pr.held[seq] = fire
 		n.heldCount++
@@ -418,7 +391,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 		return
 	}
 	pr.nextDeliver++
-	fire()
+	fire(nil)
 	for {
 		f, ok := pr.held[pr.nextDeliver]
 		if !ok {
@@ -428,7 +401,7 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func()) {
 		pr.nextDeliver++
 		n.heldCount--
 		n.heldHW.Set(n.heldCount)
-		f()
+		f(nil)
 	}
 }
 

@@ -234,28 +234,36 @@ func TestBondPanicsOnMismatchedRails(t *testing.T) {
 
 // A bond is as misconfigured as its members: an invalid member fabric, or a
 // bond-level plan that kills fabric elements of a crossbar, must fail
-// mpi.NewWorld with an error naming the member, before any rank runs.
+// mpi.NewWorld with an error that leads with the member's rail, before any
+// rank runs. An invalid member fabric is typed as it is on the solo
+// platform.
 func TestBondSurfacesMemberConfigErrors(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		p    cluster.Platform
-		want []string
+		name   string
+		p      cluster.Platform
+		typed  bool   // the error wraps a *cluster.ConfigError
+		reason string // what the error says is wrong
 	}{
 		{"invalid member Clos", cluster.Bond(cluster.IBA().With(cluster.Clos(3, 7, 2)), cluster.Myri()),
-			[]string{"rail 0 (IBA)", "verbs:"}},
+			true, "invalid Clos(3, 7, 2)"},
 		{"switch kills on a crossbar", cluster.Bond(cluster.IBA(), cluster.Myri()).With(
 			cluster.WithSwitchKills(faults.SwitchKill{Level: 1, Index: 0, At: 10 * units.Microsecond})),
-			[]string{"rail 0 (IBA)", "not a Clos"}},
+			false, "not a Clos"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := mpi.NewWorld(mpi.Config{Net: tc.p.New(4), Procs: 4})
 			if err == nil {
 				t.Fatal("NewWorld accepted the bond; want its member's configuration error")
 			}
-			for _, s := range tc.want {
-				if !strings.Contains(err.Error(), s) {
-					t.Errorf("error %q does not contain %q", err, s)
-				}
+			if !strings.HasPrefix(err.Error(), "rail 0 (IBA): ") {
+				t.Errorf("error %q does not lead with the member's rail", err)
+			}
+			if !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("error %q does not contain %q", err, tc.reason)
+			}
+			var ce *cluster.ConfigError
+			if tc.typed && !errors.As(err, &ce) {
+				t.Errorf("error %q (%T) does not wrap a *cluster.ConfigError", err, err)
 			}
 		})
 	}

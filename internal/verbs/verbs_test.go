@@ -25,9 +25,9 @@ func TestEagerDeliveryOrdering(t *testing.T) {
 	n := New(eng, DefaultConfig(2))
 	ep := n.NewEndpoint(0)
 	var order []int
-	ep.Eager(1, 64, 0, func() { order = append(order, 1) })
-	ep.Eager(1, 64, 0, func() { order = append(order, 2) })
-	ep.Control(1, 0, func() { order = append(order, 3) })
+	ep.Eager(1, 64, 0, func(error) { order = append(order, 1) })
+	ep.Eager(1, 64, 0, func(error) { order = append(order, 2) })
+	ep.Control(1, 0, func(error) { order = append(order, 3) })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestLoopbackPath(t *testing.T) {
 		n := New(eng, DefaultConfig(2))
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Bulk(dst, size, 0, func() { at = eng.Now() })
+		ep.Bulk(dst, size, 0, func(error) { at = eng.Now() })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestPCIVariantSlower(t *testing.T) {
 		n := New(eng, cfg)
 		ep := n.NewEndpoint(0)
 		var at sim.Time
-		ep.Bulk(1, 256*units.KB, 0, func() { at = eng.Now() })
+		ep.Bulk(1, 256*units.KB, 0, func(error) { at = eng.Now() })
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestFatTreeConfigWiring(t *testing.T) {
 	}
 	// Cross-leaf transfer completes.
 	done := false
-	n.NewEndpoint(0).Eager(20, 64, 0, func() { done = true })
+	n.NewEndpoint(0).Eager(20, 64, 0, func(error) { done = true })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

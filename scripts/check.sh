@@ -129,6 +129,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\.\(interface ?\{|\.\((dev|
     echo "FAIL: a device capability is discovered by type assertion again (make it a required method; see internal/dev)" >&2
     exit 1
 fi
+# A device operation reports its failure on its own completion, so the
+# issuer knows which operation failed; an endpoint-wide failure sink, and
+# the bond's guess at which in-flight operation a report refers to, may
+# not come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'OnFault\(|matchFailure' internal/; then
+    echo "FAIL: a device failure travels through an endpoint-wide sink again (report it on the operation's done callback; see internal/dev)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
