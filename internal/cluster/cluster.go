@@ -100,9 +100,6 @@ func (t *TopologySpec) optionName() string {
 	}
 }
 
-// hostsPerLeaf is the host port count per leaf element.
-func (t *TopologySpec) hostsPerLeaf() int { return t.Radix * t.Oversub / (t.Oversub + 1) }
-
 // validate checks the spec's dimensions, wrapping the fabric-level report
 // into a ConfigError that names the offending option call.
 func (t *TopologySpec) validate() error {
@@ -228,7 +225,6 @@ func (p Platform) Settings() Settings { return p.base }
 // platforms from here).
 type WorldSetter interface {
 	SetProcsPerNode(int)
-	SetMapping(int)
 	SetTimeline(*trace.Timeline)
 	SetMetrics(*metrics.Registry)
 	SetTimeout(sim.Time)
@@ -404,11 +400,6 @@ func WithSeed(seed uint64) Option {
 // configuration).
 func WithProcsPerNode(n int) Option {
 	return Option{world: func(c WorldSetter) { c.SetProcsPerNode(n) }}
-}
-
-// WithMapping sets the rank-to-node placement (an mpi.Mapping value).
-func WithMapping(m int) Option {
-	return Option{world: func(c WorldSetter) { c.SetMapping(m) }}
 }
 
 // WithTimeline collects message-level events from the run.

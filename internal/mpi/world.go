@@ -453,10 +453,6 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 // flight ring still captured recent incidents.
 func (w *World) MsgTrace() *msgtrace.Recorder { return w.rec }
 
-// FlightDump writes the flight-recorder postmortem: the ring frozen at the
-// first failure if the run failed, the live ring otherwise.
-func (w *World) FlightDump(out io.Writer) { w.rec.DumpFlight(out) }
-
 // Elapsed returns the simulated wall-clock time of the last Run.
 func (w *World) Elapsed() sim.Time { return w.end - w.start }
 
@@ -537,9 +533,6 @@ const AnyTag = math.MinInt32
 // SetProcsPerNode sets Config.ProcsPerNode.
 func (c *Config) SetProcsPerNode(n int) { c.ProcsPerNode = n }
 
-// SetMapping sets Config.Mapping from its integer value.
-func (c *Config) SetMapping(m int) { c.Mapping = Mapping(m) }
-
 // SetTimeline sets Config.Timeline.
 func (c *Config) SetTimeline(tl *trace.Timeline) { c.Timeline = tl }
 
@@ -548,9 +541,6 @@ func (c *Config) SetMetrics(m *metrics.Registry) { c.Metrics = m }
 
 // SetTimeout sets Config.Timeout.
 func (c *Config) SetTimeout(d sim.Time) { c.Timeout = d }
-
-// SetMsgTrace sets Config.MsgTrace.
-func (c *Config) SetMsgTrace(rec *msgtrace.Recorder) { c.MsgTrace = rec }
 
 // SetFaultTolerant sets Config.FaultTolerant.
 func (c *Config) SetFaultTolerant(on bool) { c.FaultTolerant = on }

@@ -1,8 +1,6 @@
 package rail
 
 import (
-	"errors"
-
 	"mpinet/internal/dev"
 	"mpinet/internal/faults"
 	"mpinet/internal/msgtrace"
@@ -65,6 +63,21 @@ type monitor struct {
 	lastIssued uint64
 
 	probeEps []dev.Endpoint // per-node probe endpoints, created on first arm
+	probes   []*probeRec    // free probe records
+}
+
+// probeRec is one heartbeat probe: its Control completion and its timeout
+// timer, each bound once when the record is made. holds counts what can
+// still reach the record — the completion, and the timer or the probe call
+// that may arm it — and the record returns to its monitor's free list at
+// zero, so a late answer never lands on a record reused by a later probe.
+type probeRec struct {
+	m       *monitor
+	tm      *sim.Timer
+	doneFn  func(error)
+	settled bool // the probe landed, or touched a dead node
+	armed   bool // the timeout is queued
+	holds   int
 }
 
 func newMonitor(n *Network, r int, seed uint64) *monitor {
@@ -105,7 +118,7 @@ func (m *monitor) schedule() {
 // reschedule.
 func (m *monitor) HandleEvent(int64, int64) {
 	n := m.net
-	if n.inflight == 0 && n.issued == m.lastIssued {
+	if len(n.flight) == 0 && n.issued == m.lastIssued {
 		m.idleTicks++
 		if m.idleTicks >= 2 {
 			m.armed = false
@@ -127,13 +140,11 @@ func (m *monitor) HandleEvent(int64, int64) {
 func (m *monitor) scanStalls() {
 	n := m.net
 	now := n.eng.Now()
-	for _, ep := range n.eps {
-		for _, o := range ep.pending[m.rail] {
-			if now-o.born > stallBeats*n.tun.Heartbeat {
-				n.waitStalls.Inc()
-				m.miss()
-				return
-			}
+	for _, o := range n.flight {
+		if o.rail == m.rail && now-o.born > stallBeats*n.tun.Heartbeat {
+			n.waitStalls.Inc()
+			m.miss()
+			return
 		}
 	}
 }
@@ -160,32 +171,55 @@ func (m *monitor) probe() {
 	}
 	dst := (src + off) % nodes
 	m.net.heartbeats.Inc()
-	settled := false
-	var tm *sim.Timer
-	m.probeEps[src].Control(dst, 0, func(err error) {
-		var nde *faults.NodeDownError
-		if err != nil && !errors.As(err, &nde) {
-			// A dead probe is a dead rail, not a dead job; the timer still
-			// runs and records the miss.
-			m.hardFail()
-			return
-		}
-		settled = true
-		if tm != nil {
-			tm.Stop()
+	var pr *probeRec
+	if k := len(m.probes); k > 0 {
+		pr, m.probes = m.probes[k-1], m.probes[:k-1]
+	} else {
+		pr = &probeRec{m: m}
+		pr.doneFn, pr.tm = pr.done, m.net.eng.NewTimer(pr.expired)
+	}
+	pr.settled, pr.holds = false, 2
+	m.probeEps[src].Control(dst, 0, pr.doneFn)
+	if pr.settled {
+		pr.drop() // a probe touching a node already known dead settles inline
+		return
+	}
+	pr.armed = true
+	pr.tm.Arm(m.net.tun.Heartbeat / probeTimeoutDiv)
+}
+
+// done is the probe's Control completion.
+func (pr *probeRec) done(err error) {
+	if err != nil && !nodeDown(err) {
+		// A dead probe is a dead rail, not a dead job; the timer still runs
+		// and records the miss.
+		pr.m.hardFail()
+	} else {
+		pr.settled = true
+		if pr.armed {
+			pr.armed = false
+			pr.tm.Stop()
+			pr.holds--
 		}
 		if err == nil {
-			m.hit()
+			pr.m.hit()
 		}
-	})
-	if settled {
-		return // a probe touching a node already known dead settles inline
 	}
-	tm = m.net.eng.AfterTimer(m.net.tun.Heartbeat/probeTimeoutDiv, func() {
-		if !settled {
-			m.miss()
-		}
-	})
+	pr.drop()
+}
+
+// expired is the probe's timeout: no answer in time is a miss.
+func (pr *probeRec) expired() {
+	pr.armed = false
+	pr.m.miss()
+	pr.drop()
+}
+
+// drop releases one hold on the record.
+func (pr *probeRec) drop() {
+	if pr.holds--; pr.holds == 0 {
+		pr.m.probes = append(pr.m.probes, pr)
+	}
 }
 
 // ensureEps lazily creates this rail's per-node probe endpoints.

@@ -27,9 +27,8 @@
 // MPI non-overtaking order survives failover and striping because the bond
 // stamps every operation with a per-(source node, destination node)
 // sequence number and holds out-of-order deliveries in a reorder buffer
-// (the pair state below); a per-pair epoch is bumped on every re-issue and
-// late duplicates — a delivery whose sequence number has already fired —
-// are suppressed and counted, never delivered twice.
+// (the pair state below). Nothing is delivered twice: an operation has at
+// most one member issue in flight, and each member issue completes once.
 //
 // Everything is deterministic: heartbeat jitter and probe targets come
 // from the same counter-based PRNG as the fault injector (faults.Uniform),
@@ -140,14 +139,13 @@ const (
 )
 
 // pair is the ordering state of one directed (source node, destination
-// node) flow: the send-side sequence stamp, the failover epoch, and the
-// receive-side reorder buffer. MPI's non-overtaking guarantee reduces to
-// per-pair FIFO here because each device's staged path is itself FIFO —
-// only cross-rail races (failover re-issue, striping) can reorder, and the
-// buffer absorbs exactly those.
+// node) flow: the send-side sequence stamp and the receive-side reorder
+// buffer. MPI's non-overtaking guarantee reduces to per-pair FIFO here
+// because each device's staged path is itself FIFO — only cross-rail races
+// (failover re-issue, striping) can reorder, and the buffer absorbs
+// exactly those.
 type pair struct {
 	sendSeq     uint64
-	epoch       uint64
 	nextDeliver uint64
 	held        map[uint64]func(error)
 }
@@ -160,18 +158,18 @@ type Network struct {
 	tun   Tuning
 	plan  *faults.Plan // bond-level plan (rail entries unresolved)
 	mon   []*monitor
-	eps   []*endpoint // every bonded endpoint, for stall scanning
 
 	pairs map[[2]int]*pair
 	rec   *msgtrace.Recorder // message tracer (nil-safe when never attached)
 	// issued counts bond-level operations; the monitors use it (with the
-	// in-flight count) to disarm heartbeats when the job goes quiet, so the
+	// in-flight set) to disarm heartbeats when the job goes quiet, so the
 	// event queue always drains.
-	issued   uint64
-	inflight int
+	issued uint64
+	// flight is every member issue in flight, on any rail, for the stall
+	// scan; free is the op free list.
+	flight, free []*op
 
 	// metric handles (nil-safe no-ops until InstrumentMetrics binds them)
-	met           *metrics.Registry
 	heartbeats    *metrics.Counter
 	probeMisses   *metrics.Counter
 	waitStalls    *metrics.Counter
@@ -180,7 +178,6 @@ type Network struct {
 	recoveries    *metrics.Counter
 	failovers     *metrics.Counter
 	reissuedBytes *metrics.Counter
-	dupSuppressed *metrics.Counter
 	stripeChunks  *metrics.Counter
 	stripeImbal   *metrics.Timer
 	heldHW        *metrics.Gauge
@@ -246,9 +243,6 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // Nodes implements dev.Network.
 func (n *Network) Nodes() int { return n.rails[0].Nodes() }
-
-// Rails exposes the member fabrics (for tests and diagnostics).
-func (n *Network) Rails() []dev.Network { return n.rails }
 
 // MinLinkLatency implements dev.Network: a bonded message may ride any
 // member rail, so the bound is the fastest member's.
@@ -333,7 +327,6 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	if m == nil {
 		return
 	}
-	n.met = m
 	n.heartbeats = m.Counter("rail/heartbeats")
 	n.probeMisses = m.Counter("rail/probe_misses")
 	n.waitStalls = m.Counter("rail/wait_stalls")
@@ -342,7 +335,6 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	n.recoveries = m.Counter("rail/recoveries")
 	n.failovers = m.Counter("rail/failovers")
 	n.reissuedBytes = m.Counter("rail/reissued_bytes")
-	n.dupSuppressed = m.Counter("rail/dup_suppressed")
 	n.stripeChunks = m.Counter("rail/stripe_chunks")
 	n.stripeImbal = m.Timer("rail/stripe_imbalance")
 	n.heldHW = m.Gauge("rail/reorder_held")
@@ -373,14 +365,9 @@ func (n *Network) pairOf(src, dst int) *pair {
 }
 
 // arrived runs the receive-side reorder buffer: fire in-order deliveries
-// immediately, hold ahead-of-order ones, and suppress (count) any sequence
-// number that has already fired — the no-duplicate-delivery guarantee.
+// immediately and hold ahead-of-order ones.
 func (n *Network) arrived(src, dst int, seq uint64, fire func(error)) {
 	pr := n.pairOf(src, dst)
-	if seq < pr.nextDeliver {
-		n.dupSuppressed.Inc()
-		return
-	}
 	if seq > pr.nextDeliver {
 		if pr.held == nil {
 			pr.held = make(map[uint64]func(error))
@@ -390,58 +377,34 @@ func (n *Network) arrived(src, dst int, seq uint64, fire func(error)) {
 		n.heldHW.Set(n.heldCount)
 		return
 	}
-	pr.nextDeliver++
-	fire(nil)
 	for {
-		f, ok := pr.held[pr.nextDeliver]
-		if !ok {
+		pr.nextDeliver++
+		fire(nil)
+		var ok bool
+		if fire, ok = pr.held[pr.nextDeliver]; !ok {
 			return
 		}
 		delete(pr.held, pr.nextDeliver)
-		pr.nextDeliver++
 		n.heldCount--
 		n.heldHW.Set(n.heldCount)
-		f(nil)
 	}
 }
 
-// pickRail returns the highest-priority live rail, preferring healthy
-// over suspect, excluding `exclude` (pass -1 for none). ok is false when
-// every rail is dead (or excluded).
-func (n *Network) pickRail(exclude int) (int, bool) {
+// live returns the rails that may carry traffic, in priority order, in
+// set[:k]: every healthy rail or, when none is healthy, every suspect one,
+// leaving out exclude (pass -1 for none). k is 0 when every rail is dead
+// or excluded; set[0] is then rail 0.
+func (n *Network) live(exclude int) (set [3]int, k int) {
 	for _, want := range []State{Healthy, Suspect} {
 		for i, m := range n.mon {
 			if i != exclude && m.state == want {
-				return i, true
+				set[k] = i
+				k++
 			}
 		}
-	}
-	return 0, false
-}
-
-// stripeSet returns the rails a striped bulk may use: every healthy rail,
-// or — when none is healthy — every suspect one.
-func (n *Network) stripeSet() []int {
-	var set []int
-	for i, m := range n.mon {
-		if m.state == Healthy {
-			set = append(set, i)
+		if k > 0 {
+			break
 		}
 	}
-	if len(set) == 0 {
-		for i, m := range n.mon {
-			if m.state == Suspect {
-				set = append(set, i)
-			}
-		}
-	}
-	return set
-}
-
-// armMonitors (re)starts every rail's heartbeat loop; called on each send
-// so probing only runs while the job communicates.
-func (n *Network) armMonitors() {
-	for _, m := range n.mon {
-		m.arm()
-	}
+	return set, k
 }

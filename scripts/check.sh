@@ -137,6 +137,15 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'OnFault\(|matchFailure' int
     echo "FAIL: a device failure travels through an endpoint-wide sink again (report it on the operation's done callback; see internal/dev)" >&2
     exit 1
 fi
+# A bond op has at most one member issue in flight and each completes
+# once, so nothing can arrive twice: no duplicate suppression, no pair
+# epoch, no per-endpoint in-flight lists to search. The op and probe
+# records are reused, so no probe allocates its own timer.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'dup_suppressed|dupSuppressed|\.epoch\+\+|pending\[|AfterTimer\(' internal/rail/; then
+    echo "FAIL: the bond guards against duplicates or allocates per probe again (one in-flight set, reused records; see internal/rail)" >&2
+    exit 1
+fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
