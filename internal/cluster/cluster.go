@@ -4,11 +4,12 @@
 // 16-node Topspin InfiniBand cluster of Section 4.2.
 //
 // Platforms compose through functional options: a Platform value carries a
-// Settings baseline, With derives a variant (InfiniBand on plain PCI is
-// IBA().With(PCIBus())), and the same Option values also configure the MPI
-// world (WithFaults, WithTimeout, WithProcsPerNode — applied by
-// ApplyWorld). Of the historical one-off constructors only Topspin and
-// IBAFatTree remain, as thin deprecated wrappers over the options.
+// Settings baseline, and With derives a variant (InfiniBand on plain PCI is
+// IBA().With(PCIBus())). One option, WithFaultTolerant, sets a field of the
+// MPI world instead; ApplyWorld applies it, so one option list serves both.
+// Every other world setting is a field of mpi.Config. Of the historical
+// one-off constructors only Topspin and IBAFatTree remain, as thin
+// deprecated wrappers over the options.
 package cluster
 
 import (
@@ -20,11 +21,9 @@ import (
 	"mpinet/internal/fabric"
 	"mpinet/internal/faults"
 	"mpinet/internal/gm"
-	"mpinet/internal/metrics"
 	"mpinet/internal/nic"
 	"mpinet/internal/rail"
 	"mpinet/internal/sim"
-	"mpinet/internal/trace"
 	"mpinet/internal/verbs"
 )
 
@@ -54,9 +53,6 @@ type Settings struct {
 	// RailPolicy selects the bond's degraded-mode policy (bonded platforms
 	// only; see Bond).
 	RailPolicy rail.Policy
-	// Heartbeat overrides the bond's health-monitor probe period (0 = rail
-	// package default; bonded platforms only).
-	Heartbeat sim.Time
 	// Topology, when non-nil, selects a parameterized fabric from the
 	// topology option family (Crossbar, FatTree, Clos); nil keeps the
 	// platform's classic single crossbar.
@@ -224,17 +220,11 @@ func (p Platform) Settings() Settings { return p.base }
 // concrete type so this package does not import mpi (whose own tests build
 // platforms from here).
 type WorldSetter interface {
-	SetProcsPerNode(int)
-	SetTimeline(*trace.Timeline)
-	SetMetrics(*metrics.Registry)
-	SetTimeout(sim.Time)
 	SetFaultTolerant(bool)
 }
 
-// Option is one functional option. A single option may act on the platform
-// (network wiring), on the MPI world configuration, or both — WithFaults,
-// for instance, installs the plan into the network and arms the world's
-// watchdog.
+// Option is one functional option. An option acts on the platform (network
+// wiring) or, for WithFaultTolerant, on the MPI world configuration.
 type Option struct {
 	suffix   string
 	platform func(*Settings)
@@ -322,8 +312,8 @@ func SwitchPorts(ports int) Option {
 }
 
 // WithFaults runs the platform under the given fault plan and arms the MPI
-// watchdog (at faults.DefaultTimeout unless WithTimeout overrides it), so
-// a faulty run terminates with a typed error instead of hanging.
+// watchdog (at faults.DefaultTimeout unless mpi.Config.Timeout overrides
+// it), so a faulty run terminates with a typed error instead of hanging.
 func WithFaults(plan *faults.Plan) Option {
 	return Option{platform: func(s *Settings) { s.Faults = plan }}
 }
@@ -396,28 +386,6 @@ func WithSeed(seed uint64) Option {
 	return Option{platform: func(s *Settings) { s.Seed = seed }}
 }
 
-// WithProcsPerNode sets how many ranks share a node (the paper's SMP
-// configuration).
-func WithProcsPerNode(n int) Option {
-	return Option{world: func(c WorldSetter) { c.SetProcsPerNode(n) }}
-}
-
-// WithTimeline collects message-level events from the run.
-func WithTimeline(tl *trace.Timeline) Option {
-	return Option{world: func(c WorldSetter) { c.SetTimeline(tl) }}
-}
-
-// WithMetrics wires every layer into the registry.
-func WithMetrics(m *metrics.Registry) Option {
-	return Option{world: func(c WorldSetter) { c.SetMetrics(m) }}
-}
-
-// WithTimeout sets the per-wait MPI watchdog explicitly (negative
-// disables it even under a fault plan).
-func WithTimeout(d sim.Time) Option {
-	return Option{world: func(c WorldSetter) { c.SetTimeout(d) }}
-}
-
 // WithRailPolicy selects a bonded platform's degraded-mode policy
 // (rail.Failover or rail.Stripe). Stripe bonds get a "-stripe" name suffix
 // so reports distinguish the two; Failover is the default and keeps the
@@ -428,12 +396,6 @@ func WithRailPolicy(p rail.Policy) Option {
 		suffix = "-stripe"
 	}
 	return Option{suffix: suffix, platform: func(s *Settings) { s.RailPolicy = p }}
-}
-
-// WithHeartbeat sets a bonded platform's health-monitor probe period.
-// Inert on solo platforms.
-func WithHeartbeat(d sim.Time) Option {
-	return Option{platform: func(s *Settings) { s.Heartbeat = d }}
 }
 
 // WithShards does nothing: every world runs on one serial engine.
@@ -562,8 +524,7 @@ func Bond(primary Platform, others ...Platform) Platform {
 					}
 				}
 			}
-			tun := rail.Tuning{Policy: s.RailPolicy, Heartbeat: s.Heartbeat}
-			return rail.New(eng, tun, plan, rails...)
+			return rail.New(eng, s.RailPolicy, plan, rails...)
 		},
 	}
 }

@@ -114,7 +114,6 @@ const (
 // detection).
 var spec = nic.Spec{
 	Pkg:         "elan",
-	Crossbar:    "elite16",
 	Clos:        "elite-clos",
 	Ports:       16,
 	LinkRate:    units.BytesPerSecond(linkRateBps),

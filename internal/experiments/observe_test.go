@@ -144,3 +144,14 @@ func TestObserveCrossLayerCounters(t *testing.T) {
 		t.Errorf("demo elapsed %v", sim.Time(elapsed))
 	}
 }
+
+// TestPlatformByName resolves the commands' interconnect names in any case
+// and rejects anything else.
+func TestPlatformByName(t *testing.T) {
+	for in, want := range map[string]string{"IBA": "IBA", "myri": "Myri", "Qsn": "QSN", "nope": ""} {
+		p, err := PlatformByName(in)
+		if (err != nil) != (want == "") || p.Name != want {
+			t.Errorf("PlatformByName(%q) = (%q, %v), want %q", in, p.Name, err, want)
+		}
+	}
+}

@@ -215,3 +215,10 @@ func TestClosConservationAtScale(t *testing.T) {
 		t.Fatalf("byte conservation violated: %d delivered, want %d", bytes, int64(sent)*size)
 	}
 }
+
+// TestRoutingNames pins the routing policies' report names.
+func TestRoutingNames(t *testing.T) {
+	if Deterministic.String() != "deterministic" || Adaptive.String() != "adaptive" {
+		t.Fatalf("routing names = %q, %q", Deterministic, Adaptive)
+	}
+}

@@ -11,7 +11,6 @@
 package fabric
 
 import (
-	"fmt"
 	"sync"
 
 	"mpinet/internal/metrics"
@@ -69,55 +68,6 @@ func (l *Link) Instrument(m *metrics.Registry, node int) {
 	l.fromSwitch.RecordSpans(m, node, "xfer", "fabric")
 }
 
-// SwitchConfig describes a crossbar switch.
-type SwitchConfig struct {
-	Ports    int
-	Crossing sim.Time             // port-to-port latency (cut-through)
-	Rate     units.BytesPerSecond // per-port forwarding rate
-}
-
-// Switch is a wormhole/cut-through crossbar: each output port is a FIFO
-// resource at the port forwarding rate; the crossing latency is added to
-// every chunk. Input contention is carried by the sender's link pipe, so
-// only output ports are modelled as stations (a standard crossbar
-// simplification: the crossbar itself is non-blocking).
-type Switch struct {
-	cfg SwitchConfig
-	out []*sim.Pipe
-}
-
-// NewSwitch builds a switch with the given port count.
-func NewSwitch(name string, cfg SwitchConfig) *Switch {
-	s := &Switch{cfg: cfg, out: make([]*sim.Pipe, cfg.Ports)}
-	for i := range s.out {
-		s.out[i] = sim.NewPipe(fmt.Sprintf("%s/out%d", name, i), cfg.Rate, 0, 0)
-	}
-	return s
-}
-
-// OutPort returns the stage for the given output port; forwarding through it
-// also pays the crossing latency (applied by the pipeline as stage latency).
-func (s *Switch) OutPort(port int) *sim.Pipe { return s.out[port] }
-
-// Crossing returns the cut-through port-to-port latency.
-func (s *Switch) Crossing() sim.Time { return s.cfg.Crossing }
-
-// Instrument registers every output port's byte volume, occupancy and
-// contention time under fabric/<port-name>/.... Switch ports belong to the
-// fabric, not a host, so their spans carry metrics.FabricNode.
-func (s *Switch) Instrument(m *metrics.Registry) {
-	if m == nil {
-		return
-	}
-	for _, p := range s.out {
-		p.Instrument(m, "fabric/"+p.Name())
-		p.RecordSpans(m, metrics.FabricNode, "fwd", "fabric")
-	}
-}
-
-// Ports returns the port count.
-func (s *Switch) Ports() int { return s.cfg.Ports }
-
 // Topology abstracts the switching fabric between a source host's up-link
 // and a destination host's down-link: a single crossbar (the paper's
 // testbeds) or a multi-stage Clos (the scaling extension).
@@ -151,28 +101,32 @@ type Segment struct {
 	Fate   RouteInfo
 }
 
-// CrossbarTopology adapts the single-switch star: no intermediate stages,
-// one crossing.
+// CrossbarTopology is the single-switch star: a cut-through crossbar with
+// no intermediate stages, one port-to-port crossing per route. Input
+// contention is carried by the sender's up-link and output contention by
+// the destination's down-link (a standard crossbar simplification: the
+// crossbar itself is non-blocking), so the switch holds no stage of its
+// own.
 type CrossbarTopology struct {
-	sw *Switch
+	ports    int
+	crossing sim.Time
 }
 
-// NewCrossbarTopology wraps a switch as a Topology.
-func NewCrossbarTopology(sw *Switch) *CrossbarTopology {
-	return &CrossbarTopology{sw: sw}
+// NewCrossbarTopology builds a crossbar of the given radix and
+// port-to-port latency.
+func NewCrossbarTopology(ports int, crossing sim.Time) *CrossbarTopology {
+	return &CrossbarTopology{ports: ports, crossing: crossing}
 }
 
 // Between implements Topology.
 func (c *CrossbarTopology) Between(src, dst int, now sim.Time) Segment {
-	return Segment{Down: c.sw.Crossing(), Plane: -1}
+	return Segment{Down: c.crossing, Plane: -1}
 }
 
 // Nodes implements Topology.
-func (c *CrossbarTopology) Nodes() int { return c.sw.Ports() }
+func (c *CrossbarTopology) Nodes() int { return c.ports }
 
-// Instrument is a no-op: in the star path the crossbar's output contention
-// is carried by the destination's down-link, so the switch's own port pipes
-// never run and would register only as zero rows.
+// Instrument is a no-op: the crossbar has no stage of its own to register.
 func (c *CrossbarTopology) Instrument(m *metrics.Registry) {}
 
 // Diameter reports the single crossing of the star topology.

@@ -109,7 +109,7 @@ func TestSwitchOutputPortContention(t *testing.T) {
 	// Two hosts sending to the same destination port: combined goodput
 	// limited by that port's rate.
 	e := sim.New()
-	sw := NewSwitch("sw", SwitchConfig{Ports: 4, Crossing: 100 * units.Nanosecond, Rate: units.MBps(200)})
+	out := sim.NewPipe("sw/out2", units.MBps(200), 0, 0)
 	la := NewLink("a", linkCfg(200))
 	lb := NewLink("b", linkCfg(200))
 	dst := NewLink("c", linkCfg(200))
@@ -118,7 +118,7 @@ func TestSwitchOutputPortContention(t *testing.T) {
 	for _, up := range []*sim.Pipe{la.Up(), lb.Up()} {
 		path := []PathStage{
 			{Stage: up},
-			{Stage: sw.OutPort(2), Latency: sw.Crossing()},
+			{Stage: out, Latency: 100 * units.Nanosecond},
 			{Stage: dst.Down()},
 		}
 		Transfer(e, path, size, DefaultChunk, 0, func(at sim.Time) { ends = append(ends, at) })
@@ -189,8 +189,7 @@ func TestTransferEmptyPath(t *testing.T) {
 }
 
 func TestCrossbarTopology(t *testing.T) {
-	sw := NewSwitch("x", SwitchConfig{Ports: 8, Crossing: 150 * units.Nanosecond, Rate: units.MBps(100)})
-	topo := NewCrossbarTopology(sw)
+	topo := NewCrossbarTopology(8, 150*units.Nanosecond)
 	if topo.Nodes() != 8 {
 		t.Fatal("crossbar nodes")
 	}

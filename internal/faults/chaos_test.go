@@ -123,23 +123,35 @@ func TestNodeCrashDarkNIC(t *testing.T) {
 	if v := in.Verdict(0, 1, mid); v != Deliver {
 		t.Fatalf("bystander link dropped during the crash: %v", v)
 	}
-	// NodeDead / NodeDeadDetected track the dark window and the detection
-	// delay within it.
+	// NodeDead / NodeDownDetected track the dark window and the detection
+	// delay within it; the detection names the node and its crash instant.
 	if in.NodeDead(3, 0) || !in.NodeDead(3, mid) || in.NodeDead(3, after) {
 		t.Fatal("NodeDead window wrong")
 	}
-	if in.NodeDeadDetected(3, 10*units.Millisecond) {
+	if _, _, ok := in.NodeDownDetected(0, 3, 10*units.Millisecond); ok {
 		t.Fatal("crash detected before the detection delay")
 	}
-	if !in.NodeDeadDetected(3, 10*units.Millisecond+DefaultDetectDelay) {
-		t.Fatal("crash not detected after the delay")
+	detected := 10*units.Millisecond + DefaultDetectDelay
+	for _, pair := range [][2]int{{0, 3}, {3, 0}} {
+		node, at, ok := in.NodeDownDetected(pair[0], pair[1], detected)
+		if !ok || node != 3 || at != 10*units.Millisecond {
+			t.Fatalf("NodeDownDetected%v after the delay = (%d, %v, %v), want node 3 crashed at 10ms", pair, node, at, ok)
+		}
 	}
-	if in.NodeDead(0, mid) {
+	// With both ends dead, the sender's own death is the one reported.
+	both := NewInjector(&Plan{NodeCrashes: []NodeCrash{{Node: 1}, {Node: 2, At: units.Millisecond}}})
+	if node, at, _ := both.NodeDownDetected(2, 1, units.Second); node != 2 || at != units.Millisecond {
+		t.Fatalf("both ends dead: reported node %d crashed at %v, want the sender (node 2, 1ms)", node, at)
+	}
+	if _, _, ok := in.NodeDownDetected(3, 3, after); ok {
+		t.Fatal("crash still detected after the repair")
+	}
+	if _, _, ok := in.NodeDownDetected(0, 1, mid); ok || in.NodeDead(0, mid) {
 		t.Fatal("wrong node reported dead")
 	}
 	// Nil-safety: devices without a plan carry a nil injector.
 	var nilIn *Injector
-	if nilIn.NodeDead(3, mid) || nilIn.NodeDeadDetected(3, after) {
+	if _, _, ok := nilIn.NodeDownDetected(0, 3, after); ok || nilIn.NodeDead(3, mid) {
 		t.Fatal("nil injector reported a dead node")
 	}
 }

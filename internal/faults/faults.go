@@ -469,6 +469,9 @@ func (e *NodeDownError) Unwrap() error { return ErrPartitioned }
 // path entirely.
 type Injector struct {
 	plan Plan
+	// detect is the plan's DetectionDelay, resolved once so the per-send
+	// node-death check stays small enough to inline.
+	detect units.Time
 	// links caches per-link resolved state (rates after LinkRule matching,
 	// this link's flap/degrade windows, the PRNG stream id and packet
 	// ordinal), so the per-packet Verdict path scans only windows that can
@@ -499,7 +502,7 @@ func NewInjector(p *Plan) *Injector {
 	if p == nil {
 		return nil
 	}
-	return &Injector{plan: *p, links: make(map[[2]int]*linkState)}
+	return &Injector{plan: *p, detect: p.DetectionDelay(), links: make(map[[2]int]*linkState)}
 }
 
 // resolve builds the per-link state on first contact. Rule matching order
@@ -556,20 +559,24 @@ func (in *Injector) NodeDead(node int, now units.Time) bool {
 	return false
 }
 
-// NodeDeadDetected reports whether node's crash is both in effect and past
-// the plan's detection delay at now — the point where devices stop burning
-// retries toward it and fail typed instead. Nil-safe.
-func (in *Injector) NodeDeadDetected(node int, now units.Time) bool {
+// NodeDownDetected reports the first of src and dst (src before dst)
+// whose crash is both in effect and past the plan's detection delay at now
+// — the point where devices stop burning retries toward it and fail typed
+// instead — with the instant it crashed. Nil-safe.
+func (in *Injector) NodeDownDetected(src, dst int, now units.Time) (node int, at units.Time, ok bool) {
 	if in == nil {
-		return false
+		return 0, 0, false
 	}
-	detect := in.plan.DetectionDelay()
 	for _, c := range in.plan.NodeCrashes {
-		if c.Node == node && now >= c.At+detect && (c.RepairAt == 0 || now < c.RepairAt) {
-			return true
+		if c.Node != src && (c.Node != dst || ok) || now < c.At+in.detect || c.RepairAt != 0 && now >= c.RepairAt {
+			continue
+		}
+		node, at, ok = c.Node, c.At, true
+		if c.Node == src {
+			break
 		}
 	}
-	return false
+	return node, at, ok
 }
 
 // Plan returns the plan the injector renders, or nil on a nil injector.

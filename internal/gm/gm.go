@@ -103,7 +103,6 @@ const (
 // up*/down* route remap).
 var spec = nic.Spec{
 	Pkg:         "gm",
-	Crossbar:    "myrinet2000",
 	Clos:        "myri-clos",
 	Ports:       8,
 	LinkRate:    units.BytesPerSecond(linkRateBps),
@@ -307,9 +306,6 @@ func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
 }
 
 func (ep *endpoint) MemoryUsage(npeers int) int64 { return memFlat }
-
-// PinCache exposes the registration cache for tests and diagnostics.
-func (ep *endpoint) PinCache() *memreg.PinCache { return ep.pin }
 
 // lanaiStage bills the shared firmware engine once per message; modelled as
 // a Stage so it sits in the path like hardware.

@@ -150,3 +150,10 @@ func TestAddressSpaceInUse(t *testing.T) {
 		t.Fatalf("InUse = %d, want %d", got, 2*PageSize)
 	}
 }
+
+// TestBufString pins the buffer rendering the diagnostics print.
+func TestBufString(t *testing.T) {
+	if got, want := (Buf{Addr: 0x2000, Size: 3 * PageSize}).String(), "[0x2000,+12KB)"; got != want {
+		t.Fatalf("Buf.String = %q, want %q", got, want)
+	}
+}

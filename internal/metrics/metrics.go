@@ -114,7 +114,6 @@ func (g *Gauge) HighWater() int64 {
 // Timer accumulates simulated time. A nil Timer ignores updates.
 type Timer struct {
 	total units.Time
-	n     int64
 }
 
 // Add accumulates a duration.
@@ -123,7 +122,6 @@ func (t *Timer) Add(d units.Time) {
 		return
 	}
 	t.total += d
-	t.n++
 }
 
 // Total returns the accumulated time (0 on nil).
@@ -132,14 +130,6 @@ func (t *Timer) Total() units.Time {
 		return 0
 	}
 	return t.total
-}
-
-// Count returns how many durations were accumulated (0 on nil).
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.n
 }
 
 // SizeHist is a histogram over the paper's Table 1 message-size classes

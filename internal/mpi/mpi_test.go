@@ -385,16 +385,40 @@ func TestIntraNodeUsesConfiguredChannel(t *testing.T) {
 	}
 }
 
-func TestMappingBlockVsCyclic(t *testing.T) {
+// TestPollingCompletion: Rank.Test drives progress until a receive
+// completes, Request.Done then reports it without progress, and each rank
+// reports the node its block mapping put it on.
+func TestPollingCompletion(t *testing.T) {
+	net := verbs.New(sim.New(), verbs.DefaultConfig(2))
+	w := MustWorld(Config{Net: net, Procs: 4, ProcsPerNode: 2})
+	if err := w.Run(func(r *Rank) {
+		if want := r.Rank() / 2; r.Node() != want {
+			t.Errorf("rank %d: Node = %d, want %d", r.Rank(), r.Node(), want)
+		}
+		peer := r.Rank() ^ 2 // the same slot on the other node
+		req := r.Irecv(r.Malloc(64), peer, 0)
+		if r.Test(req) || req.Done() {
+			t.Errorf("rank %d: receive complete before its message was sent", r.Rank())
+		}
+		r.Send(r.Malloc(64), peer, 0)
+		polls := 0
+		for !r.Test(req) {
+			polls++
+			r.Compute(units.Microsecond)
+		}
+		if !req.Done() || polls == 0 {
+			t.Errorf("rank %d: Done = %v after %d polls, want true after at least one", r.Rank(), req.Done(), polls)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBlockMapping(t *testing.T) {
 	net := verbs.New(sim.New(), verbs.DefaultConfig(4))
-	w := MustWorld(Config{Net: net, Procs: 8, ProcsPerNode: 2, Mapping: Block})
+	w := MustWorld(Config{Net: net, Procs: 8, ProcsPerNode: 2})
 	if w.nodeOf(0) != 0 || w.nodeOf(1) != 0 || w.nodeOf(2) != 1 || w.nodeOf(7) != 3 {
 		t.Fatalf("block mapping wrong: %d %d %d %d", w.nodeOf(0), w.nodeOf(1), w.nodeOf(2), w.nodeOf(7))
-	}
-	net2 := verbs.New(sim.New(), verbs.DefaultConfig(4))
-	w2 := MustWorld(Config{Net: net2, Procs: 8, ProcsPerNode: 2, Mapping: Cyclic})
-	if w2.nodeOf(0) != 0 || w2.nodeOf(1) != 1 || w2.nodeOf(4) != 0 {
-		t.Fatalf("cyclic mapping wrong: %d %d %d", w2.nodeOf(0), w2.nodeOf(1), w2.nodeOf(4))
 	}
 }
 

@@ -28,26 +28,16 @@ import (
 	"mpinet/internal/trace"
 )
 
-// Mapping selects how ranks are placed on nodes.
-type Mapping int
-
-// Mappings. Block fills each node before moving on (the paper's SMP runs
-// use block mapping); Cyclic deals ranks round-robin.
-const (
-	Block Mapping = iota
-	Cyclic
-)
-
 // Config describes an MPI job on a wired network.
 type Config struct {
 	// Net is the interconnect the job runs on.
 	Net dev.Network
 	// Procs is the number of MPI ranks.
 	Procs int
-	// ProcsPerNode is how many ranks share a node (default 1).
+	// ProcsPerNode is how many ranks share a node (default 1). Ranks are
+	// placed in blocks: each node fills before the next one starts, as in
+	// the paper's SMP runs.
 	ProcsPerNode int
-	// Mapping is the rank-to-node placement (default Block).
-	Mapping Mapping
 	// Timeline, when non-nil, collects message-level events from the run
 	// (see trace.Timeline).
 	Timeline *trace.Timeline
@@ -311,16 +301,8 @@ func (ps *procState) deviceFailed(err error) {
 // after a true result is ordered by the atomic pair.
 func (w *World) faulted() bool { return w.faultSet.Load() }
 
-// nodeOf maps a rank to its node under the configured mapping.
-func (w *World) nodeOf(rank int) int {
-	switch w.cfg.Mapping {
-	case Cyclic:
-		nodes := (w.cfg.Procs + w.cfg.ProcsPerNode - 1) / w.cfg.ProcsPerNode
-		return rank % nodes
-	default: // Block
-		return rank / w.cfg.ProcsPerNode
-	}
-}
+// nodeOf maps a rank to its node: ranks fill each node in turn.
+func (w *World) nodeOf(rank int) int { return rank / w.cfg.ProcsPerNode }
 
 // Engine returns the simulation engine.
 func (w *World) Engine() *sim.Engine { return w.eng }
@@ -526,21 +508,8 @@ const AnySource = -1
 // AnyTag matches any tag in Recv/Irecv.
 const AnyTag = math.MinInt32
 
-// The Set* methods below let functional options (internal/cluster, and the
-// root package's re-exports) adjust a Config without that package importing
-// mpi — they implement cluster.WorldSetter.
-
-// SetProcsPerNode sets Config.ProcsPerNode.
-func (c *Config) SetProcsPerNode(n int) { c.ProcsPerNode = n }
-
-// SetTimeline sets Config.Timeline.
-func (c *Config) SetTimeline(tl *trace.Timeline) { c.Timeline = tl }
-
-// SetMetrics sets Config.Metrics.
-func (c *Config) SetMetrics(m *metrics.Registry) { c.Metrics = m }
-
-// SetTimeout sets Config.Timeout.
-func (c *Config) SetTimeout(d sim.Time) { c.Timeout = d }
-
-// SetFaultTolerant sets Config.FaultTolerant.
+// SetFaultTolerant sets Config.FaultTolerant. It implements
+// cluster.WorldSetter, so the WithFaultTolerant option (internal/cluster,
+// and the root package's re-export) adjusts a Config without that package
+// importing mpi.
 func (c *Config) SetFaultTolerant(on bool) { c.FaultTolerant = on }

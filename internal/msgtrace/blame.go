@@ -61,6 +61,9 @@ type Blame struct {
 	Messages  int // roots recorded
 	Completed int // roots whose receive completed
 	Spans     int
+	// DroppedSpans and DroppedMsgs count the spans and roots discarded
+	// once the logs reached their caps.
+	DroppedSpans, DroppedMsgs int64
 	// Cats accumulates the per-message decompositions; Total is the sum of
 	// end-to-end times, so Cats sums exactly to Total.
 	Cats  [NumCategories]units.Time
@@ -216,6 +219,7 @@ func (r *Recorder) Analyze(k int) *Blame {
 	}
 	b.Messages = len(r.msgs)
 	b.Spans = len(r.spans)
+	b.DroppedSpans, b.DroppedMsgs = r.droppedSpans, r.droppedMsgs
 	if len(r.msgs) == 0 {
 		return b
 	}

@@ -193,14 +193,9 @@ const (
 // ElemCode packs an element kind and index into a flight-record argument.
 func ElemCode(kind int64, index int) int64 { return kind<<32 | int64(uint32(index)) }
 
-// ElemDecode splits a packed element code.
-func ElemDecode(code int64) (kind int64, index int) {
-	return code >> 32, int(uint32(code))
-}
-
 // ElemName renders a packed element code for the postmortem dump.
 func ElemName(code int64) string {
-	kind, idx := ElemDecode(code)
+	kind, idx := code>>32, int(uint32(code))
 	switch kind {
 	case ElemLeaf:
 		return fmt.Sprintf("leaf %d", idx)
@@ -244,9 +239,9 @@ type Recorder struct {
 	enabled bool
 	every   int64
 
-	// SpanMax / MsgMax cap the logs; excess increments the drop counters.
-	SpanMax int
-	MsgMax  int
+	// spanMax / msgMax cap the logs; excess increments the drop counters.
+	spanMax int
+	msgMax  int
 
 	msgs         []MsgRec
 	midx         map[ID]int32
@@ -279,8 +274,8 @@ func New(every int) *Recorder {
 	return &Recorder{
 		enabled: true,
 		every:   int64(every),
-		SpanMax: DefaultSpanMax,
-		MsgMax:  DefaultMsgMax,
+		spanMax: DefaultSpanMax,
+		msgMax:  DefaultMsgMax,
 		midx:    make(map[ID]int32),
 		spans:   make([]SpanRec, 0, 1024),
 		msgs:    make([]MsgRec, 0, 256),
@@ -311,7 +306,7 @@ func (r *Recorder) Begin(id ID, src, dst, tag int32, bytes int64, kind MsgKind, 
 	if !r.Sampled(id) {
 		return
 	}
-	if r.MsgMax > 0 && len(r.msgs) >= r.MsgMax {
+	if len(r.msgs) >= r.msgMax {
 		r.droppedMsgs++
 		return
 	}
@@ -336,7 +331,7 @@ func (r *Recorder) Span(id ID, st Stage, rank int, rail int8, attempt uint8, hop
 	if !r.Sampled(id) {
 		return
 	}
-	if r.SpanMax > 0 && len(r.spans) >= r.SpanMax {
+	if len(r.spans) >= r.spanMax {
 		r.droppedSpans++
 		return
 	}
@@ -360,15 +355,6 @@ func (r *Recorder) Spans() []SpanRec {
 		return nil
 	}
 	return r.spans
-}
-
-// Dropped returns how many spans and message roots were discarded over the
-// caps.
-func (r *Recorder) Dropped() (spans, msgs int64) {
-	if r == nil {
-		return 0, 0
-	}
-	return r.droppedSpans, r.droppedMsgs
 }
 
 // fly writes one ring entry; the ring never allocates.

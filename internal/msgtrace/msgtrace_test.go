@@ -169,3 +169,40 @@ func TestAnalyzeDecomposesExactly(t *testing.T) {
 		t.Errorf("categories sum to %v over e2e %v, want exact 70", sum, m.E2E())
 	}
 }
+
+// TestCapsCountDrops lowers both caps and checks that the records past
+// them are counted, not silently lost, and that Analyze reports the counts.
+func TestCapsCountDrops(t *testing.T) {
+	r := New(1)
+	r.spanMax, r.msgMax = 2, 1
+	kept, lost := MakeID(0, 1), MakeID(1, 1)
+	r.Begin(kept, 0, 1, 0, 64, KindEager, 0)
+	r.Begin(lost, 1, 0, 0, 64, KindEager, 0)
+	for i := 0; i < 5; i++ {
+		r.Span(kept, StageWire, 0, -1, 0, -1, units.Time(i), units.Time(i+1), 64)
+	}
+	r.Finish(kept, 10)
+	b := r.Analyze(1)
+	if b.Messages != 1 || b.Spans != 2 {
+		t.Fatalf("kept %d roots and %d spans, want 1 and 2", b.Messages, b.Spans)
+	}
+	if b.DroppedMsgs != 1 || b.DroppedSpans != 3 {
+		t.Fatalf("Analyze reports %d roots and %d spans dropped, want 1 and 3", b.DroppedMsgs, b.DroppedSpans)
+	}
+}
+
+// TestDumpNamesDeadElements: an element death, and a rail death it caused,
+// name the culprit element in the postmortem dump.
+func TestDumpNamesDeadElements(t *testing.T) {
+	r := New(1)
+	r.Flight(FlightElementDown, 10, -1, 0, StageWire, ElemCode(ElemLeaf, 2), 0)
+	r.Flight(FlightElementDown, 11, -1, 0, StageWire, ElemCode(ElemNode, 5), 0)
+	r.Flight(FlightRailDown, 12, -1, 0, StageRail, 0, ElemCode(ElemPlane, 3))
+	var sb strings.Builder
+	r.DumpFlight(&sb)
+	for _, want := range []string{"leaf 2", "node 5", "spine plane 3"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("dump does not name %q:\n%s", want, sb.String())
+		}
+	}
+}

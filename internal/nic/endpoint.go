@@ -297,12 +297,8 @@ func (s *send) release() {
 // fails the message first.
 func (s *send) try(at sim.Time) {
 	e, inj := s.e, s.e.net.inj
-	if inj.NodeDeadDetected(s.m.Dst, at) || inj.NodeDeadDetected(e.node, at) {
-		node := s.m.Dst
-		if inj.NodeDeadDetected(e.node, at) {
-			node = e.node
-		}
-		s.abort(&faults.NodeDownError{Node: node, At: at})
+	if node, died, ok := inj.NodeDownDetected(e.node, s.m.Dst, at); ok {
+		s.abort(&faults.NodeDownError{Node: node, At: died})
 		return
 	}
 	// The route is resolved at the engine's now, not at the attempt's start

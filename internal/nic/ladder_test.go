@@ -14,7 +14,6 @@ import (
 // fakeSpec gives the fake model a short ladder: four attempts, 10 us apart.
 var fakeSpec = Spec{
 	Pkg:         "fake",
-	Crossbar:    "fake-xbar",
 	Clos:        "fake-clos",
 	Ports:       8,
 	LinkRate:    units.BytesPerSecond(1e9),

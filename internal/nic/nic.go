@@ -61,14 +61,13 @@ type Config struct {
 type Spec struct {
 	// Pkg prefixes configuration errors and panics ("verbs", "gm", "elan").
 	Pkg string
-	// Crossbar and Clos name the single-crossbar element and the Clos
-	// fabric.
-	Crossbar, Clos string
+	// Clos names the Clos fabric.
+	Clos string
 	// Ports is the default crossbar radix.
 	Ports int
-	// LinkRate and Crossing calibrate the crossbar and fill a Clos
-	// configuration's zero values, as does WireLatency, which is also the
-	// network's cross-node latency floor (MinLinkLatency).
+	// Crossing is the crossbar's port-to-port latency. LinkRate, Crossing
+	// and WireLatency fill a Clos configuration's zero values; WireLatency
+	// is also the network's cross-node latency floor (MinLinkLatency).
 	LinkRate    units.BytesPerSecond
 	Crossing    sim.Time
 	WireLatency sim.Time
@@ -143,11 +142,7 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 		if cfg.Nodes > cfg.SwitchPorts {
 			panic(fmt.Sprintf("%s: %d nodes exceed %d switch ports", spec.Pkg, cfg.Nodes, cfg.SwitchPorts))
 		}
-		n.topo = fabric.NewCrossbarTopology(fabric.NewSwitch(spec.Crossbar, fabric.SwitchConfig{
-			Ports:    cfg.SwitchPorts,
-			Crossing: spec.Crossing,
-			Rate:     spec.LinkRate,
-		}))
+		n.topo = fabric.NewCrossbarTopology(cfg.SwitchPorts, spec.Crossing)
 	}
 	if cfg.Faults.HasElements() && cfg.Clos == nil {
 		n.cfgErr = fmt.Errorf("%s: fault plan schedules fabric-element deaths but the topology is not a Clos", spec.Pkg)
@@ -221,8 +216,8 @@ func (n *Net) Metrics() *metrics.Registry { return n.met }
 // InstrumentFabric binds the registry that endpoints created afterwards
 // count into, and registers the fabric's and the fault injector's
 // counters. A crossbar carries its output contention on the destination's
-// down-link, so its port pipes never run and stay unregistered; multi-stage
-// fabrics register their leaf-tier links.
+// down-link and has no stage of its own to register; multi-stage fabrics
+// register their leaf-tier links.
 func (n *Net) InstrumentFabric(m *metrics.Registry) {
 	n.met = m
 	n.topo.Instrument(m)

@@ -43,11 +43,14 @@ func crashRing(t *testing.T, m *metrics.Registry, opts ...cluster.Option) (int, 
 }
 
 // onceNet wraps a network to check every device operation's completion as
-// the MPI layer receives it: it runs at most once, and fails only with a
-// dead node's typed error. issued and completed count the operations.
+// the MPI layer receives it: it runs at most once, and fails only with the
+// typed error of the crash, dated at the crash instant. issued and
+// completed count the operations.
 type onceNet struct {
 	dev.Network
 	t                 *testing.T
+	crash             faults.NodeCrash
+	wantErr           string // the crash's NodeDownError text
 	issued, completed int
 }
 
@@ -70,8 +73,13 @@ func (ep *onceEp) once(done func(error)) func(error) {
 			ep.net.completed++
 		}
 		var nde *faults.NodeDownError
-		if err != nil && !errors.As(err, &nde) {
+		switch {
+		case err == nil:
+		case !errors.As(err, &nde):
 			ep.net.t.Errorf("node %d: an operation failed with %v, want a NodeDownError", ep.Node(), err)
+		case nde.Node != ep.net.crash.Node || nde.At != ep.net.crash.At || nde.Error() != ep.net.wantErr:
+			ep.net.t.Errorf("node %d: an operation failed with %q (node %d, at %v), want %q",
+				ep.Node(), nde.Error(), nde.Node, nde.At, ep.net.wantErr)
 		}
 		done(err)
 	}
@@ -122,10 +130,11 @@ func TestBondNodeCrashIsNotARailDeath(t *testing.T) {
 		// 0.83 ms to 1.39 ms; node 5 crashes in between, under the chunks
 		// of its own and its left neighbour's bulks.
 		m := metrics.New()
+		crash := faults.NodeCrash{Node: 5, At: 1 * units.Millisecond}
 		p := cluster.Bond(cluster.IBA(), cluster.Myri()).With(
-			cluster.WithRailPolicy(rail.Stripe),
-			cluster.WithNodeCrashes(faults.NodeCrash{Node: 5, At: 1 * units.Millisecond}))
-		net := &onceNet{Network: p.New(8), t: t}
+			cluster.WithRailPolicy(rail.Stripe), cluster.WithNodeCrashes(crash))
+		net := &onceNet{Network: p.New(8), t: t, crash: crash,
+			wantErr: "node5 crashed at 1.000ms: fabric partitioned"}
 		cfg := mpi.Config{Net: net, Procs: 8, Metrics: m}
 		cluster.ApplyWorld(&cfg, cluster.WithFaultTolerant())
 		w, err := mpi.NewWorld(cfg)

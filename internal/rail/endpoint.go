@@ -125,7 +125,7 @@ func (ep *endpoint) CopyTime(size int64) sim.Time { return ep.active().CopyTime(
 // needs the buffer; under Stripe every rail that may carry a chunk must be
 // able to DMA it, so the registration costs sum.
 func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
-	if ep.net.tun.Policy == Stripe {
+	if ep.net.policy == Stripe {
 		var total sim.Time
 		set, k := ep.net.live(-1)
 		for _, r := range set[:k] {
@@ -196,7 +196,7 @@ func (n *Network) send(ep *endpoint, kind opKind, dst int, size int64, tid msgtr
 	switch {
 	case k == 0:
 		ep.allDown(o, nil)
-	case k > 1 && kind == opBulk && n.tun.Policy == Stripe && size >= stripeThreshold:
+	case k > 1 && kind == opBulk && n.policy == Stripe && size >= stripeThreshold:
 		ep.stripe(o, set[:k])
 	default:
 		ep.issue(o, set[0])

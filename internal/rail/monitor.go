@@ -108,9 +108,8 @@ func (m *monitor) arm() {
 // own typed event handler, so the recurring tick never allocates a
 // closure (or a method value, which also heap-allocates).
 func (m *monitor) schedule() {
-	t := m.net.tun
-	jitter := sim.Time(faults.Uniform(m.seed, 1, m.tick) * float64(t.Heartbeat) / 8)
-	m.net.eng.Call(t.Heartbeat+jitter, m, 0, 0)
+	jitter := sim.Time(faults.Uniform(m.seed, 1, m.tick) * float64(heartbeat) / 8)
+	m.net.eng.Call(heartbeat+jitter, m, 0, 0)
 }
 
 // HandleEvent implements sim.Handler: one heartbeat tick — decide whether
@@ -141,7 +140,7 @@ func (m *monitor) scanStalls() {
 	n := m.net
 	now := n.eng.Now()
 	for _, o := range n.flight {
-		if o.rail == m.rail && now-o.born > stallBeats*n.tun.Heartbeat {
+		if o.rail == m.rail && now-o.born > stallBeats*heartbeat {
 			n.waitStalls.Inc()
 			m.miss()
 			return
@@ -185,7 +184,7 @@ func (m *monitor) probe() {
 		return
 	}
 	pr.armed = true
-	pr.tm.Arm(m.net.tun.Heartbeat / probeTimeoutDiv)
+	pr.tm.Arm(heartbeat / probeTimeoutDiv)
 }
 
 // done is the probe's Control completion.

@@ -103,20 +103,12 @@ func (p Policy) String() string {
 	return "failover"
 }
 
-// Tuning is what a bond's caller chooses: cluster.WithRailPolicy and
-// cluster.WithHeartbeat set its two fields. The zero value selects
-// Failover and a 1 ms heartbeat.
-type Tuning struct {
-	// Policy is the degraded-mode policy (default Failover).
-	Policy Policy
-	// Heartbeat is the probe period of the health monitor (default 1 ms).
-	Heartbeat sim.Time
-}
-
-// The health monitor's thresholds and the stripe cut-off. The probe
-// timeout and the stall limit scale with the heartbeat period.
+// The health monitor's period and thresholds and the stripe cut-off. The
+// probe timeout and the stall limit scale with the heartbeat period.
 const (
-	// probeTimeoutDiv: the monitor waits Heartbeat/probeTimeoutDiv for a
+	// heartbeat is the probe period of the health monitor.
+	heartbeat = 1 * units.Millisecond
+	// probeTimeoutDiv: the monitor waits heartbeat/probeTimeoutDiv for a
 	// probe before declaring a miss.
 	probeTimeoutDiv = 10
 	// suspectAfter / deadAfter are the consecutive-miss thresholds for the
@@ -153,11 +145,11 @@ type pair struct {
 // Network is a bonded multi-rail interconnect: it implements dev.Network
 // by delegating to 2-3 member fabrics wired on one shared engine.
 type Network struct {
-	eng   *sim.Engine
-	rails []dev.Network
-	tun   Tuning
-	plan  *faults.Plan // bond-level plan (rail entries unresolved)
-	mon   []*monitor
+	eng    *sim.Engine
+	rails  []dev.Network
+	policy Policy
+	plan   *faults.Plan // bond-level plan (rail entries unresolved)
+	mon    []*monitor
 
 	pairs map[[2]int]*pair
 	rec   *msgtrace.Recorder // message tracer (nil-safe when never attached)
@@ -187,11 +179,12 @@ type Network struct {
 // New bonds the given member fabrics beneath one channel. All rails must
 // be wired on the shared engine and agree on the node count; 2-3 rails are
 // supported (1 would be pointless, and the paper's testbed carries 3).
+// policy is the degraded-mode policy (cluster.WithRailPolicy picks it).
 // plan is the bond-level fault plan (nil when faults are off): rail-level
 // entries (RailKills, RailDegrades) are expected to have been flattened
 // into the members' own plans by the caller (internal/cluster does); New
 // keeps it only to answer FaultPlan so the MPI watchdog arms.
-func New(eng *sim.Engine, tun Tuning, plan *faults.Plan, rails ...dev.Network) *Network {
+func New(eng *sim.Engine, policy Policy, plan *faults.Plan, rails ...dev.Network) *Network {
 	if len(rails) < 2 || len(rails) > 3 {
 		panic(fmt.Sprintf("rail: bond needs 2-3 rails, got %d", len(rails)))
 	}
@@ -204,15 +197,12 @@ func New(eng *sim.Engine, tun Tuning, plan *faults.Plan, rails ...dev.Network) *
 				i, r.Name(), r.Nodes(), rails[0].Name(), rails[0].Nodes()))
 		}
 	}
-	if tun.Heartbeat <= 0 {
-		tun.Heartbeat = 1 * units.Millisecond
-	}
 	n := &Network{
-		eng:   eng,
-		rails: rails,
-		tun:   tun,
-		plan:  plan,
-		pairs: make(map[[2]int]*pair),
+		eng:    eng,
+		rails:  rails,
+		policy: policy,
+		plan:   plan,
+		pairs:  make(map[[2]int]*pair),
 	}
 	// The monitors' probe-jitter and target draws are keyed by the fault
 	// plan's seed, or a fixed constant without one.

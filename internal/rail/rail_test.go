@@ -10,6 +10,7 @@ import (
 	"mpinet/internal/faults"
 	"mpinet/internal/metrics"
 	"mpinet/internal/mpi"
+	"mpinet/internal/msgtrace"
 	"mpinet/internal/rail"
 	"mpinet/internal/sim"
 	"mpinet/internal/units"
@@ -229,7 +230,7 @@ func TestBondPanicsOnMismatchedRails(t *testing.T) {
 			t.Fatal("rail.New accepted a single rail")
 		}
 	}()
-	rail.New(sim.New(), rail.Tuning{}, nil, cluster.IBA().New(4))
+	rail.New(sim.New(), rail.Failover, nil, cluster.IBA().New(4))
 }
 
 // A bond is as misconfigured as its members: an invalid member fabric, or a
@@ -266,5 +267,76 @@ func TestBondSurfacesMemberConfigErrors(t *testing.T) {
 				t.Errorf("error %q (%T) does not wrap a *cluster.ConfigError", err, err)
 			}
 		})
+	}
+}
+
+// TestBondDeviceContract: the bond answers the dev.Network and
+// dev.Endpoint methods every network must. Its name joins its members',
+// it names the dead fabric element of a member while the element is down,
+// its utilization rows and per-process memory are its members' together,
+// and its endpoint reports its node.
+func TestBondDeviceContract(t *testing.T) {
+	kills := cluster.WithSwitchKills(
+		faults.SwitchKill{Level: 1, Index: 0, At: 10 * units.Microsecond, RepairAt: 20 * units.Microsecond},
+		faults.SwitchKill{Level: 0, Index: 1, At: 30 * units.Microsecond})
+	members := []cluster.Platform{cluster.IBA(), cluster.Myri()}
+	bond := cluster.Bond(members[0], members[1]).With(cluster.FatTree(8, 1), kills)
+	net := bond.New(8)
+	if got := net.Name(); got != "IBA+Myri" {
+		t.Errorf("Name = %q, want IBA+Myri", got)
+	}
+	for _, c := range []struct {
+		at   sim.Time
+		want string // "" when nothing is dead
+	}{
+		{5 * units.Microsecond, ""},
+		{15 * units.Microsecond, "spine plane 0"},
+		{25 * units.Microsecond, ""},
+		{35 * units.Microsecond, "leaf 1"},
+	} {
+		name, code, ok := net.DeadElement(c.at)
+		if ok != (c.want != "") || name != c.want || (ok && msgtrace.ElemName(code) != c.want) {
+			t.Errorf("DeadElement(%v) = (%q, %s, %v), want %q", c.at, name, msgtrace.ElemName(code), ok, c.want)
+		}
+	}
+
+	var rows []string
+	var mem int64
+	for _, m := range members {
+		solo := m.With(cluster.FatTree(8, 1)).New(8)
+		for _, u := range solo.Utilizations() {
+			rows = append(rows, u.Resource)
+		}
+		mem += solo.NewEndpoint(3).MemoryUsage(7)
+	}
+	var got []string
+	for _, u := range net.Utilizations() {
+		got = append(got, u.Resource)
+	}
+	if strings.Join(got, " ") != strings.Join(rows, " ") {
+		t.Errorf("Utilizations rows = %v, want the members' %v", got, rows)
+	}
+	ep := net.NewEndpoint(3)
+	if ep.Node() != 3 {
+		t.Errorf("endpoint Node = %d, want 3", ep.Node())
+	}
+	if got := ep.MemoryUsage(7); got != mem || mem == 0 {
+		t.Errorf("MemoryUsage(7) = %d, want the members' %d", got, mem)
+	}
+}
+
+// TestReportNames pins the names reports print for policies and rail
+// states.
+func TestReportNames(t *testing.T) {
+	for _, c := range []struct {
+		got  fmt.Stringer
+		want string
+	}{
+		{rail.Failover, "failover"}, {rail.Stripe, "stripe"},
+		{rail.Healthy, "healthy"}, {rail.Suspect, "suspect"}, {rail.Dead, "dead"},
+	} {
+		if c.got.String() != c.want {
+			t.Errorf("%#v prints %q, want %q", c.got, c.got.String(), c.want)
+		}
 	}
 }

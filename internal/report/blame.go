@@ -50,14 +50,18 @@ type BlameFailureJSON struct {
 
 // BlameJSON is the machine-readable blame report.
 type BlameJSON struct {
-	Messages  int               `json:"messages"`
-	Completed int               `json:"completed"`
-	Spans     int               `json:"spans"`
-	Total     int64             `json:"total_ps"`
-	Cats      []BlameCatJSON    `json:"categories"`
-	Slowest   []BlameMsgJSON    `json:"slowest"`
-	Critical  []BlameMsgJSON    `json:"critical_path"`
-	Failure   *BlameFailureJSON `json:"failure,omitempty"`
+	Messages  int `json:"messages"`
+	Completed int `json:"completed"`
+	Spans     int `json:"spans"`
+	// DroppedSpans and DroppedMsgs appear only when the trace caps
+	// discarded records.
+	DroppedSpans int64             `json:"dropped_spans,omitempty"`
+	DroppedMsgs  int64             `json:"dropped_msgs,omitempty"`
+	Total        int64             `json:"total_ps"`
+	Cats         []BlameCatJSON    `json:"categories"`
+	Slowest      []BlameMsgJSON    `json:"slowest"`
+	Critical     []BlameMsgJSON    `json:"critical_path"`
+	Failure      *BlameFailureJSON `json:"failure,omitempty"`
 }
 
 func blameCats(cats [msgtrace.NumCategories]units.Time) []BlameCatJSON {
@@ -80,13 +84,15 @@ func blameMsg(m msgtrace.MsgBlame) BlameMsgJSON {
 // BlameReport converts an analysis into its JSON form.
 func BlameReport(b *msgtrace.Blame) BlameJSON {
 	out := BlameJSON{
-		Messages:  b.Messages,
-		Completed: b.Completed,
-		Spans:     b.Spans,
-		Total:     int64(b.Total),
-		Cats:      blameCats(b.Cats),
-		Slowest:   make([]BlameMsgJSON, 0, len(b.TopK)),
-		Critical:  make([]BlameMsgJSON, 0, len(b.Critical)),
+		Messages:     b.Messages,
+		Completed:    b.Completed,
+		Spans:        b.Spans,
+		DroppedSpans: b.DroppedSpans,
+		DroppedMsgs:  b.DroppedMsgs,
+		Total:        int64(b.Total),
+		Cats:         blameCats(b.Cats),
+		Slowest:      make([]BlameMsgJSON, 0, len(b.TopK)),
+		Critical:     make([]BlameMsgJSON, 0, len(b.Critical)),
 	}
 	for _, m := range b.TopK {
 		out.Slowest = append(out.Slowest, blameMsg(m))
@@ -119,6 +125,10 @@ func RenderBlame(b *msgtrace.Blame) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Blame report: %d messages traced, %d completed, %d spans\n",
 		b.Messages, b.Completed, b.Spans)
+	if b.DroppedSpans > 0 || b.DroppedMsgs > 0 {
+		fmt.Fprintf(&sb, "  dropped over the trace caps: %d spans, %d messages\n",
+			b.DroppedSpans, b.DroppedMsgs)
+	}
 	if f := b.Failure; f != nil {
 		fmt.Fprintf(&sb, "  FAILURE at %v: %s\n", f.At, f.Why)
 		fmt.Fprintf(&sb, "    blamed rank %d, stage %s", f.Rank, f.Stage)

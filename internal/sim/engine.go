@@ -510,9 +510,6 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // not yet returned.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 
-// QueueHighWater reports the deepest the event queue has ever been.
-func (e *Engine) QueueHighWater() int { return e.qhw }
-
 // BlockedTime reports total time processes spent blocked on conditions
 // (waiting for messages, resources) across the whole run — sleep time,
 // which models computation, is excluded.
@@ -548,10 +545,6 @@ type ProcFailure struct {
 func (f *ProcFailure) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", f.Proc, f.Value)
 }
-
-// String keeps fmt.Sprint / %v output identical to the pre-struct string
-// form of this failure.
-func (f *ProcFailure) String() string { return f.Error() }
 
 // DeadlockError is returned by Run when all events have drained while
 // simulated processes are still blocked — the simulation analogue of an MPI

@@ -211,6 +211,25 @@ func TestDeadlockReported(t *testing.T) {
 	if len(de.Procs) != 1 || !strings.Contains(de.Procs[0], "stuck") || !strings.Contains(de.Procs[0], "never") {
 		t.Fatalf("deadlock report %v missing proc/reason", de.Procs)
 	}
+	if got, want := err.Error(), "sim: deadlock at 0ps; blocked processes: stuck (blocked: never)"; got != want {
+		t.Fatalf("deadlock text = %q, want %q", got, want)
+	}
+}
+
+// TestTotalDispatchedCountsRuns: every completed run adds its dispatched
+// events to the process-wide total.
+func TestTotalDispatchedCountsRuns(t *testing.T) {
+	before := TotalDispatched()
+	e := New()
+	for i := 0; i < 5; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Dispatched() != 5 || TotalDispatched()-before != 5 {
+		t.Fatalf("run dispatched %d events, total grew by %d; want 5 and 5", e.Dispatched(), TotalDispatched()-before)
+	}
 }
 
 func TestProcPanicPropagates(t *testing.T) {

@@ -161,9 +161,6 @@ func (p *Proc) BlockedTime() Time { return p.blocked }
 // SleptTime reports how long this process has spent in Sleep.
 func (p *Proc) SleptTime() Time { return p.slept }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -31,11 +31,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Split derives an independent child generator; the parent advances.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0x5851f42d4c957f2d)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

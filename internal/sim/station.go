@@ -128,9 +128,6 @@ func (p *Pipe) Send(now Time, n int64) (start, end Time) {
 	return p.Use(now, p.perJob+p.rate.TimeFor(n))
 }
 
-// Rate returns the configured bandwidth.
-func (p *Pipe) Rate() units.BytesPerSecond { return p.rate }
-
 // Bytes reports cumulative billed bytes (after minBytes rounding).
 func (p *Pipe) Bytes() int64 { return p.bytes }
 

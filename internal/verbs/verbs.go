@@ -121,7 +121,6 @@ const (
 // link).
 var spec = nic.Spec{
 	Pkg:         "verbs",
-	Crossbar:    "infiniscale",
 	Clos:        "ib-clos",
 	Ports:       8,
 	LinkRate:    units.BytesPerSecond(linkRateBps),

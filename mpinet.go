@@ -219,10 +219,10 @@ func DropPlan(seed uint64, drop float64) *FaultPlan { return faults.DropPlan(see
 
 // Functional options. Platform-side options (PCIBus, OnDemand, Multicast,
 // FatTree, EagerThreshold, WithFaults, WithSeed) take effect through
-// Platform.With; world-side options (WithProcsPerNode, WithTimeline,
-// WithMetrics, WithTimeout) through NewWorld. WithFaults spans both: pass
-// it to Platform.With to wire the plan into the NICs (NewWorld then arms
-// the watchdog automatically).
+// Platform.With; the one world-side option, WithFaultTolerant, through
+// NewWorld. Every other world setting is a WorldConfig field. Pass
+// WithFaults to Platform.With to wire the plan into the NICs (NewWorld then
+// arms the watchdog automatically).
 
 // PCIBus forces the 64-bit/66 MHz PCI bus of Section 4.7 (InfiniBand only).
 func PCIBus() Option { return cluster.PCIBus() }
@@ -288,21 +288,6 @@ func WithFaultTolerant() Option { return cluster.WithFaultTolerant() }
 // WithRailPolicy selects a bonded platform's traffic policy (Failover or
 // Stripe); it has no effect on solo platforms.
 func WithRailPolicy(p RailPolicy) Option { return cluster.WithRailPolicy(p) }
-
-// WithHeartbeat overrides a bonded platform's health-probe interval.
-func WithHeartbeat(d Time) Option { return cluster.WithHeartbeat(d) }
-
-// WithProcsPerNode sets ranks per node (the paper's SMP configuration).
-func WithProcsPerNode(n int) Option { return cluster.WithProcsPerNode(n) }
-
-// WithTimeline collects message-level events into tl.
-func WithTimeline(tl *Timeline) Option { return cluster.WithTimeline(tl) }
-
-// WithMetrics wires every layer into the registry m.
-func WithMetrics(m *Metrics) Option { return cluster.WithMetrics(m) }
-
-// WithTimeout sets the per-wait MPI watchdog (negative disables it).
-func WithTimeout(d Time) Option { return cluster.WithTimeout(d) }
 
 // NewMetrics returns an empty observability registry for
 // WorldConfig.Metrics.
@@ -371,14 +356,6 @@ func Latency(p Platform, sizes []int64) Curve { return microbench.Latency(p, siz
 func Bandwidth(p Platform, sizes []int64, window int) Curve {
 	return microbench.Bandwidth(p, sizes, window)
 }
-
-// HostOverhead measures per-message host CPU time (us) in the latency test
-// (Figure 3).
-func HostOverhead(p Platform, sizes []int64) Curve { return microbench.HostOverhead(p, sizes) }
-
-// Overlap measures communication/computation overlap potential (us,
-// Figure 6).
-func Overlap(p Platform, sizes []int64) Curve { return microbench.Overlap(p, sizes) }
 
 // RunApp executes one of the paper's workloads ("IS", "CG", "MG", "LU",
 // "FT", "SP", "BT", "S3D-50", "S3D-150") on procs processes.

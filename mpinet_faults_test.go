@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"mpinet/internal/units"
 )
 
 func TestFacadeOptionsCompose(t *testing.T) {
@@ -80,8 +78,7 @@ func TestFacadeFaultyRunCompletesSlower(t *testing.T) {
 }
 
 func TestFacadeTimeoutTyped(t *testing.T) {
-	w, err := NewWorld(WorldConfig{Net: InfiniBand().New(2), Procs: 2},
-		WithTimeout(units.Millisecond))
+	w, err := NewWorld(WorldConfig{Net: InfiniBand().New(2), Procs: 2, Timeout: Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,16 @@
 # must produce byte-identical metrics snapshots, Chrome traces and blame
 # reports, and the fault-injected postmortem must name its blame.
 #
-# Usage: check.sh [-guards] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
+# Usage: check.sh [-guards] [-coverage] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
 #
 #   -guards  run only the banned-pattern guards (seconds; the CI build
 #            job runs this)
+#   -coverage
+#            run only the guards and the never-run check: the whole test
+#            suite under coverage (minutes), failing on any function
+#            outside cmd/ and examples/ that reads 0.0% and is not on
+#            scripts/coverage-allow.txt, and on any allow-list entry that
+#            no longer reads 0.0% (the nightly job runs this)
 #   -short   pass -short to go test (the CI race-shard budget: quick-mode
 #            suites only, minutes-long class B gates skipped)
 #   -full    nightly mode: the complete class B suite including the
@@ -32,6 +38,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 guards=""
+coverage=""
 short=""
 timeout=30m
 jobs=8
@@ -42,6 +49,7 @@ seed=0
 while [ $# -gt 0 ]; do
     case "$1" in
     -guards) guards=1 ;;
+    -coverage) coverage=1 ;;
     -short) short="-short" ;;
     -full) short="" timeout=60m ;;
     -j)
@@ -56,7 +64,7 @@ while [ $# -gt 0 ]; do
         seed="$1"
         ;;
     *)
-        echo "usage: check.sh [-guards] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
+        echo "usage: check.sh [-guards] [-coverage] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
         exit 2
         ;;
     esac
@@ -85,7 +93,7 @@ fi
 # verdict, backoff) lives once, in internal/nic; a NIC model supplies only
 # its hooks. Any of the ladder's own calls in a model means it forked again.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'NodeDeadDetected|RoutePartitioned|VerdictExtra|FlightRetransmit' \
+    'NodeDownDetected|RoutePartitioned|VerdictExtra|FlightRetransmit' \
     internal/verbs/ internal/gm/ internal/elan/; then
     echo "FAIL: a NIC model runs its own retry ladder again (it belongs to internal/nic)" >&2
     exit 1
@@ -148,6 +156,52 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
 fi
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
+    exit 0
+fi
+
+if [ -n "$coverage" ]; then
+    echo "== never-run functions =="
+    # Every function the suite never runs is dead (delete it), a second
+    # route to the same thing (fold it), public API without a test (test
+    # it), or listed in the allow-list with the reason it stays. Entries
+    # are "<file> <function> <reason>"; cover -func names a method without
+    # its receiver, so an entry covers every same-named function in its
+    # file.
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    go test -timeout 30m -coverpkg=./... -coverprofile="$tmp/c.out" ./... >"$tmp/test.log" 2>&1 || {
+        cat "$tmp/test.log" >&2
+        echo "FAIL: the test suite failed under coverage" >&2
+        exit 1
+    }
+    go tool cover -func="$tmp/c.out" >"$tmp/func.txt"
+    awk '
+        FNR == NR {
+            if ($0 !~ /^#/ && NF >= 3) allow[$1 " " $2] = 1
+            next
+        }
+        $NF == "0.0%" && $1 !~ /^mpinet\/(cmd|examples)\// {
+            key = substr($1, 1, index($1, ":") - 1) " " $2
+            if (key in allow) {
+                seen[key] = 1
+            } else {
+                print "never run and not allow-listed: " $1 " " $2
+                bad = 1
+            }
+        }
+        END {
+            for (k in allow) {
+                if (!(k in seen)) {
+                    print "allow-list entry no longer never-run (remove it): " k
+                    bad = 1
+                }
+            }
+            exit bad
+        }' scripts/coverage-allow.txt "$tmp/func.txt" >&2 || {
+        echo "FAIL: never-run functions outside the allow-list (delete, fold or test them)" >&2
+        exit 1
+    }
+    echo "every never-run function is allow-listed"
     exit 0
 fi
 
