@@ -114,7 +114,7 @@ func main() {
 	}
 	var tl *trace.Timeline
 	if *timeline > 0 {
-		tl = &trace.Timeline{Max: *timeline}
+		tl = trace.NewTimeline(*timeline)
 	}
 	res, err := a.Run(apps.RunConfig{Platform: p, Class: class, Procs: *procs, ProcsPerNode: *perNode, Timeline: tl, Utilization: *util})
 	if err != nil {

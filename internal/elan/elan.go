@@ -284,9 +284,6 @@ func (ep *endpoint) AcquireBuf(b memreg.Buf) sim.Time {
 
 func (ep *endpoint) MemoryUsage(npeers int) int64 { return memFlat }
 
-// MMU exposes the translation cache for tests and diagnostics.
-func (ep *endpoint) MMU() *memreg.PinCache { return ep.mmu }
-
 // IssueStall implements the 16-deep command queue: once it is full, every
 // further issue takes the library's polled slow path on the host and makes
 // the NIC thread processor swap queue state, stealing time from delivery.

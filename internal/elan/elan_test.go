@@ -34,7 +34,7 @@ func TestMMUSyncCostAndCache(t *testing.T) {
 	if ep.AcquireBuf(buf) != 0 {
 		t.Fatal("warm MMU sync not free")
 	}
-	if ep.MMU().Pages() == 0 {
+	if ep.mmu.Pages() == 0 {
 		t.Fatal("no MMU entries resident")
 	}
 }

@@ -137,8 +137,8 @@ func TestObserveCrossLayerCounters(t *testing.T) {
 	if hw, _ := snap.Get("mpi/posted_depth"); hw == 0 {
 		t.Error("posted-queue high water never moved")
 	}
-	if w.Metrics().SpanDropped() != 0 {
-		t.Errorf("span log overflowed: %d dropped", w.Metrics().SpanDropped())
+	if d, ok := w.Metrics().Snapshot().Get("metrics/spans_dropped"); ok {
+		t.Errorf("span log overflowed: %d dropped", d)
 	}
 	if elapsed := w.Elapsed(); elapsed <= 0 {
 		t.Errorf("demo elapsed %v", sim.Time(elapsed))

@@ -32,7 +32,7 @@ func ObserveTraced(p cluster.Platform, every int) (*mpi.World, error) {
 		Procs:        observeNodes * observePPN,
 		ProcsPerNode: observePPN,
 		Metrics:      metrics.New(),
-		Timeline:     &trace.Timeline{Max: 1 << 16},
+		Timeline:     trace.NewTimeline(1 << 16),
 	}
 	if every > 0 {
 		cfg.MsgTrace = msgtrace.New(every)

@@ -123,10 +123,12 @@ func TestNodeCrashDarkNIC(t *testing.T) {
 	if v := in.Verdict(0, 1, mid); v != Deliver {
 		t.Fatalf("bystander link dropped during the crash: %v", v)
 	}
-	// NodeDead / NodeDownDetected track the dark window and the detection
-	// delay within it; the detection names the node and its crash instant.
-	if in.NodeDead(3, 0) || !in.NodeDead(3, mid) || in.NodeDead(3, after) {
-		t.Fatal("NodeDead window wrong")
+	// NodeCrash.Dead / NodeDownDetected track the dark window and the
+	// detection delay within it; the detection names the node and its
+	// crash instant.
+	crash := in.Plan().NodeCrashes[0]
+	if crash.Dead(0) || !crash.Dead(mid) || crash.Dead(after) {
+		t.Fatal("NodeCrash.Dead window wrong")
 	}
 	if _, _, ok := in.NodeDownDetected(0, 3, 10*units.Millisecond); ok {
 		t.Fatal("crash detected before the detection delay")
@@ -146,12 +148,12 @@ func TestNodeCrashDarkNIC(t *testing.T) {
 	if _, _, ok := in.NodeDownDetected(3, 3, after); ok {
 		t.Fatal("crash still detected after the repair")
 	}
-	if _, _, ok := in.NodeDownDetected(0, 1, mid); ok || in.NodeDead(0, mid) {
+	if _, _, ok := in.NodeDownDetected(0, 1, mid); ok {
 		t.Fatal("wrong node reported dead")
 	}
 	// Nil-safety: devices without a plan carry a nil injector.
 	var nilIn *Injector
-	if _, _, ok := nilIn.NodeDownDetected(0, 3, after); ok || nilIn.NodeDead(3, mid) {
+	if _, _, ok := nilIn.NodeDownDetected(0, 3, after); ok {
 		t.Fatal("nil injector reported a dead node")
 	}
 }

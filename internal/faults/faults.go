@@ -545,20 +545,6 @@ func (in *Injector) resolve(src, dst int) *linkState {
 	return ls
 }
 
-// NodeDead reports whether node's NIC is dark at now per the plan's
-// NodeCrashes. Nil-safe.
-func (in *Injector) NodeDead(node int, now units.Time) bool {
-	if in == nil {
-		return false
-	}
-	for _, c := range in.plan.NodeCrashes {
-		if c.Node == node && c.Dead(now) {
-			return true
-		}
-	}
-	return false
-}
-
 // NodeDownDetected reports the first of src and dst (src before dst)
 // whose crash is both in effect and past the plan's detection delay at now
 // — the point where devices stop burning retries toward it and fail typed

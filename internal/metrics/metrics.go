@@ -21,7 +21,9 @@
 //   - Zero allocation on the hot path. Handles are resolved by name once at
 //     wiring time; increments are plain field updates. Name formatting
 //     happens only during instrumentation and snapshotting. A span is one
-//     pointer-free record appended to a fixed-size chunk (see SpanTrack).
+//     pointer-free record appended to a chunked reclog.Log (see SpanTrack).
+//   - Bounded. The span log keeps the first reclog.SpanMax spans and
+//     counts the rest in metrics/spans_dropped.
 //   - Deterministic. Recording never iterates a map; Snapshot sorts by name,
 //     so two identical runs render byte-identical snapshots.
 //
@@ -34,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/trace"
 	"mpinet/internal/units"
 )
@@ -159,11 +162,6 @@ type probe struct {
 	f    func() int64
 }
 
-// DefaultSpanMax bounds the span log (see SpanTrack.Emit); large enough for
-// the observability demo runs, small enough that a runaway instrumented
-// sweep cannot exhaust memory. Dropped spans are counted, not silent.
-const DefaultSpanMax = 1 << 20
-
 // Registry is one simulation run's metric namespace. Create with New; the
 // zero value is not usable, but a nil *Registry is a valid "off" registry.
 // Not safe for concurrent use — like the simulation engine itself, it
@@ -175,12 +173,8 @@ type Registry struct {
 	hists    map[string]*SizeHist
 	probes   map[string]probe
 
-	// SpanMax caps the span log; spans past it increment SpanDropped.
-	SpanMax     int
-	lanes       []Span                // one template per Track call
-	chunks      []*[spanChunk]spanRec // the span log, filled in order
-	nspans      int
-	spanDropped int64
+	lanes []Span              // one template per Track call
+	spans reclog.Log[spanRec] // the span log, capped at reclog.SpanMax
 }
 
 // New returns an empty registry.
@@ -191,7 +185,7 @@ func New() *Registry {
 		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*SizeHist),
 		probes:   make(map[string]probe),
-		SpanMax:  DefaultSpanMax,
+		spans:    reclog.New[spanRec](reclog.SpanMax),
 	}
 }
 

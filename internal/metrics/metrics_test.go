@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/trace"
 	"mpinet/internal/units"
 )
@@ -38,7 +39,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if got := r.Snapshot(); len(got.Items) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %v", got.Items)
 	}
-	if r.Spans() != nil || r.SpanDropped() != 0 {
+	if r.Spans() != nil {
 		t.Fatalf("nil registry span log must be empty")
 	}
 }
@@ -100,72 +101,41 @@ func TestProbeComposition(t *testing.T) {
 	}
 }
 
+// TestSpanCapAndDropCount interleaves three lanes under a lowered cap:
+// Spans must rebuild every field of the kept spans in recording order,
+// and the snapshot must surface the count of the dropped ones.
 func TestSpanCapAndDropCount(t *testing.T) {
 	r := New()
-	r.SpanMax = 2
-	sp := r.Track(0, "bus", "dma", "")
-	for i := 0; i < 5; i++ {
-		sp.Emit(0, 0, 0)
+	r.spans = reclog.New[spanRec](4)
+	tmpl := []Span{
+		{Node: 0, Track: "bus", Name: "dma", Cat: "bus"},
+		{Node: FabricNode, Track: "link7", Name: "xfer", Cat: "fabric"},
+		{Node: 3, Track: "rank3", Name: "send", Cat: "mpi"},
 	}
-	if len(r.Spans()) != 2 || r.SpanDropped() != 3 {
-		t.Fatalf("got %d spans, %d dropped; want 2, 3", len(r.Spans()), r.SpanDropped())
+	var tracks []*SpanTrack
+	for _, s := range tmpl {
+		tracks = append(tracks, r.Track(s.Node, s.Track, s.Name, s.Cat))
 	}
-	if v, ok := r.Snapshot().Get("metrics/spans_dropped"); !ok || v != 3 {
-		t.Fatalf("snapshot must surface the drop count, got %d (%v)", v, ok)
+	var want []Span
+	for i := 0; i < 7; i++ {
+		s := tmpl[i%3]
+		s.Start = units.Time(i) * units.Nanosecond
+		s.End = s.Start + units.Time(i+1)
+		s.Size = int64(i) * 3
+		tracks[i%3].Emit(s.Start, s.End, s.Size)
+		want = append(want, s)
 	}
-}
-
-// TestSpanLogRoundTrip interleaves three lanes across two chunk boundaries:
-// Spans must rebuild every field in recording order, and a cap just past
-// one chunk must count exactly the excess as dropped.
-func TestSpanLogRoundTrip(t *testing.T) {
-	const n = 2*spanChunk + 3
-	emitAll := func(r *Registry) []Span {
-		tmpl := []Span{
-			{Node: 0, Track: "bus", Name: "dma", Cat: "bus"},
-			{Node: FabricNode, Track: "link7", Name: "xfer", Cat: "fabric"},
-			{Node: 3, Track: "rank3", Name: "send", Cat: "mpi"},
-		}
-		var tracks []*SpanTrack
-		for _, s := range tmpl {
-			tracks = append(tracks, r.Track(s.Node, s.Track, s.Name, s.Cat))
-		}
-		want := make([]Span, n)
-		for i := range want {
-			s := tmpl[i%3]
-			s.Start = units.Time(i) * units.Nanosecond
-			s.End = s.Start + units.Time(i%7+1)
-			s.Size = int64(i) * 3
-			tracks[i%3].Emit(s.Start, s.End, s.Size)
-			want[i] = s
-		}
-		return want
-	}
-
-	r := New()
-	want := emitAll(r)
 	got := r.Spans()
-	if len(got) != n || r.SpanDropped() != 0 {
-		t.Fatalf("got %d spans, %d dropped; want %d, 0", len(got), r.SpanDropped(), n)
+	if len(got) != 4 || r.spans.Dropped() != 3 {
+		t.Fatalf("got %d spans, %d dropped; want 4, 3", len(got), r.spans.Dropped())
 	}
-	for i := range want {
+	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-
-	r = New()
-	r.SpanMax = spanChunk + 1
-	want = emitAll(r)[:spanChunk+1]
-	got = r.Spans()
-	if len(got) != len(want) || r.SpanDropped() != int64(n-len(want)) {
-		t.Fatalf("capped: got %d spans, %d dropped; want %d, %d",
-			len(got), r.SpanDropped(), len(want), n-len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("capped span %d = %+v, want %+v", i, got[i], want[i])
-		}
+	if v, ok := r.Snapshot().Get("metrics/spans_dropped"); !ok || v != 3 {
+		t.Fatalf("snapshot must surface the drop count, got %d (%v)", v, ok)
 	}
 }
 
@@ -173,7 +143,7 @@ func TestSpanLogRoundTrip(t *testing.T) {
 // full default-capacity log costs its fixed-size records and nothing else —
 // no regrowth copies, no per-span strings.
 func TestSpanLogBytesPerSpan(t *testing.T) {
-	const n = 1 << 20
+	const n = reclog.SpanMax
 	r := New()
 	sp := r.Track(0, "bus", "dma", "bus")
 	var before, after runtime.MemStats
@@ -188,8 +158,8 @@ func TestSpanLogBytesPerSpan(t *testing.T) {
 	if perSpan > 40 {
 		t.Fatalf("span log allocated %.1f B/span, want <= 40", perSpan)
 	}
-	if r.SpanDropped() != 0 {
-		t.Fatalf("default cap dropped %d of %d spans", r.SpanDropped(), n)
+	if r.spans.Dropped() != 0 {
+		t.Fatalf("default cap dropped %d of %d spans", r.spans.Dropped(), n)
 	}
 }
 

@@ -56,8 +56,8 @@ func (r *Registry) Snapshot() Snapshot {
 		p := r.probes[name]
 		s.Items = append(s.Items, Item{Name: name, Kind: p.kind, Value: p.f()})
 	}
-	if r.spanDropped > 0 {
-		s.Items = append(s.Items, Item{Name: "metrics/spans_dropped", Kind: KindCount, Value: r.spanDropped})
+	if d := r.spans.Dropped(); d > 0 {
+		s.Items = append(s.Items, Item{Name: "metrics/spans_dropped", Kind: KindCount, Value: d})
 	}
 	sort.Slice(s.Items, func(i, j int) bool { return s.Items[i].Name < s.Items[j].Name })
 	return s
@@ -73,32 +73,12 @@ var scopePrefix = regexp.MustCompile(`^(node|rank)\d+/`)
 // gauges (high-water marks) take the maximum. Unscoped metrics pass
 // through unchanged.
 func (s Snapshot) Merged() Snapshot {
-	agg := make(map[string]*Item)
-	var order []string
-	for _, it := range s.Items {
-		name := scopePrefix.ReplaceAllString(it.Name, "")
-		a, ok := agg[name]
-		if !ok {
-			cp := it
-			cp.Name = name
-			agg[name] = &cp
-			order = append(order, name)
-			continue
-		}
-		if it.Kind == KindGauge {
-			if it.Value > a.Value {
-				a.Value = it.Value
-			}
-		} else {
-			a.Value += it.Value
-		}
+	stripped := Snapshot{Items: make([]Item, len(s.Items))}
+	for i, it := range s.Items {
+		it.Name = scopePrefix.ReplaceAllString(it.Name, "")
+		stripped.Items[i] = it
 	}
-	sort.Strings(order)
-	out := Snapshot{Items: make([]Item, 0, len(order))}
-	for _, name := range order {
-		out.Items = append(out.Items, *agg[name])
-	}
-	return out
+	return MergeSnapshots(stripped)
 }
 
 // MergeSnapshots folds any number of snapshots into one deterministic

@@ -22,12 +22,8 @@ type Span struct {
 	Size  int64      // payload bytes, 0 when not applicable
 }
 
-// spanChunk is the number of records per span-log chunk. The log grows by
-// whole chunks, so a record is written once and never copied again.
-const spanChunk = 4096
-
 // spanRec is one logged interval: a lane index into Registry.lanes plus
-// the times and size. It holds no pointers, so a chunk of them is never
+// the times and size. It holds no pointers, so the span log is never
 // scanned by the garbage collector.
 type spanRec struct {
 	lane       int32
@@ -38,24 +34,16 @@ type spanRec struct {
 // Spans rebuilds the recorded span log in recording order (nil on a nil
 // registry or an empty log). The slice is a fresh copy on every call.
 func (r *Registry) Spans() []Span {
-	if r == nil || r.nspans == 0 {
+	if r == nil || r.spans.Len() == 0 {
 		return nil
 	}
-	out := make([]Span, r.nspans)
+	out := make([]Span, r.spans.Len())
 	for i := range out {
-		rec := &r.chunks[i/spanChunk][i%spanChunk]
+		rec := r.spans.At(i)
 		out[i] = r.lanes[rec.lane]
 		out[i].Start, out[i].End, out[i].Size = rec.start, rec.end, rec.size
 	}
 	return out
-}
-
-// SpanDropped reports how many spans were discarded after the log filled.
-func (r *Registry) SpanDropped() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.spanDropped
 }
 
 // SpanTrack is a pre-resolved emitter for one fixed (node, track, name,
@@ -79,21 +67,10 @@ func (r *Registry) Track(node int, track, name, cat string) *SpanTrack {
 }
 
 // Emit logs one interval on the track, dropping (and counting) it past the
-// registry's SpanMax. No-op on a nil SpanTrack; never schedules or charges
-// sim time.
+// span cap. No-op on a nil SpanTrack; never schedules or charges sim time.
 func (t *SpanTrack) Emit(start, end units.Time, size int64) {
 	if t == nil {
 		return
 	}
-	r := t.r
-	if r.SpanMax > 0 && r.nspans >= r.SpanMax {
-		r.spanDropped++
-		return
-	}
-	i := r.nspans % spanChunk
-	if i == 0 {
-		r.chunks = append(r.chunks, new([spanChunk]spanRec))
-	}
-	r.chunks[len(r.chunks)-1][i] = spanRec{lane: t.lane, start: start, end: end, size: size}
-	r.nspans++
+	t.r.spans.Append(spanRec{lane: t.lane, start: start, end: end, size: size})
 }

@@ -24,12 +24,12 @@ func TestTimelineRecordsMessageLifecycle(t *testing.T) {
 	for _, k := range []trace.EventKind{trace.EvSendStart, trace.EvSendDone,
 		trace.EvRecvPost, trace.EvArrive, trace.EvRecvDone} {
 		if counts[k] != 1 {
-			t.Errorf("%v count = %d, want 1 (events: %d)", k, counts[k], len(tl.Events))
+			t.Errorf("%v count = %d, want 1 (events: %d)", k, counts[k], len(tl.Events()))
 		}
 	}
 	// Causality: times must be non-decreasing per kind pairings.
 	var start, arrive, done int64 = -1, -1, -1
-	for _, e := range tl.Events {
+	for _, e := range tl.Events() {
 		switch e.Kind {
 		case trace.EvSendStart:
 			start = int64(e.At)
@@ -64,7 +64,7 @@ func TestTimelineRendezvousEvents(t *testing.T) {
 		t.Fatalf("counts: %v", counts)
 	}
 	var sendStart, sendDone trace.Event
-	for _, e := range tl.Events {
+	for _, e := range tl.Events() {
 		if e.Kind == trace.EvSendStart {
 			sendStart = e
 		}

@@ -406,7 +406,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 	}
 	var events []trace.Event
 	if w.cfg.Timeline != nil {
-		events = w.cfg.Timeline.Events
+		events = w.cfg.Timeline.Events()
 	}
 	var flows []metrics.Flow
 	for _, m := range w.rec.Msgs() {

@@ -8,6 +8,7 @@ package msgtrace
 import (
 	"sort"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/units"
 )
 
@@ -128,16 +129,17 @@ var catPriority = [NumCategories]int{
 // decompose attributes a message's [Start, End] interval across categories
 // by a boundary sweep: at every instant the covering span with the highest
 // category priority wins; uncovered time is CatOther. The buckets sum to
-// E2E exactly.
-func decompose(m MsgRec, spans []SpanRec) MsgBlame {
+// E2E exactly. idx lists the message's spans in the log, in recording
+// order.
+func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32) MsgBlame {
 	out := MsgBlame{ID: m.ID, Src: m.Src, Dst: m.Dst, Tag: m.Tag,
 		Bytes: m.Bytes, Kind: m.Kind, Start: m.Start, End: m.End}
 	if m.End <= m.Start {
 		return out
 	}
 	firstRail := int8(-1)
-	for _, s := range spans {
-		if s.Stage == StageWire {
+	for _, i := range idx {
+		if s := spans.At(int(i)); s.Stage == StageWire {
 			firstRail = s.Rail
 			break
 		}
@@ -150,11 +152,12 @@ func decompose(m MsgRec, spans []SpanRec) MsgBlame {
 		delta int
 	}
 	var edges []edge
-	for _, s := range spans {
+	for _, i := range idx {
+		s := spans.At(int(i))
 		if s.Stage == StageHop {
 			continue
 		}
-		cat, ok := category(s, firstRail)
+		cat, ok := category(*s, firstRail)
 		if !ok {
 			continue
 		}
@@ -217,24 +220,25 @@ func (r *Recorder) Analyze(k int) *Blame {
 		rank, st, id := r.FailSite()
 		b.Failure = &FailureInfo{Why: why, At: r.freezeAt, Rank: rank, Stage: st, MsgID: id}
 	}
-	b.Messages = len(r.msgs)
-	b.Spans = len(r.spans)
-	b.DroppedSpans, b.DroppedMsgs = r.droppedSpans, r.droppedMsgs
-	if len(r.msgs) == 0 {
+	b.Messages, b.Spans = r.msgs.Len(), r.spans.Len()
+	b.DroppedSpans, b.DroppedMsgs = r.spans.Dropped(), r.msgs.Dropped()
+	if b.Messages == 0 {
 		return b
 	}
-	// Group spans by message (spans are appended roughly in time order,
-	// but grouping must not rely on it).
-	byMsg := make(map[ID][]SpanRec, len(r.msgs))
-	for _, s := range r.spans {
-		byMsg[s.ID] = append(byMsg[s.ID], s)
+	// Group span indexes by message, copying no span (spans are appended
+	// roughly in time order, but grouping must not rely on it).
+	byMsg := make(map[ID][]int32, b.Messages)
+	for i := 0; i < b.Spans; i++ {
+		id := r.spans.At(i).ID
+		byMsg[id] = append(byMsg[id], int32(i))
 	}
-	all := make([]MsgBlame, 0, len(r.msgs))
-	for _, m := range r.msgs {
+	all := make([]MsgBlame, 0, b.Messages)
+	for i := 0; i < b.Messages; i++ {
+		m := r.msgs.At(i)
 		if m.End == 0 {
 			continue // in flight at the end of the run (or aborted)
 		}
-		d := decompose(m, byMsg[m.ID])
+		d := decompose(*m, &r.spans, byMsg[m.ID])
 		all = append(all, d)
 		b.Completed++
 		b.Total += d.E2E()

@@ -21,8 +21,9 @@
 //     sequence), sampling is a pure function of the ID, and no map order
 //     ever reaches an output — identical runs trace byte-identically at
 //     any -j.
-//   - Bounded. Span and message logs are capped (drops are counted, not
-//     silent); the flight recorder is a fixed ring that never allocates.
+//   - Bounded. The span and message logs are reclog.Logs (the first
+//     records up to a cap are kept, the rest counted); the flight recorder
+//     is a fixed ring of the last FlightSize entries that never allocates.
 //
 // The flight recorder is always on, even when span tracing is disabled: a
 // fixed-size ring of the most recent message-level incidents (send starts,
@@ -34,6 +35,7 @@ import (
 	"fmt"
 	"io"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/units"
 )
 
@@ -225,11 +227,8 @@ const FlightSize = 256
 // DefaultSampleEvery per sender rank is span-traced. 1 traces everything.
 const DefaultSampleEvery = 1
 
-// DefaultSpanMax bounds the span log, DefaultMsgMax the root-record log.
-const (
-	DefaultSpanMax = 1 << 20
-	DefaultMsgMax  = 1 << 18
-)
+// DefaultMsgMax caps the root-record log (the span log: reclog.SpanMax).
+const DefaultMsgMax = 1 << 18
 
 // Recorder collects one world's trace. Create with New (span tracing on)
 // or leave the world to its always-on flight ring; a nil *Recorder ignores
@@ -239,15 +238,9 @@ type Recorder struct {
 	enabled bool
 	every   int64
 
-	// spanMax / msgMax cap the logs; excess increments the drop counters.
-	spanMax int
-	msgMax  int
-
-	msgs         []MsgRec
-	midx         map[ID]int32
-	spans        []SpanRec
-	droppedSpans int64
-	droppedMsgs  int64
+	msgs  reclog.Log[MsgRec]
+	midx  map[ID]int32
+	spans reclog.Log[SpanRec]
 
 	flight  [FlightSize]FlightRec
 	flightN uint64
@@ -274,20 +267,15 @@ func New(every int) *Recorder {
 	return &Recorder{
 		enabled: true,
 		every:   int64(every),
-		spanMax: DefaultSpanMax,
-		msgMax:  DefaultMsgMax,
+		msgs:    reclog.New[MsgRec](DefaultMsgMax),
 		midx:    make(map[ID]int32),
-		spans:   make([]SpanRec, 0, 1024),
-		msgs:    make([]MsgRec, 0, 256),
+		spans:   reclog.New[SpanRec](reclog.SpanMax),
 	}
 }
 
 // Disabled returns a recorder with span tracing off: only the always-on
 // flight ring records. This is what every world owns by default.
 func Disabled() *Recorder { return &Recorder{} }
-
-// Enabled reports whether span tracing is on.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
 // Sampled reports whether the message behind id is span-traced. Sampling
 // is a pure function of the ID — (seq-1) % every == 0 — so sender and
@@ -306,55 +294,57 @@ func (r *Recorder) Begin(id ID, src, dst, tag int32, bytes int64, kind MsgKind, 
 	if !r.Sampled(id) {
 		return
 	}
-	if len(r.msgs) >= r.msgMax {
-		r.droppedMsgs++
-		return
+	n := r.msgs.Len()
+	r.msgs.Append(MsgRec{ID: id, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Kind: kind, Start: at})
+	if r.msgs.Len() > n {
+		r.midx[id] = int32(n)
 	}
-	r.midx[id] = int32(len(r.msgs))
-	r.msgs = append(r.msgs, MsgRec{ID: id, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Kind: kind, Start: at})
 }
 
 // Finish closes a message root's end-to-end interval.
 func (r *Recorder) Finish(id ID, at units.Time) {
-	if r == nil || !r.Sampled(id) {
+	if !r.Sampled(id) {
 		return
 	}
 	if i, ok := r.midx[id]; ok {
-		r.msgs[i].End = at
+		r.msgs.At(int(i)).End = at
 	}
 }
 
 // Span appends one stage span for a sampled message. Zero-duration spans
 // are kept: a registration hit is a real observation (Bytes tells the
-// story even when the span is instantaneous).
+// story even when the span is instantaneous). Only the enabled gate is
+// inline, so an untraced world pays no call here.
 func (r *Recorder) Span(id ID, st Stage, rank int, rail int8, attempt uint8, hop int16, start, end units.Time, bytes int64) {
-	if !r.Sampled(id) {
-		return
+	if r != nil && r.enabled {
+		r.span(id, st, rank, rail, attempt, hop, start, end, bytes)
 	}
-	if len(r.spans) >= r.spanMax {
-		r.droppedSpans++
-		return
-	}
-	r.spans = append(r.spans, SpanRec{
-		ID: id, Stage: st, Rank: int32(rank), Rail: rail, Attempt: attempt,
-		Hop: hop, Start: start, End: end, Bytes: bytes,
-	})
 }
 
-// Msgs returns the recorded message roots (order of Begin).
+// span is Span's out-of-line body.
+func (r *Recorder) span(id ID, st Stage, rank int, rail int8, attempt uint8, hop int16, start, end units.Time, bytes int64) {
+	if r.Sampled(id) {
+		r.spans.Append(SpanRec{
+			ID: id, Stage: st, Rank: int32(rank), Rail: rail, Attempt: attempt,
+			Hop: hop, Start: start, End: end, Bytes: bytes,
+		})
+	}
+}
+
+// Msgs returns a fresh copy of the recorded message roots (order of Begin).
 func (r *Recorder) Msgs() []MsgRec {
 	if r == nil {
 		return nil
 	}
-	return r.msgs
+	return r.msgs.Slice()
 }
 
-// Spans returns the recorded spans (order of recording).
+// Spans returns a fresh copy of the recorded spans (order of recording).
 func (r *Recorder) Spans() []SpanRec {
 	if r == nil {
 		return nil
 	}
-	return r.spans
+	return r.spans.Slice()
 }
 
 // fly writes one ring entry; the ring never allocates.

@@ -1,9 +1,11 @@
 package msgtrace
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/units"
 )
 
@@ -73,7 +75,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Finish(id, 10)
 	r.Flight(FlightRetransmit, 5, 0, id, StageWire, 1, 0)
 	r.Freeze("boom", 5, 0, StageWire, id)
-	if r.Sampled(id) || r.Enabled() {
+	if r.Sampled(id) {
 		t.Error("nil recorder claims to record")
 	}
 	if r.Msgs() != nil || r.Spans() != nil || r.FlightEntries() != nil {
@@ -174,7 +176,7 @@ func TestAnalyzeDecomposesExactly(t *testing.T) {
 // them are counted, not silently lost, and that Analyze reports the counts.
 func TestCapsCountDrops(t *testing.T) {
 	r := New(1)
-	r.spanMax, r.msgMax = 2, 1
+	r.spans, r.msgs = reclog.New[SpanRec](2), reclog.New[MsgRec](1)
 	kept, lost := MakeID(0, 1), MakeID(1, 1)
 	r.Begin(kept, 0, 1, 0, 64, KindEager, 0)
 	r.Begin(lost, 1, 0, 0, 64, KindEager, 0)
@@ -204,5 +206,28 @@ func TestDumpNamesDeadElements(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("dump does not name %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestSpanLogBytesPerSpan holds the span log to its allocation contract:
+// recording costs the fixed-size records and nothing else — no regrowth
+// copies of the log.
+func TestSpanLogBytesPerSpan(t *testing.T) {
+	const n = 1 << 18
+	r := New(1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		r.Span(MakeID(i%64, int64(i/64+1)), StageWire, i%64, 0, 0, -1, units.Time(i), units.Time(i+1), 64)
+	}
+	runtime.ReadMemStats(&after)
+	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%.1f B/span in %d allocations", perSpan, after.Mallocs-before.Mallocs)
+	if r.spans.Len() != n {
+		t.Fatalf("logged %d of %d spans", r.spans.Len(), n)
+	}
+	if perSpan > 56 {
+		t.Fatalf("span log allocated %.1f B/span, want <= 56 (a record is 48 B)", perSpan)
 	}
 }

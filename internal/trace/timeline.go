@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mpinet/internal/reclog"
 	"mpinet/internal/units"
 )
 
@@ -50,35 +51,31 @@ type Event struct {
 }
 
 // Timeline collects message-level events from an MPI run — the simulation
-// analogue of an MPE/jumpshot log. A zero Max keeps everything; otherwise
-// collection stops after Max events (the run itself is unaffected) and
-// Dropped counts what was discarded.
+// analogue of an MPE/jumpshot log. The zero value keeps every event;
+// NewTimeline caps it, after which collection stops (the run itself is
+// unaffected) and Render reports how many events were dropped.
 type Timeline struct {
-	Max    int
-	Events []Event
-
-	// Dropped counts events discarded after Max was reached, so a
-	// truncated timeline is visible rather than inferred.
-	Dropped int
+	events reclog.Log[Event]
 }
 
-// Add appends an event, honouring Max.
-func (t *Timeline) Add(e Event) {
-	if t.Max > 0 && len(t.Events) >= t.Max {
-		t.Dropped++
-		return
-	}
-	t.Events = append(t.Events, e)
+// NewTimeline returns a timeline keeping the first max events (max <= 0
+// keeps every event).
+func NewTimeline(max int) *Timeline {
+	return &Timeline{events: reclog.New[Event](max)}
 }
 
-// Truncated reports whether events were dropped due to Max.
-func (t *Timeline) Truncated() bool { return t.Dropped > 0 }
+// Add records an event, or counts it as dropped past the cap.
+func (t *Timeline) Add(e Event) { t.events.Append(e) }
+
+// Events returns a fresh copy of the recorded events in order.
+func (t *Timeline) Events() []Event { return t.events.Slice() }
 
 // Render writes the timeline as an aligned chronological listing.
 func (t *Timeline) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-14s %-6s %-11s %-6s %-7s %-5s %s\n",
 		"time", "rank", "event", "peer", "tag", "comm", "size")
-	for _, e := range t.Events {
+	for i := 0; i < t.events.Len(); i++ {
+		e := t.events.At(i)
 		peer := fmt.Sprint(e.Peer)
 		if e.Peer < 0 {
 			peer = "*"
@@ -91,8 +88,8 @@ func (t *Timeline) Render(w io.Writer) {
 			e.At.String(), e.Rank, e.Kind.String(), peer, tag, e.Comm,
 			units.SizeString(e.Size))
 	}
-	if t.Dropped > 0 {
-		fmt.Fprintf(w, "... (truncated: %d events dropped)\n", t.Dropped)
+	if d := t.events.Dropped(); d > 0 {
+		fmt.Fprintf(w, "... (truncated: %d events dropped)\n", d)
 	}
 }
 
@@ -104,7 +101,8 @@ func (t *Timeline) Stats() (counts map[EventKind]int, meanRecvWait units.Time) {
 	posts := make(map[key][]units.Time)
 	var total units.Time
 	var n int64
-	for _, e := range t.Events {
+	for i := 0; i < t.events.Len(); i++ {
+		e := t.events.At(i)
 		counts[e.Kind]++
 		k := key{e.Rank, e.Peer, e.Tag, e.Comm}
 		switch e.Kind {

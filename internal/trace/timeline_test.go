@@ -9,42 +9,40 @@ import (
 )
 
 func TestTimelineAddAndMax(t *testing.T) {
-	tl := &Timeline{Max: 3}
+	tl := NewTimeline(3)
 	for i := 0; i < 5; i++ {
 		tl.Add(Event{At: units.Time(i), Rank: i, Kind: EvSendStart})
 	}
-	if len(tl.Events) != 3 || !tl.Truncated() || tl.Dropped != 2 {
-		t.Fatalf("events=%d truncated=%v dropped=%d", len(tl.Events), tl.Truncated(), tl.Dropped)
+	if ev := tl.Events(); len(ev) != 3 || ev[2].Rank != 2 || tl.events.Dropped() != 2 {
+		t.Fatalf("events=%v dropped=%d, want the first 3 kept and 2 dropped", ev, tl.events.Dropped())
 	}
 	unbounded := &Timeline{}
 	for i := 0; i < 100; i++ {
 		unbounded.Add(Event{})
 	}
-	if len(unbounded.Events) != 100 || unbounded.Truncated() {
+	if len(unbounded.Events()) != 100 || unbounded.events.Dropped() != 0 {
 		t.Fatal("unbounded timeline dropped events")
 	}
 }
 
 func TestTimelineExactMaxBoundary(t *testing.T) {
-	// Filling to exactly Max drops nothing; the Max+1'th add is the first
-	// dropped event.
-	tl := &Timeline{Max: 3}
+	// Filling to exactly the cap drops nothing; the cap+1'th add is the
+	// first dropped event.
+	tl := NewTimeline(3)
 	for i := 0; i < 3; i++ {
 		tl.Add(Event{At: units.Time(i)})
 	}
-	if len(tl.Events) != 3 || tl.Truncated() || tl.Dropped != 0 {
-		t.Fatalf("at exact Max: events=%d truncated=%v dropped=%d",
-			len(tl.Events), tl.Truncated(), tl.Dropped)
+	if tl.events.Len() != 3 || tl.events.Dropped() != 0 {
+		t.Fatalf("at the exact cap: events=%d dropped=%d", tl.events.Len(), tl.events.Dropped())
 	}
 	tl.Add(Event{At: 3})
-	if len(tl.Events) != 3 || !tl.Truncated() || tl.Dropped != 1 {
-		t.Fatalf("past Max: events=%d truncated=%v dropped=%d",
-			len(tl.Events), tl.Truncated(), tl.Dropped)
+	if tl.events.Len() != 3 || tl.events.Dropped() != 1 {
+		t.Fatalf("past the cap: events=%d dropped=%d", tl.events.Len(), tl.events.Dropped())
 	}
 }
 
 func TestTimelineRenderReportsDropCount(t *testing.T) {
-	tl := &Timeline{Max: 1}
+	tl := NewTimeline(1)
 	tl.Add(Event{})
 	tl.Add(Event{})
 	tl.Add(Event{})
@@ -56,7 +54,7 @@ func TestTimelineRenderReportsDropCount(t *testing.T) {
 }
 
 func TestTimelineRender(t *testing.T) {
-	tl := &Timeline{Max: 2}
+	tl := NewTimeline(2)
 	tl.Add(Event{At: units.FromMicros(1.5), Rank: 0, Kind: EvSendStart, Peer: 1, Tag: 7, Size: 4096})
 	tl.Add(Event{At: units.FromMicros(9), Rank: 1, Kind: EvRecvDone, Peer: -1, Tag: -10, Size: 4096})
 	tl.Add(Event{}) // dropped

@@ -7,6 +7,9 @@
 //   - buffer reuse rates, plain and byte-weighted (Table 4),
 //   - collective call counts and volume share (Table 5),
 //   - the intra-node share of point-to-point traffic (Table 6).
+//
+// A Timeline records a run's message-level events in a bounded reclog.Log:
+// events past its cap are counted, and Render prints the count.
 package trace
 
 import "mpinet/internal/memreg"

@@ -284,9 +284,6 @@ func (ep *endpoint) connect(dst int) sim.Time {
 	return connSetup
 }
 
-// PinCache exposes the registration cache for tests and diagnostics.
-func (ep *endpoint) PinCache() *memreg.PinCache { return ep.pin }
-
 // pioPenalty is the per-message latency added by doorbell/descriptor MMIO,
 // bus dependent.
 func (ep *endpoint) pioPenalty() sim.Time {

@@ -77,7 +77,7 @@ func TestRegistrationCostOnlyOnMiss(t *testing.T) {
 	if again := ep.AcquireBuf(buf); again != 0 {
 		t.Fatalf("warm acquire cost %v", again)
 	}
-	if ep.PinCache().Misses == 0 {
+	if ep.pin.Misses == 0 {
 		t.Fatal("no misses recorded")
 	}
 }

@@ -293,6 +293,10 @@ func WithRailPolicy(p RailPolicy) Option { return cluster.WithRailPolicy(p) }
 // WorldConfig.Metrics.
 func NewMetrics() *Metrics { return metrics.New() }
 
+// NewTimeline returns a message timeline for WorldConfig.Timeline that
+// keeps the first max events (max <= 0 keeps every event).
+func NewTimeline(max int) *Timeline { return trace.NewTimeline(max) }
+
 // Workload problem classes.
 const (
 	// ClassS is a scaled-down test size.

@@ -69,8 +69,8 @@ func TestFacadeFunctions(t *testing.T) {
 		t.Errorf("LogP: %v", lp)
 	}
 
-	m := NewMetrics()
-	w, err := NewWorld(WorldConfig{Net: Quadrics().New(2), Procs: 2, Metrics: m})
+	m, tl := NewMetrics(), NewTimeline(3)
+	w, err := NewWorld(WorldConfig{Net: Quadrics().New(2), Procs: 2, Metrics: m, Timeline: tl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +79,8 @@ func TestFacadeFunctions(t *testing.T) {
 	}
 	if v, ok := m.Snapshot().Get("engine/events_dispatched"); !ok || v == 0 {
 		t.Errorf("NewMetrics: the run recorded %d events (present %v)", v, ok)
+	}
+	if n := len(tl.Events()); n != 3 {
+		t.Errorf("NewTimeline(3): the run kept %d events, want the cap of 3", n)
 	}
 }

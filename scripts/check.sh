@@ -154,6 +154,25 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: the bond guards against duplicates or allocates per probe again (one in-flight set, reused records; see internal/rail)" >&2
     exit 1
 fi
+# The metrics span log, the msgtrace span and message logs and the MPI
+# timeline keep "the first N records, count the rest" once, in
+# internal/reclog. A record slice, chunk array, drop counter or cap of a
+# log's own means the rule forked again.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    '^\s+\w+(, \w+)*\s+\[\](SpanRec|MsgRec|Event|spanRec)\b|[cC]hunk\w*\]|[dD]ropped\w*\s*(\+\+|\+=)|\w*Max\s+int\b|(spans|msgs|[eE]vents) = append\(' \
+    internal/metrics/ internal/msgtrace/ internal/trace/ | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+    echo "FAIL: a record log grows, chunks, caps or counts drops itself again (append through reclog.Log)" >&2
+    exit 1
+fi
+# Recording a record stays inline at every call site: an unobserved world
+# pays one nil or enabled check, never a call.
+inl=$(go build -gcflags=-m ./internal/metrics ./internal/msgtrace ./internal/trace 2>&1)
+for fn in '(*SpanTrack).Emit' '(*Recorder).Span' '(*Recorder).Finish' '(*Timeline).Add'; do
+    if ! printf '%s\n' "$inl" | sed 's/$/|/' | grep -qF "can inline $fn|"; then
+        echo "FAIL: $fn no longer inlines (keep its body under the inlining budget; see internal/reclog)" >&2
+        exit 1
+    fi
+done
 echo "banned patterns absent"
 if [ -n "$guards" ]; then
     exit 0
