@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperrepro [-o EXPERIMENTS.md] [-quick] [-j N] [-benchjson FILE]
+//	paperrepro [-o EXPERIMENTS.md] [-quick] [-j N] [-csv DIR]
 //	paperrepro [-metrics FILE] [-tracefile FILE] [-blame FILE] [-tracemsgs N] [-obsnet IBA|Myri|QSN]
 //	paperrepro -postmortem [-obsnet IBA|Myri|QSN] [-droprate P] [-seed N]
 //	paperrepro -faults [-droprate P] [-seed N] [-faultnet IBA|Myri|QSN]
@@ -20,9 +20,8 @@
 // Each figure and table is an independent simulation, so the suite fans out
 // over -j worker goroutines (default: one per core) with output committed
 // in figure order — the document is byte-identical for every -j value.
-// -benchjson additionally writes a host-performance record of the run
-// (per-task wall-clock, total wall-clock, simulation events/sec; - for
-// stdout), which scripts/bench.sh folds into BENCH_parallel.json.
+// Host performance is measured by the benchmark, not by this command: run
+// bash bench/run.sh (its workloads are declared in BENCHMARK.json).
 //
 // The second form runs the instrumented observability demo workload
 // instead of the reproduction: -metrics writes the cross-layer metrics
@@ -59,7 +58,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -67,19 +65,16 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"mpinet/internal/experiments"
 	"mpinet/internal/profiling"
 	"mpinet/internal/report"
-	"mpinet/internal/sim"
 )
 
 func main() {
 	out := flag.String("o", "-", "output file (- = stdout)")
 	quick := flag.Bool("quick", false, "class S smoke mode")
 	jobs := flag.Int("j", runtime.NumCPU(), "experiments to run concurrently (output is identical for any value)")
-	benchOut := flag.String("benchjson", "", "also write a host-performance JSON record of the run (- = stdout)")
 	csvDir := flag.String("csv", "", "also write each figure/table as CSV into this directory")
 	metricsOut := flag.String("metrics", "", "run the observability demo, write its metrics snapshot here (- = stdout), and exit")
 	traceOut := flag.String("tracefile", "", "run the observability demo, write a Chrome trace_event JSON here (- = stdout), and exit")
@@ -102,7 +97,7 @@ func main() {
 
 	os.Exit(profiling.Run(*cpuProfile, *memProfile, "paperrepro", func() int {
 		return run(runOpts{
-			out: *out, quick: *quick, jobs: *jobs, benchOut: *benchOut,
+			out: *out, quick: *quick, jobs: *jobs,
 			csvDir: *csvDir, metricsOut: *metricsOut, traceOut: *traceOut,
 			obsNet: *obsNet, traceMsgs: *traceMsgs, blameOut: *blameOut,
 			postmortem: *postmortem, faultsRun: *faultsRun, dropRate: *dropRate,
@@ -117,7 +112,6 @@ type runOpts struct {
 	out        string
 	quick      bool
 	jobs       int
-	benchOut   string
 	csvDir     string
 	metricsOut string
 	traceOut   string
@@ -191,7 +185,6 @@ func run(o runOpts) int {
 
 	r := experiments.NewRunner(o.quick, os.Stderr)
 	r.Jobs = o.jobs
-	start := time.Now()
 
 	if o.csvDir != "" {
 		if err := writeCSVs(r, o.csvDir); err != nil {
@@ -212,52 +205,7 @@ func run(o runOpts) int {
 	} else {
 		fmt.Fprintf(os.Stderr, "paperrepro: wrote %s\n", o.out)
 	}
-
-	if o.benchOut != "" {
-		if err := writeBenchJSON(o.benchOut, r, o.jobs, time.Since(start)); err != nil {
-			fmt.Fprintln(os.Stderr, "paperrepro:", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// benchRecord is the host-performance record -benchjson emits: how fast the
-// suite ran on this machine at this -j, and how much simulation work it did.
-// Unlike the document it accompanies, its values vary run to run.
-type benchRecord struct {
-	Jobs         int             `json:"jobs"`
-	GOMAXPROCS   int             `json:"gomaxprocs"`
-	WallSeconds  float64         `json:"wall_seconds"`
-	Events       uint64          `json:"events_dispatched"`
-	EventsPerSec float64         `json:"events_per_sec"`
-	Tasks        []benchTaskTime `json:"tasks"`
-}
-
-type benchTaskTime struct {
-	Name        string  `json:"name"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-// writeBenchJSON records the run's host wall-clock profile.
-func writeBenchJSON(path string, r *experiments.Runner, jobs int, wall time.Duration) error {
-	rec := benchRecord{
-		Jobs:        jobs,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		WallSeconds: wall.Seconds(),
-		Events:      sim.TotalDispatched(),
-	}
-	if s := wall.Seconds(); s > 0 {
-		rec.EventsPerSec = float64(rec.Events) / s
-	}
-	for _, t := range r.Timings() {
-		rec.Tasks = append(rec.Tasks, benchTaskTime{Name: t.Name, WallSeconds: t.Wall.Seconds()})
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeOut(path, append(data, '\n'))
 }
 
 // writeOut writes data to path, with - meaning stdout.

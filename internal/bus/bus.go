@@ -117,13 +117,6 @@ func (b *Bus) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return b.DMA(now, n)
 }
 
-// Effective returns the delivered bandwidth for back-to-back transfers of n
-// bytes — useful for calibration tests and documentation.
-func (b *Bus) Effective(n int64) units.BytesPerSecond {
-	occ := b.occupancy(n)
-	return units.BytesPerSecond(float64(n) / occ.Seconds())
-}
-
 // BusyTime reports cumulative bus occupancy.
 func (b *Bus) BusyTime() sim.Time { return b.st.BusyTime() }
 

@@ -15,14 +15,14 @@ import (
 // the figures out over r.Jobs workers with output committed in figure order.
 func (r *Runner) RunMicro(w io.Writer) {
 	r.runTasks(w, []suiteTask{
-		figTask("Fig 1", r.Fig1), figTask("Fig 2", r.Fig2),
-		figTask("Fig 3", r.Fig3), figTask("Fig 4", r.Fig4),
-		figTask("Fig 5", r.Fig5), figTask("Fig 6", r.Fig6),
-		figTask("Fig 7", r.Fig7), figTask("Fig 8", r.Fig8),
-		figTask("Fig 9", r.Fig9), figTask("Fig 10", r.Fig10),
-		figTask("Fig 11", r.Fig11), figTask("Fig 12", r.Fig12),
-		figTask("Fig 13", r.Fig13), figTask("Fig 26", r.Fig26),
-		figTask("Fig 27", r.Fig27),
+		figTask(r.Fig1), figTask(r.Fig2),
+		figTask(r.Fig3), figTask(r.Fig4),
+		figTask(r.Fig5), figTask(r.Fig6),
+		figTask(r.Fig7), figTask(r.Fig8),
+		figTask(r.Fig9), figTask(r.Fig10),
+		figTask(r.Fig11), figTask(r.Fig12),
+		figTask(r.Fig13), figTask(r.Fig26),
+		figTask(r.Fig27),
 	})
 }
 
@@ -32,21 +32,21 @@ func (r *Runner) RunMicro(w io.Writer) {
 // twice even when the tables run concurrently.
 func (r *Runner) RunApps(w io.Writer) {
 	tasks := []suiteTask{
-		tabTask("Figs 14-17", r.Figs14to17),
-		tabTask("Table 1", r.Tab1), tabTask("Table 2", r.Tab2),
-		tabTask("Table 3", r.Tab3), tabTask("Table 4", r.Tab4),
-		tabTask("Table 5", r.Tab5), tabTask("Table 6", r.Tab6),
+		tabTask(r.Figs14to17),
+		tabTask(r.Tab1), tabTask(r.Tab2),
+		tabTask(r.Tab3), tabTask(r.Tab4),
+		tabTask(r.Tab5), tabTask(r.Tab6),
 	}
 	for _, name := range speedupApps {
 		name := name
-		tasks = append(tasks, figTask(speedupIDs[name], func() report.Figure {
+		tasks = append(tasks, figTask(func() report.Figure {
 			return r.speedupFig(name)
 		}))
 	}
 	tasks = append(tasks,
-		tabTask("Fig 24", r.Fig24),
-		tabTask("Fig 25", r.Fig25),
-		tabTask("Fig 28", r.Fig28),
+		tabTask(r.Fig24),
+		tabTask(r.Fig25),
+		tabTask(r.Fig28),
 	)
 	r.runTasks(w, tasks)
 }
@@ -125,7 +125,7 @@ func (r *Runner) MicroComparisons() []report.Comparison {
 		return one("peak bandwidth", "IBA-PCI", report.PaperMicro["iba_pci_bw_MBs"]["IBA-PCI"],
 			microbench.Bandwidth(cluster.IBA().With(cluster.PCIBus()), []int64{512 * units.KB}, 16).Y[0], "MB/s")
 	})
-	return r.gatherComparisons("micro anchors", groups)
+	return r.gatherComparisons(groups)
 }
 
 // Table2Comparisons pairs simulated class B times with the paper's Table 2,
@@ -152,7 +152,7 @@ func (r *Runner) Table2Comparisons() []report.Comparison {
 			})
 		}
 	}
-	return r.gatherComparisons("Table 2 comparisons", groups)
+	return r.gatherComparisons(groups)
 }
 
 // Table1Comparisons pairs simulated per-rank size histograms with Table 1,
@@ -178,5 +178,5 @@ func (r *Runner) Table1Comparisons() []report.Comparison {
 			return comps
 		})
 	}
-	return r.gatherComparisons("Table 1 comparisons", groups)
+	return r.gatherComparisons(groups)
 }

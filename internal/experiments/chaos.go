@@ -128,7 +128,7 @@ func classifyChaos(err error) string {
 // Deprecated: the final argument is ignored; it is kept only so the
 // benchmark module builds, and goes with ROADMAP item 2's benchmark change.
 func ChaosSoak(w io.Writer, net, routing string, seed uint64, _ int) error {
-	base, err := faultPlatform(net)
+	base, err := PlatformByName(net)
 	if err != nil {
 		return err
 	}

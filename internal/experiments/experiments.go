@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"mpinet/internal/apps"
 	"mpinet/internal/cluster"
@@ -41,9 +40,6 @@ type Runner struct {
 	logMu    sync.Mutex
 	cacheMu  sync.Mutex
 	appCache map[appKey]*appEntry
-
-	timeMu  sync.Mutex
-	timings []Timing
 }
 
 // appEntry is one singleflight cache slot: the first task to need a
@@ -62,13 +58,6 @@ type appKey struct {
 	class apps.Class
 }
 
-// Timing is one suite task's host wall-clock cost (real time, not simulated
-// time) — the quantity BENCH_parallel.json tracks across -j values.
-type Timing struct {
-	Name string
-	Wall time.Duration
-}
-
 // NewRunner returns a Runner.
 func NewRunner(quick bool, log io.Writer) *Runner {
 	return &Runner{Quick: quick, Log: log, appCache: make(map[appKey]*appEntry)}
@@ -80,20 +69,6 @@ func (r *Runner) logf(format string, args ...interface{}) {
 		fmt.Fprintf(r.Log, format+"\n", args...)
 		r.logMu.Unlock()
 	}
-}
-
-// Timings returns the per-task wall-clock record of every suite driver call
-// so far, in commit (output) order.
-func (r *Runner) Timings() []Timing {
-	r.timeMu.Lock()
-	defer r.timeMu.Unlock()
-	return append([]Timing(nil), r.timings...)
-}
-
-func (r *Runner) addTiming(name string, wall time.Duration) {
-	r.timeMu.Lock()
-	r.timings = append(r.timings, Timing{Name: name, Wall: wall})
-	r.timeMu.Unlock()
 }
 
 func (r *Runner) class() apps.Class {

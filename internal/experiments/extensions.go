@@ -151,16 +151,16 @@ func (r *Runner) ExtFatTree() report.Table {
 // evaluation) to w, fanning them out over r.Jobs workers.
 func (r *Runner) RunExtensions(w io.Writer) {
 	r.runTasks(w, []suiteTask{
-		figTask("Ext A", r.ExtMemory),
-		figTask("Ext B", r.ExtBcast),
-		tabTask("Ext C", r.ExtLogP),
-		tabTask("Ext D", r.ExtLowLevel),
-		tabTask("Ext E", r.ExtFatTree),
-		figTask("Ext F", r.ExtFaults),
-		figTask("Ext G1", r.ExtRailLatency),
-		figTask("Ext G2", r.ExtRailBandwidth),
-		figTask("Ext H", r.ExtScaleMemory),
-		figTask("Ext I", r.ExtIncast),
-		figTask("Ext J", r.ExtSpineFailures),
+		figTask(r.ExtMemory),
+		figTask(r.ExtBcast),
+		tabTask(r.ExtLogP),
+		tabTask(r.ExtLowLevel),
+		tabTask(r.ExtFatTree),
+		figTask(r.ExtFaults),
+		figTask(r.ExtRailLatency),
+		figTask(r.ExtRailBandwidth),
+		figTask(r.ExtScaleMemory),
+		figTask(r.ExtIncast),
+		figTask(r.ExtSpineFailures),
 	})
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"mpinet/internal/apps"
@@ -61,19 +60,6 @@ func (r *Runner) ExtFaults() report.Figure {
 	return f
 }
 
-// faultPlatform resolves one of the testbed interconnects by name.
-func faultPlatform(net string) (cluster.Platform, error) {
-	var names []string
-	for _, p := range cluster.OSU() {
-		if p.Name == net {
-			return p, nil
-		}
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return cluster.Platform{}, fmt.Errorf("experiments: unknown interconnect %q (have %v)", net, names)
-}
-
 // FaultSmoke is the CI fault-matrix entry point: on one interconnect, run a
 // seeded latency probe and the LU class S application under the given drop
 // rate, and report the injector and NIC recovery counters. drop = 0 is the
@@ -81,7 +67,7 @@ func faultPlatform(net string) (cluster.Platform, error) {
 // with a typed error is a bug — the MPI watchdog converts starvation into
 // mpi.ErrTimeout, so this function always returns.
 func FaultSmoke(w io.Writer, net string, drop float64, seed uint64) error {
-	base, err := faultPlatform(net)
+	base, err := PlatformByName(net)
 	if err != nil {
 		return err
 	}

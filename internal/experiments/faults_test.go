@@ -58,7 +58,7 @@ func TestExtFaultsIdenticalAcrossJobs(t *testing.T) {
 		r := NewRunner(true, nil)
 		r.Jobs = jobs
 		var out bytes.Buffer
-		r.runTasks(&out, []suiteTask{figTask("Ext F", r.ExtFaults)})
+		r.runTasks(&out, []suiteTask{figTask(r.ExtFaults)})
 		return out.String()
 	}
 	serial := render(1)
@@ -74,5 +74,9 @@ func TestFaultSmokeRejectsUnknownNet(t *testing.T) {
 	var out bytes.Buffer
 	if err := FaultSmoke(&out, "Ethernet", 0.01, 0); err == nil {
 		t.Fatal("unknown interconnect accepted")
+	}
+	// Names resolve case-insensitively, as on every other command.
+	if err := FaultSmoke(&out, "qsn", 0, 0); err != nil {
+		t.Fatalf("lower-case interconnect name: %v", err)
 	}
 }

@@ -64,33 +64,3 @@ func TestSingleflightAppCache(t *testing.T) {
 		t.Errorf("app cache entries: %d at -j 1, %d at -j 8", serial, par)
 	}
 }
-
-// TestTimingsRecorded checks every suite task leaves a wall-clock record in
-// commit order.
-func TestTimingsRecorded(t *testing.T) {
-	r := NewRunner(true, nil)
-	r.Jobs = 4
-	var out bytes.Buffer
-	r.RunMicro(&out)
-	got := r.Timings()
-	want := []string{"Fig 1", "Fig 2", "Fig 3", "Fig 4", "Fig 5", "Fig 6", "Fig 7",
-		"Fig 8", "Fig 9", "Fig 10", "Fig 11", "Fig 12", "Fig 13", "Fig 26", "Fig 27"}
-	if len(got) != len(want) {
-		t.Fatalf("%d timings, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].Name != w {
-			t.Errorf("timing %d is %q, want %q", i, got[i].Name, w)
-		}
-		if got[i].Wall <= 0 {
-			t.Errorf("timing %q has non-positive wall-clock %v", w, got[i].Wall)
-		}
-	}
-	snap := r.SuiteMetrics().Snapshot()
-	if v, ok := snap.Get("suite/Fig 1/wall_ns"); !ok || v <= 0 {
-		t.Errorf("suite metrics missing Fig 1 wall-clock (ok=%v v=%d)", ok, v)
-	}
-	if v, _ := snap.Get("suite/tasks"); v != int64(len(want)) {
-		t.Errorf("suite/tasks = %d, want %d", v, len(want))
-	}
-}

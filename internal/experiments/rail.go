@@ -27,7 +27,7 @@ func railMembers(pair string) ([]cluster.Platform, error) {
 	}
 	members := make([]cluster.Platform, len(parts))
 	for i, part := range parts {
-		p, err := faultPlatform(strings.TrimSpace(part))
+		p, err := PlatformByName(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}

@@ -40,8 +40,8 @@ func TestExtRailIdenticalAcrossJobs(t *testing.T) {
 		r.Jobs = jobs
 		var out bytes.Buffer
 		r.runTasks(&out, []suiteTask{
-			figTask("Ext G1", r.ExtRailLatency),
-			figTask("Ext G2", r.ExtRailBandwidth),
+			figTask(r.ExtRailLatency),
+			figTask(r.ExtRailBandwidth),
 		})
 		return out.String()
 	}
@@ -66,5 +66,9 @@ func TestRailFailSmokeRejectsBadArgs(t *testing.T) {
 	}
 	if err := RailFailSmoke(&out, "IBA+Myri", "roundrobin", 0); err == nil {
 		t.Error("unknown policy accepted")
+	}
+	// Lower-case member names resolve, so only the policy is rejected.
+	if err := RailFailSmoke(&out, "iba+myri", "roundrobin", 0); err == nil || !strings.Contains(err.Error(), "rail policy") {
+		t.Errorf("lower-case pair: err = %v, want the unknown-policy error", err)
 	}
 }

@@ -3,76 +3,44 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"mpinet/internal/metrics"
 	"mpinet/internal/parallel"
 	"mpinet/internal/report"
 )
 
-// suiteTask is one schedulable unit of the suite: a named closure producing
-// one figure's or table's rendered block. Tasks are independent simulations
+// suiteTask is one schedulable unit of the suite: a closure producing one
+// figure's or table's rendered block. Tasks are independent simulations
 // (each builds its own engines), so any subset may run concurrently.
-type suiteTask struct {
-	name   string
-	render func() string
-}
+type suiteTask func() string
 
 // figTask and tabTask adapt figure/table builders to suiteTask renderers.
-func figTask(name string, f func() report.Figure) suiteTask {
-	return suiteTask{name: name, render: func() string { return f().Render() }}
+func figTask(f func() report.Figure) suiteTask {
+	return func() string { return f().Render() }
 }
 
-func tabTask(name string, f func() report.Table) suiteTask {
-	return suiteTask{name: name, render: func() string { return f().Render() }}
+func tabTask(f func() report.Table) suiteTask {
+	return func() string { return f().Render() }
 }
 
 // runTasks fans tasks out over r.Jobs workers and streams each rendered
 // block to w in list order — the parallelism/determinism contract of
-// docs/MODEL.md §11. Per-task host wall-clock is recorded for Timings.
+// docs/MODEL.md §11.
 func (r *Runner) runTasks(w io.Writer, tasks []suiteTask) {
-	type rendered struct {
-		block string
-		wall  time.Duration
-	}
-	parallel.MapOrdered(r.Jobs, len(tasks), func(i int) rendered {
-		start := time.Now()
-		block := tasks[i].render()
-		return rendered{block: block, wall: time.Since(start)}
-	}, func(i int, v rendered) {
-		r.addTiming(tasks[i].name, v.wall)
-		fmt.Fprintln(w, v.block)
+	parallel.MapOrdered(r.Jobs, len(tasks), func(i int) string {
+		return tasks[i]()
+	}, func(_ int, block string) {
+		fmt.Fprintln(w, block)
 	})
 }
 
 // gatherComparisons fans comparison-building groups out over r.Jobs workers
-// and concatenates their results in group order, timing the whole batch
-// under name.
-func (r *Runner) gatherComparisons(name string, groups []func() []report.Comparison) []report.Comparison {
-	start := time.Now()
+// and concatenates their results in group order.
+func (r *Runner) gatherComparisons(groups []func() []report.Comparison) []report.Comparison {
 	var comps []report.Comparison
 	parallel.MapOrdered(r.Jobs, len(groups), func(i int) []report.Comparison {
 		return groups[i]()
 	}, func(_ int, c []report.Comparison) {
 		comps = append(comps, c...)
 	})
-	r.addTiming(name, time.Since(start))
 	return comps
-}
-
-// SuiteMetrics exposes the suite's own host-side execution record through
-// the metrics registry, one counter per completed task
-// ("suite/<name>/wall_ns") plus the task count — the snapshot that
-// scripts/bench.sh folds into BENCH_parallel.json. Unlike every other
-// registry in the tree this one holds real wall-clock, so its values vary
-// run to run; it is kept out of the determinism-compared outputs.
-func (r *Runner) SuiteMetrics() *metrics.Registry {
-	m := metrics.New()
-	r.timeMu.Lock()
-	defer r.timeMu.Unlock()
-	for _, t := range r.timings {
-		m.Counter("suite/" + t.Name + "/wall_ns").Add(t.Wall.Nanoseconds())
-	}
-	m.Counter("suite/tasks").Add(int64(len(r.timings)))
-	return m
 }

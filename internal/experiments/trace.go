@@ -115,7 +115,7 @@ func TraceLatency(p cluster.Platform, size int64, iters, topK int) (*msgtrace.Bl
 // the failing rank and stage (and, via the flight ring's incident
 // fallback, the message that ran out of retries). Deterministic in seed.
 func Postmortem(w io.Writer, net string, drop float64, seed uint64) error {
-	p, err := faultPlatform(net)
+	p, err := PlatformByName(net)
 	if err != nil {
 		return err
 	}

@@ -218,9 +218,6 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 // Nodes implements Topology.
 func (t *Clos) Nodes() int { return t.leaves * t.hostsPerLeaf }
 
-// Leaves reports the wired leaf count.
-func (t *Clos) Leaves() int { return t.leaves }
-
 // LeafOf returns the leaf element a node attaches to.
 func (t *Clos) LeafOf(node int) int { return node / t.hostsPerLeaf }
 

@@ -71,8 +71,8 @@ func TestClosLegacyFatTreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.HostsPerLeaf() != 16 || tr.Leaves() != 4 || tr.Nodes() != 64 {
-		t.Fatalf("geometry = %d hosts/leaf x %d leaves", tr.HostsPerLeaf(), tr.Leaves())
+	if tr.HostsPerLeaf() != 16 || tr.leaves != 4 || tr.Nodes() != 64 {
+		t.Fatalf("geometry = %d hosts/leaf x %d leaves", tr.HostsPerLeaf(), tr.leaves)
 	}
 	if tr.Hops(0, 1) != 1 {
 		t.Fatalf("same-leaf hops = %d, want 1", tr.Hops(0, 1))

@@ -79,10 +79,6 @@ func (a *AddressSpace) Alloc(size int64) Buf {
 	return Buf{Addr: addr, Size: size}
 }
 
-// InUse reports the total address range handed out, an upper bound on the
-// process's data footprint.
-func (a *AddressSpace) InUse() int64 { return a.next - 1<<20 }
-
 // CostModel gives the host-time price of mapping pages into NIC-visible
 // state: a fixed per-operation cost plus a per-page cost.
 type CostModel struct {
@@ -168,17 +164,6 @@ func (c *PinCache) Acquire(b Buf) units.Time {
 	}
 	c.RegTime += t
 	return t
-}
-
-// Resident reports whether every page of b is currently registered.
-func (c *PinCache) Resident(b Buf) bool {
-	first, count := b.Pages()
-	for p := first; p < first+count; p++ {
-		if _, ok := c.resident[p]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Pages reports the number of currently resident pages.

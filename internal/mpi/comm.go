@@ -156,7 +156,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	p := c.Size()
 	ps := c.r.ps
 	gen := ps.nextSplitGen(c.id)
-	ps.world.postSplit(c.id, gen, c.me, color, key)
+	ps.world.splitBoard(c.id, gen)[c.me] = [2]int{color, key}
 
 	// Agreement traffic: ring allgather of 8-byte entries over the parent.
 	// Completing it guarantees every member has posted to the board. It is
@@ -164,7 +164,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	c.agree("CommSplit", 8, p-1)
 
 	// Build my group: members with my color, ordered by (key, parent rank).
-	board := ps.world.readSplit(c.id, gen, p)
+	board := ps.world.splitBoard(c.id, gen)
 	type member struct{ key, rank int }
 	var group []member
 	for rank := 0; rank < p; rank++ {
@@ -241,13 +241,10 @@ func (ps *procState) nextSplitGen(parent int) int {
 }
 
 // commID returns a stable context id for a rank list, identical across all
-// members (the simulation analogue of context-id agreement). Guarded by
-// commMu; the completed agreement traffic — not this map — is what orders
-// the members' calls.
+// members (the simulation analogue of context-id agreement). The completed
+// agreement traffic — not this map — is what orders the members' calls.
 func (w *World) commID(ranks []int) int {
 	key := rankKey(ranks)
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
 	if id, ok := w.commIDs[key]; ok {
 		return id
 	}
@@ -257,7 +254,10 @@ func (w *World) commID(ranks []int) int {
 }
 
 // splitBoard returns the posting board for one Split generation on a
-// parent communicator. Callers hold commMu.
+// parent communicator. Each member posts its color/key before the
+// agreement traffic runs and reads the board once that traffic has
+// completed, which guarantees (through the message ordering) that all
+// postings are present.
 func (w *World) splitBoard(parentComm, gen int) map[int][2]int {
 	key := [2]int{parentComm, gen}
 	b, ok := w.splitBoards[key]
@@ -266,28 +266,6 @@ func (w *World) splitBoard(parentComm, gen int) map[int][2]int {
 		w.splitBoards[key] = b
 	}
 	return b
-}
-
-// postSplit records one member's color/key on the generation board before
-// the agreement traffic runs.
-func (w *World) postSplit(parentComm, gen, me, color, key int) {
-	w.commMu.Lock()
-	w.splitBoard(parentComm, gen)[me] = [2]int{color, key}
-	w.commMu.Unlock()
-}
-
-// readSplit snapshots the board once the member's allgather has completed,
-// which guarantees (through the message traffic's ordering) that all p
-// postings are present.
-func (w *World) readSplit(parentComm, gen, p int) map[int][2]int {
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
-	b := w.splitBoard(parentComm, gen)
-	out := make(map[int][2]int, p)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
 }
 
 func rankKey(ranks []int) string {

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"mpinet/internal/dev"
 	"mpinet/internal/faults"
@@ -133,20 +131,15 @@ type World struct {
 	end        sim.Time
 	// fault is the first fatal job error (device retry exhaustion, watchdog
 	// timeout, truncation); once set, every rank aborts at its next
-	// progress point and Run returns it. Writes go through faultMu and
-	// readers check faultSet first (the atomic store/load pair orders the
-	// error value behind the flag), so the fault is safe to read from any
-	// goroutine.
-	fault    error
-	faultMu  sync.Mutex
-	faultSet atomic.Bool
+	// progress point and Run returns it. Every rank runs on the world
+	// engine, so it needs no locking.
+	fault error
 
 	// finLat is the cross-domain completion-hop latency: the network's
 	// minimum link latency.
 	finLat sim.Time
 
-	// Communicator-context bookkeeping (see comm.go), guarded by commMu.
-	commMu      sync.Mutex
+	// Communicator-context bookkeeping (see comm.go).
 	commIDs     map[string]int
 	nextComm    int
 	splitBoards map[[2]int]map[int][2]int
@@ -259,13 +252,11 @@ func MustWorld(cfg Config) *World {
 }
 
 // fail records the job's first fatal error, freezes the flight ring and
-// wakes every rank so each aborts at its next progress point. Safe to call
-// from device completion events or from rank processes.
+// wakes every rank so each aborts at its next progress point. Called from
+// device completion events or from rank processes.
 func (w *World) fail(err error) {
-	w.faultMu.Lock()
 	if w.fault == nil {
 		w.fault = err
-		w.faultSet.Store(true)
 		// Fallback freeze for failure paths that did not freeze with more
 		// specific blame (truncation, direct aborts); the first freeze wins,
 		// so this is a no-op after a watchdog or device-fault freeze.
@@ -273,7 +264,6 @@ func (w *World) fail(err error) {
 		w.rec.Flight(msgtrace.FlightAbort, now, -1, 0, 0, 0, 0)
 		w.rec.Freeze("job abort: "+err.Error(), now, -1, msgtrace.NumStages, 0)
 	}
-	w.faultMu.Unlock()
 	for _, ps := range w.procs {
 		ps.progress.Broadcast()
 	}
@@ -297,9 +287,8 @@ func (ps *procState) deviceFailed(err error) {
 	w.fail(fmt.Errorf("mpi: rank %d (node %d): %w", ps.rank, ps.node, err))
 }
 
-// faulted reports whether a job fault has been recorded. Reading w.fault
-// after a true result is ordered by the atomic pair.
-func (w *World) faulted() bool { return w.faultSet.Load() }
+// faulted reports whether a job fault has been recorded.
+func (w *World) faulted() bool { return w.fault != nil }
 
 // nodeOf maps a rank to its node: ranks fill each node in turn.
 func (w *World) nodeOf(rank int) int { return rank / w.cfg.ProcsPerNode }

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mpinet/internal/microbench"
@@ -162,14 +161,4 @@ func RenderComparisons(title string, comps []Comparison, tol float64) string {
 			w, c.Name, c.Paper, c.Sim, c.Unit, c.Delta()*100, flag)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order (deterministic rendering).
-func SortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -119,13 +119,6 @@ func TestPaperDataComplete(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int64{"b": 1, "a": 2, "c": 3})
-	if strings.Join(got, "") != "abc" {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}
-
 func TestFigureCSV(t *testing.T) {
 	f := Figure{
 		XLabel: "Message Size (Bytes)",

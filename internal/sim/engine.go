@@ -230,9 +230,9 @@ func (h *eventHeap) pop() event {
 }
 
 // totalDispatched accumulates events dispatched across every engine in the
-// process — the suite-wide work measure scripts/bench.sh reports as
-// events/sec. Engines add their per-run delta once per Run, so the hot loop
-// never touches the atomic.
+// process — the work measure the benchmark (bash bench/run.sh, workloads in
+// BENCHMARK.json) reports as sim.events and events/sec. Engines add their
+// per-run delta once per Run, so the hot loop never touches the atomic.
 var totalDispatched atomic.Uint64
 
 // TotalDispatched reports the number of events dispatched by all completed
@@ -409,14 +409,6 @@ func (e *Engine) maybeCompact() {
 	e.stoppedTimers = 0
 	e.compactions++
 }
-
-// Compactions reports how many bulk timer-compaction passes have run —
-// exposed for tests and the engine health probes.
-func (e *Engine) Compactions() uint64 { return e.compactions }
-
-// StoppedPending reports how many cancelled timer events currently sit in
-// the queue awaiting drop-on-pop or compaction (test hook).
-func (e *Engine) StoppedPending() int { return e.stoppedTimers }
 
 // Run dispatches events until the queue is empty. If live processes remain
 // blocked when the queue drains, Run returns a DeadlockError naming them. If

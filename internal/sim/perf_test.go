@@ -202,11 +202,11 @@ func TestTimerCompactionReclaimsStopped(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Compactions() == 0 {
+	if e.compactions == 0 {
 		t.Error("stopping most of the queue never triggered a compaction")
 	}
-	if e.StoppedPending() != 0 {
-		t.Errorf("StoppedPending = %d after run, want 0", e.StoppedPending())
+	if e.stoppedTimers != 0 {
+		t.Errorf("stoppedTimers = %d after run, want 0", e.stoppedTimers)
 	}
 	if fired != 1 {
 		t.Fatalf("%d timers fired, want only the surviving one", fired)
@@ -241,7 +241,7 @@ func TestTimerCompactionMidRun(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Compactions() == 0 {
+	if e.compactions == 0 {
 		t.Fatal("no compaction happened mid-run")
 	}
 	for i, v := range got {
@@ -264,8 +264,8 @@ func TestStopAfterFireIsNoOp(t *testing.T) {
 	}
 	tm.Stop()
 	tm.Stop()
-	if e.StoppedPending() != 0 {
-		t.Errorf("StoppedPending = %d after stopping a fired timer, want 0", e.StoppedPending())
+	if e.stoppedTimers != 0 {
+		t.Errorf("stoppedTimers = %d after stopping a fired timer, want 0", e.stoppedTimers)
 	}
 }
 
@@ -298,8 +298,8 @@ func TestTimerRearmSupersedes(t *testing.T) {
 	tm.fn = func() { fired = append(fired, e.Now()) }
 	tm.Arm(100)
 	tm.Arm(200)
-	if e.StoppedPending() != 1 {
-		t.Errorf("StoppedPending = %d after re-arm, want 1 (the superseded event)", e.StoppedPending())
+	if e.stoppedTimers != 1 {
+		t.Errorf("stoppedTimers = %d after re-arm, want 1 (the superseded event)", e.stoppedTimers)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -307,8 +307,8 @@ func TestTimerRearmSupersedes(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 200 {
 		t.Fatalf("fired at %v, want exactly once at 200", fired)
 	}
-	if e.StoppedPending() != 0 {
-		t.Errorf("StoppedPending = %d after run, want 0", e.StoppedPending())
+	if e.stoppedTimers != 0 {
+		t.Errorf("stoppedTimers = %d after run, want 0", e.stoppedTimers)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestTimerReuseAcrossCycles(t *testing.T) {
 	if count != 2 || e.Now() != 17 {
 		t.Fatalf("second cycle: count=%d now=%v, want 2 at 17", count, e.Now())
 	}
-	if e.StoppedPending() != 0 {
-		t.Errorf("StoppedPending = %d after reuse cycles, want 0", e.StoppedPending())
+	if e.stoppedTimers != 0 {
+		t.Errorf("stoppedTimers = %d after reuse cycles, want 0", e.stoppedTimers)
 	}
 }

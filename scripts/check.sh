@@ -164,6 +164,20 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: a record log grows, chunks, caps or counts drops itself again (append through reclog.Log)" >&2
     exit 1
 fi
+# The benchmark is bench/ (bash bench/run.sh, declared in BENCHMARK.json);
+# the 1k-rank bytes/rank gate is TestScaleMemoryOrdering. A second
+# benchmark script, committed baseline or host-timing record may not come
+# back.
+for f in scripts/bench* BENCH_*.json; do
+    if [ -e "$f" ]; then
+        echo "FAIL: $f is back: a second benchmark script or committed baseline (the benchmark is bench/run.sh)" >&2
+        exit 1
+    fi
+done
+if grep -rnE --include='*.go' --exclude='*_test.go' 'benchjson|SuiteMetrics|Timings\(\)' cmd internal examples ./*.go; then
+    echo "FAIL: a host-timing record of the suite is back (the benchmark is bench/run.sh)" >&2
+    exit 1
+fi
 # Recording a record stays inline at every call site: an unobserved world
 # pays one nil or enabled check, never a call.
 inl=$(go build -gcflags=-m ./internal/metrics ./internal/msgtrace ./internal/trace 2>&1)
