@@ -160,7 +160,7 @@ func (a *App) Run(cfg RunConfig) (Result, error) {
 	if nodes == 0 {
 		nodes = (cfg.Procs + ppn - 1) / ppn
 	}
-	w := mpi.MustWorld(mpi.Config{
+	w, err := mpi.NewWorld(mpi.Config{
 		Net:          cfg.Platform.New(nodes),
 		Procs:        cfg.Procs,
 		ProcsPerNode: ppn,
@@ -168,9 +168,11 @@ func (a *App) Run(cfg RunConfig) (Result, error) {
 		Metrics:      cfg.Metrics,
 		MsgTrace:     cfg.MsgTrace,
 	})
-	cal := a.cal(cfg.Class)
-	err := w.Run(func(r *mpi.Rank) { a.run(r, cfg.Class, cal) })
 	if err != nil {
+		return Result{}, fmt.Errorf("apps: %s on %s: %w", a.Name, cfg.Platform.Name, err)
+	}
+	cal := a.cal(cfg.Class)
+	if err := w.Run(func(r *mpi.Rank) { a.run(r, cfg.Class, cal) }); err != nil {
 		return Result{}, fmt.Errorf("apps: %s on %s: %w", a.Name, cfg.Platform.Name, err)
 	}
 	res := Result{

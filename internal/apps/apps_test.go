@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -47,6 +48,16 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRunReturnsPlatformConfigError: an invalid platform comes back from
+// Run as its typed configuration error, not as a panic.
+func TestRunReturnsPlatformConfigError(t *testing.T) {
+	_, err := LU().Run(RunConfig{Platform: cluster.IBA().With(cluster.Clos(3, 7, 2)), Class: ClassS, Procs: 8})
+	var ce *cluster.ConfigError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v (%T), want a *cluster.ConfigError", err, err)
 	}
 }
 

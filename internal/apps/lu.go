@@ -30,17 +30,71 @@ func LU() *App {
 }
 
 func runLU(r *mpi.Rank, class Class, cal calibration) {
+	lu := newLURank(r, class, cal)
+	// Setup broadcasts (grid parameters, as the real code does).
+	for i := 0; i < 8; i++ {
+		r.Bcast(lu.small, 0)
+	}
+	for it := 0; it < lu.itmax; it++ {
+		lu.lower()
+		lu.upper()
+		// exchange_3: large non-blocking face swaps with the east/west and
+		// north/south neighbors (each exists only off the grid edge).
+		lu.swap(lu.faceOut, lu.faceIn, lu.east, lu.west, 104)
+		lu.swap(lu.faceNSOut, lu.faceNSIn, lu.south, lu.north, 106)
+	}
+	// Final residual norms.
+	r.Allreduce(lu.small)
+	r.Allreduce(lu.small)
+}
+
+// luRank is one rank's LU state. It lives on the heap, and the sweeps run
+// as its methods: every rank's stack then holds a few words of LU frame
+// under each MPI call instead of all of the solver's locals, and a
+// thousand-rank world holds a thousand of those stacks.
+type luRank struct {
+	r        *mpi.Rank
+	n        int64
+	itmax    int
+	perPlane sim.Time
+	// north, south, west and east are the neighbour ranks, -1 off the
+	// grid edge.
+	north, south, west, east int
+
+	// Wavefront boundary planes and exchange_3 faces.
+	nsOut, nsIn, ewOut, ewIn             memreg.Buf
+	faceOut, faceIn, faceNSOut, faceNSIn memreg.Buf
+	small                                memreg.Buf
+}
+
+// newLURank lays out rank r's block and allocates its buffers. It stays
+// out of line so that the state it returns escapes to the heap rather than
+// sitting in runLU's frame.
+//
+//go:noinline
+func newLURank(r *mpi.Rank, class Class, cal calibration) *luRank {
 	p := r.Size()
 	me := r.Rank()
-	n := int64(102)
-	itmax := 250
+	lu := &luRank{r: r, n: 102, itmax: 250, north: -1, south: -1, west: -1, east: -1}
 	if class == ClassS {
-		n = 12
-		itmax = 4
+		lu.n, lu.itmax = 12, 4
 	}
+	n := lu.n
 	rows, cols := grid2(p)
 	row := me / cols
 	col := me % cols
+	if row > 0 {
+		lu.north = me - cols
+	}
+	if row < rows-1 {
+		lu.south = me + cols
+	}
+	if col > 0 {
+		lu.west = me - 1
+	}
+	if col < cols-1 {
+		lu.east = me + 1
+	}
 
 	nxl := ceilDiv(n, int64(rows)) // x-extent of this rank's block
 	nyl := ceilDiv(n, int64(cols)) // y-extent
@@ -48,114 +102,87 @@ func runLU(r *mpi.Rank, class Class, cal calibration) {
 	// Wavefront boundary planes: 5 doubles per boundary cell.
 	nsMsg := 5 * nxl * 8 // crosses a row boundary
 	ewMsg := 5 * nyl * 8 // crosses a column boundary
-	nsOut, nsIn := r.Malloc(nsMsg), r.Malloc(nsMsg)
-	ewOut, ewIn := r.Malloc(ewMsg), r.Malloc(ewMsg)
+	lu.nsOut, lu.nsIn = r.Malloc(nsMsg), r.Malloc(nsMsg)
+	lu.ewOut, lu.ewIn = r.Malloc(ewMsg), r.Malloc(ewMsg)
 	// exchange_3 full-face buffers (the ~300 KB Irecvs of Table 3): three
 	// boundary arrays of 5-vectors over a full y-z face east-west, plus the
 	// matching x-z faces north-south.
 	faceMsg := 15 * nyl * n * 8
-	faceOut, faceIn := r.Malloc(faceMsg), r.Malloc(faceMsg)
+	lu.faceOut, lu.faceIn = r.Malloc(faceMsg), r.Malloc(faceMsg)
 	faceNSMsg := 7 * nxl * n * 8
-	faceNSOut, faceNSIn := r.Malloc(faceNSMsg), r.Malloc(faceNSMsg)
-	small := r.Malloc(8)
+	lu.faceNSOut, lu.faceNSIn = r.Malloc(faceNSMsg), r.Malloc(faceNSMsg)
+	lu.small = r.Malloc(8)
 
-	north := func() int {
-		if row == 0 {
-			return -1
-		}
-		return me - cols
-	}
-	south := func() int {
-		if row == rows-1 {
-			return -1
-		}
-		return me + cols
-	}
-	west := func() int {
-		if col == 0 {
-			return -1
-		}
-		return me - 1
-	}
-	east := func() int {
-		if col == cols-1 {
-			return -1
-		}
-		return me + 1
-	}
+	lu.perPlane = cal.perRankCompute(p) / sim.Time(lu.itmax*2*int(n))
+	return lu
+}
 
-	perPlane := cal.perRankCompute(p) / sim.Time(itmax*2*int(n))
-
-	// Setup broadcasts (grid parameters, as the real code does).
-	for i := 0; i < 8; i++ {
-		r.Bcast(small, 0)
+// lower is the lower-triangular sweep: the wavefront enters at the
+// north-west corner; each k-plane receives upstream boundaries, computes,
+// and forwards downstream. Blocking receives serialize ranks into the
+// pipeline the paper (and the LU literature) describes.
+func (lu *luRank) lower() {
+	r := lu.r
+	for k := int64(0); k < lu.n; k++ {
+		if lu.north >= 0 {
+			r.Recv(lu.nsIn, lu.north, 100)
+		}
+		if lu.west >= 0 {
+			r.Recv(lu.ewIn, lu.west, 101)
+		}
+		r.Compute(lu.perPlane)
+		if lu.south >= 0 {
+			r.Send(lu.nsOut, lu.south, 100)
+		}
+		if lu.east >= 0 {
+			r.Send(lu.ewOut, lu.east, 101)
+		}
 	}
+}
 
-	for it := 0; it < itmax; it++ {
-		// Lower-triangular sweep: the wavefront enters at the north-west
-		// corner; each k-plane receives upstream boundaries, computes, and
-		// forwards downstream. Blocking receives serialize ranks into the
-		// pipeline the paper (and the LU literature) describes.
-		for k := int64(0); k < n; k++ {
-			if nb := north(); nb >= 0 {
-				r.Recv(nsIn, nb, 100)
-			}
-			if wb := west(); wb >= 0 {
-				r.Recv(ewIn, wb, 101)
-			}
-			r.Compute(perPlane)
-			if sb := south(); sb >= 0 {
-				r.Send(nsOut, sb, 100)
-			}
-			if eb := east(); eb >= 0 {
-				r.Send(ewOut, eb, 101)
-			}
+// upper is the upper-triangular sweep: the reversed direction.
+func (lu *luRank) upper() {
+	r := lu.r
+	for k := int64(0); k < lu.n; k++ {
+		if lu.south >= 0 {
+			r.Recv(lu.nsIn, lu.south, 102)
 		}
-		// Upper-triangular sweep: reversed direction.
-		for k := int64(0); k < n; k++ {
-			if sb := south(); sb >= 0 {
-				r.Recv(nsIn, sb, 102)
-			}
-			if eb := east(); eb >= 0 {
-				r.Recv(ewIn, eb, 103)
-			}
-			r.Compute(perPlane)
-			if nb := north(); nb >= 0 {
-				r.Send(nsOut, nb, 102)
-			}
-			if wb := west(); wb >= 0 {
-				r.Send(ewOut, wb, 103)
-			}
+		if lu.east >= 0 {
+			r.Recv(lu.ewIn, lu.east, 103)
 		}
-		// exchange_3: large non-blocking face swaps with the east/west and
-		// north/south neighbors (each exists only off the grid edge).
-		swap := func(out, in memreg.Buf, fwd, back, tag int) {
-			var rr *mpi.Request
-			if back >= 0 {
-				rr = r.Irecv(in, back, tag)
-			}
-			if fwd >= 0 {
-				r.Send(out, fwd, tag)
-			}
-			if rr != nil {
-				r.Wait(rr)
-			}
-			if fwd >= 0 {
-				rr = r.Irecv(in, fwd, tag+1)
-			} else {
-				rr = nil
-			}
-			if back >= 0 {
-				r.Send(out, back, tag+1)
-			}
-			if rr != nil {
-				r.Wait(rr)
-			}
+		r.Compute(lu.perPlane)
+		if lu.north >= 0 {
+			r.Send(lu.nsOut, lu.north, 102)
 		}
-		swap(faceOut, faceIn, east(), west(), 104)
-		swap(faceNSOut, faceNSIn, south(), north(), 106)
+		if lu.west >= 0 {
+			r.Send(lu.ewOut, lu.west, 103)
+		}
 	}
-	// Final residual norms.
-	r.Allreduce(small)
-	r.Allreduce(small)
+}
+
+// swap exchanges a face with fwd, then with back, each side present only
+// when that neighbour exists.
+func (lu *luRank) swap(out, in memreg.Buf, fwd, back, tag int) {
+	r := lu.r
+	var rr *mpi.Request
+	if back >= 0 {
+		rr = r.Irecv(in, back, tag)
+	}
+	if fwd >= 0 {
+		r.Send(out, fwd, tag)
+	}
+	if rr != nil {
+		r.Wait(rr)
+	}
+	if fwd >= 0 {
+		rr = r.Irecv(in, fwd, tag+1)
+	} else {
+		rr = nil
+	}
+	if back >= 0 {
+		r.Send(out, back, tag+1)
+	}
+	if rr != nil {
+		r.Wait(rr)
+	}
 }

@@ -22,7 +22,7 @@
 //   - No registration, but the NIC MMU must hold translations: first touch
 //     of a new buffer costs host time at any message size (Figures 7, 8).
 //
-// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// Fabric wiring, the Eager/Control/Bulk send path, the shared route sides
 // and the retry ladder come from internal/nic.
 package elan
 
@@ -320,36 +320,47 @@ func (l elanStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, elanPerMsg)
 }
 
-// Path implements nic.Model: the staged path to dst for a PIO or DMA
-// variant, around the fabric segment seg. PIO-sized sends skip the sender-side bus DMA (the host
-// PIO-copied into Elan SDRAM already, billed in SendOverhead). Same-node
-// traffic loops through the NIC, crossing the node's PCI bus twice.
-func (ep *endpoint) Path(dst, variant int, seg fabric.Segment) []fabric.PathStage {
+// Head, Tail and Loopback implement nic.Model: the staged path for a PIO
+// or DMA variant, around the fabric segment. PIO-sized sends skip the
+// sender-side bus DMA (the host PIO-copied into Elan SDRAM already, billed
+// in SendOverhead). Same-node traffic loops through the NIC, crossing the
+// node's PCI bus twice.
+func (ep *endpoint) Head(variant int) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
 	var stages []fabric.PathStage
 	if variant == pathDMA {
 		stages = append(stages, fabric.PathStage{Stage: src.bus})
 	}
-	if dst == ep.Node() {
-		return append(stages,
-			fabric.PathStage{Stage: elanStage{src.elanProc}, Latency: loopbackPenalty},
-			fabric.PathStage{Stage: src.dmaTx},
-			fabric.PathStage{Stage: src.dmaRx},
-			fabric.PathStage{Stage: src.bus},
-		)
-	}
-	d := ep.net.nodes[dst]
-	stages = append(stages,
+	return append(stages,
 		fabric.PathStage{Stage: elanStage{src.elanProc}},
 		fabric.PathStage{Stage: src.dmaTx},
 		fabric.PathStage{Stage: src.link.Up(), Latency: wireLatency},
 	)
-	stages = append(stages, seg.Stages...)
+}
+
+// Tail implements nic.Model.
+func (ep *endpoint) Tail(dst, _ int, down sim.Time) []fabric.PathStage {
+	d := ep.net.nodes[dst]
+	return []fabric.PathStage{
+		{Stage: d.link.Down(), Latency: down + wireLatency},
+		{Stage: elanStage{d.elanProc}},
+		{Stage: d.dmaRx},
+		{Stage: d.bus},
+	}
+}
+
+// Loopback implements nic.Model.
+func (ep *endpoint) Loopback(variant int) []fabric.PathStage {
+	src := ep.net.nodes[ep.Node()]
+	var stages []fabric.PathStage
+	if variant == pathDMA {
+		stages = append(stages, fabric.PathStage{Stage: src.bus})
+	}
 	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
-		fabric.PathStage{Stage: elanStage{d.elanProc}},
-		fabric.PathStage{Stage: d.dmaRx},
-		fabric.PathStage{Stage: d.bus},
+		fabric.PathStage{Stage: elanStage{src.elanProc}, Latency: loopbackPenalty},
+		fabric.PathStage{Stage: src.dmaTx},
+		fabric.PathStage{Stage: src.dmaRx},
+		fabric.PathStage{Stage: src.bus},
 	)
 }
 
@@ -377,9 +388,8 @@ func (ep *endpoint) Resend() {
 }
 
 // Shape implements nic.Shaper: a message past pioMax rides the DMA path.
-func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
+func (ep *endpoint) Shape(m *nic.Msg) {
 	if m.Size > pioMax {
 		m.Variant = pathDMA
 	}
-	return m
 }

@@ -140,7 +140,7 @@ type Clos struct {
 	// written only under their source leaf.
 	pairs []map[int][]PathStage
 	// health, when non-nil, arms failure-domain rendering (health.go):
-	// Between routes around detected element deaths and returns each route
+	// Between routes around detected element deaths and resolves each route
 	// with its fate.
 	health *elementHealth
 	// routes is the deterministic route cache: routes[leaf][dst] memoizes the
@@ -148,9 +148,10 @@ type Clos struct {
 	// health epoch (always 0 on a healthy fabric). Each leaf's table is keyed
 	// by destination and holds only the destinations its hosts have routed
 	// to, so the cache grows with the traffic pattern, not with leaves ×
-	// nodes. Tables are allocated lazily. Adaptive routing with more than one
+	// nodes. Tables are allocated lazily; an entry is a pointer, so a
+	// lookup copies no segment. Adaptive routing with more than one
 	// up-link is load-dependent and re-picks its plane per message instead.
-	routes []map[int]closRoute
+	routes []map[int]*closRoute
 	// cacheOff disables the route cache (SetRouteCache): a debug knob for
 	// verifying cached and uncached runs are byte-identical.
 	cacheOff bool
@@ -197,7 +198,7 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 		planes:       make([]int, cfg.Uplinks()),
 		scratch:      make([]int, 2*leaves*cfg.Uplinks()),
 		pairs:        make([]map[int][]PathStage, leaves),
-		routes:       make([]map[int]closRoute, leaves),
+		routes:       make([]map[int]*closRoute, leaves),
 	}
 	for u := range t.planes {
 		t.planes[u] = u
@@ -290,37 +291,46 @@ func (t *Clos) stagePair(sl, dl, u int) []PathStage {
 // stages come from the stage-pair memo, so neither path allocates once warm.
 // now must not decrease from one call to the next: the health epoch only
 // advances.
-func (t *Clos) Between(src, dst int, now sim.Time) Segment {
+func (t *Clos) Between(src, dst int, now sim.Time, seg *Segment) {
 	sl, dl := t.LeafOf(src), t.LeafOf(dst)
 	if t.cacheOff || (t.cfg.Routing == Adaptive && t.uplinks > 1) {
-		return t.routeOnce(dst, sl, dl, now)
+		t.routeOnce(seg, dst, sl, dl, now)
+		return
 	}
 	var epoch uint32
 	if t.health != nil {
 		epoch = t.health.advance(now)
 	}
-	e, ok := t.routes[sl][dst]
-	if !ok || e.epoch != epoch {
-		e = closRoute{seg: t.routeOnce(dst, sl, dl, now), epoch: epoch}
+	e := t.routes[sl][dst]
+	if e == nil {
 		if t.routes[sl] == nil {
-			t.routes[sl] = make(map[int]closRoute)
+			t.routes[sl] = make(map[int]*closRoute)
 		}
+		e = &closRoute{}
 		t.routes[sl][dst] = e
+		t.routeOnce(&e.seg, dst, sl, dl, now)
+		e.epoch = epoch
+	} else if e.epoch != epoch {
+		t.routeOnce(&e.seg, dst, sl, dl, now)
+		e.epoch = epoch
 	}
-	return e.seg
+	*seg = e.seg
 }
 
-// routeOnce resolves a route without consulting the cache: the faulty path
-// when element faults are armed, the healthy geometry otherwise.
-func (t *Clos) routeOnce(dst, sl, dl int, now sim.Time) Segment {
+// routeOnce resolves a route into seg without consulting the cache: the
+// faulty path when element faults are armed, the healthy geometry
+// otherwise.
+func (t *Clos) routeOnce(seg *Segment, dst, sl, dl int, now sim.Time) {
 	if t.health != nil {
-		return t.betweenFaulty(dst, sl, dl, now)
+		t.betweenFaulty(seg, dst, sl, dl, now)
+		return
 	}
-	if sl == dl {
-		return Segment{Down: t.cfg.Crossing, Plane: -1}
+	// Field by field: a Segment literal would be built in this frame first.
+	seg.Stages, seg.Down, seg.Plane, seg.Fate = nil, t.cfg.Crossing, -1, RouteInfo{}
+	if sl != dl {
+		seg.Plane = t.pickUplink(sl, dst)
+		seg.Stages = t.stagePair(sl, dl, seg.Plane)
 	}
-	u := t.pickUplink(sl, dst)
-	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u}
 }
 
 // Hops reports the element count a (src, dst) route crosses.

@@ -72,9 +72,11 @@ func (l *Link) Instrument(m *metrics.Registry, node int) {
 // and a destination host's down-link: a single crossbar (the paper's
 // testbeds) or a multi-stage Clos (the scaling extension).
 type Topology interface {
-	// Between resolves the fabric segment of a message from src node to
-	// dst node sent at now, the fate of its route included.
-	Between(src, dst int, now sim.Time) Segment
+	// Between resolves into seg the fabric segment of a message from src
+	// node to dst node sent at now, the fate of its route included. The
+	// caller owns seg: a send path keeps it in its heap record, so the
+	// segment is never copied through the sending rank's stack.
+	Between(src, dst int, now sim.Time, seg *Segment)
 	// Nodes reports how many hosts the fabric can attach.
 	Nodes() int
 	// Diameter reports the element count of the longest route.
@@ -92,8 +94,8 @@ type Topology interface {
 // crossings and wire time), the up-link plane the route rides (-1 when it
 // never climbs), and the route's fate under element faults (the zero
 // RouteInfo, RouteOK, on a healthy fabric). Within a plane the stages
-// between two nodes never change, so a route's plane is all a path cache
-// needs to key it by.
+// between two leaves never change, so the fabric memoizes them and a
+// Route shares them as its Mid.
 type Segment struct {
 	Stages []PathStage
 	Down   sim.Time
@@ -119,8 +121,8 @@ func NewCrossbarTopology(ports int, crossing sim.Time) *CrossbarTopology {
 }
 
 // Between implements Topology.
-func (c *CrossbarTopology) Between(src, dst int, now sim.Time) Segment {
-	return Segment{Down: c.crossing, Plane: -1}
+func (c *CrossbarTopology) Between(src, dst int, now sim.Time, seg *Segment) {
+	*seg = Segment{Down: c.crossing, Plane: -1}
 }
 
 // Nodes implements Topology.
@@ -142,13 +144,38 @@ type PathStage struct {
 	Latency sim.Time
 }
 
+// Route is a staged path in three parts crossed in order as one path: the
+// source side (Head), the fabric segment's stages (Mid) and the destination
+// side (Tail). Each part is shared rather than copied into a path per node
+// pair: a source's side is the same to every peer, a destination's the
+// same from every source, and the segment is the fabric's own memo.
+type Route struct {
+	Head, Mid, Tail []PathStage
+}
+
+// len reports the route's stage count.
+func (r *Route) len() int { return len(r.Head) + len(r.Mid) + len(r.Tail) }
+
+// at returns stage i of the route.
+func (r *Route) at(i int) PathStage {
+	if i < len(r.Head) {
+		return r.Head[i]
+	}
+	i -= len(r.Head)
+	if i < len(r.Mid) {
+		return r.Mid[i]
+	}
+	return r.Tail[i-len(r.Mid)]
+}
+
 // xfer is one in-flight Transfer: a typed event handler whose (ci, stage)
 // arguments drive the chunk pipeline, so the steady state — every chunk
 // through every stage — schedules events without allocating. stage ==
-// len(path) is the completion sentinel. Records are recycled through xfers.
+// route.len() is the completion sentinel. Records are recycled through
+// xfers.
 type xfer struct {
 	e       *sim.Engine
-	path    []PathStage
+	route   Route
 	done    func(end sim.Time)
 	chunk   int64
 	last    int64
@@ -188,10 +215,10 @@ func chunking(size, chunk int64) (nchunks, last int64) {
 }
 
 // newXfer takes a record from the pool, set up for an untraced transfer.
-func newXfer(e *sim.Engine, path []PathStage, size, chunk int64, done func(end sim.Time)) *xfer {
+func newXfer(e *sim.Engine, r *Route, size, chunk int64, done func(end sim.Time)) *xfer {
 	nchunks, last := chunking(size, chunk)
 	x := xfers.Get().(*xfer)
-	x.e, x.path, x.done = e, path, done
+	x.e, x.route, x.done = e, *r, done
 	x.chunk, x.nchunks, x.last = chunk, nchunks, last
 	return x
 }
@@ -199,7 +226,8 @@ func newXfer(e *sim.Engine, path []PathStage, size, chunk int64, done func(end s
 // HandleEvent implements sim.Handler: chunk ci reached stage, occupy it and
 // self-clock the successors.
 func (x *xfer) HandleEvent(ci, stage int64) {
-	if stage == int64(len(x.path)) {
+	stages := int64(x.route.len())
+	if stage == stages {
 		done, now := x.done, x.e.Now()
 		*x = xfer{hopEnter: x.hopEnter[:0]}
 		xfers.Put(x)
@@ -210,7 +238,7 @@ func (x *xfer) HandleEvent(ci, stage int64) {
 	if ci == x.nchunks-1 {
 		n = x.last
 	}
-	st := x.path[stage]
+	st := x.route.at(int(stage))
 	_, end := st.Stage.Send(x.e.Now(), n)
 	arrive := end + st.Latency
 	if x.rec != nil {
@@ -229,25 +257,26 @@ func (x *xfer) HandleEvent(ci, stage int64) {
 		// Self-clock the next chunk into the head of the path.
 		x.e.CallAt(end, x, ci+1, 0)
 	}
-	if stage+1 < int64(len(x.path)) {
+	if stage+1 < stages {
 		x.e.CallAt(arrive, x, ci, stage+1)
 	} else if ci == x.nchunks-1 {
 		x.e.CallAt(arrive, x, ci, stage+1) // sentinel: completion
 	}
 }
 
-// Transfer pushes size bytes through the staged path as a cut-through
+// Transfer pushes size bytes through the staged route as a cut-through
 // pipeline of chunks, starting at time start, and calls done(end) when the
 // last chunk clears the last stage. chunk is the pipelining granularity;
-// sizes at or below it move as a single unit.
+// sizes at or below it move as a single unit. The route is copied, so the
+// caller may reuse it at once.
 //
 // Each chunk is self-clocked: chunk i+1 is submitted to stage 0 when chunk i
 // clears stage 0, and a chunk is submitted to stage k+1 when it clears stage
 // k. Contending transfers interleave naturally through the shared stage
 // FIFOs.
-func Transfer(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time, done func(end sim.Time)) {
-	// An empty path completes at once: stage 0 is the sentinel.
-	e.CallAt(start, newXfer(e, path, size, chunk, done), 0, 0)
+func Transfer(e *sim.Engine, r *Route, size, chunk int64, start sim.Time, done func(end sim.Time)) {
+	// An empty route completes at once: stage 0 is the sentinel.
+	e.CallAt(start, newXfer(e, r, size, chunk, done), 0, 0)
 }
 
 // TransferTraced is Transfer plus per-hop span recording for a sampled
@@ -255,21 +284,22 @@ func Transfer(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time
 // span carrying the hop index, rail and attempt. Unsampled messages fall
 // through to the plain (allocation-gated) Transfer, so callers may use this
 // unconditionally with a live recorder.
-func TransferTraced(e *sim.Engine, path []PathStage, size, chunk int64, start sim.Time,
+func TransferTraced(e *sim.Engine, r *Route, size, chunk int64, start sim.Time,
 	rec *msgtrace.Recorder, tid msgtrace.ID, rank int, rail int8, attempt uint8, done func(end sim.Time)) {
-	if !rec.Sampled(tid) || len(path) == 0 {
-		Transfer(e, path, size, chunk, start, done)
+	n := r.len()
+	if !rec.Sampled(tid) || n == 0 {
+		Transfer(e, r, size, chunk, start, done)
 		return
 	}
-	x := newXfer(e, path, size, chunk, done)
+	x := newXfer(e, r, size, chunk, done)
 	x.rec, x.tid, x.rank, x.rail, x.attempt = rec, tid, rank, rail, attempt
 	x.bytes = max(size, 1) // a control message bills one byte
 	// Chunk 0 writes each stage's entry before the last chunk reads it, so
 	// a recycled slice needs no clearing.
-	if cap(x.hopEnter) < len(path) {
-		x.hopEnter = make([]sim.Time, len(path))
+	if cap(x.hopEnter) < n {
+		x.hopEnter = make([]sim.Time, n)
 	}
-	x.hopEnter = x.hopEnter[:len(path)]
+	x.hopEnter = x.hopEnter[:n]
 	e.CallAt(start, x, 0, 0)
 }
 

@@ -30,7 +30,7 @@ func BenchmarkTransferChunk(b *testing.B) {
 	done := false
 	b.ReportAllocs()
 	b.ResetTimer()
-	Transfer(e, path, size, chunk, 0, func(sim.Time) { done = true })
+	Transfer(e, &Route{Head: path}, size, chunk, 0, func(sim.Time) { done = true })
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 		return testing.AllocsPerRun(5, func() {
 			e := sim.New()
 			path := benchPath()
-			Transfer(e, path, nchunks*512, 512, 0, func(sim.Time) {})
+			Transfer(e, &Route{Head: path}, nchunks*512, 512, 0, func(sim.Time) {})
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -77,12 +77,12 @@ func TestTransferRecyclesRecords(t *testing.T) {
 	next = func(end sim.Time) {
 		if left > 0 {
 			left--
-			Transfer(e, path, 256, 512, end, next)
+			Transfer(e, &Route{Head: path}, 256, 512, end, next)
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		left = msgs - 1
-		Transfer(e, path, 256, 512, e.Now(), next)
+		Transfer(e, &Route{Head: path}, 256, 512, e.Now(), next)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ const (
 	RoutePartitioned
 )
 
-// RouteInfo is the fate of a route under element faults, returned by
+// RouteInfo is the fate of a route under element faults, resolved by
 // Between inside the route's Segment.
 type RouteInfo struct {
 	State RouteState
@@ -207,7 +207,7 @@ func (t *Clos) routeExtra(sl, dl, plane int, now sim.Time) float64 {
 // the healthy path exactly when no fault is active at now — same plane
 // choice, same adaptive draws — so arming an all-future plan does not
 // perturb the pre-fault prefix of a run.
-func (t *Clos) betweenFaulty(dst, sl, dl int, now sim.Time) Segment {
+func (t *Clos) betweenFaulty(seg *Segment, dst, sl, dl int, now sim.Time) {
 	h := t.health
 	if sl == dl {
 		var info RouteInfo
@@ -221,7 +221,8 @@ func (t *Clos) betweenFaulty(dst, sl, dl int, now sim.Time) Segment {
 			}
 		}
 		info.ExtraDrop = t.routeExtra(sl, dl, -1, now)
-		return Segment{Down: t.cfg.Crossing, Plane: -1, Fate: info}
+		*seg = Segment{Down: t.cfg.Crossing, Plane: -1, Fate: info}
+		return
 	}
 	// A dead endpoint leaf beats plane selection: no plane routes around it.
 	// A detected leaf death partitions; an undetected one black-holes.
@@ -284,7 +285,7 @@ func (t *Clos) betweenFaulty(dst, sl, dl int, now sim.Time) Segment {
 		info.ElementCode = ElemCode(ElemPlane, u)
 	}
 	info.ExtraDrop = t.routeExtra(sl, dl, u, now)
-	return Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u, Fate: info}
+	*seg = Segment{Stages: t.stagePair(sl, dl, u), Down: t.cfg.Crossing, Plane: u, Fate: info}
 }
 
 // pickAdaptive is the adaptive policy restricted to a candidate plane set:

@@ -38,7 +38,7 @@ func armedClos(t *testing.T, routing Routing, plan *faults.Plan) (*Clos, *sim.En
 func routeAt(eng *sim.Engine, tr *Clos, at sim.Time, dsts []int, out *[]probe) {
 	eng.At(at, func() {
 		for _, dst := range dsts {
-			seg := tr.Between(0, dst, eng.Now())
+			seg := between(tr, 0, dst, eng.Now())
 			*out = append(*out, probe{seg.Fate.State, seg.Plane, seg.Fate.Element})
 		}
 	})
@@ -129,7 +129,7 @@ func TestClosAllPlanesDeadPartition(t *testing.T) {
 	}
 	tr, eng := armedClos(t, Deterministic, plan)
 	eng.At(3*units.Millisecond, func() {
-		seg := tr.Between(0, 5, eng.Now())
+		seg := between(tr, 0, 5, eng.Now())
 		stages, info := seg.Stages, seg.Fate
 		if info.State != RoutePartitioned {
 			t.Errorf("all planes dead: state %v, want partitioned", info.State)
@@ -141,7 +141,7 @@ func TestClosAllPlanesDeadPartition(t *testing.T) {
 			t.Errorf("partitioned route not well-formed: %d stages", len(stages))
 		}
 		// Same-leaf traffic does not ride the spine and survives.
-		if got := tr.Between(0, 1, eng.Now()).Fate; got.State != RouteOK {
+		if got := between(tr, 0, 1, eng.Now()).Fate; got.State != RouteOK {
 			t.Errorf("same-leaf route died with the spines: %+v", got)
 		}
 	})
@@ -160,20 +160,20 @@ func TestClosLeafKillPartition(t *testing.T) {
 	tr, eng := armedClos(t, Deterministic, plan)
 	eng.At(1500*units.Microsecond, func() {
 		// host 5 lives under leaf 1
-		if got := tr.Between(0, 5, eng.Now()).Fate; got.State != RouteBlackhole || got.Element != "leaf 1" {
+		if got := between(tr, 0, 5, eng.Now()).Fate; got.State != RouteBlackhole || got.Element != "leaf 1" {
 			t.Errorf("undetected leaf death: %+v, want blackhole on leaf 1", got)
 		}
 	})
 	eng.At(2500*units.Microsecond, func() {
-		if got := tr.Between(0, 5, eng.Now()).Fate; got.State != RoutePartitioned || got.Element != "leaf 1" {
+		if got := between(tr, 0, 5, eng.Now()).Fate; got.State != RoutePartitioned || got.Element != "leaf 1" {
 			t.Errorf("detected leaf death: %+v, want partitioned on leaf 1", got)
 		}
 		// Same-leaf traffic under the dead leaf is gone too.
-		if got := tr.Between(4, 5, eng.Now()).Fate; got.State != RoutePartitioned {
+		if got := between(tr, 4, 5, eng.Now()).Fate; got.State != RoutePartitioned {
 			t.Errorf("same-leaf route under dead leaf: %+v, want partitioned", got)
 		}
 		// Leaves 0 and 2 route around the corpse unperturbed.
-		if got := tr.Between(0, 8, eng.Now()).Fate; got.State != RouteOK {
+		if got := between(tr, 0, 8, eng.Now()).Fate; got.State != RouteOK {
 			t.Errorf("bystander route 0->8: %+v, want OK", got)
 		}
 	})
@@ -192,7 +192,7 @@ func TestClosLinecardDegradeExtraDrop(t *testing.T) {
 	}}
 	tr, eng := armedClos(t, Deterministic, plan)
 	extra := func(src, dst int) float64 {
-		return tr.Between(src, dst, eng.Now()).Fate.ExtraDrop
+		return between(tr, src, dst, eng.Now()).Fate.ExtraDrop
 	}
 	eng.At(500*units.Microsecond, func() {
 		if got := extra(0, 6); got != 0 {
@@ -243,7 +243,7 @@ func TestClosAdaptiveAvoidsDeadPlanes(t *testing.T) {
 				if tr.LeafOf(src) == tr.LeafOf(dst) {
 					continue
 				}
-				seg := tr.Between(src, dst, eng.Now())
+				seg := between(tr, src, dst, eng.Now())
 				got = append(got, probe{seg.Fate.State, seg.Plane, seg.Fate.Element})
 			}
 		})
@@ -293,7 +293,7 @@ func TestSetElementFaultsValidation(t *testing.T) {
 	if err := tr.SetElementFaults(&faults.Plan{Seed: 1, Drop: 0.1}); err != nil {
 		t.Fatalf("element-free plan rejected: %v", err)
 	}
-	if got := tr.Between(0, 5, 0).Fate; got != (RouteInfo{}) {
+	if got := between(tr, 0, 5, 0).Fate; got != (RouteInfo{}) {
 		t.Fatalf("unarmed topology reported fate %+v, want the zero RouteInfo", got)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // routeSig renders one Between call into a comparable signature: every stage's
 // pipe name and latency, the final-hop latency, and the full fate annotation.
 func routeSig(tr *Clos, src, dst int, now sim.Time) string {
-	seg := tr.Between(src, dst, now)
+	seg := between(tr, src, dst, now)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d->%d:", src, dst)
 	for _, st := range seg.Stages {
@@ -164,11 +164,11 @@ func TestRouteCacheHitsZeroAlloc(t *testing.T) {
 	// Warm every probed route once (first resolution allocates the row and
 	// the stage slice).
 	for dst := 0; dst < 64; dst++ {
-		tr.Between(0, dst, 0)
+		between(tr, 0, dst, 0)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for dst := 0; dst < 64; dst++ {
-			tr.Between(0, dst, 0)
+			between(tr, 0, dst, 0)
 		}
 	})
 	if allocs != 0 {

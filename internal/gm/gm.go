@@ -20,7 +20,7 @@
 //     16 KB threshold; beyond it, directed send is zero-copy and pays
 //     registration on pin-down cache misses (Figures 7, 8).
 //
-// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// Fabric wiring, the Eager/Control/Bulk send path, the shared route sides
 // and the retry ladder come from internal/nic.
 package gm
 
@@ -315,37 +315,43 @@ func (l lanaiStage) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return l.st.Use(now, lanaiPerMsg)
 }
 
-// Path implements nic.Model: the staged path to dst around the fabric
-// segment seg. The LANai engine appears once per side per message
+// Head, Tail and Loopback implement nic.Model: the staged path around the
+// fabric segment. The LANai engine appears once per side per message
 // (envelope processing); payload chunks flow through the per-direction DMA
 // engines and the link, with the segment's stages (none for the star
 // crossbar, leaf links for a Clos) between them.
-func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
+func (ep *endpoint) Head(int) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
-	if dst == ep.Node() {
-		return []fabric.PathStage{
-			{Stage: src.bus},
-			{Stage: lanaiStage{src.lanai}},
-			{Stage: src.sdma},
-			{Stage: src.rdma},
-			{Stage: lanaiStage{src.lanai}},
-			{Stage: src.bus},
-		}
-	}
-	d := ep.net.nodes[dst]
-	stages := []fabric.PathStage{
+	return []fabric.PathStage{
 		{Stage: src.bus},
 		{Stage: lanaiStage{src.lanai}},
 		{Stage: src.sdma},
 		{Stage: src.link.Up(), Latency: wireLatency},
 	}
-	stages = append(stages, seg.Stages...)
-	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
-		fabric.PathStage{Stage: lanaiStage{d.lanai}},
-		fabric.PathStage{Stage: d.rdma},
-		fabric.PathStage{Stage: d.bus},
-	)
+}
+
+// Tail implements nic.Model.
+func (ep *endpoint) Tail(dst, _ int, down sim.Time) []fabric.PathStage {
+	d := ep.net.nodes[dst]
+	return []fabric.PathStage{
+		{Stage: d.link.Down(), Latency: down + wireLatency},
+		{Stage: lanaiStage{d.lanai}},
+		{Stage: d.rdma},
+		{Stage: d.bus},
+	}
+}
+
+// Loopback implements nic.Model.
+func (ep *endpoint) Loopback(int) []fabric.PathStage {
+	src := ep.net.nodes[ep.Node()]
+	return []fabric.PathStage{
+		{Stage: src.bus},
+		{Stage: lanaiStage{src.lanai}},
+		{Stage: src.sdma},
+		{Stage: src.rdma},
+		{Stage: lanaiStage{src.lanai}},
+		{Stage: src.bus},
+	}
 }
 
 // Hold implements nic.Holder: a bulk payload claims SRAM staging on both

@@ -12,14 +12,17 @@ var reduceBW = units.MBps(800)
 
 // collective opens a collective call: it records the call once and
 // silences point-to-point profiling of its decomposition until the caller's
-// deferred endCollective, matching what the MPICH logging interface sees at
-// the MPI layer:
+// endCollective, matching what the MPICH logging interface sees at the MPI
+// layer:
 //
-//	defer r.collective("Bcast", buf.Size, buf).endCollective()
+//	defer r.collective("Gather", sendBuf.Size, sendBuf, recvBuf).endCollective()
 //
 // The algorithm then runs in the caller's own frame, not in a closure
 // called from here: two frames fewer on every rank's stack, which a
-// thousand-rank world holds a thousand of.
+// thousand-rank world holds a thousand of. The straight-line collectives
+// close with a plain call instead of a defer, a defer record lighter still:
+// a panic out of a collective ends its rank, so nothing reads the profile
+// state it leaves.
 func (r *Rank) collective(name string, bytes int64, bufs ...memreg.Buf) *procState {
 	r.ps.prof.Collective(name, bytes, bufs...)
 	r.ps.quiet = true
@@ -40,11 +43,14 @@ func (r *Rank) Barrier() { r.CommWorld().Barrier() }
 func (r *Rank) Bcast(buf memreg.Buf, root int) {
 	if mc, ok := r.ps.ep.(hwMulticaster); ok && mc.HWMulticastEnabled() &&
 		r.ps.world.cfg.ProcsPerNode == 1 && r.Size() > 1 {
-		defer r.collective("Bcast", buf.Size, buf).endCollective()
 		r.hwBcast(mc, buf, root)
 		return
 	}
-	r.CommWorld().Bcast(buf, root)
+	// Comm.Bcast's body, one frame shallower on every rank's stack, as in
+	// Allreduce.
+	ps := r.collective("Bcast", buf.Size, buf)
+	r.CommWorld().bcastBody(buf, root)
+	ps.endCollective()
 }
 
 // Reduce combines contributions into root over a binomial tree, charging
@@ -54,8 +60,15 @@ func (r *Rank) Reduce(buf memreg.Buf, root int) { r.CommWorld().Reduce(buf, root
 
 // Allreduce is Reduce to rank 0 followed by Bcast — the MPICH 1.2.x
 // composition, whose 2·log2(P) latency chain is why the lowest-latency
-// interconnect (Quadrics) wins this operation in the paper.
-func (r *Rank) Allreduce(buf memreg.Buf) { r.CommWorld().Allreduce(buf) }
+// interconnect (Quadrics) wins this operation in the paper. It runs
+// Comm.Allreduce's body, one frame shallower on every rank's stack.
+func (r *Rank) Allreduce(buf memreg.Buf) {
+	ps := r.collective("Allreduce", buf.Size, buf)
+	c := r.CommWorld()
+	c.reduceBody(buf, 0)
+	c.bcastBody(buf, 0)
+	ps.endCollective()
+}
 
 // hwMulticaster is the optional device capability behind the accelerated
 // broadcast (the paper's Section 3.7 extension).
@@ -67,6 +80,7 @@ type hwMulticaster interface {
 // hwBcast is the multicast fast path: the root injects once; every other
 // rank waits for the switch-replicated delivery.
 func (r *Rank) hwBcast(mc hwMulticaster, buf memreg.Buf, root int) {
+	defer r.collective("Bcast", buf.Size, buf).endCollective()
 	ps := r.ps
 	if r.Rank() == root {
 		ps.busy(r.p, ps.ep.SendOverhead(buf.Size)+ps.ep.CopyTime(buf.Size))
@@ -110,21 +124,24 @@ func (c *Comm) Barrier() {
 
 // Bcast broadcasts buf from the communicator rank root.
 func (c *Comm) Bcast(buf memreg.Buf, root int) {
-	defer c.r.collective("Bcast", buf.Size, buf).endCollective()
+	ps := c.r.collective("Bcast", buf.Size, buf)
 	c.bcastBody(buf, root)
+	ps.endCollective()
 }
 
 // Reduce combines contributions into the communicator rank root.
 func (c *Comm) Reduce(buf memreg.Buf, root int) {
-	defer c.r.collective("Reduce", buf.Size, buf).endCollective()
+	ps := c.r.collective("Reduce", buf.Size, buf)
 	c.reduceBody(buf, root)
+	ps.endCollective()
 }
 
 // Allreduce combines contributions into every member.
 func (c *Comm) Allreduce(buf memreg.Buf) {
-	defer c.r.collective("Allreduce", buf.Size, buf).endCollective()
+	ps := c.r.collective("Allreduce", buf.Size, buf)
 	c.reduceBody(buf, 0)
 	c.bcastBody(buf, 0)
+	ps.endCollective()
 }
 
 // bcastBody is the binomial-tree broadcast over this communicator.

@@ -44,17 +44,13 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 		ps.prof.Send(buf, sameNode, nonblocking)
 	}
 
+	// The request comes zeroed; filling it field by field keeps a
+	// Request-sized temporary out of this frame, which every send's stack
+	// holds.
 	req := ps.newRequest()
-	*req = Request{
-		ps:     ps,
-		isSend: true,
-		buf:    buf,
-		comm:   comm,
-		peer:   dst,
-		tag:    tag,
-		size:   buf.Size,
-		born:   ps.eng.Now(),
-	}
+	req.ps, req.isSend, req.buf = ps, true, buf
+	req.comm, req.peer, req.tag = comm, dst, tag
+	req.size, req.born = buf.Size, ps.eng.Now()
 	ps.sendSeq++
 	req.seq = ps.sendSeq
 	req.tid = msgtrace.MakeID(ps.rank, req.seq)

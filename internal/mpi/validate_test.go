@@ -53,3 +53,20 @@ func TestMustWorldPanicNamesOption(t *testing.T) {
 	}()
 	MustWorld(Config{Net: cluster.IBA().New(2), Procs: 5, ProcsPerNode: 2})
 }
+
+// TestMustWorldPanicNamesPlatformOption: an invalid platform panics with
+// its own typed error, which names the platform option, not with the
+// symptom Config validation reports on the network's zero nodes.
+func TestMustWorldPanicNamesPlatformOption(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("MustWorld accepted an invalid platform")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "invalid Clos(3, 7, 2)") {
+			t.Fatalf("panic message does not name the offending option: %v", r)
+		}
+	}()
+	MustWorld(Config{Net: cluster.IBA().With(cluster.Clos(3, 7, 2)).New(8), Procs: 8})
+}

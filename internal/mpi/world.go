@@ -85,8 +85,8 @@ func (e *ConfigError) Error() string {
 
 // Validate reports the first problem that would make this configuration
 // unrunnable — always a *ConfigError naming the offending option — or nil.
-// NewWorld and MustWorld call it; it is exported so callers can pre-flight
-// configurations they assemble programmatically.
+// NewWorld calls it (MustWorld through NewWorld); it is exported so
+// callers can pre-flight configurations they assemble programmatically.
 func (cfg Config) Validate() error {
 	if cfg.Net == nil {
 		return &ConfigError{Option: "Net", Reason: "nil — build a network first, e.g. mpinet.InfiniBand().New(8)"}
@@ -236,14 +236,11 @@ func NewWorld(cfg Config) (*World, error) {
 }
 
 // MustWorld is NewWorld for configurations known to be valid; it panics on
-// a validation error. The internal benchmark and experiment suites use it.
-// It re-validates through Config.Validate first so the panic message names
-// the offending option ("mpi.MustWorld: invalid Config.Procs: ...") rather
-// than surfacing a symptom from deeper in world construction.
+// NewWorld's error, whose message names the offending option: an invalid
+// platform's own (cluster: invalid Clos(3, 7, 2): ...) or the Config field
+// ("mpi.MustWorld: mpi: invalid Config.Procs: ..."). The internal
+// experiment suites use it.
 func MustWorld(cfg Config) *World {
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("mpi.MustWorld: %v", err))
-	}
 	w, err := NewWorld(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("mpi.MustWorld: %v", err))

@@ -11,14 +11,21 @@ import (
 	"mpinet/internal/sim"
 )
 
-// Model is what a NIC model's endpoint supplies to the shared send paths.
+// Model is what a NIC model's endpoint supplies to the shared send paths:
+// the staged hardware sides of its routes, for each of the model's path
+// variants (a model with one path uses variant 0). The shared half builds
+// each side once and shares it: the stages must not be modified.
 type Model interface {
-	// Path assembles the staged hardware path to dst for one of the
-	// model's path variants (a model with one path uses variant 0) around
-	// seg, the fabric segment the endpoint resolved for the route. A
-	// loopback path (dst is the endpoint's own node) gets an empty segment.
-	// The model must not modify seg.Stages, which the fabric shares.
-	Path(dst, variant int, seg fabric.Segment) []fabric.PathStage
+	// Head is the source side of a route to another node: the endpoint's
+	// own stages up to and including its up-link.
+	Head(variant int) []fabric.PathStage
+	// Tail is the destination side of a route to dst: from dst's
+	// down-link, whose latency adds down, the fabric segment's last
+	// crossing, to dst's host. It depends on its arguments only, not on
+	// the endpoint asked: every endpoint of the network shares it.
+	Tail(dst, variant int, down sim.Time) []fabric.PathStage
+	// Loopback is the whole path of a message to the endpoint's own node.
+	Loopback(variant int) []fabric.PathStage
 }
 
 // Holder is implemented by models whose messages hold NIC resources from
@@ -36,11 +43,11 @@ type Holder interface {
 }
 
 // Shaper is implemented by models that set per-message fields the shared
-// send path cannot: Shape runs as a message enters Send and returns it
-// with the model's fields filled in (verbs' on-demand RC setup stall,
-// Elan's PIO or DMA path variant).
+// send path cannot: Shape runs as a message enters Send and fills in the
+// model's fields (verbs' on-demand RC setup stall, Elan's PIO or DMA path
+// variant).
 type Shaper interface {
-	Shape(m Msg) Msg
+	Shape(m *Msg)
 }
 
 // Resender is implemented by models whose NIC does work for each resend.
@@ -60,18 +67,23 @@ type Msg struct {
 	Setup   sim.Time    // stall before the first attempt (on-demand RC setup)
 }
 
-// peerKey names one cached path: a destination, a model path variant, and
-// the fabric plane the route rides (-1 when it never climbs).
-type peerKey struct {
+// tailKey names one shared destination side: a destination node, a model
+// path variant, and the fabric's last-crossing latency.
+type tailKey struct {
 	dst     int32
-	variant int16
-	plane   int16
+	variant int32
+	down    sim.Time
+}
+
+// sides holds an endpoint's source side and loopback path for one variant.
+type sides struct {
+	head, loopback []fabric.PathStage
 }
 
 // Endpoint is the shared half of a model's endpoint: node identity, the
 // eager threshold, the device verbs (Eager, Control, Bulk), retry
-// reporting, the per-peer path cache and the send paths. A model embeds it,
-// built by NewEndpoint.
+// reporting, its route sides and the send paths. A model embeds it, built
+// by NewEndpoint.
 type Endpoint struct {
 	net  *Net
 	node int
@@ -92,13 +104,10 @@ type Endpoint struct {
 	// onRetry observes each individual resend (OnRetry).
 	onRetry func()
 
-	// peers caches the assembled paths this endpoint has routed over, keyed
-	// by destination, variant and fabric plane. It grows with the peers the
-	// endpoint actually speaks to, not with the world: a rank in a 4k-node
-	// job that talks to a handful of neighbours keeps a handful of entries
-	// per plane its routes ride. One map lookup per message, next to the
-	// dozen or so events a message costs; a warm lookup does not allocate.
-	peers map[peerKey][]fabric.PathStage
+	// sides caches the model's source side and loopback path per variant,
+	// each built on first use. The destination sides live in the network,
+	// shared by all its endpoints, so an endpoint holds no state per peer.
+	sides []sides
 }
 
 // NewEndpoint builds the shared half of an endpoint on node, bound to the
@@ -148,33 +157,46 @@ func (e *Endpoint) retried() {
 	}
 }
 
-// route returns the staged path to dst for a variant and the route's fate
-// at now. The fabric resolves the route's segment for every message — an
-// adaptive or fault-aware fabric picks the plane per message — while the
-// model's path around it is assembled once per (destination, variant,
-// plane) and cached.
-func (e *Endpoint) route(dst, variant int, now sim.Time) ([]fabric.PathStage, fabric.RouteInfo) {
-	seg := fabric.Segment{Plane: -1}
-	if dst != e.node {
-		seg = e.net.topo.Between(e.node, dst, now)
-	}
-	key := peerKey{dst: int32(dst), variant: int16(variant), plane: int16(seg.Plane)}
-	path, ok := e.peers[key]
-	if !ok {
-		if e.peers == nil {
-			e.peers = make(map[peerKey][]fabric.PathStage)
+// route resolves the route of s's message at now into s.seg, its fate
+// included, and s.path. The fabric resolves the segment for every message
+// — an adaptive or fault-aware fabric picks the plane per message — and
+// the path runs it between the model's source and destination sides,
+// which are built once and shared. Segment and path live in the send
+// record, not in the sending rank's stack frames.
+func (s *send) route(now sim.Time) {
+	e, dst, variant := s.e, s.m.Dst, s.m.Variant
+	sd := e.side(variant)
+	if dst == e.node {
+		s.seg = fabric.Segment{Plane: -1}
+		if sd.loopback == nil {
+			sd.loopback = e.model.Loopback(variant)
 		}
-		path = e.model.Path(dst, variant, seg)
-		e.peers[key] = path
+		s.path.Head, s.path.Mid, s.path.Tail = sd.loopback, nil, nil
+		return
 	}
-	return path, seg.Fate
+	e.net.topo.Between(e.node, dst, now, &s.seg)
+	if sd.head == nil {
+		sd.head = e.model.Head(variant)
+	}
+	s.path.Head, s.path.Mid = sd.head, s.seg.Stages
+	s.path.Tail = e.net.tail(e.model, dst, variant, s.seg.Down)
+}
+
+// side returns the endpoint's cached sides for variant.
+func (e *Endpoint) side(variant int) *sides {
+	if variant >= len(e.sides) {
+		e.sides = append(e.sides, make([]sides, variant+1-len(e.sides))...)
+	}
+	return &e.sides[variant]
 }
 
 // Segment resolves the fabric segment from this endpoint's node to dst,
 // for a model's paths that bypass the per-message send path (hardware
 // multicast).
 func (e *Endpoint) Segment(dst int) fabric.Segment {
-	return e.net.topo.Between(e.node, dst, e.net.eng.Now())
+	var seg fabric.Segment
+	e.net.topo.Between(e.node, dst, e.net.eng.Now(), &seg)
+	return seg
 }
 
 // Eager implements dev.Endpoint: the envelope and payload through the
@@ -205,32 +227,32 @@ func (e *Endpoint) Bulk(dst int, size int64, tid msgtrace.ID, done func(error)) 
 // one attempt; under a fault plan the message climbs the retry ladder, and
 // a permanent failure calls done with its typed error instead.
 func (e *Endpoint) Send(m Msg, done func(error)) {
+	s := newSend()
+	s.e, s.m, s.done = e, m, done
 	// The model's hook runs here rather than in a frame of its own between
 	// the verbs and Send: every rank's send stack is that much shallower.
 	if e.shaper != nil {
-		m = e.shaper.Shape(m)
+		e.shaper.Shape(&s.m)
 	}
 	if e.holder != nil {
-		e.holder.Hold(m)
+		e.holder.Hold(s.m)
 	}
 	n := e.net
-	s := newSend()
-	s.e, s.m, s.done = e, m, done
 	now := n.eng.Now()
-	if n.inj == nil || m.Dst == e.node {
-		path, _ := e.route(m.Dst, m.Variant, now)
-		e.wireAttempt(path, m.TID, 0, m.Size, now+m.Setup, s.ended)
+	if n.inj == nil || s.m.Dst == e.node {
+		s.route(now)
+		e.wireAttempt(&s.path, s.m.TID, 0, s.m.Size, now+s.m.Setup, s.ended)
 		return
 	}
 	s.ladder, s.attempt = true, 1
-	s.try(now + m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
+	s.try(now + s.m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
 }
 
-// wireAttempt runs one transfer attempt over the staged path; a sampled
+// wireAttempt runs one transfer attempt over the staged route; a sampled
 // message also records the attempt's wire span and per-hop fabric detail.
-// The path is resolved by the caller: the retry ladder must pair each
+// The route is resolved by the caller: the retry ladder must pair each
 // attempt's route with the fate resolved with it.
-func (e *Endpoint) wireAttempt(path []fabric.PathStage, tid msgtrace.ID, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
+func (e *Endpoint) wireAttempt(path *fabric.Route, tid msgtrace.ID, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
 	rec, eng, rail := e.net.rec, e.net.eng, e.net.rail
 	if rec.Sampled(tid) {
 		inner := done
@@ -267,8 +289,10 @@ type send struct {
 	// its current attempt from 1.
 	ladder  bool
 	attempt int
-	// fate is the current attempt's route fate.
-	fate fabric.RouteInfo
+	// seg is the current attempt's fabric segment, its route fate
+	// included, and path the route around it.
+	seg  fabric.Segment
+	path fabric.Route
 	// ended and refire are s.end and s.fire, bound at allocation.
 	ended  func(sim.Time)
 	refire func()
@@ -303,13 +327,12 @@ func (s *send) try(at sim.Time) {
 	}
 	// The route is resolved at the engine's now, not at the attempt's start
 	// at: a resend's stalls have not elapsed when it is routed.
-	var path []fabric.PathStage
-	path, s.fate = e.route(s.m.Dst, s.m.Variant, e.net.eng.Now())
-	if s.fate.State == fabric.RoutePartitioned {
-		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.fate.Element})
+	s.route(e.net.eng.Now())
+	if s.seg.Fate.State == fabric.RoutePartitioned {
+		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.seg.Fate.Element})
 		return
 	}
-	e.wireAttempt(path, s.m.TID, uint8(s.attempt-1), s.m.Size, at, s.ended)
+	e.wireAttempt(&s.path, s.m.TID, uint8(s.attempt-1), s.m.Size, at, s.ended)
 }
 
 // end takes the verdict on the attempt that cleared the path at time at:
@@ -322,8 +345,8 @@ func (s *send) end(at sim.Time) {
 	}
 	e, n := s.e, s.e.net
 	v := faults.Drop // black-holed: structural loss, no PRNG draw
-	if s.fate.State != fabric.RouteBlackhole {
-		v = n.inj.VerdictExtra(e.node, s.m.Dst, at, s.fate.ExtraDrop)
+	if s.seg.Fate.State != fabric.RouteBlackhole {
+		v = n.inj.VerdictExtra(e.node, s.m.Dst, at, s.seg.Fate.ExtraDrop)
 	}
 	if v == faults.Deliver {
 		s.land()

@@ -41,9 +41,11 @@ func (f *fakeModel) Send(now sim.Time, n int64) (start, end sim.Time) {
 	return now, now + 100*units.Nanosecond
 }
 
-func (f *fakeModel) Path(_, _ int, seg fabric.Segment) []fabric.PathStage {
-	return append([]fabric.PathStage{{Stage: f}}, seg.Stages...)
-}
+func (f *fakeModel) Head(int) []fabric.PathStage { return []fabric.PathStage{{Stage: f}} }
+
+func (f *fakeModel) Tail(int, int, sim.Time) []fabric.PathStage { return nil }
+
+func (f *fakeModel) Loopback(int) []fabric.PathStage { return []fabric.PathStage{{Stage: f}} }
 
 func (f *fakeModel) Hold(Msg)      { f.holds++ }
 func (f *fakeModel) Delivered(Msg) { f.releases++; f.acks++ }

@@ -3,12 +3,13 @@
 // (Quadrics). It owns everything about a wired network that the paper does
 // not use to tell the interconnects apart: the fabric topology, the dev
 // plumbing every network exposes, the device verbs (Eager, Control, Bulk)
-// with their wire sizes and counters, the per-peer path cache, and the one
+// with their wire sizes and counters, the shared route sides, and the one
 // retry ladder every reliability protocol runs under a fault plan.
 //
 // A model supplies only what the paper distinguishes:
 //
-//   - its staged hardware paths and cost constants (Model),
+//   - the staged hardware sides of its routes and its cost constants
+//     (Model),
 //   - its faults.RetryPolicy and protocol name (Spec),
 //   - the per-message fields it sets itself (Shaper): verbs' on-demand RC
 //     setup stall, Elan's PIO or DMA path variant,
@@ -98,6 +99,27 @@ type Net struct {
 	// cfgErr carries a topology-validation failure to mpi.NewWorld
 	// (ConfigErr); construction itself cannot return an error.
 	cfgErr error
+
+	// tails caches the destination sides of routes, shared by every
+	// endpoint: it grows with the destinations the network's traffic
+	// reaches, one side each, not with the node pairs that talk. A warm
+	// lookup does not allocate.
+	tails map[tailKey][]fabric.PathStage
+}
+
+// tail returns the shared destination side to dst, built by model on
+// first use.
+func (n *Net) tail(model Model, dst, variant int, down sim.Time) []fabric.PathStage {
+	key := tailKey{dst: int32(dst), variant: int32(variant), down: down}
+	if t, ok := n.tails[key]; ok {
+		return t
+	}
+	if n.tails == nil {
+		n.tails = make(map[tailKey][]fabric.PathStage)
+	}
+	t := model.Tail(dst, variant, down)
+	n.tails[key] = t
+	return t
 }
 
 // New wires the fabric for cfg: a Clos when cfg.Clos is set, else the
@@ -132,8 +154,8 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 		n.topo = topo
 		if cfg.Faults.HasElements() {
 			// Element deaths move routes between planes as they are detected
-			// and repaired; the endpoints' path caches are keyed by plane,
-			// so a re-hash lands on another cached path, never a stale one.
+			// and repaired; a message's route takes its segment from the
+			// fabric at send time, so a re-hash never meets a stale path.
 			if err := topo.SetElementFaults(cfg.Faults); err != nil {
 				n.cfgErr = fmt.Errorf("%s: %w", spec.Pkg, err)
 			}

@@ -28,17 +28,25 @@ func closEndpoint(t *testing.T, nodes int) *Endpoint {
 	return &ep
 }
 
-// TestRouteStateScalesWithPeers: the route state an endpoint builds — its
-// peer table and its leaf's route-cache table — grows with the peers it
-// routes to, not with the world. Routing to the same eight peers costs the
-// same bytes at 256 and at 4096 nodes.
+// routeTo resolves, through the send record s, the route of a message
+// from ep to dst at time 0.
+func routeTo(s *send, ep *Endpoint, dst int) {
+	s.e, s.m.Dst = ep, dst
+	s.route(0)
+}
+
+// TestRouteStateScalesWithPeers: the route state routing builds — the
+// endpoint's source side, the network's shared destination sides and the
+// leaf's route-cache table — grows with the peers routed to, not with the
+// world. Routing to the same eight peers costs the same bytes at 256 and
+// at 4096 nodes.
 func TestRouteStateScalesWithPeers(t *testing.T) {
 	cost := func(nodes int) uint64 {
-		ep := closEndpoint(t, nodes)
+		ep, s := closEndpoint(t, nodes), new(send)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, dst := range routeProbe {
-			ep.route(dst, 0, 0)
+			routeTo(s, ep, dst)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -54,13 +62,13 @@ func TestRouteStateScalesWithPeers(t *testing.T) {
 // TestRouteWarmZeroAlloc: once its peers are resolved, routing a message
 // to one of them allocates nothing.
 func TestRouteWarmZeroAlloc(t *testing.T) {
-	ep := closEndpoint(t, 256)
+	ep, s := closEndpoint(t, 256), new(send)
 	for _, dst := range routeProbe {
-		ep.route(dst, 0, 0)
+		routeTo(s, ep, dst)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, dst := range routeProbe {
-			ep.route(dst, 0, 0)
+			routeTo(s, ep, dst)
 		}
 	})
 	if allocs != 0 {
@@ -89,10 +97,10 @@ func TestDynamicRouteZeroAlloc(t *testing.T) {
 			if err := net.ConfigErr(); err != nil {
 				t.Fatal(err)
 			}
-			ep := NewEndpoint(net, 0, &fakeModel{net: net})
+			ep, s := NewEndpoint(net, 0, &fakeModel{net: net}), new(send)
 			sweep := func() {
 				for _, dst := range routeProbe {
-					ep.route(dst, 0, 0)
+					routeTo(s, &ep, dst)
 				}
 			}
 			// Before detection the dead plane black-holes, after it the

@@ -18,7 +18,7 @@
 //   - Per-Reliable-Connection resources: memory grows with the number of
 //     peers (Figure 13).
 //
-// Fabric wiring, the Eager/Control/Bulk send path, the per-peer path cache
+// Fabric wiring, the Eager/Control/Bulk send path, the shared route sides
 // and the RC retry ladder come from internal/nic.
 package verbs
 
@@ -293,41 +293,46 @@ func (ep *endpoint) pioPenalty() sim.Time {
 	return 0
 }
 
-// Path implements nic.Model: the staged hardware path to dst around the
-// fabric segment seg. The fabric is cut-through: injection serializes on
-// the source's up-link and drain on the destination's down-link (which
-// doubles as the switch output port in a star), with the switch crossing
-// as pure latency. Same-node traffic loops through the HCA without
-// touching the link or switch.
-func (ep *endpoint) Path(dst, _ int, seg fabric.Segment) []fabric.PathStage {
+// Head, Tail and Loopback implement nic.Model: the staged hardware path
+// around the fabric segment. The fabric is cut-through: injection
+// serializes on the source's up-link and drain on the destination's
+// down-link (which doubles as the switch output port in a star), with the
+// switch crossing as pure latency. Same-node traffic loops through the HCA
+// without touching the link or switch.
+func (ep *endpoint) Head(int) []fabric.PathStage {
 	src := ep.net.nodes[ep.Node()]
-	if dst == ep.Node() {
-		return []fabric.PathStage{
-			{Stage: src.bus, Latency: ep.pioPenalty()},
-			{Stage: src.hcaTx, Latency: hcaSetup},
-			{Stage: src.hcaRx, Latency: hcaSetup},
-			{Stage: src.bus},
-		}
-	}
-	d := ep.net.nodes[dst]
-	stages := []fabric.PathStage{
+	return []fabric.PathStage{
 		{Stage: src.bus, Latency: ep.pioPenalty()},
 		{Stage: src.hcaTx, Latency: hcaSetup},
 		{Stage: src.link.Up(), Latency: wireLatency},
 	}
-	stages = append(stages, seg.Stages...)
-	return append(stages,
-		fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
-		fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
-		fabric.PathStage{Stage: d.bus},
-	)
+}
+
+// Tail implements nic.Model.
+func (ep *endpoint) Tail(dst, _ int, down sim.Time) []fabric.PathStage {
+	d := ep.net.nodes[dst]
+	return []fabric.PathStage{
+		{Stage: d.link.Down(), Latency: down + wireLatency},
+		{Stage: d.hcaRx, Latency: hcaSetup},
+		{Stage: d.bus},
+	}
+}
+
+// Loopback implements nic.Model.
+func (ep *endpoint) Loopback(int) []fabric.PathStage {
+	src := ep.net.nodes[ep.Node()]
+	return []fabric.PathStage{
+		{Stage: src.bus, Latency: ep.pioPenalty()},
+		{Stage: src.hcaTx, Latency: hcaSetup},
+		{Stage: src.hcaRx, Latency: hcaSetup},
+		{Stage: src.bus},
+	}
 }
 
 // Shape implements nic.Shaper: under on-demand connection management the
 // first message to a peer stalls for the RC setup.
-func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
+func (ep *endpoint) Shape(m *nic.Msg) {
 	m.Setup = ep.connect(m.Dst)
-	return m
 }
 
 // Multicast implements dev.Multicaster when the platform enables hardware
@@ -336,26 +341,16 @@ func (ep *endpoint) Shape(m nic.Msg) nic.Msg {
 // the MPI layer consults HWMulticastEnabled before using it.
 func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 	eng := ep.net.Engine()
-	src := ep.net.nodes[ep.Node()]
-	up := []fabric.PathStage{
-		{Stage: src.bus, Latency: ep.pioPenalty()},
-		{Stage: src.hcaTx, Latency: hcaSetup},
-		{Stage: src.link.Up(), Latency: wireLatency},
-	}
-	fabric.Transfer(eng, up, size+dev.EnvelopeBytes, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
+	up := fabric.Route{Head: ep.Head(0)}
+	fabric.Transfer(eng, &up, size+dev.EnvelopeBytes, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
 		for i := range ep.net.nodes {
 			if i == ep.Node() {
 				continue
 			}
 			i := i
-			d := ep.net.nodes[i]
 			seg := ep.Segment(i)
-			down := append(append([]fabric.PathStage{}, seg.Stages...),
-				fabric.PathStage{Stage: d.link.Down(), Latency: seg.Down + wireLatency},
-				fabric.PathStage{Stage: d.hcaRx, Latency: hcaSetup},
-				fabric.PathStage{Stage: d.bus},
-			)
-			fabric.Transfer(eng, down, size+dev.EnvelopeBytes, fabric.ChunkFor(size), at,
+			down := fabric.Route{Mid: seg.Stages, Tail: ep.Tail(i, 0, seg.Down)}
+			fabric.Transfer(eng, &down, size+dev.EnvelopeBytes, fabric.ChunkFor(size), at,
 				func(sim.Time) { deliver(i) })
 		}
 	})

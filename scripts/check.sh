@@ -118,10 +118,10 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\bScale\(\)|\.scale\b' \
     echo "FAIL: a NIC model branches on an execution mode again (one timing model; see internal/nic)" >&2
     exit 1
 fi
-# The endpoint resolves each message's fabric segment once and caches the
-# model's path around it per (destination, variant, plane); a model that
-# asks the topology for a route itself bypasses that cache and rebuilds a
-# path per message.
+# The endpoint resolves each message's fabric segment once and routes it
+# between the model's source and destination sides, built once and shared;
+# a model that asks the topology for a route itself bypasses that and
+# rebuilds a path per message.
 if grep -rn --include='*.go' --exclude='*_test.go' 'Between(' \
     internal/verbs/ internal/gm/ internal/elan/; then
     echo "FAIL: a NIC model resolves fabric routes itself again (the endpoint hands it the segment; see internal/nic)" >&2
