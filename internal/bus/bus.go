@@ -78,7 +78,6 @@ func Params(k Kind) Config {
 // Bus is one host's I/O bus instance: a single FIFO station shared by every
 // DMA in either direction.
 type Bus struct {
-	kind  Kind
 	cfg   Config
 	st    *sim.Station
 	bytes int64 // cumulative DMA payload
@@ -86,11 +85,8 @@ type Bus struct {
 
 // New returns a bus of the given kind for one host.
 func New(name string, k Kind) *Bus {
-	return &Bus{kind: k, cfg: Params(k), st: sim.NewStation(name)}
+	return &Bus{cfg: Params(k), st: sim.NewStation(name)}
 }
-
-// Kind reports the bus generation.
-func (b *Bus) Kind() Kind { return b.kind }
 
 // occupancy returns the bus time consumed by a DMA of n bytes.
 func (b *Bus) occupancy(n int64) sim.Time {

@@ -362,17 +362,6 @@ func WithNodeCrashes(crashes ...faults.NodeCrash) Option {
 	}}
 }
 
-// WithDetectDelay sets how long the fabric takes to notice a dead element
-// or host (the black-hole window during which device retries carry the
-// traffic); 0 keeps faults.DefaultDetectDelay.
-func WithDetectDelay(d sim.Time) Option {
-	return Option{platform: func(s *Settings) {
-		p := clonePlan(s.Faults)
-		p.DetectDelay = d
-		s.Faults = p
-	}}
-}
-
 // WithFaultTolerant arms ULFM-style rank-death notification in the MPI
 // world: pending point-to-point operations on a crashed peer complete with
 // Status.Err set instead of aborting the job.

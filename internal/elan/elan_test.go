@@ -34,9 +34,6 @@ func TestMMUSyncCostAndCache(t *testing.T) {
 	if ep.AcquireBuf(buf) != 0 {
 		t.Fatal("warm MMU sync not free")
 	}
-	if ep.mmu.Pages() == 0 {
-		t.Fatal("no MMU entries resident")
-	}
 }
 
 func TestCommandQueueBackpressure(t *testing.T) {

@@ -5,7 +5,10 @@ import (
 	"strings"
 
 	"mpinet/internal/cluster"
+	"mpinet/internal/metrics"
 	"mpinet/internal/mpi"
+	"mpinet/internal/msgtrace"
+	"mpinet/internal/trace"
 )
 
 // PlatformByName resolves the paper's interconnect names, case-insensitive:
@@ -30,9 +33,9 @@ const (
 	observePPN   = 2
 )
 
-// Observe runs the observability demo workload on platform p with the full
-// metrics registry and a message timeline attached, and returns the finished
-// world. The workload is a deliberate mix:
+// ObserveTraced runs the observability demo workload on platform p with the
+// full metrics registry and a message timeline attached, and returns the
+// finished world. The workload is a deliberate mix:
 //
 //   - same-node ping-pong (shared-memory channel),
 //   - cross-node ping-pong at 1 KB / 4 KB / 64 KB / 1 MB, each size once
@@ -41,10 +44,25 @@ const (
 //   - a barrier and an all-to-all (fans traffic across every fabric link).
 //
 // Everything downstream — snapshot rendering, Chrome-trace export, the
-// acceptance tests — reads the returned world. ObserveTraced (trace.go)
-// is the same workload with per-message span tracing attached.
-func Observe(p cluster.Platform) (*mpi.World, error) {
-	return ObserveTraced(p, 0)
+// acceptance tests — reads the returned world. One message in `every` per
+// sender rank is span-traced through every layer (every <= 0 leaves
+// tracing off, so only the always-on flight ring records). Sampling is a
+// pure function of message IDs, so the recorder's contents — and
+// everything derived from them — are deterministic at any -j.
+func ObserveTraced(p cluster.Platform, every int) (*mpi.World, error) {
+	cfg := mpi.Config{
+		Net:          p.New(observeNodes),
+		Procs:        observeNodes * observePPN,
+		ProcsPerNode: observePPN,
+		Metrics:      metrics.New(),
+		Timeline:     trace.NewTimeline(1 << 16),
+	}
+	if every > 0 {
+		cfg.MsgTrace = msgtrace.New(every)
+	}
+	w := mpi.MustWorld(cfg)
+	err := w.Run(func(r *Rank) { observeBody(r) })
+	return w, err
 }
 
 // Rank aliases mpi.Rank so the workload body reads like an MPI program.

@@ -13,9 +13,9 @@ import (
 // runObserve runs the demo and fails the test on simulation error.
 func runObserve(t *testing.T, p cluster.Platform) *mpi.World {
 	t.Helper()
-	w, err := Observe(p)
+	w, err := ObserveTraced(p, 0)
 	if err != nil {
-		t.Fatalf("Observe(%s): %v", p.Name, err)
+		t.Fatalf("ObserveTraced(%s, 0): %v", p.Name, err)
 	}
 	return w
 }

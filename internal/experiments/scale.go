@@ -74,37 +74,10 @@ func (r *Runner) ExtIncast() report.Figure {
 		c := microbench.Curve{Label: p.Name}
 		for _, n := range senders {
 			c.X = append(c.X, int64(n))
-			c.Y = append(c.Y, incastGoodput(p, n))
+			c.Y = append(c.Y, microbench.Incast(p, 64, n, 256<<10))
 		}
 		f.Curves = append(f.Curves, c)
 	}
 	f.Notes = "goodput saturates at the victim's link rate; past it, added senders only deepen queues — adaptive routing moves the congestion, it cannot remove it"
 	return f
-}
-
-// incastGoodput runs the n-to-1 pattern on a 64-node world and returns the
-// victim's achieved receive rate in MB/s. Senders are placed from node 1 up,
-// crossing leaf boundaries as n grows, which is what drives the fabric's
-// fan-in stages.
-func incastGoodput(p cluster.Platform, n int) float64 {
-	const flow = 256 << 10
-	const rounds = 4
-	w := mpi.MustWorld(mpi.Config{Net: p.New(64), Procs: n + 1})
-	if err := w.Run(func(rk *mpi.Rank) {
-		if rk.Rank() == 0 {
-			buf := rk.Malloc(flow)
-			for i := 0; i < rounds*n; i++ {
-				rk.Recv(buf, mpi.AnySource, 3)
-			}
-			return
-		}
-		buf := rk.Malloc(flow)
-		for i := 0; i < rounds; i++ {
-			rk.Send(buf, 0, 3)
-		}
-	}); err != nil {
-		panic(err)
-	}
-	bytes := float64(rounds) * float64(n) * flow
-	return bytes / float64(units.MB) / w.Elapsed().Seconds()
 }

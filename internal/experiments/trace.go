@@ -14,33 +14,9 @@ import (
 	"mpinet/internal/apps"
 	"mpinet/internal/cluster"
 	"mpinet/internal/faults"
-	"mpinet/internal/metrics"
-	"mpinet/internal/mpi"
 	"mpinet/internal/msgtrace"
 	"mpinet/internal/report"
-	"mpinet/internal/trace"
 )
-
-// ObserveTraced is Observe with per-message span tracing attached: one
-// message in `every` per sender rank is traced through every layer (every
-// <= 0 leaves tracing off, so only the always-on flight ring records).
-// Sampling is a pure function of message IDs, so the recorder's contents —
-// and everything derived from them — are deterministic at any -j.
-func ObserveTraced(p cluster.Platform, every int) (*mpi.World, error) {
-	cfg := mpi.Config{
-		Net:          p.New(observeNodes),
-		Procs:        observeNodes * observePPN,
-		ProcsPerNode: observePPN,
-		Metrics:      metrics.New(),
-		Timeline:     trace.NewTimeline(1 << 16),
-	}
-	if every > 0 {
-		cfg.MsgTrace = msgtrace.New(every)
-	}
-	w := mpi.MustWorld(cfg)
-	err := w.Run(func(r *Rank) { observeBody(r) })
-	return w, err
-}
 
 // RunObserved backs the commands' -metrics/-tracefile/-blame flags: it runs
 // the observability demo on the named interconnect, tracing one message in
@@ -80,32 +56,6 @@ func RunObserved(net, metricsPath, tracePath, blamePath string, traceEvery int, 
 		}
 	}
 	return nil
-}
-
-// TraceLatency runs a healthy Figure-1-style cross-node ping-pong with
-// every message traced, and returns the blame analysis. The analysis
-// decomposes each message's end-to-end latency into stages that sum to it
-// exactly — the per-stage view of the paper's latency curves.
-func TraceLatency(p cluster.Platform, size int64, iters, topK int) (*msgtrace.Blame, error) {
-	rec := msgtrace.New(1)
-	w := mpi.MustWorld(mpi.Config{Net: p.New(2), Procs: 2, MsgTrace: rec})
-	err := w.Run(func(r *Rank) {
-		buf := r.Malloc(size)
-		peer := 1 - r.Rank()
-		for i := 0; i < iters; i++ {
-			if r.Rank() == 0 {
-				r.Send(buf, peer, 0)
-				r.Recv(buf, peer, 1)
-			} else {
-				r.Recv(buf, peer, 0)
-				r.Send(buf, peer, 1)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rec.Analyze(topK), nil
 }
 
 // Postmortem is the tracing layer's acceptance scenario: LU class S x8 on

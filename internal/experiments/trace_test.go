@@ -21,7 +21,7 @@ import (
 // explicit "other" bucket), and the aggregate matches the total.
 func TestTraceLatencyDecomposition(t *testing.T) {
 	for _, p := range cluster.OSU() {
-		b, err := TraceLatency(p, 1024, 16, 8)
+		b, err := traceLatency(p, 1024, 16, 8)
 		if err != nil {
 			t.Fatalf("%s: traced ping-pong failed: %v", p.Name, err)
 		}
@@ -56,7 +56,7 @@ func TestTraceLatencyDecomposition(t *testing.T) {
 // experiments cannot touch a world's recorder).
 func TestTraceBlameDeterministic(t *testing.T) {
 	render := func() string {
-		b, err := TraceLatency(cluster.IBA(), 4096, 8, 4)
+		b, err := traceLatency(cluster.IBA(), 4096, 8, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestPostmortem(t *testing.T) {
 // (same simulated elapsed — tracing is observation only, it must never
 // perturb virtual time).
 func TestObserveTracedOverheadShape(t *testing.T) {
-	base, err := Observe(cluster.IBA())
+	base, err := ObserveTraced(cluster.IBA(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,4 +328,30 @@ func TestObserveTracedOverheadShape(t *testing.T) {
 	if rails := traced.MsgTrace(); rails == nil {
 		t.Fatal("traced world lost its recorder")
 	}
+}
+
+// traceLatency runs a healthy Figure-1-style cross-node ping-pong with
+// every message traced, and returns the blame analysis. The analysis
+// decomposes each message's end-to-end latency into stages that sum to it
+// exactly — the per-stage view of the paper's latency curves.
+func traceLatency(p cluster.Platform, size int64, iters, topK int) (*msgtrace.Blame, error) {
+	rec := msgtrace.New(1)
+	w := mpi.MustWorld(mpi.Config{Net: p.New(2), Procs: 2, MsgTrace: rec})
+	err := w.Run(func(r *Rank) {
+		buf := r.Malloc(size)
+		peer := 1 - r.Rank()
+		for i := 0; i < iters; i++ {
+			if r.Rank() == 0 {
+				r.Send(buf, peer, 0)
+				r.Recv(buf, peer, 1)
+			} else {
+				r.Recv(buf, peer, 0)
+				r.Send(buf, peer, 1)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rec.Analyze(topK), nil
 }

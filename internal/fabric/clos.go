@@ -216,14 +216,8 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 	return t, nil
 }
 
-// Nodes implements Topology.
-func (t *Clos) Nodes() int { return t.leaves * t.hostsPerLeaf }
-
 // LeafOf returns the leaf element a node attaches to.
 func (t *Clos) LeafOf(node int) int { return node / t.hostsPerLeaf }
-
-// HostsPerLeaf reports the hosts below each leaf.
-func (t *Clos) HostsPerLeaf() int { return t.hostsPerLeaf }
 
 // climbs reports how many levels a route between two leaves ascends before
 // turning down: 1 when one spine tier connects them, more when they sit in
@@ -331,15 +325,6 @@ func (t *Clos) routeOnce(seg *Segment, dst, sl, dl int, now sim.Time) {
 		seg.Plane = t.pickUplink(sl, dst)
 		seg.Stages = t.stagePair(sl, dl, seg.Plane)
 	}
-}
-
-// Hops reports the element count a (src, dst) route crosses.
-func (t *Clos) Hops(src, dst int) int {
-	sl, dl := t.LeafOf(src), t.LeafOf(dst)
-	if sl == dl {
-		return 1
-	}
-	return 2*t.climbs(sl, dl) + 1
 }
 
 // Instrument registers every leaf-tier link's byte volume, occupancy and

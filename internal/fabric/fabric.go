@@ -77,8 +77,6 @@ type Topology interface {
 	// caller owns seg: a send path keeps it in its heap record, so the
 	// segment is never copied through the sending rank's stack.
 	Between(src, dst int, now sim.Time, seg *Segment)
-	// Nodes reports how many hosts the fabric can attach.
-	Nodes() int
 	// Diameter reports the element count of the longest route.
 	Diameter() int
 	// DeadElement names an element down at now under the fabric's
@@ -110,23 +108,18 @@ type Segment struct {
 // crossbar itself is non-blocking), so the switch holds no stage of its
 // own.
 type CrossbarTopology struct {
-	ports    int
 	crossing sim.Time
 }
 
-// NewCrossbarTopology builds a crossbar of the given radix and
-// port-to-port latency.
-func NewCrossbarTopology(ports int, crossing sim.Time) *CrossbarTopology {
-	return &CrossbarTopology{ports: ports, crossing: crossing}
+// NewCrossbarTopology builds a crossbar of the given port-to-port latency.
+func NewCrossbarTopology(crossing sim.Time) *CrossbarTopology {
+	return &CrossbarTopology{crossing: crossing}
 }
 
 // Between implements Topology.
 func (c *CrossbarTopology) Between(src, dst int, now sim.Time, seg *Segment) {
 	*seg = Segment{Down: c.crossing, Plane: -1}
 }
-
-// Nodes implements Topology.
-func (c *CrossbarTopology) Nodes() int { return c.ports }
 
 // Instrument is a no-op: the crossbar has no stage of its own to register.
 func (c *CrossbarTopology) Instrument(m *metrics.Registry) {}

@@ -196,10 +196,7 @@ func TestTransferEmptyPath(t *testing.T) {
 }
 
 func TestCrossbarTopology(t *testing.T) {
-	topo := NewCrossbarTopology(8, 150*units.Nanosecond)
-	if topo.Nodes() != 8 {
-		t.Fatal("crossbar nodes")
-	}
+	topo := NewCrossbarTopology(150 * units.Nanosecond)
 	seg := between(topo, 0, 5, 0)
 	if len(seg.Stages) != 0 || seg.Down != 150*units.Nanosecond || seg.Plane != -1 {
 		t.Fatal("crossbar Between")

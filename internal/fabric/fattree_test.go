@@ -20,8 +20,8 @@ func testTree() *Clos {
 
 func TestFatTreeDimensions(t *testing.T) {
 	tr := testTree()
-	if tr.Nodes() != 16 {
-		t.Fatalf("nodes = %d, want 16", tr.Nodes())
+	if hosts(tr) != 16 {
+		t.Fatalf("nodes = %d, want 16", hosts(tr))
 	}
 	if tr.LeafOf(0) != 0 || tr.LeafOf(3) != 0 || tr.LeafOf(4) != 1 || tr.LeafOf(15) != 3 {
 		t.Fatal("leaf mapping wrong")
@@ -29,12 +29,14 @@ func TestFatTreeDimensions(t *testing.T) {
 }
 
 func TestFatTreeHops(t *testing.T) {
+	// A same-leaf route crosses one element (the leaf); a cross-leaf route
+	// three (leaf, spine, leaf): the leaf plus one stage per fabric hop.
 	tr := testTree()
-	if tr.Hops(0, 1) != 1 {
-		t.Fatalf("same-leaf hops = %d, want 1", tr.Hops(0, 1))
+	if hops := len(between(tr, 0, 1, 0).Stages) + 1; hops != 1 {
+		t.Fatalf("same-leaf hops = %d, want 1", hops)
 	}
-	if tr.Hops(0, 5) != 3 {
-		t.Fatalf("cross-leaf hops = %d, want 3", tr.Hops(0, 5))
+	if hops := len(between(tr, 0, 5, 0).Stages) + 1; hops != 3 {
+		t.Fatalf("cross-leaf hops = %d, want 3", hops)
 	}
 }
 
@@ -112,3 +114,6 @@ func TestFatTreeValidation(t *testing.T) {
 		t.Fatal("zero dimensions accepted")
 	}
 }
+
+// hosts is the number of hosts the fabric attaches.
+func hosts(t *Clos) int { return t.leaves * t.hostsPerLeaf }

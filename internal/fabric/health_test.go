@@ -238,8 +238,8 @@ func TestClosAdaptiveAvoidsDeadPlanes(t *testing.T) {
 		var got []probe
 		eng.At(3*units.Millisecond, func() {
 			for i := 0; i < 64; i++ {
-				src := (i * 3) % tr.Nodes()
-				dst := (i*7 + 11) % tr.Nodes()
+				src := (i * 3) % hosts(tr)
+				dst := (i*7 + 11) % hosts(tr)
 				if tr.LeafOf(src) == tr.LeafOf(dst) {
 					continue
 				}

@@ -253,11 +253,6 @@ type NodeCrash struct {
 	RepairAt units.Time // 0 = never; heals the link only, never the ranks
 }
 
-// Dead reports whether the node's NIC is dark at now.
-func (c NodeCrash) Dead(now units.Time) bool {
-	return now >= c.At && (c.RepairAt == 0 || now < c.RepairAt)
-}
-
 // Forever is the Until value of a window that never closes.
 const Forever = units.Time(math.MaxInt64)
 
@@ -506,7 +501,7 @@ func NewInjector(p *Plan) *Injector {
 }
 
 // resolve builds the per-link state on first contact. Rule matching order
-// is exactly Verdict's former per-packet order, so the resolved state
+// is exactly VerdictExtra's former per-packet order, so the resolved state
 // renders identical verdict sequences.
 func (in *Injector) resolve(src, dst int) *linkState {
 	ls := &linkState{
@@ -584,18 +579,13 @@ func (in *Injector) Instrument(m *metrics.Registry) {
 	in.flapDrops = m.Counter("faults/flap_drops")
 }
 
-// Verdict decides the fate of the next packet on link src->dst at the
+// VerdictExtra decides the fate of the next packet on link src->dst at the
 // simulated instant now. Each call consumes one per-link draw, so callers
-// must invoke it exactly once per transfer attempt.
-func (in *Injector) Verdict(src, dst int, now units.Time) Verdict {
-	return in.VerdictExtra(src, dst, now, 0)
-}
-
-// VerdictExtra is Verdict with an extra per-packet drop rate the route
-// itself contributes — a degrading linecard the packet happens to ride.
-// extra must be a pure function of (route, now) so the per-link ordinal
-// stays schedule-independent: the same packet sees the same extra rate in
-// every run.
+// must invoke it exactly once per transfer attempt. extra is a per-packet
+// drop rate the route itself contributes — a degrading linecard the packet
+// happens to ride. It must be a pure function of (route, now) so the
+// per-link ordinal stays schedule-independent: the same packet sees the
+// same extra rate in every run.
 func (in *Injector) VerdictExtra(src, dst int, now units.Time, extra float64) Verdict {
 	in.packets.Inc()
 	key := [2]int{src, dst}

@@ -19,7 +19,7 @@ func TestVerdictReplayIsOrderIndependent(t *testing.T) {
 	a := NewInjector(plan)
 	got := make(map[pkt][]Verdict)
 	for _, p := range forward {
-		got[p] = append(got[p], a.Verdict(p.src, p.dst, 0))
+		got[p] = append(got[p], a.VerdictExtra(p.src, p.dst, 0, 0))
 	}
 
 	// Replay with links interleaved differently: per-link sequences must
@@ -32,7 +32,7 @@ func TestVerdictReplayIsOrderIndependent(t *testing.T) {
 	}
 	for p, n := range map[pkt]int{{0, 1}: perLink[pkt{0, 1}], {1, 0}: perLink[pkt{1, 0}], {0, 2}: perLink[pkt{0, 2}], {2, 0}: perLink[pkt{2, 0}]} {
 		for i := 0; i < n; i++ {
-			regot[p] = append(regot[p], b.Verdict(p.src, p.dst, 0))
+			regot[p] = append(regot[p], b.VerdictExtra(p.src, p.dst, 0, 0))
 		}
 	}
 	for p, vs := range got {
@@ -50,7 +50,7 @@ func TestDropRateConverges(t *testing.T) {
 	const n = 200000
 	drops := 0
 	for i := 0; i < n; i++ {
-		if in.Verdict(0, 1, 0) == Drop {
+		if in.VerdictExtra(0, 1, 0, 0) == Drop {
 			drops++
 		}
 	}
@@ -64,7 +64,7 @@ func TestSeedChangesSequence(t *testing.T) {
 	a, b := NewInjector(DropPlan(1, 0.5)), NewInjector(DropPlan(2, 0.5))
 	same := true
 	for i := 0; i < 64; i++ {
-		if a.Verdict(0, 1, 0) != b.Verdict(0, 1, 0) {
+		if a.VerdictExtra(0, 1, 0, 0) != b.VerdictExtra(0, 1, 0, 0) {
 			same = false
 		}
 	}
@@ -77,26 +77,26 @@ func TestFlapWindowDropsEverything(t *testing.T) {
 	in := NewInjector(&Plan{Seed: 3, Flaps: []Flap{
 		{Src: 0, Dst: Wildcard, From: 10 * units.Microsecond, Until: 20 * units.Microsecond},
 	}})
-	if v := in.Verdict(0, 1, 5*units.Microsecond); v != Deliver {
+	if v := in.VerdictExtra(0, 1, 5*units.Microsecond, 0); v != Deliver {
 		t.Fatalf("before flap: %v", v)
 	}
-	if v := in.Verdict(0, 1, 15*units.Microsecond); v != Drop {
+	if v := in.VerdictExtra(0, 1, 15*units.Microsecond, 0); v != Drop {
 		t.Fatalf("inside flap: %v", v)
 	}
-	if v := in.Verdict(0, 1, 20*units.Microsecond); v != Deliver {
+	if v := in.VerdictExtra(0, 1, 20*units.Microsecond, 0); v != Deliver {
 		t.Fatalf("after flap (Until is exclusive): %v", v)
 	}
-	if v := in.Verdict(1, 0, 15*units.Microsecond); v != Deliver {
+	if v := in.VerdictExtra(1, 0, 15*units.Microsecond, 0); v != Deliver {
 		t.Fatalf("reverse direction must not flap: %v", v)
 	}
 }
 
 func TestLinkRuleOverridesBaseline(t *testing.T) {
 	in := NewInjector(&Plan{Seed: 4, Drop: 1, Links: []LinkRule{{Src: 0, Dst: 1, Drop: 0}}})
-	if v := in.Verdict(0, 1, 0); v != Deliver {
+	if v := in.VerdictExtra(0, 1, 0, 0); v != Deliver {
 		t.Fatalf("overridden link: %v", v)
 	}
-	if v := in.Verdict(1, 0, 0); v != Drop {
+	if v := in.VerdictExtra(1, 0, 0, 0); v != Drop {
 		t.Fatalf("baseline link: %v", v)
 	}
 }
@@ -128,7 +128,7 @@ func TestInjectorCounters(t *testing.T) {
 	in := NewInjector(DropPlan(9, 1))
 	in.Instrument(m)
 	for i := 0; i < 10; i++ {
-		in.Verdict(0, 1, 0)
+		in.VerdictExtra(0, 1, 0, 0)
 	}
 	if got := m.Counter("faults/drops").Value(); got != 10 {
 		t.Fatalf("faults/drops = %d, want 10", got)

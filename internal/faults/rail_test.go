@@ -80,13 +80,13 @@ func TestDegradeWindowRaisesDropRate(t *testing.T) {
 	}).Flatten(0)
 	in := NewInjector(p)
 	for i := 0; i < 50; i++ {
-		if v := in.Verdict(0, 1, units.Microsecond); v != Drop {
+		if v := in.VerdictExtra(0, 1, units.Microsecond, 0); v != Drop {
 			t.Fatalf("packet %d inside a Drop=1.0 window got verdict %v", i, v)
 		}
 	}
 	dropped := 0
 	for i := 0; i < 200; i++ {
-		if in.Verdict(0, 1, 2*units.Millisecond) == Drop {
+		if in.VerdictExtra(0, 1, 2*units.Millisecond, 0) == Drop {
 			dropped++
 		}
 	}

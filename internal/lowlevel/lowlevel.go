@@ -121,38 +121,3 @@ func HostOverheads(p cluster.Platform, size int64) (send, recv sim.Time) {
 	_, ep0, _ := twoNodes(p)
 	return ep0.SendOverhead(size), ep0.RecvOverhead(size)
 }
-
-// BiBandwidth measures raw aggregate bandwidth with both directions
-// streaming bulk transfers.
-func BiBandwidth(p cluster.Platform, size int64, inflight int) float64 {
-	net, ep0, ep1 := twoNodes(p)
-	eng := net.Engine()
-	const messages = 16 // per direction
-	var completed int
-	var last sim.Time
-	start := func(ep dev.Endpoint, dst int) {
-		outstanding := 0
-		issued := 0
-		var issue func()
-		issue = func() {
-			for outstanding < inflight && issued < messages {
-				issued++
-				outstanding++
-				ep.Bulk(dst, size, 0, landed(func() {
-					outstanding--
-					completed++
-					last = eng.Now()
-					issue()
-				}))
-			}
-		}
-		eng.Schedule(0, issue)
-	}
-	start(ep0, 1)
-	start(ep1, 0)
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	total := 2 * float64(size) * float64(messages)
-	return total / last.Seconds() / float64(units.MB)
-}

@@ -166,9 +166,6 @@ func (c *PinCache) Acquire(b Buf) units.Time {
 	return t
 }
 
-// Pages reports the number of currently resident pages.
-func (c *PinCache) Pages() int64 { return c.npages }
-
 func (c *PinCache) insert(page int64) {
 	n := &pageNode{page: page}
 	c.resident[page] = n

@@ -115,8 +115,8 @@ func TestPinCacheLRUEviction(t *testing.T) {
 	if c.Evictions != 2 {
 		t.Fatalf("evictions = %d, want 2", c.Evictions)
 	}
-	if c.Pages() != 4 {
-		t.Fatalf("resident pages = %d, want capacity 4", c.Pages())
+	if c.npages != 4 {
+		t.Fatalf("resident pages = %d, want capacity 4", c.npages)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestPinCacheProperties(t *testing.T) {
 		for i := 0; i < n; i++ {
 			b := Buf{Addr: int64(addrs[i]) * PageSize, Size: int64(sizes[i]%16+1) * PageSize}
 			c.Acquire(b)
-			if c.Pages() > 64 {
+			if c.npages > 64 {
 				return false
 			}
 			if c.Acquire(b) != 0 { // immediate reuse must hit

@@ -90,22 +90,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add moves the current level by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.cur + delta)
-}
-
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.cur
-}
-
 // HighWater returns the maximum level ever set (0 on nil).
 func (g *Gauge) HighWater() int64 {
 	if g == nil {

@@ -24,7 +24,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
 	tm.Add(units.Microsecond)
 	h.Observe(4096, units.Microsecond)
 	sp := r.Track(0, "bus", "dma", "bus")
@@ -60,11 +59,11 @@ func TestHandlesSharedByName(t *testing.T) {
 func TestGaugeHighWater(t *testing.T) {
 	r := New()
 	g := r.Gauge("depth")
-	g.Add(2)
-	g.Add(3)
-	g.Add(-4)
-	if g.Value() != 1 || g.HighWater() != 5 {
-		t.Fatalf("got cur=%d hw=%d, want 1, 5", g.Value(), g.HighWater())
+	g.Set(2)
+	g.Set(5)
+	g.Set(1)
+	if g.cur != 1 || g.HighWater() != 5 {
+		t.Fatalf("got cur=%d hw=%d, want 1, 5", g.cur, g.HighWater())
 	}
 }
 

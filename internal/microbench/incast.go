@@ -7,40 +7,27 @@ import (
 )
 
 // Incast measures the hotspot pattern behind the paper's Alltoall analysis
-// in isolation: senders ranks all stream to rank 0 simultaneously; the
-// result is rank 0's aggregate receive rate in MB/s. The receiver's
+// in isolation: ranks 1..senders of a world on a nodes-node network all
+// stream size-byte messages to rank 0, which takes them in arrival order;
+// the result is rank 0's aggregate receive rate in MB/s. The receiver's
 // down-link (and, for small messages, its per-message processing) is the
-// bottleneck — the congestion component of Figure 11.
-func Incast(p cluster.Platform, senders int, size int64) float64 {
-	nodes := senders + 1
-	w := mpi.MustWorld(mpi.Config{Net: p.New(nodes), Procs: nodes})
-	const perSender = 8
-	var rate float64
+// bottleneck — the congestion component of Figure 11. Senders are placed
+// from node 1 up, so on a multi-stage fabric they cross leaf boundaries as
+// their count grows.
+func Incast(p cluster.Platform, nodes, senders int, size int64) float64 {
+	const rounds = 4
+	w := mpi.MustWorld(mpi.Config{Net: p.New(nodes), Procs: senders + 1})
 	mustRun(w, func(r *mpi.Rank) {
+		buf := r.Malloc(size)
 		if r.Rank() == 0 {
-			buf := r.Malloc(size)
-			// Warm round.
-			for s := 1; s <= senders; s++ {
-				r.Recv(buf, s, 0)
+			for i := 0; i < rounds*senders; i++ {
+				r.Recv(buf, mpi.AnySource, 3)
 			}
-			start := r.Wtime()
-			reqs := make([]*mpi.Request, 0, senders*perSender)
-			for i := 0; i < perSender; i++ {
-				for s := 1; s <= senders; s++ {
-					reqs = append(reqs, r.Irecv(buf, s, 1))
-				}
-			}
-			r.Waitall(reqs...)
-			elapsed := r.Wtime() - start
-			total := float64(size) * float64(senders) * float64(perSender)
-			rate = total / elapsed.Seconds() / float64(units.MB)
-		} else {
-			buf := r.Malloc(size)
-			r.Send(buf, 0, 0) // warm
-			for i := 0; i < perSender; i++ {
-				r.Send(buf, 0, 1)
-			}
+			return
+		}
+		for i := 0; i < rounds; i++ {
+			r.Send(buf, 0, 3)
 		}
 	})
-	return rate
+	return float64(rounds) * float64(senders) * float64(size) / float64(units.MB) / w.Elapsed().Seconds()
 }

@@ -60,7 +60,7 @@ func TestIncastBoundedByReceiver(t *testing.T) {
 	}{
 		{cluster.IBA(), 841}, {cluster.Myri(), 235}, {cluster.QSN(), 308},
 	} {
-		rate := Incast(tc.p, 4, 256*1024)
+		rate := Incast(tc.p, 5, 4, 256*1024)
 		if rate > tc.peak*1.1 {
 			t.Errorf("%s incast %.0f MB/s exceeds the link peak %.0f", tc.p.Name, rate, tc.peak)
 		}
@@ -75,8 +75,8 @@ func TestIncastSmallMessagesProcessingBound(t *testing.T) {
 	// not double the aggregate small-message rate (its per-message
 	// processing saturates).
 	for _, p := range cluster.OSU() {
-		three := Incast(p, 3, 64)
-		seven := Incast(p, 7, 64) // 8 nodes: the full switch
+		three := Incast(p, 4, 3, 64)
+		seven := Incast(p, 8, 7, 64) // 8 nodes: the full switch
 		if seven > three*1.8 {
 			t.Errorf("%s: small-message incast kept scaling (%.1f -> %.1f MB/s): receiver costs missing",
 				p.Name, three, seven)

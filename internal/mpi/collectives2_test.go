@@ -40,7 +40,7 @@ func TestGatherSynchronizesRootLast(t *testing.T) {
 	w := MustWorld(Config{Net: cluster.QSN().New(4), Procs: 4})
 	var slowest, rootExit sim.Time
 	if err := w.Run(func(r *Rank) {
-		d := units.FromMicros(float64(100 * r.Rank()))
+		d := units.Time(100*r.Rank()) * units.Microsecond
 		r.Compute(d)
 		if d > slowest {
 			slowest = d
@@ -98,7 +98,7 @@ func TestIprobeNonBlocking(t *testing.T) {
 			if _, ok := r.Iprobe(0, 7); ok {
 				t.Error("Iprobe saw a message before any was sent")
 			}
-			r.Compute(units.FromMicros(100))
+			r.Compute(100 * units.Microsecond)
 			st, ok := r.Iprobe(0, 7)
 			if !ok || st.Size != 64 {
 				t.Errorf("Iprobe after arrival: ok=%v st=%+v", ok, st)

@@ -99,7 +99,7 @@ func TestContextIsolation(t *testing.T) {
 		} else {
 			// Receive the world message first even though the dup message
 			// arrived earlier.
-			r.Compute(units.FromMicros(200))
+			r.Compute(200 * units.Microsecond)
 			st := r.Recv(buf, 0, 3)
 			if st.Size != 64 {
 				t.Errorf("world recv: %+v", st)
@@ -264,5 +264,32 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 	if len(order) != 4 || order[0] != 1 || order[1] != 2 || order[2] != 3 || order[3] != 4 {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestSubCommBcastReduce runs the rooted collectives on a sub-communicator:
+// every member leaves the broadcast no earlier than its root entered it,
+// and a reduce into a non-zero group rank completes in both groups.
+func TestSubCommBcastReduce(t *testing.T) {
+	w := MustWorld(Config{Net: cluster.IBA().New(8), Procs: 8})
+	entered := make([]sim.Time, 2)
+	left := make([]sim.Time, 8)
+	if err := w.Run(func(r *Rank) {
+		sub := r.CommWorld().Split(r.Rank()%2, r.Rank())
+		buf := r.Malloc(1024)
+		if sub.Rank() == 1 {
+			r.Compute(units.Time(10*(r.Rank()+1)) * units.Microsecond)
+			entered[r.Rank()%2] = r.Wtime()
+		}
+		sub.Bcast(buf, 1)
+		left[r.Rank()] = r.Wtime()
+		sub.Reduce(buf, 2)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for rank, at := range left {
+		if at < entered[rank%2] {
+			t.Errorf("rank %d left the group broadcast at %v, before its root entered at %v", rank, at, entered[rank%2])
+		}
 	}
 }

@@ -55,7 +55,7 @@ func TestHWMulticastCorrectCompletion(t *testing.T) {
 			rootEntry = r.Wtime()
 		} else {
 			// Skew the receivers: late ranks must still get every payload.
-			r.Compute(units.FromMicros(float64(50 * r.Rank())))
+			r.Compute(units.Time(50*r.Rank()) * units.Microsecond)
 		}
 		for i := 0; i < 3; i++ {
 			r.Bcast(buf, 0)

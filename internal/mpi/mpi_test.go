@@ -94,7 +94,7 @@ func TestUnexpectedMessageMatched(t *testing.T) {
 				r.Send(r.Malloc(512), 1, 42)
 			} else {
 				// Compute long enough that the message is unexpected.
-				r.Compute(units.FromMicros(500))
+				r.Compute(500 * units.Microsecond)
 				got = r.Recv(r.Malloc(512), 0, 42)
 			}
 		}); err != nil {
@@ -114,7 +114,7 @@ func TestUnexpectedRendezvousMatched(t *testing.T) {
 			if r.Rank() == 0 {
 				r.Send(r.Malloc(size), 1, 1)
 			} else {
-				r.Compute(units.FromMicros(300))
+				r.Compute(300 * units.Microsecond)
 				st := r.Recv(r.Malloc(size), 0, 1)
 				if st.Size != size {
 					t.Errorf("recv size %d, want %d", st.Size, size)
@@ -136,7 +136,7 @@ func TestTagSelectivity(t *testing.T) {
 				r.Send(r.Malloc(16), 1, 6)
 			} else {
 				// Receive tag 6 first even though tag 5 arrives first.
-				r.Compute(units.FromMicros(200))
+				r.Compute(200 * units.Microsecond)
 				st := r.Recv(r.Malloc(16), 0, 6)
 				order = append(order, st.Tag)
 				st = r.Recv(r.Malloc(16), 0, 5)
@@ -232,7 +232,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 			lastBefore := sim.Time(0)
 			if err := w.Run(func(r *Rank) {
 				// Stagger entries.
-				d := units.FromMicros(float64(r.Rank() * 50))
+				d := units.Time(r.Rank()*50) * units.Microsecond
 				r.Compute(d)
 				if d > lastBefore {
 					lastBefore = d
@@ -524,7 +524,7 @@ func TestHostBusyAccounted(t *testing.T) {
 			if w.HostBusy(rank) <= 0 {
 				t.Fatalf("rank %d host busy = %v, want positive", rank, w.HostBusy(rank))
 			}
-			if w.HostBusy(rank) > units.FromMicros(50) {
+			if w.HostBusy(rank) > 50*units.Microsecond {
 				t.Fatalf("rank %d host busy = %v, implausibly large", rank, w.HostBusy(rank))
 			}
 		}

@@ -25,12 +25,13 @@ type msgPathFabric struct {
 // a spine-plane kill that is detected and repaired early in the run.
 func msgPathFabrics() []msgPathFabric {
 	adaptive := []cluster.Option{cluster.Clos(3, 8, 1), cluster.WithRouting(cluster.Adaptive)}
+	plan := faults.DropPlan(11, 0.01)
+	plan.DetectDelay = 50 * units.Microsecond
 	faulty := append(append([]cluster.Option(nil), adaptive...),
-		cluster.WithFaults(faults.DropPlan(11, 0.01)),
+		cluster.WithFaults(plan),
 		cluster.WithSwitchKills(faults.SwitchKill{
 			Level: 1, Index: 1, At: 20 * units.Microsecond, RepairAt: 400 * units.Microsecond,
-		}),
-		cluster.WithDetectDelay(50*units.Microsecond))
+		}))
 	return []msgPathFabric{
 		{name: "crossbar", nodes: 8, stride: 1},
 		{name: "adaptive-clos", opts: adaptive, nodes: 16, stride: 5},

@@ -63,10 +63,10 @@ func TestScaleClosThreeLevel(t *testing.T) {
 	}
 }
 
-// TestObservationShardInvariance: observing a run never changes it. A
+// TestObservationInvariance: observing a run never changes it. A
 // plain run and runs with a timeline, a metrics registry or a span recorder
 // all finish at the identical simulated time.
-func TestObservationShardInvariance(t *testing.T) {
+func TestObservationInvariance(t *testing.T) {
 	observers := []struct {
 		name string
 		set  func(*mpi.Config)

@@ -70,7 +70,7 @@ func TestWaitany(t *testing.T) {
 		case 1:
 			r.Send(r.Malloc(64), 0, 1)
 		case 2:
-			r.Compute(units.FromMicros(500))
+			r.Compute(500 * units.Microsecond)
 			r.Send(r.Malloc(64), 0, 2)
 		}
 	}); err != nil {
@@ -178,7 +178,7 @@ func TestSsendWaitsForReceiver(t *testing.T) {
 			r.Ssend(buf, 1, 0)
 			sendDone = r.Wtime()
 		} else {
-			r.Compute(units.FromMicros(400))
+			r.Compute(400 * units.Microsecond)
 			recvPosted = r.Wtime()
 			r.Recv(buf, 0, 0)
 		}

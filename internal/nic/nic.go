@@ -164,7 +164,7 @@ func New(eng *sim.Engine, cfg Config, spec *Spec) *Net {
 		if cfg.Nodes > cfg.SwitchPorts {
 			panic(fmt.Sprintf("%s: %d nodes exceed %d switch ports", spec.Pkg, cfg.Nodes, cfg.SwitchPorts))
 		}
-		n.topo = fabric.NewCrossbarTopology(cfg.SwitchPorts, spec.Crossing)
+		n.topo = fabric.NewCrossbarTopology(spec.Crossing)
 	}
 	if cfg.Faults.HasElements() && cfg.Clos == nil {
 		n.cfgErr = fmt.Errorf("%s: fault plan schedules fabric-element deaths but the topology is not a Clos", spec.Pkg)

@@ -70,14 +70,14 @@ type funcHandler func()
 func (f funcHandler) HandleEvent(int64, int64) { f() }
 
 // Timer is a cancellable, re-armable scheduled callback (see
-// Engine.NewTimer and Engine.AfterTimer). It implements Handler so its
-// event record needs no closure beyond the fn the caller supplied, and it
-// is reusable: Arm after Stop (or after firing) queues a fresh deadline on
-// the same object, so a long-lived watchdog costs one allocation for its
-// whole life instead of one per wait. Each Arm stamps a fresh generation
-// number into the queued event's argument word; an event whose stamp no
-// longer matches the timer's current generation is stale and is discarded
-// at the head of the queue exactly like a stopped timer's event.
+// Engine.NewTimer). It implements Handler so its event record needs no
+// closure beyond the fn the caller supplied, and it is reusable: Arm after
+// Stop (or after firing) queues a fresh deadline on the same object, so a
+// long-lived watchdog costs one allocation for its whole life instead of
+// one per wait. Each Arm stamps a fresh generation number into the queued
+// event's argument word; an event whose stamp no longer matches the
+// timer's current generation is stale and is discarded at the head of the
+// queue exactly like a stopped timer's event.
 type Timer struct {
 	eng   *Engine
 	fn    func()
@@ -349,18 +349,6 @@ func (e *Engine) schedProc(p *Proc, delay Time) {
 	e.enqueue(event{at: e.now + delay, h: p})
 }
 
-// AfterTimer schedules fn after delay like Schedule, but returns a Timer
-// whose Stop cancels the callback. A stopped timer is dropped on pop
-// instead of dispatched as a no-op (which would drag the clock forward to
-// its expiry and inflate every Elapsed measurement). AfterTimer allocates
-// the Timer per call; callers arming on a hot path should allocate once
-// with NewTimer and Arm/Stop per use.
-func (e *Engine) AfterTimer(delay Time, fn func()) *Timer {
-	t := e.NewTimer(fn)
-	t.Arm(delay)
-	return t
-}
-
 // maybeCompact removes cancelled timer events from the queue in bulk once
 // they exceed the compaction thresholds. Without this, per-wait watchdogs
 // (auto-armed on every MPI wait under a fault plan) rot in the heap until
@@ -489,10 +477,6 @@ func (e *Engine) RunUntil(limit Time) error {
 	}
 	return nil
 }
-
-// Pending reports the number of queued events (heap and current-instant
-// FIFO lane together).
-func (e *Engine) Pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }
 
 // Dispatched reports how many events the engine has executed — a measure
 // of simulation work, useful for budgeting large experiments.

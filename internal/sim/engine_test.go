@@ -97,8 +97,8 @@ func TestRunUntilHorizon(t *testing.T) {
 	if e.Now() != 20 {
 		t.Fatalf("Now = %v, want 20", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", e.pending())
 	}
 }
 
@@ -128,7 +128,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 			name := fmt.Sprintf("p%d", i)
 			e.Spawn(name, func(p *Proc) {
 				for j := 0; j < 3; j++ {
-					trace = append(trace, fmt.Sprintf("%s.%d@%v", p.Name(), j, p.Now()))
+					trace = append(trace, fmt.Sprintf("%s.%d@%v", p.name, j, p.Now()))
 					p.Sleep(units.Time(10 * (j + 1)))
 				}
 			})
@@ -154,8 +154,10 @@ func TestCondWaitBroadcast(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("w%d", i)
 		e.Spawn(name, func(p *Proc) {
-			c.WaitUntil(p, "ready", func() bool { return ready })
-			order = append(order, p.Name())
+			for !ready {
+				c.WaitFor(p, why("ready"))
+			}
+			order = append(order, p.name)
 		})
 	}
 	e.Spawn("signaller", func(p *Proc) {
@@ -176,33 +178,10 @@ func TestCondWaitBroadcast(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	e := New()
-	var c Cond
-	woke := 0
-	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			c.Wait(p, "signal")
-			woke++
-		})
-	}
-	e.Spawn("signaller", func(p *Proc) {
-		p.Sleep(10)
-		c.Signal()
-	})
-	err := e.Run()
-	if woke != 1 {
-		t.Fatalf("woke = %d, want 1", woke)
-	}
-	if err == nil {
-		t.Fatal("expected deadlock error for the unwoken waiter")
-	}
-}
-
 func TestDeadlockReported(t *testing.T) {
 	e := New()
 	var c Cond
-	e.Spawn("stuck", func(p *Proc) { c.Wait(p, "never") })
+	e.Spawn("stuck", func(p *Proc) { c.WaitFor(p, why("never")) })
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -278,7 +257,7 @@ func TestReapReleasesGoroutines(t *testing.T) {
 			procs = append(procs, e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				defer func() { unwound++ }()
 				p.Sleep(Time(i+1) * hop)
-				c.Wait(p, "never")
+				c.WaitFor(p, why("never"))
 			}))
 		}
 		var dl *DeadlockError
@@ -306,7 +285,7 @@ func TestReapReleasesGoroutines(t *testing.T) {
 		for i, p := range procs {
 			if p.BlockedTime() != blocked[i] || p.SleptTime() != slept[i] {
 				t.Errorf("%s: blocked/slept %v/%v after Reap, want %v/%v",
-					p.Name(), p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
+					p.name, p.BlockedTime(), p.SleptTime(), blocked[i], slept[i])
 			}
 		}
 		if e.BlockedTime() != engBlocked || e.SleptTime() != engSlept {
@@ -314,26 +293,6 @@ func TestReapReleasesGoroutines(t *testing.T) {
 				e.BlockedTime(), e.SleptTime(), engBlocked, engSlept)
 		}
 	})
-}
-
-func TestYieldLetsSameInstantEventsRun(t *testing.T) {
-	e := New()
-	var trace []string
-	e.Spawn("a", func(p *Proc) {
-		trace = append(trace, "a1")
-		p.Yield()
-		trace = append(trace, "a2")
-	})
-	// Scheduled after the spawn's starter event, so it runs between a's
-	// yield and resume.
-	e.Schedule(0, func() { trace = append(trace, "ev") })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := strings.Join(trace, " ")
-	if got != "a1 ev a2" {
-		t.Fatalf("trace = %q, want 'a1 ev a2'", got)
-	}
 }
 
 func TestStationFIFO(t *testing.T) {
@@ -431,20 +390,10 @@ func TestRNGProperties(t *testing.T) {
 	}
 }
 
-func TestRNGFloat64Range(t *testing.T) {
-	r := NewRNG(42)
-	for i := 0; i < 10000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 = %v out of [0,1)", v)
-		}
-	}
-}
-
 func TestTimerFires(t *testing.T) {
 	e := New()
 	fired := false
-	e.AfterTimer(10, func() { fired = true })
+	e.NewTimer(func() { fired = true }).Arm(10)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +407,8 @@ func TestTimerFires(t *testing.T) {
 
 func TestStoppedTimerLeavesNoTrace(t *testing.T) {
 	e := New()
-	tm := e.AfterTimer(1000, func() { t.Fatal("stopped timer fired") })
+	tm := e.NewTimer(func() { t.Fatal("stopped timer fired") })
+	tm.Arm(1000)
 	e.Schedule(5, func() { tm.Stop() })
 	before := e.Dispatched()
 	if err := e.Run(); err != nil {
@@ -478,9 +428,10 @@ func TestStoppedTimerDoesNotMaskDeadlock(t *testing.T) {
 	e := New()
 	e.Spawn("stuck", func(p *Proc) {
 		var c Cond
-		tm := e.AfterTimer(50, func() {})
+		tm := e.NewTimer(func() {})
+		tm.Arm(50)
 		tm.Stop()
-		c.Wait(p, "forever")
+		c.WaitFor(p, why("forever"))
 	})
 	err := e.Run()
 	var dl *DeadlockError
@@ -496,3 +447,12 @@ func errorsAs(err error, target **DeadlockError) bool {
 	}
 	return ok
 }
+
+// why is a fixed wait reason for Cond.WaitFor.
+type why string
+
+func (w why) String() string { return string(w) }
+
+// pending is the number of queued events: heap and current-instant FIFO
+// lane together.
+func (e *Engine) pending() int { return len(e.events) + len(e.nowq) - e.nowqHead }

@@ -37,45 +37,28 @@ func TestParkWakeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestYieldZeroAlloc does the same for Yield, which parks and immediately
-// reschedules at the current instant (the nowq fast lane).
-func TestYieldZeroAlloc(t *testing.T) {
-	per := perCycleAllocs(t, 64, 8256, func(cycles int) {
-		e := New()
-		e.Spawn("s", func(p *Proc) {
-			for i := 0; i < cycles; i++ {
-				p.Yield()
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if per > 0.001 {
-		t.Errorf("yield allocates %.4f per cycle, want 0", per)
-	}
-}
-
-// TestCondWakeZeroAlloc covers the third hot blocking path: a Cond
-// Wait/Broadcast cycle between two processes must not allocate in steady
+// TestCondWakeZeroAlloc covers the second hot blocking path: a Cond
+// WaitFor/Broadcast cycle between two processes must not allocate in steady
 // state (the waiters slice reuses its backing array).
 func TestCondWakeZeroAlloc(t *testing.T) {
 	per := perCycleAllocs(t, 64, 8256, func(cycles int) {
 		e := New()
 		var c Cond
 		turn := 0
-		evenTurn := func() bool { return turn%2 == 0 }
-		oddTurn := func() bool { return turn%2 == 1 }
 		e.Spawn("a", func(p *Proc) {
 			for i := 0; i < cycles; i++ {
-				c.WaitUntil(p, "a", evenTurn)
+				for turn%2 != 0 {
+					c.WaitFor(p, why("a"))
+				}
 				turn++
 				c.Broadcast()
 			}
 		})
 		e.Spawn("b", func(p *Proc) {
 			for i := 0; i < cycles; i++ {
-				c.WaitUntil(p, "b", oddTurn)
+				for turn%2 != 1 {
+					c.WaitFor(p, why("b"))
+				}
 				turn++
 				c.Broadcast()
 			}
@@ -86,37 +69,6 @@ func TestCondWakeZeroAlloc(t *testing.T) {
 	})
 	if per > 0.001 {
 		t.Errorf("cond wait/broadcast allocates %.4f per cycle, want 0", per)
-	}
-}
-
-// TestCondSignalWakesOldest arranges waiters whose wait order differs from
-// their spawn order and signals one at a time: each Signal must wake the
-// waiter that has been parked longest.
-func TestCondSignalWakesOldest(t *testing.T) {
-	e := New()
-	var c Cond
-	var woke []string
-	// Spawn in reverse so spawn order cannot masquerade as wait order:
-	// w0 begins waiting at t=10, w1 at 20, w2 at 30.
-	for i := 2; i >= 0; i-- {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			p.Sleep(Time(10 * (i + 1)))
-			c.Wait(p, "turn")
-			woke = append(woke, p.Name())
-		})
-	}
-	e.Spawn("signaller", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(100)
-			c.Signal()
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(woke, " "); got != "w0 w1 w2" {
-		t.Fatalf("signal wake order = %q, want oldest-first \"w0 w1 w2\"", got)
 	}
 }
 
@@ -131,8 +83,8 @@ func TestCondBroadcastWakesInWaitOrder(t *testing.T) {
 		i := i
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
 			p.Sleep(Time(10 * (i + 1)))
-			c.Wait(p, "gate")
-			woke = append(woke, p.Name())
+			c.WaitFor(p, why("gate"))
+			woke = append(woke, p.name)
 		})
 	}
 	e.Spawn("opener", func(p *Proc) {
@@ -147,40 +99,6 @@ func TestCondBroadcastWakesInWaitOrder(t *testing.T) {
 	}
 }
 
-// TestCondWaitUntilRechecks drives spurious wakeups at a WaitUntil waiter:
-// Broadcasts while the predicate is false must re-park it (the predicate
-// runs once per wake plus the initial check), and it may only return once
-// the predicate holds.
-func TestCondWaitUntilRechecks(t *testing.T) {
-	e := New()
-	var c Cond
-	ready := false
-	checks := 0
-	var doneAt Time = -1
-	e.Spawn("waiter", func(p *Proc) {
-		c.WaitUntil(p, "ready", func() bool { checks++; return ready })
-		doneAt = p.Now()
-	})
-	e.Spawn("noise", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(10)
-			c.Broadcast() // spurious: predicate still false
-		}
-		p.Sleep(10)
-		ready = true
-		c.Broadcast()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != 40 {
-		t.Fatalf("waiter returned at %v, want 40 (only after the predicate held)", doneAt)
-	}
-	if checks != 5 {
-		t.Fatalf("predicate ran %d times, want 5 (initial + 3 spurious + final)", checks)
-	}
-}
-
 // TestTimerCompactionReclaimsStopped stops enough timers to cross the lazy
 // compaction threshold and requires: compaction actually ran, the stopped
 // entries are gone from the queue, and neither the clock nor the dispatch
@@ -191,7 +109,9 @@ func TestTimerCompactionReclaimsStopped(t *testing.T) {
 	timers := make([]*Timer, 0, n)
 	fired := 0
 	for i := 0; i < n; i++ {
-		timers = append(timers, e.AfterTimer(Time(1000+i), func() { fired++ }))
+		tm := e.NewTimer(func() { fired++ })
+		tm.Arm(Time(1000 + i))
+		timers = append(timers, tm)
 	}
 	e.Schedule(5, func() {
 		for _, tm := range timers[:n-1] {
@@ -227,7 +147,9 @@ func TestTimerCompactionMidRun(t *testing.T) {
 	var got []int
 	timers := make([]*Timer, 0, 256)
 	for i := 0; i < 256; i++ {
-		timers = append(timers, e.AfterTimer(Time(5000+i), func() { t.Error("stopped timer fired") }))
+		tm := e.NewTimer(func() { t.Error("stopped timer fired") })
+		tm.Arm(Time(5000 + i))
+		timers = append(timers, tm)
 	}
 	for i := 0; i < 10; i++ {
 		i := i
@@ -249,8 +171,8 @@ func TestTimerCompactionMidRun(t *testing.T) {
 			t.Fatalf("post-compaction order broken: got %v", got)
 		}
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after run, want 0", e.Pending())
+	if e.pending() != 0 {
+		t.Errorf("Pending = %d after run, want 0", e.pending())
 	}
 }
 
@@ -258,7 +180,8 @@ func TestTimerCompactionMidRun(t *testing.T) {
 // corrupt the stopped-timer accounting that drives compaction.
 func TestStopAfterFireIsNoOp(t *testing.T) {
 	e := New()
-	tm := e.AfterTimer(10, func() {})
+	tm := e.NewTimer(func() {})
+	tm.Arm(10)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // Proc is a simulated process: a coroutine whose execution is interleaved
 // with the event loop so that exactly one of (engine, some process) runs at
 // a time. A Proc advances the virtual clock only by blocking — Sleep for
-// compute time, Cond.Wait for synchronization — and therefore reads as
+// compute time, Cond.WaitFor for synchronization — and therefore reads as
 // ordinary sequential code.
 type Proc struct {
 	eng  *Engine
@@ -37,10 +37,8 @@ type Proc struct {
 	// coroutine and read by the engine once next reports completion.
 	panicked interface{}
 
-	// blockedOn describes what the process is waiting for, surfaced in
-	// deadlock reports; blockedFor, when set, replaces it with a
-	// description formatted only if a report reads it (Cond.WaitFor).
-	blockedOn  string
+	// blockedFor describes what the process waits for, formatted only if
+	// a deadlock report reads it (Cond.WaitFor).
 	blockedFor fmt.Stringer
 
 	// blocked/slept accounting. Updated only while this process runs, so
@@ -95,22 +93,22 @@ func (e *Engine) step(p *Proc) {
 func (p *Proc) HandleEvent(int64, int64) { p.eng.step(p) }
 
 // park suspends the process back to the engine until somebody resumes it
-// via a wake event. If Reap cancels it instead, park panics with reaped.
-func (p *Proc) park(why string) {
-	p.blockedOn = why
+// via a wake event, accounting the wait as sleep or as blocked time. If
+// Reap cancels it instead, park panics with reaped.
+func (p *Proc) park(sleep bool) {
 	t0 := p.eng.now
 	if !p.yield(struct{}{}) {
 		panic(reaped{})
 	}
 	d := p.eng.now - t0
-	if why == "sleep" {
+	if sleep {
 		p.slept += d
 		p.eng.slept += d
 	} else {
 		p.blocked += d
 		p.eng.blocked += d
 	}
-	p.blockedOn, p.blockedFor = "", nil
+	p.blockedFor = nil
 }
 
 // reason describes what a parked process waits for.
@@ -118,7 +116,7 @@ func (p *Proc) reason() string {
 	if p.blockedFor != nil {
 		return p.blockedFor.String()
 	}
-	return p.blockedOn
+	return ""
 }
 
 // Reap releases every process still parked on this engine once Run has
@@ -151,9 +149,6 @@ func (p *Proc) wake(delay Time) {
 	p.eng.schedProc(p, delay)
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // BlockedTime reports how long this process has spent parked on conditions
 // (message waits, resource queues) — sleep time is excluded.
 func (p *Proc) BlockedTime() Time { return p.blocked }
@@ -174,18 +169,11 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	p.wake(d)
-	p.park("sleep")
-}
-
-// Yield parks the process and immediately re-queues it, letting every event
-// already scheduled for the current instant run first.
-func (p *Proc) Yield() {
-	p.wake(0)
-	p.park("yield")
+	p.park(true)
 }
 
 // Cond is an engine-level condition: processes wait on it, and model code
-// (event callbacks or other processes) signals it. Unlike sync.Cond there is
+// (event callbacks or other processes) broadcasts it. Unlike sync.Cond there is
 // no associated lock — the cooperative scheduler already guarantees mutual
 // exclusion — but waiters must re-check their predicate after waking, as
 // wakeups are ordered but not exclusive.
@@ -193,20 +181,14 @@ type Cond struct {
 	waiters []*Proc
 }
 
-// Wait parks the calling process until the condition is signalled. why is
-// used in deadlock reports.
-func (c *Cond) Wait(p *Proc, why string) {
-	c.waiters = append(c.waiters, p)
-	p.park(why)
-}
-
-// WaitFor is Wait with a lazily described reason: why.String() runs only
-// if a deadlock report names the process, so a caller whose reason needs
-// formatting pays for it only then. why must stay valid while p waits.
+// WaitFor parks the calling process until the condition is broadcast. why
+// describes the wait lazily: why.String() runs only if a deadlock report
+// names the process, so a caller whose reason needs formatting pays for it
+// only then. why must stay valid while p waits.
 func (c *Cond) WaitFor(p *Proc, why fmt.Stringer) {
 	c.waiters = append(c.waiters, p)
 	p.blockedFor = why
-	p.park("")
+	p.park(false)
 }
 
 // Broadcast wakes every current waiter, in wait order. The waiter slice's
@@ -217,23 +199,5 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 	for _, p := range ws {
 		p.wake(0)
-	}
-}
-
-// Signal wakes the oldest waiter, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	p := c.waiters[0]
-	n := copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:n]
-	p.wake(0)
-}
-
-// WaitUntil parks p until pred() holds, re-checking at every broadcast of c.
-func (c *Cond) WaitUntil(p *Proc, why string, pred func() bool) {
-	for !pred() {
-		c.Wait(p, why)
 	}
 }

@@ -25,8 +25,3 @@ func (r *RNG) Intn(n int) int {
 	}
 	return int(r.Uint64() % uint64(n))
 }
-
-// Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}

@@ -55,8 +55,8 @@ func TestTimelineRenderReportsDropCount(t *testing.T) {
 
 func TestTimelineRender(t *testing.T) {
 	tl := NewTimeline(2)
-	tl.Add(Event{At: units.FromMicros(1.5), Rank: 0, Kind: EvSendStart, Peer: 1, Tag: 7, Size: 4096})
-	tl.Add(Event{At: units.FromMicros(9), Rank: 1, Kind: EvRecvDone, Peer: -1, Tag: -10, Size: 4096})
+	tl.Add(Event{At: 1500 * units.Nanosecond, Rank: 0, Kind: EvSendStart, Peer: 1, Tag: 7, Size: 4096})
+	tl.Add(Event{At: 9 * units.Microsecond, Rank: 1, Kind: EvRecvDone, Peer: -1, Tag: -10, Size: 4096})
 	tl.Add(Event{}) // dropped
 	var b bytes.Buffer
 	tl.Render(&b)

@@ -41,9 +41,6 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // Seconds returns t expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// FromMicros converts a floating-point microsecond count to a Time.
-func FromMicros(us float64) Time { return Time(us * float64(Microsecond)) }
-
 // FromSeconds converts a floating-point second count to a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
@@ -72,13 +69,6 @@ type BytesPerSecond float64
 // MBps constructs a bandwidth from a figure in 2^20-byte megabytes/second
 // (the paper's reporting unit).
 func MBps(v float64) BytesPerSecond { return BytesPerSecond(v * float64(MB)) }
-
-// Gbps constructs a bandwidth from a link signalling figure in decimal
-// gigabits per second.
-func Gbps(v float64) BytesPerSecond { return BytesPerSecond(v * 1e9 / 8) }
-
-// InMBps reports the bandwidth in 2^20-byte megabytes/second.
-func (b BytesPerSecond) InMBps() float64 { return float64(b) / float64(MB) }
 
 // TimeFor returns how long it takes to move n bytes at rate b.
 func (b BytesPerSecond) TimeFor(n int64) Time {

@@ -12,9 +12,6 @@ func TestTimeConversions(t *testing.T) {
 	if Second.Seconds() != 1 {
 		t.Errorf("Seconds(1s) = %v", Second.Seconds())
 	}
-	if FromMicros(2.5) != 2500*Nanosecond {
-		t.Errorf("FromMicros(2.5) = %v", FromMicros(2.5))
-	}
 	if FromSeconds(0.001) != Millisecond {
 		t.Errorf("FromSeconds(0.001) = %v", FromSeconds(0.001))
 	}
@@ -42,13 +39,6 @@ func TestTimeString(t *testing.T) {
 func TestBandwidth(t *testing.T) {
 	if got := MBps(100).TimeFor(100 * MB); got != Second {
 		t.Errorf("100MB @ 100MB/s = %v, want 1s", got)
-	}
-	// 8 Gbps = 1e9 bytes/s.
-	if got := Gbps(8).TimeFor(1e9); got != Second {
-		t.Errorf("1e9 B @ 8Gbps = %v, want 1s", got)
-	}
-	if got := MBps(841).InMBps(); got != 841 {
-		t.Errorf("round trip MBps = %v", got)
 	}
 }
 

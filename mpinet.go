@@ -276,10 +276,6 @@ func WithLinecardDegrades(degrades ...LinecardDegrade) Option {
 // WithNodeCrashes schedules host-node deaths: dark NICs plus dead MPI ranks.
 func WithNodeCrashes(crashes ...NodeCrash) Option { return cluster.WithNodeCrashes(crashes...) }
 
-// WithDetectDelay overrides how long the fabric and MPI layers take to
-// notice element and node deaths (default faults.DefaultDetectDelay).
-func WithDetectDelay(d Time) Option { return cluster.WithDetectDelay(d) }
-
 // WithFaultTolerant opts the world into ULFM-style rank-death notification:
 // operations against dead ranks complete with Status.Err instead of
 // aborting the job.

@@ -50,9 +50,6 @@ func TestFacadeFunctions(t *testing.T) {
 		{"WithNodeCrashes", WithNodeCrashes(crash), "IBA", func(s cluster.Settings, _ WorldConfig) bool {
 			return s.Faults != nil && len(s.Faults.NodeCrashes) == 1 && s.Faults.NodeCrashes[0] == crash
 		}},
-		{"WithDetectDelay", WithDetectDelay(Microsecond), "IBA", func(s cluster.Settings, _ WorldConfig) bool {
-			return s.Faults != nil && s.Faults.DetectDelay == Microsecond
-		}},
 		{"WithFaultTolerant", WithFaultTolerant(), "IBA", func(_ cluster.Settings, cfg WorldConfig) bool {
 			return cfg.FaultTolerant
 		}},

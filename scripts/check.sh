@@ -5,7 +5,7 @@
 # must produce byte-identical metrics snapshots, Chrome traces and blame
 # reports, and the fault-injected postmortem must name its blame.
 #
-# Usage: check.sh [-guards] [-coverage] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
+# Usage: check.sh [-guards] [-coverage] [-programs] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]
 #
 #   -guards  run only the banned-pattern guards (seconds; the CI build
 #            job runs this)
@@ -15,6 +15,13 @@
 #            outside cmd/ and examples/ that reads 0.0% and is not on
 #            scripts/coverage-allow.txt, and on any allow-list entry that
 #            no longer reads 0.0% (the nightly job runs this)
+#   -programs
+#            run only the guards and the unreached check: build every
+#            cmd/* and examples/* with coverage, run the fixed program set
+#            (minutes), and fail on any function outside cmd/ and
+#            examples/ that no program reaches and that is not on
+#            scripts/program-allow.txt, and on any entry there that a
+#            program now reaches (the nightly job runs this)
 #   -short   pass -short to go test (the CI race-shard budget: quick-mode
 #            suites only, minutes-long class B gates skipped)
 #   -full    nightly mode: the complete class B suite including the
@@ -39,6 +46,7 @@ cd "$(dirname "$0")/.."
 
 guards=""
 coverage=""
+programs=""
 short=""
 timeout=30m
 jobs=8
@@ -50,6 +58,7 @@ while [ $# -gt 0 ]; do
     case "$1" in
     -guards) guards=1 ;;
     -coverage) coverage=1 ;;
+    -programs) programs=1 ;;
     -short) short="-short" ;;
     -full) short="" timeout=60m ;;
     -j)
@@ -64,7 +73,7 @@ while [ $# -gt 0 ]; do
         seed="$1"
         ;;
     *)
-        echo "usage: check.sh [-guards] [-coverage] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
+        echo "usage: check.sh [-guards] [-coverage] [-programs] [-short] [-full] [-j N] [-faults] [-rail] [-chaos] [-seed N]" >&2
         exit 2
         ;;
     esac
@@ -192,22 +201,14 @@ if [ -n "$guards" ]; then
     exit 0
 fi
 
-if [ -n "$coverage" ]; then
-    echo "== never-run functions =="
-    # Every function the suite never runs is dead (delete it), a second
-    # route to the same thing (fold it), public API without a test (test
-    # it), or listed in the allow-list with the reason it stays. Entries
-    # are "<file> <function> <reason>"; cover -func names a method without
-    # its receiver, so an entry covers every same-named function in its
-    # file.
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT
-    go test -timeout 30m -coverpkg=./... -coverprofile="$tmp/c.out" ./... >"$tmp/test.log" 2>&1 || {
-        cat "$tmp/test.log" >&2
-        echo "FAIL: the test suite failed under coverage" >&2
-        exit 1
-    }
-    go tool cover -func="$tmp/c.out" >"$tmp/func.txt"
+# unreached ALLOW FUNCS: compare a per-function coverage listing (go tool
+# cover -func or go tool covdata func) with an allow-list of entries
+# "<file> <function> <reason>". It prints every 0.0% function outside
+# cmd/ and examples/ that is not listed, and every listed function that no
+# longer reads 0.0%, and fails if there is either. cover -func names a
+# method without its receiver, so there an entry covers every same-named
+# function in its file; covdata func keeps the receiver (*Comm.Bcast).
+unreached() {
     awk '
         FNR == NR {
             if ($0 !~ /^#/ && NF >= 3) allow[$1 " " $2] = 1
@@ -218,23 +219,96 @@ if [ -n "$coverage" ]; then
             if (key in allow) {
                 seen[key] = 1
             } else {
-                print "never run and not allow-listed: " $1 " " $2
+                print "0.0% and not allow-listed: " $1 " " $2
                 bad = 1
             }
         }
         END {
             for (k in allow) {
                 if (!(k in seen)) {
-                    print "allow-list entry no longer never-run (remove it): " k
+                    print "allow-list entry no longer 0.0% (remove it): " k
                     bad = 1
                 }
             }
             exit bad
-        }' scripts/coverage-allow.txt "$tmp/func.txt" >&2 || {
+        }' "$1" "$2" >&2
+}
+
+if [ -n "$coverage" ]; then
+    echo "== never-run functions =="
+    # Every function the suite never runs is dead (delete it), a second
+    # route to the same thing (fold it), public API without a test (test
+    # it), or listed in scripts/coverage-allow.txt with the reason it
+    # stays.
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    go test -timeout 30m -coverpkg=./... -coverprofile="$tmp/c.out" ./... >"$tmp/test.log" 2>&1 || {
+        cat "$tmp/test.log" >&2
+        echo "FAIL: the test suite failed under coverage" >&2
+        exit 1
+    }
+    go tool cover -func="$tmp/c.out" >"$tmp/func.txt"
+    unreached scripts/coverage-allow.txt "$tmp/func.txt" || {
         echo "FAIL: never-run functions outside the allow-list (delete, fold or test them)" >&2
         exit 1
     }
     echo "every never-run function is allow-listed"
+    exit 0
+fi
+
+if [ -n "$programs" ]; then
+    echo "== functions no program reaches =="
+    # The tests call functions no program does, so the never-run check
+    # cannot see code that only its own tests keep alive. This pass counts
+    # what the commands and examples reach. Every function none of them
+    # reaches is dead (delete it), a second route to the same thing (fold
+    # it), or listed in scripts/program-allow.txt with the reason it stays.
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    mkdir "$tmp/bin" "$tmp/cov"
+    for d in cmd/* examples/*; do
+        go build -cover -coverpkg=./... -o "$tmp/bin/${d#*/}" "./$d"
+    done
+    prog() {
+        GOCOVERDIR="$tmp/cov" "$tmp/bin/$@" >"$tmp/out.txt" 2>&1 || {
+            cat "$tmp/out.txt" >&2
+            echo "FAIL: $* exited non-zero" >&2
+            exit 1
+        }
+    }
+    prog paperrepro -quick -j 2 -csv "$tmp/csv"
+    for net in IBA Myri QSN; do
+        prog paperrepro -faults -faultnet "$net"
+        prog paperrepro -chaos -faultnet "$net"
+        prog paperrepro -obsnet "$net" -tracemsgs 4 -metrics "$tmp/m.txt" \
+            -tracefile "$tmp/t.json" -blame "$tmp/b.json"
+        prog paperrepro -postmortem -obsnet "$net"
+        prog nasbench -app LU -net "$net" -procs 1024 -classB=false -topo clos:3:24:2
+        prog nasbench -app LU -net "$net" -procs 8 -classB=false -timeline 20 -util
+    done
+    prog paperrepro -chaos -routing adaptive
+    for pair in IBA+Myri IBA+QSN Myri+QSN IBA+Myri+QSN; do
+        for policy in failover stripe; do
+            prog paperrepro -railfail -railpair "$pair" -railpolicy "$policy"
+        done
+    done
+    prog nasbench -quick
+    prog nasbench -app LU -procs 8 -classB=false -topo crossbar
+    prog nasbench -app LU -procs 8 -classB=false -topo fattree:24:2
+    prog mpibench -quick
+    prog mpibench -logp
+    prog mpibench -fig 1 -plot -quick
+    prog mpibench -fig 2 -csv -quick
+    prog lowbench
+    for d in examples/*; do
+        prog "${d#*/}"
+    done
+    go tool covdata func -i "$tmp/cov" >"$tmp/func.txt"
+    unreached scripts/program-allow.txt "$tmp/func.txt" || {
+        echo "FAIL: functions no program reaches outside the allow-list (delete or fold them, or list them with a reason)" >&2
+        exit 1
+    }
+    echo "every function no program reaches is allow-listed ($(tail -n 1 "$tmp/func.txt" | awk '{print $NF}') of statements reached)"
     exit 0
 fi
 
