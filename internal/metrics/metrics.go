@@ -21,9 +21,11 @@
 //   - Zero allocation on the hot path. Handles are resolved by name once at
 //     wiring time; increments are plain field updates. Name formatting
 //     happens only during instrumentation and snapshotting. A span is one
-//     pointer-free record appended to a chunked reclog.Log (see SpanTrack).
-//   - Bounded. The span log keeps the first reclog.SpanMax spans and
-//     counts the rest in metrics/spans_dropped.
+//     delta-varint record of about 9 bytes appended to a reclog.Packed log
+//     of pointer-free byte chunks (see SpanTrack).
+//   - Bounded. The span log keeps the first reclog.SpanMax spans, whatever
+//     their encoded size, and counts the rest in metrics/spans_dropped.
+//     Nothing is rounded: Spans returns every kept field exactly.
 //   - Deterministic. Recording never iterates a map; Snapshot sorts by name,
 //     so two identical runs render byte-identical snapshots.
 //
@@ -157,8 +159,8 @@ type Registry struct {
 	hists    map[string]*SizeHist
 	probes   map[string]probe
 
-	lanes []Span              // one template per Track call
-	spans reclog.Log[spanRec] // the span log, capped at reclog.SpanMax
+	lanes []Span        // one template per Track call
+	spans reclog.Packed // the span log, capped at reclog.SpanMax
 }
 
 // New returns an empty registry.
@@ -169,7 +171,7 @@ func New() *Registry {
 		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*SizeHist),
 		probes:   make(map[string]probe),
-		spans:    reclog.New[spanRec](reclog.SpanMax),
+		spans:    reclog.NewPacked(reclog.SpanMax),
 	}
 }
 

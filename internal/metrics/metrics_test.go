@@ -3,7 +3,10 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,7 +108,7 @@ func TestProbeComposition(t *testing.T) {
 // and the snapshot must surface the count of the dropped ones.
 func TestSpanCapAndDropCount(t *testing.T) {
 	r := New()
-	r.spans = reclog.New[spanRec](4)
+	r.spans = reclog.NewPacked(4)
 	tmpl := []Span{
 		{Node: 0, Track: "bus", Name: "dma", Cat: "bus"},
 		{Node: FabricNode, Track: "link7", Name: "xfer", Cat: "fabric"},
@@ -138,24 +141,51 @@ func TestSpanCapAndDropCount(t *testing.T) {
 	}
 }
 
-// TestSpanLogBytesPerSpan holds the span log to its allocation contract: a
-// full default-capacity log costs its fixed-size records and nothing else —
-// no regrowth copies, no per-span strings.
+// TestSpanLogBytesPerSpan holds the span log to its allocation contract on
+// a realistic stream: a full default-capacity log costs its packed records
+// and nothing else — no regrowth copies, no per-span strings. The stream is
+// what device stations emit: seeded FIFO stations on many lanes, jobs of
+// 10 ns to 10 µs carrying 0 to 64 KB, submitted in time order but started
+// behind each station's queue, so some starts go backwards in the log.
 func TestSpanLogBytesPerSpan(t *testing.T) {
-	const n = reclog.SpanMax
+	const (
+		n     = reclog.SpanMax
+		lanes = 256
+	)
 	r := New()
-	sp := r.Track(0, "bus", "dma", "bus")
+	tracks := make([]*SpanTrack, lanes)
+	free := make([]units.Time, lanes)
+	for i := range tracks {
+		tracks[i] = r.Track(i/8, "link"+strconv.Itoa(i), "xfer", "fabric")
+	}
+	rng := rand.New(rand.NewSource(1))
+	var now units.Time
+	var back int
+	var last units.Time
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		sp.Emit(units.Time(i), units.Time(i+1), 64)
+		now += units.Time(rng.Int63n(int64(40 * units.Nanosecond)))
+		lane := rng.Intn(lanes)
+		// Log-uniform over three decades: 10 ns .. 10 µs.
+		dur := units.Time(float64(10*units.Nanosecond) * math.Pow(1000, rng.Float64()))
+		start := max(now, free[lane])
+		free[lane] = start + dur
+		if start < last {
+			back++
+		}
+		last = start
+		tracks[lane].Emit(start, start+dur, rng.Int63n(64<<10+1))
 	}
 	runtime.ReadMemStats(&after)
 	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.1f B/span in %d allocations", perSpan, after.Mallocs-before.Mallocs)
-	if perSpan > 40 {
-		t.Fatalf("span log allocated %.1f B/span, want <= 40", perSpan)
+	t.Logf("%.1f B/span in %d allocations; %d of %d starts go backwards", perSpan, after.Mallocs-before.Mallocs, back, n)
+	if back == 0 {
+		t.Fatalf("the stream never queues: no start goes backwards")
+	}
+	if perSpan > 16 {
+		t.Fatalf("span log allocated %.1f B/span, want <= 16", perSpan)
 	}
 	if r.spans.Dropped() != 0 {
 		t.Fatalf("default cap dropped %d of %d spans", r.spans.Dropped(), n)

@@ -22,37 +22,28 @@ type Span struct {
 	Size  int64      // payload bytes, 0 when not applicable
 }
 
-// spanRec is one logged interval: a lane index into Registry.lanes plus
-// the times and size. It holds no pointers, so the span log is never
-// scanned by the garbage collector.
-type spanRec struct {
-	lane       int32
-	start, end units.Time
-	size       int64
-}
-
 // Spans rebuilds the recorded span log in recording order (nil on a nil
 // registry or an empty log). The slice is a fresh copy on every call.
 func (r *Registry) Spans() []Span {
 	if r == nil || r.spans.Len() == 0 {
 		return nil
 	}
-	out := make([]Span, r.spans.Len())
-	for i := range out {
-		rec := r.spans.At(i)
-		out[i] = r.lanes[rec.lane]
-		out[i].Start, out[i].End, out[i].Size = rec.start, rec.end, rec.size
-	}
+	out := make([]Span, 0, r.spans.Len())
+	r.spans.Each(func(lane uint32, start, end, size int64) {
+		s := r.lanes[lane]
+		s.Start, s.End, s.Size = units.Time(start), units.Time(end), size
+		out = append(out, s)
+	})
 	return out
 }
 
 // SpanTrack is a pre-resolved emitter for one fixed (node, track, name,
 // cat) lane, captured at wiring time so recording a job on a hot path
-// writes one 32-byte record — no per-event field assembly. Same design
+// appends one packed record — no per-event field assembly. Same design
 // rule as counter/timer handles: resolve once, emit many.
 type SpanTrack struct {
 	r    *Registry
-	lane int32
+	lane uint32
 }
 
 // Track returns a pre-resolved emitter for the given lane, or nil on a nil
@@ -63,7 +54,7 @@ func (r *Registry) Track(node int, track, name, cat string) *SpanTrack {
 		return nil
 	}
 	r.lanes = append(r.lanes, Span{Node: node, Track: track, Name: name, Cat: cat})
-	return &SpanTrack{r: r, lane: int32(len(r.lanes) - 1)}
+	return &SpanTrack{r: r, lane: uint32(len(r.lanes) - 1)}
 }
 
 // Emit logs one interval on the track, dropping (and counting) it past the
@@ -72,5 +63,5 @@ func (t *SpanTrack) Emit(start, end units.Time, size int64) {
 	if t == nil {
 		return
 	}
-	t.r.spans.Append(spanRec{lane: t.lane, start: start, end: end, size: size})
+	t.r.spans.Append(t.lane, int64(start), int64(end), size)
 }

@@ -6,8 +6,6 @@
 package msgtrace
 
 import (
-	"sort"
-
 	"mpinet/internal/reclog"
 	"mpinet/internal/units"
 )
@@ -126,12 +124,19 @@ var catPriority = [NumCategories]int{
 	CatRetry: 6, CatRail: 5, CatNIC: 4, CatWire: 3, CatHost: 2, CatContention: 1, CatOther: 0,
 }
 
+// edge is one boundary of a clipped span in decompose's sweep.
+type edge struct {
+	at    units.Time
+	cat   Category
+	delta int
+}
+
 // decompose attributes a message's [Start, End] interval across categories
 // by a boundary sweep: at every instant the covering span with the highest
 // category priority wins; uncovered time is CatOther. The buckets sum to
 // E2E exactly. idx lists the message's spans in the log, in recording
-// order.
-func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32) MsgBlame {
+// order. edges is scratch space reused across calls.
+func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32, edges *[]edge) MsgBlame {
 	out := MsgBlame{ID: m.ID, Src: m.Src, Dst: m.Dst, Tag: m.Tag,
 		Bytes: m.Bytes, Kind: m.Kind, Start: m.Start, End: m.End}
 	if m.End <= m.Start {
@@ -146,12 +151,7 @@ func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32) MsgBlame {
 	}
 	// Boundary sweep over clipped spans. Hop spans are sub-detail of wire
 	// attempts and are excluded so wire time is not double-counted.
-	type edge struct {
-		at    units.Time
-		cat   Category
-		delta int
-	}
-	var edges []edge
+	es := (*edges)[:0]
 	for _, i := range idx {
 		s := spans.At(int(i))
 		if s.Stage == StageHop {
@@ -171,13 +171,14 @@ func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32) MsgBlame {
 		if hi <= lo {
 			continue
 		}
-		edges = append(edges, edge{lo, cat, +1}, edge{hi, cat, -1})
+		es = append(es, edge{lo, cat, +1}, edge{hi, cat, -1})
 	}
+	*edges = es
 	// Insertion sort by time (span counts are small); -1 edges before +1
 	// at equal times does not matter — zero-length segments charge nothing.
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edges[j].at < edges[j-1].at; j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && es[j].at < es[j-1].at; j-- {
+			es[j], es[j-1] = es[j-1], es[j]
 		}
 	}
 	var active [NumCategories]int
@@ -196,11 +197,11 @@ func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32) MsgBlame {
 		out.Cats[best] += upto - prev
 		prev = upto
 	}
-	for ei < len(edges) {
-		at := edges[ei].at
+	for ei < len(es) {
+		at := es[ei].at
 		charge(at)
-		for ei < len(edges) && edges[ei].at == at {
-			active[edges[ei].cat] += edges[ei].delta
+		for ei < len(es) && es[ei].at == at {
+			active[es[ei].cat] += es[ei].delta
 			ei++
 		}
 	}
@@ -226,19 +227,38 @@ func (r *Recorder) Analyze(k int) *Blame {
 		return b
 	}
 	// Group span indexes by message, copying no span (spans are appended
-	// roughly in time order, but grouping must not rely on it).
-	byMsg := make(map[ID][]int32, b.Messages)
+	// roughly in time order, but grouping must not rely on it). The
+	// grouping is compressed sparse rows: message i's spans are
+	// idx[off[i]:off[i+1]], in recording order. A span whose root was
+	// dropped at the cap belongs to no message.
+	off := make([]int32, b.Messages+1)
 	for i := 0; i < b.Spans; i++ {
-		id := r.spans.At(i).ID
-		byMsg[id] = append(byMsg[id], int32(i))
+		if m, ok := r.midx[r.spans.At(i).ID]; ok {
+			off[m+1]++
+		}
 	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	// Fill each message's rows through off[m] as its cursor, which leaves
+	// off[m] at the start of message m+1; shift it back afterwards.
+	idx := make([]int32, off[b.Messages])
+	for i := 0; i < b.Spans; i++ {
+		if m, ok := r.midx[r.spans.At(i).ID]; ok {
+			idx[off[m]] = int32(i)
+			off[m]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
 	all := make([]MsgBlame, 0, b.Messages)
+	var edges []edge
 	for i := 0; i < b.Messages; i++ {
 		m := r.msgs.At(i)
 		if m.End == 0 {
 			continue // in flight at the end of the run (or aborted)
 		}
-		d := decompose(*m, &r.spans, byMsg[m.ID])
+		d := decompose(*m, &r.spans, idx[off[i]:off[i+1]], &edges)
 		all = append(all, d)
 		b.Completed++
 		b.Total += d.E2E()
@@ -249,14 +269,24 @@ func (r *Recorder) Analyze(k int) *Blame {
 	if len(all) == 0 {
 		return b
 	}
-	// Top-k slowest, ties broken by ID for determinism.
-	sorted := make([]MsgBlame, len(all))
-	copy(sorted, all)
-	sort.Slice(sorted, func(i, j int) bool { return slower(sorted[i], sorted[j]) })
-	if k > len(sorted) {
-		k = len(sorted)
+	// Top-k slowest, ties broken by ID for determinism: one bounded
+	// insertion pass, slowest first.
+	if k > len(all) {
+		k = len(all)
 	}
-	b.TopK = sorted[:k]
+	b.TopK = make([]MsgBlame, 0, k)
+	for _, d := range all {
+		if len(b.TopK) < k {
+			b.TopK = append(b.TopK, d)
+		} else if k > 0 && slower(d, b.TopK[k-1]) {
+			b.TopK[k-1] = d
+		} else {
+			continue
+		}
+		for j := len(b.TopK) - 1; j > 0 && slower(b.TopK[j], b.TopK[j-1]); j-- {
+			b.TopK[j], b.TopK[j-1] = b.TopK[j-1], b.TopK[j]
+		}
+	}
 	// Critical path: start from the last completion and walk backwards —
 	// the predecessor of a message is the latest-completing message that
 	// was received by the current sender before the current send started.

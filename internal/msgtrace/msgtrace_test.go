@@ -1,7 +1,10 @@
 package msgtrace
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -169,6 +172,67 @@ func TestAnalyzeDecomposesExactly(t *testing.T) {
 	}
 	if sum != m.E2E() || m.E2E() != 70 {
 		t.Errorf("categories sum to %v over e2e %v, want exact 70", sum, m.E2E())
+	}
+}
+
+// TestAnalyzeMatchesReference interleaves the spans of many messages out
+// of message order, with tied end-to-end times, messages still in flight
+// and spans whose roots were dropped at the cap. Analyze's per-category
+// totals and top k must equal a reference that filters the span log per
+// message and sorts every decomposition.
+func TestAnalyzeMatchesReference(t *testing.T) {
+	const ranks, perRank, k = 6, 40, 10
+	r := New(1)
+	r.msgs = reclog.New[MsgRec](ranks*perRank - 7)
+	rng := rand.New(rand.NewSource(3))
+	var ids []ID
+	for seq := 1; seq <= perRank; seq++ {
+		for src := 0; src < ranks; src++ {
+			id := MakeID(src, int64(seq))
+			ids = append(ids, id)
+			r.Begin(id, int32(src), int32((src+1)%ranks), 0, 64, KindEager, units.Time(10*seq))
+		}
+	}
+	stages := []Stage{StageSend, StageWire, StageHop, StageBackoff, StageWait, StageDeliver}
+	for i := 0; i < 20*len(ids); i++ {
+		id := ids[rng.Intn(len(ids))]
+		at := units.Time(10*id.Seq()) + units.Time(rng.Intn(40))
+		r.Span(id, stages[rng.Intn(len(stages))], id.Rank(), int8(rng.Intn(2)), uint8(rng.Intn(2)), -1,
+			at, at+units.Time(rng.Intn(30)), 64)
+	}
+	for i, id := range ids {
+		if i%9 != 4 { // every ninth message stays in flight
+			r.Finish(id, units.Time(10*id.Seq()+30+int64(i%4)*5)) // four e2e values: many ties
+		}
+	}
+	b := r.Analyze(k)
+
+	var all []MsgBlame
+	var cats [NumCategories]units.Time
+	for i := 0; i < r.msgs.Len(); i++ {
+		m := r.msgs.At(i)
+		if m.End == 0 {
+			continue
+		}
+		var idx []int32
+		for j := 0; j < r.spans.Len(); j++ {
+			if r.spans.At(j).ID == m.ID {
+				idx = append(idx, int32(j))
+			}
+		}
+		var edges []edge
+		d := decompose(*m, &r.spans, idx, &edges)
+		all = append(all, d)
+		for c := range cats {
+			cats[c] += d.Cats[c]
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return slower(all[i], all[j]) })
+	if b.Completed != len(all) || b.Cats != cats {
+		t.Fatalf("Analyze: %d completed, categories %v; reference: %d, %v", b.Completed, b.Cats, len(all), cats)
+	}
+	if !reflect.DeepEqual(b.TopK, all[:k]) {
+		t.Fatalf("top %d:\n got %v\nwant %v", k, b.TopK, all[:k])
 	}
 }
 

@@ -165,12 +165,13 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
 fi
 # The metrics span log, the msgtrace span and message logs and the MPI
 # timeline keep "the first N records, count the rest" once, in
-# internal/reclog. A record slice, chunk array, drop counter or cap of a
+# internal/reclog, and so does the varint coding of the packed span log.
+# A record slice, chunk array, drop counter, cap or record encoding of a
 # log's own means the rule forked again.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    '^\s+\w+(, \w+)*\s+\[\](SpanRec|MsgRec|Event|spanRec)\b|[cC]hunk\w*\]|[dD]ropped\w*\s*(\+\+|\+=)|\w*Max\s+int\b|(spans|msgs|[eE]vents) = append\(' \
+    '^\s+\w+(, \w+)*\s+\[\](SpanRec|MsgRec|Event|spanRec)\b|[cC]hunk\w*\]|[dD]ropped\w*\s*(\+\+|\+=)|\w*Max\s+int\b|(spans|msgs|[eE]vents) = append\(|binary\.(Append|Put)U?[vV]arint' \
     internal/metrics/ internal/msgtrace/ internal/trace/ | grep -vE '^[^:]+:[0-9]+:\s*//'; then
-    echo "FAIL: a record log grows, chunks, caps or counts drops itself again (append through reclog.Log)" >&2
+    echo "FAIL: a record log grows, chunks, caps, counts drops or encodes records itself again (append through reclog.Log or reclog.Packed)" >&2
     exit 1
 fi
 # The benchmark is bench/ (bash bench/run.sh, declared in BENCHMARK.json);
