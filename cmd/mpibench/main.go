@@ -3,22 +3,16 @@
 //
 // Usage:
 //
-//	mpibench [-fig N] [-quick] [-j N] [-v]
-//	mpibench [-metrics FILE] [-tracefile FILE] [-blame FILE] [-tracemsgs N] [-obsnet IBA|Myri|QSN]
+//	mpibench [-fig N [-plot | -csv]] [-quick] [-j N] [-v]
+//	mpibench -logp
 //
 // Without -fig it runs the whole suite: Figures 1-13 plus the PCI
 // comparison Figures 26-27. -quick thins the size sweeps for a fast smoke
 // run. Figures are independent simulations and fan out over -j worker
 // goroutines (default: one per core); output order and bytes are identical
-// for every -j value.
-//
-// The second form runs the instrumented observability demo workload:
-// -metrics writes the cross-layer metrics snapshot, -tracefile a Chrome
-// trace_event JSON, -blame the per-message critical-path blame report
-// (machine-readable JSON), -obsnet picks the interconnect (default IBA).
-// -tracemsgs N turns on per-message span tracing at 1-in-N sampling
-// (-blame implies N=1 when unset), which also adds message-flow arrows to
-// the Chrome trace. Any output flag can be - for stdout.
+// for every -j value. -logp prints each interconnect's LogGP parameters
+// instead. The instrumented observability demo (-metrics, -tracefile,
+// -blame) is paperrepro's.
 package main
 
 import (
@@ -42,24 +36,11 @@ func main() {
 	jobs := flag.Int("j", runtime.NumCPU(), "figures to run concurrently (output is identical for any value)")
 	logp := flag.Bool("logp", false, "extract LogGP parameters per interconnect and exit")
 	verbose := flag.Bool("v", false, "print progress to stderr")
-	metricsOut := flag.String("metrics", "", "run the observability demo, write its metrics snapshot here (- = stdout), and exit")
-	traceOut := flag.String("tracefile", "", "run the observability demo, write a Chrome trace_event JSON here (- = stdout), and exit")
-	obsNet := flag.String("obsnet", "IBA", "interconnect for the observability demo (IBA, Myri or QSN)")
-	traceMsgs := flag.Int("tracemsgs", 0, "per-message tracing for the observability demo: trace 1 in N messages (0 = off, 1 = all); adds flow arrows to -tracefile")
-	blameOut := flag.String("blame", "", "run the traced observability demo, write the critical-path blame report JSON here (- = stdout), and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
 	flag.Parse()
 
 	os.Exit(profiling.Run(*cpuProfile, *memProfile, "mpibench", func() int {
-		if *metricsOut != "" || *traceOut != "" || *blameOut != "" {
-			if err := experiments.RunObserved(*obsNet, *metricsOut, *traceOut, *blameOut, *traceMsgs, writeOut); err != nil {
-				fmt.Fprintln(os.Stderr, "mpibench:", err)
-				return 1
-			}
-			return 0
-		}
-
 		if *logp {
 			fmt.Println("LogGP parameters (Culler et al. model, extracted per the")
 			fmt.Println("paper's related-work methodology):")
@@ -103,17 +84,4 @@ func main() {
 		fmt.Println(f().Render())
 		return 0
 	}))
-}
-
-// writeOut writes data to path, with - meaning stdout.
-func writeOut(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "mpibench: wrote %s\n", path)
-	return nil
 }

@@ -197,7 +197,7 @@ func TestClosConservationAtScale(t *testing.T) {
 		// The segment's stages are shared with the route memo: extend a copy.
 		stages := append([]PathStage(nil), seg.Stages...)
 		stages[len(stages)-1].Latency += seg.Down
-		Transfer(e, &Route{Head: stages}, size, ChunkFor(size), 0, done)
+		new(Transfer).Start(e, &Route{Head: stages}, size, ChunkFor(size), 0, done)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestTransferConservationProperty(t *testing.T) {
 		b := sim.NewPipe("b", units.MBps(400), 0, 0)
 		calls := 0
 		var end sim.Time
-		Transfer(e, &Route{Head: []PathStage{{Stage: a}, {Stage: b}}}, size, chunk, 0, func(at sim.Time) {
+		new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: a}, {Stage: b}}}, size, chunk, 0, func(at sim.Time) {
 			calls++
 			end = at
 		})
@@ -56,7 +56,7 @@ func TestTransferNoWorseThanStoreAndForward(t *testing.T) {
 			{Stage: sim.NewPipe("c", r3, 0, 0)},
 		}
 		var end sim.Time
-		Transfer(e, &Route{Head: stages}, size, ChunkFor(size), 0, func(at sim.Time) { end = at })
+		new(Transfer).Start(e, &Route{Head: stages}, size, ChunkFor(size), 0, func(at sim.Time) { end = at })
 		if err := e.Run(); err != nil {
 			return false
 		}

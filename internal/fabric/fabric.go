@@ -11,8 +11,6 @@
 package fabric
 
 import (
-	"sync"
-
 	"mpinet/internal/metrics"
 	"mpinet/internal/msgtrace"
 	"mpinet/internal/sim"
@@ -161,12 +159,18 @@ func (r *Route) at(i int) PathStage {
 	return r.Tail[i-len(r.Mid)]
 }
 
-// xfer is one in-flight Transfer: a typed event handler whose (ci, stage)
-// arguments drive the chunk pipeline, so the steady state — every chunk
-// through every stage — schedules events without allocating. stage ==
-// route.len() is the completion sentinel. Records are recycled through
-// xfers.
-type xfer struct {
+// Transfer is the record of one transfer at a time: a typed event handler
+// whose (ci, stage) arguments drive the chunk pipeline, so the steady
+// state — every chunk through every stage — schedules events without
+// allocating. stage == route.len() is the completion sentinel.
+//
+// The record belongs to whoever issues the transfer (a NIC send record
+// embeds one for its message's attempts) and is reused from its completion
+// sentinel: chunks keep FIFO order at every stage (each stage is a FIFO
+// station and every chunk pays the same latency after it), so once the
+// last chunk clears the last stage no event of the transfer is left, and
+// done may start the next transfer on the same record.
+type Transfer struct {
 	e       *sim.Engine
 	route   Route
 	done    func(end sim.Time)
@@ -174,8 +178,8 @@ type xfer struct {
 	last    int64
 	nchunks int64
 
-	// Trace fields, populated by TransferTraced for sampled messages only;
-	// rec == nil on the untraced (allocation-gated) path.
+	// Trace fields, set by Trace for sampled messages only; rec == nil on
+	// the untraced (allocation-gated) path.
 	rec      *msgtrace.Recorder
 	tid      msgtrace.ID
 	rank     int
@@ -184,14 +188,6 @@ type xfer struct {
 	bytes    int64
 	hopEnter []sim.Time // per-stage entry time of chunk 0
 }
-
-// Transfer records are recycled from their completion sentinel: chunks keep
-// FIFO order at every stage (each stage is a FIFO station and every chunk
-// pays the same latency after it), so once the last chunk clears the last
-// stage no event of the transfer is left and the sentinel is the record's
-// last reference. The pool is a sync.Pool rather than a per-engine free list
-// so the independent worlds of a -j run share it safely.
-var xfers = sync.Pool{New: func() any { return new(xfer) }}
 
 // chunking splits size bytes into chunks of at most chunk bytes: the chunk
 // count and the size of the last one. A size of zero or less — a control
@@ -207,23 +203,13 @@ func chunking(size, chunk int64) (nchunks, last int64) {
 	return nchunks, size - (nchunks-1)*chunk
 }
 
-// newXfer takes a record from the pool, set up for an untraced transfer.
-func newXfer(e *sim.Engine, r *Route, size, chunk int64, done func(end sim.Time)) *xfer {
-	nchunks, last := chunking(size, chunk)
-	x := xfers.Get().(*xfer)
-	x.e, x.route, x.done = e, *r, done
-	x.chunk, x.nchunks, x.last = chunk, nchunks, last
-	return x
-}
-
 // HandleEvent implements sim.Handler: chunk ci reached stage, occupy it and
 // self-clock the successors.
-func (x *xfer) HandleEvent(ci, stage int64) {
+func (x *Transfer) HandleEvent(ci, stage int64) {
 	stages := int64(x.route.len())
 	if stage == stages {
 		done, now := x.done, x.e.Now()
-		*x = xfer{hopEnter: x.hopEnter[:0]}
-		xfers.Put(x)
+		*x = Transfer{hopEnter: x.hopEnter[:0]}
 		done(now)
 		return
 	}
@@ -257,43 +243,39 @@ func (x *xfer) HandleEvent(ci, stage int64) {
 	}
 }
 
-// Transfer pushes size bytes through the staged route as a cut-through
+// Start pushes size bytes through the staged route as a cut-through
 // pipeline of chunks, starting at time start, and calls done(end) when the
 // last chunk clears the last stage. chunk is the pipelining granularity;
 // sizes at or below it move as a single unit. The route is copied, so the
-// caller may reuse it at once.
+// caller may reuse it at once. The record must be idle: new, or past its
+// previous transfer's done.
 //
 // Each chunk is self-clocked: chunk i+1 is submitted to stage 0 when chunk i
 // clears stage 0, and a chunk is submitted to stage k+1 when it clears stage
 // k. Contending transfers interleave naturally through the shared stage
 // FIFOs.
-func Transfer(e *sim.Engine, r *Route, size, chunk int64, start sim.Time, done func(end sim.Time)) {
+func (x *Transfer) Start(e *sim.Engine, r *Route, size, chunk int64, start sim.Time, done func(end sim.Time)) {
+	x.nchunks, x.last = chunking(size, chunk)
+	x.e, x.route, x.done, x.chunk = e, *r, done, chunk
+	if x.rec != nil {
+		x.bytes = max(size, 1) // a control message bills one byte
+		// Chunk 0 writes each stage's entry before the last chunk reads it,
+		// so a reused slice needs no clearing.
+		n := r.len()
+		if cap(x.hopEnter) < n {
+			x.hopEnter = make([]sim.Time, n)
+		}
+		x.hopEnter = x.hopEnter[:n]
+	}
 	// An empty route completes at once: stage 0 is the sentinel.
-	e.CallAt(start, newXfer(e, r, size, chunk, done), 0, 0)
+	e.CallAt(start, x, 0, 0)
 }
 
-// TransferTraced is Transfer plus per-hop span recording for a sampled
-// message: each path stage's residence interval is recorded as a StageHop
-// span carrying the hop index, rail and attempt. Unsampled messages fall
-// through to the plain (allocation-gated) Transfer, so callers may use this
-// unconditionally with a live recorder.
-func TransferTraced(e *sim.Engine, r *Route, size, chunk int64, start sim.Time,
-	rec *msgtrace.Recorder, tid msgtrace.ID, rank int, rail int8, attempt uint8, done func(end sim.Time)) {
-	n := r.len()
-	if !rec.Sampled(tid) || n == 0 {
-		Transfer(e, r, size, chunk, start, done)
-		return
-	}
-	x := newXfer(e, r, size, chunk, done)
+// Trace makes the record's next transfer a sampled message's: Start then
+// records each path stage's residence interval as a StageHop span carrying
+// the hop index, rail and attempt. The record forgets it at completion.
+func (x *Transfer) Trace(rec *msgtrace.Recorder, tid msgtrace.ID, rank int, rail int8, attempt uint8) {
 	x.rec, x.tid, x.rank, x.rail, x.attempt = rec, tid, rank, rail, attempt
-	x.bytes = max(size, 1) // a control message bills one byte
-	// Chunk 0 writes each stage's entry before the last chunk reads it, so
-	// a recycled slice needs no clearing.
-	if cap(x.hopEnter) < n {
-		x.hopEnter = make([]sim.Time, n)
-	}
-	x.hopEnter = x.hopEnter[:n]
-	e.CallAt(start, x, 0, 0)
 }
 
 // DefaultChunk is the pipelining granularity used by the NIC models for

@@ -21,7 +21,7 @@ func benchPath() []PathStage {
 // pipeline in steady state: one op is one chunk traversing all three stages
 // (three stage events plus the self-clocking of its successor). The chunk
 // progression is a typed-event path and must report zero allocations per
-// chunk — the single xfer record per message amortizes away.
+// chunk — the single transfer record per message amortizes away.
 func BenchmarkTransferChunk(b *testing.B) {
 	e := sim.New()
 	path := benchPath()
@@ -30,7 +30,7 @@ func BenchmarkTransferChunk(b *testing.B) {
 	done := false
 	b.ReportAllocs()
 	b.ResetTimer()
-	Transfer(e, &Route{Head: path}, size, chunk, 0, func(sim.Time) { done = true })
+	new(Transfer).Start(e, &Route{Head: path}, size, chunk, 0, func(sim.Time) { done = true })
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func BenchmarkTransferChunk(b *testing.B) {
 }
 
 // TestTransferSteadyStateZeroAlloc asserts the benchmark's claim: past the
-// one xfer record per message, pushing more chunks through a path must not
+// one transfer record per message, pushing more chunks through a path must not
 // allocate. Measured by subtraction so the fixed setup (engine, pipes, the
 // event slice warm-up) cancels.
 func TestTransferSteadyStateZeroAlloc(t *testing.T) {
@@ -48,7 +48,7 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 		return testing.AllocsPerRun(5, func() {
 			e := sim.New()
 			path := benchPath()
-			Transfer(e, &Route{Head: path}, nchunks*512, 512, 0, func(sim.Time) {})
+			new(Transfer).Start(e, &Route{Head: path}, nchunks*512, 512, 0, func(sim.Time) {})
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -61,28 +61,26 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestTransferRecyclesRecords: a transfer's record returns to the pool at
-// its completion sentinel, so a stream of sequential single-chunk messages
-// — each issued as the previous one lands — reuses one record instead of
-// allocating one per message.
+// TestTransferRecyclesRecords: a transfer's record is idle again at its
+// completion sentinel, so a stream of sequential single-chunk messages —
+// each issued from the previous one's done, as a NIC send record issues its
+// next attempt — reuses one record instead of allocating one per message.
 func TestTransferRecyclesRecords(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool discards records at random")
-	}
 	const msgs = 1000
 	e := sim.New()
 	path := benchPath()
+	var x Transfer
 	left := 0
 	var next func(end sim.Time)
 	next = func(end sim.Time) {
 		if left > 0 {
 			left--
-			Transfer(e, &Route{Head: path}, 256, 512, end, next)
+			x.Start(e, &Route{Head: path}, 256, 512, end, next)
 		}
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		left = msgs - 1
-		Transfer(e, &Route{Head: path}, 256, 512, e.Now(), next)
+		x.Start(e, &Route{Head: path}, 256, 512, e.Now(), next)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestTransferSingleStageRate(t *testing.T) {
 	e := sim.New()
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var end sim.Time
-	Transfer(e, &Route{Head: []PathStage{{Stage: p}}}, 100*units.MB, DefaultChunk, 0, func(at sim.Time) { end = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: p}}}, 100*units.MB, DefaultChunk, 0, func(at sim.Time) { end = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTransferPipelinesAcrossStages(t *testing.T) {
 	b := sim.NewPipe("b", units.MBps(100), 0, 0)
 	var end sim.Time
 	size := int64(10 * units.MB)
-	Transfer(e, &Route{Head: []PathStage{{Stage: a}, {Stage: b}}}, size, DefaultChunk, 0, func(at sim.Time) { end = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: a}, {Stage: b}}}, size, DefaultChunk, 0, func(at sim.Time) { end = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTransferBottleneckStage(t *testing.T) {
 	slow := sim.NewPipe("slow", units.MBps(100), 0, 0)
 	var end sim.Time
 	size := int64(50 * units.MB)
-	Transfer(e, &Route{Head: []PathStage{{Stage: fast}, {Stage: slow}, {Stage: fast}}}, size, DefaultChunk, 0,
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: fast}, {Stage: slow}, {Stage: fast}}}, size, DefaultChunk, 0,
 		func(at sim.Time) { end = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestTransferLatencyAdds(t *testing.T) {
 	e := sim.New()
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var end sim.Time
-	Transfer(e, &Route{Head: []PathStage{{Stage: p, Latency: 5 * units.Microsecond}}}, 1, 1024, 0,
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: p, Latency: 5 * units.Microsecond}}}, 1, 1024, 0,
 		func(at sim.Time) { end = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestTwoTransfersShareStageFairly(t *testing.T) {
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var endA, endB sim.Time
 	size := int64(10 * units.MB)
-	Transfer(e, &Route{Head: []PathStage{{Stage: p}}}, size, DefaultChunk, 0, func(at sim.Time) { endA = at })
-	Transfer(e, &Route{Head: []PathStage{{Stage: p}}}, size, DefaultChunk, 0, func(at sim.Time) { endB = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: p}}}, size, DefaultChunk, 0, func(at sim.Time) { endA = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: p}}}, size, DefaultChunk, 0, func(at sim.Time) { endB = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSwitchOutputPortContention(t *testing.T) {
 			{Stage: out, Latency: 100 * units.Nanosecond},
 			{Stage: dst.Down()},
 		}
-		Transfer(e, &Route{Head: path}, size, DefaultChunk, 0, func(at sim.Time) { ends = append(ends, at) })
+		new(Transfer).Start(e, &Route{Head: path}, size, DefaultChunk, 0, func(at sim.Time) { ends = append(ends, at) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -149,8 +149,8 @@ func TestLinkDirectionsIndependent(t *testing.T) {
 	l := NewLink("x", linkCfg(100))
 	size := int64(10 * units.MB)
 	var upEnd, downEnd sim.Time
-	Transfer(e, &Route{Head: []PathStage{{Stage: l.Up()}}}, size, DefaultChunk, 0, func(at sim.Time) { upEnd = at })
-	Transfer(e, &Route{Head: []PathStage{{Stage: l.Down()}}}, size, DefaultChunk, 0, func(at sim.Time) { downEnd = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: l.Up()}}}, size, DefaultChunk, 0, func(at sim.Time) { upEnd = at })
+	new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: l.Down()}}}, size, DefaultChunk, 0, func(at sim.Time) { downEnd = at })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestTransferZeroAndTinySizes(t *testing.T) {
 	p := sim.NewPipe("l", units.MBps(100), 0, 0)
 	var n int
 	for _, size := range []int64{0, 1, 7, 8*1024 + 1} {
-		Transfer(e, &Route{Head: []PathStage{{Stage: p}}}, size, 8*1024, e.Now(), func(sim.Time) { n++ })
+		new(Transfer).Start(e, &Route{Head: []PathStage{{Stage: p}}}, size, 8*1024, e.Now(), func(sim.Time) { n++ })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestTransferZeroAndTinySizes(t *testing.T) {
 func TestTransferEmptyPath(t *testing.T) {
 	e := sim.New()
 	called := false
-	Transfer(e, &Route{}, 100, 10, 5, func(at sim.Time) {
+	new(Transfer).Start(e, &Route{}, 100, 10, 5, func(at sim.Time) {
 		called = true
 		if at != 5 {
 			t.Errorf("empty path completion at %v, want 5", at)

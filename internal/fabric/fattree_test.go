@@ -77,7 +77,7 @@ func TestFatTreeUplinkContention(t *testing.T) {
 		var last sim.Time
 		for _, dst := range dsts {
 			stages := between(tr, 0, dst, 0).Stages
-			Transfer(eng, &Route{Head: stages}, size, DefaultChunk, eng.Now(), func(at sim.Time) {
+			new(Transfer).Start(eng, &Route{Head: stages}, size, DefaultChunk, eng.Now(), func(at sim.Time) {
 				if at > last {
 					last = at
 				}
@@ -95,7 +95,7 @@ func TestFatTreeUplinkContention(t *testing.T) {
 	var last2 sim.Time
 	for _, dst := range []int{4, 5} { // spines 0 and 1: disjoint uplinks
 		stages := between(tr2, 0, dst, 0).Stages
-		Transfer(eng2, &Route{Head: stages}, size, DefaultChunk, eng2.Now(), func(at sim.Time) {
+		new(Transfer).Start(eng2, &Route{Head: stages}, size, DefaultChunk, eng2.Now(), func(at sim.Time) {
 			if at > last2 {
 				last2 = at
 			}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -43,7 +44,7 @@ type Flow struct {
 
 func toMicros(t units.Time) float64 { return float64(t) / 1e6 }
 
-// WriteChromeTrace renders device-level spans fused with message-level
+// WriteChromeTrace renders r's device-level spans fused with message-level
 // timeline events and message-flow arrows as Chrome trace_event JSON,
 // loadable in chrome://tracing or https://ui.perfetto.dev. Each simulated
 // node is a trace "process"; each track within a node ("bus", "nic",
@@ -53,10 +54,11 @@ func toMicros(t units.Time) float64 { return float64(t) / 1e6 }
 // timeline records ranks, not nodes); pass nil when events is empty. Each
 // Flow becomes a flow-start ("s") event on its source lane and a
 // flow-finish ("f", bind point "e") event on its destination lane, so the
-// viewer draws a causal arrow from send to delivery; flows may be nil.
-// Output is deterministic: tids are assigned by sorted (node, track) order
-// and encoding/json sorts arg keys.
-func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf func(rank int) int, flows []Flow) error {
+// viewer draws a causal arrow from send to delivery; r and flows may be
+// nil. Spans are read from the packed log and encoded as they are reached,
+// so the export holds no copy of the run. Output is deterministic: tids are
+// assigned by sorted (node, track) order and encoding/json sorts arg keys.
+func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf func(rank int) int, flows []Flow) error {
 	type lane struct {
 		node  int
 		track string
@@ -69,8 +71,15 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf fu
 			order = append(order, l)
 		}
 	}
-	for _, s := range spans {
-		note(lane{s.Node, s.Track})
+	var spanned []bool // lane-table entries with at least one kept span
+	if r != nil {
+		spanned = make([]bool, len(r.lanes))
+		r.spans.Each(func(l uint32, _, _, _ int64) { spanned[l] = true })
+		for i, ok := range spanned {
+			if ok {
+				note(lane{r.lanes[i].Node, r.lanes[i].Track})
+			}
+		}
 	}
 	rankLane := func(r int) lane {
 		n := 0
@@ -92,33 +101,63 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf fu
 		}
 		return order[i].track < order[j].track
 	})
-	var out []chromeEvent
+
+	// The document is {"traceEvents":[...],"displayTimeUnit":"ns"} as
+	// encoding/json writes it, a null array when there is no event.
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":`)
+	n := 0
+	var fail error
+	emit := func(ev *chromeEvent) {
+		if fail != nil {
+			return
+		}
+		b, err := json.Marshal(ev)
+		if err != nil {
+			fail = err
+			return
+		}
+		if n == 0 {
+			bw.WriteByte('[')
+		} else {
+			bw.WriteByte(',')
+		}
+		n++
+		bw.Write(b)
+	}
 	for tid, l := range order {
 		lanes[l] = tid
 		pname := fmt.Sprintf("node%d", l.node)
 		if l.node == FabricNode {
 			pname = "fabric"
 		}
-		out = append(out,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: l.node, Tid: tid,
-				Args: map[string]any{"name": pname}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: l.node, Tid: tid,
-				Args: map[string]any{"name": l.track}},
-			chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: l.node, Tid: tid,
-				Args: map[string]any{"sort_index": tid}},
-		)
+		emit(&chromeEvent{Name: "process_name", Ph: "M", Pid: l.node, Tid: tid,
+			Args: map[string]any{"name": pname}})
+		emit(&chromeEvent{Name: "thread_name", Ph: "M", Pid: l.node, Tid: tid,
+			Args: map[string]any{"name": l.track}})
+		emit(&chromeEvent{Name: "thread_sort_index", Ph: "M", Pid: l.node, Tid: tid,
+			Args: map[string]any{"sort_index": tid}})
 	}
-	for _, s := range spans {
-		dur := toMicros(s.End - s.Start)
-		ev := chromeEvent{
-			Name: s.Name, Cat: s.Cat, Ph: "X",
-			Ts: toMicros(s.Start), Dur: &dur,
-			Pid: s.Node, Tid: lanes[lane{s.Node, s.Track}],
+	tids := make([]int, len(spanned))
+	for i, ok := range spanned {
+		if ok {
+			tids[i] = lanes[lane{r.lanes[i].Node, r.lanes[i].Track}]
 		}
-		if s.Size > 0 {
-			ev.Args = map[string]any{"bytes": s.Size}
-		}
-		out = append(out, ev)
+	}
+	if r != nil {
+		r.spans.Each(func(l uint32, start, end, size int64) {
+			s := &r.lanes[l]
+			dur := toMicros(units.Time(end - start))
+			ev := chromeEvent{
+				Name: s.Name, Cat: s.Cat, Ph: "X",
+				Ts: toMicros(units.Time(start)), Dur: &dur,
+				Pid: s.Node, Tid: tids[l],
+			}
+			if size > 0 {
+				ev.Args = map[string]any{"bytes": size}
+			}
+			emit(&ev)
+		})
 	}
 	for _, e := range events {
 		l := rankLane(e.Rank)
@@ -126,33 +165,35 @@ func WriteChromeTrace(w io.Writer, spans []Span, events []trace.Event, nodeOf fu
 		if e.Size > 0 {
 			args["bytes"] = e.Size
 		}
-		ev := chromeEvent{
+		emit(&chromeEvent{
 			Name: e.Kind.String(), Cat: "mpi-msg", Ph: "i",
 			Ts: toMicros(e.At), Pid: l.node, Tid: lanes[l],
 			S: "t", Args: args,
-		}
-		out = append(out, ev)
+		})
 	}
 	for i := range flows {
 		f := &flows[i]
-		out = append(out,
-			chromeEvent{
-				Name: f.Name, Cat: "msg-flow", Ph: "s",
-				Ts: toMicros(f.Start), Pid: f.SrcNode,
-				Tid: lanes[lane{f.SrcNode, f.SrcTrack}],
-				ID:  &f.ID, Args: f.Args,
-			},
-			chromeEvent{
-				Name: f.Name, Cat: "msg-flow", Ph: "f", Bp: "e",
-				Ts: toMicros(f.End), Pid: f.DstNode,
-				Tid: lanes[lane{f.DstNode, f.DstTrack}],
-				ID:  &f.ID,
-			},
-		)
+		emit(&chromeEvent{
+			Name: f.Name, Cat: "msg-flow", Ph: "s",
+			Ts: toMicros(f.Start), Pid: f.SrcNode,
+			Tid: lanes[lane{f.SrcNode, f.SrcTrack}],
+			ID:  &f.ID, Args: f.Args,
+		})
+		emit(&chromeEvent{
+			Name: f.Name, Cat: "msg-flow", Ph: "f", Bp: "e",
+			Ts: toMicros(f.End), Pid: f.DstNode,
+			Tid: lanes[lane{f.DstNode, f.DstTrack}],
+			ID:  &f.ID,
+		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-		Unit        string        `json:"displayTimeUnit"`
-	}{TraceEvents: out, Unit: "ns"})
+	if fail != nil {
+		return fail
+	}
+	if n == 0 {
+		bw.WriteString("null")
+	} else {
+		bw.WriteByte(']')
+	}
+	bw.WriteString(`,"displayTimeUnit":"ns"}` + "\n")
+	return bw.Flush()
 }

@@ -46,6 +46,21 @@ func TestNilRegistryIsInert(t *testing.T) {
 	}
 }
 
+// Spans rebuilds the recorded span log in recording order (nil on a nil
+// registry or an empty log).
+func (r *Registry) Spans() []Span {
+	if r == nil || r.spans.Len() == 0 {
+		return nil
+	}
+	out := make([]Span, 0, r.spans.Len())
+	r.spans.Each(func(lane uint32, start, end, size int64) {
+		s := r.lanes[lane]
+		s.Start, s.End, s.Size = units.Time(start), units.Time(end), size
+		out = append(out, s)
+	})
+	return out
+}
+
 func TestHandlesSharedByName(t *testing.T) {
 	r := New()
 	a, b := r.Counter("node0/x"), r.Counter("node0/x")
@@ -240,7 +255,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		{At: units.Microsecond, Rank: 1, Kind: trace.EvSendStart, Peer: 0, Tag: 7, Size: 4096},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r.Spans(), events, func(rank int) int { return rank }, nil); err != nil {
+	if err := WriteChromeTrace(&buf, r, events, func(rank int) int { return rank }, nil); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc struct {
@@ -265,11 +280,16 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	// Determinism: same inputs, byte-identical output.
 	var buf2 bytes.Buffer
-	if err := WriteChromeTrace(&buf2, r.Spans(), events, func(rank int) int { return rank }, nil); err != nil {
+	if err := WriteChromeTrace(&buf2, r, events, func(rank int) int { return rank }, nil); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatalf("chrome trace output is not deterministic")
+	}
+	// An empty run is the document encoding/json writes for no events.
+	buf.Reset()
+	if err := WriteChromeTrace(&buf, nil, nil, nil, nil); err != nil || buf.String() != `{"traceEvents":null,"displayTimeUnit":"ns"}`+"\n" {
+		t.Fatalf("empty chrome trace = %q, %v", buf.String(), err)
 	}
 }
 

@@ -22,21 +22,6 @@ type Span struct {
 	Size  int64      // payload bytes, 0 when not applicable
 }
 
-// Spans rebuilds the recorded span log in recording order (nil on a nil
-// registry or an empty log). The slice is a fresh copy on every call.
-func (r *Registry) Spans() []Span {
-	if r == nil || r.spans.Len() == 0 {
-		return nil
-	}
-	out := make([]Span, 0, r.spans.Len())
-	r.spans.Each(func(lane uint32, start, end, size int64) {
-		s := r.lanes[lane]
-		s.Start, s.End, s.Size = units.Time(start), units.Time(end), size
-		out = append(out, s)
-	})
-	return out
-}
-
 // SpanTrack is a pre-resolved emitter for one fixed (node, track, name,
 // cat) lane, captured at wiring time so recording a job on a hot path
 // appends one packed record — no per-event field assembly. Same design

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"mpinet/internal/dev"
 	"mpinet/internal/memreg"
@@ -175,10 +174,10 @@ const (
 // the receive it matches completes: an arrived-but-not-completed message
 // at the receiver, and the state a rendezvous's RTS, CTS and payload share.
 //
-// Records are recycled through inMsgs once the receive completes. The
-// device callbacks are bound once, when a record is first allocated, so a
-// recycled message crosses the device without allocating. The pool is a
-// sync.Pool so the independent worlds of a -j run share it safely.
+// A record belongs to its world, whose free list takes it back once the
+// receive completes. The device callbacks are bound once, when a record is
+// first allocated, so a recycled message crosses the device without
+// allocating.
 type inMsg struct {
 	comm     int // communicator context id
 	src, tag int // src is a world rank
@@ -204,12 +203,12 @@ type inMsg struct {
 	match                  func()
 }
 
-var inMsgs sync.Pool
-
-// newInMsg takes a record from the pool, allocating and binding one on a
-// miss.
-func newInMsg() *inMsg {
-	if m, ok := inMsgs.Get().(*inMsg); ok {
+// newInMsg takes a record from the world's free list, allocating and
+// binding one when it is empty.
+func (w *World) newInMsg() *inMsg {
+	if k := len(w.msgFree); k > 0 {
+		m := w.msgFree[k-1]
+		w.msgFree = w.msgFree[:k-1]
 		return m
 	}
 	m := new(inMsg)
@@ -238,10 +237,12 @@ func newInMsg() *inMsg {
 	return m
 }
 
-// release returns the record to the pool, keeping its bound callbacks.
+// release returns the record to its world's free list, keeping its bound
+// callbacks.
 func (m *inMsg) release() {
+	w := m.to.world
 	*m = inMsg{arrived: m.arrived, cts: m.cts, bulkDone: m.bulkDone, match: m.match}
-	inMsgs.Put(m)
+	w.msgFree = append(w.msgFree, m)
 }
 
 // hostAction is one host-driven protocol step a rank runs at its next

@@ -76,10 +76,10 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 	return req
 }
 
-// newMsg takes a message record from the pool for req's payload (or its
-// RTS) from this rank to rank to.
+// newMsg takes a message record from the world's free list for req's
+// payload (or its RTS) from this rank to rank to.
 func (ps *procState) newMsg(req *Request, to *procState, kind msgKind, ch chKind) *inMsg {
-	m := newInMsg()
+	m := ps.world.newInMsg()
 	m.comm, m.src, m.tag, m.size, m.seq, m.tid = req.comm, ps.rank, req.tag, req.size, req.seq, req.tid
 	m.kind, m.ch, m.to = kind, ch, to
 	if kind == rtsMsg {

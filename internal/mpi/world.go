@@ -154,6 +154,9 @@ type World struct {
 	crashed   []bool
 	failed    []bool
 	anyFailed bool
+
+	// msgFree holds the world's idle message records (newInMsg).
+	msgFree []*inMsg
 }
 
 // NewWorld validates the configuration and builds per-rank state. A
@@ -386,10 +389,6 @@ func (w *World) Metrics() *metrics.Registry { return w.met }
 // tracing is on, every sampled message additionally becomes a flow arrow
 // from its sender's rank lane at post time to its receiver's at delivery.
 func (w *World) WriteChromeTrace(out io.Writer) error {
-	var spans []metrics.Span
-	if w.met != nil {
-		spans = w.met.Spans()
-	}
 	var events []trace.Event
 	if w.cfg.Timeline != nil {
 		events = w.cfg.Timeline.Events()
@@ -413,7 +412,7 @@ func (w *World) WriteChromeTrace(out io.Writer) error {
 			},
 		})
 	}
-	return metrics.WriteChromeTrace(out, spans, events, w.nodeOf, flows)
+	return metrics.WriteChromeTrace(out, w.met, events, w.nodeOf, flows)
 }
 
 // MsgTrace returns the world's message-trace recorder: the one configured

@@ -1,8 +1,6 @@
 package nic
 
 import (
-	"sync"
-
 	"mpinet/internal/dev"
 	"mpinet/internal/fabric"
 	"mpinet/internal/faults"
@@ -227,7 +225,8 @@ func (e *Endpoint) Bulk(dst int, size int64, tid msgtrace.ID, done func(error)) 
 // one attempt; under a fault plan the message climbs the retry ladder, and
 // a permanent failure calls done with its typed error instead.
 func (e *Endpoint) Send(m Msg, done func(error)) {
-	s := newSend()
+	n := e.net
+	s := n.newSend()
 	s.e, s.m, s.done = e, m, done
 	// The model's hook runs here rather than in a frame of its own between
 	// the verbs and Send: every rank's send stack is that much shallower.
@@ -237,34 +236,32 @@ func (e *Endpoint) Send(m Msg, done func(error)) {
 	if e.holder != nil {
 		e.holder.Hold(s.m)
 	}
-	n := e.net
 	now := n.eng.Now()
 	if n.inj == nil || s.m.Dst == e.node {
 		s.route(now)
-		e.wireAttempt(&s.path, s.m.TID, 0, s.m.Size, now+s.m.Setup, s.ended)
+		s.wire(now+s.m.Setup, 0)
 		return
 	}
 	s.ladder, s.attempt = true, 1
 	s.try(now + s.m.Setup + n.inj.NICStall(e.node, now) + n.inj.BusDelay(e.node, now))
 }
 
-// wireAttempt runs one transfer attempt over the staged route; a sampled
-// message also records the attempt's wire span and per-hop fabric detail.
-// The route is resolved by the caller: the retry ladder must pair each
-// attempt's route with the fate resolved with it.
-func (e *Endpoint) wireAttempt(path *fabric.Route, tid msgtrace.ID, attempt uint8, size int64, at sim.Time, done func(sim.Time)) {
-	rec, eng, rail := e.net.rec, e.net.eng, e.net.rail
-	if rec.Sampled(tid) {
-		inner := done
+// wire runs one transfer attempt over the message's resolved route; a
+// sampled message also records the attempt's wire span and per-hop fabric
+// detail. The route is resolved by the caller: the retry ladder must pair
+// each attempt's route with the fate resolved with it.
+func (s *send) wire(at sim.Time, attempt uint8) {
+	e, n := s.e, s.e.net
+	size, done := s.m.Size, s.ended
+	if n.rec.Sampled(s.m.TID) {
+		rec, tid := n.rec, s.m.TID
 		done = func(end sim.Time) {
-			rec.Span(tid, msgtrace.StageWire, e.node, rail, attempt, -1, at, end, size)
-			inner(end)
+			rec.Span(tid, msgtrace.StageWire, e.node, n.rail, attempt, -1, at, end, size)
+			s.end(end)
 		}
-		fabric.TransferTraced(eng, path, size, fabric.ChunkFor(size), at,
-			rec, tid, e.node, rail, attempt, done)
-		return
+		s.x.Trace(rec, tid, e.node, n.rail, attempt)
 	}
-	fabric.Transfer(eng, path, size, fabric.ChunkFor(size), at, done)
+	s.x.Start(n.eng, &s.path, size, fabric.ChunkFor(size), at, done)
 }
 
 // send is one message in flight, from Send until it is delivered or fails:
@@ -277,9 +274,9 @@ func (e *Endpoint) wireAttempt(path *fabric.Route, tid msgtrace.ID, attempt uint
 // damaged packet is resent after the model's RetryPolicy delay, and the
 // attempt numbered Limit+1 failing exhausts it.
 //
-// Records are recycled through sends when the message ends. The pool is a
-// sync.Pool so the independent worlds of a -j run share it safely. The
-// callbacks are bound once, when a record is first allocated, so a
+// A record belongs to its network, whose free list takes it back when the
+// message ends. It embeds the transfer record its attempts run on, one at a
+// time, and its callbacks are bound once, when it is first allocated, so a
 // recycled record schedules its attempts without allocating.
 type send struct {
 	e    *Endpoint
@@ -293,17 +290,19 @@ type send struct {
 	// included, and path the route around it.
 	seg  fabric.Segment
 	path fabric.Route
+	// x is the transfer record of the attempt in flight.
+	x fabric.Transfer
 	// ended and refire are s.end and s.fire, bound at allocation.
 	ended  func(sim.Time)
 	refire func()
 }
 
-var sends sync.Pool
-
-// newSend takes a record from the pool, allocating and binding one on a
-// miss.
-func newSend() *send {
-	if s, ok := sends.Get().(*send); ok {
+// newSend takes a record from the network's free list, allocating and
+// binding one when it is empty.
+func (n *Net) newSend() *send {
+	if k := len(n.free); k > 0 {
+		s := n.free[k-1]
+		n.free = n.free[:k-1]
 		return s
 	}
 	s := new(send)
@@ -311,10 +310,12 @@ func newSend() *send {
 	return s
 }
 
-// release returns the record to the pool, keeping its bound callbacks.
+// release returns the record to its network's free list, keeping its bound
+// callbacks and its transfer record, idle since the last attempt ended.
 func (s *send) release() {
-	*s = send{ended: s.ended, refire: s.refire}
-	sends.Put(s)
+	n := s.e.net
+	*s = send{ended: s.ended, refire: s.refire, x: s.x}
+	n.free = append(n.free, s)
 }
 
 // try issues attempt s.attempt at time at, unless a detected dead end
@@ -332,7 +333,7 @@ func (s *send) try(at sim.Time) {
 		s.abort(&faults.PartitionError{Src: e.node, Dst: s.m.Dst, Element: s.seg.Fate.Element})
 		return
 	}
-	e.wireAttempt(&s.path, s.m.TID, uint8(s.attempt-1), s.m.Size, at, s.ended)
+	s.wire(at, uint8(s.attempt-1))
 }
 
 // end takes the verdict on the attempt that cleared the path at time at:

@@ -105,6 +105,9 @@ type Net struct {
 	// reaches, one side each, not with the node pairs that talk. A warm
 	// lookup does not allocate.
 	tails map[tailKey][]fabric.PathStage
+
+	// free holds the network's idle send records (newSend).
+	free []*send
 }
 
 // tail returns the shared destination side to dst, built by model on

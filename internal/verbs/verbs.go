@@ -342,7 +342,7 @@ func (ep *endpoint) Shape(m *nic.Msg) {
 func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 	eng := ep.net.Engine()
 	up := fabric.Route{Head: ep.Head(0)}
-	fabric.Transfer(eng, &up, size+dev.EnvelopeBytes, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
+	new(fabric.Transfer).Start(eng, &up, size+dev.EnvelopeBytes, fabric.ChunkFor(size), eng.Now(), func(at sim.Time) {
 		for i := range ep.net.nodes {
 			if i == ep.Node() {
 				continue
@@ -350,7 +350,7 @@ func (ep *endpoint) Multicast(size int64, deliver func(node int)) {
 			i := i
 			seg := ep.Segment(i)
 			down := fabric.Route{Mid: seg.Stages, Tail: ep.Tail(i, 0, seg.Down)}
-			fabric.Transfer(eng, &down, size+dev.EnvelopeBytes, fabric.ChunkFor(size), at,
+			new(fabric.Transfer).Start(eng, &down, size+dev.EnvelopeBytes, fabric.ChunkFor(size), at,
 				func(sim.Time) { deliver(i) })
 		}
 	})

@@ -163,6 +163,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: the bond guards against duplicates or allocates per probe again (one in-flight set, reused records; see internal/rail)" >&2
     exit 1
 fi
+# Every recycled record has one owner inside its world: a free list kept
+# by the network, world, rank or bond that issues it. A process-global
+# sync.Pool shares records across the worlds of a -j run and drops them at
+# random under the race detector, where the zero-alloc gates then fail.
+if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal/; then
+    echo "FAIL: a record is recycled through a process-global sync.Pool again (keep it on its owner's free list, as rail.Network.newOp does)" >&2
+    exit 1
+fi
 # The metrics span log, the msgtrace span and message logs and the MPI
 # timeline keep "the first N records, count the rest" once, in
 # internal/reclog, and so does the varint coding of the packed span log.
