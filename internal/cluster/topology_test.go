@@ -4,6 +4,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"mpinet/internal/faults"
+	"mpinet/internal/units"
 )
 
 func TestTopologyOptionNames(t *testing.T) {
@@ -75,5 +78,19 @@ func TestIBAFatTreeHonorsNodeCount(t *testing.T) {
 	ft, want := IBAFatTree(16), IBA().With(FatTree(24, 2))
 	if ft.Name != want.Name || *ft.Settings().Topology != *want.Settings().Topology {
 		t.Fatalf("IBAFatTree = %s %+v, want %s %+v", ft.Name, ft.Settings().Topology, want.Name, want.Settings().Topology)
+	}
+}
+
+// TestBadElementFaultSurfacesConfigError: an element fault the fabric
+// cannot host fails the network typed, degrades as well as kills.
+func TestBadElementFaultSurfacesConfigError(t *testing.T) {
+	for i, opt := range []Option{
+		WithSwitchKills(faults.SwitchKill{Level: 1, Index: -1, At: units.Millisecond}),
+		WithLinecardDegrades(faults.LinecardDegrade{Level: 5, Index: 99, Until: units.Millisecond, Drop: 0.1}),
+		WithLinecardDegrades(faults.LinecardDegrade{Level: 0, Index: 1, Until: units.Millisecond, Drop: 7}),
+	} {
+		if IBA().With(Clos(2, 8, 1), opt).New(8).ConfigErr() == nil {
+			t.Errorf("bad element fault %d built a usable network", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,12 +11,11 @@ import (
 	"mpinet/internal/units"
 )
 
-// The route cache must be semantically invisible: within one health epoch a
-// deterministic route is a pure function of (source leaf, dst), and every
-// fault transition — death, detection, repair, degrade start/end — bumps the
-// epoch and forces re-resolution. These tests render the same chaos timeline
-// with the cache on (the default) and off (the SetRouteCache debug knob) and
-// demand byte-identical route signatures, fates included.
+// A Clos route is a pure function of its endpoints, the fault plan and
+// the send instant (and, under adaptive routing, of queue depths and the
+// leaf's dispersion counter). These tests render one chaos timeline —
+// death, detection edge, repair, degrade start and end — and pin every
+// route's stages and fate, under both routing policies, to a golden stream.
 
 // routeSig renders one Between call into a comparable signature: every stage's
 // pipe name and latency, the final-hop latency, and the full fate annotation.
@@ -41,7 +41,7 @@ func routeSig(tr *Clos, src, dst int, now sim.Time) string {
 // the kill, inside the blackhole detect-delay window, after detection, just
 // before and after the repair, and inside the degrade window. Returns one
 // signature line per (instant, pair).
-func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
+func chaosTimeline(t *testing.T, routing Routing) []string {
 	t.Helper()
 	const (
 		kill   = 1 * units.Millisecond
@@ -69,7 +69,6 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 	if err := tr.SetElementFaults(plan); err != nil {
 		t.Fatal(err)
 	}
-	tr.SetRouteCache(cacheOn)
 
 	// Probe pairs: cross-leaf routes over every plane, routes into and out of
 	// the doomed leaf 2 (hosts 8..11), and same-leaf traffic.
@@ -97,8 +96,8 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 			for _, pr := range pairs {
 				got = append(got, fmt.Sprintf("%v %s", at, routeSig(tr, pr[0], pr[1], eng.Now())))
 			}
-			// Sample each pair twice per instant so cache hits inside one
-			// epoch are exercised, not just first-resolution misses.
+			// Sample each pair twice per instant: a second adaptive pick at
+			// the same instant draws on from the leaf's counter.
 			for _, pr := range pairs {
 				got = append(got, fmt.Sprintf("%v bis %s", at, routeSig(tr, pr[0], pr[1], eng.Now())))
 			}
@@ -110,32 +109,39 @@ func chaosTimeline(t *testing.T, routing Routing, cacheOn bool) []string {
 	return got
 }
 
-// TestRouteCacheChaosByteIdentical: the full signature stream — paths, fates,
-// blackhole windows, repair re-hash, degrade accounting — is byte-identical
-// with the cache on and off, under both routing policies (adaptive with
-// multiple live planes bypasses the cache; the comparison pins that too).
-func TestRouteCacheChaosByteIdentical(t *testing.T) {
+// TestChaosRoutesMatchGolden: the full signature stream — paths, fates,
+// blackhole windows, repair re-hash, degrade accounting — under both
+// routing policies equals testdata/chaos_routes.golden, one line per probe
+// prefixed with the policy.
+func TestChaosRoutesMatchGolden(t *testing.T) {
+	var b strings.Builder
 	for _, routing := range []Routing{Deterministic, Adaptive} {
-		on := chaosTimeline(t, routing, true)
-		off := chaosTimeline(t, routing, false)
-		if len(on) == 0 || len(on) != len(off) {
-			t.Fatalf("%v: %d probes cached vs %d uncached", routing, len(on), len(off))
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("%v: probe %d diverges with the cache on:\n  on:  %s\n  off: %s",
-					routing, i, on[i], off[i])
-			}
+		for _, line := range chaosTimeline(t, routing) {
+			fmt.Fprintf(&b, "%v %s\n", routing, line)
 		}
 	}
+	want, err := os.ReadFile("testdata/chaos_routes.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() == string(want) {
+		return
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) && i < len(wantLines); i++ {
+		if got[i] != wantLines[i] {
+			t.Fatalf("probe %d diverges from the golden stream:\n  got:  %s\n  want: %s", i, got[i], wantLines[i])
+		}
+	}
+	t.Fatalf("%d probe lines, golden has %d", len(got), len(wantLines))
 }
 
-// TestRouteCacheCoversFateWindows sanity-checks that the chaos timeline the
-// byte-identity test compares actually crosses every fate: a cached run must
-// see OK, Blackhole and Partitioned states, or the comparison proves nothing
-// about the detect-delay window.
-func TestRouteCacheCoversFateWindows(t *testing.T) {
-	sigs := chaosTimeline(t, Deterministic, true)
+// TestChaosRoutesCoverFateWindows sanity-checks that the chaos timeline the
+// golden test pins actually crosses every fate: it must see OK, Blackhole
+// and Partitioned states, or the golden stream proves nothing about the
+// detect-delay window.
+func TestChaosRoutesCoverFateWindows(t *testing.T) {
+	sigs := chaosTimeline(t, Deterministic)
 	joined := strings.Join(sigs, "\n")
 	for state, name := range map[RouteState]string{
 		RouteOK:          "ok",
@@ -143,7 +149,7 @@ func TestRouteCacheCoversFateWindows(t *testing.T) {
 		RoutePartitioned: "partitioned",
 	} {
 		if !strings.Contains(joined, fmt.Sprintf("state=%d", state)) {
-			t.Errorf("timeline never renders a %s route; the byte-identity test is not covering it", name)
+			t.Errorf("timeline never renders a %s route; the golden test is not covering it", name)
 		}
 	}
 	// The healed plane must actually return to the hash space: plane 1 routes
@@ -153,25 +159,28 @@ func TestRouteCacheCoversFateWindows(t *testing.T) {
 	}
 }
 
-// TestRouteCacheHitsZeroAlloc: steady-state deterministic routing on a
-// healthy fabric serves cached stage slices with no per-call allocation —
-// the per-message []PathStage construction the cache exists to eliminate.
-func TestRouteCacheHitsZeroAlloc(t *testing.T) {
-	tr, err := NewClos("c", closCfg(3, 8, 1, Deterministic), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm every probed route once (first resolution allocates the row and
-	// the stage slice).
-	for dst := 0; dst < 64; dst++ {
-		between(tr, 0, dst, 0)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+// TestClosWarmRouteZeroAlloc: once every probed route has been resolved,
+// routing on a healthy fabric allocates nothing per message under either
+// policy — the stages come from the stage-pair memo and plane selection
+// runs in the leaf's scratch.
+func TestClosWarmRouteZeroAlloc(t *testing.T) {
+	for _, routing := range []Routing{Deterministic, Adaptive} {
+		tr, err := NewClos("c", closCfg(3, 8, 1, routing), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm every probed route once (first resolution allocates the
+		// leaf pair's memo row and its stage slice).
 		for dst := 0; dst < 64; dst++ {
 			between(tr, 0, dst, 0)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm deterministic Between allocated %.1f times per sweep, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			for dst := 0; dst < 64; dst++ {
+				between(tr, 0, dst, 0)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: warm Between allocated %.1f times per sweep, want 0", routing, allocs)
+		}
 	}
 }

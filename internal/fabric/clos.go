@@ -123,52 +123,24 @@ type Clos struct {
 	// adaptive-routing state, all leaf-local: one dispersion counter per
 	// leaf, consumed with the config seed by a counter PRNG.
 	counter []uint64
-	// planes lists every up-link plane, 0..uplinks-1: the healthy adaptive
-	// policy's candidate set.
-	planes []int
-	// scratch holds two plane buffers per leaf — the fault path's routable
-	// set and the adaptive policy's tie set (leafScratch) — so per-message
+	// scratch holds two plane buffers per leaf — route's routable set and
+	// the adaptive policy's tie set (leafScratch) — so per-message
 	// plane selection allocates nothing. Like the counters, a leaf's
 	// buffers are written only under that leaf.
 	scratch []int
 	// pairs memoizes the cross-leaf stage pair of a route:
 	// pairs[sl][dl*uplinks+u] holds the up-link and down-link stages from
 	// leaf sl to leaf dl over plane u. The pair is a pure function of those
-	// three, so per-message routing — adaptive, or re-hashed around
-	// element faults — returns a shared slice instead of building one.
+	// three, so every message's route returns a shared slice instead of
+	// building one. It is the fabric's one route memo.
 	// Tables fill lazily with the leaf pairs traffic actually joins and are
 	// written only under their source leaf.
 	pairs []map[int][]PathStage
-	// health, when non-nil, arms failure-domain rendering (health.go):
-	// Between routes around detected element deaths and resolves each route
-	// with its fate.
-	health *elementHealth
-	// routes is the deterministic route cache: routes[leaf][dst] memoizes the
-	// segment, fate included, of any (src on leaf, dst) route, keyed by the
-	// health epoch (always 0 on a healthy fabric). Each leaf's table is keyed
-	// by destination and holds only the destinations its hosts have routed
-	// to, so the cache grows with the traffic pattern, not with leaves ×
-	// nodes. Tables are allocated lazily; an entry is a pointer, so a
-	// lookup copies no segment. Adaptive routing with more than one
-	// up-link is load-dependent and re-picks its plane per message instead.
-	routes []map[int]*closRoute
-	// cacheOff disables the route cache (SetRouteCache): a debug knob for
-	// verifying cached and uncached runs are byte-identical.
-	cacheOff bool
+	// health holds the fault plan's element faults (health.go), none on a
+	// healthy fabric: route steers around detected element deaths and
+	// resolves each route with its fate.
+	health elementHealth
 }
-
-// closRoute is one route-cache entry: the segment, fate included, computed
-// for a (source leaf, dst) pair during one health epoch.
-type closRoute struct {
-	seg   Segment
-	epoch uint32
-}
-
-// SetRouteCache enables or disables the deterministic route cache. The cache
-// is semantically invisible — fault transitions bump the health epoch and
-// re-resolve — so the knob exists only for tests that prove cached and
-// uncached runs byte-identical.
-func (t *Clos) SetRouteCache(on bool) { t.cacheOff = !on }
 
 // NewClos wires a Clos fabric with capacity for at least nodes hosts. The
 // configuration must Validate; capacity overflow returns an error naming
@@ -195,13 +167,8 @@ func NewClos(name string, cfg ClosConfig, nodes int) (*Clos, error) {
 		hostsPerLeaf: hpl,
 		uplinks:      cfg.Uplinks(),
 		counter:      make([]uint64, leaves),
-		planes:       make([]int, cfg.Uplinks()),
 		scratch:      make([]int, 2*leaves*cfg.Uplinks()),
 		pairs:        make([]map[int][]PathStage, leaves),
-		routes:       make([]map[int]*closRoute, leaves),
-	}
-	for u := range t.planes {
-		t.planes[u] = u
 	}
 	t.up = make([][]*sim.Pipe, leaves)
 	t.down = make([][]*sim.Pipe, leaves)
@@ -233,18 +200,8 @@ func (t *Clos) climbs(sl, dl int) int {
 	return t.cfg.Levels - 1
 }
 
-// pickUplink selects the up-link plane for one message from leaf sl to
-// dst under the configured routing policy. Adaptive dispersion considers
-// every plane.
-func (t *Clos) pickUplink(sl, dst int) int {
-	if t.cfg.Routing == Deterministic || t.uplinks == 1 {
-		return dst % t.uplinks
-	}
-	return t.pickAdaptive(sl, t.planes)
-}
-
-// leafScratch returns leaf l's two plane buffers, empty: routable for the
-// fault path's surviving planes and best for the adaptive policy's ties.
+// leafScratch returns leaf l's two plane buffers, empty: routable for
+// route's surviving planes and best for the adaptive policy's ties.
 func (t *Clos) leafScratch(l int) (routable, best []int) {
 	s := t.scratch[2*l*t.uplinks : 2*(l+1)*t.uplinks]
 	return s[:0:t.uplinks], s[t.uplinks:t.uplinks]
@@ -276,55 +233,11 @@ func (t *Clos) stagePair(sl, dl, u int) []PathStage {
 // cross-leaf traffic takes its leaf up-link, the pure-latency climb over
 // the upper levels, and the destination leaf's matching down-link. The
 // last crossing (destination leaf onto the host link) rides the down-link
-// latency.
-//
-// Deterministic routes are served from the per-(leaf, dst) cache: within one
-// health epoch the plane choice, stages and fate of such a route are pure
-// functions of the pair, so re-resolution is paid once per epoch instead of
-// once per message. Adaptive routes re-pick their plane per message; their
-// stages come from the stage-pair memo, so neither path allocates once warm.
-// now must not decrease from one call to the next: the health epoch only
-// advances.
+// latency. Every message is routed afresh by route (health.go), healthy or
+// not; its stages come from the stage-pair memo, so no route allocates
+// once warm.
 func (t *Clos) Between(src, dst int, now sim.Time, seg *Segment) {
-	sl, dl := t.LeafOf(src), t.LeafOf(dst)
-	if t.cacheOff || (t.cfg.Routing == Adaptive && t.uplinks > 1) {
-		t.routeOnce(seg, dst, sl, dl, now)
-		return
-	}
-	var epoch uint32
-	if t.health != nil {
-		epoch = t.health.advance(now)
-	}
-	e := t.routes[sl][dst]
-	if e == nil {
-		if t.routes[sl] == nil {
-			t.routes[sl] = make(map[int]*closRoute)
-		}
-		e = &closRoute{}
-		t.routes[sl][dst] = e
-		t.routeOnce(&e.seg, dst, sl, dl, now)
-		e.epoch = epoch
-	} else if e.epoch != epoch {
-		t.routeOnce(&e.seg, dst, sl, dl, now)
-		e.epoch = epoch
-	}
-	*seg = e.seg
-}
-
-// routeOnce resolves a route into seg without consulting the cache: the
-// faulty path when element faults are armed, the healthy geometry
-// otherwise.
-func (t *Clos) routeOnce(seg *Segment, dst, sl, dl int, now sim.Time) {
-	if t.health != nil {
-		t.betweenFaulty(seg, dst, sl, dl, now)
-		return
-	}
-	// Field by field: a Segment literal would be built in this frame first.
-	seg.Stages, seg.Down, seg.Plane, seg.Fate = nil, t.cfg.Crossing, -1, RouteInfo{}
-	if sl != dl {
-		seg.Plane = t.pickUplink(sl, dst)
-		seg.Stages = t.stagePair(sl, dl, seg.Plane)
-	}
+	t.route(seg, dst, t.LeafOf(src), t.LeafOf(dst), now)
 }
 
 // Instrument registers every leaf-tier link's byte volume, occupancy and

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 
 	"mpinet/internal/faults"
 	"mpinet/internal/msgtrace"
@@ -72,15 +71,6 @@ type elementHealth struct {
 	kills    []faults.SwitchKill
 	degrades []faults.LinecardDegrade
 	detect   sim.Time
-	// transitions is the sorted set of instants at which any armed fault
-	// changes observable routing state (death, detection, repair, degrade
-	// start or end); epoch counts how many lie in the past. Between's route
-	// cache keys entries by the epoch: within one epoch every route is a pure
-	// function of (source leaf, dst), so advancing the epoch is the entire
-	// invalidation protocol. Lazy advance is sound because Between's callers
-	// pass a monotonic clock.
-	transitions []sim.Time
-	epoch       uint32
 	// names caches element display names by element code: a black-holed
 	// plane is named on every message routed into it until detection.
 	names map[int64]string
@@ -104,57 +94,54 @@ func (h *elementHealth) name(kind int64, index int) string {
 	return s
 }
 
-// advance moves the fault epoch up to now and returns it. O(1) amortized:
-// each transition instant is consumed once per run.
-func (h *elementHealth) advance(now sim.Time) uint32 {
-	for int(h.epoch) < len(h.transitions) && now >= h.transitions[h.epoch] {
-		h.epoch++
-	}
-	return h.epoch
-}
-
 // SetElementFaults arms the topology's failure-domain rendering from a
 // plan's SwitchKills/LinecardDegrades. The device calls it at construction
-// when the plan has element faults. Kills at levels the fabric does not
-// have are rejected.
+// when the plan has element faults. Faults naming elements the fabric does
+// not have, and degrades whose drop is not a probability, are rejected.
 func (t *Clos) SetElementFaults(p *faults.Plan) error {
 	if p == nil || !p.HasElements() {
 		return nil
 	}
 	for _, k := range p.SwitchKills {
-		if k.Level < 0 || k.Level >= t.cfg.Levels {
-			return fmt.Errorf("switch kill at level %d: fabric has levels 0..%d", k.Level, t.cfg.Levels-1)
-		}
-		if k.Level == 0 && (k.Index < 0 || k.Index >= t.leaves) {
-			return fmt.Errorf("switch kill at leaf %d: fabric has %d leaves", k.Index, t.leaves)
+		if err := t.checkElement("switch kill", k.Level, k.Index); err != nil {
+			return err
 		}
 	}
-	h := &elementHealth{
+	for _, d := range p.LinecardDegrades {
+		if err := t.checkElement("linecard degrade", d.Level, d.Index); err != nil {
+			return err
+		}
+		if !(d.Drop >= 0 && d.Drop <= 1) {
+			return fmt.Errorf("linecard degrade drop %g is not a probability in [0, 1]", d.Drop)
+		}
+	}
+	t.health = elementHealth{
 		kills:    append([]faults.SwitchKill(nil), p.SwitchKills...),
 		degrades: append([]faults.LinecardDegrade(nil), p.LinecardDegrades...),
 		detect:   p.DetectionDelay(),
 	}
-	// Precompute every instant routing behaviour can change. Superfluous
-	// entries (a detection instant past the repair, duplicates) only cost a
-	// spurious cache refresh, never correctness.
-	for _, k := range h.kills {
-		h.transitions = append(h.transitions, k.At, k.At+h.detect)
-		if k.RepairAt > 0 {
-			h.transitions = append(h.transitions, k.RepairAt)
-		}
+	return nil
+}
+
+// checkElement rejects a fault at a level the fabric does not have, at a
+// leaf past its last, or at a negative index. A spine index past the plane
+// count is fine: it folds onto plane Index mod uplinks.
+func (t *Clos) checkElement(what string, level, index int) error {
+	switch {
+	case level < 0 || level >= t.cfg.Levels:
+		return fmt.Errorf("%s at level %d: fabric has levels 0..%d", what, level, t.cfg.Levels-1)
+	case index < 0:
+		return fmt.Errorf("%s at level %d index %d: indices start at 0", what, level, index)
+	case level == 0 && index >= t.leaves:
+		return fmt.Errorf("%s at leaf %d: fabric has %d leaves", what, index, t.leaves)
 	}
-	for _, d := range h.degrades {
-		h.transitions = append(h.transitions, d.From, d.Until)
-	}
-	slices.Sort(h.transitions)
-	t.health = h
 	return nil
 }
 
 // planeState reports whether up-link plane u is dead at now and whether the
 // death has been detected.
 func (t *Clos) planeState(u int, now sim.Time) (dead, detected bool) {
-	h := t.health
+	h := &t.health
 	for _, k := range h.kills {
 		if k.Level >= 1 && k.Index%t.uplinks == u {
 			if k.Dead(now) {
@@ -171,7 +158,7 @@ func (t *Clos) planeState(u int, now sim.Time) (dead, detected bool) {
 // leafState reports whether leaf l is dead at now and whether the death has
 // been detected.
 func (t *Clos) leafState(l int, now sim.Time) (dead, detected bool) {
-	h := t.health
+	h := &t.health
 	for _, k := range h.kills {
 		if k.Level == 0 && k.Index == l {
 			if k.Dead(now) {
@@ -203,12 +190,14 @@ func (t *Clos) routeExtra(sl, dl, plane int, now sim.Time) float64 {
 	return extra
 }
 
-// betweenFaulty is Between with element-fault rendering armed. It mirrors
-// the healthy path exactly when no fault is active at now — same plane
-// choice, same adaptive draws — so arming an all-future plan does not
-// perturb the pre-fault prefix of a run.
-func (t *Clos) betweenFaulty(seg *Segment, dst, sl, dl int, now sim.Time) {
-	h := t.health
+// route resolves into seg the route of one message from leaf sl to dst on
+// leaf dl at now, its fate included: the only route function of the Clos.
+// With no fault active at now every plane is routable in order, so
+// deterministic ECMP is dst % uplinks and the adaptive policy weighs every
+// plane with the same draws a fault-free fabric makes; arming an all-future
+// plan therefore does not perturb the pre-fault prefix of a run.
+func (t *Clos) route(seg *Segment, dst, sl, dl int, now sim.Time) {
+	h := &t.health
 	if sl == dl {
 		var info RouteInfo
 		if dead, det := t.leafState(sl, now); dead {
@@ -291,10 +280,8 @@ func (t *Clos) betweenFaulty(seg *Segment, dst, sl, dl int, now sim.Time) {
 // pickAdaptive is the adaptive policy restricted to a candidate plane set:
 // the least-backlogged up-link of the source leaf, ties falling to a seeded
 // counter PRNG so the choice disperses rather than herding onto the first
-// candidate. With the full plane set (pickUplink) it is the healthy policy,
-// so a fault-free prefix consumes exactly the healthy draws. The tie set
-// lives in the leaf's scratch, beside (never overlapping) the routable set
-// candidates may be.
+// candidate. The tie set lives in the leaf's scratch, beside (never
+// overlapping) the routable set the candidates come from.
 func (t *Clos) pickAdaptive(sl int, candidates []int) int {
 	_, best := t.leafScratch(sl)
 	best = append(best, candidates[0])
@@ -321,9 +308,6 @@ func (t *Clos) pickAdaptive(sl int, candidates []int) int {
 // incident attribution (a rail whose fabric lost a spine should name the
 // spine, not just itself). ok is false when nothing is dead.
 func (t *Clos) DeadElement(now sim.Time) (name string, code int64, ok bool) {
-	if t.health == nil {
-		return "", 0, false
-	}
 	for _, k := range t.health.kills {
 		if !k.Dead(now) {
 			continue

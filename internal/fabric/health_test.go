@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"testing"
 
 	"mpinet/internal/faults"
@@ -272,28 +273,61 @@ func TestClosAdaptiveAvoidsDeadPlanes(t *testing.T) {
 	}
 }
 
-// TestSetElementFaultsValidation rejects kills naming elements the fabric
-// does not have.
+// TestSetElementFaultsValidation rejects kills and degrades naming
+// elements the fabric does not have, and degrades whose drop is not a
+// probability; a spine index past the plane count folds onto a plane and
+// is accepted.
 func TestSetElementFaultsValidation(t *testing.T) {
 	tr, err := NewClos("c", closCfg(2, 8, 1, Deterministic), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []*faults.Plan{
-		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 2, Index: 0, At: 1}}},  // no tier 2
-		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 0, Index: 8, At: 1}}},  // 8 leaves: 0..7
-		{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: 0, Index: -1, At: 1}}}, // negative leaf
+	kill := func(level, index int) *faults.Plan {
+		return &faults.Plan{Seed: 1, SwitchKills: []faults.SwitchKill{{Level: level, Index: index, At: 1}}}
 	}
-	for i, p := range bad {
-		if err := tr.SetElementFaults(p); err == nil {
-			t.Errorf("plan %d accepted: %+v", i, p.SwitchKills[0])
+	degrade := func(level, index int, drop float64) *faults.Plan {
+		return &faults.Plan{Seed: 1, LinecardDegrades: []faults.LinecardDegrade{
+			{Level: level, Index: index, From: 1, Until: 2, Drop: drop}}}
+	}
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+		ok   bool
+	}{
+		{"kill at tier 2 of 2", kill(2, 0), false},
+		{"kill at negative level", kill(-1, 0), false},
+		{"kill at leaf 8 of 0..7", kill(0, 8), false},
+		{"kill at negative leaf", kill(0, -1), false},
+		{"kill at negative spine", kill(1, -1), false},
+		{"kill at spine 5 folds onto plane 1", kill(1, 5), true},
+		{"degrade at tier 5 of 2", degrade(5, 99, 0.1), false},
+		{"degrade at negative level", degrade(-1, 0, 0.1), false},
+		{"degrade at leaf 8 of 0..7", degrade(0, 8, 0.1), false},
+		{"degrade at negative leaf", degrade(0, -1, 0.1), false},
+		{"degrade at negative spine", degrade(1, -1, 0.1), false},
+		{"degrade drop above 1", degrade(0, 1, 7), false},
+		{"degrade drop below 0", degrade(1, 1, -0.5), false},
+		{"degrade drop NaN", degrade(1, 1, math.NaN()), false},
+		{"degrade drop 1 on leaf 7", degrade(0, 7, 1), true},
+		{"degrade drop 0 on spine 3", degrade(1, 3, 0), true},
+	} {
+		err := tr.SetElementFaults(tc.plan)
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// A plan without element faults arms nothing and is fine.
-	if err := tr.SetElementFaults(&faults.Plan{Seed: 1, Drop: 0.1}); err != nil {
+	fresh, err := NewClos("c", closCfg(2, 8, 1, Deterministic), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.SetElementFaults(&faults.Plan{Seed: 1, Drop: 0.1}); err != nil {
 		t.Fatalf("element-free plan rejected: %v", err)
 	}
-	if got := between(tr, 0, 5, 0).Fate; got != (RouteInfo{}) {
+	if got := between(fresh, 0, 5, 0).Fate; got != (RouteInfo{}) {
 		t.Fatalf("unarmed topology reported fate %+v, want the zero RouteInfo", got)
 	}
 }

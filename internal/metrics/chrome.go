@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,15 +107,18 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 	// encoding/json writes it, a null array when there is no event.
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":`)
+	// Events encode through one reused buffer; Encode writes what
+	// json.Marshal returns, plus a newline that is dropped.
 	n := 0
 	var fail error
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	emit := func(ev *chromeEvent) {
 		if fail != nil {
 			return
 		}
-		b, err := json.Marshal(ev)
-		if err != nil {
-			fail = err
+		buf.Reset()
+		if fail = enc.Encode(ev); fail != nil {
 			return
 		}
 		if n == 0 {
@@ -123,7 +127,7 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 			bw.WriteByte(',')
 		}
 		n++
-		bw.Write(b)
+		bw.Write(buf.Bytes()[:buf.Len()-1])
 	}
 	for tid, l := range order {
 		lanes[l] = tid
@@ -145,16 +149,22 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 		}
 	}
 	if r != nil {
+		// One record, duration and args map serve every span: emit encodes
+		// each span before the next one overwrites them.
+		var ev chromeEvent
+		var dur float64
+		args := map[string]any{}
 		r.spans.Each(func(l uint32, start, end, size int64) {
 			s := &r.lanes[l]
-			dur := toMicros(units.Time(end - start))
-			ev := chromeEvent{
+			dur = toMicros(units.Time(end - start))
+			ev = chromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
 				Ts: toMicros(units.Time(start)), Dur: &dur,
 				Pid: s.Node, Tid: tids[l],
 			}
 			if size > 0 {
-				ev.Args = map[string]any{"bytes": size}
+				args["bytes"] = size
+				ev.Args = args
 			}
 			emit(&ev)
 		})

@@ -200,11 +200,6 @@ func (n *Net) announceElementDeaths() {
 	}
 }
 
-// Topology exposes the wired fabric topology — a debug surface for tests
-// that flip fabric-level verification knobs (e.g. fabric.(*Clos).SetRouteCache)
-// on a built network.
-func (n *Net) Topology() fabric.Topology { return n.topo }
-
 // Engine implements dev.Network.
 func (n *Net) Engine() *sim.Engine { return n.eng }
 

@@ -37,7 +37,7 @@ func routeTo(s *send, ep *Endpoint, dst int) {
 
 // TestRouteStateScalesWithPeers: the route state routing builds — the
 // endpoint's source side, the network's shared destination sides and the
-// leaf's route-cache table — grows with the peers routed to, not with the
+// fabric's stage-pair memo — grows with the peers routed to, not with the
 // world. Routing to the same eight peers costs the same bytes at 256 and
 // at 4096 nodes.
 func TestRouteStateScalesWithPeers(t *testing.T) {

@@ -163,6 +163,15 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     echo "FAIL: the bond guards against duplicates or allocates per probe again (one in-flight set, reused records; see internal/rail)" >&2
     exit 1
 fi
+# A Clos routes every message, healthy or faulty, through one function
+# whose only memo is the stage pair per (source leaf, destination leaf,
+# plane). A route cache, its on/off knob or the fault-transition epochs
+# that invalidated it may not come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'SetRouteCache|closRoute|cacheOff|transitions|advance\(' internal/fabric/; then
+    echo "FAIL: the Clos caches routes or keys them by fault epochs again (route every message through Clos.route; see internal/fabric)" >&2
+    exit 1
+fi
 # Every recycled record has one owner inside its world: a free list kept
 # by the network, world, rank or bond that issues it. A process-global
 # sync.Pool shares records across the worlds of a -j run and drops them at
