@@ -122,24 +122,23 @@ func (b *Bus) Jobs() int64 { return b.st.Jobs() }
 // Name returns the diagnostic name.
 func (b *Bus) Name() string { return b.st.Name() }
 
-// Bytes reports cumulative DMA payload moved over the bus.
-func (b *Bus) Bytes() int64 { return b.bytes }
-
-// WaitTime reports cumulative DMA queueing delay (bus contention).
-func (b *Bus) WaitTime() sim.Time { return b.st.WaitTime() }
-
-// Instrument registers the bus's DMA count, byte volume, occupancy and
-// contention time under nodeN/bus/..., and arms per-DMA span recording so
-// bus activity shows up as a lane in the Chrome trace. Probes are read at
-// snapshot time; the DMA path cost is one nil check.
+// Instrument registers the bus as a metrics source under nodeN/bus/, and
+// arms per-DMA span recording so bus activity shows up as a lane in the
+// Chrome trace. The source is read at snapshot time; the DMA path cost is
+// one nil check.
 func (b *Bus) Instrument(m *metrics.Registry, node int) {
 	if m == nil {
 		return
 	}
-	prefix := metrics.NodePrefix(node) + "bus"
-	m.ProbeCount(prefix+"/dma_ops", b.Jobs)
-	m.ProbeCount(prefix+"/dma_bytes", b.Bytes)
-	m.ProbeTime(prefix+"/busy_time", b.BusyTime)
-	m.ProbeTime(prefix+"/wait_time", b.WaitTime)
+	m.AddSource(metrics.NodePrefix(node)+"bus/", b)
 	b.st.RecordSpans(m, node, "dma", "bus")
+}
+
+// Report implements metrics.Source: the DMA count, byte volume, occupancy
+// and contention time.
+func (b *Bus) Report(e *metrics.Emitter) {
+	e.Count("dma_ops", b.Jobs())
+	e.Count("dma_bytes", b.bytes)
+	e.Time("busy_time", b.BusyTime())
+	e.Time("wait_time", b.st.WaitTime())
 }

@@ -185,12 +185,10 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
-		m.ProbeCount(prefix+"/elanproc_jobs", hw.elanProc.Jobs)
-		m.ProbeTime(prefix+"/elanproc_busy_time", hw.elanProc.BusyTime)
-		m.ProbeTime(prefix+"/elanproc_wait_time", hw.elanProc.WaitTime)
+		m.AddSource(prefix+"/elanproc_", hw.elanProc)
 		hw.elanProc.RecordSpans(m, i, "threadproc", "nic")
-		hw.dmaTx.Instrument(m, prefix+"/tx")
-		hw.dmaRx.Instrument(m, prefix+"/rx")
+		m.AddSource(prefix+"/tx/", hw.dmaTx)
+		m.AddSource(prefix+"/rx/", hw.dmaRx)
 		hw.dmaTx.RecordSpans(m, i, "tx", "nic")
 		hw.dmaRx.RecordSpans(m, i, "rx", "nic")
 		hw.link.Instrument(m, i)
@@ -225,9 +223,12 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 	}
 	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
 	ep.freeSlot = func() { ep.outstanding-- }
-	ep.cmdqStalls = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/cmdq_stalls")
-	ep.matches = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/matches")
-	dev.InstrumentPinCache(n.Metrics(), node, ep.mmu)
+	if m := n.Metrics(); m != nil {
+		pfx := metrics.NodePrefix(node) + "nic/"
+		ep.cmdqStalls = m.Counter(pfx + "cmdq_stalls")
+		ep.matches = m.Counter(pfx + "matches")
+		dev.InstrumentPinCache(m, node, ep.mmu)
+	}
 	return ep
 }
 

@@ -96,9 +96,11 @@ func FaultSmoke(w io.Writer, net string, drop float64, seed uint64) error {
 	}
 	fmt.Fprintf(w, "%-16s LU class S x8:  %v elapsed\n", p.Name, result.Elapsed)
 
-	packets, drops := m.Counter("faults/packets").Value(), m.Counter("faults/drops").Value()
+	snap := m.Snapshot()
+	packets, _ := snap.Get("faults/packets")
+	drops, _ := snap.Get("faults/drops")
 	var retries int64
-	for _, it := range m.Snapshot().Items {
+	for _, it := range snap.Items {
 		if strings.HasSuffix(it.Name, "/nic/retries") {
 			retries += it.Value
 		}

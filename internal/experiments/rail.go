@@ -240,12 +240,16 @@ func RailFailSmoke(w io.Writer, pair, policy string, seed uint64) error {
 		return fmt.Errorf("experiments: bonded LU did not survive %s dying at %v: %w", members[0].Name, at, err)
 	}
 	fmt.Fprintf(w, "%-18s with %s killed at %v: %v\n", bond.Name, members[0].Name, at, degraded.Elapsed)
+	snap := m.Snapshot()
+	count := func(name string) int64 {
+		v, _ := snap.Get(name)
+		return v
+	}
+	deaths := count("rail/deaths")
 	fmt.Fprintf(w, "%-18s rail: %d heartbeats, %d suspects, %d deaths, %d failovers, %d B re-issued, %d stripe chunks\n",
-		bond.Name,
-		m.Counter("rail/heartbeats").Value(), m.Counter("rail/suspects").Value(),
-		m.Counter("rail/deaths").Value(), m.Counter("rail/failovers").Value(),
-		m.Counter("rail/reissued_bytes").Value(), m.Counter("rail/stripe_chunks").Value())
-	if m.Counter("rail/deaths").Value() == 0 {
+		bond.Name, count("rail/heartbeats"), count("rail/suspects"), deaths,
+		count("rail/failovers"), count("rail/reissued_bytes"), count("rail/stripe_chunks"))
+	if deaths == 0 {
 		return fmt.Errorf("experiments: %s: rail kill at %v was never detected (rail/deaths = 0)", bond.Name, at)
 	}
 	if degraded.Elapsed <= healthy.Elapsed {

@@ -240,9 +240,9 @@ func (t *Clos) Between(src, dst int, now sim.Time, seg *Segment) {
 	t.route(seg, dst, t.LeafOf(src), t.LeafOf(dst), now)
 }
 
-// Instrument registers every leaf-tier link's byte volume, occupancy and
-// contention time under fabric/<link-name>/... — per-link counters are what
-// make up-link imbalance and incast hot spots visible.
+// Instrument registers every leaf-tier link as a metrics source under
+// fabric/<link-name>/ — per-link counters are what make up-link imbalance
+// and incast hot spots visible.
 func (t *Clos) Instrument(m *metrics.Registry) {
 	if m == nil {
 		return
@@ -250,7 +250,7 @@ func (t *Clos) Instrument(m *metrics.Registry) {
 	for l := range t.up {
 		for u := range t.up[l] {
 			for _, p := range []*sim.Pipe{t.up[l][u], t.down[l][u]} {
-				p.Instrument(m, "fabric/"+p.Name())
+				m.AddSource("fabric/"+p.Name()+"/", p)
 				p.RecordSpans(m, metrics.FabricNode, "fwd", "fabric")
 			}
 		}

@@ -52,16 +52,16 @@ func (l *Link) Up() *sim.Pipe { return l.toSwitch }
 // Down returns the switch→host direction.
 func (l *Link) Down() *sim.Pipe { return l.fromSwitch }
 
-// Instrument registers both directions' byte volume, occupancy and
-// contention time under nodeN/link/{up,down}/... and arms per-chunk span
-// recording so link traffic appears as lanes in the Chrome trace.
+// Instrument registers both directions as metrics sources under
+// nodeN/link/{up,down}/ and arms per-chunk span recording so link traffic
+// appears as lanes in the Chrome trace.
 func (l *Link) Instrument(m *metrics.Registry, node int) {
 	if m == nil {
 		return
 	}
-	prefix := metrics.NodePrefix(node) + "link"
-	l.toSwitch.Instrument(m, prefix+"/up")
-	l.fromSwitch.Instrument(m, prefix+"/down")
+	prefix := metrics.NodePrefix(node) + "link/"
+	m.AddSource(prefix+"up/", l.toSwitch)
+	m.AddSource(prefix+"down/", l.fromSwitch)
 	l.toSwitch.RecordSpans(m, node, "xfer", "fabric")
 	l.fromSwitch.RecordSpans(m, node, "xfer", "fabric")
 }

@@ -130,10 +130,10 @@ func TestInjectorCounters(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		in.VerdictExtra(0, 1, 0, 0)
 	}
-	if got := m.Counter("faults/drops").Value(); got != 10 {
+	if got := counterValue(m, "faults/drops"); got != 10 {
 		t.Fatalf("faults/drops = %d, want 10", got)
 	}
-	if got := m.Counter("faults/packets").Value(); got != 10 {
+	if got := counterValue(m, "faults/packets"); got != 10 {
 		t.Fatalf("faults/packets = %d, want 10", got)
 	}
 }
@@ -182,4 +182,11 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// counterValue reads the named counter from a snapshot of m: every
+// Counter call hands out a fresh handle, so names fold only there.
+func counterValue(m *metrics.Registry, name string) int64 {
+	v, _ := m.Snapshot().Get(name)
+	return v
 }

@@ -230,17 +230,13 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
-		m.ProbeCount(prefix+"/lanai_jobs", hw.lanai.Jobs)
-		m.ProbeTime(prefix+"/lanai_busy_time", hw.lanai.BusyTime)
-		m.ProbeTime(prefix+"/lanai_wait_time", hw.lanai.WaitTime)
+		m.AddSource(prefix+"/lanai_", hw.lanai)
 		hw.lanai.RecordSpans(m, i, "firmware", "nic")
 		for _, dma := range []struct {
 			name string
 			st   *sim.Station
 		}{{"sdma", hw.sdma.st}, {"rdma", hw.rdma.st}} {
-			m.ProbeCount(prefix+"/"+dma.name+"/jobs", dma.st.Jobs)
-			m.ProbeTime(prefix+"/"+dma.name+"/busy_time", dma.st.BusyTime)
-			m.ProbeTime(prefix+"/"+dma.name+"/wait_time", dma.st.WaitTime)
+			m.AddSource(prefix+"/"+dma.name+"/", dma.st)
 			dma.st.RecordSpans(m, i, dma.name, "nic")
 		}
 		hw.link.Instrument(m, i)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"mpinet/internal/trace"
 	"mpinet/internal/units"
@@ -18,17 +19,19 @@ import (
 // simulated picoseconds convert at 1e6 ps/us without losing sub-ns detail
 // thanks to the float mantissa at trace-scale magnitudes.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	ID   *uint64        `json:"id,omitempty"` // flow binding id ("s"/"f" pairs)
-	Bp   string         `json:"bp,omitempty"` // flow bind point ("e": enclosing)
-	Args map[string]any `json:"args,omitempty"`
+	Name string   `json:"name"`
+	Cat  string   `json:"cat,omitempty"`
+	Ph   string   `json:"ph"`
+	Ts   float64  `json:"ts"`
+	Dur  *float64 `json:"dur,omitempty"`
+	Pid  int      `json:"pid"`
+	Tid  int      `json:"tid"`
+	S    string   `json:"s,omitempty"`
+	ID   *uint64  `json:"id,omitempty"` // flow binding id ("s"/"f" pairs)
+	Bp   string   `json:"bp,omitempty"` // flow bind point ("e": enclosing)
+	// Args is a map[string]any, or a span's pre-encoded *json.RawMessage;
+	// nil omits the field, as an empty map would.
+	Args any `json:"args,omitempty"`
 }
 
 // Flow is one message-flow arrow: Chrome draws it from the source lane at
@@ -149,11 +152,12 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 		}
 	}
 	if r != nil {
-		// One record, duration and args map serve every span: emit encodes
-		// each span before the next one overwrites them.
+		// One record, duration and args serve every span: emit encodes each
+		// span before the next one overwrites them. The args are written
+		// by hand, as encoding/json would write a one-key map.
 		var ev chromeEvent
 		var dur float64
-		args := map[string]any{}
+		var args json.RawMessage
 		r.spans.Each(func(l uint32, start, end, size int64) {
 			s := &r.lanes[l]
 			dur = toMicros(units.Time(end - start))
@@ -163,8 +167,8 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 				Pid: s.Node, Tid: tids[l],
 			}
 			if size > 0 {
-				args["bytes"] = size
-				ev.Args = args
+				args = append(strconv.AppendInt(append(args[:0], `{"bytes":`...), size, 10), '}')
+				ev.Args = &args
 			}
 			emit(&ev)
 		})
@@ -183,12 +187,16 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 	}
 	for i := range flows {
 		f := &flows[i]
-		emit(&chromeEvent{
+		ev := chromeEvent{
 			Name: f.Name, Cat: "msg-flow", Ph: "s",
 			Ts: toMicros(f.Start), Pid: f.SrcNode,
 			Tid: lanes[lane{f.SrcNode, f.SrcTrack}],
-			ID:  &f.ID, Args: f.Args,
-		})
+			ID:  &f.ID,
+		}
+		if len(f.Args) > 0 {
+			ev.Args = f.Args
+		}
+		emit(&ev)
 		emit(&chromeEvent{
 			Name: f.Name, Cat: "msg-flow", Ph: "f", Bp: "e",
 			Ts: toMicros(f.End), Pid: f.DstNode,

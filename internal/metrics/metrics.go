@@ -18,7 +18,7 @@
 //     instruments unconditionally and pays one nil check when disabled.
 //     Instrumentation never schedules events or charges simulated time, so
 //     enabling it cannot perturb results.
-//   - Zero allocation on the hot path. Handles are resolved by name once at
+//   - Zero allocation on the hot path. Handles are handed out once at
 //     wiring time; increments are plain field updates. Name formatting
 //     happens only during instrumentation and snapshotting. A span is one
 //     delta-varint record of about 9 bytes appended to a reclog.Packed log
@@ -28,14 +28,18 @@
 //     Nothing is rounded: Spans returns every kept field exactly.
 //   - Deterministic. Recording never iterates a map; Snapshot sorts by name,
 //     so two identical runs render byte-identical snapshots.
+//   - Append-only registration. Each Counter, Gauge, Timer or SizeHist call
+//     hands out a fresh handle, and the registry keeps no name index:
+//     Snapshot folds the entries sharing a name once, in one sort. Counts,
+//     times and histogram classes sum; gauges take the maximum.
 //
 // For quantities a component already tracks (station busy time, pin-cache
-// hits), the registry supports probes: closures registered at wiring time
-// and evaluated only at Snapshot, costing literally nothing per event.
+// hits), the registry supports sources, read only at Snapshot and costing
+// nothing per event: a component registered once under a name prefix
+// reports all of its metrics.
 package metrics
 
 import (
-	"sort"
 	"strconv"
 
 	"mpinet/internal/reclog"
@@ -44,7 +48,7 @@ import (
 )
 
 // Kind classifies a metric for rendering and merging.
-type Kind int
+type Kind uint8
 
 // Metric kinds. Counts and times merge by summation across nodes; gauges
 // (high-water marks) merge by maximum.
@@ -142,147 +146,132 @@ func (h *SizeHist) Observe(size int64, d units.Time) {
 	h.Time[c] += d
 }
 
-// probe is a deferred metric: evaluated only at Snapshot time.
-type probe struct {
-	kind Kind
-	f    func() int64
+// Source is a stateful component that reports its own metrics at Snapshot
+// time: a station, a bus, a pin-down cache, a shared-memory channel.
+// Registered once under a name prefix (Registry.AddSource), it stands for
+// every metric it reports, so wiring it builds no per-metric name or
+// closure. Report must only read the component.
+type Source interface {
+	Report(e *Emitter)
+}
+
+// Emitter receives a Source's metrics during Snapshot. Each metric's name
+// is the source's registration prefix followed by the suffix it is
+// reported under.
+type Emitter struct {
+	prefix string
+	items  []Item
+	n      int  // metrics reported, when only sizing
+	sizing bool // count the metrics instead of collecting them
+}
+
+// Count reports a count.
+func (e *Emitter) Count(suffix string, v int64) { e.add(suffix, KindCount, v) }
+
+// Time reports an accumulated simulated time.
+func (e *Emitter) Time(suffix string, v units.Time) { e.add(suffix, KindTime, int64(v)) }
+
+// Gauge reports a high-water level.
+func (e *Emitter) Gauge(suffix string, v int64) { e.add(suffix, KindGauge, v) }
+
+func (e *Emitter) add(suffix string, kind Kind, v int64) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.items = append(e.items, Item{Name: e.prefix + suffix, Kind: kind, fam: famSource, Value: v})
+}
+
+// source is a Source and the prefix it is registered under.
+type source struct {
+	prefix string
+	src    Source
+}
+
+// named is one registered handle and the name it reports under.
+type named[H any] struct {
+	name string
+	h    H
 }
 
 // Registry is one simulation run's metric namespace. Create with New; the
 // zero value is not usable, but a nil *Registry is a valid "off" registry.
 // Not safe for concurrent use — like the simulation engine itself, it
 // relies on the cooperative scheduler for mutual exclusion.
+//
+// Registration only appends: every call hands out a fresh handle or adds
+// a source, and Snapshot folds same-name entries of one family once.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	timers   map[string]*Timer
-	hists    map[string]*SizeHist
-	probes   map[string]probe
+	counters []named[*Counter]
+	gauges   []named[*Gauge]
+	timers   []named[*Timer]
+	hists    []named[*SizeHist]
+	sources  []source // in registration order
 
-	lanes []Span        // one template per Track call
+	lanes []spanLane    // one per Track call
 	spans reclog.Packed // the span log, capped at reclog.SpanMax
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		timers:   make(map[string]*Timer),
-		hists:    make(map[string]*SizeHist),
-		probes:   make(map[string]probe),
-		spans:    reclog.NewPacked(reclog.SpanMax),
-	}
+	return &Registry{spans: reclog.NewPacked(reclog.SpanMax)}
 }
 
-// Counter returns (creating if needed) the counter with the given name.
-// Handing the same name out twice returns the same counter, so endpoints
-// sharing a node naturally aggregate. Returns nil on a nil registry.
+// Counter returns a new counter reported under name, or nil on a nil
+// registry. Every call hands out a fresh counter; Snapshot sums the
+// counters sharing a name, so endpoints sharing a node aggregate.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
+	c := &Counter{}
+	r.counters = append(r.counters, named[*Counter]{name, c})
 	return c
 }
 
-// Gauge returns (creating if needed) the named gauge, or nil on a nil
-// registry.
+// Gauge returns a new gauge reported under name, or nil on a nil registry.
+// Snapshot takes the maximum high-water mark of the gauges sharing a name.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
+	g := &Gauge{}
+	r.gauges = append(r.gauges, named[*Gauge]{name, g})
 	return g
 }
 
-// Timer returns (creating if needed) the named timer, or nil on a nil
-// registry.
+// Timer returns a new timer reported under name, or nil on a nil
+// registry. Snapshot sums the timers sharing a name.
 func (r *Registry) Timer(name string) *Timer {
 	if r == nil {
 		return nil
 	}
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
+	t := &Timer{}
+	r.timers = append(r.timers, named[*Timer]{name, t})
 	return t
 }
 
-// SizeHist returns (creating if needed) the named histogram, or nil on a
-// nil registry.
+// SizeHist returns a new histogram reported under name, or nil on a nil
+// registry. Snapshot sums the histograms sharing a name class by class.
 func (r *Registry) SizeHist(name string) *SizeHist {
 	if r == nil {
 		return nil
 	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &SizeHist{}
-		r.hists[name] = h
-	}
+	h := &SizeHist{}
+	r.hists = append(r.hists, named[*SizeHist]{name, h})
 	return h
 }
 
-// addProbe registers f under name. Re-registering a count or time probe
-// composes by summation (several pin caches on one node report one total);
-// gauge probes compose by maximum.
-func (r *Registry) addProbe(name string, kind Kind, f func() int64) {
+// AddSource registers s to report its metrics under prefix at every
+// Snapshot. Same-name metrics of all sources fold in registration order:
+// a count or time sums with the same-kind metrics before it (several pin
+// caches on one node report one total), a gauge takes their maximum, and
+// a metric of another kind replaces them. No-op on a nil registry.
+func (r *Registry) AddSource(prefix string, s Source) {
 	if r == nil {
 		return
 	}
-	if old, ok := r.probes[name]; ok && old.kind == kind {
-		prev, next := old.f, f
-		switch kind {
-		case KindGauge:
-			f = func() int64 {
-				a, b := prev(), next()
-				if a > b {
-					return a
-				}
-				return b
-			}
-		default:
-			f = func() int64 { return prev() + next() }
-		}
-	}
-	r.probes[name] = probe{kind: kind, f: f}
-}
-
-// ProbeCount registers a count read at snapshot time. Same-name
-// registrations sum.
-func (r *Registry) ProbeCount(name string, f func() int64) {
-	r.addProbe(name, KindCount, f)
-}
-
-// ProbeTime registers a simulated-time quantity read at snapshot time.
-// Same-name registrations sum.
-func (r *Registry) ProbeTime(name string, f func() units.Time) {
-	r.addProbe(name, KindTime, func() int64 { return int64(f()) })
-}
-
-// ProbeGauge registers a level/high-water quantity read at snapshot time.
-// Same-name registrations take the maximum.
-func (r *Registry) ProbeGauge(name string, f func() int64) {
-	r.addProbe(name, KindGauge, f)
-}
-
-// sortedKeys returns the sorted key set of any of the registry maps.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	r.sources = append(r.sources, source{prefix, s})
 }
 
 // NodePrefix returns the canonical per-node name prefix ("node3/") that

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -34,7 +35,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Fatalf("nil registry must hand out a nil span track")
 	}
 	sp.Emit(0, units.Microsecond, 64)
-	r.ProbeCount("p", func() int64 { return 1 })
+	r.AddSource("p", fixed(KindCount, 1))
 	if c.Value() != 0 || g.HighWater() != 0 || tm.Total() != 0 {
 		t.Fatalf("nil handles must stay zero")
 	}
@@ -54,23 +55,34 @@ func (r *Registry) Spans() []Span {
 	}
 	out := make([]Span, 0, r.spans.Len())
 	r.spans.Each(func(lane uint32, start, end, size int64) {
-		s := r.lanes[lane]
-		s.Start, s.End, s.Size = units.Time(start), units.Time(end), size
-		out = append(out, s)
+		l := r.lanes[lane]
+		out = append(out, Span{Node: l.Node, Track: l.Track, Name: l.Name, Cat: l.Cat,
+			Start: units.Time(start), End: units.Time(end), Size: size})
 	})
 	return out
 }
 
-func TestHandlesSharedByName(t *testing.T) {
+// TestSameNameFoldsAtSnapshot: every call hands out a fresh handle, and
+// the snapshot reports one item per name, folded by the family's rule.
+func TestSameNameFoldsAtSnapshot(t *testing.T) {
 	r := New()
 	a, b := r.Counter("node0/x"), r.Counter("node0/x")
-	if a != b {
-		t.Fatalf("same name must resolve to the same counter")
+	if a == b {
+		t.Fatalf("each Counter call must hand out a fresh counter")
 	}
 	a.Inc()
 	b.Add(2)
-	if a.Value() != 3 {
-		t.Fatalf("shared counter = %d, want 3", a.Value())
+	r.Gauge("node0/g").Set(4)
+	r.Gauge("node0/g").Set(3)
+	s := r.Snapshot()
+	if len(s.Items) != 2 {
+		t.Fatalf("snapshot has %d items, want 2: %v", len(s.Items), s.Items)
+	}
+	if v, _ := s.Get("node0/x"); v != 3 {
+		t.Fatalf("folded counter = %d, want 3", v)
+	}
+	if v, _ := s.Get("node0/g"); v != 4 {
+		t.Fatalf("folded gauge = %d, want the maximum 4", v)
 	}
 }
 
@@ -99,22 +111,25 @@ func TestSizeHistBuckets(t *testing.T) {
 	}
 }
 
+// TestProbeComposition: same-name source metrics fold, wherever a name
+// splits into prefix and suffix: counts sum and gauges take the maximum.
 func TestProbeComposition(t *testing.T) {
 	r := New()
-	r.ProbeCount("node0/pin/hits", func() int64 { return 3 })
-	r.ProbeCount("node0/pin/hits", func() int64 { return 4 })
-	r.ProbeGauge("node0/depth", func() int64 { return 2 })
-	r.ProbeGauge("node0/depth", func() int64 { return 9 })
-	r.ProbeTime("node0/busy", func() units.Time { return units.Microsecond })
+	r.AddSource("node0/pin/hits", fixed(KindCount, 3))
+	r.AddSource("node0/pin/", testSource{{"hits", KindCount, new(int64)}})
+	r.AddSource("node0/pin/hits", fixed(KindCount, 4))
+	r.AddSource("node0/depth", fixed(KindGauge, 2))
+	r.AddSource("node0/depth", fixed(KindGauge, 9))
+	r.AddSource("node0/busy", fixed(KindTime, int64(units.Microsecond)))
 	s := r.Snapshot()
 	if v, _ := s.Get("node0/pin/hits"); v != 7 {
-		t.Fatalf("count probes must sum: got %d, want 7", v)
+		t.Fatalf("same-name source counts must sum: got %d, want 7", v)
 	}
 	if v, _ := s.Get("node0/depth"); v != 9 {
-		t.Fatalf("gauge probes must take max: got %d, want 9", v)
+		t.Fatalf("same-name source gauges must take max: got %d, want 9", v)
 	}
 	if v, _ := s.Get("node0/busy"); v != int64(units.Microsecond) {
-		t.Fatalf("time probe = %d", v)
+		t.Fatalf("source time = %d", v)
 	}
 }
 
@@ -226,6 +241,20 @@ func TestSnapshotMerged(t *testing.T) {
 	}
 }
 
+// TestStripScope holds Merged's hand-written prefix strip to the pattern
+// ^(node|rank)\d+/ it replaces.
+func TestStripScope(t *testing.T) {
+	re := regexp.MustCompile(`^(node|rank)\d+/`)
+	for _, name := range []string{
+		"node0/a", "rank12/mpi/x", "node007/b/c", "node/a", "node12", "node12/",
+		"nodes1/a", "xnode1/a", "rank1x/a", "rank٣/a", "engine/y", "",
+	} {
+		if got, want := stripScope(name), re.ReplaceAllString(name, ""); got != want {
+			t.Errorf("stripScope(%q) = %q, want %q", name, got, want)
+		}
+	}
+}
+
 func TestSnapshotDeterministicRender(t *testing.T) {
 	build := func() string {
 		r := New()
@@ -233,7 +262,7 @@ func TestSnapshotDeterministicRender(t *testing.T) {
 		r.Counter("node0/a").Inc()
 		r.Timer("node0/t").Add(3 * units.Microsecond)
 		r.SizeHist("node0/h").Observe(4096, units.Microsecond)
-		r.ProbeCount("node0/p", func() int64 { return 4 })
+		r.AddSource("node0/p", fixed(KindCount, 4))
 		var buf bytes.Buffer
 		r.Snapshot().Render(&buf)
 		return buf.String()
@@ -277,6 +306,10 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if complete != 2 || instant != 1 || meta == 0 {
 		t.Fatalf("got %d complete, %d instant, %d metadata events", complete, instant, meta)
+	}
+	// A span's args are written by hand, as encoding/json writes the map.
+	if want := `"pid":0,"tid":0,"args":{"bytes":4096}}`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("span args not encoded as %s:\n%s", want, buf.String())
 	}
 	// Determinism: same inputs, byte-identical output.
 	var buf2 bytes.Buffer

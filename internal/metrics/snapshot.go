@@ -1,11 +1,14 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"mpinet/internal/trace"
 	"mpinet/internal/units"
@@ -14,10 +17,28 @@ import (
 // Item is one metric in a snapshot. Value holds a count, a high-water mark
 // or a time in picoseconds according to Kind.
 type Item struct {
-	Name  string
-	Kind  Kind
+	Name string
+	Kind Kind
+	// fam and seq order same-name items in Snapshot's fold: families
+	// apart, registration order within one. Zero outside Snapshot.
+	fam   family
+	seq   uint32
 	Value int64
 }
+
+// family is the registration family of a snapshot item. Snapshot folds
+// same-name items within a family only, so a counter and a source that
+// share a name stay two items.
+type family uint8
+
+const (
+	famCounter family = iota
+	famGauge
+	famTimer
+	famHist
+	famSource
+	famSpans // metrics/spans_dropped
+)
 
 // Snapshot is a point-in-time, name-sorted copy of a registry's metrics.
 // Histograms are expanded into one item per size class plus a total, so
@@ -26,46 +47,109 @@ type Snapshot struct {
 	Items []Item
 }
 
-// Snapshot evaluates every probe and copies every metric. A nil registry
-// yields an empty snapshot.
+// histItems is the number of items one histogram expands into.
+const histItems = 3 * int(trace.NumSizeClasses)
+
+// Snapshot copies every handle's value, reads every source and folds
+// same-name items into one. A nil registry yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	var s Snapshot
-	for _, name := range sortedKeys(r.counters) {
-		s.Items = append(s.Items, Item{Name: name, Kind: KindCount, Value: r.counters[name].Value()})
+	// Size the one item slice exactly, so it never regrows.
+	size := Emitter{sizing: true}
+	for _, s := range r.sources {
+		s.src.Report(&size)
 	}
-	for _, name := range sortedKeys(r.gauges) {
-		s.Items = append(s.Items, Item{Name: name, Kind: KindGauge, Value: r.gauges[name].HighWater()})
+	n := len(r.counters) + len(r.gauges) + len(r.timers) + histItems*len(r.hists) + size.n + 1
+	items := make([]Item, 0, n)
+	for _, c := range r.counters {
+		items = append(items, Item{Name: c.name, Kind: KindCount, fam: famCounter, Value: c.h.Value()})
 	}
-	for _, name := range sortedKeys(r.timers) {
-		s.Items = append(s.Items, Item{Name: name, Kind: KindTime, Value: int64(r.timers[name].Total())})
+	for _, g := range r.gauges {
+		items = append(items, Item{Name: g.name, Kind: KindGauge, fam: famGauge, Value: g.h.HighWater()})
 	}
-	for _, name := range sortedKeys(r.hists) {
-		h := r.hists[name]
+	for _, t := range r.timers {
+		items = append(items, Item{Name: t.name, Kind: KindTime, fam: famTimer, Value: int64(t.h.Total())})
+	}
+	for _, h := range r.hists {
 		for c := trace.SizeClass(0); c < trace.NumSizeClasses; c++ {
-			s.Items = append(s.Items,
-				Item{Name: fmt.Sprintf("%s{%s}/count", name, c), Kind: KindCount, Value: h.Count[c]},
-				Item{Name: fmt.Sprintf("%s{%s}/bytes", name, c), Kind: KindCount, Value: h.Bytes[c]},
-				Item{Name: fmt.Sprintf("%s{%s}/time", name, c), Kind: KindTime, Value: int64(h.Time[c])},
+			cs := c.String()
+			items = append(items,
+				Item{Name: h.name + "{" + cs + "}/count", Kind: KindCount, fam: famHist, Value: h.h.Count[c]},
+				Item{Name: h.name + "{" + cs + "}/bytes", Kind: KindCount, fam: famHist, Value: h.h.Bytes[c]},
+				Item{Name: h.name + "{" + cs + "}/time", Kind: KindTime, fam: famHist, Value: int64(h.h.Time[c])},
 			)
 		}
 	}
-	for _, name := range sortedKeys(r.probes) {
-		p := r.probes[name]
-		s.Items = append(s.Items, Item{Name: name, Kind: p.kind, Value: p.f()})
+	e := Emitter{items: items}
+	for _, s := range r.sources {
+		e.prefix = s.prefix
+		s.src.Report(&e)
 	}
 	if d := r.spans.Dropped(); d > 0 {
-		s.Items = append(s.Items, Item{Name: "metrics/spans_dropped", Kind: KindCount, Value: d})
+		e.items = append(e.items, Item{Name: "metrics/spans_dropped", Kind: KindCount, fam: famSpans, Value: d})
 	}
-	sort.Slice(s.Items, func(i, j int) bool { return s.Items[i].Name < s.Items[j].Name })
-	return s
+	return Snapshot{Items: fold(e.items)}
 }
 
-// scopePrefix matches the per-node / per-rank leading path component that
-// Merged strips to form cluster-wide aggregates.
-var scopePrefix = regexp.MustCompile(`^(node|rank)\d+/`)
+// fold sorts items by name and folds each run of same-name items of one
+// family into its first slot, in place: counts and times sum, gauges take
+// the maximum, and an item of another kind (a source metric reported
+// under a name with a new kind) replaces what came before it.
+func fold(items []Item) []Item {
+	for i := range items {
+		items[i].seq = uint32(i)
+	}
+	slices.SortFunc(items, func(a, b Item) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.fam, b.fam); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	out := items[:0]
+	for _, it := range items {
+		if k := len(out) - 1; k >= 0 && out[k].fam == it.fam && out[k].Name == it.Name {
+			switch a := &out[k]; {
+			case a.Kind != it.Kind:
+				a.Kind, a.Value = it.Kind, it.Value
+			case it.Kind == KindGauge:
+				a.Value = max(a.Value, it.Value)
+			default:
+				a.Value += it.Value
+			}
+			continue
+		}
+		out = append(out, it)
+	}
+	for i := range out {
+		out[i].fam, out[i].seq = 0, 0
+	}
+	return out
+}
+
+// stripScope drops a leading "node<digits>/" or "rank<digits>/" name
+// component, the per-node / per-rank scope Merged folds away.
+func stripScope(name string) string {
+	rest, ok := strings.CutPrefix(name, "node")
+	if !ok {
+		rest, ok = strings.CutPrefix(name, "rank")
+	}
+	if !ok {
+		return name
+	}
+	i := 0
+	for i < len(rest) && '0' <= rest[i] && rest[i] <= '9' {
+		i++
+	}
+	if i == 0 || i == len(rest) || rest[i] != '/' {
+		return name
+	}
+	return rest[i+1:]
+}
 
 // Merged folds per-node and per-rank metrics into cluster-wide aggregates,
 // the registry analogue of trace.Profile.Merge: the leading "nodeN/" or
@@ -75,7 +159,7 @@ var scopePrefix = regexp.MustCompile(`^(node|rank)\d+/`)
 func (s Snapshot) Merged() Snapshot {
 	stripped := Snapshot{Items: make([]Item, len(s.Items))}
 	for i, it := range s.Items {
-		it.Name = scopePrefix.ReplaceAllString(it.Name, "")
+		it.Name = stripScope(it.Name)
 		stripped.Items[i] = it
 	}
 	return MergeSnapshots(stripped)
@@ -115,23 +199,28 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// format renders an item's value: times as humane durations, byte-suffixed
-// counts as sizes, everything else as a plain integer.
-func (it Item) format() string {
+// appendValue renders an item's value: times as humane durations,
+// byte-suffixed counts as sizes, everything else as a plain integer.
+func (it Item) appendValue(b []byte) []byte {
 	switch {
 	case it.Kind == KindTime:
-		return units.Time(it.Value).String()
+		return append(b, units.Time(it.Value).String()...)
 	case strings.HasSuffix(it.Name, "bytes") || strings.HasSuffix(it.Name, "/bytes}") ||
 		strings.Contains(it.Name, "/bytes"):
-		return units.SizeString(it.Value)
+		return append(b, units.SizeString(it.Value)...)
 	case it.Kind == KindGauge:
-		return fmt.Sprintf("%d (high water)", it.Value)
+		return append(strconv.AppendInt(b, it.Value, 10), " (high water)"...)
 	default:
-		return fmt.Sprintf("%d", it.Value)
+		return strconv.AppendInt(b, it.Value, 10)
 	}
 }
 
-// Render writes the snapshot as an aligned two-column listing.
+// renderChunk is how much rendered text Render buffers between writes.
+const renderChunk = 32 << 10
+
+// Render writes the snapshot as an aligned two-column listing: each name
+// left-aligned and padded to the longest name's length, two spaces, the
+// value.
 func (s Snapshot) Render(w io.Writer) {
 	width := len("metric")
 	for _, it := range s.Items {
@@ -139,10 +228,27 @@ func (s Snapshot) Render(w io.Writer) {
 			width = len(it.Name)
 		}
 	}
-	fmt.Fprintf(w, "%-*s  %s\n", width, "metric", "value")
+	b := make([]byte, 0, renderChunk+256)
+	b = append(padName(b, "metric", width), "  value\n"...)
 	for _, it := range s.Items {
-		fmt.Fprintf(w, "%-*s  %s\n", width, it.Name, it.format())
+		b = append(padName(b, it.Name, width), ' ', ' ')
+		b = append(it.appendValue(b), '\n')
+		if len(b) >= renderChunk {
+			w.Write(b)
+			b = b[:0]
+		}
 	}
+	w.Write(b)
+}
+
+// padName appends name padded with spaces to width runes, as fmt's %-*s
+// pads.
+func padName(b []byte, name string, width int) []byte {
+	b = append(b, name...)
+	for n := utf8.RuneCountInString(name); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // RenderGrouped writes the cluster-wide merged aggregates followed by the

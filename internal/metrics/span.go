@@ -22,6 +22,12 @@ type Span struct {
 	Size  int64      // payload bytes, 0 when not applicable
 }
 
+// spanLane is what every span of one SpanTrack shares.
+type spanLane struct {
+	Node             int
+	Track, Name, Cat string
+}
+
 // SpanTrack is a pre-resolved emitter for one fixed (node, track, name,
 // cat) lane, captured at wiring time so recording a job on a hot path
 // appends one packed record — no per-event field assembly. Same design
@@ -38,7 +44,7 @@ func (r *Registry) Track(node int, track, name, cat string) *SpanTrack {
 	if r == nil {
 		return nil
 	}
-	r.lanes = append(r.lanes, Span{Node: node, Track: track, Name: name, Cat: cat})
+	r.lanes = append(r.lanes, spanLane{node, track, name, cat})
 	return &SpanTrack{r: r, lane: uint32(len(r.lanes) - 1)}
 }
 

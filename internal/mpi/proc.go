@@ -10,7 +10,6 @@ import (
 	"mpinet/internal/msgtrace"
 	"mpinet/internal/sim"
 	"mpinet/internal/trace"
-	"mpinet/internal/units"
 )
 
 // procState is the per-rank library state: queues, progress engine,
@@ -113,22 +112,29 @@ func (ps *procState) markNICPeer(peer int) {
 	}
 }
 
-// bindMetrics resolves this rank's instrument handles. Safe with m == nil:
-// every handle comes back nil and every update is a no-op.
+// bindMetrics resolves this rank's instrument handles and registers the
+// rank as a metrics source. With m == nil it leaves every handle nil, so
+// every update is a no-op, and builds nothing.
 func (ps *procState) bindMetrics(m *metrics.Registry) {
+	if m == nil {
+		return
+	}
 	ps.met = m
 	track := "rank" + strconv.Itoa(ps.rank)
 	ps.sendSpans = m.Track(ps.node, track, "send", "mpi")
 	ps.recvSpans = m.Track(ps.node, track, "recv", "mpi")
 	ps.failSpans = m.Track(ps.node, track, "rank-failed", "mpi")
-	pfx := metrics.RankPrefix(ps.rank) + "mpi"
-	ps.unexpHW = m.Gauge(pfx + "/unexp_depth")
-	ps.postedHW = m.Gauge(pfx + "/posted_depth")
-	ps.reqHist = m.SizeHist(pfx + "/req")
+	pfx := track + "/mpi/"
+	ps.unexpHW = m.Gauge(pfx + "unexp_depth")
+	ps.postedHW = m.Gauge(pfx + "posted_depth")
+	ps.reqHist = m.SizeHist(pfx + "req")
 	ps.eagerCopies = m.Counter(metrics.NodePrefix(ps.node) + "nic/eager_copies")
-	if m != nil {
-		m.ProbeTime(pfx+"/host_busy", func() units.Time { return ps.hostBusy })
-	}
+	m.AddSource(pfx, ps)
+}
+
+// Report implements metrics.Source: the rank's host CPU busy time.
+func (ps *procState) Report(e *metrics.Emitter) {
+	e.Time("host_busy", ps.hostBusy)
 }
 
 // finishReq records a completed request's lifetime in the per-rank size-class

@@ -360,9 +360,7 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 			main(&Rank{p: p, ps: ps})
 		})
 		if w.met != nil {
-			pfx := metrics.RankPrefix(ps.rank) + "mpi"
-			w.met.ProbeTime(pfx+"/blocked_time", proc.BlockedTime)
-			w.met.ProbeTime(pfx+"/slept_time", proc.SleptTime)
+			w.met.AddSource(metrics.RankPrefix(ps.rank)+"mpi/", proc)
 		}
 	}
 	runErr := w.eng.Run()

@@ -94,7 +94,8 @@ type Endpoint struct {
 	resender Resender
 
 	// Per-node protocol counters (nil-safe no-ops when instrumentation is
-	// off); endpoints on one node resolve the same names and share them.
+	// off); endpoints on one node count under the same names, which the
+	// snapshot folds into one total.
 	eagerMsgs, eagerBytes, ctrlMsgs *metrics.Counter
 	bulkMsgs, bulkBytes             *metrics.Counter
 	retries, retryErrors            *metrics.Counter
@@ -114,18 +115,16 @@ func NewEndpoint(n *Net, node int, m Model) Endpoint {
 	if node < 0 || node >= n.cfg.Nodes {
 		panic(n.spec.Pkg + ": bad node index")
 	}
-	prefix := metrics.NodePrefix(node) + "nic/"
-	e := Endpoint{
-		net:         n,
-		node:        node,
-		model:       m,
-		eagerMsgs:   n.met.Counter(prefix + "eager_msgs"),
-		eagerBytes:  n.met.Counter(prefix + "eager_bytes"),
-		ctrlMsgs:    n.met.Counter(prefix + "ctrl_msgs"),
-		bulkMsgs:    n.met.Counter(prefix + "rndv_msgs"),
-		bulkBytes:   n.met.Counter(prefix + "rndv_bytes"),
-		retries:     n.met.Counter(prefix + "retries"),
-		retryErrors: n.met.Counter(prefix + "retry_exhausted"),
+	e := Endpoint{net: n, node: node, model: m}
+	if n.met != nil {
+		prefix := metrics.NodePrefix(node) + "nic/"
+		e.eagerMsgs = n.met.Counter(prefix + "eager_msgs")
+		e.eagerBytes = n.met.Counter(prefix + "eager_bytes")
+		e.ctrlMsgs = n.met.Counter(prefix + "ctrl_msgs")
+		e.bulkMsgs = n.met.Counter(prefix + "rndv_msgs")
+		e.bulkBytes = n.met.Counter(prefix + "rndv_bytes")
+		e.retries = n.met.Counter(prefix + "retries")
+		e.retryErrors = n.met.Counter(prefix + "retry_exhausted")
 	}
 	e.shaper, _ = m.(Shaper)
 	e.holder, _ = m.(Holder)

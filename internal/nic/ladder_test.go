@@ -86,8 +86,8 @@ func climb(t *testing.T, cfg Config, dst int) ladderRun {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r.retries = reg.Counter("node0/nic/retries").Value()
-	r.exhausted = reg.Counter("node0/nic/retry_exhausted").Value()
+	r.retries = counterValue(reg, "node0/nic/retries")
+	r.exhausted = counterValue(reg, "node0/nic/retry_exhausted")
 	return r
 }
 
@@ -186,4 +186,11 @@ func sameType(err, want error) bool {
 		return errors.As(err, &e)
 	}
 	return false
+}
+
+// counterValue reads the named counter from a snapshot of m: every
+// Counter call hands out a fresh handle, so names fold only there.
+func counterValue(m *metrics.Registry, name string) int64 {
+	v, _ := m.Snapshot().Get(name)
+	return v
 }

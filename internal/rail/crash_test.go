@@ -115,7 +115,7 @@ func TestBondNodeCrashIsNotARailDeath(t *testing.T) {
 		if notified == 0 {
 			t.Error("tolerant ring saw no rank-death notification")
 		}
-		if d := m.Counter("rail/deaths").Value(); d != 0 {
+		if d := counterValue(m, "rail/deaths"); d != 0 {
 			t.Errorf("rail/deaths = %d, want 0: a node death killed a rail", d)
 		}
 	})
@@ -177,7 +177,7 @@ func TestBondNodeCrashIsNotARailDeath(t *testing.T) {
 			t.Fatalf("tolerant striped ring failed on a bond: %v", err)
 		}
 		t.Logf("%d notifications, %d later exchanges, %d of %d device operations completed, %d stripe chunks",
-			notified, later, net.completed, net.issued, m.Counter("rail/stripe_chunks").Value())
+			notified, later, net.completed, net.issued, counterValue(m, "rail/stripe_chunks"))
 		if net.completed != net.issued {
 			t.Errorf("%d of %d device operations completed", net.completed, net.issued)
 		}
@@ -187,7 +187,7 @@ func TestBondNodeCrashIsNotARailDeath(t *testing.T) {
 		if want := 7 * 3; later != want {
 			t.Errorf("%d later exchanges among the survivors completed, want %d", later, want)
 		}
-		if d := m.Counter("rail/deaths").Value(); d != 0 {
+		if d := counterValue(m, "rail/deaths"); d != 0 {
 			t.Errorf("rail/deaths = %d, want 0: a node death killed a rail", d)
 		}
 	})

@@ -77,7 +77,7 @@ func TestFailoverPreservesOrder(t *testing.T) {
 			if err := w.Run(ringTraffic(120, t.Errorf)); err != nil {
 				t.Fatalf("bonded run did not survive a primary-rail kill: %v", err)
 			}
-			if v := m.Counter("rail/deaths").Value(); v == 0 {
+			if v := counterValue(m, "rail/deaths"); v == 0 {
 				t.Errorf("rail kill never detected (rail/deaths = 0)")
 			}
 			if st := net.(*rail.Network).RailState(0); st != rail.Dead {
@@ -97,10 +97,10 @@ func TestFailoverReissue(t *testing.T) {
 	if err := w.Run(ringTraffic(120, t.Errorf)); err != nil {
 		t.Fatalf("bonded run failed: %v", err)
 	}
-	if v := m.Counter("rail/failovers").Value(); v == 0 {
+	if v := counterValue(m, "rail/failovers"); v == 0 {
 		t.Errorf("no in-flight operation was re-issued (rail/failovers = 0)")
 	}
-	if v := m.Counter("rail/reissued_bytes").Value(); v == 0 {
+	if v := counterValue(m, "rail/reissued_bytes"); v == 0 {
 		t.Errorf("rail/reissued_bytes = 0, want > 0")
 	}
 }
@@ -156,7 +156,7 @@ func TestStripeDegradesAndPreservesOrder(t *testing.T) {
 	if err := w.Run(ringTraffic(120, t.Errorf)); err != nil {
 		t.Fatalf("striped run did not survive a backup-rail kill: %v", err)
 	}
-	if v := m.Counter("rail/stripe_chunks").Value(); v < 2 {
+	if v := counterValue(m, "rail/stripe_chunks"); v < 2 {
 		t.Errorf("rail/stripe_chunks = %d, want >= 2 (256 KB bulks should stripe)", v)
 	}
 }
@@ -186,10 +186,10 @@ func TestFlapRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run across a flap window failed: %v", err)
 	}
-	if v := m.Counter("rail/suspects").Value() + m.Counter("rail/deaths").Value(); v == 0 {
+	if v := counterValue(m, "rail/suspects") + counterValue(m, "rail/deaths"); v == 0 {
 		t.Errorf("blackout window never demoted the rail")
 	}
-	if v := m.Counter("rail/recoveries").Value(); v == 0 {
+	if v := counterValue(m, "rail/recoveries"); v == 0 {
 		t.Errorf("rail never recovered after the window (rail/recoveries = 0)")
 	}
 	if st := net.(*rail.Network).RailState(0); st != rail.Healthy {
@@ -339,4 +339,11 @@ func TestReportNames(t *testing.T) {
 			t.Errorf("%#v prints %q, want %q", c.got, c.got.String(), c.want)
 		}
 	}
+}
+
+// counterValue reads the named counter from a snapshot of m: every
+// Counter call hands out a fresh handle, so names fold only there.
+func counterValue(m *metrics.Registry, name string) int64 {
+	v, _ := m.Snapshot().Get(name)
+	return v
 }

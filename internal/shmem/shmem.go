@@ -50,33 +50,37 @@ type Channel struct {
 	eng *sim.Engine
 	cfg Config
 
-	// metric handles, nil unless Instrument wired them (nil-safe no-ops)
-	msgs      *metrics.Counter
-	copies    *metrics.Counter
-	copyBytes *metrics.Counter
-	copyTime  *metrics.Timer
+	// accounting, reported when Instrument registers the channel
+	msgs      int64
+	copies    int64
+	copyBytes int64
+	copyTime  sim.Time
 }
 
-// Instrument registers the channel's message count, memcpy count, copied
-// bytes and copy time under nodeN/shmem/.... The MPI layer reports each
-// memcpy it charges via CountCopy.
+// Instrument registers the channel as a metrics source under
+// nodeN/shmem/: its message count, memcpy count, copied bytes and copy
+// time. The MPI layer reports each memcpy it charges via CountCopy.
 func (c *Channel) Instrument(m *metrics.Registry, node int) {
 	if m == nil {
 		return
 	}
-	prefix := metrics.NodePrefix(node) + "shmem"
-	c.msgs = m.Counter(prefix + "/msgs")
-	c.copies = m.Counter(prefix + "/copies")
-	c.copyBytes = m.Counter(prefix + "/copy_bytes")
-	c.copyTime = m.Timer(prefix + "/copy_time")
+	m.AddSource(metrics.NodePrefix(node)+"shmem/", c)
+}
+
+// Report implements metrics.Source.
+func (c *Channel) Report(e *metrics.Emitter) {
+	e.Count("msgs", c.msgs)
+	e.Count("copies", c.copies)
+	e.Count("copy_bytes", c.copyBytes)
+	e.Time("copy_time", c.copyTime)
 }
 
 // CountCopy records one memcpy of n bytes taking d of host time. Callers
-// invoke it unconditionally; it is a no-op until Instrument wires handles.
+// invoke it unconditionally.
 func (c *Channel) CountCopy(n int64, d sim.Time) {
-	c.copies.Inc()
-	c.copyBytes.Add(n)
-	c.copyTime.Add(d)
+	c.copies++
+	c.copyBytes += n
+	c.copyTime += d
 }
 
 // New builds a node-local channel.
@@ -111,6 +115,6 @@ func (c *Channel) SegmentSize() int64 { return c.cfg.SegmentSize }
 // later. (The receiver's copy-out cost is charged by the MPI layer when the
 // receiver drains it, using CopyTime.)
 func (c *Channel) Deliver(deliver func()) {
-	c.msgs.Inc()
+	c.msgs++
 	c.eng.Schedule(c.HalfHandshake(), deliver)
 }

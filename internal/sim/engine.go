@@ -494,19 +494,21 @@ func (e *Engine) BlockedTime() Time { return e.blocked }
 // SleptTime reports total time processes spent in Sleep (modelled compute).
 func (e *Engine) SleptTime() Time { return e.slept }
 
-// Instrument registers the engine's own health metrics in m: events
-// dispatched, event-queue depth high-water, timer compactions, and
-// aggregate process blocked/slept time. All are snapshot-time probes; the
-// event loop itself is untouched.
+// Instrument registers the engine as a metrics source under engine/ for
+// its own health metrics, read at snapshot time; the event loop itself is
+// untouched.
 func (e *Engine) Instrument(m *metrics.Registry) {
-	if m == nil {
-		return
-	}
-	m.ProbeCount("engine/events_dispatched", func() int64 { return int64(e.dispatched) })
-	m.ProbeGauge("engine/queue_high_water", func() int64 { return int64(e.qhw) })
-	m.ProbeCount("engine/timer_compactions", func() int64 { return int64(e.compactions) })
-	m.ProbeTime("engine/blocked_time", e.BlockedTime)
-	m.ProbeTime("engine/slept_time", e.SleptTime)
+	m.AddSource("engine/", e)
+}
+
+// Report implements metrics.Source: events dispatched, event-queue depth
+// high-water, timer compactions, and aggregate process blocked/slept time.
+func (e *Engine) Report(em *metrics.Emitter) {
+	em.Count("events_dispatched", int64(e.dispatched))
+	em.Gauge("queue_high_water", int64(e.qhw))
+	em.Count("timer_compactions", int64(e.compactions))
+	em.Time("blocked_time", e.BlockedTime())
+	em.Time("slept_time", e.SleptTime())
 }
 
 // ProcFailure is the value Run re-panics with when a simulated process

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+
+	"mpinet/internal/metrics"
 )
 
 // Proc is a simulated process: a coroutine whose execution is interleaved
@@ -155,6 +157,12 @@ func (p *Proc) BlockedTime() Time { return p.blocked }
 
 // SleptTime reports how long this process has spent in Sleep.
 func (p *Proc) SleptTime() Time { return p.slept }
+
+// Report implements metrics.Source: the process's blocked and slept time.
+func (p *Proc) Report(e *metrics.Emitter) {
+	e.Time("blocked_time", p.BlockedTime())
+	e.Time("slept_time", p.SleptTime())
+}
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }

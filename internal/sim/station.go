@@ -128,18 +128,17 @@ func (p *Pipe) Send(now Time, n int64) (start, end Time) {
 	return p.Use(now, p.perJob+p.rate.TimeFor(n))
 }
 
-// Bytes reports cumulative billed bytes (after minBytes rounding).
-func (p *Pipe) Bytes() int64 { return p.bytes }
+// Report implements metrics.Source: the station's job count, busy and
+// wait times, under "jobs", "busy_time" and "wait_time".
+func (s *Station) Report(e *metrics.Emitter) {
+	e.Count("jobs", s.jobs)
+	e.Time("busy_time", s.busy)
+	e.Time("wait_time", s.wait)
+}
 
-// Instrument registers the pipe's job count, byte volume, busy and wait
-// times in m under prefix (e.g. "node0/link/up"), read by snapshot-time
-// probes at zero per-job cost.
-func (p *Pipe) Instrument(m *metrics.Registry, prefix string) {
-	if m == nil {
-		return
-	}
-	m.ProbeCount(prefix+"/jobs", p.Jobs)
-	m.ProbeCount(prefix+"/bytes", p.Bytes)
-	m.ProbeTime(prefix+"/busy_time", p.BusyTime)
-	m.ProbeTime(prefix+"/wait_time", p.WaitTime)
+// Report implements metrics.Source: the station's metrics plus the billed
+// byte volume under "bytes".
+func (p *Pipe) Report(e *metrics.Emitter) {
+	p.Station.Report(e)
+	e.Count("bytes", p.bytes)
 }

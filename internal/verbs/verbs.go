@@ -186,8 +186,8 @@ func (n *Network) InstrumentMetrics(m *metrics.Registry) {
 	for i, hw := range n.nodes {
 		prefix := metrics.NodePrefix(i) + "nic"
 		hw.bus.Instrument(m, i)
-		hw.hcaTx.Instrument(m, prefix+"/tx")
-		hw.hcaRx.Instrument(m, prefix+"/rx")
+		m.AddSource(prefix+"/tx/", hw.hcaTx)
+		m.AddSource(prefix+"/rx/", hw.hcaRx)
 		hw.hcaTx.RecordSpans(m, i, "tx", "nic")
 		hw.hcaRx.RecordSpans(m, i, "rx", "nic")
 		hw.link.Instrument(m, i)
@@ -220,8 +220,10 @@ func (n *Network) NewEndpoint(node int) dev.Endpoint {
 			pinCapPages),
 	}
 	ep.Endpoint = nic.NewEndpoint(n.Net, node, ep)
-	ep.connSetups = n.Metrics().Counter(metrics.NodePrefix(node) + "nic/conn_setups")
-	dev.InstrumentPinCache(n.Metrics(), node, ep.pin)
+	if m := n.Metrics(); m != nil {
+		ep.connSetups = m.Counter(metrics.NodePrefix(node) + "nic/conn_setups")
+		dev.InstrumentPinCache(m, node, ep.pin)
+	}
 	return ep
 }
 

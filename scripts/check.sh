@@ -180,6 +180,14 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal/; then
     echo "FAIL: a record is recycled through a process-global sync.Pool again (keep it on its owner's free list, as rail.Network.newOp does)" >&2
     exit 1
 fi
+# Metrics registration only appends: every Counter, Gauge, Timer or
+# SizeHist call hands out a fresh handle, probes and sources sit in one
+# slice, and Snapshot folds same-name entries once. A name-keyed map in the
+# registry brings back a hash and map growth per metric at wiring time.
+if grep -n 'map\[string\]' internal/metrics/metrics.go; then
+    echo "FAIL: the metrics registry keys metrics by name at registration again (append, and fold names once in Snapshot)" >&2
+    exit 1
+fi
 # The metrics span log, the msgtrace span and message logs and the MPI
 # timeline keep "the first N records, count the rest" once, in
 # internal/reclog, and so does the varint coding of the packed span log.
