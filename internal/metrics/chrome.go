@@ -78,7 +78,7 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 	var spanned []bool // lane-table entries with at least one kept span
 	if r != nil {
 		spanned = make([]bool, len(r.lanes))
-		r.spans.Each(func(l uint32, _, _, _ int64) { spanned[l] = true })
+		r.spans.Each(func(l uint32, _, _ int64, _ []int64) { spanned[l] = true })
 		for i, ok := range spanned {
 			if ok {
 				note(lane{r.lanes[i].Node, r.lanes[i].Track})
@@ -158,8 +158,8 @@ func WriteChromeTrace(w io.Writer, r *Registry, events []trace.Event, nodeOf fun
 		var ev chromeEvent
 		var dur float64
 		var args json.RawMessage
-		r.spans.Each(func(l uint32, start, end, size int64) {
-			s := &r.lanes[l]
+		r.spans.Each(func(l uint32, start, end int64, attrs []int64) {
+			s, size := &r.lanes[l], attrs[0]
 			dur = toMicros(units.Time(end - start))
 			ev = chromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",

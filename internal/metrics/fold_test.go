@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"mpinet/internal/reclog"
 	"mpinet/internal/trace"
 	"mpinet/internal/units"
 )
@@ -144,7 +143,7 @@ func TestFoldMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r, ref := New(), newRef()
-		r.spans = reclog.NewPacked(2)
+		r.spans = newSpanLog(2)
 		var updates []func(v int64)
 		pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
 		for op, n := 0, 1+rng.Intn(40); op < n; op++ {

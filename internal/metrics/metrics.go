@@ -21,8 +21,9 @@
 //   - Zero allocation on the hot path. Handles are handed out once at
 //     wiring time; increments are plain field updates. Name formatting
 //     happens only during instrumentation and snapshotting. A span is one
-//     delta-varint record of about 9 bytes appended to a reclog.Packed log
-//     of pointer-free byte chunks (see SpanTrack).
+//     record of about 8 bytes, coded against its track's last span and
+//     appended to a reclog.Packed log of pointer-free byte chunks (see
+//     SpanTrack).
 //   - Bounded. The span log keeps the first reclog.SpanMax spans, whatever
 //     their encoded size, and counts the rest in metrics/spans_dropped.
 //     Nothing is rounded: Spans returns every kept field exactly.
@@ -214,8 +215,12 @@ type Registry struct {
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{spans: reclog.NewPacked(reclog.SpanMax)}
+	return &Registry{spans: newSpanLog(reclog.SpanMax)}
 }
+
+// newSpanLog returns an empty span log keeping the first max spans: one
+// attribute, the size, per record.
+func newSpanLog(max int) reclog.Packed { return reclog.NewPacked(max, 1) }
 
 // Counter returns a new counter reported under name, or nil on a nil
 // registry. Every call hands out a fresh counter; Snapshot sums the

@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"regexp"
 	"runtime"
@@ -54,10 +53,10 @@ func (r *Registry) Spans() []Span {
 		return nil
 	}
 	out := make([]Span, 0, r.spans.Len())
-	r.spans.Each(func(lane uint32, start, end, size int64) {
+	r.spans.Each(func(lane uint32, start, end int64, attrs []int64) {
 		l := r.lanes[lane]
 		out = append(out, Span{Node: l.Node, Track: l.Track, Name: l.Name, Cat: l.Cat,
-			Start: units.Time(start), End: units.Time(end), Size: size})
+			Start: units.Time(start), End: units.Time(end), Size: attrs[0]})
 	})
 	return out
 }
@@ -138,7 +137,7 @@ func TestProbeComposition(t *testing.T) {
 // and the snapshot must surface the count of the dropped ones.
 func TestSpanCapAndDropCount(t *testing.T) {
 	r := New()
-	r.spans = reclog.NewPacked(4)
+	r.spans = newSpanLog(4)
 	tmpl := []Span{
 		{Node: 0, Track: "bus", Name: "dma", Cat: "bus"},
 		{Node: FabricNode, Track: "link7", Name: "xfer", Cat: "fabric"},
@@ -174,9 +173,13 @@ func TestSpanCapAndDropCount(t *testing.T) {
 // TestSpanLogBytesPerSpan holds the span log to its allocation contract on
 // a realistic stream: a full default-capacity log costs its packed records
 // and nothing else — no regrowth copies, no per-span strings. The stream is
-// what device stations emit: seeded FIFO stations on many lanes, jobs of
-// 10 ns to 10 µs carrying 0 to 64 KB, submitted in time order but started
-// behind each station's queue, so some starts go backwards in the log.
+// what device stations emit: seeded FIFO stations on many lanes, each with
+// its own MTU (2 to 16 KB) and rate. A message of up to four MTUs arrives
+// as back-to-back fragments, full MTUs and a shorter tail, each taking a
+// 50 ns overhead plus its bytes at the station's rate, so a lane repeats
+// its sizes and durations and most of its jobs start at its last end.
+// Messages arrive in time order but start behind each station's queue, so
+// some starts go backwards in the log.
 func TestSpanLogBytesPerSpan(t *testing.T) {
 	const (
 		n     = reclog.SpanMax
@@ -188,6 +191,8 @@ func TestSpanLogBytesPerSpan(t *testing.T) {
 	for i := range tracks {
 		tracks[i] = r.Track(i/8, "link"+strconv.Itoa(i), "xfer", "fabric")
 	}
+	mtu := func(lane int) int64 { return 2 << 10 << (lane % 4) }
+	psPerByte := func(lane int) units.Time { return units.Time(125 << (lane / 4 % 4)) }
 	rng := rand.New(rand.NewSource(1))
 	var now units.Time
 	var back int
@@ -195,27 +200,31 @@ func TestSpanLogBytesPerSpan(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		now += units.Time(rng.Int63n(int64(40 * units.Nanosecond)))
+	for i := 0; i < n; {
+		now += units.Time(rng.Int63n(int64(80 * units.Nanosecond)))
 		lane := rng.Intn(lanes)
-		// Log-uniform over three decades: 10 ns .. 10 µs.
-		dur := units.Time(float64(10*units.Nanosecond) * math.Pow(1000, rng.Float64()))
 		start := max(now, free[lane])
-		free[lane] = start + dur
 		if start < last {
 			back++
 		}
 		last = start
-		tracks[lane].Emit(start, start+dur, rng.Int63n(64<<10+1))
+		for left := 1 + rng.Int63n(4*mtu(lane)); left > 0 && i < n; i++ {
+			size := min(left, mtu(lane))
+			left -= size
+			end := start + 50*units.Nanosecond + units.Time(size)*psPerByte(lane)
+			tracks[lane].Emit(start, end, size)
+			start = end
+		}
+		free[lane] = start
 	}
 	runtime.ReadMemStats(&after)
 	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.1f B/span in %d allocations; %d of %d starts go backwards", perSpan, after.Mallocs-before.Mallocs, back, n)
+	t.Logf("%.1f B/span in %d allocations; %d message starts go backwards", perSpan, after.Mallocs-before.Mallocs, back)
 	if back == 0 {
 		t.Fatalf("the stream never queues: no start goes backwards")
 	}
-	if perSpan > 16 {
-		t.Fatalf("span log allocated %.1f B/span, want <= 16", perSpan)
+	if perSpan > 8 {
+		t.Fatalf("span log allocated %.1f B/span, want <= 8", perSpan)
 	}
 	if r.spans.Dropped() != 0 {
 		t.Fatalf("default cap dropped %d of %d spans", r.spans.Dropped(), n)

@@ -5,10 +5,7 @@
 // deterministic given the run.
 package msgtrace
 
-import (
-	"mpinet/internal/reclog"
-	"mpinet/internal/units"
-)
+import "mpinet/internal/units"
 
 // Category is the blame bucket a span charges: the "who made this message
 // slow" axis of the report (host vs NIC vs wire vs contention vs retry).
@@ -91,15 +88,15 @@ type FailureInfo struct {
 // are recovery work; a wire attempt on a different rail than the bond
 // first chose is failover work. Hop spans are detail within a wire attempt
 // and charge nothing here.
-func category(s SpanRec, firstRail int8) (Category, bool) {
-	switch s.Stage {
+func category(s row, firstRail int8) (Category, bool) {
+	switch s.stage {
 	case StageSend, StageCopy, StageRegister, StageDeliver:
 		return CatHost, true
 	case StageHandshake, StageMatch:
 		return CatNIC, true
 	case StageWire:
-		if s.Attempt > 0 {
-			if s.Rail >= 0 && firstRail >= 0 && s.Rail != firstRail {
+		if s.attempt > 0 {
+			if s.rail >= 0 && firstRail >= 0 && s.rail != firstRail {
 				return CatRail, true
 			}
 			return CatRetry, true
@@ -131,37 +128,41 @@ type edge struct {
 	delta int
 }
 
+// row is what decompose reads of one span.
+type row struct {
+	start, end units.Time
+	stage      Stage
+	rail       int8
+	attempt    uint8
+}
+
 // decompose attributes a message's [Start, End] interval across categories
 // by a boundary sweep: at every instant the covering span with the highest
 // category priority wins; uncovered time is CatOther. The buckets sum to
-// E2E exactly. idx lists the message's spans in the log, in recording
-// order. edges is scratch space reused across calls.
-func decompose(m MsgRec, spans *reclog.Log[SpanRec], idx []int32, edges *[]edge) MsgBlame {
+// E2E exactly. rows holds the message's spans in recording order. edges is
+// scratch space reused across calls.
+func decompose(m MsgRec, rows []row, edges *[]edge) MsgBlame {
 	out := MsgBlame{ID: m.ID, Src: m.Src, Dst: m.Dst, Tag: m.Tag,
 		Bytes: m.Bytes, Kind: m.Kind, Start: m.Start, End: m.End}
 	if m.End <= m.Start {
 		return out
 	}
 	firstRail := int8(-1)
-	for _, i := range idx {
-		if s := spans.At(int(i)); s.Stage == StageWire {
-			firstRail = s.Rail
+	for _, s := range rows {
+		if s.stage == StageWire {
+			firstRail = s.rail
 			break
 		}
 	}
 	// Boundary sweep over clipped spans. Hop spans are sub-detail of wire
-	// attempts and are excluded so wire time is not double-counted.
+	// attempts and charge no category, so wire time is not double-counted.
 	es := (*edges)[:0]
-	for _, i := range idx {
-		s := spans.At(int(i))
-		if s.Stage == StageHop {
-			continue
-		}
-		cat, ok := category(*s, firstRail)
+	for _, s := range rows {
+		cat, ok := category(s, firstRail)
 		if !ok {
 			continue
 		}
-		lo, hi := s.Start, s.End
+		lo, hi := s.start, s.end
 		if lo < m.Start {
 			lo = m.Start
 		}
@@ -226,29 +227,24 @@ func (r *Recorder) Analyze(k int) *Blame {
 	if b.Messages == 0 {
 		return b
 	}
-	// Group span indexes by message, copying no span (spans are appended
-	// roughly in time order, but grouping must not rely on it). The
-	// grouping is compressed sparse rows: message i's spans are
-	// idx[off[i]:off[i+1]], in recording order. A span whose root was
-	// dropped at the cap belongs to no message.
+	// Group the spans by message in two passes over the packed log, one
+	// counting and one filling (spans are appended roughly in time order,
+	// but grouping must not rely on it). The grouping is compressed sparse
+	// rows: message i's spans are rows[off[i]:off[i+1]], in recording
+	// order. Hop spans charge nothing and are not kept, and a span whose
+	// root was dropped at the cap belongs to no message.
 	off := make([]int32, b.Messages+1)
-	for i := 0; i < b.Spans; i++ {
-		if m, ok := r.midx[r.spans.At(i).ID]; ok {
-			off[m+1]++
-		}
-	}
+	r.eachRow(func(m int32, _ row) { off[m+1]++ })
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
 	// Fill each message's rows through off[m] as its cursor, which leaves
 	// off[m] at the start of message m+1; shift it back afterwards.
-	idx := make([]int32, off[b.Messages])
-	for i := 0; i < b.Spans; i++ {
-		if m, ok := r.midx[r.spans.At(i).ID]; ok {
-			idx[off[m]] = int32(i)
-			off[m]++
-		}
-	}
+	rows := make([]row, off[b.Messages])
+	r.eachRow(func(m int32, s row) {
+		rows[off[m]] = s
+		off[m]++
+	})
 	copy(off[1:], off)
 	off[0] = 0
 	all := make([]MsgBlame, 0, b.Messages)
@@ -258,7 +254,7 @@ func (r *Recorder) Analyze(k int) *Blame {
 		if m.End == 0 {
 			continue // in flight at the end of the run (or aborted)
 		}
-		d := decompose(*m, &r.spans, idx[off[i]:off[i+1]], &edges)
+		d := decompose(*m, rows[off[i]:off[i+1]], &edges)
 		all = append(all, d)
 		b.Completed++
 		b.Total += d.E2E()
@@ -304,7 +300,8 @@ func (r *Recorder) Analyze(k int) *Blame {
 		var pred *MsgBlame
 		for i := range all {
 			m := &all[i]
-			if onPath[m.ID] || m.Dst != cur.Src || m.End > cur.Start {
+			// The map lookup goes last: few messages pass the other tests.
+			if m.Dst != cur.Src || m.End > cur.Start || onPath[m.ID] {
 				continue
 			}
 			if pred == nil || m.End > pred.End || (m.End == pred.End && m.ID < pred.ID) {
@@ -317,6 +314,21 @@ func (r *Recorder) Analyze(k int) *Blame {
 		cur = *pred
 	}
 	return b
+}
+
+// eachRow calls f, in recording order, on every non-hop span whose root
+// was kept, with the root's index.
+func (r *Recorder) eachRow(f func(m int32, s row)) {
+	r.spans.Each(func(lane uint32, start, end int64, a []int64) {
+		st := Stage(a[attrStage])
+		if st == StageHop {
+			return
+		}
+		if m, ok := r.midx[spanID(lane, a)]; ok {
+			f(m, row{start: units.Time(start), end: units.Time(end), stage: st,
+				rail: int8(a[attrRail]), attempt: uint8(a[attrAttempt])})
+		}
+	})
 }
 
 // slower orders messages by descending end-to-end time, ties by ID.

@@ -3,7 +3,7 @@
 // collective decomposes into) is assigned a trace ID at entry, and the ID
 // rides the message through the MPI library, the rail bond, the NIC model
 // and the fabric to the receiver. Each stage a sampled message passes
-// through appends one typed, fixed-size span record — eager copy,
+// through appends one typed span record — eager copy,
 // rendezvous handshake, registration hit/miss, rail selection and failover,
 // retransmit attempts, per-hop fabric transfer, receive-side completion,
 // park/wake wait — so a run can be decomposed causally instead of only in
@@ -21,9 +21,11 @@
 //     sequence), sampling is a pure function of the ID, and no map order
 //     ever reaches an output — identical runs trace byte-identically at
 //     any -j.
-//   - Bounded. The span and message logs are reclog.Logs (the first
-//     records up to a cap are kept, the rest counted); the flight recorder
-//     is a fixed ring of the last FlightSize entries that never allocates.
+//   - Bounded. The span log is a reclog.Packed log, each span coded
+//     against its sender's last one in about 14 bytes, and the message
+//     log a reclog.Log; both keep the first records up to a cap and count
+//     the rest. The flight recorder is a fixed ring of the last
+//     FlightSize entries that never allocates.
 //
 // The flight recorder is always on, even when span tracing is disabled: a
 // fixed-size ring of the most recent message-level incidents (send starts,
@@ -140,7 +142,8 @@ type MsgRec struct {
 // device-level (re)issues of the same payload — retransmits and rail
 // failover re-issues keep the message's ID and bump Attempt, which is what
 // links a re-issued in-flight op back to its parent. Hop indexes the fabric
-// path stage for StageHop spans (-1 otherwise).
+// path stage for StageHop spans (-1 otherwise). The span log stores it
+// packed (see newSpanLog); Spans decodes it.
 type SpanRec struct {
 	ID         ID
 	Stage      Stage
@@ -240,7 +243,7 @@ type Recorder struct {
 
 	msgs  reclog.Log[MsgRec]
 	midx  map[ID]int32
-	spans reclog.Log[SpanRec]
+	spans reclog.Packed // SpanRecs, packed by newSpanLog
 
 	flight  [FlightSize]FlightRec
 	flightN uint64
@@ -269,8 +272,31 @@ func New(every int) *Recorder {
 		every:   int64(every),
 		msgs:    reclog.New[MsgRec](DefaultMsgMax),
 		midx:    make(map[ID]int32),
-		spans:   reclog.New[SpanRec](reclog.SpanMax),
+		spans:   newSpanLog(reclog.SpanMax),
 	}
+}
+
+// The span log stores a SpanRec as a reclog.Packed record on the lane of
+// its sender rank, the ID's high bits, so each span is coded against the
+// sender's last span. These are its attributes; the ID's sequence number
+// completes the ID.
+const (
+	attrSeq = iota
+	attrStage
+	attrRank
+	attrRail
+	attrAttempt
+	attrHop
+	attrBytes
+	numAttrs
+)
+
+// newSpanLog returns an empty span log keeping the first max spans.
+func newSpanLog(max int) reclog.Packed { return reclog.NewPacked(max, numAttrs) }
+
+// spanID rebuilds a span's message ID from its lane and attributes.
+func spanID(lane uint32, attrs []int64) ID {
+	return ID(uint64(lane)<<seqBits | uint64(attrs[attrSeq]))
 }
 
 // Disabled returns a recorder with span tracing off: only the always-on
@@ -324,10 +350,8 @@ func (r *Recorder) Span(id ID, st Stage, rank int, rail int8, attempt uint8, hop
 // span is Span's out-of-line body.
 func (r *Recorder) span(id ID, st Stage, rank int, rail int8, attempt uint8, hop int16, start, end units.Time, bytes int64) {
 	if r.Sampled(id) {
-		r.spans.Append(SpanRec{
-			ID: id, Stage: st, Rank: int32(rank), Rail: rail, Attempt: attempt,
-			Hop: hop, Start: start, End: end, Bytes: bytes,
-		})
+		r.spans.Append(uint32(id>>seqBits), int64(start), int64(end),
+			id.Seq(), int64(st), int64(int32(rank)), int64(rail), int64(attempt), int64(hop), bytes)
 	}
 }
 
@@ -339,12 +363,20 @@ func (r *Recorder) Msgs() []MsgRec {
 	return r.msgs.Slice()
 }
 
-// Spans returns a fresh copy of the recorded spans (order of recording).
+// Spans decodes the recorded spans (order of recording).
 func (r *Recorder) Spans() []SpanRec {
 	if r == nil {
 		return nil
 	}
-	return r.spans.Slice()
+	out := make([]SpanRec, 0, r.spans.Len())
+	r.spans.Each(func(lane uint32, start, end int64, a []int64) {
+		out = append(out, SpanRec{
+			ID: spanID(lane, a), Stage: Stage(a[attrStage]), Rank: int32(a[attrRank]),
+			Rail: int8(a[attrRail]), Attempt: uint8(a[attrAttempt]), Hop: int16(a[attrHop]),
+			Start: units.Time(start), End: units.Time(end), Bytes: a[attrBytes],
+		})
+	})
+	return out
 }
 
 // fly writes one ring entry; the ring never allocates.

@@ -1,6 +1,7 @@
 package msgtrace
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -137,6 +138,28 @@ func TestFreezeFirstWinsAndFallsBack(t *testing.T) {
 	}
 }
 
+// TestSpansRoundTrip records spans at the edges of every field, from
+// senders with a context of their own and from senders past the span
+// log's 2^16 per-lane contexts, and checks that Spans decodes each one exactly, in recording order.
+func TestSpansRoundTrip(t *testing.T) {
+	r := New(1)
+	big := 1<<24 - 2 // the largest rank an ID holds
+	want := []SpanRec{
+		{MakeID(0, 1), StageSend, 0, -1, 0, -1, 0, 10, 64},
+		{MakeID(1023, 1<<40-1), StageHop, 1023, 127, 255, 32767, math.MaxInt64, math.MinInt64, math.MaxInt64},
+		{MakeID(big, 1), StageWait, -1, -128, 0, -32768, math.MinInt64, math.MaxInt64, math.MinInt64},
+		{MakeID(big, 2), StageWire, math.MaxInt32, 0, 1, -1, 5, 3, 0},
+		{MakeID(1<<16, 3), StageDeliver, math.MinInt32, 1, 0, -1, -7, -7, -1},
+		{MakeID(0, 2), NumStages - 1, 1, -1, 0, 0, 10, 20, 1 << 40},
+	}
+	for _, s := range want {
+		r.Span(s.ID, s.Stage, int(s.Rank), s.Rail, s.Attempt, s.Hop, s.Start, s.End, s.Bytes)
+	}
+	if got := r.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Spans:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestAnalyzeDecomposesExactly hand-builds one message with overlapping
 // and gapped spans and checks the category split: overlap charges the
 // higher-priority category once, gaps go to "other", and the categories
@@ -209,19 +232,19 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 
 	var all []MsgBlame
 	var cats [NumCategories]units.Time
-	for i := 0; i < r.msgs.Len(); i++ {
-		m := r.msgs.At(i)
+	spans := r.Spans()
+	for _, m := range r.Msgs() {
 		if m.End == 0 {
 			continue
 		}
-		var idx []int32
-		for j := 0; j < r.spans.Len(); j++ {
-			if r.spans.At(j).ID == m.ID {
-				idx = append(idx, int32(j))
+		var rows []row
+		for _, s := range spans {
+			if s.ID == m.ID {
+				rows = append(rows, row{start: s.Start, end: s.End, stage: s.Stage, rail: s.Rail, attempt: s.Attempt})
 			}
 		}
 		var edges []edge
-		d := decompose(*m, &r.spans, idx, &edges)
+		d := decompose(m, rows, &edges)
 		all = append(all, d)
 		for c := range cats {
 			cats[c] += d.Cats[c]
@@ -240,7 +263,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 // them are counted, not silently lost, and that Analyze reports the counts.
 func TestCapsCountDrops(t *testing.T) {
 	r := New(1)
-	r.spans, r.msgs = reclog.New[SpanRec](2), reclog.New[MsgRec](1)
+	r.spans, r.msgs = newSpanLog(2), reclog.New[MsgRec](1)
 	kept, lost := MakeID(0, 1), MakeID(1, 1)
 	r.Begin(kept, 0, 1, 0, 64, KindEager, 0)
 	r.Begin(lost, 1, 0, 0, 64, KindEager, 0)
@@ -273,25 +296,53 @@ func TestDumpNamesDeadElements(t *testing.T) {
 	}
 }
 
-// TestSpanLogBytesPerSpan holds the span log to its allocation contract:
-// recording costs the fixed-size records and nothing else — no regrowth
-// copies of the log.
+// TestSpanLogBytesPerSpan holds the span log to its allocation contract on
+// a realistic stream: recording costs the packed records and nothing else,
+// no regrowth copies of the log. The stream is what a traced 1024-rank
+// stencil code records: each rank sends to one of four neighbours, one
+// message in 16 is sampled, and a sampled message logs its send overhead,
+// one hop span per fabric stage, the wire attempt, and the receiver's wait
+// and delivery, the ranks' messages interleaved in time.
 func TestSpanLogBytesPerSpan(t *testing.T) {
-	const n = 1 << 18
-	r := New(1)
+	const ranks, every, n = 1024, 16, 1 << 18
+	r := New(every)
+	rng := rand.New(rand.NewSource(1))
+	now := make([]units.Time, ranks)
+	seq := make([]int64, ranks)
+	ns := units.Nanosecond
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		r.Span(MakeID(i%64, int64(i/64+1)), StageWire, i%64, 0, 0, -1, units.Time(i), units.Time(i+1), 64)
+	for r.spans.Len() < n {
+		src := rng.Intn(ranks)
+		dst := (src + []int{1, ranks - 1, 32, ranks - 32}[rng.Intn(4)]) % ranks
+		seq[src]++
+		id := MakeID(src, seq[src])
+		now[src] += units.Time(200+rng.Intn(4000)) * ns
+		bytes := int64(1) << (3 + rng.Intn(14))
+		t0 := now[src]
+		t1 := t0 + units.Time(1500+rng.Intn(200))*ns
+		r.Span(id, StageSend, src, -1, 0, -1, t0, t1, bytes)
+		at := t1
+		hops := 1 + 2*rng.Intn(3)
+		for h := 0; h < hops; h++ {
+			d := units.Time(100+rng.Intn(50))*ns + units.Time(bytes)
+			r.Span(id, StageHop, src, 0, 0, int16(h), at, at+d, bytes)
+			at += d
+		}
+		r.Span(id, StageWire, src, 0, 0, -1, t1, at, bytes)
+		posted := t0 - units.Time(rng.Intn(3000))*ns
+		r.Span(id, StageWait, dst, -1, 0, -1, posted, at, bytes)
+		r.Span(id, StageDeliver, dst, 0, 0, -1, at, at+units.Time(300+rng.Intn(100))*ns, bytes)
 	}
 	runtime.ReadMemStats(&after)
-	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / n
-	t.Logf("%.1f B/span in %d allocations", perSpan, after.Mallocs-before.Mallocs)
-	if r.spans.Len() != n {
-		t.Fatalf("logged %d of %d spans", r.spans.Len(), n)
+	got := r.spans.Len()
+	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / float64(got)
+	t.Logf("%.1f B/span over %d spans in %d allocations", perSpan, got, after.Mallocs-before.Mallocs)
+	if got < n || r.spans.Dropped() != 0 {
+		t.Fatalf("logged %d spans and dropped %d, want at least %d and none", got, r.spans.Dropped(), n)
 	}
-	if perSpan > 56 {
-		t.Fatalf("span log allocated %.1f B/span, want <= 56 (a record is 48 B)", perSpan)
+	if perSpan > 17 {
+		t.Fatalf("span log allocated %.1f B/span, want <= 17", perSpan)
 	}
 }

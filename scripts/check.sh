@@ -190,13 +190,20 @@ if grep -n 'map\[string\]' internal/metrics/metrics.go; then
 fi
 # The metrics span log, the msgtrace span and message logs and the MPI
 # timeline keep "the first N records, count the rest" once, in
-# internal/reclog, and so does the varint coding of the packed span log.
+# internal/reclog, and so does the varint coding of the packed span logs.
 # A record slice, chunk array, drop counter, cap or record encoding of a
 # log's own means the rule forked again.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
     '^\s+\w+(, \w+)*\s+\[\](SpanRec|MsgRec|Event|spanRec)\b|[cC]hunk\w*\]|[dD]ropped\w*\s*(\+\+|\+=)|\w*Max\s+int\b|(spans|msgs|[eE]vents) = append\(|binary\.(Append|Put)U?[vV]arint' \
     internal/metrics/ internal/msgtrace/ internal/trace/ | grep -vE '^[^:]+:[0-9]+:\s*//'; then
     echo "FAIL: a record log grows, chunks, caps, counts drops or encodes records itself again (append through reclog.Log or reclog.Packed)" >&2
+    exit 1
+fi
+# Both span streams share the packed layout: a msgtrace span is a
+# reclog.Packed record coded against its sender's last span. The 48-byte
+# fixed-width span log may not come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'reclog\.(Log|New)\[SpanRec\]' internal/msgtrace/; then
+    echo "FAIL: the msgtrace span log holds fixed-width SpanRecs again (append through reclog.Packed; see newSpanLog)" >&2
     exit 1
 fi
 # The benchmark is bench/ (bash bench/run.sh, declared in BENCHMARK.json);
