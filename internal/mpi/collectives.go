@@ -115,10 +115,10 @@ func (c *Comm) Barrier() {
 	for k := 1; k < p; k <<= 1 {
 		dst := (c.me + k) % p
 		src := (c.me - k + p) % p
-		sr := c.isendInternal(zero, dst, tagBarrier)
-		rr := c.irecvInternal(zero, src, tagBarrier)
-		c.r.waitOne(sr)
-		c.r.waitOne(rr)
+		sr := c.isend(zero, dst, tagBarrier, true)
+		rr := c.irecv(zero, src, tagBarrier, true)
+		c.r.waitFree(sr)
+		c.r.waitFree(rr)
 	}
 }
 
@@ -158,7 +158,7 @@ func (c *Comm) bcastBody(buf memreg.Buf, root int) {
 			if src < 0 {
 				src += p
 			}
-			c.recvInternal(buf, src, tagBcast)
+			c.recv(buf, src, tagBcast)
 			break
 		}
 		mask <<= 1
@@ -170,7 +170,7 @@ func (c *Comm) bcastBody(buf memreg.Buf, root int) {
 			if dst >= p {
 				dst -= p
 			}
-			c.sendInternal(buf, dst, tagBcast)
+			c.send(buf, dst, tagBcast, false)
 		}
 		mask >>= 1
 	}
@@ -190,12 +190,12 @@ func (c *Comm) reduceBody(buf memreg.Buf, root int) {
 			srcRel := relative | mask
 			if srcRel < p {
 				src := (srcRel + root) % p
-				c.recvInternal(tmp, src, tagReduce)
+				c.recv(tmp, src, tagReduce)
 				c.r.ps.busy(c.r.p, reduceBW.TimeFor(buf.Size))
 			}
 		} else {
 			dst := (relative - mask + root) % p
-			c.sendInternal(buf, dst, tagReduce)
+			c.send(buf, dst, tagReduce, false)
 			break
 		}
 		mask <<= 1
@@ -253,13 +253,13 @@ func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts
 	for i := 1; i < p; i++ {
 		src := (me - i + p) % p
 		if recvCounts[src] > 0 {
-			reqs = append(reqs, c.irecvInternal(recvBuf.Slice(recvOff[src], recvCounts[src]), src, tagAlltoall))
+			reqs = append(reqs, c.irecv(recvBuf.Slice(recvOff[src], recvCounts[src]), src, tagAlltoall, true))
 		}
 	}
 	for i := 1; i < p; i++ {
 		dst := (me + i) % p
 		if sendCounts[dst] > 0 {
-			reqs = append(reqs, c.isendInternal(sendBuf.Slice(sendOff[dst], sendCounts[dst]), dst, tagAlltoall))
+			reqs = append(reqs, c.isend(sendBuf.Slice(sendOff[dst], sendCounts[dst]), dst, tagAlltoall, true))
 		}
 	}
 	// Local block "copies" itself; charge the memcpy.
@@ -268,7 +268,7 @@ func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts
 	}
 	r.ps.reqScratch = reqs[:0]
 	for _, req := range reqs {
-		r.waitOne(req)
+		r.waitFree(req)
 	}
 }
 
@@ -306,9 +306,9 @@ func (r *Rank) Allgather(sendBuf, recvBuf memreg.Buf) {
 	for s := 0; s < n-1; s++ {
 		outIdx := (me - s + n) % n
 		inIdx := (me - s - 1 + n) % n
-		sr := c.isendInternal(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather)
-		rr := c.irecvInternal(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather)
-		r.waitOne(sr)
-		r.waitOne(rr)
+		sr := c.isend(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather, true)
+		rr := c.irecv(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather, true)
+		r.waitFree(sr)
+		r.waitFree(rr)
 	}
 }

@@ -20,14 +20,14 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 				continue
 			}
-			reqs = append(reqs, c.irecvInternal(recvBuf.Slice(int64(src)*block, block), src, tagGather))
+			reqs = append(reqs, c.irecv(recvBuf.Slice(int64(src)*block, block), src, tagGather, true))
 		}
 		for _, req := range reqs {
-			r.waitOne(req)
+			r.waitFree(req)
 		}
 		return
 	}
-	c.sendInternal(sendBuf, root, tagGather)
+	c.send(sendBuf, root, tagGather, false)
 }
 
 // Scatter distributes root's sendBuf in equal blocks: rank i receives the
@@ -48,14 +48,14 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 				continue
 			}
-			reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
+			reqs = append(reqs, c.isend(sendBuf.Slice(int64(dst)*block, block), dst, tagGather, true))
 		}
 		for _, req := range reqs {
-			r.waitOne(req)
+			r.waitFree(req)
 		}
 		return
 	}
-	c.recvInternal(recvBuf, root, tagGather)
+	c.recv(recvBuf, root, tagGather)
 }
 
 // ReduceScatter combines per-block contributions and scatters the result:
@@ -75,15 +75,15 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 	if me == 0 {
 		var reqs []*Request
 		for dst := 1; dst < int(p); dst++ {
-			reqs = append(reqs, c.isendInternal(sendBuf.Slice(int64(dst)*block, block), dst, tagGather))
+			reqs = append(reqs, c.isend(sendBuf.Slice(int64(dst)*block, block), dst, tagGather, true))
 		}
 		r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 		for _, req := range reqs {
-			r.waitOne(req)
+			r.waitFree(req)
 		}
 		return
 	}
-	c.recvInternal(recvBuf, 0, tagGather)
+	c.recv(recvBuf, 0, tagGather)
 }
 
 // Scan computes the inclusive prefix reduction: rank i ends with the
@@ -94,11 +94,11 @@ func (r *Rank) Scan(buf memreg.Buf) {
 	c, me := r.CommWorld(), r.Rank()
 	tmp := r.ps.scratch(buf.Size)
 	if me > 0 {
-		c.recvInternal(tmp, me-1, tagScan)
+		c.recv(tmp, me-1, tagScan)
 		r.ps.busy(r.p, reduceBW.TimeFor(buf.Size))
 	}
 	if me < r.Size()-1 {
-		c.sendInternal(buf, me+1, tagScan)
+		c.send(buf, me+1, tagScan, false)
 	}
 }
 
@@ -108,6 +108,7 @@ const tagScan = -18
 // Probe blocks until a message matching (src, tag) is available without
 // receiving it, and returns its envelope. src may be AnySource, tag AnyTag.
 func (r *Rank) Probe(src, tag int) Status {
+	r.CommWorld().check("Probe", src, tag, true)
 	ps := r.ps
 	var found *inMsg
 	ps.waitFor(r.p, waitReason{text: "probe"}, func() bool {
@@ -120,6 +121,7 @@ func (r *Rank) Probe(src, tag int) Status {
 // Iprobe drives progress once and reports whether a matching message is
 // available, with its envelope.
 func (r *Rank) Iprobe(src, tag int) (Status, bool) {
+	r.CommWorld().check("Iprobe", src, tag, true)
 	ps := r.ps
 	ps.poll(r.p)
 	if m := ps.matchUnexpected(commWorldID, src, tag); m != nil {

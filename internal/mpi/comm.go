@@ -22,20 +22,8 @@ type Comm struct {
 	me    int   // my rank within this communicator
 }
 
-// CommWorld returns this rank's view of MPI_COMM_WORLD. The view is cached
-// per rank over the world's shared rank list: every collective resolves it,
-// and rebuilding a world-size []int per call was the single largest
-// allocation site in 1k-rank worlds. The list is read-only (Split reads it,
-// Dup copies it), so sharing one across all ranks is safe.
-func (r *Rank) CommWorld() *Comm {
-	ps := r.ps
-	if c := ps.worldComm; c != nil && c.r == r {
-		return c
-	}
-	c := &Comm{r: r, id: commWorldID, ranks: ps.world.worldRanks, me: ps.rank}
-	ps.worldComm = c
-	return c
-}
+// CommWorld returns this rank's view of MPI_COMM_WORLD.
+func (r *Rank) CommWorld() *Comm { return &r.world }
 
 // Rank returns this process's rank within the communicator.
 func (c *Comm) Rank() int { return c.me }
@@ -51,43 +39,46 @@ func (c *Comm) WorldRank(rank int) int {
 	return c.ranks[rank]
 }
 
+// Point-to-point calls. Rank's Send, Recv, Isend, Irecv and Wait are
+// MPI_COMM_WORLD's entries below. Every user entry, here or on Rank, runs
+// check on its arguments, then one of the unchecked primitives below,
+// which collectives and Split's agreement call directly (internal tags are
+// negative).
+
 // Send is a blocking send to a communicator rank.
 func (c *Comm) Send(buf memreg.Buf, dst, tag int) {
-	c.validateTag(tag)
-	c.sendInternal(buf, dst, tag)
+	c.check("Send", dst, tag, false)
+	c.send(buf, dst, tag, false)
 }
 
-// Recv is a blocking receive from a communicator rank (or AnySource).
+// Recv is a blocking receive from a communicator rank (or AnySource); tag
+// may be AnyTag. The status reports the source as a communicator rank.
 func (c *Comm) Recv(buf memreg.Buf, src, tag int) Status {
-	req := c.Irecv(buf, src, tag)
-	req.pooled = true // never escapes this call
-	st := c.r.waitOne(req)
+	c.check("Recv", src, tag, true)
+	st := c.r.waitFree(c.irecv(buf, src, tag, false))
 	st.Source = c.commRankOf(st.Source)
 	return st
 }
 
 // Isend starts a non-blocking send to a communicator rank.
 func (c *Comm) Isend(buf memreg.Buf, dst, tag int) *Request {
-	c.validateTag(tag)
-	ps := c.r.ps
-	ps.poll(c.r.p)
-	return ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, true)
+	c.check("Isend", dst, tag, false)
+	return c.isend(buf, dst, tag, true)
 }
 
 // Irecv starts a non-blocking receive from a communicator rank.
 func (c *Comm) Irecv(buf memreg.Buf, src, tag int) *Request {
-	ps := c.r.ps
-	ps.poll(c.r.p)
-	worldSrc := AnySource
-	if src != AnySource {
-		worldSrc = c.WorldRank(src)
-	}
-	return ps.startRecv(c.r.p, buf, c.id, worldSrc, tag, true)
+	c.check("Irecv", src, tag, true)
+	return c.irecv(buf, src, tag, true)
 }
 
 // Wait completes a request started on this communicator; receive statuses
-// report communicator ranks.
+// report communicator ranks. The request stays the caller's and is never
+// recycled.
 func (c *Comm) Wait(req *Request) Status {
+	if req == nil || req.ps != c.r.ps {
+		panic("mpi: Wait on foreign or nil request")
+	}
 	st := c.r.waitOne(req)
 	if !req.isSend {
 		st.Source = c.commRankOf(st.Source)
@@ -95,13 +86,25 @@ func (c *Comm) Wait(req *Request) Status {
 	return st
 }
 
-func (c *Comm) validateTag(tag int) {
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
+// check panics, naming the call, unless peer is a member of the
+// communicator (or AnySource on a receive) and tag is a user tag: zero or
+// more, or AnyTag on a receive. Negative tags are the collectives' own.
+func (c *Comm) check(call string, peer, tag int, recv bool) {
+	if uint(peer) >= uint(len(c.ranks)) && !(recv && peer == AnySource) {
+		panic(fmt.Sprintf("mpi: %s: rank %d is not in the communicator (size %d)", call, peer, len(c.ranks)))
+	}
+	if tag < 0 && !(recv && tag == AnyTag) {
+		panic(fmt.Sprintf("mpi: %s: tag %d is not a user tag (>= 0, or AnyTag on receives)", call, tag))
 	}
 }
 
+// commRankOf translates a status's world-rank source into this
+// communicator: the identity on MPI_COMM_WORLD, a scan of the group
+// otherwise.
 func (c *Comm) commRankOf(worldRank int) int {
+	if c.id == commWorldID {
+		return worldRank
+	}
 	for i, w := range c.ranks {
 		if w == worldRank {
 			return i
@@ -110,39 +113,36 @@ func (c *Comm) commRankOf(worldRank int) int {
 	return worldRank // e.g. zero-value statuses
 }
 
-// The internal point-to-point helpers every collective algorithm sends
-// with (the world ones through the cached CommWorld): they bypass user-tag
-// validation (internal tags are negative) but are otherwise full sends.
-func (c *Comm) sendInternal(buf memreg.Buf, dst, tag int) {
+// send is the blocking send primitive; sync forces the rendezvous
+// protocol (Ssend). Its request never leaves the call, so the call frees
+// it.
+func (c *Comm) send(buf memreg.Buf, dst, tag int, sync bool) {
 	ps := c.r.ps
 	ps.poll(c.r.p)
-	req := ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, false)
-	req.pooled = true
-	c.r.waitOne(req)
+	c.r.waitFree(ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, false, sync))
 }
 
-func (c *Comm) isendInternal(buf memreg.Buf, dst, tag int) *Request {
+// recv is the blocking receive primitive of collective traffic, which
+// reads no status.
+func (c *Comm) recv(buf memreg.Buf, src, tag int) { c.r.waitFree(c.irecv(buf, src, tag, false)) }
+
+// isend starts a send and returns its request, which belongs to the caller
+// that waits on it.
+func (c *Comm) isend(buf memreg.Buf, dst, tag int, nonblocking bool) *Request {
 	ps := c.r.ps
 	ps.poll(c.r.p)
-	req := ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, true)
-	req.pooled = true // collectives always waitOne their internal requests
-	return req
+	return ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, nonblocking, false)
 }
 
-func (c *Comm) irecvInternal(buf memreg.Buf, src, tag int) *Request {
+// irecv posts a receive and returns its request, which belongs to the
+// caller that waits on it.
+func (c *Comm) irecv(buf memreg.Buf, src, tag int, nonblocking bool) *Request {
+	if src != AnySource {
+		src = c.WorldRank(src)
+	}
 	ps := c.r.ps
 	ps.poll(c.r.p)
-	req := ps.startRecv(c.r.p, buf, c.id, c.WorldRank(src), tag, true)
-	req.pooled = true
-	return req
-}
-
-func (c *Comm) recvInternal(buf memreg.Buf, src, tag int) {
-	ps := c.r.ps
-	ps.poll(c.r.p)
-	req := ps.startRecv(c.r.p, buf, c.id, c.WorldRank(src), tag, false)
-	req.pooled = true
-	c.r.waitOne(req)
+	return ps.startRecv(c.r.p, buf, c.id, src, tag, nonblocking)
 }
 
 // Split partitions the communicator: members passing the same color form a
@@ -221,9 +221,9 @@ func (c *Comm) agree(name string, bytes int64, rounds int) {
 	prev := (c.me - 1 + p) % p
 	next := (c.me + 1) % p
 	for s := 0; s < rounds; s++ {
-		rr := c.irecvInternal(entry, prev, tagSplit)
-		c.sendInternal(entry, next, tagSplit)
-		c.r.waitOne(rr)
+		rr := c.irecv(entry, prev, tagSplit, true)
+		c.send(entry, next, tagSplit, false)
+		c.r.waitFree(rr)
 	}
 }
 

@@ -7,7 +7,7 @@ import "mpinet/internal/memreg"
 // operation is started any number of times. Real codes (including NPB
 // variants) use these to shave per-call setup off inner loops.
 type PersistentRequest struct {
-	r      *Rank
+	c      *Comm
 	isSend bool
 	buf    memreg.Buf
 	peer   int
@@ -18,36 +18,30 @@ type PersistentRequest struct {
 
 // SendInit creates a persistent send request.
 func (r *Rank) SendInit(buf memreg.Buf, dst, tag int) *PersistentRequest {
-	if dst < 0 || dst >= r.Size() {
-		panic("mpi: SendInit to invalid rank")
-	}
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
-	}
-	return &PersistentRequest{r: r, isSend: true, buf: buf, peer: dst, tag: tag}
+	c := r.CommWorld()
+	c.check("SendInit", dst, tag, false)
+	return &PersistentRequest{c: c, isSend: true, buf: buf, peer: dst, tag: tag}
 }
 
 // RecvInit creates a persistent receive request.
 func (r *Rank) RecvInit(buf memreg.Buf, src, tag int) *PersistentRequest {
-	if src != AnySource && (src < 0 || src >= r.Size()) {
-		panic("mpi: RecvInit from invalid rank")
-	}
-	return &PersistentRequest{r: r, buf: buf, peer: src, tag: tag}
+	c := r.CommWorld()
+	c.check("RecvInit", src, tag, true)
+	return &PersistentRequest{c: c, buf: buf, peer: src, tag: tag}
 }
 
 // Start begins one round of the persistent operation. The request must not
-// already be active.
+// already be active. Each round's request stays the caller's and is never
+// recycled.
 func (p *PersistentRequest) Start() {
 	if p.active != nil && !p.active.done {
 		panic("mpi: Start on an active persistent request")
 	}
-	ps := p.r.ps
-	ps.poll(p.r.p)
 	if p.isSend {
-		p.active = ps.startSend(p.r.p, p.buf, commWorldID, p.peer, p.tag, true)
+		p.active = p.c.isend(p.buf, p.peer, p.tag, true)
 		return
 	}
-	p.active = ps.startRecv(p.r.p, p.buf, commWorldID, p.peer, p.tag, true)
+	p.active = p.c.irecv(p.buf, p.peer, p.tag, true)
 }
 
 // Wait blocks until the started round completes and returns its status
@@ -56,7 +50,7 @@ func (p *PersistentRequest) Wait() Status {
 	if p.active == nil {
 		panic("mpi: Wait on a never-started persistent request")
 	}
-	return p.r.waitOne(p.active)
+	return p.c.r.waitOne(p.active)
 }
 
 // Startall begins a set of persistent requests (MPI_Startall).

@@ -66,12 +66,8 @@ type procState struct {
 	splitGen map[int]int
 	// collScratch is a reusable buffer for collective intermediates.
 	collScratch memreg.Buf
-	// worldComm caches this rank's MPI_COMM_WORLD view. Every world
-	// collective resolves it, and rebuilding the world rank list per call
-	// was the single largest allocation site in 1k-rank worlds.
-	worldComm *Comm
-	// reqFree recycles Request records of blocking operations (the request
-	// never escapes the caller, so waitOne can return it to the pool);
+	// reqFree recycles the Request records the library owns (blocking
+	// calls', collectives'), which waitFree returns once complete;
 	// reqAllocs counts pool misses for the zero-alloc gates.
 	reqFree   []*Request
 	reqAllocs int

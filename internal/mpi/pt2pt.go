@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"mpinet/internal/dev"
 	"mpinet/internal/memreg"
 	"mpinet/internal/msgtrace"
@@ -22,22 +20,13 @@ const (
 	rndvStep = 300 * units.Nanosecond
 )
 
-// isendImpl starts a send and returns its request. Blocking Send is
-// isendImpl + Wait.
-func (ps *procState) isendImpl(p *sim.Proc, buf memreg.Buf, dst, tag int, nonblocking bool) *Request {
-	if dst < 0 || dst >= ps.world.Size() {
-		panic(fmt.Sprintf("mpi: rank %d sending to invalid rank %d", ps.rank, dst))
-	}
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
-	}
-	ps.poll(p)
-	return ps.startSend(p, buf, commWorldID, dst, tag, nonblocking)
-}
-
-// startSend is isendImpl minus validation/polling, shared with internal
-// collective traffic (which uses reserved negative tags).
-func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, nonblocking bool) *Request {
+// startSend starts a send of buf to world rank dst in context comm, with
+// no checks: the communicator's primitives and Bsend call it once the
+// caller's arguments have passed them, and collective traffic uses
+// reserved negative tags. A nonblocking send is profiled as an Isend; a
+// synchronous one (Ssend) takes the rendezvous protocol whatever its size
+// or path, so it completes only once the receive is posted.
+func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, nonblocking, sync bool) *Request {
 	dstPS := ps.world.procs[dst]
 	sameNode := dstPS.node == ps.node
 	if !ps.quiet {
@@ -57,7 +46,7 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 	ps.record(trace.EvSendStart, dst, tag, comm, buf.Size)
 
 	rec := ps.world.rec
-	if sameNode && buf.Size < ps.world.shmBelow {
+	if sameNode && buf.Size < ps.world.shmBelow && !sync {
 		rec.Begin(req.tid, int32(ps.rank), int32(dst), int32(tag), req.size, msgtrace.KindShmem, req.born)
 		ps.shmSend(p, req, dstPS)
 		return req
@@ -66,7 +55,7 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 		ps.markNICPeer(dst)
 	}
 	switch {
-	case buf.Size <= ps.ep.EagerThreshold():
+	case buf.Size <= ps.ep.EagerThreshold() && !sync:
 		rec.Begin(req.tid, int32(ps.rank), int32(dst), int32(tag), req.size, msgtrace.KindEager, req.born)
 		ps.eagerSend(p, req, dstPS)
 	default:
@@ -338,16 +327,8 @@ type finHop Request
 // HandleEvent implements sim.Handler: the FIN landed at the sender.
 func (f *finHop) HandleEvent(int64, int64) { (*Request)(f).completeSend() }
 
-// irecvImpl posts a receive and returns its request.
-func (ps *procState) irecvImpl(p *sim.Proc, buf memreg.Buf, src, tag int, nonblocking bool) *Request {
-	if src != AnySource && (src < 0 || src >= ps.world.Size()) {
-		panic(fmt.Sprintf("mpi: rank %d receiving from invalid rank %d", ps.rank, src))
-	}
-	ps.poll(p)
-	return ps.startRecv(p, buf, commWorldID, src, tag, nonblocking)
-}
-
-// startRecv is irecvImpl minus validation/polling, shared with collectives.
+// startRecv posts a receive of buf from world rank src (or AnySource) in
+// context comm, with no checks, as startSend does for sends.
 func (ps *procState) startRecv(p *sim.Proc, buf memreg.Buf, comm, src, tag int, nonblocking bool) *Request {
 	sameNode := src != AnySource && ps.world.procs[src].node == ps.node
 	if !ps.quiet {

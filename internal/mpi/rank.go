@@ -2,9 +2,7 @@ package mpi
 
 import (
 	"mpinet/internal/memreg"
-	"mpinet/internal/msgtrace"
 	"mpinet/internal/sim"
-	"mpinet/internal/trace"
 )
 
 // Rank is the MPI handle a rank's program uses — the analogue of
@@ -13,6 +11,12 @@ import (
 type Rank struct {
 	p  *sim.Proc
 	ps *procState
+	// world is this rank's MPI_COMM_WORLD, built with the Rank over the
+	// world's shared rank list: every world call and collective goes
+	// through it, and rebuilding a world-size []int per call was the
+	// single largest allocation site in 1k-rank worlds. The list is
+	// read-only (Split reads it, Dup copies it), so all ranks share it.
+	world Comm
 }
 
 // Rank returns this process's rank in the world.
@@ -43,53 +47,24 @@ func (r *Rank) Compute(d sim.Time) { r.p.Sleep(d) }
 func (r *Rank) HostBusy() sim.Time { return r.ps.hostBusy }
 
 // Send performs a blocking standard-mode send.
-func (r *Rank) Send(buf memreg.Buf, dst, tag int) {
-	req := r.ps.isendImpl(r.p, buf, dst, tag, false)
-	req.pooled = true
-	r.waitOne(req)
-}
+func (r *Rank) Send(buf memreg.Buf, dst, tag int) { r.world.Send(buf, dst, tag) }
 
 // Ssend performs a blocking synchronous send (MPI_Ssend): it completes only
 // once the receiver has posted the matching receive. Implemented, as MPICH
-// does, by forcing the rendezvous protocol regardless of size.
+// does, as the standard send with the rendezvous protocol forced
+// regardless of size.
 func (r *Rank) Ssend(buf memreg.Buf, dst, tag int) {
-	if dst < 0 || dst >= r.Size() {
-		panic("mpi: Ssend to invalid rank")
-	}
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
-	}
-	ps := r.ps
-	ps.poll(r.p)
-	dstPS := ps.world.procs[dst]
-	if !ps.quiet {
-		ps.prof.Send(buf, dstPS.node == ps.node, false)
-	}
-	req := ps.newRequest()
-	*req = Request{ps: ps, isSend: true, buf: buf, comm: commWorldID, peer: dst, tag: tag, size: buf.Size, born: ps.eng.Now(), pooled: true}
-	ps.sendSeq++
-	req.seq = ps.sendSeq
-	req.tid = msgtrace.MakeID(ps.rank, req.seq)
-	ps.record(trace.EvSendStart, dst, tag, commWorldID, buf.Size)
-	ps.world.rec.Begin(req.tid, int32(ps.rank), int32(dst), int32(tag), req.size, msgtrace.KindRndv, req.born)
-	if dstPS.node != ps.node {
-		ps.markNICPeer(dst)
-	}
-	ps.rndvSend(r.p, req, dstPS)
-	r.waitOne(req)
+	c := r.CommWorld()
+	c.check("Ssend", dst, tag, false)
+	c.send(buf, dst, tag, true)
 }
 
 // Bsend performs a buffered send (MPI_Bsend): the payload is copied into
 // attached buffer space and the call returns immediately, whatever the
 // size. Modelled as the host copy plus a send from library-owned staging
-// whose completion the library, not the caller, owns.
+// whose completion nothing waits on, so its request is never recycled.
 func (r *Rank) Bsend(buf memreg.Buf, dst, tag int) {
-	if dst < 0 || dst >= r.Size() {
-		panic("mpi: Bsend to invalid rank")
-	}
-	if tag < 0 {
-		panic("mpi: user tags must be non-negative")
-	}
+	r.CommWorld().check("Bsend", dst, tag, false)
 	ps := r.ps
 	ps.poll(r.p)
 	ps.busy(r.p, ps.ep.CopyTime(buf.Size))
@@ -98,34 +73,28 @@ func (r *Rank) Bsend(buf memreg.Buf, dst, tag int) {
 	}
 	ps.quiet = true
 	staging := ps.scratch(buf.Size)
-	ps.startSend(r.p, staging, commWorldID, dst, tag, false)
+	ps.startSend(r.p, staging, commWorldID, dst, tag, false, false)
 	ps.quiet = false
 }
 
 // Recv performs a blocking receive. src may be AnySource, tag may be AnyTag.
 func (r *Rank) Recv(buf memreg.Buf, src, tag int) Status {
-	req := r.ps.irecvImpl(r.p, buf, src, tag, false)
-	req.pooled = true
-	return r.waitOne(req)
+	return r.world.Recv(buf, src, tag)
 }
 
 // Isend starts a non-blocking send.
 func (r *Rank) Isend(buf memreg.Buf, dst, tag int) *Request {
-	return r.ps.isendImpl(r.p, buf, dst, tag, true)
+	return r.world.Isend(buf, dst, tag)
 }
 
 // Irecv starts a non-blocking receive.
 func (r *Rank) Irecv(buf memreg.Buf, src, tag int) *Request {
-	return r.ps.irecvImpl(r.p, buf, src, tag, true)
+	return r.world.Irecv(buf, src, tag)
 }
 
-// Wait blocks until the request completes.
-func (r *Rank) Wait(req *Request) Status {
-	if req == nil || req.ps != r.ps {
-		panic("mpi: Wait on foreign or nil request")
-	}
-	return r.waitOne(req)
-}
+// Wait blocks until the request completes. The request stays the caller's
+// and is never recycled.
+func (r *Rank) Wait(req *Request) Status { return r.world.Wait(req) }
 
 // Waitall blocks until every request completes.
 func (r *Rank) Waitall(reqs ...*Request) {
@@ -169,14 +138,16 @@ func (r *Rank) Waitany(reqs []*Request) (int, Status) {
 
 // Sendrecv performs the blocking exchange (MPI_Sendrecv).
 func (r *Rank) Sendrecv(sendBuf memreg.Buf, dst, sendTag int, recvBuf memreg.Buf, src, recvTag int) Status {
-	rr := r.ps.irecvImpl(r.p, recvBuf, src, recvTag, false)
-	rr.pooled = true
-	sr := r.ps.isendImpl(r.p, sendBuf, dst, sendTag, false)
-	sr.pooled = true
-	r.waitOne(sr)
-	return r.waitOne(rr)
+	c := r.CommWorld()
+	c.check("Sendrecv", dst, sendTag, false)
+	c.check("Sendrecv", src, recvTag, true)
+	rr := c.irecv(recvBuf, src, recvTag, false)
+	r.waitFree(c.isend(sendBuf, dst, sendTag, false))
+	return r.waitFree(rr)
 }
 
+// waitOne blocks until req completes and returns its status. It never
+// frees req: the caller owns it.
 func (r *Rank) waitOne(req *Request) Status {
 	why := waitReason{text: r.ps.waitWhy}
 	if r.ps.world.cfg.Timeout > 0 {
@@ -195,9 +166,14 @@ func (r *Rank) waitOne(req *Request) Status {
 		}
 		return req.done
 	})
-	st := req.status
-	if req.pooled {
-		r.ps.releaseReq(req)
-	}
-	return st
+	return req.status
+}
+
+// waitFree is waitOne for a request the library owns and nothing else
+// holds (a blocking call's, a collective's): once it completes, it goes
+// back to the rank's free list.
+func (r *Rank) waitFree(req *Request) (st Status) {
+	st = r.waitOne(req)
+	r.ps.releaseReq(req)
+	return
 }

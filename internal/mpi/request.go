@@ -36,9 +36,6 @@ type Request struct {
 	hsStart sim.Time    // rendezvous sends: when the RTS left, for the handshake span
 	rndv    bool
 	done    bool
-	// pooled marks a request that never escapes its blocking caller:
-	// waitOne returns it to the rank's free list once complete.
-	pooled bool
 
 	matched *inMsg // receives: the arrival this request is bound to
 	status  Status
@@ -58,9 +55,10 @@ func (ps *procState) newRequest() *Request {
 	return &Request{}
 }
 
-// releaseReq zeroes a completed pooled request and returns it to the free
-// list. Only waitOne calls it, and only for requests flagged pooled — a
-// request handed to the user (Isend/Irecv) is never recycled.
+// releaseReq zeroes a completed request and returns it to the free list.
+// Only waitFree calls it, for requests the library owns: a request handed
+// to the user (Isend, Irecv, a persistent request's round) is never
+// recycled.
 func (ps *procState) releaseReq(r *Request) {
 	*r = Request{}
 	ps.reqFree = append(ps.reqFree, r)

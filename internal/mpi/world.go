@@ -122,8 +122,8 @@ type World struct {
 	// shmBelow is the network's intra-node policy: co-located messages
 	// strictly smaller than this ride shm, larger ones the NIC.
 	shmBelow int64
-	// worldRanks is the shared identity rank list behind every rank's cached
-	// CommWorld view; read-only after construction.
+	// worldRanks is the shared identity rank list behind every Rank's
+	// MPI_COMM_WORLD (Rank.world); read-only after construction.
 	worldRanks []int
 	met        *metrics.Registry
 	rec        *msgtrace.Recorder
@@ -341,6 +341,8 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 	w.start = w.eng.Now()
 	for _, ps := range w.procs {
 		ps := ps
+		rank := &Rank{ps: ps}
+		rank.world = Comm{r: rank, id: commWorldID, ranks: w.worldRanks, me: ps.rank}
 		proc := ps.eng.Spawn(fmt.Sprintf("rank%d", ps.rank), func(p *sim.Proc) {
 			defer func() {
 				r := recover()
@@ -357,7 +359,8 @@ func (w *World) Run(main func(r *Rank)) (err error) {
 				// continues unchanged to the process wrapper.
 				panic(r)
 			}()
-			main(&Rank{p: p, ps: ps})
+			rank.p = p
+			main(rank)
 		})
 		if w.met != nil {
 			w.met.AddSource(metrics.RankPrefix(ps.rank)+"mpi/", proc)

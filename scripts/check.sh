@@ -180,6 +180,21 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal/; then
     echo "FAIL: a record is recycled through a process-global sync.Pool again (keep it on its owner's free list, as rail.Network.newOp does)" >&2
     exit 1
 fi
+# Point-to-point has one implementation, the communicator's: Rank's calls
+# are MPI_COMM_WORLD's, every user entry runs Comm.check once, and the
+# owner that waits on a request frees it (waitFree). A second front end, a
+# per-request recycling flag or a second copy of the tag check may not
+# come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'isendImpl|irecvImpl|\bpooled\s+bool|\.pooled\b' internal/mpi/; then
+    echo "FAIL: a second point-to-point front end or a pooled request flag is back (check through Comm.check, free through waitFree; see internal/mpi/comm.go)" >&2
+    exit 1
+fi
+if [ "$(grep -rnE --include='*.go' --exclude='*_test.go' 'panic\(.*user tag' internal/mpi/ | wc -l)" -ne 1 ]; then
+    grep -rnE --include='*.go' --exclude='*_test.go' 'panic\(.*user tag' internal/mpi/ >&2
+    echo "FAIL: the user-tag check is not in exactly one place (keep it in Comm.check)" >&2
+    exit 1
+fi
 # Metrics registration only appends: every Counter, Gauge, Timer or
 # SizeHist call hands out a fresh handle, probes and sources sit in one
 # slice, and Snapshot folds same-name entries once. A name-keyed map in the
