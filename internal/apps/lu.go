@@ -164,25 +164,23 @@ func (lu *luRank) upper() {
 // when that neighbour exists.
 func (lu *luRank) swap(out, in memreg.Buf, fwd, back, tag int) {
 	r := lu.r
-	var rr *mpi.Request
+	var rr mpi.Request
 	if back >= 0 {
 		rr = r.Irecv(in, back, tag)
 	}
 	if fwd >= 0 {
 		r.Send(out, fwd, tag)
 	}
-	if rr != nil {
+	if back >= 0 {
 		r.Wait(rr)
 	}
 	if fwd >= 0 {
 		rr = r.Irecv(in, fwd, tag+1)
-	} else {
-		rr = nil
 	}
 	if back >= 0 {
 		r.Send(out, back, tag+1)
 	}
-	if rr != nil {
+	if fwd >= 0 {
 		r.Wait(rr)
 	}
 }

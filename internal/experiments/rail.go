@@ -99,7 +99,7 @@ func railStream(p cluster.Platform, size int64, window, rounds int) (bw float64,
 		peer := 1 - r.Rank()
 		msg := r.Malloc(size)
 		ack := r.Malloc(4)
-		reqs := make([]*mpi.Request, window)
+		reqs := make([]mpi.Request, window)
 		runRound := func(tag int) {
 			if r.Rank() == 0 {
 				for i := 0; i < window; i++ {

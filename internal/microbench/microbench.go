@@ -112,7 +112,7 @@ func bandwidthRun(p cluster.Platform, nodes, procsPerNode int, size int64, windo
 		peer := 1 - r.Rank()
 		msg := r.Malloc(size)
 		ack := r.Malloc(4)
-		reqs := make([]*mpi.Request, window)
+		reqs := make([]mpi.Request, window)
 		// Warmup round.
 		runRound := func(tag int) {
 			if r.Rank() == 0 {
@@ -175,7 +175,7 @@ func biOrUniIntraBW(w *mpi.World, size int64, window, rounds int) float64 {
 		peer := 1 - r.Rank()
 		msg := r.Malloc(size)
 		ack := r.Malloc(4)
-		reqs := make([]*mpi.Request, window)
+		reqs := make([]mpi.Request, window)
 		runRound := func(tag int) {
 			if r.Rank() == 0 {
 				for i := 0; i < window; i++ {
@@ -298,8 +298,8 @@ func BiBandwidth(p cluster.Platform, sizes []int64) Curve {
 			peer := 1 - r.Rank()
 			sbuf := r.Malloc(s)
 			rbuf := r.Malloc(s)
-			sreqs := make([]*mpi.Request, window)
-			rreqs := make([]*mpi.Request, window)
+			sreqs := make([]mpi.Request, window)
+			rreqs := make([]mpi.Request, window)
 			runRound := func() {
 				for i := 0; i < window; i++ {
 					rreqs[i] = r.Irecv(rbuf, peer, 0)

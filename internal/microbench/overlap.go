@@ -140,7 +140,7 @@ func ReuseBandwidth(p cluster.Platform, sizes []int64, pct int) Curve {
 			peer := 1 - r.Rank()
 			reused := r.Malloc(s)
 			ack := r.Malloc(4)
-			reqs := make([]*mpi.Request, window)
+			reqs := make([]mpi.Request, window)
 			iter := 0
 			pick := func() memreg.Buf {
 				b := reused

@@ -136,11 +136,11 @@ func TestCommRecvCountsAsBlocking(t *testing.T) {
 // as Rank.Wait does, nil and another rank's alike.
 func TestCommWaitRejectsBadRequest(t *testing.T) {
 	const want = "mpi: Wait on foreign or nil request"
-	msg, err := rankPanic(2, func(r *Rank) { r.CommWorld().Wait(nil) })
+	msg, err := rankPanic(2, func(r *Rank) { r.CommWorld().Wait(Request{}) })
 	if msg != want {
 		t.Errorf("Wait(nil): panic %q, Run error %v; want %q", msg, err, want)
 	}
-	var foreign *Request
+	var foreign Request
 	msg, err = rankPanic(2, func(r *Rank) {
 		if r.Rank() == 0 {
 			foreign = r.Isend(r.Malloc(64), 1, 0)
@@ -152,5 +152,74 @@ func TestCommWaitRejectsBadRequest(t *testing.T) {
 	})
 	if msg != want {
 		t.Errorf("Wait(foreign): panic %q, Run error %v; want %q", msg, err, want)
+	}
+}
+
+// TestHandleCheckNamesTheCall: every call that takes a request handle
+// refuses a null handle, another rank's live handle and a handle whose
+// request a Wait already freed, with a panic that names the call. Waitall
+// and Waitany skip null handles instead, as MPI does with MPI_REQUEST_NULL,
+// and Done has no rank to match a handle against.
+func TestHandleCheckNamesTheCall(t *testing.T) {
+	const (
+		bad   = " on foreign or nil request"
+		stale = " on a freed request (a Wait already completed it)"
+	)
+	calls := []struct {
+		name      string
+		skipsNull bool
+		noRank    bool
+		call      func(r *Rank, h Request)
+	}{
+		{"Wait", false, false, func(r *Rank, h Request) { r.Wait(h) }},
+		{"Wait", false, false, func(r *Rank, h Request) { r.CommWorld().Wait(h) }},
+		{"Waitall", true, false, func(r *Rank, h Request) { r.Waitall(h) }},
+		{"Waitany", true, false, func(r *Rank, h Request) { r.Waitany([]Request{h}) }},
+		{"Test", false, false, func(r *Rank, h Request) { r.Test(h) }},
+		{"Done", false, true, func(r *Rank, h Request) { h.Done() }},
+	}
+	for i, c := range calls {
+		msg, err := rankPanic(2, func(r *Rank) { c.call(r, Request{}) })
+		if want := "mpi: " + c.name + bad; c.skipsNull && (msg != "" || err != nil) || !c.skipsNull && msg != want {
+			t.Errorf("call %d (%s), null handle: panic %q, Run error %v", i, c.name, msg, err)
+		}
+
+		// Rank 0's eager send is complete, but rank 0 waits on it only after
+		// rank 1's reply, so the handle is live when rank 1 reaches for it.
+		var foreign Request
+		msg, err = rankPanic(2, func(r *Rank) {
+			if r.Rank() == 0 {
+				foreign = r.Isend(r.Malloc(64), 1, 0)
+				r.Send(r.Malloc(64), 1, 1)
+				r.Recv(r.Malloc(64), 1, 2)
+				r.Wait(foreign)
+				return
+			}
+			r.Recv(r.Malloc(64), 0, 1)
+			c.call(r, foreign)
+			r.Send(r.Malloc(64), 0, 2)
+			r.Recv(r.Malloc(64), 0, 0)
+		})
+		if want := "mpi: " + c.name + bad; c.noRank && (msg != "" || err != nil) || !c.noRank && msg != want {
+			t.Errorf("call %d (%s), another rank's handle: panic %q, Run error %v; want %q", i, c.name, msg, err, want)
+		}
+
+		msg, err = rankPanic(2, func(r *Rank) {
+			if r.Rank() == 0 {
+				h := r.Isend(r.Malloc(64), 1, 0)
+				r.Wait(h)
+				// The freed record is the next one taken: the stale handle
+				// must not reach the new request.
+				next := r.Irecv(r.Malloc(64), 1, 1)
+				c.call(r, h)
+				r.Wait(next)
+				return
+			}
+			r.Recv(r.Malloc(64), 0, 0)
+			r.Send(r.Malloc(64), 0, 1)
+		})
+		if want := "mpi: " + c.name + stale; msg != want {
+			t.Errorf("call %d (%s), freed handle: panic %q, Run error %v; want %q", i, c.name, msg, err, want)
+		}
 	}
 }

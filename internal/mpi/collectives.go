@@ -117,8 +117,8 @@ func (c *Comm) Barrier() {
 		src := (c.me - k + p) % p
 		sr := c.isend(zero, dst, tagBarrier, true)
 		rr := c.irecv(zero, src, tagBarrier, true)
-		c.r.waitFree(sr)
-		c.r.waitFree(rr)
+		c.r.wait(sr)
+		c.r.wait(rr)
 	}
 }
 
@@ -268,7 +268,7 @@ func (r *Rank) alltoallvBody(sendBuf, recvBuf memreg.Buf, sendCounts, recvCounts
 	}
 	r.ps.reqScratch = reqs[:0]
 	for _, req := range reqs {
-		r.waitFree(req)
+		r.wait(req)
 	}
 }
 
@@ -308,7 +308,7 @@ func (r *Rank) Allgather(sendBuf, recvBuf memreg.Buf) {
 		inIdx := (me - s - 1 + n) % n
 		sr := c.isend(recvBuf.Slice(int64(outIdx)*block, block), right, tagAllgather, true)
 		rr := c.irecv(recvBuf.Slice(int64(inIdx)*block, block), left, tagAllgather, true)
-		r.waitFree(sr)
-		r.waitFree(rr)
+		r.wait(sr)
+		r.wait(rr)
 	}
 }

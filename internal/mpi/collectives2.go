@@ -14,7 +14,7 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 	c, me := r.CommWorld(), r.Rank()
 	if me == root {
 		block := recvBuf.Size / p
-		var reqs []*Request
+		var reqs []*request
 		for src := 0; src < int(p); src++ {
 			if src == root {
 				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
@@ -23,7 +23,7 @@ func (r *Rank) Gather(sendBuf, recvBuf memreg.Buf, root int) {
 			reqs = append(reqs, c.irecv(recvBuf.Slice(int64(src)*block, block), src, tagGather, true))
 		}
 		for _, req := range reqs {
-			r.waitFree(req)
+			r.wait(req)
 		}
 		return
 	}
@@ -42,7 +42,7 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 	c, me := r.CommWorld(), r.Rank()
 	if me == root {
 		block := sendBuf.Size / p
-		var reqs []*Request
+		var reqs []*request
 		for dst := 0; dst < int(p); dst++ {
 			if dst == root {
 				r.ps.busy(r.p, r.ps.ep.CopyTime(block))
@@ -51,7 +51,7 @@ func (r *Rank) Scatter(sendBuf, recvBuf memreg.Buf, root int) {
 			reqs = append(reqs, c.isend(sendBuf.Slice(int64(dst)*block, block), dst, tagGather, true))
 		}
 		for _, req := range reqs {
-			r.waitFree(req)
+			r.wait(req)
 		}
 		return
 	}
@@ -73,13 +73,13 @@ func (r *Rank) ReduceScatter(sendBuf, recvBuf memreg.Buf) {
 	me := r.Rank()
 	block := sendBuf.Size / p
 	if me == 0 {
-		var reqs []*Request
+		var reqs []*request
 		for dst := 1; dst < int(p); dst++ {
 			reqs = append(reqs, c.isend(sendBuf.Slice(int64(dst)*block, block), dst, tagGather, true))
 		}
 		r.ps.busy(r.p, r.ps.ep.CopyTime(block))
 		for _, req := range reqs {
-			r.waitFree(req)
+			r.wait(req)
 		}
 		return
 	}

@@ -55,32 +55,30 @@ func (c *Comm) Send(buf memreg.Buf, dst, tag int) {
 // may be AnyTag. The status reports the source as a communicator rank.
 func (c *Comm) Recv(buf memreg.Buf, src, tag int) Status {
 	c.check("Recv", src, tag, true)
-	st := c.r.waitFree(c.irecv(buf, src, tag, false))
+	st := c.r.wait(c.irecv(buf, src, tag, false))
 	st.Source = c.commRankOf(st.Source)
 	return st
 }
 
 // Isend starts a non-blocking send to a communicator rank.
-func (c *Comm) Isend(buf memreg.Buf, dst, tag int) *Request {
+func (c *Comm) Isend(buf memreg.Buf, dst, tag int) Request {
 	c.check("Isend", dst, tag, false)
-	return c.isend(buf, dst, tag, true)
+	return c.isend(buf, dst, tag, true).handle()
 }
 
 // Irecv starts a non-blocking receive from a communicator rank.
-func (c *Comm) Irecv(buf memreg.Buf, src, tag int) *Request {
+func (c *Comm) Irecv(buf memreg.Buf, src, tag int) Request {
 	c.check("Irecv", src, tag, true)
-	return c.irecv(buf, src, tag, true)
+	return c.irecv(buf, src, tag, true).handle()
 }
 
-// Wait completes a request started on this communicator; receive statuses
-// report communicator ranks. The request stays the caller's and is never
-// recycled.
-func (c *Comm) Wait(req *Request) Status {
-	if req == nil || req.ps != c.r.ps {
-		panic("mpi: Wait on foreign or nil request")
-	}
-	st := c.r.waitOne(req)
-	if !req.isSend {
+// Wait completes and frees a request started by this rank; receive
+// statuses report communicator ranks.
+func (c *Comm) Wait(h Request) Status {
+	req := h.rec("Wait", c.r.ps)
+	isSend := req.isSend
+	st := c.r.wait(req)
+	if !isSend {
 		st.Source = c.commRankOf(st.Source)
 	}
 	return st
@@ -119,16 +117,16 @@ func (c *Comm) commRankOf(worldRank int) int {
 func (c *Comm) send(buf memreg.Buf, dst, tag int, sync bool) {
 	ps := c.r.ps
 	ps.poll(c.r.p)
-	c.r.waitFree(ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, false, sync))
+	c.r.wait(ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, false, sync))
 }
 
 // recv is the blocking receive primitive of collective traffic, which
 // reads no status.
-func (c *Comm) recv(buf memreg.Buf, src, tag int) { c.r.waitFree(c.irecv(buf, src, tag, false)) }
+func (c *Comm) recv(buf memreg.Buf, src, tag int) { c.r.wait(c.irecv(buf, src, tag, false)) }
 
 // isend starts a send and returns its request, which belongs to the caller
 // that waits on it.
-func (c *Comm) isend(buf memreg.Buf, dst, tag int, nonblocking bool) *Request {
+func (c *Comm) isend(buf memreg.Buf, dst, tag int, nonblocking bool) *request {
 	ps := c.r.ps
 	ps.poll(c.r.p)
 	return ps.startSend(c.r.p, buf, c.id, c.WorldRank(dst), tag, nonblocking, false)
@@ -136,7 +134,7 @@ func (c *Comm) isend(buf memreg.Buf, dst, tag int, nonblocking bool) *Request {
 
 // irecv posts a receive and returns its request, which belongs to the
 // caller that waits on it.
-func (c *Comm) irecv(buf memreg.Buf, src, tag int, nonblocking bool) *Request {
+func (c *Comm) irecv(buf memreg.Buf, src, tag int, nonblocking bool) *request {
 	if src != AnySource {
 		src = c.WorldRank(src)
 	}
@@ -223,7 +221,7 @@ func (c *Comm) agree(name string, bytes int64, rounds int) {
 	for s := 0; s < rounds; s++ {
 		rr := c.irecv(entry, prev, tagSplit, true)
 		c.send(entry, next, tagSplit, false)
-		c.r.waitFree(rr)
+		c.r.wait(rr)
 	}
 }
 

@@ -183,7 +183,7 @@ func TestIsendIrecvOverlapCorrectness(t *testing.T) {
 		if err := w.Run(func(r *Rank) {
 			peer := 1 - r.Rank()
 			n := 8
-			var reqs []*Request
+			var reqs []Request
 			for i := 0; i < n; i++ {
 				reqs = append(reqs, r.Irecv(r.Malloc(1024), peer, i))
 			}

@@ -13,7 +13,9 @@ type PersistentRequest struct {
 	peer   int
 	tag    int
 
-	active *Request
+	// active is the last started round; the request is active until a
+	// Wait frees that round and so turns the handle stale.
+	active Request
 }
 
 // SendInit creates a persistent send request.
@@ -31,26 +33,30 @@ func (r *Rank) RecvInit(buf memreg.Buf, src, tag int) *PersistentRequest {
 }
 
 // Start begins one round of the persistent operation. The request must not
-// already be active. Each round's request stays the caller's and is never
-// recycled.
+// be active: each started round must be waited before the next Start.
 func (p *PersistentRequest) Start() {
-	if p.active != nil && !p.active.done {
+	if h := p.active; h.r != nil && h.r.gen == h.gen {
 		panic("mpi: Start on an active persistent request")
 	}
 	if p.isSend {
-		p.active = p.c.isend(p.buf, p.peer, p.tag, true)
+		p.active = p.c.isend(p.buf, p.peer, p.tag, true).handle()
 		return
 	}
-	p.active = p.c.irecv(p.buf, p.peer, p.tag, true)
+	p.active = p.c.irecv(p.buf, p.peer, p.tag, true).handle()
 }
 
-// Wait blocks until the started round completes and returns its status
-// (zero Status for sends).
+// Wait blocks until the started round completes, frees it and returns its
+// status (zero Status for sends). On an inactive request, whose round a
+// Wait already freed, it returns a zero Status at once, as MPI_Wait does.
 func (p *PersistentRequest) Wait() Status {
-	if p.active == nil {
+	h := p.active
+	switch {
+	case h.r == nil:
 		panic("mpi: Wait on a never-started persistent request")
+	case h.r.gen != h.gen:
+		return Status{}
 	}
-	return p.c.r.waitOne(p.active)
+	return p.c.r.wait(h.r)
 }
 
 // Startall begins a set of persistent requests (MPI_Startall).

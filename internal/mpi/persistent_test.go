@@ -40,6 +40,42 @@ func TestPersistentPingPong(t *testing.T) {
 	}
 }
 
+// TestPersistentWaitFreesRound: Wait frees each started round, so rounds
+// reuse one record, and a second Wait on the inactive request returns a
+// zero Status at once, as MPI_Wait does.
+func TestPersistentWaitFreesRound(t *testing.T) {
+	run := func(rounds int) int {
+		w := MustWorld(Config{Net: cluster.QSN().New(2), Procs: 2})
+		if err := w.Run(func(r *Rank) {
+			buf := r.Malloc(512)
+			if r.Rank() == 0 {
+				send := r.SendInit(buf, 1, 0)
+				for i := 0; i < rounds; i++ {
+					send.Start()
+					send.Wait()
+				}
+				return
+			}
+			recv := r.RecvInit(buf, 0, 0)
+			for i := 0; i < rounds; i++ {
+				recv.Start()
+				if st := recv.Wait(); st.Size != 512 {
+					t.Errorf("round %d: size %d, want 512", i, st.Size)
+				}
+				if st := recv.Wait(); st != (Status{}) {
+					t.Errorf("round %d: second Wait = %+v, want a zero Status", i, st)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return reqAllocTotal(w)
+	}
+	if small, large := run(2), run(16); large != small {
+		t.Errorf("persistent rounds leak from the pool: %d misses at 2 rounds, %d at 16", small, large)
+	}
+}
+
 func TestPersistentStartall(t *testing.T) {
 	w := MustWorld(Config{Net: cluster.Myri().New(2), Procs: 2})
 	if err := w.Run(func(r *Rank) {

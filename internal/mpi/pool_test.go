@@ -46,6 +46,37 @@ func TestRequestPoolZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestRequestPoolZeroAllocNonBlocking gates the user's requests: the Wait
+// that completes an Isend or Irecv frees it, so a nonblocking ring's pool
+// misses, too, are set by how many requests are in flight at once, not by
+// how many rounds the job runs.
+func TestRequestPoolZeroAllocNonBlocking(t *testing.T) {
+	run := func(rounds int) int {
+		const procs = 8
+		w := MustWorld(Config{Net: cluster.IBA().New(procs), Procs: procs})
+		err := w.Run(func(r *Rank) {
+			out, in := r.Malloc(4*units.KB), r.Malloc(4*units.KB)
+			next := (r.Rank() + 1) % r.Size()
+			prev := (r.Rank() - 1 + r.Size()) % r.Size()
+			for i := 0; i < rounds; i++ {
+				rr := r.Irecv(in, prev, i)
+				r.Waitall(r.Isend(out, next, i), rr)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%d rounds: %v", rounds, err)
+		}
+		return reqAllocTotal(w)
+	}
+	small, large := run(4), run(32)
+	if small == 0 {
+		t.Fatal("no pool misses at all: the counter is not wired")
+	}
+	if large != small {
+		t.Errorf("user requests leak from the pool: %d misses at 4 rounds, %d at 32 — misses must not scale with rounds", small, large)
+	}
+}
+
 // TestRequestPoolZeroAllocScaleMode repeats the gate on a 32-rank fat
 // tree, the multi-stage fabric of the thousand-rank worlds.
 func TestRequestPoolZeroAllocScaleMode(t *testing.T) {

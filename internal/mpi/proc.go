@@ -27,7 +27,7 @@ type procState struct {
 	as   *memreg.AddressSpace
 	prof *trace.Profile
 
-	posted []*Request // receive queue, post order
+	posted []*request // receive queue, post order
 	unexp  []*inMsg   // unexpected messages, arrival order
 
 	// actions are the host-driven protocol steps pending, from actHead on.
@@ -45,7 +45,7 @@ type procState struct {
 	wdFired  bool
 
 	// waitWhy is the rank's default wait reason ("rank<N>:wait"), built
-	// once: waitOne runs on every blocking completion, and formatting the
+	// once: wait runs on every blocking completion, and formatting the
 	// same string there dominated the MPI layer's allocation profile.
 	waitWhy string
 	// why is the reason of the wait in progress, which the rank's parked
@@ -66,16 +66,15 @@ type procState struct {
 	splitGen map[int]int
 	// collScratch is a reusable buffer for collective intermediates.
 	collScratch memreg.Buf
-	// reqFree recycles the Request records the library owns (blocking
-	// calls', collectives'), which waitFree returns once complete;
-	// reqAllocs counts pool misses for the zero-alloc gates.
-	reqFree   []*Request
+	// reqFree recycles the request records every wait frees; reqAllocs
+	// counts pool misses for the zero-alloc gates.
+	reqFree   []*request
 	reqAllocs int
 	// Reusable collective scratch (offsets, counts, request lists).
 	// Collectives are not reentrant per rank, so one set suffices.
 	offScratch []int64
 	cntScratch []int64
-	reqScratch []*Request
+	reqScratch []*request
 	// nicPeers is the set of cross-node ranks this rank has exchanged NIC
 	// traffic with (either direction), as a bitset over world ranks;
 	// nicPeerCount is its population, the connection count behind
@@ -137,7 +136,7 @@ func (ps *procState) Report(e *metrics.Emitter) {
 // histogram and emits an "mpi" span covering post-to-completion on lane, one
 // of the rank's send/recv/fail tracks. Called from every completion site; a
 // no-op when metrics are off.
-func (ps *procState) finishReq(r *Request, lane *metrics.SpanTrack) {
+func (ps *procState) finishReq(r *request, lane *metrics.SpanTrack) {
 	if ps.met == nil {
 		return
 	}
@@ -188,11 +187,11 @@ type inMsg struct {
 	tid      msgtrace.ID // trace context, carried sender -> receiver
 	kind     msgKind
 	ch       chKind
-	sender   *Request // rendezvous: the sender's request, for CTS routing
+	sender   *request // rendezvous: the sender's request, for CTS routing
 	matched  bool
 	// to is the receiving rank; req is the receive the message matched.
 	to  *procState
-	req *Request
+	req *request
 
 	// The completions: arrived lands the message (or its RTS) at the
 	// receiver, cts lands the clear-to-send at the sender, and bulkDone
@@ -295,7 +294,7 @@ func (ps *procState) run(p *sim.Proc, a hostAction) {
 // recorder's freeze, a deadlock report — because formatting it on every
 // wait was a large share of a faulty run's allocations.
 type waitReason struct {
-	req  *Request // nil: the reason is text
+	req  *request // nil: the reason is text
 	text string
 }
 
@@ -417,7 +416,7 @@ func (ps *procState) notify() {
 
 // match scans the posted queue for a request matching an arrival. Matching
 // is scoped by communicator context, then by (source, tag) with wildcards.
-func (ps *procState) matchPosted(comm, src, tag int) *Request {
+func (ps *procState) matchPosted(comm, src, tag int) *request {
 	for _, r := range ps.posted {
 		if r.done || r.matched != nil || r.comm != comm {
 			continue
@@ -443,7 +442,7 @@ func (ps *procState) matchUnexpected(comm, src, tag int) *inMsg {
 }
 
 // removePosted drops a completed request from the posted queue.
-func (ps *procState) removePosted(r *Request) {
+func (ps *procState) removePosted(r *request) {
 	for i, x := range ps.posted {
 		if x == r {
 			ps.posted = append(ps.posted[:i], ps.posted[i+1:]...)

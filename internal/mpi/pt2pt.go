@@ -26,18 +26,18 @@ const (
 // reserved negative tags. A nonblocking send is profiled as an Isend; a
 // synchronous one (Ssend) takes the rendezvous protocol whatever its size
 // or path, so it completes only once the receive is posted.
-func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, nonblocking, sync bool) *Request {
+func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, nonblocking, sync bool) *request {
 	dstPS := ps.world.procs[dst]
 	sameNode := dstPS.node == ps.node
 	if !ps.quiet {
 		ps.prof.Send(buf, sameNode, nonblocking)
 	}
 
-	// The request comes zeroed; filling it field by field keeps a
-	// Request-sized temporary out of this frame, which every send's stack
-	// holds.
+	// The record comes zeroed but for its rank and generation; filling it
+	// field by field keeps a record-sized temporary out of this frame,
+	// which every send's stack holds.
 	req := ps.newRequest()
-	req.ps, req.isSend, req.buf = ps, true, buf
+	req.isSend, req.buf = true, buf
 	req.comm, req.peer, req.tag = comm, dst, tag
 	req.size, req.born = buf.Size, ps.eng.Now()
 	ps.sendSeq++
@@ -67,7 +67,7 @@ func (ps *procState) startSend(p *sim.Proc, buf memreg.Buf, comm, dst, tag int, 
 
 // newMsg takes a message record from the world's free list for req's
 // payload (or its RTS) from this rank to rank to.
-func (ps *procState) newMsg(req *Request, to *procState, kind msgKind, ch chKind) *inMsg {
+func (ps *procState) newMsg(req *request, to *procState, kind msgKind, ch chKind) *inMsg {
 	m := ps.world.newInMsg()
 	m.comm, m.src, m.tag, m.size, m.seq, m.tid = req.comm, ps.rank, req.tag, req.size, req.seq, req.tid
 	m.kind, m.ch, m.to = kind, ch, to
@@ -79,7 +79,7 @@ func (ps *procState) newMsg(req *Request, to *procState, kind msgKind, ch chKind
 
 // shmSend crosses the intra-node shared-memory channel: the sender copies
 // into the shared segment and the message is visible a half-handshake later.
-func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
+func (ps *procState) shmSend(p *sim.Proc, req *request, dstPS *procState) {
 	ch := ps.world.shm[ps.node]
 	copyCost := ch.CopyTime(req.size)
 	start := ps.eng.Now()
@@ -98,7 +98,7 @@ func (ps *procState) shmSend(p *sim.Proc, req *Request, dstPS *procState) {
 
 // eagerSend copies into pre-registered staging (VAPI/GM) or hands the user
 // buffer to the NIC (Elan) and pushes envelope+payload through the wire.
-func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
+func (ps *procState) eagerSend(p *sim.Proc, req *request, dstPS *procState) {
 	rec := ps.world.rec
 	sendCost := ps.ep.IssueStall() + ps.ep.SendOverhead(req.size)
 	var regCost, copyCost sim.Time
@@ -128,8 +128,7 @@ func (ps *procState) eagerSend(p *sim.Proc, req *Request, dstPS *procState) {
 
 // rndvSend opens the rendezvous: register the buffer, send RTS, and wait
 // for the CTS/data exchange to complete the request.
-func (ps *procState) rndvSend(p *sim.Proc, req *Request, dstPS *procState) {
-	req.rndv = true
+func (ps *procState) rndvSend(p *sim.Proc, req *request, dstPS *procState) {
 	rec := ps.world.rec
 	sendCost := ps.ep.IssueStall() + ps.ep.SendOverhead(req.size)
 	regCost := ps.ep.AcquireBuf(req.buf)
@@ -192,7 +191,7 @@ func (ps *procState) arriveMatched(m *inMsg) {
 }
 
 // bind matches receive r with message m.
-func bind(r *Request, m *inMsg) {
+func bind(r *request, m *inMsg) {
 	r.matched, m.req = m, r
 	m.matched = true
 }
@@ -322,29 +321,22 @@ func (ps *procState) bulkLanded(m *inMsg) {
 
 // finHop is a rendezvous send request seen as the handler of its FIN: the
 // request itself is the event target, so the hop allocates nothing.
-type finHop Request
+type finHop request
 
 // HandleEvent implements sim.Handler: the FIN landed at the sender.
-func (f *finHop) HandleEvent(int64, int64) { (*Request)(f).completeSend() }
+func (f *finHop) HandleEvent(int64, int64) { (*request)(f).completeSend() }
 
 // startRecv posts a receive of buf from world rank src (or AnySource) in
 // context comm, with no checks, as startSend does for sends.
-func (ps *procState) startRecv(p *sim.Proc, buf memreg.Buf, comm, src, tag int, nonblocking bool) *Request {
+func (ps *procState) startRecv(p *sim.Proc, buf memreg.Buf, comm, src, tag int, nonblocking bool) *request {
 	sameNode := src != AnySource && ps.world.procs[src].node == ps.node
 	if !ps.quiet {
 		ps.prof.Recv(buf, sameNode, nonblocking)
 	}
 
 	r := ps.newRequest()
-	*r = Request{
-		ps:   ps,
-		buf:  buf,
-		comm: comm,
-		src:  src,
-		tag:  tag,
-		size: buf.Size,
-		born: ps.eng.Now(),
-	}
+	r.buf, r.comm, r.src, r.tag = buf, comm, src, tag
+	r.size, r.born = buf.Size, ps.eng.Now()
 	ps.record(trace.EvRecvPost, src, tag, comm, buf.Size)
 	if m := ps.matchUnexpected(comm, src, tag); m != nil {
 		bind(r, m)

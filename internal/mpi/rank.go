@@ -62,7 +62,8 @@ func (r *Rank) Ssend(buf memreg.Buf, dst, tag int) {
 // Bsend performs a buffered send (MPI_Bsend): the payload is copied into
 // attached buffer space and the call returns immediately, whatever the
 // size. Modelled as the host copy plus a send from library-owned staging
-// whose completion nothing waits on, so its request is never recycled.
+// whose completion nothing waits on, so its record is left to the garbage
+// collector rather than returned to the free list.
 func (r *Rank) Bsend(buf memreg.Buf, dst, tag int) {
 	r.CommWorld().check("Bsend", dst, tag, false)
 	ps := r.ps
@@ -83,57 +84,13 @@ func (r *Rank) Recv(buf memreg.Buf, src, tag int) Status {
 }
 
 // Isend starts a non-blocking send.
-func (r *Rank) Isend(buf memreg.Buf, dst, tag int) *Request {
+func (r *Rank) Isend(buf memreg.Buf, dst, tag int) Request {
 	return r.world.Isend(buf, dst, tag)
 }
 
 // Irecv starts a non-blocking receive.
-func (r *Rank) Irecv(buf memreg.Buf, src, tag int) *Request {
+func (r *Rank) Irecv(buf memreg.Buf, src, tag int) Request {
 	return r.world.Irecv(buf, src, tag)
-}
-
-// Wait blocks until the request completes. The request stays the caller's
-// and is never recycled.
-func (r *Rank) Wait(req *Request) Status { return r.world.Wait(req) }
-
-// Waitall blocks until every request completes.
-func (r *Rank) Waitall(reqs ...*Request) {
-	for _, req := range reqs {
-		if req != nil {
-			r.Wait(req)
-		}
-	}
-}
-
-// Test drives progress once and reports whether the request has completed.
-func (r *Rank) Test(req *Request) bool {
-	r.ps.poll(r.p)
-	return req.done
-}
-
-// Waitany blocks until at least one of the requests completes and returns
-// its index and status (MPI_Waitany). Completed requests are not removed
-// from the slice; the caller tracks which indices were returned.
-func (r *Rank) Waitany(reqs []*Request) (int, Status) {
-	if len(reqs) == 0 {
-		panic("mpi: Waitany on empty request list")
-	}
-	idx := -1
-	r.ps.waitFor(r.p, waitReason{text: "waitany"}, func() bool {
-		for i, req := range reqs {
-			if req != nil && !req.done {
-				if failed, ok := r.ps.world.peerFailed(req); ok {
-					r.ps.failPeer(req, failed, "waitany")
-				}
-			}
-			if req != nil && req.done {
-				idx = i
-				return true
-			}
-		}
-		return false
-	})
-	return idx, reqs[idx].status
 }
 
 // Sendrecv performs the blocking exchange (MPI_Sendrecv).
@@ -142,38 +99,6 @@ func (r *Rank) Sendrecv(sendBuf memreg.Buf, dst, sendTag int, recvBuf memreg.Buf
 	c.check("Sendrecv", dst, sendTag, false)
 	c.check("Sendrecv", src, recvTag, true)
 	rr := c.irecv(recvBuf, src, recvTag, false)
-	r.waitFree(c.isend(sendBuf, dst, sendTag, false))
-	return r.waitFree(rr)
-}
-
-// waitOne blocks until req completes and returns its status. It never
-// frees req: the caller owns it.
-func (r *Rank) waitOne(req *Request) Status {
-	why := waitReason{text: r.ps.waitWhy}
-	if r.ps.world.cfg.Timeout > 0 {
-		// With the watchdog armed, the wait reason names the stuck operation
-		// and peer, so a TimeoutError does too; it is formatted only if read.
-		why = waitReason{req: req}
-	}
-	r.ps.waitFor(r.p, why, func() bool {
-		if !req.done {
-			// Rank-death notification: a wait on a dead peer resolves —
-			// exceptionally completed under FaultTolerant, a typed job abort
-			// otherwise — instead of riding the watchdog to a TimeoutError.
-			if failed, ok := r.ps.world.peerFailed(req); ok {
-				r.ps.failPeer(req, failed, why.String())
-			}
-		}
-		return req.done
-	})
-	return req.status
-}
-
-// waitFree is waitOne for a request the library owns and nothing else
-// holds (a blocking call's, a collective's): once it completes, it goes
-// back to the rank's free list.
-func (r *Rank) waitFree(req *Request) (st Status) {
-	st = r.waitOne(req)
-	r.ps.releaseReq(req)
-	return
+	r.wait(c.isend(sendBuf, dst, sendTag, false))
+	return r.wait(rr)
 }

@@ -62,17 +62,43 @@ func TestWaitany(t *testing.T) {
 			// Two receives; rank 2's message is delayed, rank 1's prompt.
 			a := r.Irecv(r.Malloc(64), 1, 1)
 			b := r.Irecv(r.Malloc(64), 2, 2)
-			idx, st := r.Waitany([]*Request{a, b})
+			reqs := []Request{a, b}
+			idx, st := r.Waitany(reqs)
 			if idx != 0 || st.Source != 1 {
 				t.Errorf("first completion idx=%d st=%+v, want the prompt sender", idx, st)
 			}
-			r.Wait(b)
+			if reqs[0] != (Request{}) {
+				t.Errorf("Waitany left slot 0 as %+v, want the null handle", reqs[0])
+			}
+			if idx, st = r.Waitany(reqs); idx != 1 || st.Source != 2 {
+				t.Errorf("second completion idx=%d st=%+v, want the delayed sender", idx, st)
+			}
+			if idx, st = r.Waitany(reqs); idx != -1 || st != (Status{}) {
+				t.Errorf("Waitany on spent handles: idx=%d st=%+v, want -1 and a zero Status", idx, st)
+			}
 		case 1:
 			r.Send(r.Malloc(64), 0, 1)
 		case 2:
 			r.Compute(500 * units.Microsecond)
 			r.Send(r.Malloc(64), 0, 2)
 		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitanyAllNullReturnsUndefined: Waitany on null handles only
+// returns at once with index -1 and a zero Status (MPI_UNDEFINED), rather
+// than parking every rank until the job deadlocks.
+func TestWaitanyAllNullReturnsUndefined(t *testing.T) {
+	w := MustWorld(Config{Net: cluster.IBA().New(2), Procs: 2})
+	if err := w.Run(func(r *Rank) {
+		for _, reqs := range [][]Request{{{}, {}}, nil} {
+			if idx, st := r.Waitany(reqs); idx != -1 || st != (Status{}) {
+				t.Errorf("rank %d: Waitany(%d null handles) = %d, %+v; want -1 and a zero Status", r.Rank(), len(reqs), idx, st)
+			}
+		}
+		r.Waitall(Request{}, Request{})
 	}); err != nil {
 		t.Fatal(err)
 	}

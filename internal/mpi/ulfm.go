@@ -76,7 +76,7 @@ func (w *World) rankDead(rank int) bool {
 // that actually sent the message; an unmatched AnySource receive fails on
 // any death — the canonical ULFM rule, since the library cannot prove the
 // would-be sender is still alive.
-func (w *World) peerFailed(req *Request) (int, bool) {
+func (w *World) peerFailed(req *request) (int, bool) {
 	if !w.anyFailed {
 		return 0, false
 	}
@@ -109,7 +109,7 @@ func (w *World) peerFailed(req *Request) (int, bool) {
 // exceptionally — Status.Err carries the RankFailedError and the job goes
 // on. Everything else — collectives (internal negative tags), and any death
 // with fault tolerance off — aborts the job with the same typed error.
-func (ps *procState) failPeer(req *Request, failed int, why string) {
+func (ps *procState) failPeer(req *request, failed int, why string) {
 	w := ps.world
 	now := ps.eng.Now()
 	err := &RankFailedError{Rank: ps.rank, Failed: failed, Op: why, At: now}

@@ -48,7 +48,7 @@ func ringTraffic(msgs int, report func(format string, args ...any)) func(*mpi.Ra
 	return func(r *mpi.Rank) {
 		n := r.Size()
 		dst, src := (r.Rank()+1)%n, (r.Rank()+n-1)%n
-		var reqs []*mpi.Request
+		var reqs []mpi.Request
 		for i := 0; i < msgs; i++ {
 			reqs = append(reqs, r.Isend(r.Malloc(sizes[i%len(sizes)]), dst, i))
 		}

@@ -90,7 +90,9 @@ type (
 	WorldConfig = mpi.Config
 	// Rank is the per-process MPI handle.
 	Rank = mpi.Rank
-	// Request is a non-blocking operation handle.
+	// Request is a non-blocking operation handle: a value whose zero is
+	// the null handle. Wait, Waitall and Waitany free the request, so a
+	// handle is spent once waited and any later use panics by name.
 	Request = mpi.Request
 	// Status describes a completed receive.
 	Status = mpi.Status

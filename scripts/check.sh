@@ -181,13 +181,21 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.Pool' internal/; then
     exit 1
 fi
 # Point-to-point has one implementation, the communicator's: Rank's calls
-# are MPI_COMM_WORLD's, every user entry runs Comm.check once, and the
-# owner that waits on a request frees it (waitFree). A second front end, a
-# per-request recycling flag or a second copy of the tag check may not
+# are MPI_COMM_WORLD's, and every user entry runs Comm.check once. Every
+# request has one lifetime: the one wait function frees it, for the user's
+# waits as for the library's. A second front end, a per-request recycling
+# flag, a second wait function or a second copy of the tag check may not
 # come back.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'isendImpl|irecvImpl|\bpooled\s+bool|\.pooled\b' internal/mpi/; then
-    echo "FAIL: a second point-to-point front end or a pooled request flag is back (check through Comm.check, free through waitFree; see internal/mpi/comm.go)" >&2
+    'isendImpl|irecvImpl|\bpooled\s+bool|\.pooled\b|\bwaitOne\b|\bwaitFree\b' internal/mpi/; then
+    echo "FAIL: a second point-to-point front end, a pooled request flag or a second wait function is back (check through Comm.check, free through wait; see internal/mpi/request.go)" >&2
+    exit 1
+fi
+# The user holds requests through the Request value handle, whose stale use
+# the handle check refuses by name; a bare record pointer handed out again
+# could wait on a record its rank has since reused.
+if grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*\([^{]*\*Request\b' internal/mpi/*.go | grep -v '_test\.go:'; then
+    echo "FAIL: an exported internal/mpi function takes or returns *Request (hand out the Request value handle; see internal/mpi/request.go)" >&2
     exit 1
 fi
 if [ "$(grep -rnE --include='*.go' --exclude='*_test.go' 'panic\(.*user tag' internal/mpi/ | wc -l)" -ne 1 ]; then
